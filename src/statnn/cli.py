@@ -22,12 +22,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .effects import PceConfig, PceCurve, pce_curve, to_original_scale
+from .effects import (PceConfig, PceCurve, conditioning_values, effect_grid,
+                      pce_curve, to_original_scale)
 from .exceptions import (DataError, FitError, NotPositiveDefiniteError,
                          ShapeError, SingularMatrixError)
 from .fit import FitConfig, evaluate_at, fit
 from .inference import sandwich_covariance, summarize
-from .likelihood import LikelihoodSpec, observed_information
+from .likelihood import (LikelihoodSpec, observed_information,
+                         output_activation_for)
 from .model import Architecture, Dataset
 from .plots import pce_plot_svg, selection_plot_svg
 from .preprocess import dataset_from_meta, ingest
@@ -166,20 +168,21 @@ def _emit_or_print(text: str, out_path):
         atomic_write_text(out_path, text)
 
 
-def _build_arch(p: int, q: int, family: str) -> Architecture:
-    return Architecture(
-        p=p, q=q,
-        output_activation="logistic" if family == "bernoulli" else "identity")
-
-
-def cmd_fit(args) -> int:
+def _ingest_response(args) -> Dataset:
+    """Read the fit/select CSV; a bernoulli response must be 0/1."""
     data, _plan = ingest(args.csv, args.response, _load_schema(args.schema))
     if args.family == "bernoulli" and not np.all((data.y == 0)
                                                  | (data.y == 1)):
         raise DataError(
             f"response column {args.response!r} must be 0/1 for the "
             "bernoulli family")
-    arch = _build_arch(data.p, args.q, args.family)
+    return data
+
+
+def cmd_fit(args) -> int:
+    data = _ingest_response(args)
+    arch = Architecture(p=data.p, q=args.q,
+                        output_activation=output_activation_for(args.family))
     spec = LikelihoodSpec(args.family, args.lam)
     config = FitConfig(n_restarts=args.restarts, seed=args.seed,
                        init_scale=args.init_scale)
@@ -217,16 +220,6 @@ def cmd_summary(args) -> int:
     return 0
 
 
-def _conditioning_values(data: Dataset, k: int):
-    meta = data.column_meta[k - 1]
-    if meta.kind == "dummy":
-        return (0.0, 1.0)
-    col = data.x[:, k - 1]
-    mean = float(np.mean(col))
-    sd = float(np.std(col, ddof=1))
-    return (mean - sd, mean + sd)
-
-
 def _linear_reference(data: Dataset, j: int, d: float, original: bool):
     """Linear-model analogue of a d-step effect, on the curve's scale."""
     linear = fit_linear(data)
@@ -244,21 +237,15 @@ def cmd_pce(args) -> int:
     conditioning = None
     if args.by is not None:
         k = data.column_index(args.by) + 1
-        conditioning = (k, _conditioning_values(data, k))
+        conditioning = (k, conditioning_values(data, k))
     if meta.kind == "dummy":
         # A dummy's only meaningful effect is the 0 -> 1 switch.
         config = PceConfig(j=j, d=1.0, grid=np.array([0.0]),
                            conditioning=conditioning)
     else:
-        grid = None
-        if args.grid_points != 101:
-            lo = float(np.min(data.x[:, j - 1]))
-            hi = float(np.max(data.x[:, j - 1]))
-            d_eff = args.d if args.d is not None else float(
-                np.std(data.x[:, j - 1], ddof=1))
-            grid = np.linspace(lo, hi - d_eff, args.grid_points)
-        config = PceConfig(j=j, d=args.d, grid=grid,
-                           conditioning=conditioning)
+        config = PceConfig(
+            j=j, d=args.d, conditioning=conditioning,
+            grid=effect_grid(data, j, args.d, args.grid_points))
     curves = pce_curve(doc.arch, doc.theta, cov, data, config)
     single = isinstance(curves, PceCurve)
     if args.original_scale:
@@ -281,12 +268,7 @@ def cmd_pce(args) -> int:
 
 
 def cmd_select(args) -> int:
-    data, _plan = ingest(args.csv, args.response, _load_schema(args.schema))
-    if args.family == "bernoulli" and not np.all((data.y == 0)
-                                                 | (data.y == 1)):
-        raise DataError(
-            f"response column {args.response!r} must be 0/1 for the "
-            "bernoulli family")
+    data = _ingest_response(args)
     if args.q_list:
         try:
             q_list = tuple(int(tok) for tok in args.q_list.split(","))

@@ -32,8 +32,8 @@ from .model import (Architecture, Dataset, ParamVector, design_with_intercept,
                     forward_design)
 from .special import normal_quantile
 
-#: Two-sided 95% normal critical value, computed once so the default
-#: level takes the same code path as every other level.
+#: Two-sided 95% normal critical value; equal bit for bit to the value
+#: ``_curve_for`` computes at level 0.95.
 Z_95 = normal_quantile(0.975)
 
 _DEFAULT_GRID_POINTS = 101
@@ -45,10 +45,10 @@ class PceConfig:
 
     ``j`` is the 1-based covariate whose effect is traced.  ``d`` is the
     step size (default: the sample standard deviation of column j).
-    ``grid`` the evaluation points for x0 (default: equally spaced from
-    the column minimum to the maximum minus d).  ``conditioning``
-    optionally pins a second covariate: (k, values) produces one curve
-    per value.
+    ``grid`` the evaluation points for x0 (default: ``effect_grid``,
+    equally spaced from the column minimum to the maximum minus d).
+    ``conditioning`` optionally pins a second covariate: (k, values)
+    produces one curve per value.
     """
 
     j: int
@@ -104,12 +104,6 @@ class PceCurve:
         return np.array([pt.beta_hat for pt in self.points])
 
 
-def _critical_value(level: float) -> float:
-    if level == 0.95:
-        return Z_95
-    return normal_quantile(0.5 + level / 2.0)
-
-
 def _check_covariate(arch: Architecture, j: int):
     if not 1 <= j <= arch.p:
         raise IndexError(f"covariate index must be in 1..{arch.p}, got {j}")
@@ -121,7 +115,7 @@ def _curve_for(arch, theta, cov, data, j, d, grid, level, pin, label):
     x_base = np.array(data.x)
     if pin is not None:
         x_base[:, pin[0] - 1] = pin[1]
-    z = _critical_value(level)
+    z = normal_quantile(0.5 + level / 2.0)
     pts = []
     x_lo = x_base.copy()
     x_hi = x_base.copy()
@@ -146,25 +140,31 @@ def _predict(arch, theta, x):
     return forward_design(arch, theta, design_with_intercept(x))
 
 
-def _resolve_step_and_grid(data: Dataset, config: PceConfig):
-    col = data.x[:, config.j - 1]
-    if config.d is not None:
-        d = float(config.d)
-    else:
-        d = float(np.std(col, ddof=1))
-        if not d > 0.0:
-            raise DataError(
-                f"covariate {config.j} has zero sample variation; "
-                "supply an explicit step d")
-    if config.grid is not None:
-        grid = np.asarray(config.grid, dtype=float)
-    else:
-        lo = float(np.min(col))
-        hi = float(np.max(col)) - d
-        if hi <= lo:
-            hi = lo
-        grid = np.linspace(lo, hi, _DEFAULT_GRID_POINTS)
-    return d, grid
+def _resolve_step(data: Dataset, j: int, d: float | None) -> float:
+    """The step d, defaulting to the sample standard deviation of column j."""
+    if d is not None:
+        return float(d)
+    d = float(np.std(data.x[:, j - 1], ddof=1))
+    if not d > 0.0:
+        raise DataError(f"covariate {j} has zero sample variation; "
+                        "supply an explicit step d")
+    return d
+
+
+def effect_grid(data: Dataset, j: int, d: float | None = None,
+                points: int = _DEFAULT_GRID_POINTS) -> np.ndarray:
+    """Default x0 grid of a curve: ``points`` equally spaced values from
+    the minimum of column j to its maximum minus the step d (default
+    step as in ``PceConfig``).  When the step spans the column's range
+    the grid is the single point [minimum]."""
+    if points < 1:
+        raise ValueError(f"grid needs at least one point, got {points}")
+    col = data.x[:, j - 1]
+    lo = float(np.min(col))
+    hi = float(np.max(col)) - _resolve_step(data, j, d)
+    if hi <= lo:
+        return np.array([lo])
+    return np.linspace(lo, hi, points)
 
 
 def pce_curve(arch: Architecture, theta: ParamVector, cov: CovarianceEstimate,
@@ -181,7 +181,9 @@ def pce_curve(arch: Architecture, theta: ParamVector, cov: CovarianceEstimate,
         raise NotPositiveDefiniteError(
             "covariance is not positive definite; confidence bands are "
             "unavailable")
-    d, grid = _resolve_step_and_grid(data, config)
+    d = _resolve_step(data, config.j, config.d)
+    grid = (effect_grid(data, config.j, d) if config.grid is None
+            else np.asarray(config.grid, dtype=float))
     if config.conditioning is None:
         return _curve_for(arch, theta, cov, data, config.j, d, grid,
                           config.level, None, None)
@@ -230,16 +232,20 @@ def interaction_screen(arch: Architecture, theta: ParamVector,
     _check_covariate(arch, k)
     if j == k:
         raise ValueError("interaction screen needs two distinct covariates")
-    meta_k = data.column_meta[k - 1]
-    if meta_k.kind == "dummy":
-        values = (0.0, 1.0)
-    else:
-        col = data.x[:, k - 1]
-        m = float(np.mean(col))
-        s = float(np.std(col, ddof=1))
-        values = (m - s, m + s)
     return pce_curve(arch, theta, cov, data,
-                     PceConfig(j=j, level=level, conditioning=(k, values)))
+                     PceConfig(j=j, level=level,
+                               conditioning=(k, conditioning_values(data, k))))
+
+
+def conditioning_values(data: Dataset, k: int) -> tuple:
+    """Values at which a conditioning covariate k is pinned: 0 and 1 for
+    a dummy, its sample mean -/+ one standard deviation otherwise."""
+    if data.column_meta[k - 1].kind == "dummy":
+        return (0.0, 1.0)
+    col = data.x[:, k - 1]
+    mean = float(np.mean(col))
+    sd = float(np.std(col, ddof=1))
+    return (mean - sd, mean + sd)
 
 
 def to_original_scale(curve: PceCurve, data: Dataset) -> PceCurve:

@@ -6,6 +6,9 @@ using the exact analytic Hessian so stationarity holds to a tight
 max-norm gradient tolerance.  For the Gaussian family the optimization
 runs at sigma^2 = 1 (penalized least squares); sigma_hat^2 = RSS/n is
 recovered afterwards and the reported log-likelihood is evaluated there.
+The objective, its derivatives, the input checks and the profiled
+variance all come from ``likelihood._Evaluator``; this module holds
+only the search.
 
 Each restart draws its starting point from a private generator seeded by
 (seed, restart_index), so results are reproducible and independent of
@@ -23,15 +26,8 @@ import scipy.optimize
 
 from .canonical import canonicalize
 from .exceptions import FitError
-from .likelihood import (LikelihoodSpec, _clamped_bernoulli_loglik,
-                         _curvature_correction, _net_parts, _pred_jacobian,
-                         check_family, gradient, log_likelihood)
-from .model import (Architecture, Dataset, ParamVector, design_with_intercept,
-                    forward_design, sigmoid)
-
-#: Smallest admissible variance estimate; guards the degenerate
-#: zero-residual fit so the profile log-likelihood stays finite.
-_SIGMA_SQ_FLOOR = float(np.finfo(float).tiny)
+from .likelihood import LikelihoodSpec, _Evaluator
+from .model import Architecture, Dataset, ParamVector
 
 _POLISH_MAX_STEPS = 25
 _POLISH_MAX_BACKTRACKS = 30
@@ -66,9 +62,10 @@ class FitResult:
     Gaussian family, at the recovered sigma_hat^2) and always equals the
     maximum of ``restart_logliks``; failed restarts appear there as
     ``-inf``.  ``loglik_trace`` holds the winning restart's accepted
-    objective values on the optimizer's scale (for Gaussian fits the
-    sigma^2 = 1 penalized log-likelihood), monotone nondecreasing up to
-    rounding.
+    objective values on the optimizer's scale, monotone nondecreasing up
+    to rounding.  For Gaussian fits that is -RSS/2 minus the penalty:
+    the sigma^2 = 1 penalized log-likelihood without its -(n/2) log(2 pi)
+    constant.
     """
 
     arch: Architecture
@@ -98,63 +95,7 @@ def _restart_rng(seed: int, restart_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-class _Objective:
-    """Negative penalized log-likelihood and derivatives on flat arrays."""
-
-    def __init__(self, arch: Architecture, data: Dataset, spec: LikelihoodSpec):
-        self.p = arch.p
-        self.q = arch.q
-        self.r = arch.r
-        self.x1 = design_with_intercept(data.x)
-        self.y = data.y
-        self.lam = spec.lam
-        self.gaussian = spec.family == "gaussian"
-        self.mask = arch.penalized_mask()
-        self.last_x = None
-        self.last_f = np.inf
-
-    def _pen(self, theta):
-        return self.lam * float(np.sum(theta[self.mask] ** 2))
-
-    def _pen_grad(self, theta):
-        out = np.zeros_like(theta)
-        if self.lam != 0.0:
-            out[self.mask] = 2.0 * self.lam * theta[self.mask]
-        return out
-
-    def value_grad(self, theta):
-        _, g, h, z = _net_parts(self.p, self.q, self.x1, theta)
-        a = _pred_jacobian(self.p, self.q, self.x1, h, g[1:])
-        if self.gaussian:
-            res = self.y - z
-            f = 0.5 * float(res @ res) + self._pen(theta)
-            grad = -(a.T @ res) + self._pen_grad(theta)
-        else:
-            mu = sigmoid(z)
-            f = -_clamped_bernoulli_loglik(self.y, mu) + self._pen(theta)
-            grad = -(a.T @ (self.y - mu)) + self._pen_grad(theta)
-        self.last_x = theta.copy()
-        self.last_f = f
-        return f, grad
-
-    def hessian(self, theta):
-        _, g, h, z = _net_parts(self.p, self.q, self.x1, theta)
-        a = _pred_jacobian(self.p, self.q, self.x1, h, g[1:])
-        if self.gaussian:
-            res = self.y - z
-            hess = a.T @ a - _curvature_correction(self.p, self.q, self.x1, h,
-                                                   g[1:], res)
-        else:
-            mu = sigmoid(z)
-            hess = ((a.T * (mu * (1.0 - mu))) @ a
-                    - _curvature_correction(self.p, self.q, self.x1, h, g[1:],
-                                            self.y - mu))
-        if self.lam != 0.0:
-            hess = hess + np.diag(2.0 * self.lam * self.mask.astype(float))
-        return 0.5 * (hess + hess.T)
-
-
-def _newton_polish(obj: _Objective, x: np.ndarray, grad_tol: float):
+def _newton_polish(obj: _Evaluator, x: np.ndarray, grad_tol: float):
     """Damped Newton refinement; returns (x, n_steps).
 
     Accepts a step only when the gradient max-norm strictly decreases
@@ -204,18 +145,8 @@ def _solve_damped(hess: np.ndarray, rhs: np.ndarray):
 def fit(arch: Architecture, data: Dataset, spec: LikelihoodSpec,
         config: FitConfig = FitConfig()) -> FitResult:
     """Penalized maximum-likelihood estimate with random restarts."""
-    check_family(arch, spec)
-    if data.p != arch.p:
-        raise ValueError(f"data has {data.p} covariates, architecture wants {arch.p}")
-    if spec.family == "bernoulli" and not np.all((data.y == 0) | (data.y == 1)):
-        raise FitError("bernoulli family requires a response in {0, 1}")
-
-    obj = _Objective(arch, data, spec)
-    n = data.n
-    logliks = []
-    thetas = []
-    traces = []
-    iters = []
+    obj = _Evaluator(arch, data, spec)
+    runs = []       # (loglik, theta, sigma_sq, trace, iterations) or None
     failures = []
 
     for i in range(config.n_restarts):
@@ -225,31 +156,22 @@ def fit(arch: Architecture, data: Dataset, spec: LikelihoodSpec,
             x_hat, nit, trace = _run_restart(obj, x0, config)
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
             failures.append(f"restart {i}: {exc}")
-            logliks.append(float("-inf"))
-            thetas.append(None)
-            traces.append(())
-            iters.append(0)
+            runs.append(None)
             continue
         theta_c = canonicalize(ParamVector(arch, x_hat))
-        ll, _ = _reported_loglik(arch, theta_c, data, spec, n)
+        ll, sigma_sq = obj.profile(theta_c.values)
         if not np.isfinite(ll):
             failures.append(f"restart {i}: non-finite log-likelihood at optimum")
-            logliks.append(float("-inf"))
-            thetas.append(None)
-            traces.append(())
-            iters.append(0)
+            runs.append(None)
             continue
-        logliks.append(ll)
-        thetas.append(theta_c)
-        traces.append(trace)
-        iters.append(nit)
+        runs.append((ll, theta_c, sigma_sq, trace, nit))
 
-    if all(t is None for t in thetas):
+    if all(run is None for run in runs):
         raise FitError("all restarts failed:\n" + "\n".join(failures))
 
-    winner = int(np.argmax(logliks))
-    theta_hat = thetas[winner]
-    loglik, sigma_sq_hat = _reported_loglik(arch, theta_hat, data, spec, n)
+    logliks = [float("-inf") if run is None else run[0] for run in runs]
+    loglik, theta_hat, sigma_sq_hat, trace, iterations = runs[
+        int(np.argmax(logliks))]
     _, g_final = obj.value_grad(theta_hat.values)
     grad_max = float(np.max(np.abs(g_final)))
     return FitResult(
@@ -260,9 +182,9 @@ def fit(arch: Architecture, data: Dataset, spec: LikelihoodSpec,
         lam=spec.lam,
         restart_logliks=tuple(logliks),
         converged=bool(grad_max <= config.grad_tol),
-        iterations=iters[winner],
+        iterations=iterations,
         grad_max=grad_max,
-        loglik_trace=traces[winner],
+        loglik_trace=trace,
     )
 
 
@@ -275,14 +197,11 @@ def evaluate_at(arch: Architecture, theta: ParamVector, data: Dataset,
     ``converged`` reporting whether ``theta`` is a stationary point
     there (it will not be if the data differ from the fitting data).
     """
-    check_family(arch, spec)
-    if data.p != arch.p:
-        raise ValueError(f"data has {data.p} covariates, architecture wants {arch.p}")
-    loglik, sigma_sq_hat = _reported_loglik(arch, theta, data, spec, data.n)
+    obj = _Evaluator(arch, data, spec)
+    loglik, sigma_sq_hat = obj.profile(theta.values)
     # Stationarity is measured on the optimizer's scale (sigma^2 = 1 for
     # the Gaussian family), the same convention fit() reports.
-    g = gradient(arch, theta, data, spec,
-                 sigma_sq=1.0 if spec.family == "gaussian" else None)
+    _, g = obj.value_grad(theta.values)
     grad_max = float(np.max(np.abs(g)))
     return FitResult(
         arch=arch,
@@ -298,21 +217,27 @@ def evaluate_at(arch: Architecture, theta: ParamVector, data: Dataset,
     )
 
 
-def _run_restart(obj: _Objective, x0: np.ndarray, config: FitConfig):
+def _run_restart(obj: _Evaluator, x0: np.ndarray, config: FitConfig):
     """One quasi-Newton run plus Newton polish; returns (x, n_iter, trace)."""
     f0, _ = obj.value_grad(x0)
     if not np.isfinite(f0):
         raise FitError("objective not finite at the starting point")
     trace = [-f0]
+    last = [None, np.inf]           # last evaluated point and its value
+
+    def value_grad(x):
+        f, g = obj.value_grad(x)
+        last[:] = [x.copy(), f]
+        return f, g
 
     def record(xk):
-        if obj.last_x is not None and np.array_equal(xk, obj.last_x):
-            trace.append(-obj.last_f)
+        if last[0] is not None and np.array_equal(xk, last[0]):
+            trace.append(-last[1])
         else:
-            trace.append(-obj.value_grad(xk)[0])
+            trace.append(-value_grad(xk)[0])
 
     res = scipy.optimize.minimize(
-        obj.value_grad, x0, jac=True, method="L-BFGS-B",
+        value_grad, x0, jac=True, method="L-BFGS-B",
         callback=record,
         options={"maxiter": config.max_iters, "ftol": 1e-16,
                  "gtol": config.grad_tol, "maxcor": 20})
@@ -323,20 +248,3 @@ def _run_restart(obj: _Objective, x0: np.ndarray, config: FitConfig):
     f_fin, _ = obj.value_grad(x_hat)
     trace.append(-f_fin)
     return x_hat, int(res.nit) + polish_steps, tuple(trace)
-
-
-def _reported_loglik(arch: Architecture, theta: ParamVector, data: Dataset,
-                     spec: LikelihoodSpec, n: int):
-    """Penalized log-likelihood and (for Gaussian) the profiled variance."""
-    if spec.family == "gaussian":
-        mu = _fitted_values(arch, theta, data)
-        rss = float(np.sum((data.y - mu) ** 2))
-        sigma_sq = max(rss / n, _SIGMA_SQ_FLOOR)
-        return (log_likelihood(arch, theta, data, spec, sigma_sq=sigma_sq),
-                sigma_sq)
-    return log_likelihood(arch, theta, data, spec), None
-
-
-def _fitted_values(arch: Architecture, theta: ParamVector,
-                   data: Dataset) -> np.ndarray:
-    return forward_design(arch, theta, design_with_intercept(data.x))

@@ -7,7 +7,14 @@ The objective is
 where theta_pen excludes the hidden intercepts omega_0k and the output
 intercept gamma_0.  Two response families are supported: Gaussian with
 identity output activation (y ~ N(NN(x), sigma^2)) and Bernoulli with
-logistic output activation.
+logistic output activation; ``output_activation_for`` and
+``family_for`` hold that pairing.
+
+All of the algebra lives in ``_Evaluator``, shared by the functions
+below and the fitter in ``fit.py``.  It works on the unit scale (the
+Gaussian family at sigma^2 = 1 without its normalizing constant);
+public functions rescale to a given sigma^2, and ``profile`` evaluates
+the Gaussian log-likelihood at sigma_hat^2 = RSS/n.
 
 The observed information is the negative Hessian of the *unpenalized*
 log-likelihood, assembled from exact analytic second derivatives (not a
@@ -30,17 +37,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DataError
-from .model import (Architecture, Dataset, ParamVector, design_with_intercept,
-                    sigmoid)
+from .exceptions import DataError, ShapeError
+from .model import (Architecture, Dataset, ParamVector, _net_parts,
+                    design_with_intercept, sigmoid)
 
-FAMILIES = ("gaussian", "bernoulli")
+#: Output activation each response family pairs with.
+_OUTPUT_ACTIVATIONS = {"gaussian": "identity", "bernoulli": "logistic"}
+
+FAMILIES = tuple(_OUTPUT_ACTIVATIONS)
 
 #: Clamp distance from {0, 1} applied to Bernoulli success probabilities
 #: before taking logs; prevents -inf without materially biasing the objective.
 BERNOULLI_EPS = 1e-12
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+
+#: Smallest admissible profiled variance; guards the degenerate
+#: zero-residual fit so the profile log-likelihood stays finite.
+_SIGMA_SQ_FLOOR = float(np.finfo(float).tiny)
+
+
+def output_activation_for(family: str) -> str:
+    """Output activation of the network a response family requires."""
+    return _OUTPUT_ACTIVATIONS[family]
+
+
+def family_for(output_activation: str) -> str:
+    """Response family implied by a network's output activation."""
+    return {act: fam for fam, act in _OUTPUT_ACTIVATIONS.items()}[
+        output_activation]
 
 
 @dataclass(frozen=True)
@@ -57,12 +82,12 @@ class LikelihoodSpec:
             raise ValueError(f"ridge penalty must be nonnegative, got {self.lam}")
 
     def required_output_activation(self) -> str:
-        return "identity" if self.family == "gaussian" else "logistic"
+        return output_activation_for(self.family)
 
 
 def check_family(arch: Architecture, spec: LikelihoodSpec):
     """Gaussian pairs with identity output, Bernoulli with logistic."""
-    want = spec.required_output_activation()
+    want = output_activation_for(spec.family)
     if arch.output_activation != want:
         raise DataError(
             f"{spec.family} family requires {want!r} output activation, "
@@ -73,8 +98,7 @@ def penalty(theta: ParamVector, lam: float) -> float:
     """Ridge penalty lambda * ||theta_pen||^2; intercepts contribute nothing."""
     if lam < 0.0:
         raise ValueError(f"ridge penalty must be nonnegative, got {lam}")
-    mask = theta.arch.penalized_mask()
-    return lam * float(np.sum(theta.values[mask] ** 2))
+    return _ridge(theta.values, theta.arch.penalized_mask(), lam)
 
 
 def _validate_gaussian(sigma_sq):
@@ -84,23 +108,9 @@ def _validate_gaussian(sigma_sq):
         raise DataError(f"sigma_sq must be positive and finite, got {sigma_sq}")
 
 
-def _validate_bernoulli(y: np.ndarray):
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise DataError("bernoulli likelihood requires a response in {0, 1}")
-
-
 # ---------------------------------------------------------------------------
-# Vectorized core on plain arrays (shared with the fitter's hot loop)
+# Vectorized core on plain arrays
 # ---------------------------------------------------------------------------
-
-def _net_parts(p: int, q: int, x1: np.ndarray, theta: np.ndarray):
-    """Forward pass pieces: omega matrix, gamma, hidden activations, output z."""
-    w = theta[:(p + 1) * q].reshape(p + 1, q)
-    g = theta[(p + 1) * q:]
-    h = sigmoid(x1 @ w)
-    z = g[0] + h @ g[1:]
-    return w, g, h, z
-
 
 def _pred_jacobian(p: int, q: int, x1: np.ndarray, h: np.ndarray,
                    gk: np.ndarray) -> np.ndarray:
@@ -134,8 +144,11 @@ def _curvature_correction(p: int, q: int, x1: np.ndarray, h: np.ndarray,
     return c
 
 
-def _penalty_grad(p: int, q: int, lam: float, theta: np.ndarray,
-                  mask: np.ndarray) -> np.ndarray:
+def _ridge(theta: np.ndarray, mask: np.ndarray, lam: float) -> float:
+    return lam * float(np.sum(theta[mask] ** 2))
+
+
+def _ridge_grad(theta: np.ndarray, mask: np.ndarray, lam: float) -> np.ndarray:
     out = np.zeros_like(theta)
     if lam != 0.0:
         out[mask] = 2.0 * lam * theta[mask]
@@ -147,6 +160,93 @@ def _clamped_bernoulli_loglik(y: np.ndarray, mu: np.ndarray) -> float:
     return float(np.sum(y * np.log(mu_c) + (1.0 - y) * np.log(1.0 - mu_c)))
 
 
+class _Evaluator:
+    """The penalized log-likelihood of one architecture, dataset and spec.
+
+    The constructor checks the family pairing, the covariate count and a
+    Bernoulli response once; the methods take a flat parameter array
+    and run one forward pass each, with no further checks, so the
+    optimizer can call ``value_grad`` and ``hessian`` in its loop.
+    """
+
+    def __init__(self, arch: Architecture, data: Dataset,
+                 spec: LikelihoodSpec):
+        check_family(arch, spec)
+        if data.p != arch.p:
+            raise ShapeError("covariate count", arch.p, data.p)
+        self.gaussian = spec.family == "gaussian"
+        if not self.gaussian and not np.all((data.y == 0.0)
+                                            | (data.y == 1.0)):
+            raise DataError(
+                "bernoulli likelihood requires a response in {0, 1}")
+        self.p, self.q, self.n = arch.p, arch.q, data.n
+        self.x1 = design_with_intercept(data.x)
+        self.y = data.y
+        self.lam = spec.lam
+        self.mask = arch.penalized_mask()
+
+    def _terms(self, theta, kernel=False):
+        """Forward pass and the family branch.
+
+        Returns gamma, the hidden activations, the unit-scale
+        log-likelihood, the score dl/dz per observation and, if
+        ``kernel``, the weights -d2l/dz2 (None where they are all 1).
+        """
+        g, h, z = _net_parts(self.p, self.q, self.x1, theta)
+        if self.gaussian:
+            res = self.y - z
+            return g, h, -0.5 * float(res @ res), res, None
+        mu = sigmoid(z)
+        return (g, h, _clamped_bernoulli_loglik(self.y, mu), self.y - mu,
+                mu * (1.0 - mu) if kernel else None)
+
+    def _jacobian(self, g, h):
+        return _pred_jacobian(self.p, self.q, self.x1, h, g[1:])
+
+    def _scale(self, sigma_sq):
+        """(divisor, additive constant) that take unit-scale terms to the
+        Gaussian log-likelihood at ``sigma_sq``; (1, 0) for Bernoulli."""
+        if not self.gaussian:
+            return 1.0, 0.0
+        _validate_gaussian(sigma_sq)
+        return sigma_sq, -0.5 * self.n * (LOG_2PI + np.log(sigma_sq))
+
+    def _penalized(self, theta, ll, sigma_sq):
+        div, const = self._scale(sigma_sq)
+        return float(const + ll / div - _ridge(theta, self.mask, self.lam))
+
+    def _information(self, theta):
+        """Unit-scale observed information, before symmetrization."""
+        g, h, _, u, w = self._terms(theta, kernel=True)
+        a = self._jacobian(g, h)
+        return ((a.T if w is None else a.T * w) @ a
+                - _curvature_correction(self.p, self.q, self.x1, h, g[1:], u))
+
+    def profile(self, theta):
+        """Penalized log-likelihood and the profiled variance: for the
+        Gaussian family sigma_hat^2 = RSS/n, from the same RSS the
+        log-likelihood uses; None for the Bernoulli family."""
+        ll = self._terms(theta)[2]
+        sigma_sq = (max(-2.0 * ll / self.n, _SIGMA_SQ_FLOOR)
+                    if self.gaussian else None)
+        return self._penalized(theta, ll, sigma_sq), sigma_sq
+
+    def value_grad(self, theta):
+        """The optimizer's objective: the negative penalized unit-scale
+        log-likelihood and its gradient."""
+        g, h, ll, u, _ = self._terms(theta)
+        a = self._jacobian(g, h)
+        return (-ll + _ridge(theta, self.mask, self.lam),
+                -(a.T @ u) + _ridge_grad(theta, self.mask, self.lam))
+
+    def hessian(self, theta):
+        """Hessian of ``value_grad``'s objective (penalty included)."""
+        hess = self._information(theta)
+        if self.lam != 0.0:
+            hess = hess + np.diag(2.0 * self.lam * self.mask.astype(float))
+        return 0.5 * (hess + hess.T)
+
+
 # ---------------------------------------------------------------------------
 # Public API
 # ---------------------------------------------------------------------------
@@ -154,18 +254,8 @@ def _clamped_bernoulli_loglik(y: np.ndarray, mu: np.ndarray) -> float:
 def log_likelihood(arch: Architecture, theta: ParamVector, data: Dataset,
                    spec: LikelihoodSpec, sigma_sq: float | None = None) -> float:
     """Penalized log-likelihood (penalty already subtracted)."""
-    check_family(arch, spec)
-    x1 = design_with_intercept(data.x)
-    _, g, h, z = _net_parts(arch.p, arch.q, x1, theta.values)
-    pen = penalty(theta, spec.lam)
-    if spec.family == "gaussian":
-        _validate_gaussian(sigma_sq)
-        res = data.y - z
-        n = data.n
-        return float(-0.5 * n * (LOG_2PI + np.log(sigma_sq))
-                     - 0.5 * float(res @ res) / sigma_sq - pen)
-    _validate_bernoulli(data.y)
-    return _clamped_bernoulli_loglik(data.y, sigmoid(z)) - pen
+    ev = _Evaluator(arch, data, spec)
+    return ev._penalized(theta.values, ev._terms(theta.values)[2], sigma_sq)
 
 
 def gradient(arch: Architecture, theta: ParamVector, data: Dataset,
@@ -175,19 +265,11 @@ def gradient(arch: Architecture, theta: ParamVector, data: Dataset,
     The ridge term contributes -2 lambda theta on the penalized
     coordinates and nothing on the intercepts.
     """
-    check_family(arch, spec)
-    x1 = design_with_intercept(data.x)
-    _, g, h, z = _net_parts(arch.p, arch.q, x1, theta.values)
-    a = _pred_jacobian(arch.p, arch.q, x1, h, g[1:])
-    if spec.family == "gaussian":
-        _validate_gaussian(sigma_sq)
-        u = (data.y - z) / sigma_sq
-    else:
-        _validate_bernoulli(data.y)
-        u = data.y - sigmoid(z)
-    pen = _penalty_grad(arch.p, arch.q, spec.lam, theta.values,
-                        arch.penalized_mask())
-    return a.T @ u - pen
+    ev = _Evaluator(arch, data, spec)
+    g, h, _, u, _ = ev._terms(theta.values)
+    div, _ = ev._scale(sigma_sq)
+    return ((ev._jacobian(g, h).T @ u) / div
+            - _ridge_grad(theta.values, ev.mask, ev.lam))
 
 
 def observed_information(arch: Architecture, theta: ParamVector, data: Dataset,
@@ -199,21 +281,9 @@ def observed_information(arch: Architecture, theta: ParamVector, data: Dataset,
     under the penalty used elsewhere: the ridge term is stripped by
     definition.
     """
-    check_family(arch, spec)
-    x1 = design_with_intercept(data.x)
-    _, g, h, z = _net_parts(arch.p, arch.q, x1, theta.values)
-    a = _pred_jacobian(arch.p, arch.q, x1, h, g[1:])
-    if spec.family == "gaussian":
-        _validate_gaussian(sigma_sq)
-        res = data.y - z
-        info = (a.T @ a - _curvature_correction(arch.p, arch.q, x1, h, g[1:],
-                                                res)) / sigma_sq
-    else:
-        _validate_bernoulli(data.y)
-        mu = sigmoid(z)
-        wgt = mu * (1.0 - mu)
-        info = (a.T * wgt) @ a - _curvature_correction(arch.p, arch.q, x1, h,
-                                                       g[1:], data.y - mu)
+    ev = _Evaluator(arch, data, spec)
+    div, _ = ev._scale(sigma_sq)
+    info = ev._information(theta.values) / div
     info = 0.5 * (info + info.T)
     if not np.all(np.isfinite(info)):
         bad = np.argwhere(~np.isfinite(info))[0]
@@ -232,7 +302,7 @@ def prediction_gradient(arch: Architecture, theta: ParamVector,
     """
     x = np.asarray(x, dtype=float)
     x1 = design_with_intercept(x)
-    _, g, h, z = _net_parts(arch.p, arch.q, x1, theta.values)
+    g, h, z = _net_parts(arch.p, arch.q, x1, theta.values)
     a = _pred_jacobian(arch.p, arch.q, x1, h, g[1:])
     if arch.output_activation == "logistic":
         mu = sigmoid(z)

@@ -268,12 +268,17 @@ def forward_batch(arch: Architecture, theta: ParamVector, data: Dataset) -> np.n
     return forward_design(arch, theta, design_with_intercept(data.x))
 
 
+def _net_parts(p: int, q: int, x1: np.ndarray, theta: np.ndarray):
+    """Forward pass pieces on a flat parameter array: the output weights
+    gamma, the hidden activations h and the output-node net input z."""
+    g = theta[(p + 1) * q:]
+    h = sigmoid(x1 @ theta[:(p + 1) * q].reshape(p + 1, q))
+    return g, h, g[0] + h @ g[1:]
+
+
 def forward_design(arch: Architecture, theta: ParamVector, x1: np.ndarray) -> np.ndarray:
     """Forward pass over a design matrix that already carries the 1-column."""
-    w = theta.omega_matrix()
-    g = theta.gamma_vector()
-    hidden = sigmoid(x1 @ w)
-    z = g[0] + hidden @ g[1:]
+    _, _, z = _net_parts(arch.p, arch.q, x1, theta.values)
     if arch.output_activation == "logistic":
         return sigmoid(z)
     return z

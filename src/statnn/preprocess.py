@@ -379,16 +379,23 @@ def ingest(csv_path, response: str, schema=None):
 # Re-applying a stored model's preprocessing to fresh data
 # ---------------------------------------------------------------------------
 
-def _split_dummy_name(model_name: str):
-    """Raw column and level behind a ``variable.level`` model column.
+def _split_dummy_name(model_name: str, header) -> tuple:
+    """Raw column and level behind a dummy model column.
 
-    Model columns without a dot are pre-encoded indicators that were
-    passed through, so the raw column is the name itself.
+    A name found in the CSV header is a pre-encoded indicator that was
+    passed through (level None).  Otherwise the model column is
+    ``raw.level`` for the longest header name ``raw`` that fits, so raw
+    names and levels may themselves contain dots.  With no such header
+    name the raw column is the name up to its first dot, which the
+    caller reports as missing.
     """
-    raw, dot, level = model_name.partition(".")
-    if not dot:
+    if model_name in header:
         return model_name, None
-    return raw, level
+    fits = [raw for raw in header if model_name.startswith(raw + ".")]
+    if not fits:
+        return model_name.partition(".")[0], None
+    raw = max(fits, key=len)
+    return raw, model_name[len(raw) + 1:]
 
 
 def dataset_from_meta(csv_path, column_meta, response_meta) -> Dataset:
@@ -413,7 +420,7 @@ def dataset_from_meta(csv_path, column_meta, response_meta) -> Dataset:
     x_cols = []
     for cm in column_meta:
         if cm.kind == "dummy":
-            raw, level = _split_dummy_name(cm.name)
+            raw, level = _split_dummy_name(cm.name, names)
             cells = raw_cells(raw, f"dummy column {cm.name!r}")
             if level is None:
                 numeric = _try_numeric(raw, cells)
@@ -433,7 +440,7 @@ def dataset_from_meta(csv_path, column_meta, response_meta) -> Dataset:
                 raise DataError(f"column {cm.name!r} is not numeric")
             x_cols.append((numeric - cm.mean) / cm.sd)
     if response_meta.kind == "dummy":
-        raw, level = _split_dummy_name(response_meta.name)
+        raw, level = _split_dummy_name(response_meta.name, names)
         cells = raw_cells(raw, f"response {response_meta.name!r}")
         if level is None:
             y = _try_numeric(raw, cells)

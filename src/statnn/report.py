@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inference import SIGNIFICANCE_LEGEND, InferenceReport
+from .likelihood import family_for
 from .model import Architecture
 from .serialize import to_json_text
 
@@ -42,10 +43,6 @@ def _fmt(x) -> str:
     if x is None:
         return "NA"
     return f"{_round6(x):.6g}"
-
-
-def _family(arch: Architecture) -> str:
-    return "bernoulli" if arch.output_activation == "logistic" else "gaussian"
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +84,7 @@ def _summary_payload(report: InferenceReport) -> dict:
         })
     return {
         "format_version": 1,
-        "family": _family(report.arch),
+        "family": family_for(report.arch.output_activation),
         "n": report.n_obs,
         "p": report.arch.p,
         "q": report.arch.q,
@@ -122,8 +119,9 @@ def _summary_text(report: InferenceReport) -> str:
     sigma_part = ("" if report.sigma_sq_hat is None
                   else f", sigma^2 = {_fmt(report.sigma_sq_hat)}")
     lines.append(
-        f"family {_family(report.arch)}, n = {report.n_obs}, "
-        f"p = {report.arch.p}, q = {q}, lambda = {_fmt(report.lam)}")
+        f"family {family_for(report.arch.output_activation)}, "
+        f"n = {report.n_obs}, p = {report.arch.p}, q = {q}, "
+        f"lambda = {_fmt(report.lam)}")
     lines.append(
         f"log-likelihood = {_fmt(report.loglik)}{sigma_part}, "
         f"converged = {'yes' if report.converged else 'no'}")

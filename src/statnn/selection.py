@@ -20,7 +20,8 @@ import scipy.linalg
 
 from .exceptions import DataError, FitError
 from .fit import FitConfig, FitResult, fit
-from .likelihood import LOG_2PI, LikelihoodSpec, penalty
+from .likelihood import (LOG_2PI, LikelihoodSpec, output_activation_for,
+                         penalty)
 from .model import (Architecture, ColumnMeta, Dataset, design_with_intercept,
                     forward_design)
 
@@ -253,8 +254,7 @@ def sweep(data: Dataset, q_list, spec: LikelihoodSpec,
             else:
                 arch = Architecture(
                     p=data.p, q=q,
-                    output_activation=(
-                        "identity" if spec.family == "gaussian" else "logistic"))
+                    output_activation=output_activation_for(spec.family))
                 result = fit(arch, data, spec, config)
                 bic_val = bic(result, arch, data.n)
             if cv:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import DataError
+from .likelihood import family_for
 from .model import Architecture, ColumnMeta, Dataset, ParamVector
 from .simgen import SimScenario
 
@@ -112,8 +113,7 @@ class ModelDocument:
     @property
     def family(self) -> str:
         """Likelihood family implied by the output activation."""
-        return ("bernoulli" if self.arch.output_activation == "logistic"
-                else "gaussian")
+        return family_for(self.arch.output_activation)
 
 
 def model_document(fit_result, data: Dataset) -> ModelDocument:
@@ -154,18 +154,51 @@ def _require(payload: dict, key: str, where: str):
     return payload[key]
 
 
+def _json_int(value, field: str, where: str) -> int:
+    """A JSON integer; booleans, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"{where}: {field} must be an integer, "
+                        f"got {value!r}")
+    return value
+
+
+def _json_float(value, field: str, where: str) -> float:
+    """A JSON number as a float; booleans and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"{where}: {field} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise DataError(f"{where}: {field} is out of range") from exc
+
+
+def _json_floats(values: list, field: str, where: str) -> np.ndarray:
+    return np.array([_json_float(v, f"{field}[{i}]", where)
+                     for i, v in enumerate(values)])
+
+
 def _parse_meta(entry, where: str) -> ColumnMeta:
     if not isinstance(entry, dict):
         raise DataError(f"{where}: column metadata must be an object")
-    name = _require(entry, "name", where)
+    name = str(_require(entry, "name", where))
     kind = _require(entry, "kind", where)
-    mean = _require(entry, "mean", where)
-    sd = _require(entry, "sd", where)
+    mean = _json_float(_require(entry, "mean", where),
+                       f"mean of column {name!r}", where)
+    sd = _json_float(_require(entry, "sd", where),
+                     f"sd of column {name!r}", where)
     try:
-        return ColumnMeta(name=str(name), kind=str(kind),
-                          mean=float(mean), sd=float(sd))
-    except (TypeError, ValueError) as exc:
+        return ColumnMeta(name=name, kind=str(kind), mean=mean, sd=sd)
+    except ValueError as exc:
         raise DataError(f"{where}: invalid column metadata: {exc}") from exc
+
+
+def _check_version(payload: dict, where: str):
+    version = _json_int(_require(payload, "format_version", where),
+                        "format_version", where)
+    if version != FORMAT_VERSION:
+        raise DataError(
+            f"{where}: unsupported format_version {version!r} "
+            f"(this build reads version {FORMAT_VERSION})")
 
 
 def parse_model(text: str, where: str = "model") -> ModelDocument:
@@ -175,15 +208,11 @@ def parse_model(text: str, where: str = "model") -> ModelDocument:
         raise DataError(f"{where}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError(f"{where}: top level must be an object")
-    version = _require(payload, "format_version", where)
-    if version != FORMAT_VERSION:
-        raise DataError(
-            f"{where}: unsupported format_version {version!r} "
-            f"(this build reads version {FORMAT_VERSION})")
+    _check_version(payload, where)
     try:
         arch = Architecture(
-            p=int(_require(payload, "p", where)),
-            q=int(_require(payload, "q", where)),
+            p=_json_int(_require(payload, "p", where), "p", where),
+            q=_json_int(_require(payload, "q", where), "q", where),
             hidden_activation=str(_require(payload, "hidden_activation",
                                            where)),
             output_activation=str(_require(payload, "output_activation",
@@ -196,18 +225,10 @@ def parse_model(text: str, where: str = "model") -> ModelDocument:
         raise DataError(
             f"{where}: theta must be a list of {arch.r} numbers for "
             f"p = {arch.p}, q = {arch.q}")
-    try:
-        values = np.array([float(v) for v in theta_raw])
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{where}: theta entries must be numbers: "
-                        f"{exc}") from exc
-    theta = ParamVector(arch, values)
+    theta = ParamVector(arch, _json_floats(theta_raw, "theta", where))
     if not np.all(np.isfinite(theta.values)):
         raise DataError(f"{where}: theta contains non-finite entries")
-    try:
-        lam = float(_require(payload, "lambda", where))
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{where}: lambda must be a number: {exc}") from exc
+    lam = _json_float(_require(payload, "lambda", where), "lambda", where)
     if not (math.isfinite(lam) and lam >= 0.0):
         raise DataError(f"{where}: lambda must be a nonnegative number, "
                         f"got {lam!r}")
@@ -265,11 +286,7 @@ def parse_scenario(text: str, where: str = "scenario") -> SimScenario:
         raise DataError(f"{where}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError(f"{where}: top level must be an object")
-    version = _require(payload, "format_version", where)
-    if version != FORMAT_VERSION:
-        raise DataError(
-            f"{where}: unsupported format_version {version!r} "
-            f"(this build reads version {FORMAT_VERSION})")
+    _check_version(payload, where)
     known = set(_SCENARIO_INT_FIELDS) | set(_SCENARIO_FLOAT_FIELDS) | {
         "format_version", "nz_pattern", "true_theta"}
     unknown = set(payload) - known
@@ -278,11 +295,11 @@ def parse_scenario(text: str, where: str = "scenario") -> SimScenario:
     kwargs = {}
     for field in _SCENARIO_INT_FIELDS:
         if field in payload:
-            kwargs[field] = int(payload[field])
+            kwargs[field] = _json_int(payload[field], field, where)
     for field in _SCENARIO_FLOAT_FIELDS:
         if field in payload:
             key = "lam" if field == "lambda" else field
-            kwargs[key] = float(payload[field])
+            kwargs[key] = _json_float(payload[field], field, where)
     for field in ("q", "n", "nz_pattern"):
         if field not in payload:
             raise DataError(f"{where}: missing required field {field!r}")
@@ -297,7 +314,7 @@ def parse_scenario(text: str, where: str = "scenario") -> SimScenario:
         if not isinstance(raw, list) or len(raw) != arch.r:
             raise DataError(
                 f"{where}: true_theta must be a list of {arch.r} numbers")
-        theta = ParamVector(arch, np.array([float(v) for v in raw]))
+        theta = ParamVector(arch, _json_floats(raw, "true_theta", where))
         scenario = replace(scenario, true_theta=theta)
     return scenario
 

@@ -152,6 +152,29 @@ def test_pce_conditioned(workspace, capsys, tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
+def test_pce_step_spanning_range_gives_one_point(workspace, capsys):
+    """A step wider than the column's range leaves the single grid point
+    at the column minimum, whatever the requested point count."""
+    _, csv_path, model_path = workspace
+    outputs = []
+    for extra in ([], ["--grid-points", "50"]):
+        assert main(["pce", model_path, csv_path, "--covariate", "age",
+                     "--d", "100"] + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    rows = list(csv.reader(io.StringIO(outputs[0])))
+    assert len(rows) == 2
+    assert float(rows[1][3]) == 100.0
+
+
+@pytest.mark.parametrize("extra", [[], ["--d", "100"]])
+def test_pce_grid_points_below_one(workspace, capsys, extra):
+    _, csv_path, model_path = workspace
+    assert main(["pce", model_path, csv_path, "--covariate", "age",
+                 "--grid-points", "0"] + extra) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_pce_unknown_covariate(workspace, capsys):
     _, csv_path, model_path = workspace
     assert main(["pce", model_path, csv_path,
@@ -222,6 +245,15 @@ def test_simulate_parallel_byte_identical(tmp_path):
     for name in ("overview.csv", "estimates.csv", "rejections.csv"):
         assert ((serial / name).read_bytes()
                 == (parallel / name).read_bytes())
+
+
+def test_simulate_null_field_exits_2(tmp_path, capsys):
+    scen = {"format_version": 1, "q": None, "nz_pattern": "5-1", "n": 50}
+    scen_path = tmp_path / "scenario.json"
+    scen_path.write_text(json.dumps(scen))
+    assert main(["simulate", str(scen_path), "--out-dir",
+                 str(tmp_path / "results")]) == 2
+    assert "q must be an integer" in capsys.readouterr().err
 
 
 def test_exit_2_on_missing_file(capsys):
@@ -305,6 +337,32 @@ def test_fit_bernoulli_on_factor_response(tmp_path):
     payload = json.loads(model.read_text())
     assert payload["output_activation"] == "logistic"
     assert payload["response_meta"]["kind"] == "dummy"
+
+
+@pytest.mark.parametrize("column, cells", [
+    ("has.flag", ("0", "1")),
+    ("grp.name", ("c", "a.b")),
+])
+def test_dotted_column_names_round_trip(tmp_path, capsys, column, cells):
+    """Raw column names (and factor levels) with dots resolve against the
+    CSV header when a stored model is applied."""
+    rng = np.random.default_rng(173)
+    n = 60
+    path = tmp_path / "dotted.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["x", column, "y"])
+        for i in range(n):
+            x, level = rng.normal(), cells[i % 2]
+            y = np.tanh(x) + (level == cells[1]) + 0.3 * rng.normal()
+            writer.writerow([f"{x:.5f}", level, f"{y:.5f}"])
+    model = tmp_path / "dotted.json"
+    assert main(["fit", str(path), "--response", "y", "--q", "1",
+                 "--restarts", "2", "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["summary", str(model), str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["n"] == n
 
 
 def test_schema_file_flag(tmp_path, capsys):

@@ -151,6 +151,15 @@ def test_default_step_is_sample_sd():
                                                rel=1e-12)
 
 
+def test_step_spanning_range_gives_one_point_grid():
+    arch = Architecture(p=2, q=1)
+    data = _dataset(seed=75)
+    d = 2.0 * float(np.ptp(data.x[:, 0]))
+    curve = pce_curve(arch, _theta(arch), _identity_cov(arch.r), data,
+                      PceConfig(j=1, d=d))
+    assert curve.xs().tolist() == [float(data.x[:, 0].min())]
+
+
 def test_requires_positive_definite_covariance():
     arch = Architecture(p=2, q=1)
     theta = _theta(arch)

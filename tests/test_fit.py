@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from statnn.canonical import canonicalize
-from statnn.exceptions import FitError
+from statnn.exceptions import DataError, FitError
 from statnn.fit import FitConfig, evaluate_at, fit, initialize
 from statnn.likelihood import LikelihoodSpec, gradient, log_likelihood
 from statnn.model import Architecture, Dataset, ParamVector, forward_batch
@@ -147,6 +147,14 @@ def test_fit_rejects_family_mismatch():
     data = Dataset(x=np.zeros((4, 1)), y=np.array([0.0, 1.0, 0.0, 1.0]))
     with pytest.raises(Exception):
         fit(arch, data, LikelihoodSpec("gaussian", lam=0.0),
+            FitConfig(n_restarts=1))
+
+
+def test_fit_rejects_non_binary_bernoulli_response():
+    arch = Architecture(p=1, q=1, output_activation="logistic")
+    data = Dataset(x=np.zeros((4, 1)), y=np.array([0.0, 1.0, 0.5, 1.0]))
+    with pytest.raises(DataError, match="0, 1"):
+        fit(arch, data, LikelihoodSpec("bernoulli", lam=0.0),
             FitConfig(n_restarts=1))
 
 

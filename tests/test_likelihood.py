@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from statnn.exceptions import DataError
+from statnn.exceptions import DataError, ShapeError
 from statnn.likelihood import (LikelihoodSpec, gradient, log_likelihood,
                                observed_information, penalty,
                                prediction_gradient)
@@ -140,6 +140,15 @@ def test_bernoulli_requires_binary_response():
     data = Dataset(x=np.zeros((2, 1)), y=np.array([0.0, 0.5]))
     with pytest.raises(DataError):
         log_likelihood(arch, theta, data, LikelihoodSpec("bernoulli"))
+
+
+@pytest.mark.parametrize("fn", [log_likelihood, gradient,
+                                observed_information])
+def test_covariate_count_mismatch_raises_shape_error(fn):
+    arch, theta, _ = _instance(16, p=3)
+    data = Dataset(x=np.zeros((4, 2)), y=np.zeros(4))
+    with pytest.raises(ShapeError, match="covariate count"):
+        fn(arch, theta, data, LikelihoodSpec("gaussian"), sigma_sq=1.0)
 
 
 def test_bernoulli_extreme_logits_stay_finite():

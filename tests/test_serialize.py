@@ -130,6 +130,17 @@ def test_parse_model_error_paths():
     del missing["theta"]
     with pytest.raises(DataError, match="theta"):
         parse_model(json.dumps(missing))
+    for field, value in [("p", 1.0), ("q", True), ("q", None),
+                         ("format_version", 1.0), ("lambda", "0.1"),
+                         ("lambda", None)]:
+        with pytest.raises(DataError, match=field):
+            parse_model(corrupt(**{field: value}))
+    with pytest.raises(DataError, match=r"theta\[1\]"):
+        parse_model(corrupt(theta=[0.0, True] + [0.0] * 7))
+    meta = json.loads(good)
+    meta["column_meta"][0]["sd"] = "2"
+    with pytest.raises(DataError, match="sd of column"):
+        parse_model(json.dumps(meta))
 
 
 def test_parse_model_where_prefix():
@@ -210,6 +221,18 @@ def test_parse_scenario_validation():
         parse_scenario(json.dumps(missing))
     with pytest.raises(DataError, match="true_theta"):
         parse_scenario(corrupt(true_theta=[1.0, 2.0]))
+    # integer fields take JSON integers only; float fields take numbers
+    for field, value in [("q", 2.7), ("q", None), ("p", None),
+                         ("seed", True), ("n", "100"),
+                         ("format_version", True), ("lambda", "0.01"),
+                         ("noise_sd", False), ("lambda", 10 ** 400)]:
+        with pytest.raises(DataError, match=field):
+            parse_scenario(corrupt(**{field: value}))
+    arch_r = (6 + 2) * 2 + 1
+    with pytest.raises(DataError, match=r"true_theta\[3\]"):
+        parse_scenario(corrupt(true_theta=[0.0] * 3 + [None]
+                               + [0.0] * (arch_r - 4)))
+    assert parse_scenario(corrupt(noise_sd=2)).noise_sd == 2.0
 
 
 def test_to_json_text_value_coverage():
