@@ -23,6 +23,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.optimize
 
 from .model import Architecture, Dataset, ParamVector, design_with_intercept
 
@@ -59,13 +60,18 @@ class SymmetryOp:
         return not self.sign_flips and self.permutation == tuple(range(1, self.q + 1))
 
 
+def _flip_sets(q: int):
+    """The 2^q sign-flip sets, by size and then lexicographically."""
+    nodes = range(1, q + 1)
+    for m in range(q + 1):
+        for flips in itertools.combinations(nodes, m):
+            yield frozenset(flips)
+
+
 def all_symmetry_ops(q: int):
     """Iterate over the full group: 2^q * q! operations."""
-    nodes = list(range(1, q + 1))
-    for flips in itertools.chain.from_iterable(
-            itertools.combinations(nodes, m) for m in range(q + 1)):
-        fs = frozenset(flips)
-        for perm in itertools.permutations(nodes):
+    for fs in _flip_sets(q):
+        for perm in itertools.permutations(range(1, q + 1)):
             yield SymmetryOp(q=q, sign_flips=fs, permutation=perm)
 
 
@@ -96,18 +102,15 @@ def symmetry_matrix(arch: Architecture, op: SymmetryOp) -> np.ndarray:
     """The op as an r x r matrix T with apply_symmetry(theta) = T theta.
 
     Every op is linear in theta (the gamma_0 update is a shear), so the
-    matrix is assembled by applying the op to unit vectors.
+    matrix is the op applied to the r unit vectors at once, carried as a
+    trailing axis of the omega matrix and gamma vector.
     """
     r = arch.r
-    t = np.empty((r, r))
-    for i in range(r):
-        vals = np.zeros(r)
-        vals[i] = 1.0
-        w = vals[:(arch.p + 1) * arch.q].reshape(arch.p + 1, arch.q)
-        g = vals[(arch.p + 1) * arch.q:]
-        tw, tg = _apply_op_raw(w, g, op)
-        t[:, i] = np.concatenate([tw.ravel(), tg])
-    return t
+    n_omega = (arch.p + 1) * arch.q
+    eye = np.eye(r)
+    tw, tg = _apply_op_raw(eye[:n_omega].reshape(arch.p + 1, arch.q, r),
+                           eye[n_omega:], op)
+    return np.concatenate([tw.reshape(n_omega, r), tg])
 
 
 # ---------------------------------------------------------------------------
@@ -208,28 +211,48 @@ def check_reducible(arch: Architecture, theta: ParamVector, data: Dataset,
 def align_to(theta_hat: ParamVector, theta_ref: ParamVector):
     """Symmetry image of ``theta_hat`` closest to ``theta_ref``.
 
-    Searches the whole group for the op minimizing the Euclidean
-    distance ``||T theta_hat - theta_ref||`` and returns
-    ``(aligned, op, t_matrix)`` where ``t_matrix`` is the op as an
-    r x r linear map (useful for transforming a covariance as
-    T Sigma T^T alongside the point estimate).  Exhaustive over
-    2^q * q! ops; fine for the widths used here.
+    Finds the op minimizing the Euclidean distance
+    ``||T theta_hat - theta_ref||`` and returns ``(aligned, op, t_matrix)``
+    where ``t_matrix`` is the op as an r x r linear map (useful for
+    transforming a covariance as T Sigma T^T alongside the point
+    estimate).
+
+    For a fixed flip set the new gamma_0 does not depend on the
+    permutation, and the rest of the squared distance is a sum over
+    hidden slots of the cost of moving node k into slot s.  So each
+    flip set needs one linear assignment
+    (``scipy.optimize.linear_sum_assignment``), 2^q solves in all
+    instead of 2^q * q! op evaluations.  Flip sets are visited in
+    ``all_symmetry_ops`` order and a later one replaces the best so far
+    only when its distance is smaller by more than 1e-15.  Among
+    permutations at exactly the same distance the assignment solver may
+    pick a different one than a scan of the whole group in that order.
     """
     arch = theta_hat.arch
     if arch.r != theta_ref.arch.r or arch.q != theta_ref.arch.q:
         raise ValueError("theta_hat and theta_ref have different architectures")
+    q = arch.q
+    identity = tuple(range(1, q + 1))
     w = theta_hat.omega_matrix()
     g = theta_hat.gamma_vector()
-    ref = theta_ref.values
-    best_op = None
+    ref_w = theta_ref.omega_matrix()
+    ref_g = theta_ref.gamma_vector()
+    best = None
     best_d = np.inf
-    for op in all_symmetry_ops(arch.q):
-        tw, tg = _apply_op_raw(w, g, op)
-        d = np.concatenate([tw.ravel(), tg])
-        d -= ref
+    for flips in _flip_sets(q):
+        fw, fg = _apply_op_raw(w, g, SymmetryOp(q=q, sign_flips=flips,
+                                                permutation=identity))
+        cost = (((fw[:, :, None] - ref_w[:, None, :]) ** 2).sum(axis=0)
+                + (fg[1:, None] - ref_g[None, 1:]) ** 2)
+        nodes, slots = scipy.optimize.linear_sum_assignment(cost)
+        src = nodes[np.argsort(slots)]          # node moved into each slot
+        d = np.concatenate([fw[:, src].ravel(), fg[:1], fg[1:][src]])
+        d -= theta_ref.values
         dist = float(d @ d)
-        if dist < best_d - 1e-15 or best_op is None:
+        if dist < best_d - 1e-15 or best is None:
             best_d = dist
-            best_op = op
+            best = (flips, src)
+    best_op = SymmetryOp(q=q, sign_flips=best[0],
+                         permutation=tuple(int(k) + 1 for k in best[1]))
     aligned = apply_symmetry(theta_hat, best_op)
     return aligned, best_op, symmetry_matrix(arch, best_op)

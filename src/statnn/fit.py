@@ -236,6 +236,9 @@ def _run_restart(obj: _Evaluator, x0: np.ndarray, config: FitConfig):
         else:
             trace.append(-value_grad(xk)[0])
 
+    # ftol=1e-16 all but switches off the relative-decrease stop, so a
+    # restart ends on the gradient tolerance or the iteration cap.
+    # Changing it moves the estimates.
     res = scipy.optimize.minimize(
         value_grad, x0, jac=True, method="L-BFGS-B",
         callback=record,

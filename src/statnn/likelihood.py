@@ -16,6 +16,19 @@ Gaussian family at sigma^2 = 1 without its normalizing constant);
 public functions rescale to a given sigma^2, and ``profile`` evaluates
 the Gaussian log-likelihood at sigma_hat^2 = RSS/n.
 
+The score J^T u (J the n x r Jacobian dz/dtheta, u the per-observation
+score dl/dz) is what the optimizer asks for on every step, so
+``_Evaluator._score`` contracts it by parameter blocks without forming
+J:
+
+    omega block   x1^T (u * h (1 - h) * gamma_1..q)
+    gamma_0       sum_i u_i
+    gamma_1..q    h^T u
+
+The n x r Jacobian (``_pred_jacobian``) is formed only for curvature
+(the observed information and the polishing Hessian) and for
+per-row prediction gradients.
+
 The observed information is the negative Hessian of the *unpenalized*
 log-likelihood, assembled from exact analytic second derivatives (not a
 Gauss-Newton approximation) and symmetrized.  Derivative bookkeeping,
@@ -98,7 +111,7 @@ def penalty(theta: ParamVector, lam: float) -> float:
     """Ridge penalty lambda * ||theta_pen||^2; intercepts contribute nothing."""
     if lam < 0.0:
         raise ValueError(f"ridge penalty must be nonnegative, got {lam}")
-    return _ridge(theta.values, theta.arch.penalized_mask(), lam)
+    return lam * float(np.sum(theta.values[theta.arch.penalized_mask()] ** 2))
 
 
 def _validate_gaussian(sigma_sq):
@@ -144,17 +157,6 @@ def _curvature_correction(p: int, q: int, x1: np.ndarray, h: np.ndarray,
     return c
 
 
-def _ridge(theta: np.ndarray, mask: np.ndarray, lam: float) -> float:
-    return lam * float(np.sum(theta[mask] ** 2))
-
-
-def _ridge_grad(theta: np.ndarray, mask: np.ndarray, lam: float) -> np.ndarray:
-    out = np.zeros_like(theta)
-    if lam != 0.0:
-        out[mask] = 2.0 * lam * theta[mask]
-    return out
-
-
 def _clamped_bernoulli_loglik(y: np.ndarray, mu: np.ndarray) -> float:
     mu_c = np.clip(mu, BERNOULLI_EPS, 1.0 - BERNOULLI_EPS)
     return float(np.sum(y * np.log(mu_c) + (1.0 - y) * np.log(1.0 - mu_c)))
@@ -164,9 +166,12 @@ class _Evaluator:
     """The penalized log-likelihood of one architecture, dataset and spec.
 
     The constructor checks the family pairing, the covariate count and a
-    Bernoulli response once; the methods take a flat parameter array
-    and run one forward pass each, with no further checks, so the
-    optimizer can call ``value_grad`` and ``hessian`` in its loop.
+    Bernoulli response once and fixes the ridge weights; the methods
+    take a flat parameter array and run one forward pass each, with no
+    further checks, so the optimizer can call ``value_grad`` and
+    ``hessian`` in its loop.  ``value_grad`` and ``gradient`` contract
+    the score by blocks (``_score``); only ``hessian`` and the
+    information build the n x r Jacobian.
     """
 
     def __init__(self, arch: Architecture, data: Dataset,
@@ -182,8 +187,9 @@ class _Evaluator:
         self.p, self.q, self.n = arch.p, arch.q, data.n
         self.x1 = design_with_intercept(data.x)
         self.y = data.y
-        self.lam = spec.lam
-        self.mask = arch.penalized_mask()
+        # d(penalty)/dtheta = ridge_w * theta: 2 lambda on the penalized
+        # coordinates, 0 on the intercepts.
+        self.ridge_w = 2.0 * spec.lam * arch.penalized_mask()
 
     def _terms(self, theta, kernel=False):
         """Forward pass and the family branch.
@@ -203,6 +209,20 @@ class _Evaluator:
     def _jacobian(self, g, h):
         return _pred_jacobian(self.p, self.q, self.x1, h, g[1:])
 
+    def _score(self, g, h, u):
+        """J^T u for the Jacobian J of ``_jacobian``, contracted by
+        parameter blocks without forming J."""
+        pq = (self.p + 1) * self.q
+        out = np.empty(pq + self.q + 1)
+        out[:pq] = (self.x1.T @ (u[:, None] * g[1:] * (h * (1.0 - h)))).ravel()
+        out[pq] = u.sum()
+        out[pq + 1:] = u @ h
+        return out
+
+    def _ridge(self, theta):
+        """The penalty lambda * ||theta_pen||^2."""
+        return 0.5 * float(theta @ (self.ridge_w * theta))
+
     def _scale(self, sigma_sq):
         """(divisor, additive constant) that take unit-scale terms to the
         Gaussian log-likelihood at ``sigma_sq``; (1, 0) for Bernoulli."""
@@ -213,7 +233,7 @@ class _Evaluator:
 
     def _penalized(self, theta, ll, sigma_sq):
         div, const = self._scale(sigma_sq)
-        return float(const + ll / div - _ridge(theta, self.mask, self.lam))
+        return float(const + ll / div - self._ridge(theta))
 
     def _information(self, theta):
         """Unit-scale observed information, before symmetrization."""
@@ -235,15 +255,12 @@ class _Evaluator:
         """The optimizer's objective: the negative penalized unit-scale
         log-likelihood and its gradient."""
         g, h, ll, u, _ = self._terms(theta)
-        a = self._jacobian(g, h)
-        return (-ll + _ridge(theta, self.mask, self.lam),
-                -(a.T @ u) + _ridge_grad(theta, self.mask, self.lam))
+        return (-ll + self._ridge(theta),
+                self.ridge_w * theta - self._score(g, h, u))
 
     def hessian(self, theta):
         """Hessian of ``value_grad``'s objective (penalty included)."""
-        hess = self._information(theta)
-        if self.lam != 0.0:
-            hess = hess + np.diag(2.0 * self.lam * self.mask.astype(float))
+        hess = self._information(theta) + np.diag(self.ridge_w)
         return 0.5 * (hess + hess.T)
 
 
@@ -268,8 +285,7 @@ def gradient(arch: Architecture, theta: ParamVector, data: Dataset,
     ev = _Evaluator(arch, data, spec)
     g, h, _, u, _ = ev._terms(theta.values)
     div, _ = ev._scale(sigma_sq)
-    return ((ev._jacobian(g, h).T @ u) / div
-            - _ridge_grad(theta.values, ev.mask, ev.lam))
+    return ev._score(g, h, u) / div - ev.ridge_w * theta.values
 
 
 def observed_information(arch: Architecture, theta: ParamVector, data: Dataset,

@@ -31,16 +31,13 @@ OUTPUT_ACTIVATIONS = ("identity", "logistic")
 def sigmoid(s):
     """Numerically stable logistic function, elementwise.
 
-    Uses the branch form exp(-|s|) / (1 + exp(-|s|)) so that large net
-    inputs (which occur routinely during exploratory optimization) never
-    overflow.
+    With e = exp(-|s|) this is 1 / (1 + e) for s >= 0 and e / (1 + e)
+    below, so large net inputs (which occur routinely during exploratory
+    optimization) never overflow.  One exponential serves both branches.
     """
     s = np.asarray(s, dtype=float)
-    out = np.empty_like(s)
-    pos = s >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-    es = np.exp(s[~pos])
-    out[~pos] = es / (1.0 + es)
+    e = np.exp(-np.abs(s))
+    out = np.where(s >= 0, 1.0, e) / (1.0 + e)
     if out.ndim == 0:
         return float(out)
     return out

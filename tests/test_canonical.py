@@ -150,6 +150,49 @@ def test_align_recovers_scrambling_op():
                                    atol=1e-12)
 
 
+
+def _align_by_full_scan(theta_hat, ref):
+    """Reference alignment: every op of the group, first strict winner."""
+    best_op, best_d = None, np.inf
+    for op in all_symmetry_ops(theta_hat.arch.q):
+        d = apply_symmetry(theta_hat, op).values - ref.values
+        dist = float(d @ d)
+        if best_op is None or dist < best_d - 1e-15:
+            best_op, best_d = op, dist
+    return best_op, best_d
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_align_matches_full_group_scan(q):
+    """The per-flip-set assignment finds the scan's op and distance, both
+    for an unrelated pair of vectors and for a noisy scrambled copy."""
+    arch = Architecture(p=2, q=q)
+    rng = np.random.default_rng(40 + q)
+    ops = list(all_symmetry_ops(q))
+    for case in range(8):
+        ref = _random_theta(arch, 100 * q + case)
+        if case % 2:
+            hat = _random_theta(arch, 1000 + 100 * q + case)
+        else:
+            op = ops[rng.integers(len(ops))]
+            hat = ParamVector(arch, apply_symmetry(ref, op).values
+                              + rng.normal(scale=0.3, size=arch.r))
+        aligned, used_op, _ = align_to(hat, ref)
+        want_op, want_d = _align_by_full_scan(hat, ref)
+        assert used_op == want_op
+        d = aligned.values - ref.values
+        assert float(d @ d) == pytest.approx(want_d, rel=1e-12)
+
+
+def test_align_matches_full_group_scan_at_width_six():
+    arch = Architecture(p=1, q=6)
+    ref = _random_theta(arch, 61)
+    hat = _random_theta(arch, 62)
+    aligned, _, _ = align_to(hat, ref)
+    _, want_d = _align_by_full_scan(hat, ref)
+    d = aligned.values - ref.values
+    assert float(d @ d) == pytest.approx(want_d, rel=1e-12)
+
 def test_align_transforms_covariance_consistently():
     arch = Architecture(p=1, q=2)
     ref = _random_theta(arch, 36)

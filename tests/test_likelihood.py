@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from statnn.exceptions import DataError, ShapeError
-from statnn.likelihood import (LikelihoodSpec, gradient, log_likelihood,
+from statnn.likelihood import (LikelihoodSpec, _Evaluator, _pred_jacobian,
+                               gradient, log_likelihood,
                                observed_information, penalty,
                                prediction_gradient)
 from statnn.model import Architecture, Dataset, ParamVector
@@ -62,6 +63,55 @@ def test_gradient_matches_finite_differences(family, lam):
     scale = np.maximum(np.abs(numeric), 1.0)
     assert np.max(np.abs(analytic - numeric) / scale) < 1e-6
 
+
+
+def _jacobian_score(arch, theta, data, family):
+    """J^T u with J from ``_pred_jacobian`` and an in-test forward pass."""
+    p, q = arch.p, arch.q
+    x1 = np.hstack([np.ones((data.n, 1)), data.x])
+    w = theta.values[:(p + 1) * q].reshape(p + 1, q)
+    g = theta.values[(p + 1) * q:]
+    h = 1.0 / (1.0 + np.exp(-(x1 @ w)))
+    z = g[0] + h @ g[1:]
+    fitted = z if family == "gaussian" else 1.0 / (1.0 + np.exp(-z))
+    return _pred_jacobian(p, q, x1, h, g[1:]).T @ (data.y - fitted)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_block_score_matches_jacobian_contraction(family, q, lam):
+    """The optimizer's gradient and ``gradient`` equal the contraction of
+    the explicit Jacobian with the score, plus the ridge term."""
+    arch, theta, data = _instance(20 + q, q=q, n=40, family=family)
+    spec = LikelihoodSpec(family=family, lam=lam)
+    ridge = 2.0 * lam * theta.values * arch.penalized_mask()
+    jtu = _jacobian_score(arch, theta, data, family)
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))
+
+    _, g_opt = _Evaluator(arch, data, spec).value_grad(theta.values)
+    close(g_opt, -jtu + ridge)
+    kw = {"sigma_sq": 1.0} if family == "gaussian" else {}
+    close(gradient(arch, theta, data, spec, **kw), jtu - ridge)
+    if family == "gaussian":
+        close(gradient(arch, theta, data, spec, sigma_sq=1.7),
+              jtu / 1.7 - ridge)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_optimizer_gradient_matches_finite_differences(family, q, lam):
+    arch, theta, data = _instance(30 + q, q=q, n=40, family=family)
+    ev = _Evaluator(arch, data, LikelihoodSpec(family=family, lam=lam))
+    _, analytic = ev.value_grad(theta.values)
+    numeric = _fd_gradient(lambda v: ev.value_grad(v)[0],
+                           theta.values.copy())
+    scale = np.maximum(np.abs(numeric), 1.0)
+    assert np.max(np.abs(analytic - numeric) / scale) < 1e-6
 
 @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
 def test_information_matches_finite_differences(family):

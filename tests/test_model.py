@@ -160,6 +160,32 @@ def test_sigmoid_stability_and_values():
                                rtol=1e-15)
 
 
+
+def _two_branch_sigmoid(s):
+    """The masked two-branch form: 1/(1+exp(-s)) at s >= 0, else
+    exp(s)/(1+exp(s))."""
+    out = np.empty_like(s)
+    pos = s >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
+    es = np.exp(s[~pos])
+    out[~pos] = es / (1.0 + es)
+    return out
+
+
+def test_sigmoid_bitwise_equals_two_branch_form():
+    special = [np.inf, -np.inf, 0.0, -0.0, 709.0, -709.0, -745.0]
+    s = np.concatenate([special, np.random.default_rng(9).uniform(
+        -800.0, 800.0, 100_000)])
+    got, want = sigmoid(s), _two_branch_sigmoid(s)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    for v in special:
+        out = sigmoid(np.float64(v))
+        assert type(out) is float
+        assert np.array([out]).tobytes() == _two_branch_sigmoid(
+            np.array([v])).tobytes()
+    assert type(sigmoid(np.array(3.0))) is float
+
 def test_selection_matrix_picks_omega_block():
     arch = Architecture(p=2, q=2)
     rng = np.random.default_rng(5)
