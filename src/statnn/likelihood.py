@@ -94,9 +94,6 @@ class LikelihoodSpec:
         if self.lam < 0.0:
             raise ValueError(f"ridge penalty must be nonnegative, got {self.lam}")
 
-    def required_output_activation(self) -> str:
-        return output_activation_for(self.family)
-
 
 def check_family(arch: Architecture, spec: LikelihoodSpec):
     """Gaussian pairs with identity output, Bernoulli with logistic."""

@@ -18,7 +18,7 @@ machinery rely on a stable index map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -232,10 +232,6 @@ class Dataset:
             if cm.name == name:
                 return j
         raise KeyError(f"no model column named {name!r}")
-
-    def with_columns(self, x: np.ndarray) -> "Dataset":
-        """Same metadata and response, different design matrix values."""
-        return replace(self, x=x)
 
 
 def _check_arch_data(arch: Architecture, p_actual: int):

@@ -6,9 +6,15 @@ mean and unit variance (sample standard deviation, n - 1 denominator)
 and categorical covariates are dummy encoded: a c-level factor becomes
 c - 1 indicator columns named ``variable.level``, with the reference
 level (by default the first level observed in file order) absorbed into
-the intercept.  The :class:`PreprocessPlan` records every action so the
-transformation can be inverted and so a stored model can be re-applied
-to fresh data with the *training* centering constants.
+the intercept.  A 0/1 numeric column passes through unchanged.
+
+:func:`infer_plan` records these decisions as a :class:`PreprocessPlan`.
+:func:`ingest` turns the plan into the per-model-column
+:class:`~statnn.model.ColumnMeta` records that a stored model keeps (the
+training mean and sd, or the raw column and level behind an indicator),
+and encodes the file from those records.  :func:`dataset_from_meta`
+encodes any later file from a stored model's records with the same
+code, so a query sees the training transformation exactly.
 
 Missing values are a hard error naming the offending row and column; no
 imputation is attempted.
@@ -296,87 +302,70 @@ def infer_plan(names, columns, response: str,
     return PreprocessPlan(columns=tuple(actions), response=resp)
 
 
-def _encode_column(action: ColumnAction, cells):
-    """Model columns and metadata produced by one raw column."""
+def _stored_meta(action: ColumnAction, cells) -> list:
+    """Metadata of the model columns one planned raw column produces."""
     if action.action == "dummy_encode":
-        observed = set(cells)
-        unknown = observed - set(action.levels)
-        if unknown:
-            raise DataError(
-                f"column {action.name!r} contains levels not in the plan: "
-                f"{sorted(unknown)}")
-        cols, meta = [], []
-        for lvl in action.levels[1:]:
-            cols.append(np.array([1.0 if c == lvl else 0.0 for c in cells]))
-            meta.append(ColumnMeta(f"{action.name}.{lvl}", kind="dummy"))
-        return cols, meta
-    numeric = _try_numeric(action.name, cells)
-    if numeric is None:
-        raise DataError(f"column {action.name!r} is not numeric")
-    if action.action == "standardize":
-        values = (numeric - action.mean) / action.sd
-        return [values], [ColumnMeta(action.name, kind="continuous",
-                                     mean=action.mean, sd=action.sd)]
-    kind = "dummy" if _is_binary(numeric) else "continuous"
-    return [numeric], [ColumnMeta(action.name, kind=kind)]
-
-
-def _encode_response(action: ColumnAction, cells):
+        return [ColumnMeta(name, kind="dummy")
+                for name in action.model_columns()]
     if action.levels:
-        one = action.levels[1]
-        y = np.array([1.0 if c == one else 0.0 for c in cells])
-        unknown = set(cells) - set(action.levels)
-        if unknown:
-            raise DataError(
-                f"response column {action.name!r} contains levels not in "
-                f"the plan: {sorted(unknown)}")
-        return y, ColumnMeta(f"{action.name}.{one}", kind="dummy")
-    numeric = _try_numeric(action.name, cells)
-    if numeric is None:
-        raise DataError(f"response column {action.name!r} is not numeric")
+        # A two-level factor response: the indicator of its second level.
+        return [ColumnMeta(f"{action.name}.{action.levels[1]}",
+                           kind="dummy")]
     if action.action == "standardize":
-        y = (numeric - action.mean) / action.sd
-        return y, ColumnMeta(action.name, kind="continuous",
-                             mean=action.mean, sd=action.sd)
+        return [ColumnMeta(action.name, mean=action.mean, sd=action.sd)]
+    numeric = _try_numeric(action.name, cells)
     kind = "dummy" if _is_binary(numeric) else "continuous"
-    return numeric, ColumnMeta(action.name, kind=kind)
+    return [ColumnMeta(action.name, kind=kind)]
 
 
-def apply_plan(names, columns, plan: PreprocessPlan) -> Dataset:
-    """Build the model dataset by applying a (possibly stored) plan.
+def _check_names_read_back(plan: PreprocessPlan, header):
+    """Reject a factor level whose model column name a stored model would
+    resolve to another raw column or level (see :func:`_split_dummy_name`).
 
-    The plan's own centering constants are used, so applying a training
-    plan to fresh data reproduces the training transformation exactly.
+    Stored metadata identifies a dummy column by its name alone, so with
+    a header ``a,a.b`` level ``b`` of factor ``a`` and the raw column
+    ``a.b`` would both be called ``a.b``.
     """
-    by_name = dict(zip(names, columns))
-    x_cols, meta = [], []
-    for action in plan.columns:
-        if action.name not in by_name:
-            raise DataError(f"plan references column {action.name!r} which "
-                            "is not in the file")
-        _check_no_missing(action.name, by_name[action.name])
-        cols, col_meta = _encode_column(action, by_name[action.name])
-        x_cols.extend(cols)
-        meta.extend(col_meta)
-    if plan.response.name not in by_name:
-        raise DataError(f"plan references response column "
-                        f"{plan.response.name!r} which is not in the file")
-    _check_no_missing(plan.response.name, by_name[plan.response.name])
-    y, resp_meta = _encode_response(plan.response, by_name[plan.response.name])
-    return Dataset(x=np.column_stack(x_cols), y=y,
-                   column_meta=tuple(meta), response_meta=resp_meta)
+    coded = [(a.name, lvl) for a in plan.columns
+             if a.action == "dummy_encode" for lvl in a.levels[1:]]
+    if plan.response.levels:
+        coded.append((plan.response.name, plan.response.levels[1]))
+    for raw, level in coded:
+        name = f"{raw}.{level}"
+        got_raw, got_level = _split_dummy_name(name, header)
+        if (got_raw, got_level) != (raw, level):
+            other = (f"column {got_raw!r}" if got_level is None else
+                     f"level {got_level!r} of column {got_raw!r}")
+            raise DataError(
+                f"duplicate model column name {name!r}: it encodes level "
+                f"{level!r} of column {raw!r} but also names {other}; "
+                "rename the column or the level")
 
 
 def ingest(csv_path, response: str, schema=None):
     """Read a CSV, infer (or take from ``schema``) per-column actions,
-    and return the encoded dataset together with the plan applied."""
+    and return the encoded dataset together with the plan applied.
+
+    The plan becomes the column metadata a stored model keeps, and the
+    file is encoded from that metadata by the code behind
+    :func:`dataset_from_meta`, so a stored model re-reading its training
+    file gets back the matrix it was fitted to.
+    """
     names, columns = read_csv(csv_path)
     plan = infer_plan(names, columns, response, schema)
-    return apply_plan(names, columns, plan), plan
+    _check_names_read_back(plan, names)
+    by_name = dict(zip(names, columns))
+    column_meta = []
+    for action in plan.columns:
+        column_meta.extend(_stored_meta(action, by_name[action.name]))
+    (response_meta,) = _stored_meta(plan.response,
+                                    by_name[plan.response.name])
+    data = _encode(csv_path, names, columns, column_meta, response_meta)
+    return data, plan
 
 
 # ---------------------------------------------------------------------------
-# Re-applying a stored model's preprocessing to fresh data
+# Encoding a CSV from column metadata
 # ---------------------------------------------------------------------------
 
 def _split_dummy_name(model_name: str, header) -> tuple:
@@ -407,6 +396,13 @@ def dataset_from_meta(csv_path, column_meta, response_meta) -> Dataset:
     level.
     """
     names, columns = read_csv(csv_path)
+    return _encode(csv_path, names, columns, column_meta, response_meta)
+
+
+def _encode(csv_path, names, columns, column_meta, response_meta) -> Dataset:
+    """Encode parsed CSV columns as ``column_meta`` and ``response_meta``
+    describe; the one encoder behind both :func:`ingest` and
+    :func:`dataset_from_meta`."""
     by_name = dict(zip(names, columns))
 
     def raw_cells(raw, what):
@@ -417,45 +413,26 @@ def dataset_from_meta(csv_path, column_meta, response_meta) -> Dataset:
         _check_no_missing(raw, by_name[raw])
         return by_name[raw]
 
-    x_cols = []
-    for cm in column_meta:
-        if cm.kind == "dummy":
-            raw, level = _split_dummy_name(cm.name, names)
-            cells = raw_cells(raw, f"dummy column {cm.name!r}")
-            if level is None:
-                numeric = _try_numeric(raw, cells)
-                if numeric is None or not np.all((numeric == 0.0)
-                                                 | (numeric == 1.0)):
-                    raise DataError(
-                        f"column {raw!r} must contain only 0/1 values to "
-                        f"match stored indicator {cm.name!r}")
-                x_cols.append(numeric)
-            else:
-                x_cols.append(np.array([1.0 if c == level else 0.0
-                                        for c in cells]))
-        else:
-            cells = raw_cells(cm.name, f"continuous column {cm.name!r}")
-            numeric = _try_numeric(cm.name, cells)
+    def encode(cm, what):
+        if cm.kind != "dummy":
+            numeric = _try_numeric(cm.name, raw_cells(cm.name, what))
             if numeric is None:
                 raise DataError(f"column {cm.name!r} is not numeric")
-            x_cols.append((numeric - cm.mean) / cm.sd)
-    if response_meta.kind == "dummy":
-        raw, level = _split_dummy_name(response_meta.name, names)
-        cells = raw_cells(raw, f"response {response_meta.name!r}")
-        if level is None:
-            y = _try_numeric(raw, cells)
-            if y is None:
-                raise DataError(f"response column {raw!r} is not numeric")
-        else:
-            y = np.array([1.0 if c == level else 0.0 for c in cells])
-    else:
-        cells = raw_cells(response_meta.name,
-                          f"response {response_meta.name!r}")
-        y = _try_numeric(response_meta.name, cells)
-        if y is None:
+            return (numeric - cm.mean) / cm.sd
+        raw, level = _split_dummy_name(cm.name, names)
+        cells = raw_cells(raw, what)
+        if level is not None:
+            return np.array([1.0 if c == level else 0.0 for c in cells])
+        numeric = _try_numeric(raw, cells)
+        if numeric is None or not np.all((numeric == 0.0) | (numeric == 1.0)):
             raise DataError(
-                f"response column {response_meta.name!r} is not numeric")
-        y = (y - response_meta.mean) / response_meta.sd
+                f"column {raw!r} must contain only 0/1 values to match "
+                f"stored indicator {cm.name!r}")
+        return numeric
+
+    x_cols = [encode(cm, f"{cm.kind} column {cm.name!r}")
+              for cm in column_meta]
+    y = encode(response_meta, f"response {response_meta.name!r}")
     return Dataset(x=np.column_stack(x_cols), y=y,
                    column_meta=tuple(column_meta),
                    response_meta=response_meta)

@@ -393,33 +393,15 @@ class PdCell:
     n_total: int
 
 
-def _pd_task(args):
-    scenario, i = args
-    arch = Architecture(p=scenario.p, q=scenario.q)
-    data = generate(scenario, i)
-    spec = LikelihoodSpec("gaussian", scenario.lam)
-    cfg = FitConfig(n_restarts=scenario.restarts,
-                    seed=_derive_seed(_seed_u64(scenario.seed), i, 1))
-    try:
-        res = fit(arch, data, spec, cfg)
-        info = observed_information(arch, res.theta_hat, data, spec,
-                                    sigma_sq=res.sigma_sq_hat)
-        cov = sandwich_covariance(info, scenario.lam)
-    except FitError:
-        return ("failed", False)
-    except SingularMatrixError:
-        return ("ok", False)
-    return ("ok", cov.positive_definite)
-
-
 def pd_study(q: int, nz_pattern: str, n_values, lam_values,
              replicates: int = 100, restarts: int = 5, seed: int = 0,
              noise_sd: float = 1.0, n_jobs: int = 1):
     """PD rate of the sandwich covariance across (lambda, n) cells.
 
     Returns a tuple of ``PdCell`` in the order lambdas x sample sizes.
-    Distinct cells use seeds derived from (seed, lambda index, n index),
-    so the table is reproducible and cells are independent.
+    Each cell is one :func:`run_scenario` run.  Distinct cells use seeds
+    derived from (seed, lambda index, n index), so the table is
+    reproducible and cells are independent.
     """
     cells = []
     for li, lam in enumerate(lam_values):
@@ -428,12 +410,9 @@ def pd_study(q: int, nz_pattern: str, n_values, lam_values,
                 q=q, nz_pattern=nz_pattern, n=int(n), lam=float(lam),
                 noise_sd=noise_sd, replicates=replicates, restarts=restarts,
                 seed=_derive_seed(_seed_u64(seed), li, ni, 2))
-            args = [(scen, i) for i in range(replicates)]
-            outcomes = _run_tasks(_pd_task, args, n_jobs)
-            n_failed = sum(1 for s, _ in outcomes if s == "failed")
-            n_pd = sum(1 for _, pd in outcomes if pd)
+            rep = run_scenario(scen, n_jobs=n_jobs)
             cells.append(PdCell(
                 lam=float(lam), q=q, nz_pattern=nz_pattern, n=int(n),
-                pd_rate=n_pd / replicates, n_fit_failed=n_failed,
+                pd_rate=rep.pd_rate, n_fit_failed=rep.n_fit_failed,
                 n_total=replicates))
     return tuple(cells)

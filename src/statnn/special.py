@@ -1,78 +1,16 @@
 """Scalar special functions used by the testing machinery.
 
-The chi-square survival function is evaluated through the regularized
-upper incomplete gamma function Q(a, x), computed with the classical
-series / continued-fraction split: the lower-tail series is used for
-x < a + 1 and a modified Lentz continued fraction otherwise.  Both
-branches are accurate to close to machine precision for the degrees of
-freedom that arise here (including non-integer df produced by
-ridge-shrunk effective parameter counts).
-
-The standard-normal quantile uses the Acklam rational approximation
-polished with one Halley step against ``math.erfc``, which brings it to
-full double precision.
+Thin checked wrappers over :mod:`scipy.special`: the chi-square survival
+function is the regularized upper incomplete gamma function
+Q(df / 2, x / 2), and the standard-normal quantile is ``ndtri``.  Both
+are accurate to close to machine precision, including for the
+non-integer degrees of freedom that ridge-shrunk effective parameter
+counts produce.
 """
 
 from __future__ import annotations
 
-import math
-
-_MAX_ITER = 500
-_EPS = 1e-15
-_TINY = 1e-300
-
-
-def _lower_gamma_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by series, for x < a + 1."""
-    if x <= 0.0:
-        return 0.0
-    term = 1.0 / a
-    total = term
-    ap = a
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _upper_gamma_cf(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) by a modified Lentz
-    continued fraction, for x >= a + 1."""
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def regularized_gamma_q(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma function Q(a, x) = Γ(a,x)/Γ(a)."""
-    if a <= 0.0:
-        raise ValueError(f"shape parameter must be positive, got {a}")
-    if x < 0.0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _lower_gamma_series(a, x)
-    return _upper_gamma_cf(a, x)
+from scipy import special
 
 
 def chi_square_survival(x: float, df: float) -> float:
@@ -86,23 +24,7 @@ def chi_square_survival(x: float, df: float) -> float:
         raise ValueError(f"degrees of freedom must be positive, got {df}")
     if x < 0.0:
         raise ValueError(f"chi-square statistic must be nonnegative, got {x}")
-    return regularized_gamma_q(df / 2.0, x / 2.0)
-
-
-def normal_sf(z: float) -> float:
-    """Standard normal survival function P(Z > z)."""
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-
-# Acklam's rational approximation coefficients for the normal quantile.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
+    return float(special.gammaincc(df / 2.0, x / 2.0))
 
 
 def normal_quantile(p: float) -> float:
@@ -113,21 +35,4 @@ def normal_quantile(p: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must lie strictly in (0, 1), got {p}")
-    p_low, p_high = 0.02425, 1.0 - 0.02425
-    if p < p_low:
-        t = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_C[0] * t + _C[1]) * t + _C[2]) * t + _C[3]) * t + _C[4]) * t + _C[5])
-             / ((((_D[0] * t + _D[1]) * t + _D[2]) * t + _D[3]) * t + 1.0))
-    elif p <= p_high:
-        t = p - 0.5
-        u = t * t
-        x = ((((((_A[0] * u + _A[1]) * u + _A[2]) * u + _A[3]) * u + _A[4]) * u + _A[5]) * t
-             / (((((_B[0] * u + _B[1]) * u + _B[2]) * u + _B[3]) * u + _B[4]) * u + 1.0))
-    else:
-        t = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((((_C[0] * t + _C[1]) * t + _C[2]) * t + _C[3]) * t + _C[4]) * t + _C[5])
-              / ((((_D[0] * t + _D[1]) * t + _D[2]) * t + _D[3]) * t + 1.0))
-    # One Halley refinement against erfc restores full precision.
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
+    return float(special.ndtri(p))

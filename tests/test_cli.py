@@ -270,6 +270,19 @@ def test_exit_2_on_unknown_response(workspace, capsys):
     assert "nope" in err
 
 
+@pytest.mark.parametrize("command", ["fit", "select"])
+def test_exit_2_on_duplicate_model_column(tmp_path, capsys, command):
+    """Level b of factor a and the raw column a.b are both named a.b."""
+    path = tmp_path / "dup.csv"
+    path.write_text("a,a.b,y\n" + "".join(
+        f"{'cb'[i % 2]},{i * 0.7 % 3:.2f},{i % 5}\n" for i in range(20)))
+    argv = [command, str(path), "--response", "y", "--restarts", "1"]
+    argv += (["--q", "1", "--out", str(tmp_path / "m.json")]
+             if command == "fit" else ["--q-max", "1"])
+    assert main(argv) == 2
+    assert "'a.b'" in capsys.readouterr().err
+
+
 def test_exit_2_on_bad_flag(capsys):
     assert main(["fit", "--definitely-not-a-flag"]) == 2
     assert main(["not-a-command"]) == 2

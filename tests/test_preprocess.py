@@ -5,8 +5,8 @@ import pytest
 
 from statnn.exceptions import DataError
 from statnn.model import ColumnMeta
-from statnn.preprocess import (ColumnAction, apply_plan, dataset_from_meta,
-                               infer_plan, ingest, read_csv)
+from statnn.preprocess import (ColumnAction, dataset_from_meta, infer_plan,
+                               ingest, read_csv)
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -230,22 +230,35 @@ def test_action_validation():
 
 
 def test_apply_plan_columns_in_plan_order(tmp_path):
-    names, cols = read_csv(_write(tmp_path, BASIC))
-    plan = infer_plan(names, cols, response="charges")
-    data = apply_plan(names, cols, plan)
+    data, plan = ingest(_write(tmp_path, BASIC), response="charges")
     assert tuple(m.name for m in data.column_meta) == plan.model_column_names()
     assert data.n == 6 and data.p == 3
 
 
-def test_dataset_from_meta_reproduces_training_encoding(tmp_path):
+@pytest.mark.parametrize("text,response,schema", [
+    (BASIC, "charges", None),
+    ("x,outcome\n1.0,good\n2.0,bad\n3.0,bad\n1.5,good\n0.5,bad\n",
+     "outcome", None),
+    ("x,flag,y\n0.5,1,0\n1.5,0,1\n2.5,1,1\n0.1,0,0\n", "y", None),
+    ("x,count,y\n0.5,3,1.2\n1.5,7,0.4\n2.5,2,2.2\n0.1,5,0.9\n", "y",
+     {"columns": {"count": "passthrough"}}),
+    (BASIC, "charges",
+     {"columns": {"smoker": {"action": "dummy_encode", "reference": "no"}}}),
+    ("x,grp.name,has.flag,y.out\n0.5,a.1,0,lo\n1.5,b.2,1,hi\n"
+     "2.5,a.1,1,hi\n0.1,c,0,lo\n", "y.out", None),
+], ids=["basic", "factor-response", "binary-response", "schema-passthrough",
+        "schema-reference", "dotted-names"])
+def test_dataset_from_meta_reproduces_training_encoding(tmp_path, text,
+                                                        response, schema):
     """Re-reading the same file through stored metadata gives the same
     matrix as the original ingest (training statistics, not refreshed)."""
-    path = _write(tmp_path, BASIC)
-    data, _ = ingest(path, response="charges")
+    path = _write(tmp_path, text)
+    data, _ = ingest(path, response=response, schema=schema)
     rebuilt = dataset_from_meta(path, data.column_meta, data.response_meta)
     np.testing.assert_array_equal(rebuilt.x, data.x)
     np.testing.assert_array_equal(rebuilt.y, data.y)
     assert rebuilt.column_meta == data.column_meta
+    assert rebuilt.response_meta == data.response_meta
 
 
 def test_dataset_from_meta_uses_stored_statistics(tmp_path):
@@ -287,14 +300,16 @@ def test_dataset_from_meta_unseen_level_encodes_as_reference(tmp_path):
     np.testing.assert_array_equal(rebuilt.x[:, 2], [0.0, 1.0])
 
 
-def test_unknown_level_at_ingest_is_impossible_by_construction(tmp_path):
-    """infer_plan derives levels from the data, so every level is known;
-    this documents that apply_plan still validates against the plan."""
-    names, cols = read_csv(_write(tmp_path, BASIC))
-    plan = infer_plan(names, cols, response="charges")
-    tampered = tuple(
-        tuple("maybe" if i == 0 and j == 2 else cell
-              for i, cell in enumerate(col))
-        for j, col in enumerate(cols))
-    with pytest.raises(DataError, match="maybe"):
-        apply_plan(names, tampered, plan)
+@pytest.mark.parametrize("text,response,clash", [
+    ("a,a.b,y\nc,1.5,1\nb,2.5,2\nc,0.5,3\nb,3.5,5\n", "y", "a.b"),
+    ("a,a.b,y\nd,1.5,1\nb.x,2.5,2\nd,0.5,3\nb.x,3.5,5\n", "y",
+     "a.b.x"),
+    ("x,y,y.b\n1.0,a,0\n2.0,b,1\n3.0,b,1\n1.5,a,0\n", "y", "y.b"),
+], ids=["raw-column", "raw-column-level", "response"])
+def test_model_column_name_must_read_back(tmp_path, text, response, clash):
+    """A level's model column named like another raw column (or another
+    raw column's level) would be decoded from that column by a stored
+    model, so ingest refuses it."""
+    with pytest.raises(DataError, match=f"duplicate model column name "
+                                        f"'{clash}'"):
+        ingest(_write(tmp_path, text), response=response)
