@@ -23,7 +23,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .model import Architecture, Dataset, ParamVector, design_with_intercept
 
@@ -228,6 +227,8 @@ def align_to(theta_hat: ParamVector, theta_ref: ParamVector):
     permutations at exactly the same distance the assignment solver may
     pick a different one than a scan of the whole group in that order.
     """
+    import scipy.optimize   # here, not at module load: serving never aligns
+
     arch = theta_hat.arch
     if arch.r != theta_ref.arch.r or arch.q != theta_ref.arch.q:
         raise ValueError("theta_hat and theta_ref have different architectures")

@@ -12,6 +12,23 @@ slope.  Pointwise confidence bands come from the delta method: the
 gradient of beta with respect to theta is averaged over the sample, and
 se = sqrt(g^T Sigma g) with the sandwich covariance.
 
+A curve is computed in one batched pass over its grid, without the
+n x r prediction Jacobian.  With x1 the design whose column j is zeroed
+and W the input weights, the hidden net inputs at x0 are
+s_base + x0 W_j for s_base = x1 W, a G x n x q block for G grid points.
+The averaged output's gradient is the block contraction that
+``likelihood._Evaluator._score`` uses, with weights u = 1/n (identity
+output) or mu (1 - mu) / n (logistic output):
+
+    omega block   x1^T (u * h (1 - h) * gamma_1..q), row j replaced by
+                  x0 * sum_i (u * h (1 - h) * gamma_1..q)
+    gamma_0       sum_i u_i
+    gamma_1..q    h^T u
+
+and all the standard errors come from one contraction with Sigma.  The
+grid is taken in chunks so that each G x n x q temporary holds at most
+``_CHUNK_ELEMENTS`` (2^16) values; a single point is never split.
+
 Curves are computed on the standardized scale used for fitting and can
 be mapped back to original units afterwards.  A second covariate can be
 pinned to a set of values to screen for interactions: if the effect of
@@ -27,9 +44,12 @@ import numpy as np
 
 from .exceptions import DataError, NotPositiveDefiniteError
 from .inference import CovarianceEstimate
-from .likelihood import prediction_gradient
+# Not called here.  perfbench/spans.py looks this binding up to count
+# prediction_gradient calls; it can go once spans are recorded inside
+# the package (ROADMAP item 1).
+from .likelihood import prediction_gradient  # noqa: F401
 from .model import (Architecture, Dataset, ParamVector, design_with_intercept,
-                    forward_design)
+                    sigmoid)
 from .special import normal_quantile
 
 #: Two-sided 95% normal critical value; equal bit for bit to the value
@@ -37,6 +57,9 @@ from .special import normal_quantile
 Z_95 = normal_quantile(0.975)
 
 _DEFAULT_GRID_POINTS = 101
+
+#: Upper bound on the elements of each G x n x q temporary of a curve.
+_CHUNK_ELEMENTS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -109,35 +132,56 @@ def _check_covariate(arch: Architecture, j: int):
         raise IndexError(f"covariate index must be in 1..{arch.p}, got {j}")
 
 
+def _averaged(arch, theta, x1, s_base, j, xs):
+    """Sample-averaged prediction (G) and its gradient w.r.t. theta
+    (G x r) at each x0 in ``xs``, by the contraction in the module
+    docstring."""
+    n = x1.shape[0]
+    gam = theta.gamma_vector()
+    h = sigmoid(s_base + xs[:, None, None] * theta.omega_matrix()[j])
+    z = gam[0] + h @ gam[1:]                            # G x n
+    if arch.output_activation == "logistic":
+        mu = sigmoid(z)
+        u = mu * (1.0 - mu) / n
+    else:
+        mu = z
+        u = np.full_like(z, 1.0 / n)
+    a = u[:, :, None] * (h * (1.0 - h)) * gam[1:]
+    omega = np.matmul(x1.T, a)                          # G x (p+1) x q
+    omega[:, j] = xs[:, None] * a.sum(axis=1)
+    grad = np.concatenate([omega.reshape(len(xs), -1),
+                           u.sum(axis=1)[:, None],
+                           np.einsum("gn,gnk->gk", u, h)], axis=1)
+    return mu.mean(axis=1), grad
+
+
 def _curve_for(arch, theta, cov, data, j, d, grid, level, pin, label):
     """Core computation: one curve, optionally with covariate ``pin[0]``
     fixed at ``pin[1]`` in every averaged prediction."""
-    x_base = np.array(data.x)
+    x1 = design_with_intercept(data.x)
     if pin is not None:
-        x_base[:, pin[0] - 1] = pin[1]
+        x1[:, pin[0]] = pin[1]
+    x1[:, j] = 0.0
+    s_base = x1 @ theta.omega_matrix()
+    step = max(1, _CHUNK_ELEMENTS // (data.n * arch.q))
+    beta = np.empty(grid.size)
+    grad = np.empty((grid.size, arch.r))
+    for start in range(0, grid.size, step):
+        xs = grid[start:start + step]
+        m_lo, g_lo = _averaged(arch, theta, x1, s_base, j, xs)
+        m_hi, g_hi = _averaged(arch, theta, x1, s_base, j, xs + d)
+        beta[start:start + step] = m_hi - m_lo
+        grad[start:start + step] = g_hi - g_lo
+    var = np.einsum("gr,rs,gs->g", grad, cov.sigma_hat, grad)
+    se = np.sqrt(np.maximum(var, 0.0))
     z = normal_quantile(0.5 + level / 2.0)
-    pts = []
-    x_lo = x_base.copy()
-    x_hi = x_base.copy()
-    for x0 in grid:
-        x_lo[:, j - 1] = x0
-        x_hi[:, j - 1] = x0 + d
-        beta = float(np.mean(_predict(arch, theta, x_hi))
-                     - np.mean(_predict(arch, theta, x_lo)))
-        g = (prediction_gradient(arch, theta, x_hi).mean(axis=0)
-             - prediction_gradient(arch, theta, x_lo).mean(axis=0))
-        var = float(g @ cov.sigma_hat @ g)
-        se = float(np.sqrt(max(var, 0.0)))
-        pts.append(PcePoint(x=float(x0), beta_hat=beta, se=se,
-                            lo=beta - z * se, hi=beta + z * se))
+    pts = tuple(PcePoint(x=float(x0), beta_hat=float(b), se=float(s),
+                         lo=float(b - z * s), hi=float(b + z * s))
+                for x0, b, s in zip(grid, beta, se))
     name = data.column_meta[j - 1].name
     return PceCurve(covariate=name, j=j, d=float(d), level=level,
-                    scale="standardized", points=tuple(pts),
+                    scale="standardized", points=pts,
                     condition_label=label)
-
-
-def _predict(arch, theta, x):
-    return forward_design(arch, theta, design_with_intercept(x))
 
 
 def _resolve_step(data: Dataset, j: int, d: float | None) -> float:

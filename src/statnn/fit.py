@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .canonical import canonicalize
 from .exceptions import FitError
@@ -219,6 +218,8 @@ def evaluate_at(arch: Architecture, theta: ParamVector, data: Dataset,
 
 def _run_restart(obj: _Evaluator, x0: np.ndarray, config: FitConfig):
     """One quasi-Newton run plus Newton polish; returns (x, n_iter, trace)."""
+    import scipy.optimize   # here, not at module load: serving never fits
+
     f0, _ = obj.value_grad(x0)
     if not np.isfinite(f0):
         raise FitError("objective not finite at the starting point")

@@ -40,11 +40,14 @@ _MISSING = frozenset({"", "na", "nan", "n/a", "null"})
 def read_csv(path):
     """Read a UTF-8 CSV with a header row into per-column string lists.
 
+    A leading byte-order mark is dropped, so it never becomes part of
+    the first column name.
+
     Returns ``(names, columns)`` where ``names`` is the header tuple and
     ``columns[i]`` is the list of (stripped) cell strings for column i.
     Ragged rows and duplicate header names are rejected.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

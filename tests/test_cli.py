@@ -391,3 +391,38 @@ def test_schema_file_flag(tmp_path, capsys):
     payload = json.loads(model.read_text())
     names = [m["name"] for m in payload["column_meta"]]
     assert "smoker.yes" in names
+
+
+def test_model_fitted_on_bom_csv_serves_csv_without_bom(tmp_path, capsys):
+    """A byte-order mark is not part of the first column name: a model
+    fitted on a BOM-prefixed CSV reads the same data saved without it."""
+    plain = _make_csv(tmp_path / "plain.csv")
+    text = (tmp_path / "plain.csv").read_text("utf-8")
+    bom = tmp_path / "bom.csv"
+    bom.write_text("\ufeff" + text, encoding="utf-8")
+    model = tmp_path / "bom.json"
+    assert main(["fit", str(bom), "--response", "charges", "--q", "1",
+                 "--restarts", "2", "--out", str(model)]) == 0
+    names = [m["name"] for m in json.loads(model.read_text())["column_meta"]]
+    assert names == ["age", "bmi", "smoker.no"]
+    capsys.readouterr()
+    assert main(["summary", str(model), plain, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 60
+
+
+def test_serving_imports_do_not_load_the_optimizer():
+    """``scipy.optimize`` is imported only where a fit or an alignment
+    runs, so a query process does not pay for it."""
+    import os
+    import subprocess
+    import sys
+
+    import statnn
+
+    src = os.path.dirname(os.path.dirname(statnn.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import statnn, statnn.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -7,9 +7,11 @@ from statnn.effects import (PceConfig, interaction_screen, pce_binary,
                             pce_curve, to_original_scale)
 from statnn.exceptions import DataError, NotPositiveDefiniteError
 from statnn.inference import CovarianceEstimate, sandwich_covariance
-from statnn.likelihood import LikelihoodSpec, observed_information
+from statnn.likelihood import (LikelihoodSpec, observed_information,
+                               prediction_gradient)
 from statnn.model import (Architecture, ColumnMeta, Dataset, ParamVector,
                           forward_batch)
+from statnn.special import normal_quantile
 
 
 def _identity_cov(r, scale=1e-4):
@@ -357,3 +359,104 @@ def test_sandwich_end_to_end_band_positive():
     curve = pce_curve(arch, result.theta_hat, cov, data, PceConfig(j=1))
     assert all(pt.se > 0.0 for pt in curve.points)
     assert all(pt.lo < pt.beta_hat < pt.hi for pt in curve.points)
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the per-point definition
+# ---------------------------------------------------------------------------
+
+def _per_point_oracle(arch, theta, sigma, data, j, d, grid, level, pin=None):
+    """(x, beta, se, lo, hi) per grid point, one point at a time: the
+    averaged prediction difference and the averaged n x r prediction
+    gradients from ``prediction_gradient``."""
+    x_lo = np.array(data.x)
+    if pin is not None:
+        x_lo[:, pin[0] - 1] = pin[1]
+    x_hi = x_lo.copy()
+    z = normal_quantile(0.5 + level / 2.0)
+    rows = []
+    for x0 in grid:
+        x_lo[:, j - 1] = x0
+        x_hi[:, j - 1] = x0 + d
+        beta = float(np.mean(forward_batch(arch, theta, Dataset(x_hi, data.y)))
+                     - np.mean(forward_batch(arch, theta, Dataset(x_lo, data.y))))
+        g = (prediction_gradient(arch, theta, x_hi).mean(axis=0)
+             - prediction_gradient(arch, theta, x_lo).mean(axis=0))
+        se = float(np.sqrt(max(float(g @ sigma @ g), 0.0)))
+        rows.append((float(x0), beta, se, beta - z * se, beta + z * se))
+    return np.array(rows)
+
+
+def _random_cov(r, seed):
+    m = np.random.default_rng(seed).normal(size=(r, r))
+    sigma = m @ m.T / r + 0.1 * np.eye(r)
+    return CovarianceEstimate(sigma_hat=sigma, a_matrix=np.eye(r),
+                              positive_definite=True,
+                              min_eigenvalue=float(np.linalg.eigvalsh(sigma)[0]))
+
+
+def _as_rows(points):
+    return np.array([(pt.x, pt.beta_hat, pt.se, pt.lo, pt.hi)
+                     for pt in points])
+
+
+def _assert_matches_oracle(points, want):
+    """Every field to 1e-10 relative.  Not bitwise: the batched pass
+    sums the averaged gradient in a different order."""
+    got = _as_rows(points)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got[:, 0], want[:, 0])
+    np.testing.assert_allclose(got[:, 1:], want[:, 1:], rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("output", ["identity", "logistic"])
+def test_batched_curve_matches_per_point_oracle(output):
+    arch = Architecture(p=3, q=2, output_activation=output)
+    theta = _theta(arch, seed=92)
+    data = _dataset(seed=93, n=80, p=3)
+    cov = _random_cov(arch.r, seed=94)
+    curve = pce_curve(arch, theta, cov, data, PceConfig(j=2, d=0.7))
+    want = _per_point_oracle(arch, theta, cov.sigma_hat, data, 2, 0.7,
+                             curve.xs(), 0.95)
+    _assert_matches_oracle(curve.points, want)
+
+
+def test_batched_conditioned_curve_matches_per_point_oracle():
+    arch = Architecture(p=3, q=3, output_activation="logistic")
+    theta = _theta(arch, seed=95)
+    data = _dataset(seed=96, n=70, p=3, dummy_last=True)
+    cov = _random_cov(arch.r, seed=97)
+    grid = np.linspace(-1.5, 1.2, 9)
+    curves = pce_curve(arch, theta, cov, data,
+                       PceConfig(j=1, d=0.4, grid=grid, level=0.9,
+                                 conditioning=(3, (0.0, 1.0))))
+    for curve, pin in zip(curves, (0.0, 1.0)):
+        want = _per_point_oracle(arch, theta, cov.sigma_hat, data, 1, 0.4,
+                                 grid, 0.9, pin=(3, pin))
+        _assert_matches_oracle(curve.points, want)
+
+
+def test_batched_binary_effect_matches_per_point_oracle():
+    arch = Architecture(p=2, q=2)
+    theta = _theta(arch, seed=98)
+    data = _dataset(seed=99, dummy_last=True)
+    cov = _random_cov(arch.r, seed=100)
+    pt = pce_binary(arch, theta, cov, data, j=2)
+    want = _per_point_oracle(arch, theta, cov.sigma_hat, data, 2, 1.0,
+                             np.array([0.0]), 0.95)
+    _assert_matches_oracle((pt,), want)
+
+
+def test_batched_curve_over_several_chunks_matches_per_point_oracle():
+    from statnn.effects import _CHUNK_ELEMENTS
+
+    arch = Architecture(p=3, q=3)
+    theta = _theta(arch, seed=101)
+    data = _dataset(seed=102, n=2000, p=3)
+    cov = _random_cov(arch.r, seed=103)
+    curve = pce_curve(arch, theta, cov, data, PceConfig(j=3))
+    assert len(curve.points) == 101
+    assert 101 * data.n * arch.q > 5 * _CHUNK_ELEMENTS
+    want = _per_point_oracle(arch, theta, cov.sigma_hat, data, 3, curve.d,
+                             curve.xs(), 0.95)
+    _assert_matches_oracle(curve.points, want)

@@ -33,6 +33,14 @@ def test_read_csv_basic(tmp_path):
     assert cols[2][:2] == ["yes", "no"]
 
 
+def test_read_csv_drops_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_text("\ufeff" + BASIC, encoding="utf-8")
+    names, cols = read_csv(str(path))
+    assert names == ("age", "bmi", "smoker", "charges")
+    assert cols == read_csv(_write(tmp_path, BASIC))[1]
+
+
 def test_read_csv_strips_whitespace(tmp_path):
     text = "a, b\n 1 , x\n2,  y \n"
     names, cols = read_csv(_write(tmp_path, text))
