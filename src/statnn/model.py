@@ -158,23 +158,33 @@ class ParamVector:
 
 @dataclass(frozen=True)
 class ColumnMeta:
-    """Standardization / encoding record for one model column.
+    """How one model column is read from a CSV file.
 
-    For continuous columns, ``mean`` and ``sd`` describe the affine map
-    applied during preprocessing (original = standardized * sd + mean).
-    Dummy columns are passed through unchanged (mean 0, sd 1).
+    ``raw`` is the CSV column the values come from (``name`` unless
+    given).  ``level`` is set only on a factor level's indicator: the
+    column is 1 where the raw cell equals ``level`` and 0 elsewhere.
+    Otherwise the raw cells are numbers.  For continuous columns,
+    ``mean`` and ``sd`` describe the affine map applied during
+    preprocessing (original = standardized * sd + mean).  Dummy columns
+    are 0/1 indicators, passed through unchanged (mean 0, sd 1).
     """
 
     name: str
     kind: str = "continuous"
     mean: float = 0.0
     sd: float = 1.0
+    raw: str | None = None
+    level: str | None = None
 
     def __post_init__(self):
         if self.kind not in ("continuous", "dummy"):
             raise ValueError(f"column kind must be continuous or dummy, got {self.kind!r}")
+        if self.level is not None and self.kind != "dummy":
+            raise ValueError(f"column {self.name!r} has a level, so it must be a dummy column")
         if not (np.isfinite(self.mean) and np.isfinite(self.sd)):
             raise DataError(f"non-finite standardization metadata for column {self.name!r}")
+        if self.raw is None:
+            object.__setattr__(self, "raw", self.name)
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,15 @@ c - 1 indicator columns named ``variable.level``, with the reference
 level (by default the first level observed in file order) absorbed into
 the intercept.  A 0/1 numeric column passes through unchanged.
 
-:func:`infer_plan` records these decisions as a :class:`PreprocessPlan`.
-:func:`ingest` turns the plan into the per-model-column
-:class:`~statnn.model.ColumnMeta` records that a stored model keeps (the
-training mean and sd, or the raw column and level behind an indicator),
-and encodes the file from those records.  :func:`dataset_from_meta`
-encodes any later file from a stored model's records with the same
-code, so a query sees the training transformation exactly.
+:func:`infer_plan` records these decisions as one
+:class:`~statnn.model.ColumnMeta` per model column: the raw CSV column
+it is read from, the level it indicates (for a factor level's
+indicator), and the training mean and sd.  A stored model keeps these
+records.  :func:`ingest` and :func:`dataset_from_meta` encode a file
+with the same code, which reads each model column from its stored raw
+column and level and never looks at the file's header to decide what a
+column means; so a query sees the training transformation exactly,
+whatever other columns the query file carries.
 
 Missing values are a hard error naming the offending row and column; no
 imputation is attempted.
@@ -99,61 +101,15 @@ def _try_numeric(name, cells):
 
 
 @dataclass(frozen=True)
-class ColumnAction:
-    """Preprocessing decision for one raw column.
-
-    ``levels`` is populated for dummy encoding (reference level first);
-    ``mean``/``sd`` for standardization.  A binary 0/1 response encoded
-    from a two-level factor also records its levels.
-    """
-
-    name: str
-    action: str
-    levels: tuple = ()
-    mean: float = 0.0
-    sd: float = 1.0
-
-    def __post_init__(self):
-        if self.action not in ACTIONS:
-            raise ValueError(f"unknown action {self.action!r}; "
-                             f"supported: {ACTIONS}")
-
-    def model_columns(self) -> tuple:
-        """Names of the model columns this raw column produces."""
-        if self.action == "dummy_encode":
-            return tuple(f"{self.name}.{lvl}" for lvl in self.levels[1:])
-        return (self.name,)
-
-
-@dataclass(frozen=True)
 class PreprocessPlan:
-    """Per-column actions for the covariates plus the response.
+    """The model columns a file is encoded into.
 
-    Every model column traces back to exactly one raw column and one
-    action; :meth:`trace` exposes the mapping.
+    ``columns`` holds one :class:`~statnn.model.ColumnMeta` per covariate
+    model column, in design-matrix order; ``response`` is the response's.
     """
 
     columns: tuple
-    response: ColumnAction
-
-    def __post_init__(self):
-        if self.response.action == "dummy_encode":
-            raise ValueError(
-                "the response is never dummy encoded; a two-level factor "
-                "response is mapped to 0/1 under 'passthrough'")
-
-    def model_column_names(self) -> tuple:
-        names = []
-        for action in self.columns:
-            names.extend(action.model_columns())
-        return tuple(names)
-
-    def trace(self, model_column: str):
-        """Raw column and action behind a model column."""
-        for action in self.columns:
-            if model_column in action.model_columns():
-                return action.name, action.action
-        raise KeyError(f"no model column named {model_column!r}")
+    response: ColumnMeta
 
 
 def _standardize_stats(name, values):
@@ -210,41 +166,40 @@ def _is_binary(values) -> bool:
                 and np.any(values == 0.0) and np.any(values == 1.0))
 
 
-def _plan_column(name, cells, override):
-    """Decide the action for one covariate column."""
+def _plan_column(name, cells, override) -> list:
+    """The model columns of one covariate column."""
     numeric = _try_numeric(name, cells)
-    if override is not None:
-        action, reference = override
-        if action == "standardize":
-            if numeric is None:
-                raise DataError(
-                    f"schema requests standardization of non-numeric "
-                    f"column {name!r}")
-            mean, sd = _standardize_stats(name, numeric)
-            return ColumnAction(name, "standardize", mean=mean, sd=sd)
-        if action == "passthrough":
-            if numeric is None:
-                raise DataError(
-                    f"schema requests passthrough of non-numeric column "
-                    f"{name!r}; use dummy_encode for factors")
-            return ColumnAction(name, "passthrough")
-        if action == "dummy_encode":
-            return ColumnAction(name, "dummy_encode",
-                                levels=_factor_levels(name, cells, reference))
+    action, reference = override or (None, None)
+    if action is None:
+        # A 0/1 column is an already-encoded indicator: re-standardizing
+        # it would destroy the 0/1 coding the binary-effect machinery
+        # relies on.
+        action = ("dummy_encode" if numeric is None else
+                  "passthrough" if _is_binary(numeric) else "standardize")
+    if action == "dummy_encode":
+        return [ColumnMeta(f"{name}.{level}", kind="dummy", raw=name,
+                           level=level)
+                for level in _factor_levels(name, cells, reference)[1:]]
+    if action not in ACTIONS:
         raise DataError(f"unknown schema action {action!r} for column "
                         f"{name!r}; supported: {ACTIONS}")
     if numeric is None:
-        return ColumnAction(name, "dummy_encode",
-                            levels=_factor_levels(name, cells))
-    if _is_binary(numeric):
-        # An already-encoded indicator: re-standardizing it would destroy
-        # the 0/1 coding that the binary-effect machinery relies on.
-        return ColumnAction(name, "passthrough")
+        raise DataError(
+            f"schema requests {action} of non-numeric column {name!r}; "
+            "use dummy_encode for factors")
+    if action == "passthrough":
+        return [_passthrough(name, numeric)]
     mean, sd = _standardize_stats(name, numeric)
-    return ColumnAction(name, "standardize", mean=mean, sd=sd)
+    return [ColumnMeta(name, mean=mean, sd=sd)]
 
 
-def _plan_response(name, cells, schema):
+def _passthrough(name, numeric) -> ColumnMeta:
+    """An unscaled numeric column; a 0/1 one is an indicator."""
+    return ColumnMeta(name, kind="dummy" if _is_binary(numeric)
+                      else "continuous")
+
+
+def _plan_response(name, cells, schema) -> ColumnMeta:
     explicit = None
     if schema is not None and "response_action" in schema:
         explicit = schema["response_action"]
@@ -254,29 +209,38 @@ def _plan_response(name, cells, schema):
                 f"{RESPONSE_ACTIONS}")
     numeric = _try_numeric(name, cells)
     if numeric is None:
-        # Two-level factor responses are mapped to a 0/1 indicator; the
-        # level coded 1 is recorded so predictions stay interpretable.
+        # A two-level factor response is the indicator of its second
+        # level, so predictions stay interpretable.
         levels = _factor_levels(name, cells)
         if len(levels) != 2:
             raise DataError(
                 f"response column {name!r} has {len(levels)} levels; only "
                 "two-level factors can serve as a binary response")
-        return ColumnAction(name, "passthrough", levels=levels)
-    if explicit == "passthrough":
-        return ColumnAction(name, "passthrough")
-    if explicit is None and _is_binary(numeric):
-        return ColumnAction(name, "passthrough")
+        return ColumnMeta(f"{name}.{levels[1]}", kind="dummy", raw=name,
+                          level=levels[1])
+    if explicit == "passthrough" or (explicit is None
+                                     and _is_binary(numeric)):
+        return _passthrough(name, numeric)
     mean, sd = _standardize_stats(name, numeric)
-    return ColumnAction(name, "standardize", mean=mean, sd=sd)
+    return ColumnMeta(name, mean=mean, sd=sd)
+
+
+def _describe(cm: ColumnMeta) -> str:
+    if cm.level is None:
+        return f"column {cm.raw!r}"
+    return f"level {cm.level!r} of column {cm.raw!r}"
 
 
 def infer_plan(names, columns, response: str,
                schema=None) -> PreprocessPlan:
-    """Choose an action for every column given optional schema overrides.
+    """Choose the model columns of every CSV column given optional schema
+    overrides.
 
     ``schema`` is a mapping with optional keys ``columns`` (raw name ->
     action string or ``{"action": ..., "reference": level}``) and
-    ``response_action``.
+    ``response_action``.  A factor level whose model column would be
+    named like another model column (``a`` level ``b`` beside a column
+    ``a.b``) is refused, so model-column names identify their columns.
     """
     if response not in names:
         raise DataError(
@@ -295,100 +259,41 @@ def infer_plan(names, columns, response: str,
             raise DataError(
                 f"response column {response!r} must be configured via "
                 "'response_action', not 'columns'")
-    actions = []
+    metas = []
     for name, cells in zip(names, columns):
         _check_no_missing(name, cells)
         if name == response:
             continue
-        actions.append(_plan_column(name, cells, _schema_entry(schema, name)))
+        metas.extend(_plan_column(name, cells, _schema_entry(schema, name)))
     resp = _plan_response(response, columns[names.index(response)], schema)
-    return PreprocessPlan(columns=tuple(actions), response=resp)
-
-
-def _stored_meta(action: ColumnAction, cells) -> list:
-    """Metadata of the model columns one planned raw column produces."""
-    if action.action == "dummy_encode":
-        return [ColumnMeta(name, kind="dummy")
-                for name in action.model_columns()]
-    if action.levels:
-        # A two-level factor response: the indicator of its second level.
-        return [ColumnMeta(f"{action.name}.{action.levels[1]}",
-                           kind="dummy")]
-    if action.action == "standardize":
-        return [ColumnMeta(action.name, mean=action.mean, sd=action.sd)]
-    numeric = _try_numeric(action.name, cells)
-    kind = "dummy" if _is_binary(numeric) else "continuous"
-    return [ColumnMeta(action.name, kind=kind)]
-
-
-def _check_names_read_back(plan: PreprocessPlan, header):
-    """Reject a factor level whose model column name a stored model would
-    resolve to another raw column or level (see :func:`_split_dummy_name`).
-
-    Stored metadata identifies a dummy column by its name alone, so with
-    a header ``a,a.b`` level ``b`` of factor ``a`` and the raw column
-    ``a.b`` would both be called ``a.b``.
-    """
-    coded = [(a.name, lvl) for a in plan.columns
-             if a.action == "dummy_encode" for lvl in a.levels[1:]]
-    if plan.response.levels:
-        coded.append((plan.response.name, plan.response.levels[1]))
-    for raw, level in coded:
-        name = f"{raw}.{level}"
-        got_raw, got_level = _split_dummy_name(name, header)
-        if (got_raw, got_level) != (raw, level):
-            other = (f"column {got_raw!r}" if got_level is None else
-                     f"level {got_level!r} of column {got_raw!r}")
+    seen = {}
+    for cm in metas + [resp]:
+        if cm.name in seen:
             raise DataError(
-                f"duplicate model column name {name!r}: it encodes level "
-                f"{level!r} of column {raw!r} but also names {other}; "
-                "rename the column or the level")
+                f"duplicate model column name {cm.name!r}: it encodes "
+                f"{_describe(seen[cm.name])} and {_describe(cm)}; rename "
+                "the column or the level")
+        seen[cm.name] = cm
+    return PreprocessPlan(columns=tuple(metas), response=resp)
 
 
 def ingest(csv_path, response: str, schema=None):
-    """Read a CSV, infer (or take from ``schema``) per-column actions,
-    and return the encoded dataset together with the plan applied.
+    """Read a CSV, infer (or take from ``schema``) its model columns, and
+    return the encoded dataset together with the plan applied.
 
-    The plan becomes the column metadata a stored model keeps, and the
-    file is encoded from that metadata by the code behind
-    :func:`dataset_from_meta`, so a stored model re-reading its training
-    file gets back the matrix it was fitted to.
+    The file is encoded from the plan's column records by the code
+    behind :func:`dataset_from_meta`, so a stored model re-reading its
+    training file gets back the matrix it was fitted to.
     """
     names, columns = read_csv(csv_path)
     plan = infer_plan(names, columns, response, schema)
-    _check_names_read_back(plan, names)
-    by_name = dict(zip(names, columns))
-    column_meta = []
-    for action in plan.columns:
-        column_meta.extend(_stored_meta(action, by_name[action.name]))
-    (response_meta,) = _stored_meta(plan.response,
-                                    by_name[plan.response.name])
-    data = _encode(csv_path, names, columns, column_meta, response_meta)
+    data = _encode(csv_path, names, columns, plan.columns, plan.response)
     return data, plan
 
 
 # ---------------------------------------------------------------------------
 # Encoding a CSV from column metadata
 # ---------------------------------------------------------------------------
-
-def _split_dummy_name(model_name: str, header) -> tuple:
-    """Raw column and level behind a dummy model column.
-
-    A name found in the CSV header is a pre-encoded indicator that was
-    passed through (level None).  Otherwise the model column is
-    ``raw.level`` for the longest header name ``raw`` that fits, so raw
-    names and levels may themselves contain dots.  With no such header
-    name the raw column is the name up to its first dot, which the
-    caller reports as missing.
-    """
-    if model_name in header:
-        return model_name, None
-    fits = [raw for raw in header if model_name.startswith(raw + ".")]
-    if not fits:
-        return model_name.partition(".")[0], None
-    raw = max(fits, key=len)
-    return raw, model_name[len(raw) + 1:]
-
 
 def dataset_from_meta(csv_path, column_meta, response_meta) -> Dataset:
     """Rebuild a model-ready dataset from stored column metadata.
@@ -417,19 +322,17 @@ def _encode(csv_path, names, columns, column_meta, response_meta) -> Dataset:
         return by_name[raw]
 
     def encode(cm, what):
+        cells = raw_cells(cm.raw, what)
+        if cm.level is not None:
+            return np.array([1.0 if c == cm.level else 0.0 for c in cells])
+        numeric = _try_numeric(cm.raw, cells)
         if cm.kind != "dummy":
-            numeric = _try_numeric(cm.name, raw_cells(cm.name, what))
             if numeric is None:
-                raise DataError(f"column {cm.name!r} is not numeric")
+                raise DataError(f"column {cm.raw!r} is not numeric")
             return (numeric - cm.mean) / cm.sd
-        raw, level = _split_dummy_name(cm.name, names)
-        cells = raw_cells(raw, what)
-        if level is not None:
-            return np.array([1.0 if c == level else 0.0 for c in cells])
-        numeric = _try_numeric(raw, cells)
         if numeric is None or not np.all((numeric == 0.0) | (numeric == 1.0)):
             raise DataError(
-                f"column {raw!r} must contain only 0/1 values to match "
+                f"column {cm.raw!r} must contain only 0/1 values to match "
                 f"stored indicator {cm.name!r}")
         return numeric
 

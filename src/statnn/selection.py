@@ -22,8 +22,7 @@ from .exceptions import DataError, FitError
 from .fit import FitConfig, FitResult, fit
 from .likelihood import (LOG_2PI, LikelihoodSpec, output_activation_for,
                          penalty)
-from .model import (Architecture, ColumnMeta, Dataset, design_with_intercept,
-                    forward_design)
+from .model import Architecture, Dataset, design_with_intercept, forward_design
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,7 @@ def _fold_predict(arch, data, spec, config, x_raw, y_raw, train_mask,
             m, s = _train_stats(x_raw[train_mask, j])
             x_train[:, j] = (x_train[:, j] - m) / s
             x_test[:, j] = (x_test[:, j] - m) / s
-            metas.append(ColumnMeta(meta.name, "continuous", m, s))
+            metas.append(dc_replace(meta, mean=m, sd=s))
         else:
             metas.append(meta)
     if gaussian:
@@ -187,8 +186,8 @@ def _fold_predict(arch, data, spec, config, x_raw, y_raw, train_mask,
     else:
         y_train, my, sy = y_raw[train_mask], 0.0, 1.0
     train = Dataset(x_train, y_train, column_meta=tuple(metas),
-                    response_meta=ColumnMeta(data.response_meta.name,
-                                             data.response_meta.kind, my, sy))
+                    response_meta=dc_replace(data.response_meta, mean=my,
+                                             sd=sy))
     if arch is None:
         linear = fit_linear(train)
         pred_std = design_with_intercept(x_test) @ linear.beta

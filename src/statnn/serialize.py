@@ -5,6 +5,14 @@ A fitted network is stored as a single JSON document::
     {format_version, p, q, hidden_activation, output_activation,
      theta, lambda, column_meta, response_meta}
 
+Each column record is ``{name, kind, mean, sd, raw, level}``: ``raw``
+names the CSV column the model column is read from, and ``level`` is the
+factor level an indicator marks (``null`` for a numeric column).  This
+is model format version 2.  Version 1 records lacked ``raw`` and
+``level``, so they cannot say which CSV column an indicator comes from;
+such files are refused with a request to refit.  Scenario files are
+versioned separately and are at version 1.
+
 Floats are emitted with 17 significant digits so that loading recovers
 bit-identical values, and the emitter walks dictionaries in a fixed
 insertion order so repeated saves of the same model are byte-identical.
@@ -27,7 +35,8 @@ from .likelihood import family_for
 from .model import Architecture, ColumnMeta, Dataset, ParamVector
 from .simgen import SimScenario
 
-FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+SCENARIO_FORMAT_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +135,13 @@ def model_document(fit_result, data: Dataset) -> ModelDocument:
 
 def _meta_dict(meta: ColumnMeta) -> dict:
     return {"name": meta.name, "kind": meta.kind,
-            "mean": meta.mean, "sd": meta.sd}
+            "mean": meta.mean, "sd": meta.sd,
+            "raw": meta.raw, "level": meta.level}
 
 
 def model_to_json(doc: ModelDocument) -> str:
     payload = {
-        "format_version": FORMAT_VERSION,
+        "format_version": MODEL_FORMAT_VERSION,
         "p": doc.arch.p,
         "q": doc.arch.q,
         "hidden_activation": doc.arch.hidden_activation,
@@ -186,19 +196,28 @@ def _parse_meta(entry, where: str) -> ColumnMeta:
                        f"mean of column {name!r}", where)
     sd = _json_float(_require(entry, "sd", where),
                      f"sd of column {name!r}", where)
+    raw = _require(entry, "raw", where)
+    if not isinstance(raw, str):
+        raise DataError(f"{where}: raw of column {name!r} must be a string, "
+                        f"got {raw!r}")
+    level = _require(entry, "level", where)
+    if level is not None and not isinstance(level, str):
+        raise DataError(f"{where}: level of column {name!r} must be a "
+                        f"string or null, got {level!r}")
     try:
-        return ColumnMeta(name=name, kind=str(kind), mean=mean, sd=sd)
+        return ColumnMeta(name=name, kind=str(kind), mean=mean, sd=sd,
+                          raw=raw, level=level)
     except ValueError as exc:
         raise DataError(f"{where}: invalid column metadata: {exc}") from exc
 
 
-def _check_version(payload: dict, where: str):
+def _check_version(payload: dict, where: str, wanted: int):
     version = _json_int(_require(payload, "format_version", where),
                         "format_version", where)
-    if version != FORMAT_VERSION:
+    if version != wanted:
         raise DataError(
             f"{where}: unsupported format_version {version!r} "
-            f"(this build reads version {FORMAT_VERSION})")
+            f"(this build reads version {wanted})")
 
 
 def parse_model(text: str, where: str = "model") -> ModelDocument:
@@ -208,7 +227,13 @@ def parse_model(text: str, where: str = "model") -> ModelDocument:
         raise DataError(f"{where}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError(f"{where}: top level must be an object")
-    _check_version(payload, where)
+    version = payload.get("format_version")
+    if type(version) is int and version == 1:
+        raise DataError(
+            f"{where}: format_version 1 model files do not record the raw "
+            "CSV column and level of each model column; refit the model "
+            "with 'statnn fit'")
+    _check_version(payload, where, MODEL_FORMAT_VERSION)
     try:
         arch = Architecture(
             p=_json_int(_require(payload, "p", where), "p", where),
@@ -258,7 +283,7 @@ _SCENARIO_FLOAT_FIELDS = ("lambda", "noise_sd")
 
 def scenario_to_json(scenario: SimScenario) -> str:
     payload = {
-        "format_version": FORMAT_VERSION,
+        "format_version": SCENARIO_FORMAT_VERSION,
         "q": scenario.q,
         "nz_pattern": scenario.nz_pattern,
         "n": scenario.n,
@@ -286,7 +311,7 @@ def parse_scenario(text: str, where: str = "scenario") -> SimScenario:
         raise DataError(f"{where}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError(f"{where}: top level must be an object")
-    _check_version(payload, where)
+    _check_version(payload, where, SCENARIO_FORMAT_VERSION)
     known = set(_SCENARIO_INT_FIELDS) | set(_SCENARIO_FLOAT_FIELDS) | {
         "format_version", "nz_pattern", "true_theta"}
     unknown = set(payload) - known

@@ -58,12 +58,15 @@ def test_fit_writes_valid_model(workspace):
 
     _, csv_path, model_path = workspace
     payload = json.loads(pathlib.Path(model_path).read_text("utf-8"))
-    assert payload["format_version"] == 1
+    assert payload["format_version"] == 2
     assert payload["p"] == 3 and payload["q"] == 2
     assert len(payload["theta"]) == 5 * 2 + 1
-    names = [m["name"] for m in payload["column_meta"]]
-    assert names == ["age", "bmi", "smoker.no"]
+    sources = [(m["name"], m["raw"], m["level"])
+               for m in payload["column_meta"]]
+    assert sources == [("age", "age", None), ("bmi", "bmi", None),
+                       ("smoker.no", "smoker", "no")]
     assert payload["response_meta"]["name"] == "charges"
+    assert payload["response_meta"]["raw"] == "charges"
 
 
 def test_fit_deterministic(workspace, tmp_path):
@@ -296,6 +299,28 @@ def test_exit_2_on_corrupt_model(workspace, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit,message", [
+    ({"raw": None}, "raw of column 'smoker.no' must be a string"),
+    ({"level": 0}, "level of column 'smoker.no' must be a string or null"),
+    ({"format_version": 1}, "format_version 1 model files .* refit"),
+], ids=["raw-null", "level-number", "version-1"])
+def test_exit_2_on_unreadable_column_record(workspace, tmp_path, capsys,
+                                           edit, message):
+    _, csv_path, model_path = workspace
+    with open(model_path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if "format_version" in edit:
+        payload.update(edit)
+    else:
+        payload["column_meta"][2].update(edit)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["summary", str(bad), csv_path]) == 2
+    err = capsys.readouterr().err
+    assert re.search(f"^error: .*{message}", err)
+    assert "Traceback" not in err
+
+
 def test_exit_3_numerical_failure_mentions_penalty(tmp_path, capsys):
     """An overparameterized unpenalized fit on noise gives a non-PD
     covariance; summary must exit 3 and point at the ridge penalty."""
@@ -357,8 +382,8 @@ def test_fit_bernoulli_on_factor_response(tmp_path):
     ("grp.name", ("c", "a.b")),
 ])
 def test_dotted_column_names_round_trip(tmp_path, capsys, column, cells):
-    """Raw column names (and factor levels) with dots resolve against the
-    CSV header when a stored model is applied."""
+    """Raw column names (and factor levels) with dots are read back from
+    the stored raw column and level when a stored model is applied."""
     rng = np.random.default_rng(173)
     n = 60
     path = tmp_path / "dotted.csv"

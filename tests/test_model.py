@@ -224,6 +224,18 @@ def test_dataset_validation():
                 column_meta=(ColumnMeta("z", kind="dummy"),))
 
 
+def test_column_meta_source():
+    """A column is read from its own name unless a raw column is given;
+    only an indicator may carry a level."""
+    assert ColumnMeta("age").raw == "age"
+    assert ColumnMeta("age") == ColumnMeta("age", raw="age")
+    level = ColumnMeta("a.b", kind="dummy", raw="a", level="b")
+    assert (level.raw, level.level) == ("a", "b")
+    assert ColumnMeta("a.b", kind="dummy").level is None
+    with pytest.raises(ValueError, match="level"):
+        ColumnMeta("a.b", raw="a", level="b")
+
+
 def test_dataset_immutability():
     data = Dataset(x=np.array([[1.0, 2.0]]), y=np.array([3.0]))
     with pytest.raises(ValueError):

@@ -5,8 +5,7 @@ import pytest
 
 from statnn.exceptions import DataError
 from statnn.model import ColumnMeta
-from statnn.preprocess import (ColumnAction, dataset_from_meta, infer_plan,
-                               ingest, read_csv)
+from statnn.preprocess import dataset_from_meta, infer_plan, ingest, read_csv
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -73,20 +72,22 @@ def test_missing_values_error_names_location(tmp_path):
 def test_infer_plan_defaults(tmp_path):
     names, cols = read_csv(_write(tmp_path, BASIC))
     plan = infer_plan(names, cols, response="charges")
-    by_name = {a.name: a for a in plan.columns}
-    assert by_name["age"].action == "standardize"
-    assert by_name["bmi"].action == "standardize"
-    assert by_name["smoker"].action == "dummy_encode"
-    assert plan.response.action == "standardize"
-    assert plan.model_column_names() == ("age", "bmi", "smoker.no")
+    age, bmi, smoker = plan.columns
+    ages = np.array([19, 33, 28, 45, 52, 23], dtype=float)
+    assert age == ColumnMeta("age", "continuous", float(ages.mean()),
+                             float(ages.std(ddof=1)))
+    assert bmi.kind == "continuous" and bmi.sd != 1.0
+    assert smoker == ColumnMeta("smoker.no", "dummy", raw="smoker",
+                                level="no")
+    assert plan.response.kind == "continuous"
+    assert plan.response.raw == "charges" and plan.response.sd != 1.0
 
 
 def test_factor_reference_is_first_observed(tmp_path):
     names, cols = read_csv(_write(tmp_path, BASIC))
     plan = infer_plan(names, cols, response="charges")
-    smoker = next(a for a in plan.columns if a.name == "smoker")
-    assert smoker.levels == ("yes", "no")  # "yes" seen first -> reference
-    assert smoker.model_columns() == ("smoker.no",)
+    smoker = [(m.name, m.level) for m in plan.columns if m.raw == "smoker"]
+    assert smoker == [("smoker.no", "no")]  # "yes" seen first -> reference
 
 
 def test_schema_pins_reference_level(tmp_path):
@@ -94,9 +95,8 @@ def test_schema_pins_reference_level(tmp_path):
     schema = {"columns": {"smoker": {"action": "dummy_encode",
                                      "reference": "no"}}}
     plan = infer_plan(names, cols, response="charges", schema=schema)
-    smoker = next(a for a in plan.columns if a.name == "smoker")
-    assert smoker.levels[0] == "no"
-    assert smoker.model_columns() == ("smoker.yes",)
+    smoker = [(m.name, m.level) for m in plan.columns if m.raw == "smoker"]
+    assert smoker == [("smoker.yes", "yes")]
 
 
 def test_schema_validation(tmp_path):
@@ -111,6 +111,13 @@ def test_schema_validation(tmp_path):
                    schema={"columns": {"charges": "standardize"}})
     with pytest.raises(DataError, match="unknown response"):
         infer_plan(names, cols, "weight")
+    with pytest.raises(DataError, match="unknown schema action 'winsorize'"):
+        infer_plan(names, cols, "charges",
+                   schema={"columns": {"age": "winsorize"}})
+    for action in ("standardize", "passthrough"):
+        with pytest.raises(DataError, match="non-numeric column 'smoker'"):
+            infer_plan(names, cols, "charges",
+                       schema={"columns": {"smoker": action}})
 
 
 def test_standardization_uses_sample_sd(tmp_path):
@@ -155,8 +162,9 @@ def test_multi_level_factor(tmp_path):
     text = ("region,y\n"
             "sw,1\nnw,2\nse,3\nsw,4\nne,5\nnw,6\n")
     data, plan = ingest(_write(tmp_path, text), response="y")
-    assert plan.model_column_names() == ("region.nw", "region.se",
-                                         "region.ne")
+    assert plan.columns == tuple(
+        ColumnMeta(f"region.{lvl}", "dummy", raw="region", level=lvl)
+        for lvl in ("nw", "se", "ne"))
     np.testing.assert_array_equal(
         data.x, [[0, 0, 0], [1, 0, 0], [0, 1, 0],
                  [0, 0, 0], [0, 0, 1], [1, 0, 0]])
@@ -172,10 +180,8 @@ def test_binary_numeric_column_passes_through(tmp_path):
     """A 0/1 numeric column is treated as an already-encoded dummy."""
     text = "flag,z,y\n0,1.5,2\n1,2.5,3\n0,0.5,1\n1,3.5,5\n"
     data, plan = ingest(_write(tmp_path, text), response="y")
-    flag = next(a for a in plan.columns if a.name == "flag")
-    assert flag.action == "passthrough"
+    assert plan.columns[0] == ColumnMeta("flag", "dummy")
     np.testing.assert_array_equal(data.x[:, 0], [0.0, 1.0, 0.0, 1.0])
-    assert data.column_meta[0].kind == "dummy"
 
 
 def test_constant_numeric_column_rejected(tmp_path):
@@ -193,11 +199,10 @@ def test_nonfinite_numeric_cell_rejected(tmp_path):
 def test_two_level_factor_response(tmp_path):
     text = "x,outcome\n1.0,good\n2.0,bad\n3.0,bad\n1.5,good\n0.5,bad\n"
     data, plan = ingest(_write(tmp_path, text), response="outcome")
-    assert plan.response.action == "passthrough"
-    assert plan.response.levels == ("good", "bad")
     # level coded 1 ("bad", the non-reference) appears in the meta name
-    assert data.response_meta.name == "outcome.bad"
-    assert data.response_meta.kind == "dummy"
+    assert plan.response == ColumnMeta("outcome.bad", "dummy",
+                                       raw="outcome", level="bad")
+    assert data.response_meta == plan.response
     np.testing.assert_array_equal(data.y, [0.0, 1.0, 1.0, 0.0, 1.0])
 
 
@@ -210,7 +215,7 @@ def test_many_level_factor_response_rejected(tmp_path):
 def test_binary_numeric_response_passthrough(tmp_path):
     text = "x,y\n0.5,0\n1.5,1\n2.5,1\n0.1,0\n"
     data, plan = ingest(_write(tmp_path, text), response="y")
-    assert plan.response.action == "passthrough"
+    assert plan.response == ColumnMeta("y", "dummy")
     np.testing.assert_array_equal(data.y, [0.0, 1.0, 1.0, 0.0])
 
 
@@ -223,23 +228,10 @@ def test_schema_response_action_override(tmp_path):
     np.testing.assert_allclose(data.y, want, rtol=1e-12)
 
 
-def test_plan_trace(tmp_path):
-    names, cols = read_csv(_write(tmp_path, BASIC))
-    plan = infer_plan(names, cols, response="charges")
-    assert plan.trace("age") == ("age", "standardize")
-    assert plan.trace("smoker.no") == ("smoker", "dummy_encode")
-    with pytest.raises(KeyError):
-        plan.trace("smoker.yes")
-
-
-def test_action_validation():
-    with pytest.raises(ValueError):
-        ColumnAction(name="a", action="winsorize")
-
-
 def test_apply_plan_columns_in_plan_order(tmp_path):
     data, plan = ingest(_write(tmp_path, BASIC), response="charges")
-    assert tuple(m.name for m in data.column_meta) == plan.model_column_names()
+    assert data.column_meta == plan.columns
+    assert data.response_meta == plan.response
     assert data.n == 6 and data.p == 3
 
 
@@ -254,8 +246,11 @@ def test_apply_plan_columns_in_plan_order(tmp_path):
      {"columns": {"smoker": {"action": "dummy_encode", "reference": "no"}}}),
     ("x,grp.name,has.flag,y.out\n0.5,a.1,0,lo\n1.5,b.2,1,hi\n"
      "2.5,a.1,1,hi\n0.1,c,0,lo\n", "y.out", None),
+    # Level b.x of a is named a.b.x, like level x of a column a.b would
+    # be; the records name their raw columns, so nothing is ambiguous.
+    ("a,a.b,y\nd,1.5,1\nb.x,2.5,2\nd,0.5,3\nb.x,3.5,5\n", "y", None),
 ], ids=["basic", "factor-response", "binary-response", "schema-passthrough",
-        "schema-reference", "dotted-names"])
+        "schema-reference", "dotted-names", "raw-column-level"])
 def test_dataset_from_meta_reproduces_training_encoding(tmp_path, text,
                                                         response, schema):
     """Re-reading the same file through stored metadata gives the same
@@ -310,14 +305,27 @@ def test_dataset_from_meta_unseen_level_encodes_as_reference(tmp_path):
 
 @pytest.mark.parametrize("text,response,clash", [
     ("a,a.b,y\nc,1.5,1\nb,2.5,2\nc,0.5,3\nb,3.5,5\n", "y", "a.b"),
-    ("a,a.b,y\nd,1.5,1\nb.x,2.5,2\nd,0.5,3\nb.x,3.5,5\n", "y",
-     "a.b.x"),
     ("x,y,y.b\n1.0,a,0\n2.0,b,1\n3.0,b,1\n1.5,a,0\n", "y", "y.b"),
-], ids=["raw-column", "raw-column-level", "response"])
+    ("a,a.b,y\nd,e,1\nb.c,c,2\nd,e,3\nb.c,c,5\n", "y", "a.b.c"),
+], ids=["raw-column", "response", "level-level"])
 def test_model_column_name_must_read_back(tmp_path, text, response, clash):
-    """A level's model column named like another raw column (or another
-    raw column's level) would be decoded from that column by a stored
-    model, so ingest refuses it."""
+    """Two model columns with one name could not be told apart in the
+    model's output or by --covariate, so ingest refuses them."""
     with pytest.raises(DataError, match=f"duplicate model column name "
                                         f"'{clash}'"):
         ingest(_write(tmp_path, text), response=response)
+
+
+def test_query_column_cannot_hijack_an_indicator(tmp_path):
+    """A query file carrying an extra column named like a stored
+    indicator (``a.b`` beside factor ``a``) still encodes that indicator
+    from factor ``a``."""
+    train = _write(tmp_path, "a,x,y\nc,0.5,1\nb,1.5,2\nc,2.5,2\nb,0.1,4\n",
+                   name="train.csv")
+    data, _ = ingest(train, response="y")
+    assert [m.name for m in data.column_meta] == ["a.b", "x"]
+    query = _write(tmp_path, "a,a.b,x,y\nc,0,1.0,1\nb,0,2.0,2\nb,1,0.5,3\n"
+                             "c,1,1.5,4\nc,0,0.2,5\nb,1,0.3,6\n",
+                   name="query.csv")
+    rebuilt = dataset_from_meta(query, data.column_meta, data.response_meta)
+    np.testing.assert_array_equal(rebuilt.x[:, 0], [0, 1, 1, 0, 0, 1])

@@ -8,11 +8,11 @@ import pytest
 
 from statnn.exceptions import DataError
 from statnn.model import Architecture, ColumnMeta, ParamVector
-from statnn.serialize import (FORMAT_VERSION, ModelDocument,
-                              atomic_write_text, load_model, load_scenario,
-                              model_to_json, parse_model, parse_scenario,
-                              save_model, save_scenario, scenario_to_json,
-                              to_json_text)
+from statnn.serialize import (MODEL_FORMAT_VERSION, SCENARIO_FORMAT_VERSION,
+                              ModelDocument, atomic_write_text, load_model,
+                              load_scenario, model_to_json, parse_model,
+                              parse_scenario, save_model, save_scenario,
+                              scenario_to_json, to_json_text)
 from statnn.simgen import SimScenario
 
 
@@ -21,7 +21,8 @@ def _doc(seed=140, p=2, q=2, lam=0.01):
     arch = Architecture(p=p, q=q)
     theta = ParamVector(arch, rng.uniform(-2.0, 2.0, arch.r))
     metas = (ColumnMeta("age", "continuous", 39.2071, 14.04996),
-             ColumnMeta("smoker.yes", "dummy"))[:p]
+             ColumnMeta("smoker.yes", "dummy", raw="smoker",
+                        level="yes"))[:p]
     while len(metas) < p:
         metas = metas + (ColumnMeta(f"x{len(metas) + 1}"),)
     return ModelDocument(arch=arch, theta=theta, lam=lam,
@@ -57,7 +58,12 @@ def test_model_json_deterministic_and_ordered():
     assert list(payload) == ["format_version", "p", "q", "hidden_activation",
                              "output_activation", "theta", "lambda",
                              "column_meta", "response_meta"]
-    assert payload["format_version"] == FORMAT_VERSION
+    assert payload["format_version"] == MODEL_FORMAT_VERSION == 2
+    assert payload["column_meta"][1] == {
+        "name": "smoker.yes", "kind": "dummy", "mean": 0.0, "sd": 1.0,
+        "raw": "smoker", "level": "yes"}
+    assert payload["column_meta"][0]["raw"] == "age"
+    assert payload["column_meta"][0]["level"] is None
     assert payload["hidden_activation"] == "logistic"
     assert payload["output_activation"] == "identity"
     assert len(payload["theta"]) == doc.arch.r
@@ -143,6 +149,41 @@ def test_parse_model_error_paths():
         parse_model(json.dumps(meta))
 
 
+@pytest.mark.parametrize("field,value,match", [
+    ("raw", None, "raw of column 'smoker.yes' must be a string"),
+    ("raw", 3, "raw of column 'smoker.yes' must be a string"),
+    ("level", 1, "level of column 'smoker.yes' must be a string or null"),
+    ("level", ["yes"], "level of column 'smoker.yes' must be a string or "
+                       "null"),
+])
+def test_parse_model_refuses_bad_column_source(field, value, match):
+    payload = json.loads(model_to_json(_doc()))
+    payload["column_meta"][1][field] = value
+    with pytest.raises(DataError, match=match):
+        parse_model(json.dumps(payload))
+    del payload["column_meta"][1][field]
+    with pytest.raises(DataError, match=f"missing required field '{field}'"):
+        parse_model(json.dumps(payload))
+
+
+def test_parse_model_refuses_level_on_continuous_column():
+    payload = json.loads(model_to_json(_doc()))
+    payload["column_meta"][0]["level"] = "old"
+    with pytest.raises(DataError, match="invalid column metadata"):
+        parse_model(json.dumps(payload))
+
+
+def test_parse_model_refuses_version_1_with_refit_message():
+    """A version 1 record names no raw column, so it cannot be read
+    unambiguously; the refusal says to refit."""
+    payload = json.loads(model_to_json(_doc()))
+    payload["format_version"] = 1
+    for meta in payload["column_meta"] + [payload["response_meta"]]:
+        del meta["raw"], meta["level"]
+    with pytest.raises(DataError, match="format_version 1 .*refit"):
+        parse_model(json.dumps(payload), where="old.json")
+
+
 def test_parse_model_where_prefix():
     with pytest.raises(DataError, match="^mymodel.json:"):
         parse_model("{", where="mymodel.json")
@@ -213,6 +254,7 @@ def test_parse_scenario_validation():
         parse_scenario(corrupt(extra=1))
     with pytest.raises(DataError, match="nz_pattern|invalid"):
         parse_scenario(corrupt(nz_pattern="9-9"))
+    assert json.loads(good)["format_version"] == SCENARIO_FORMAT_VERSION == 1
     with pytest.raises(DataError, match="format_version"):
         parse_scenario(corrupt(format_version=2))
     missing = json.loads(good)
