@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .canonical import canonicalize
 from .exceptions import FitError
@@ -129,6 +128,8 @@ def _newton_polish(obj: _Evaluator, x: np.ndarray, grad_tol: float):
 
 def _solve_damped(hess: np.ndarray, rhs: np.ndarray):
     """Solve hess @ x = rhs, adding escalating ridge jitter if needed."""
+    import scipy.linalg     # here, not at module load: serving never fits
+
     scale = max(1.0, float(np.trace(hess)) / hess.shape[0])
     mu = 0.0
     for _ in range(9):

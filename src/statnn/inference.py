@@ -12,15 +12,17 @@ incoming weight vector with the quadratic form
 omega_j^T (S Sigma S^T)^-1 omega_j against a chi-square whose degrees
 of freedom are the effective count tr(S A S^T),
 A = (I_o + 2 lambda I)^-1 I_o, which is below q under penalization.
+
+The linear algebra is numpy's: ``np.linalg.solve`` for the sandwich and
+``np.linalg.cholesky`` for the grouped tests, so a query that only reads
+a stored model never imports scipy.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (NotPositiveDefiniteError, SingularMatrixError)
 from .model import Architecture, Dataset, ParamVector, selection_matrix
@@ -84,21 +86,19 @@ def sandwich_covariance(info: np.ndarray, lam: float) -> CovarianceEstimate:
         raise ValueError(f"ridge penalty must be nonnegative, got {lam}")
     r = info.shape[0]
     bread = info + 2.0 * lam * np.eye(r)
+    # Ill-conditioning is diagnosed explicitly through the positive-definite
+    # flag below; only an exactly singular matrix fails the solve.
     try:
-        with warnings.catch_warnings():
-            # Ill-conditioning is diagnosed explicitly through the
-            # positive-definite flag below; the solver's warning adds noise.
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            if lam == 0.0:
-                # Unpenalized case in closed form: the bread equals the
-                # information itself, so the shrinkage factor is the
-                # identity and the covariance is the plain inverse.
-                a_matrix = np.eye(r)
-                sigma = scipy.linalg.solve(info, np.eye(r), assume_a="sym")
-            else:
-                a_matrix = scipy.linalg.solve(bread, info, assume_a="sym")
-                sigma = scipy.linalg.solve(bread, a_matrix.T, assume_a="sym").T
-    except scipy.linalg.LinAlgError as exc:
+        if lam == 0.0:
+            # Unpenalized case in closed form: the bread equals the
+            # information itself, so the shrinkage factor is the identity
+            # and the covariance is the plain inverse.
+            a_matrix = np.eye(r)
+            sigma = np.linalg.solve(info, np.eye(r))
+        else:
+            a_matrix = np.linalg.solve(bread, info)
+            sigma = np.linalg.solve(bread, a_matrix.T).T
+    except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(
             f"penalized information matrix is numerically singular: {exc}",
             hint="a larger ridge penalty (lambda) usually restores "
@@ -151,12 +151,14 @@ def wald_multi(theta_hat: ParamVector, cov: CovarianceEstimate,
     block = s @ cov.sigma_hat @ s.T
     block = 0.5 * (block + block.T)
     try:
-        c, low = scipy.linalg.cho_factor(block)
-        stat = float(omega @ scipy.linalg.cho_solve((c, low), omega))
-    except scipy.linalg.LinAlgError as exc:
+        chol = np.linalg.cholesky(block)
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
             f"covariance block for covariate {j} is not positive definite; "
             "grouped test unavailable") from exc
+    # omega^T block^-1 omega = |L^-1 omega|^2 with block = L L^T.
+    z = np.linalg.solve(chol, omega)
+    stat = float(z @ z)
     df = effective_df(cov, s)
     if not df > 0.0:
         raise NotPositiveDefiniteError(

@@ -73,6 +73,8 @@ def read_csv(path):
 
 
 def _check_no_missing(name, cells):
+    if _MISSING.isdisjoint(map(str.lower, cells)):
+        return
     for i, cell in enumerate(cells, start=1):
         if cell.lower() in _MISSING:
             raise DataError(
@@ -312,13 +314,16 @@ def _encode(csv_path, names, columns, column_meta, response_meta) -> Dataset:
     describe; the one encoder behind both :func:`ingest` and
     :func:`dataset_from_meta`."""
     by_name = dict(zip(names, columns))
+    checked = set()     # a factor's levels share one raw column
 
     def raw_cells(raw, what):
         if raw not in by_name:
             raise DataError(
                 f"{what} requires raw column {raw!r}, which is not in "
                 f"{csv_path}; available columns: {list(names)}")
-        _check_no_missing(raw, by_name[raw])
+        if raw not in checked:
+            _check_no_missing(raw, by_name[raw])
+            checked.add(raw)
         return by_name[raw]
 
     def encode(cm, what):

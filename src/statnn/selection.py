@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import DataError, FitError
 from .fit import FitConfig, FitResult, fit
@@ -41,6 +40,8 @@ class LinearFit:
 
 def fit_linear(data: Dataset) -> LinearFit:
     """OLS with intercept; refuses rank-deficient designs by name."""
+    import scipy.linalg     # here, not at module load: only an OLS fit needs it
+
     x1 = design_with_intercept(data.x)
     n, k = x1.shape
     if n <= k:

@@ -182,6 +182,13 @@ def _json_float(value, field: str, where: str) -> float:
         raise DataError(f"{where}: {field} is out of range") from exc
 
 
+def _json_str(value, field: str, where: str) -> str:
+    """A JSON string; numbers, null and containers are refused."""
+    if not isinstance(value, str):
+        raise DataError(f"{where}: {field} must be a string, got {value!r}")
+    return value
+
+
 def _json_floats(values: list, field: str, where: str) -> np.ndarray:
     return np.array([_json_float(v, f"{field}[{i}]", where)
                      for i, v in enumerate(values)])
@@ -190,22 +197,21 @@ def _json_floats(values: list, field: str, where: str) -> np.ndarray:
 def _parse_meta(entry, where: str) -> ColumnMeta:
     if not isinstance(entry, dict):
         raise DataError(f"{where}: column metadata must be an object")
-    name = str(_require(entry, "name", where))
-    kind = _require(entry, "kind", where)
+    name = _json_str(_require(entry, "name", where), "column name", where)
+    kind = _json_str(_require(entry, "kind", where),
+                     f"kind of column {name!r}", where)
     mean = _json_float(_require(entry, "mean", where),
                        f"mean of column {name!r}", where)
     sd = _json_float(_require(entry, "sd", where),
                      f"sd of column {name!r}", where)
-    raw = _require(entry, "raw", where)
-    if not isinstance(raw, str):
-        raise DataError(f"{where}: raw of column {name!r} must be a string, "
-                        f"got {raw!r}")
+    raw = _json_str(_require(entry, "raw", where), f"raw of column {name!r}",
+                    where)
     level = _require(entry, "level", where)
     if level is not None and not isinstance(level, str):
         raise DataError(f"{where}: level of column {name!r} must be a "
                         f"string or null, got {level!r}")
     try:
-        return ColumnMeta(name=name, kind=str(kind), mean=mean, sd=sd,
+        return ColumnMeta(name=name, kind=kind, mean=mean, sd=sd,
                           raw=raw, level=level)
     except ValueError as exc:
         raise DataError(f"{where}: invalid column metadata: {exc}") from exc

@@ -302,8 +302,10 @@ def test_exit_2_on_corrupt_model(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("edit,message", [
     ({"raw": None}, "raw of column 'smoker.no' must be a string"),
     ({"level": 0}, "level of column 'smoker.no' must be a string or null"),
+    ({"name": 3}, "column name must be a string, got 3"),
+    ({"kind": None}, "kind of column 'smoker.no' must be a string"),
     ({"format_version": 1}, "format_version 1 model files .* refit"),
-], ids=["raw-null", "level-number", "version-1"])
+], ids=["raw-null", "level-number", "name-number", "kind-null", "version-1"])
 def test_exit_2_on_unreadable_column_record(workspace, tmp_path, capsys,
                                            edit, message):
     _, csv_path, model_path = workspace
@@ -435,19 +437,34 @@ def test_model_fitted_on_bom_csv_serves_csv_without_bom(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["n"] == 60
 
 
-def test_serving_imports_do_not_load_the_optimizer():
-    """``scipy.optimize`` is imported only where a fit or an alignment
-    runs, so a query process does not pay for it."""
+def test_serving_imports_do_not_load_the_optimizer(workspace, tmp_path):
+    """scipy is imported only where a fit, an alignment or an OLS
+    reference runs, so importing the package and answering summary,
+    diagram and pce queries on a stored model loads none of it."""
     import os
     import subprocess
     import sys
 
     import statnn
 
+    _, csv_path, model_path = workspace
     src = os.path.dirname(os.path.dirname(statnn.__file__))
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "import statnn, statnn.cli; "
-            "print('scipy.optimize' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, src], check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    out, svg = str(tmp_path / "query.out"), str(tmp_path / "curve.svg")
+    queries = [["summary", model_path, csv_path, "--format", "json"],
+               ["diagram", model_path, csv_path],
+               ["pce", model_path, csv_path, "--covariate", "age",
+                "--by", "smoker.no", "--grid-points", "5",
+                "--original-scale", "--svg", svg]]
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "import statnn; from statnn.cli import main; "
+            "codes = [main(q + ['--out', sys.argv[3]]) "
+            "for q in json.loads(sys.argv[2])]; "
+            "print(json.dumps([codes, sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.'))]))")
+    result = subprocess.run([sys.executable, "-c", code, src,
+                             json.dumps(queries), out], check=True,
+                            capture_output=True, text=True).stdout
+    codes, loaded = json.loads(result)
+    assert codes == [0, 0, 0]
+    assert loaded == []
+    assert open(svg, encoding="utf-8").read().startswith("<svg")

@@ -289,6 +289,22 @@ def test_dataset_from_meta_missing_column(tmp_path):
         dataset_from_meta(test, data.column_meta, data.response_meta)
 
 
+def test_dataset_from_meta_missing_value_names_first_row(tmp_path):
+    """A query file's missing cell is refused once per raw column, with
+    the first offending row named, however many levels read it."""
+    train = _write(tmp_path, BASIC, name="train.csv")
+    data, _ = ingest(train, response="charges")
+    test = _write(tmp_path,
+                  "age,bmi,smoker,charges\n30,25.0,no,100\n40,26.0,NA,200\n"
+                  "41,27.0,null,300\n",
+                  name="test.csv")
+    with pytest.raises(DataError) as exc:
+        dataset_from_meta(test, data.column_meta, data.response_meta)
+    assert str(exc.value) == (
+        "missing value in column 'smoker', row 2 (first data row is row 1); "
+        "no imputation is performed")
+
+
 def test_dataset_from_meta_unseen_level_encodes_as_reference(tmp_path):
     """Stored metadata records only the levels coded 1, so a value that
     matches none of them is indistinguishable from the reference level

@@ -155,6 +155,9 @@ def test_parse_model_error_paths():
     ("level", 1, "level of column 'smoker.yes' must be a string or null"),
     ("level", ["yes"], "level of column 'smoker.yes' must be a string or "
                        "null"),
+    ("name", 3, "column name must be a string, got 3"),
+    ("kind", None, "kind of column 'smoker.yes' must be a string, got None"),
+    ("kind", ["dummy"], "kind of column 'smoker.yes' must be a string"),
 ])
 def test_parse_model_refuses_bad_column_source(field, value, match):
     payload = json.loads(model_to_json(_doc()))

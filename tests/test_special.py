@@ -1,10 +1,16 @@
-"""Scalar special-function checks against independent oracles."""
+"""Scalar special-function checks against independent oracles.
+
+The scipy comparisons use scipy only as an oracle: the package computes
+these functions itself so that a query never imports scipy.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc, ndtri
 
+from statnn.effects import Z_95
 from statnn.special import chi_square_survival, normal_quantile
 
 
@@ -62,6 +68,28 @@ def test_against_erfc_for_df1():
         assert abs(chi_square_survival(x, 1.0) - oracle) < 1e-13
 
 
+@pytest.mark.parametrize("df", [0.25, 0.5, 0.9, 1.0, 1.37, 2.0, 2.6, 5.0,
+                                13.3, 40.0])
+def test_against_scipy_gammaincc(df):
+    """Q(df/2, x/2) from scipy, across fractional df below 1, both sides
+    of the series / continued-fraction switch at x/2 = df/2 + 1, and far
+    tails down to Q ~ 1e-290."""
+    a = df / 2.0
+    switch = 2.0 * (a + 1.0)
+    xs = [1e-12, 1e-6, 0.01, 0.3, 1.0, 3.84, 9.0, 28.0, 100.0, 400.0, 1000.0,
+          1300.0]
+    xs += [switch * (1.0 + e) for e in (-1e-9, -1e-3, 0.0, 1e-3, 1e-9)]
+    checked = 0
+    for x in xs:
+        oracle = float(gammaincc(a, x / 2.0))
+        if oracle <= 1e-290:
+            continue
+        got = chi_square_survival(x, df)
+        assert abs(got - oracle) <= 1e-12 * oracle, (x, df, got, oracle)
+        checked += 1
+    assert checked >= len(xs) - 1
+
+
 def test_monotone_decreasing_in_x():
     """Survival probability never increases as the statistic grows."""
     for df in (1.0, 2.0, 2.37, 5.0):
@@ -73,6 +101,7 @@ def test_monotone_decreasing_in_x():
 def test_edge_cases():
     assert chi_square_survival(0.0, 3.0) == 1.0
     assert 0.0 <= chi_square_survival(1e4, 1.0) < 1e-20
+    assert chi_square_survival(math.inf, 0.5) == 0.0
     with pytest.raises(ValueError):
         chi_square_survival(-1.0, 3.0)
     with pytest.raises(ValueError):
@@ -92,6 +121,20 @@ def test_normal_quantile_matches_erfc_inverse():
 
 def test_normal_quantile_95():
     assert abs(normal_quantile(0.975) - 1.959963984540054) < 1e-9
+    # Bands at level 0.95 use exactly the module constant.
+    assert Z_95 == normal_quantile(0.5 + 0.95 / 2)
+
+
+def test_normal_quantile_against_scipy_ndtri():
+    """ndtri from scipy over p in [1e-300, 1 - 1e-12], both tails."""
+    ps = np.concatenate([np.logspace(-300, -1, 600),
+                         np.linspace(0.02, 0.98, 97),
+                         0.5 + np.array([-1e-9, 1e-12, 1e-6]),
+                         1.0 - np.logspace(-12, -1, 200)])
+    for p in ps:
+        oracle = float(ndtri(p))
+        got = normal_quantile(float(p))
+        assert abs(got - oracle) <= 2e-15 * abs(oracle), p
 
 
 def test_normal_quantile_rejects_bad_p():
