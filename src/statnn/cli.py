@@ -54,9 +54,6 @@ def _fit_flags(parser):
     parser.add_argument("--family", choices=("gaussian", "bernoulli"),
                         default="gaussian",
                         help="likelihood family (default gaussian)")
-    parser.add_argument("--init-scale", type=float, default=0.5,
-                        help="half-width of the uniform initializer "
-                             "(default 0.5)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,8 +181,7 @@ def cmd_fit(args) -> int:
     arch = Architecture(p=data.p, q=args.q,
                         output_activation=output_activation_for(args.family))
     spec = LikelihoodSpec(args.family, args.lam)
-    config = FitConfig(n_restarts=args.restarts, seed=args.seed,
-                       init_scale=args.init_scale)
+    config = FitConfig(n_restarts=args.restarts, seed=args.seed)
     result = fit(arch, data, spec, config)
     save_model(model_document(result, data), args.out)
     sigma_part = ("" if result.sigma_sq_hat is None
@@ -209,14 +205,19 @@ def _model_and_covariance(model_path, csv_path):
     return doc, data, result, cov
 
 
-def cmd_summary(args) -> int:
+def _wald_report(args):
+    """Shared summary/diagram step: Wald tests of a stored model, refused
+    unless its covariance estimate is positive definite."""
     doc, data, result, cov = _model_and_covariance(args.model, args.csv)
     if not cov.positive_definite:
         raise NotPositiveDefiniteError(
             "covariance estimate is not positive definite "
             f"(min eigenvalue {cov.min_eigenvalue:.3g}); {_LAMBDA_HINT}")
-    report = summarize(result, cov, doc.arch, data)
-    _emit_or_print(emit_summary(report, args.format), args.out)
+    return summarize(result, cov, doc.arch, data)
+
+
+def cmd_summary(args) -> int:
+    _emit_or_print(emit_summary(_wald_report(args), args.format), args.out)
     return 0
 
 
@@ -280,8 +281,7 @@ def cmd_select(args) -> int:
             raise DataError(f"--q-max must be >= 1, got {args.q_max}")
         q_list = tuple(range(0, args.q_max + 1))
     spec = LikelihoodSpec(args.family, args.lam)
-    config = FitConfig(n_restarts=args.restarts, seed=args.seed,
-                       init_scale=args.init_scale)
+    config = FitConfig(n_restarts=args.restarts, seed=args.seed)
     result = sweep(data, q_list, spec, config, folds=args.folds,
                    cv=not args.no_cv)
     _emit_or_print(sweep_csv(result), args.out)
@@ -297,13 +297,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    doc, data, result, cov = _model_and_covariance(args.model, args.csv)
-    if not cov.positive_definite:
-        raise NotPositiveDefiniteError(
-            "covariance estimate is not positive definite "
-            f"(min eigenvalue {cov.min_eigenvalue:.3g}); {_LAMBDA_HINT}")
-    report = summarize(result, cov, doc.arch, data)
-    _emit_or_print(emit_diagram(doc.arch, report), args.out)
+    report = _wald_report(args)
+    _emit_or_print(emit_diagram(report.arch, report), args.out)
     return 0
 
 

@@ -14,6 +14,15 @@ Each restart draws its starting point from a private generator seeded by
 (seed, restart_index), so results are reproducible and independent of
 evaluation order.  Every restart is canonicalized before ranking, and
 the restart with the highest penalized log-likelihood wins.
+
+Only the restart count and the seed are settings.  The rest are fixed:
+starting points are Uniform(-INIT_SCALE, INIT_SCALE) = (-0.5, 0.5) in
+every coordinate, a quasi-Newton run takes at most MAX_ITERS = 1,000
+iterations, and both it and the polish aim for a gradient max-norm of
+GRAD_TOL = 1e-8, the bound ``converged`` reports against.  They are
+constants because no caller ever set them to anything else, and a
+change to the search should be argued from measurements of the whole
+fit, not offered as a flag.
 """
 
 from __future__ import annotations
@@ -22,34 +31,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import seeds
 from .canonical import canonicalize
 from .exceptions import FitError
 from .likelihood import LikelihoodSpec, _Evaluator
 from .model import Architecture, Dataset, ParamVector
 
+INIT_SCALE = 0.5
+MAX_ITERS = 1000
+GRAD_TOL = 1e-8
 _POLISH_MAX_STEPS = 25
 _POLISH_MAX_BACKTRACKS = 30
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimizer settings; defaults suit standardized inputs."""
+    """Number of random restarts and the seed they are drawn from."""
 
     n_restarts: int = 10
-    max_iters: int = 1000
-    grad_tol: float = 1e-8
-    init_scale: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
         if self.n_restarts < 1:
             raise ValueError(f"n_restarts must be >= 1, got {self.n_restarts}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.grad_tol > 0.0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
-        if self.init_scale < 0.0:
-            raise ValueError(f"init_scale must be >= 0, got {self.init_scale}")
 
 
 @dataclass(frozen=True)
@@ -59,11 +63,7 @@ class FitResult:
     ``loglik`` is the penalized log-likelihood at ``theta_hat`` (for the
     Gaussian family, at the recovered sigma_hat^2) and always equals the
     maximum of ``restart_logliks``; failed restarts appear there as
-    ``-inf``.  ``loglik_trace`` holds the winning restart's accepted
-    objective values on the optimizer's scale, monotone nondecreasing up
-    to rounding.  For Gaussian fits that is -RSS/2 minus the penalty:
-    the sigma^2 = 1 penalized log-likelihood without its -(n/2) log(2 pi)
-    constant.
+    ``-inf``.
     """
 
     arch: Architecture
@@ -75,25 +75,14 @@ class FitResult:
     converged: bool
     iterations: int
     grad_max: float
-    loglik_trace: tuple
 
 
-def initialize(arch: Architecture, init_scale: float,
-               rng: np.random.Generator) -> ParamVector:
-    """Uniform(-init_scale, init_scale) draw for all r coordinates."""
-    if init_scale < 0.0:
-        raise ValueError(f"init_scale must be >= 0, got {init_scale}")
-    if init_scale == 0.0:
-        return ParamVector.zeros(arch)
-    return ParamVector(arch, rng.uniform(-init_scale, init_scale, size=arch.r))
+def initialize(arch: Architecture, rng: np.random.Generator) -> ParamVector:
+    """Uniform(-INIT_SCALE, INIT_SCALE) draw for all r coordinates."""
+    return ParamVector(arch, rng.uniform(-INIT_SCALE, INIT_SCALE, size=arch.r))
 
 
-def _restart_rng(seed: int, restart_index: int) -> np.random.Generator:
-    entropy = (seed & 0xFFFFFFFFFFFFFFFF, restart_index)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def _newton_polish(obj: _Evaluator, x: np.ndarray, grad_tol: float):
+def _newton_polish(obj: _Evaluator, x: np.ndarray):
     """Damped Newton refinement; returns (x, n_steps).
 
     Accepts a step only when the gradient max-norm strictly decreases
@@ -103,7 +92,7 @@ def _newton_polish(obj: _Evaluator, x: np.ndarray, grad_tol: float):
     f, g = obj.value_grad(x)
     gmax = float(np.max(np.abs(g)))
     steps = 0
-    while gmax > grad_tol and steps < _POLISH_MAX_STEPS:
+    while gmax > GRAD_TOL and steps < _POLISH_MAX_STEPS:
         hess = obj.hessian(x)
         delta = _solve_damped(hess, -g)
         if delta is None:
@@ -146,14 +135,13 @@ def fit(arch: Architecture, data: Dataset, spec: LikelihoodSpec,
         config: FitConfig = FitConfig()) -> FitResult:
     """Penalized maximum-likelihood estimate with random restarts."""
     obj = _Evaluator(arch, data, spec)
-    runs = []       # (loglik, theta, sigma_sq, trace, iterations) or None
+    runs = []       # (loglik, theta, sigma_sq, iterations) or None
     failures = []
 
     for i in range(config.n_restarts):
-        rng = _restart_rng(config.seed, i)
-        x0 = initialize(arch, config.init_scale, rng).values
+        x0 = initialize(arch, seeds.rng(config.seed, i)).values
         try:
-            x_hat, nit, trace = _run_restart(obj, x0, config)
+            x_hat, nit = _run_restart(obj, x0)
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
             failures.append(f"restart {i}: {exc}")
             runs.append(None)
@@ -164,13 +152,13 @@ def fit(arch: Architecture, data: Dataset, spec: LikelihoodSpec,
             failures.append(f"restart {i}: non-finite log-likelihood at optimum")
             runs.append(None)
             continue
-        runs.append((ll, theta_c, sigma_sq, trace, nit))
+        runs.append((ll, theta_c, sigma_sq, nit))
 
     if all(run is None for run in runs):
         raise FitError("all restarts failed:\n" + "\n".join(failures))
 
     logliks = [float("-inf") if run is None else run[0] for run in runs]
-    loglik, theta_hat, sigma_sq_hat, trace, iterations = runs[
+    loglik, theta_hat, sigma_sq_hat, iterations = runs[
         int(np.argmax(logliks))]
     _, g_final = obj.value_grad(theta_hat.values)
     grad_max = float(np.max(np.abs(g_final)))
@@ -181,10 +169,9 @@ def fit(arch: Architecture, data: Dataset, spec: LikelihoodSpec,
         sigma_sq_hat=sigma_sq_hat,
         lam=spec.lam,
         restart_logliks=tuple(logliks),
-        converged=bool(grad_max <= config.grad_tol),
+        converged=bool(grad_max <= GRAD_TOL),
         iterations=iterations,
         grad_max=grad_max,
-        loglik_trace=trace,
     )
 
 
@@ -213,43 +200,24 @@ def evaluate_at(arch: Architecture, theta: ParamVector, data: Dataset,
         converged=bool(grad_max <= 1e-6),
         iterations=0,
         grad_max=grad_max,
-        loglik_trace=(loglik,),
     )
 
 
-def _run_restart(obj: _Evaluator, x0: np.ndarray, config: FitConfig):
-    """One quasi-Newton run plus Newton polish; returns (x, n_iter, trace)."""
+def _run_restart(obj: _Evaluator, x0: np.ndarray):
+    """One quasi-Newton run plus Newton polish; returns (x, n_iter)."""
     import scipy.optimize   # here, not at module load: serving never fits
 
     f0, _ = obj.value_grad(x0)
     if not np.isfinite(f0):
         raise FitError("objective not finite at the starting point")
-    trace = [-f0]
-    last = [None, np.inf]           # last evaluated point and its value
-
-    def value_grad(x):
-        f, g = obj.value_grad(x)
-        last[:] = [x.copy(), f]
-        return f, g
-
-    def record(xk):
-        if last[0] is not None and np.array_equal(xk, last[0]):
-            trace.append(-last[1])
-        else:
-            trace.append(-value_grad(xk)[0])
-
     # ftol=1e-16 all but switches off the relative-decrease stop, so a
     # restart ends on the gradient tolerance or the iteration cap.
     # Changing it moves the estimates.
     res = scipy.optimize.minimize(
-        value_grad, x0, jac=True, method="L-BFGS-B",
-        callback=record,
-        options={"maxiter": config.max_iters, "ftol": 1e-16,
-                 "gtol": config.grad_tol, "maxcor": 20})
-    x_hat = np.asarray(res.x, dtype=float)
+        obj.value_grad, x0, jac=True, method="L-BFGS-B",
+        options={"maxiter": MAX_ITERS, "ftol": 1e-16, "gtol": GRAD_TOL,
+                 "maxcor": 20})
     if not np.isfinite(res.fun):
         raise FitError("optimizer returned a non-finite objective")
-    x_hat, polish_steps = _newton_polish(obj, x_hat, config.grad_tol)
-    f_fin, _ = obj.value_grad(x_hat)
-    trace.append(-f_fin)
-    return x_hat, int(res.nit) + polish_steps, tuple(trace)
+    x_hat, polish_steps = _newton_polish(obj, np.asarray(res.x, dtype=float))
+    return x_hat, int(res.nit) + polish_steps

@@ -153,28 +153,33 @@ def _summary_text(report: InferenceReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _summary_csv(report: InferenceReport) -> str:
+def _csv_text(header, rows) -> str:
+    """A CSV table as text: the header row, then ``rows``, "\\n" line ends."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["row_kind", "name", "node", "estimate", "se",
-                     "statistic", "df", "p_value", "stars"])
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
+
+def _summary_csv(report: InferenceReport) -> str:
     def cell_fields(cell):
         return [_fmt(cell.estimate), _fmt(cell.se), _fmt(cell.statistic),
                 "1" if cell.p_value is not None else "NA",
                 _fmt(cell.p_value), cell.stars]
 
+    rows = []
     for row in report.covariates:
         for k, cell in enumerate(row.cells, start=1):
-            writer.writerow(["weight", row.name, k] + cell_fields(cell))
-        writer.writerow(["mp", row.name, "", "", "",
-                         _fmt(row.mp_statistic), _fmt(row.mp_df),
-                         _fmt(row.mp_p_value), row.mp_stars])
-    writer.writerow(["gamma", "gamma_0", 0,
-                     _fmt(report.gamma0_estimate), "", "", "", "", ""])
+            rows.append(["weight", row.name, k] + cell_fields(cell))
+        rows.append(["mp", row.name, "", "", "", _fmt(row.mp_statistic),
+                     _fmt(row.mp_df), _fmt(row.mp_p_value), row.mp_stars])
+    rows.append(["gamma", "gamma_0", 0, _fmt(report.gamma0_estimate),
+                 "", "", "", "", ""])
     for k, cell in enumerate(report.gamma_cells, start=1):
-        writer.writerow(["gamma", f"gamma_{k}", k] + cell_fields(cell))
-    return buf.getvalue()
+        rows.append(["gamma", f"gamma_{k}", k] + cell_fields(cell))
+    return _csv_text(["row_kind", "name", "node", "estimate", "se",
+                      "statistic", "df", "p_value", "stars"], rows)
 
 
 def emit_summary(report: InferenceReport, format: str = "text") -> str:
@@ -304,11 +309,8 @@ def _csv_value(x) -> str:
 
 
 def overview_csv(report) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["field", "value"])
     sc = report.scenario
-    for field, value in [
+    return _csv_text(["field", "value"], [
         ("q", sc.q), ("nz_pattern", sc.nz_pattern), ("n", sc.n),
         ("p", sc.p), ("lambda", _csv_value(sc.lam)),
         ("noise_sd", _csv_value(sc.noise_sd)),
@@ -317,94 +319,67 @@ def overview_csv(report) -> str:
         ("n_fit_failed", report.n_fit_failed), ("n_pd", report.n_pd),
         ("n_converged", report.n_converged),
         ("pd_rate", _csv_value(report.pd_rate)),
-    ]:
-        writer.writerow([field, value])
-    return buf.getvalue()
+    ])
 
 
 def estimates_csv(report) -> str:
     """Per-parameter truth, mean estimate, empirical/estimated SE, coverage."""
     arch = Architecture(p=report.scenario.p, q=report.scenario.q)
-    names = parameter_names(arch)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["parameter", "true", "mean_estimate", "emp_se", "see",
-                     "coverage"])
-    for idx, name in enumerate(names):
-        writer.writerow([
-            name,
-            _csv_value(report.true_values[idx]),
-            _csv_value(report.mean_estimate[idx]),
-            _csv_value(report.emp_se[idx]),
-            _csv_value(report.see[idx]),
-            _csv_value(report.coverage[idx]),
-        ])
-    return buf.getvalue()
+    columns = (report.true_values, report.mean_estimate, report.emp_se,
+               report.see, report.coverage)
+    return _csv_text(
+        ["parameter", "true", "mean_estimate", "emp_se", "see", "coverage"],
+        ([name] + [_csv_value(column[idx]) for column in columns]
+         for idx, name in enumerate(parameter_names(arch))))
 
 
 def rejections_csv(report) -> str:
     """Per-covariate grouped-test and per-node single-test rejection rates."""
     sc = report.scenario
     arch = Architecture(p=sc.p, q=sc.q)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["covariate", "mp_rejection"]
-                    + [f"sp_rejection_node{k}" for k in range(1, sc.q + 1)])
-    for j in range(1, sc.p + 1):
-        writer.writerow(
-            [f"x{j}", _csv_value(report.mp_rejection[j - 1])]
-            + [_csv_value(report.sp_rejection[arch.omega_index(j, k)])
-               for k in range(1, sc.q + 1)])
-    return buf.getvalue()
+    return _csv_text(
+        ["covariate", "mp_rejection"]
+        + [f"sp_rejection_node{k}" for k in range(1, sc.q + 1)],
+        ([f"x{j}", _csv_value(report.mp_rejection[j - 1])]
+         + [_csv_value(report.sp_rejection[arch.omega_index(j, k)])
+            for k in range(1, sc.q + 1)]
+         for j in range(1, sc.p + 1)))
 
 
 def power_csv(sweep) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["effect", "sp_power", "mp_power", "pd_rate"])
-    for pt in sweep.points:
-        writer.writerow([_csv_value(pt.effect), _csv_value(pt.sp_power),
-                         _csv_value(pt.mp_power), _csv_value(pt.pd_rate)])
-    return buf.getvalue()
+    return _csv_text(
+        ["effect", "sp_power", "mp_power", "pd_rate"],
+        ([_csv_value(pt.effect), _csv_value(pt.sp_power),
+          _csv_value(pt.mp_power), _csv_value(pt.pd_rate)]
+         for pt in sweep.points))
 
 
 def pd_csv(cells) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["lambda", "q", "nz_pattern", "n", "pd_rate",
-                     "n_fit_failed", "n_total"])
-    for cell in cells:
-        writer.writerow([_csv_value(cell.lam), cell.q, cell.nz_pattern,
-                         cell.n, _csv_value(cell.pd_rate),
-                         cell.n_fit_failed, cell.n_total])
-    return buf.getvalue()
+    return _csv_text(
+        ["lambda", "q", "nz_pattern", "n", "pd_rate", "n_fit_failed",
+         "n_total"],
+        ([_csv_value(cell.lam), cell.q, cell.nz_pattern, cell.n,
+          _csv_value(cell.pd_rate), cell.n_fit_failed, cell.n_total]
+         for cell in cells))
 
 
 def sweep_csv(sweep) -> str:
     """Model-selection sweep table; q = 0 is the linear baseline."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["q", "bic", "cv_rmse", "cv_se", "error"])
-    for entry in sweep.entries:
-        writer.writerow([entry.q, _csv_value(entry.bic),
-                         _csv_value(entry.cv_rmse), _csv_value(entry.cv_se),
-                         entry.error or ""])
-    return buf.getvalue()
+    return _csv_text(
+        ["q", "bic", "cv_rmse", "cv_se", "error"],
+        ([entry.q, _csv_value(entry.bic), _csv_value(entry.cv_rmse),
+          _csv_value(entry.cv_se), entry.error or ""]
+         for entry in sweep.entries))
 
 
 def pce_csv(curves) -> str:
     """Partial-effect curve(s) as a flat table, one row per grid point."""
     if not isinstance(curves, tuple):
         curves = (curves,)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["covariate", "condition", "scale", "d", "x",
-                     "beta_hat", "se", "lo", "hi"])
-    for curve in curves:
-        for pt in curve.points:
-            writer.writerow([
-                curve.covariate, curve.condition_label or "", curve.scale,
-                _csv_value(curve.d), _csv_value(pt.x),
-                _csv_value(pt.beta_hat), _csv_value(pt.se),
-                _csv_value(pt.lo), _csv_value(pt.hi)])
-    return buf.getvalue()
+    return _csv_text(
+        ["covariate", "condition", "scale", "d", "x", "beta_hat", "se", "lo",
+         "hi"],
+        ([curve.covariate, curve.condition_label or "", curve.scale,
+          _csv_value(curve.d), _csv_value(pt.x), _csv_value(pt.beta_hat),
+          _csv_value(pt.se), _csv_value(pt.lo), _csv_value(pt.hi)]
+         for curve in curves for pt in curve.points))

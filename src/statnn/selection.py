@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
+from . import seeds
 from .exceptions import DataError, FitError
 from .fit import FitConfig, FitResult, fit
 from .likelihood import (LOG_2PI, LikelihoodSpec, output_activation_for,
@@ -118,9 +119,7 @@ def _raw_columns(data: Dataset):
 
 
 def _fold_indices(n: int, folds: int, seed: int):
-    rng = np.random.default_rng(
-        np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, 0x5F01)))
-    return np.array_split(rng.permutation(n), folds)
+    return np.array_split(seeds.rng(seed, 0x5F01).permutation(n), folds)
 
 
 def _train_stats(train_col: np.ndarray):
@@ -193,9 +192,7 @@ def _fold_predict(arch, data, spec, config, x_raw, y_raw, train_mask,
         linear = fit_linear(train)
         pred_std = design_with_intercept(x_test) @ linear.beta
     else:
-        seed = int(np.random.SeedSequence(
-            (config.seed & 0xFFFFFFFFFFFFFFFF, qcode, f)
-        ).generate_state(1, np.uint64)[0])
+        seed = seeds.derive_seed(config.seed, qcode, f)
         result = fit(arch, train, spec, dc_replace(config, seed=seed))
         pred_std = forward_design(arch, result.theta_hat,
                                   design_with_intercept(x_test))

@@ -22,11 +22,11 @@ so serial and multi-process executions agree bitwise.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import seeds
 from .canonical import align_to
 from .effects import Z_95
 from .exceptions import (FitError, NotPositiveDefiniteError,
@@ -148,22 +148,12 @@ class SimScenario:
         return default_true_theta(self.q, self.nz_pattern, self.p)
 
 
-def _seed_u64(seed: int) -> int:
-    return seed & 0xFFFFFFFFFFFFFFFF
-
-
-def _derive_seed(*parts) -> int:
-    ss = np.random.SeedSequence(tuple(int(v) for v in parts))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def generate(scenario: SimScenario, replicate_index: int) -> Dataset:
     """Covariates and response for one replicate; depends only on
     (scenario.seed, replicate_index)."""
     if replicate_index < 0:
         raise ValueError(f"replicate_index must be >= 0, got {replicate_index}")
-    rng = np.random.default_rng(np.random.SeedSequence(
-        (_seed_u64(scenario.seed), replicate_index, 0)))
+    rng = seeds.rng(scenario.seed, replicate_index, 0)
     x = rng.standard_normal((scenario.n, scenario.p))
     arch = Architecture(p=scenario.p, q=scenario.q)
     truth = scenario.resolved_truth()
@@ -197,7 +187,7 @@ def _replicate_task(args):
     data = generate(scenario, i)
     spec = LikelihoodSpec("gaussian", scenario.lam)
     cfg = FitConfig(n_restarts=scenario.restarts,
-                    seed=_derive_seed(_seed_u64(scenario.seed), i, 1))
+                    seed=seeds.derive_seed(scenario.seed, i, 1))
     try:
         res = fit(arch, data, spec, cfg)
     except FitError as exc:
@@ -244,6 +234,9 @@ def _run_tasks(task_fn, args_list, n_jobs: int):
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     if n_jobs == 1:
         return [task_fn(a) for a in args_list]
+    # here, not at module load: only a parallel run needs multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(args_list) // (4 * n_jobs))
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         return list(pool.map(task_fn, args_list, chunksize=chunk))
@@ -409,7 +402,7 @@ def pd_study(q: int, nz_pattern: str, n_values, lam_values,
             scen = SimScenario(
                 q=q, nz_pattern=nz_pattern, n=int(n), lam=float(lam),
                 noise_sd=noise_sd, replicates=replicates, restarts=restarts,
-                seed=_derive_seed(_seed_u64(seed), li, ni, 2))
+                seed=seeds.derive_seed(seed, li, ni, 2))
             rep = run_scenario(scen, n_jobs=n_jobs)
             cells.append(PdCell(
                 lam=float(lam), q=q, nz_pattern=nz_pattern, n=int(n),

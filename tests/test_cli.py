@@ -439,8 +439,9 @@ def test_model_fitted_on_bom_csv_serves_csv_without_bom(tmp_path, capsys):
 
 def test_serving_imports_do_not_load_the_optimizer(workspace, tmp_path):
     """scipy is imported only where a fit, an alignment or an OLS
-    reference runs, so importing the package and answering summary,
-    diagram and pce queries on a stored model loads none of it."""
+    reference runs, and multiprocessing only where a parallel simulation
+    runs, so importing the package and answering summary, diagram and
+    pce queries on a stored model loads neither."""
     import os
     import subprocess
     import sys
@@ -460,7 +461,7 @@ def test_serving_imports_do_not_load_the_optimizer(workspace, tmp_path):
             "codes = [main(q + ['--out', sys.argv[3]]) "
             "for q in json.loads(sys.argv[2])]; "
             "print(json.dumps([codes, sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.'))]))")
+            "if m.split('.')[0] in ('scipy', 'multiprocessing'))]))")
     result = subprocess.run([sys.executable, "-c", code, src,
                              json.dumps(queries), out], check=True,
                             capture_output=True, text=True).stdout

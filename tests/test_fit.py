@@ -78,8 +78,8 @@ def test_fit_deterministic_given_seed():
 
 def test_fit_seed_changes_start_points():
     arch = Architecture(p=2, q=2)
-    a = initialize(arch, 0.5, np.random.default_rng(0))
-    b = initialize(arch, 0.5, np.random.default_rng(1))
+    a = initialize(arch, np.random.default_rng(0))
+    b = initialize(arch, np.random.default_rng(1))
     assert not np.array_equal(a.values, b.values)
 
 
@@ -91,19 +91,6 @@ def test_restart_logliks_sorted_and_best_reported():
                  FitConfig(n_restarts=6, seed=4))
     assert len(result.restart_logliks) == 6
     assert result.loglik == max(result.restart_logliks)
-
-
-def test_loglik_trace_monotone():
-    """Accepted objective values from the winning restart never decrease."""
-    arch = Architecture(p=2, q=2)
-    truth = _true_theta(arch)
-    data = _gaussian_data(arch, truth, 120, seed=45)
-    result = fit(arch, data, LikelihoodSpec("gaussian", lam=0.01),
-                 FitConfig(n_restarts=6, seed=5))
-    trace = np.asarray(result.loglik_trace)
-    assert trace.size >= 2
-    slack = 1e-9 * np.maximum(1.0, np.abs(trace[:-1]))
-    assert np.all(np.diff(trace) >= -slack)
 
 
 def test_penalty_shrinks_weights():
@@ -169,10 +156,6 @@ def test_fit_p_mismatch():
 def test_config_validation():
     with pytest.raises(ValueError):
         FitConfig(n_restarts=0)
-    with pytest.raises(ValueError):
-        FitConfig(grad_tol=0.0)
-    with pytest.raises(ValueError):
-        FitConfig(init_scale=-0.1)
 
 
 def test_evaluate_at_matches_fit_conventions():
