@@ -174,6 +174,7 @@ class _ReplicateOutcome:
     covered: np.ndarray      # (r,), NaN unless PD
     sp_p: np.ndarray         # (r,), NaN where unavailable
     mp_p: np.ndarray         # (p,), NaN where unavailable
+    iterations: int = 0      # optimizer work over all restarts
     error: str | None = None
 
 
@@ -206,7 +207,8 @@ def _replicate_task(args):
         cov = sandwich_covariance(info, scenario.lam)
     except SingularMatrixError as exc:
         return _ReplicateOutcome(True, res.converged, False, est, se, covered,
-                                 sp_p, mp_p, error=str(exc))
+                                 sp_p, mp_p, sum(res.restart_iterations),
+                                 error=str(exc))
     sigma_aligned = t_mat @ cov.sigma_hat @ t_mat.T
     var = np.diag(sigma_aligned)
     if cov.positive_definite:
@@ -224,7 +226,8 @@ def _replicate_task(args):
         except NotPositiveDefiniteError:
             mp_p[j - 1] = np.nan
     return _ReplicateOutcome(True, res.converged, cov.positive_definite, est,
-                             se, covered, sp_p, mp_p)
+                             se, covered, sp_p, mp_p,
+                             sum(res.restart_iterations))
 
 
 def _run_tasks(task_fn, args_list, n_jobs: int):
@@ -252,7 +255,9 @@ class SimReport:
     standard error and ``coverage`` the empirical 95% interval coverage,
     both over positive-definite replicates only.  Rejection rates use
     the full replicate count as denominator; replicates whose test was
-    unavailable count as non-rejections.
+    unavailable count as non-rejections.  ``iterations`` is the
+    optimizer work of the whole run: L-BFGS-B iterations plus Newton
+    polish steps, summed over every restart of every replicate.
     """
 
     scenario: SimScenario
@@ -261,6 +266,7 @@ class SimReport:
     n_fit_failed: int
     n_pd: int
     n_converged: int
+    iterations: int
     mean_estimate: np.ndarray
     emp_se: np.ndarray
     see: np.ndarray
@@ -315,6 +321,7 @@ def run_scenario(scenario: SimScenario, n_jobs: int = 1) -> SimReport:
         n_fit_failed=int((~fit_ok).sum()),
         n_pd=int(pd_ok.sum()),
         n_converged=int(sum(o.converged for o in outcomes)),
+        iterations=int(sum(o.iterations for o in outcomes)),
         mean_estimate=mean_est,
         emp_se=emp_se,
         see=see,
@@ -375,7 +382,8 @@ def power_sweep(scenario: SimScenario, effect_values,
 
 @dataclass(frozen=True)
 class PdCell:
-    """Share of replicates with a positive definite covariance."""
+    """Share of replicates with a positive definite covariance, and the
+    optimizer iterations the cell's fits took."""
 
     lam: float
     q: int
@@ -384,6 +392,7 @@ class PdCell:
     pd_rate: float
     n_fit_failed: int
     n_total: int
+    iterations: int
 
 
 def pd_study(q: int, nz_pattern: str, n_values, lam_values,
@@ -407,5 +416,5 @@ def pd_study(q: int, nz_pattern: str, n_values, lam_values,
             cells.append(PdCell(
                 lam=float(lam), q=q, nz_pattern=nz_pattern, n=int(n),
                 pd_rate=rep.pd_rate, n_fit_failed=rep.n_fit_failed,
-                n_total=replicates))
+                n_total=replicates, iterations=rep.iterations))
     return tuple(cells)

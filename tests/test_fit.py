@@ -1,13 +1,22 @@
-"""Optimizer tests: recovery, stationarity, determinism, evaluate_at."""
+"""Optimizer tests: recovery, stationarity, determinism, restart choice,
+evaluate_at."""
+
+import importlib
 
 import numpy as np
 import pytest
 
+from statnn import seeds
 from statnn.canonical import canonicalize
 from statnn.exceptions import DataError, FitError
-from statnn.fit import FitConfig, evaluate_at, fit, initialize
-from statnn.likelihood import LikelihoodSpec, gradient, log_likelihood
+from statnn.fit import (POLISH_TOL, THETA_TOL, TIE_RTOL, FitConfig,
+                        evaluate_at, fit, initialize)
+from statnn.likelihood import (LikelihoodSpec, _Evaluator, gradient,
+                               log_likelihood)
 from statnn.model import Architecture, Dataset, ParamVector, forward_batch
+
+# The package rebinds the name ``statnn.fit`` to the function.
+fit_module = importlib.import_module("statnn.fit")
 
 
 def _gaussian_data(arch, theta, n, seed, noise_sd=0.05):
@@ -51,7 +60,7 @@ def test_fit_satisfies_stationarity():
     result = fit(arch, data, spec, FitConfig(n_restarts=4, seed=2))
     g = gradient(arch, result.theta_hat, data, spec, sigma_sq=1.0)
     assert np.max(np.abs(g)) == pytest.approx(result.grad_max, rel=1e-8)
-    assert result.grad_max <= 1e-8
+    assert result.grad_max <= POLISH_TOL
 
 
 def test_fit_returns_canonical_theta():
@@ -83,14 +92,139 @@ def test_fit_seed_changes_start_points():
     assert not np.array_equal(a.values, b.values)
 
 
-def test_restart_logliks_sorted_and_best_reported():
+def test_restart_records_and_chosen_restart():
+    """Every restart's value and work is kept; the winner is tied with the
+    best value and its work is the reported ``iterations``."""
     arch = Architecture(p=2, q=2)
     truth = _true_theta(arch)
     data = _gaussian_data(arch, truth, 120, seed=44)
     result = fit(arch, data, LikelihoodSpec("gaussian", lam=0.01),
                  FitConfig(n_restarts=6, seed=4))
     assert len(result.restart_logliks) == 6
+    assert len(result.restart_iterations) == 6
+    chosen = result.chosen_restart
+    best = max(result.restart_logliks)
+    assert result.loglik == result.restart_logliks[chosen]
+    assert best - result.loglik <= TIE_RTOL * max(1.0, abs(best))
+    assert result.iterations == result.restart_iterations[chosen] > 0
+    assert all(n > 0 for n in result.restart_iterations)
+
+
+def _scripted_restarts(monkeypatch, outcomes):
+    """Make restart i return outcomes[i]: (x, iterations), or an exception
+    to raise."""
+    calls = iter(outcomes)
+
+    def run(obj, x0):
+        outcome = next(calls)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(fit_module, "_run_restart", run)
+
+
+def _uphill_pair(arch, data, spec, base):
+    """Two points a hair apart around ``base``, lower penalized
+    log-likelihood first: theta within THETA_TOL, values within TIE_RTOL."""
+    obj = _Evaluator(arch, data, spec)
+    _, g = obj.value_grad(base)
+    step = 1e-12 * max(1.0, float(np.max(np.abs(base)))) * g / np.max(np.abs(g))
+    low, high = base + step, base - step
+    ll_low, ll_high = obj.profile(low)[0], obj.profile(high)[0]
+    assert 0.0 < ll_high - ll_low < TIE_RTOL * abs(ll_high)
+    assert np.max(np.abs(high - low)) < THETA_TOL * np.max(np.abs(base))
+    return low, high
+
+
+def test_tied_restarts_go_to_the_lowest_index(monkeypatch):
+    """A later restart at the same theta whose value is higher only by
+    rounding-sized amounts does not displace an earlier one."""
+    arch = Architecture(p=2, q=2)
+    truth = _true_theta(arch)
+    data = _gaussian_data(arch, truth, 150, seed=50)
+    spec = LikelihoodSpec("gaussian", lam=0.01)
+    low, high = _uphill_pair(arch, data, spec, truth.values)
+    _scripted_restarts(monkeypatch, [(low, 7), (high, 11)])
+    result = fit(arch, data, spec, FitConfig(n_restarts=2, seed=0))
+    assert result.restart_logliks[1] > result.restart_logliks[0]
+    np.testing.assert_array_equal(result.theta_hat.values,
+                                  canonicalize(ParamVector(arch, low)).values)
+    assert result.loglik == result.restart_logliks[0]
+    assert result.chosen_restart == 0
+    assert result.iterations == 7
+    assert result.restart_iterations == (7, 11)
+
+
+def test_near_tie_at_a_different_theta_keeps_the_best(monkeypatch):
+    """An earlier restart whose value is within TIE_RTOL of the best but
+    whose theta differs is not a tie: the best value wins."""
+    arch = Architecture(p=2, q=1)
+    rng = np.random.default_rng(51)
+    x = rng.normal(size=(150, 2))
+    x[:, 1] = 0.0       # covariate 2's weight changes nothing at lam = 0
+    truth = canonicalize(ParamVector(arch, np.array([0.3, 1.2, 0.0, 2.5, 3.0])))
+    mu = forward_batch(arch, truth, Dataset(x=x, y=np.zeros(150)))
+    data = Dataset(x=x, y=mu + 0.05 * rng.normal(size=150))
+    spec = LikelihoodSpec("gaussian", lam=0.0)
+    low, high = _uphill_pair(arch, data, spec, truth.values)
+    elsewhere = high.copy()
+    elsewhere[arch.omega_index(2, 1)] = 0.7
+    _scripted_restarts(monkeypatch, [(low, 7), (elsewhere, 11)])
+    result = fit(arch, data, spec, FitConfig(n_restarts=2, seed=0))
+    assert result.restart_logliks[1] == _Evaluator(arch, data, spec).profile(
+        high)[0]
+    assert result.chosen_restart == 1
+    assert result.iterations == 11
     assert result.loglik == max(result.restart_logliks)
+    np.testing.assert_array_equal(
+        result.theta_hat.values,
+        canonicalize(ParamVector(arch, elsewhere)).values)
+
+
+def test_failed_restart_records_no_work(monkeypatch):
+    arch = Architecture(p=2, q=2)
+    truth = _true_theta(arch)
+    data = _gaussian_data(arch, truth, 100, seed=52)
+    _scripted_restarts(monkeypatch, [FitError("boom"), (truth.values, 5)])
+    result = fit(arch, data, LikelihoodSpec("gaussian", lam=0.01),
+                 FitConfig(n_restarts=2, seed=0))
+    assert result.restart_logliks[0] == float("-inf")
+    assert result.restart_iterations == (0, 5)
+    assert result.chosen_restart == 1
+
+
+def test_start_point_is_evaluated_once(monkeypatch):
+    """The optimizer's own first evaluation is the only one at x0."""
+    arch = Architecture(p=2, q=2)
+    truth = _true_theta(arch)
+    data = _gaussian_data(arch, truth, 100, seed=53)
+    points = []
+    value_grad = _Evaluator.value_grad
+
+    def recording(self, theta):
+        points.append(np.array(theta, dtype=float))
+        return value_grad(self, theta)
+
+    monkeypatch.setattr(_Evaluator, "value_grad", recording)
+    fit(arch, data, LikelihoodSpec("gaussian", lam=0.01),
+        FitConfig(n_restarts=1, seed=5))
+    x0 = initialize(arch, seeds.rng(5, 0)).values
+    assert sum(np.array_equal(p, x0) for p in points) == 1
+
+
+def test_non_finite_start_is_reported():
+    """A response so large that the residual sum of squares overflows."""
+    arch = Architecture(p=2, q=1)
+    rng = np.random.default_rng(54)
+    y = rng.normal(size=40)
+    y[3] = 1e200
+    data = Dataset(x=rng.normal(size=(40, 2)), y=y)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FitError,
+                          match="objective not finite at the starting point"):
+        fit(arch, data, LikelihoodSpec("gaussian", lam=0.01),
+            FitConfig(n_restarts=2, seed=0))
 
 
 def test_penalty_shrinks_weights():
@@ -173,6 +307,8 @@ def test_evaluate_at_matches_fit_conventions():
                                              abs=1e-12)
     assert wrapped.converged  # stationary point passes the looser check
     assert wrapped.iterations == 0
+    assert wrapped.restart_iterations == (0,)
+    assert wrapped.chosen_restart == 0
 
 
 def test_evaluate_at_nonstationary_point():

@@ -142,6 +142,7 @@ def test_run_scenario_serial_matches_parallel():
     np.testing.assert_array_equal(serial.mp_rejection, parallel.mp_rejection)
     assert serial.n_pd == parallel.n_pd
     assert serial.n_fit_failed == parallel.n_fit_failed
+    assert serial.iterations == parallel.iterations > 0
 
 
 def test_rate_accessors_match_arrays():
