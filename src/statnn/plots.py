@@ -7,7 +7,10 @@ usable as golden files and makes repeated pipeline runs diff-clean.
 
 Partial-effect curves are drawn with a shaded pointwise confidence band
 and can overlay a dashed reference line for the corresponding linear
-model coefficient.
+model coefficient.  Each renderer takes the records the analysis
+returns (curves, power points, a selection sweep) and returns the SVG
+text; names from the data are escaped so the document stays well-formed
+XML.
 """
 
 from __future__ import annotations
@@ -16,9 +19,6 @@ import math
 
 from .effects import PceCurve
 from .exceptions import DataError
-from .selection import SelectionSweep
-from .serialize import atomic_write_text
-from .simgen import PowerSweep
 
 WIDTH = 640.0
 HEIGHT = 420.0
@@ -32,6 +32,11 @@ _REFERENCE_COLOR = "#3050c8"
 def _c(v: float) -> str:
     """Fixed-precision coordinate, the unit of byte stability."""
     return f"{v:.2f}"
+
+
+def _text(s: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG text content."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _ticks(lo: float, hi: float, target: int = 5):
@@ -100,13 +105,13 @@ class _Panel:
         parts.append(
             f'<text x="{_c(self.x0 + self.width / 2)}" '
             f'y="{_c(y_base + 34)}" font-family="sans-serif" '
-            f'font-size="12" text-anchor="middle">{xlabel}</text>')
+            f'font-size="12" text-anchor="middle">{_text(xlabel)}</text>')
         mid_y = self.y0 + self.height / 2
         parts.append(
             f'<text x="{_c(self.x0 - 44)}" y="{_c(mid_y)}" '
             'font-family="sans-serif" font-size="12" text-anchor="middle" '
             f'transform="rotate(-90 {_c(self.x0 - 44)} {_c(mid_y)})">'
-            f'{ylabel}</text>')
+            f'{_text(ylabel)}</text>')
         return parts
 
     def polyline(self, xs, ys, color, dash=None, width=1.5):
@@ -137,7 +142,7 @@ def _document(body, title) -> str:
     if title:
         head.append(
             f'<text x="{_c(WIDTH / 2)}" y="22" font-family="sans-serif" '
-            f'font-size="14" text-anchor="middle">{title}</text>')
+            f'font-size="14" text-anchor="middle">{_text(title)}</text>')
     return "\n".join(head + body + ["</svg>"]) + "\n"
 
 
@@ -152,7 +157,7 @@ def _legend(panel, entries):
                      f'stroke="{color}" stroke-width="2"{dash_attr}/>')
         parts.append(f'<text x="{_c(x0 + 32)}" y="{_c(y)}" '
                      'font-family="sans-serif" font-size="11" '
-                     f'text-anchor="start">{label}</text>')
+                     f'text-anchor="start">{_text(label)}</text>')
         y += 16
     return parts
 
@@ -208,9 +213,11 @@ def pce_plot_svg(curves, linear_beta: float | None = None,
     return _document(body, title or f"partial effect: {first.covariate}")
 
 
-def power_plot_svg(sweep, title: str | None = None) -> str:
-    """Rejection rate against effect size for both test variants."""
-    points = sweep.points
+def power_plot_svg(points, title: str | None = None) -> str:
+    """Rejection rate against effect size for both test variants.
+
+    ``points`` is the tuple of ``PowerPoint`` a power sweep returns.
+    """
     if not points:
         raise DataError("empty power sweep")
     xs = [pt.effect for pt in points]
@@ -280,23 +287,3 @@ def selection_plot_svg(sweep, title: str | None = None) -> str:
                             f'stroke="{_SERIES_COLORS[1]}" '
                             'stroke-width="1"/>')
     return _document(body, title or "model selection sweep")
-
-
-def emit_plot(obj, svg_path, **kwargs):
-    """Render a curve or sweep to ``svg_path`` (atomic write).
-
-    Dispatches on the object: a partial-effect curve (or tuple of
-    them), a power sweep, or a selection sweep.
-    """
-    if isinstance(obj, PceCurve) or (
-            isinstance(obj, tuple) and obj
-            and all(isinstance(c, PceCurve) for c in obj)):
-        text = pce_plot_svg(obj, **kwargs)
-    elif isinstance(obj, PowerSweep):
-        text = power_plot_svg(obj, **kwargs)
-    elif isinstance(obj, SelectionSweep):
-        text = selection_plot_svg(obj, **kwargs)
-    else:
-        raise TypeError(f"cannot plot object of type {type(obj).__name__}")
-    atomic_write_text(svg_path, text)
-    return text

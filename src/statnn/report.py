@@ -8,19 +8,22 @@ JSON rendering carries the same numbers (quantized identically, so the
 two formats agree exactly under a round-trip parse) plus standard
 errors and test statistics.
 
-Diagrams are emitted as DOT digraphs: a left-to-right layered network
-where an edge is drawn black when its weight's single-parameter test is
-significant at the 5% level and gray otherwise, and an input node is
-black when its grouped test is significant.  Intercept nodes are
-omitted.  Structural nodes (hidden layer, output) carry no test and are
-drawn black.
+Diagrams are DOT digraphs written straight from the same inference
+report: a left-to-right layered network where an edge is drawn black
+when its weight's single-parameter test is significant at the 5% level
+and gray otherwise, and an input node is black when its grouped test is
+significant.  Intercept nodes are omitted.  Structural nodes (hidden
+layer, output) carry no test and are drawn black.
+
+Simulation tables read the study records directly: a ``SimReport``
+gives the overview, estimates and rejections tables and one row of the
+PD table, a ``PowerPoint`` one row of the power table.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,90 +201,46 @@ def emit_summary(report: InferenceReport, format: str = "text") -> str:
 # Network diagrams
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiagramNode:
-    """One diagram node; ``significant`` is None for untested nodes."""
-
-    id: str
-    label: str
-    layer: str                 # "input", "hidden", or "output"
-    significant: bool | None
-
-
-@dataclass(frozen=True)
-class DiagramEdge:
-    src: str
-    dst: str
-    significant: bool
-
-
-@dataclass(frozen=True)
-class DiagramSpec:
-    """Node/edge list with significance annotations, ready to render."""
-
-    nodes: tuple
-    edges: tuple
-
-
-def _is_significant(p_value) -> bool:
-    return p_value is not None and p_value < ALPHA_DIAGRAM
-
-
-def diagram_spec(report: InferenceReport) -> DiagramSpec:
-    """Annotated node/edge list derived purely from an inference report.
-
-    Edges are significant when the weight's single-parameter p-value is
-    below 5%; input nodes when the covariate's grouped test is.  Hidden
-    and output nodes carry no test.  Intercept weights never appear.
-    """
-    arch = report.arch
-    nodes = []
-    edges = []
-    for row in report.covariates:
-        nodes.append(DiagramNode(id=f"x{row.index}", label=row.name,
-                                 layer="input",
-                                 significant=_is_significant(row.mp_p_value)))
-    for k in range(1, arch.q + 1):
-        nodes.append(DiagramNode(id=f"h{k}", label=f"h{k}",
-                                 layer="hidden", significant=None))
-    nodes.append(DiagramNode(id="out", label="output", layer="output",
-                             significant=None))
-    for row in report.covariates:
-        for k, cell in enumerate(row.cells, start=1):
-            edges.append(DiagramEdge(
-                src=f"x{row.index}", dst=f"h{k}",
-                significant=_is_significant(cell.p_value)))
-    for k, cell in enumerate(report.gamma_cells, start=1):
-        edges.append(DiagramEdge(
-            src=f"h{k}", dst="out",
-            significant=_is_significant(cell.p_value)))
-    return DiagramSpec(nodes=tuple(nodes), edges=tuple(edges))
-
-
-def emit_dot(spec: DiagramSpec) -> str:
-    """Render a diagram specification as a DOT digraph."""
-    lines = ["digraph network {", "  rankdir=LR;",
-             "  node [shape=circle];"]
-    for node in spec.nodes:
-        color = "black"
-        if node.significant is False:
-            color = "gray"
-        shape = "box" if node.layer == "input" else "circle"
-        lines.append(
-            f'  "{node.id}" [label="{node.label}", shape={shape}, '
-            f'color={color}, fontcolor={color}];')
-    for edge in spec.edges:
-        color = "black" if edge.significant else "gray"
-        lines.append(f'  "{edge.src}" -> "{edge.dst}" [color={color}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def _dot_string(text: str) -> str:
+    """Escape backslashes and double quotes for a DOT quoted string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def emit_diagram(arch: Architecture, report: InferenceReport) -> str:
-    """DOT rendering of a fitted network's significance structure."""
+    """DOT rendering of a fitted network's significance structure.
+
+    An input node is black when its covariate's grouped test is below
+    ``ALPHA_DIAGRAM``, an edge when its weight's single-parameter test
+    is; both are gray otherwise, including when the test is unavailable.
+    Hidden and output nodes carry no test.  Intercept weights never
+    appear.
+    """
     if arch != report.arch:
         raise ValueError("architecture does not match the report")
-    return emit_dot(diagram_spec(report))
+
+    def color(p_value) -> str:
+        significant = p_value is not None and p_value < ALPHA_DIAGRAM
+        return "black" if significant else "gray"
+
+    lines = ["digraph network {", "  rankdir=LR;",
+             "  node [shape=circle];"]
+    for row in report.covariates:
+        c = color(row.mp_p_value)
+        lines.append(f'  "x{row.index}" [label="{_dot_string(row.name)}", '
+                     f'shape=box, color={c}, fontcolor={c}];')
+    for k in range(1, arch.q + 1):
+        lines.append(f'  "h{k}" [label="h{k}", shape=circle, '
+                     'color=black, fontcolor=black];')
+    lines.append('  "out" [label="output", shape=circle, '
+                 'color=black, fontcolor=black];')
+    for row in report.covariates:
+        for k, cell in enumerate(row.cells, start=1):
+            lines.append(f'  "x{row.index}" -> "h{k}" '
+                         f'[color={color(cell.p_value)}];')
+    for k, cell in enumerate(report.gamma_cells, start=1):
+        lines.append(f'  "h{k}" -> "out" [color={color(cell.p_value)}];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -346,21 +305,24 @@ def rejections_csv(report) -> str:
          for j in range(1, sc.p + 1)))
 
 
-def power_csv(sweep) -> str:
+def power_csv(points) -> str:
+    """Power curve table, one row per ``PowerPoint``."""
     return _csv_text(
         ["effect", "sp_power", "mp_power", "pd_rate"],
         ([_csv_value(pt.effect), _csv_value(pt.sp_power),
           _csv_value(pt.mp_power), _csv_value(pt.pd_rate)]
-         for pt in sweep.points))
+         for pt in points))
 
 
-def pd_csv(cells) -> str:
+def pd_csv(reports) -> str:
+    """Positive-definiteness table, one row per scenario ``SimReport``."""
     return _csv_text(
         ["lambda", "q", "nz_pattern", "n", "pd_rate", "n_fit_failed",
-         "n_total"],
-        ([_csv_value(cell.lam), cell.q, cell.nz_pattern, cell.n,
-          _csv_value(cell.pd_rate), cell.n_fit_failed, cell.n_total]
-         for cell in cells))
+         "n_total", "n_converged"],
+        ([_csv_value(rep.scenario.lam), rep.scenario.q,
+          rep.scenario.nz_pattern, rep.scenario.n, _csv_value(rep.pd_rate),
+          rep.n_fit_failed, rep.n_total, rep.n_converged]
+         for rep in reports))
 
 
 def sweep_csv(sweep) -> str:

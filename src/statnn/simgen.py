@@ -18,6 +18,12 @@ covariate 2's) listed in ``_DEFAULT_TRUTH``.
 Everything is reproducible: replicate i of a scenario depends only on
 (scenario.seed, i), and parallel runs reduce results in replicate order
 so serial and multi-process executions agree bitwise.
+
+Studies.  A power curve reruns one scenario at each effect size, so
+every point reuses the same covariate and noise draws, and returns one
+``PowerPoint`` per effect.  A positive-definiteness study runs one
+scenario per (lambda, n) cell, seeded from (seed, lambda index, n
+index), and returns each cell's ``SimReport``.
 """
 
 from __future__ import annotations
@@ -345,15 +351,11 @@ class PowerPoint:
     pd_rate: float
 
 
-@dataclass(frozen=True)
-class PowerSweep:
-    points: tuple
-
-
 def power_sweep(scenario: SimScenario, effect_values,
-                n_jobs: int = 1) -> PowerSweep:
+                n_jobs: int = 1) -> tuple:
     """Rejection rates as covariate 2's common weight value varies.
 
+    Returns one ``PowerPoint`` per effect value, in the given order.
     Each effect size reuses the same covariate and noise draws (they
     depend only on the scenario seed and replicate index), so the curve
     is smooth in the effect rather than jittered by re-simulation.
@@ -373,48 +375,26 @@ def power_sweep(scenario: SimScenario, effect_values,
             mp_power=rep.mp_rate(2),
             pd_rate=rep.pd_rate,
         ))
-    return PowerSweep(points=tuple(points))
+    return tuple(points)
 
 
 # ---------------------------------------------------------------------------
 # Positive-definiteness study
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PdCell:
-    """Share of replicates with a positive definite covariance, and the
-    optimizer iterations the cell's fits took."""
-
-    lam: float
-    q: int
-    nz_pattern: str
-    n: int
-    pd_rate: float
-    n_fit_failed: int
-    n_total: int
-    iterations: int
-
-
 def pd_study(q: int, nz_pattern: str, n_values, lam_values,
              replicates: int = 100, restarts: int = 5, seed: int = 0,
-             noise_sd: float = 1.0, n_jobs: int = 1):
+             noise_sd: float = 1.0, n_jobs: int = 1) -> tuple:
     """PD rate of the sandwich covariance across (lambda, n) cells.
 
-    Returns a tuple of ``PdCell`` in the order lambdas x sample sizes.
-    Each cell is one :func:`run_scenario` run.  Distinct cells use seeds
-    derived from (seed, lambda index, n index), so the table is
-    reproducible and cells are independent.
+    Returns each cell's :class:`SimReport` in the order lambdas x sample
+    sizes.  Cell (li, ni) runs with seed ``derive_seed(seed, li, ni, 2)``,
+    so the table is reproducible and cells are independent.
     """
-    cells = []
-    for li, lam in enumerate(lam_values):
-        for ni, n in enumerate(n_values):
-            scen = SimScenario(
-                q=q, nz_pattern=nz_pattern, n=int(n), lam=float(lam),
-                noise_sd=noise_sd, replicates=replicates, restarts=restarts,
-                seed=seeds.derive_seed(seed, li, ni, 2))
-            rep = run_scenario(scen, n_jobs=n_jobs)
-            cells.append(PdCell(
-                lam=float(lam), q=q, nz_pattern=nz_pattern, n=int(n),
-                pd_rate=rep.pd_rate, n_fit_failed=rep.n_fit_failed,
-                n_total=replicates, iterations=rep.iterations))
-    return tuple(cells)
+    return tuple(
+        run_scenario(SimScenario(
+            q=q, nz_pattern=nz_pattern, n=int(n), lam=float(lam),
+            noise_sd=noise_sd, replicates=replicates, restarts=restarts,
+            seed=seeds.derive_seed(seed, li, ni, 2)), n_jobs=n_jobs)
+        for li, lam in enumerate(lam_values)
+        for ni, n in enumerate(n_values))

@@ -1,33 +1,34 @@
-"""SVG rendering tests: determinism, structure, dispatch."""
+"""SVG rendering tests: determinism, structure, well-formed XML."""
 
 import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from statnn.effects import PceCurve, PcePoint
 from statnn.exceptions import DataError
-from statnn.plots import (HEIGHT, WIDTH, emit_plot, pce_plot_svg,
-                          power_plot_svg, selection_plot_svg)
+from statnn.plots import (HEIGHT, WIDTH, pce_plot_svg, power_plot_svg,
+                          selection_plot_svg)
 from statnn.selection import SelectionSweep, SweepEntry
-from statnn.simgen import PowerPoint, PowerSweep
+from statnn.simgen import PowerPoint
 
 
-def _curve(label=None, shift=0.0):
+def _curve(label=None, shift=0.0, covariate="age"):
     pts = tuple(PcePoint(x=float(x), beta_hat=0.5 * x + shift, se=0.1,
                          lo=0.5 * x + shift - 0.196,
                          hi=0.5 * x + shift + 0.196)
                 for x in (-2, -1, 0, 1, 2))
-    return PceCurve(covariate="age", j=1, d=1.0, level=0.95,
+    return PceCurve(covariate=covariate, j=1, d=1.0, level=0.95,
                     scale="standardized", points=pts, condition_label=label)
 
 
 def _power():
-    return PowerSweep(points=(
+    return (
         PowerPoint(effect=0.0, sp_power=0.04, mp_power=0.05, pd_rate=1.0),
         PowerPoint(effect=0.3, sp_power=0.35, mp_power=0.55, pd_rate=1.0),
         PowerPoint(effect=0.6, sp_power=0.88, mp_power=0.99, pd_rate=0.98),
-    ))
+    )
 
 
 def _sweep():
@@ -113,7 +114,7 @@ def test_power_plot_structure():
 
 def test_power_plot_empty_rejected():
     with pytest.raises(DataError):
-        power_plot_svg(PowerSweep(points=()))
+        power_plot_svg(())
 
 
 def test_selection_plot_structure():
@@ -145,24 +146,25 @@ def test_selection_plot_unscored_rejected():
         selection_plot_svg(sweep)
 
 
-def test_emit_plot_dispatch_and_atomic_write(tmp_path):
-    path = tmp_path / "plot.svg"
-    text = emit_plot(_curve(), str(path))
-    assert path.read_text() == text
-    assert _is_svg(text)
-    text2 = emit_plot(_power(), str(path))
-    assert path.read_text() == text2
-    text3 = emit_plot((_curve(label="a"), _curve(label="b")), str(path))
-    assert "a" in text3
-    emit_plot(_sweep(), str(path))
-    with pytest.raises(TypeError):
-        emit_plot(42, str(path))
-
-
-def test_emit_plot_forwards_title(tmp_path):
-    path = tmp_path / "plot.svg"
-    text = emit_plot(_curve(), str(path), title="my custom title")
+def test_pce_plot_title_override():
+    text = pce_plot_svg(_curve(), title="my custom title")
     assert "my custom title" in text
+    assert "partial effect: age" not in text
+
+
+def test_pce_plot_escapes_names_from_the_data():
+    """Covariate names, condition labels and titles come from CSV headers
+    and levels; markup characters in them must not break the XML."""
+    curves = (_curve(label="x<1 & y>2", covariate="a<b&c"),
+              _curve(label="x>=1", shift=0.4, covariate="a<b&c"))
+    root = ET.fromstring(pce_plot_svg(curves, linear_beta=0.1))
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "partial effect: a<b&c" in texts
+    assert "a<b&c (standardized scale)" in texts
+    assert "x<1 & y>2" in texts and "x>=1" in texts
+    root = ET.fromstring(pce_plot_svg(_curve(), title="<R&D>"))
+    assert "<R&D>" in [el.text for el in
+                       root.iter("{http://www.w3.org/2000/svg}text")]
 
 
 def test_golden_pce_plot(tmp_path):

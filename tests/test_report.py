@@ -10,15 +10,16 @@ import pytest
 
 from statnn.effects import PceConfig, pce_curve
 from statnn.fit import FitConfig, fit
-from statnn.inference import (SIGNIFICANCE_LEGEND, sandwich_covariance,
-                              summarize)
+from statnn.inference import (SIGNIFICANCE_LEGEND, CovariateRow,
+                              InferenceReport, WeightCell,
+                              sandwich_covariance, summarize)
 from statnn.likelihood import LikelihoodSpec, observed_information
 from statnn.model import (Architecture, ColumnMeta, Dataset, ParamVector,
                           forward_batch)
-from statnn.report import (ALPHA_DIAGRAM, diagram_spec, emit_diagram,
-                           emit_dot, emit_summary, estimates_csv,
-                           overview_csv, parameter_names, pce_csv, pd_csv,
-                           power_csv, rejections_csv, sweep_csv)
+from statnn.report import (ALPHA_DIAGRAM, emit_diagram, emit_summary,
+                           estimates_csv, overview_csv, parameter_names,
+                           pce_csv, pd_csv, power_csv, rejections_csv,
+                           sweep_csv)
 from statnn.simgen import SimScenario, pd_study, power_sweep, run_scenario
 
 
@@ -151,41 +152,23 @@ def test_nonpd_summary_carries_warning(fitted):
         assert cov_entry["mp"]["p_value"] is None
 
 
-def test_diagram_spec_structure(fitted):
-    arch, _, _, _, report = fitted
-    spec = diagram_spec(report)
-    ids = [n.id for n in spec.nodes]
-    assert ids == ["x1", "x2", "x3", "h1", "h2", "out"]
-    labels = {n.id: n.label for n in spec.nodes}
-    assert labels["x1"] == "age" and labels["x2"] == "flag"
-    # input significance mirrors the grouped test at the 5% level
-    for row, node in zip(report.covariates, spec.nodes[:3]):
-        assert node.significant == (row.mp_p_value < ALPHA_DIAGRAM)
-    for node in spec.nodes[3:]:
-        assert node.significant is None
-    assert len(spec.edges) == arch.p * arch.q + arch.q
-    # edge significance mirrors the single-weight tests
-    for row in report.covariates:
-        for k, cell in enumerate(row.cells, start=1):
-            edge = next(e for e in spec.edges
-                        if e.src == f"x{row.index}" and e.dst == f"h{k}")
-            assert edge.significant == (cell.p_value < ALPHA_DIAGRAM)
-
-
 def _parse_dot(text):
-    """Tiny DOT reader: node id -> (shape, color), (src, dst) -> color."""
+    """Tiny DOT reader: node id -> (shape, color, fontcolor),
+    (src, dst) -> color, and node id -> unescaped label."""
     nodes = {}
     edges = {}
+    labels = {}
     for line in text.splitlines():
-        m = re.match(r'\s*"(\w+)" \[label="([^"]*)", shape=(\w+), '
-                     r'color=(\w+), fontcolor=(\w+)\];', line)
+        m = re.match(r'\s*"(\w+)" \[label="((?:[^"\\]|\\.)*)", '
+                     r'shape=(\w+), color=(\w+), fontcolor=(\w+)\];', line)
         if m:
             nodes[m.group(1)] = (m.group(3), m.group(4), m.group(5))
+            labels[m.group(1)] = re.sub(r"\\(.)", r"\1", m.group(2))
             continue
         m = re.match(r'\s*"(\w+)" -> "(\w+)" \[color=(\w+)\];', line)
         if m:
             edges[(m.group(1), m.group(2))] = m.group(3)
-    return nodes, edges
+    return nodes, edges, labels
 
 
 def test_dot_rendering_recomputed_from_p_values(fitted):
@@ -195,8 +178,11 @@ def test_dot_rendering_recomputed_from_p_values(fitted):
     text = emit_diagram(arch, report)
     assert text.startswith("digraph network {")
     assert "rankdir=LR;" in text
-    nodes, edges = _parse_dot(text)
-    assert set(nodes) == {"x1", "x2", "x3", "h1", "h2", "out"}
+    nodes, edges, labels = _parse_dot(text)
+    assert list(nodes) == ["x1", "x2", "x3", "h1", "h2", "out"]
+    assert labels == {"x1": "age", "x2": "flag", "x3": "bmi", "h1": "h1",
+                      "h2": "h2", "out": "output"}
+    assert len(edges) == arch.p * arch.q + arch.q
     for row in report.covariates:
         shape, color, fontcolor = nodes[f"x{row.index}"]
         want = "black" if row.mp_p_value < ALPHA_DIAGRAM else "gray"
@@ -215,26 +201,42 @@ def test_dot_rendering_recomputed_from_p_values(fitted):
     assert all(src != "x0" for src, _ in edges)
 
 
-def test_dot_all_gray_when_nothing_significant():
-    from statnn.inference import (CovariateRow, InferenceReport, WeightCell)
-
-    arch = Architecture(p=1, q=1)
-    cell = WeightCell(estimate=0.1, se=1.0, statistic=0.01, p_value=0.9,
+def _flat_report(names, p_value):
+    """A one-hidden-node report whose every test has the same p-value."""
+    cell = WeightCell(estimate=0.1, se=1.0, statistic=0.01, p_value=p_value,
                       stars="")
-    row = CovariateRow(name="x1", index=1, cells=(cell,), mp_statistic=0.01,
-                       mp_df=1.0, mp_p_value=0.9, mp_stars="")
-    report = InferenceReport(arch=arch, covariates=(row,),
-                             gamma_cells=(cell,), gamma0_estimate=0.0,
-                             positive_definite=True, min_eigenvalue=1.0,
-                             loglik=-10.0, sigma_sq_hat=1.0, lam=0.0,
-                             converged=True, n_obs=50)
-    nodes, edges = _parse_dot(emit_dot(diagram_spec(report)))
+    rows = tuple(CovariateRow(name=name, index=j, cells=(cell,),
+                              mp_statistic=0.01, mp_df=1.0,
+                              mp_p_value=p_value, mp_stars="")
+                 for j, name in enumerate(names, start=1))
+    return InferenceReport(arch=Architecture(p=len(names), q=1),
+                           covariates=rows, gamma_cells=(cell,),
+                           gamma0_estimate=0.0, positive_definite=True,
+                           min_eigenvalue=1.0, loglik=-10.0, sigma_sq_hat=1.0,
+                           lam=0.0, converged=True, n_obs=50)
+
+
+def test_dot_all_gray_when_nothing_significant():
+    report = _flat_report(["x1"], 0.9)
+    nodes, edges, _ = _parse_dot(emit_diagram(report.arch, report))
     assert nodes["x1"][1] == "gray"
     assert edges[("x1", "h1")] == "gray"
     assert edges[("h1", "out")] == "gray"
     # structural nodes stay black even in the all-gray case
     assert nodes["h1"][1] == "black"
     assert nodes["out"][1] == "black"
+
+
+def test_dot_labels_escape_quotes_and_backslashes():
+    """Column names come from CSV headers; a quote or backslash in one
+    must stay inside its DOT label and read back unchanged."""
+    names = ['q"t', "a\\b", 'end\\', '"']
+    report = _flat_report(names, 0.01)
+    text = emit_diagram(report.arch, report)
+    nodes, edges, labels = _parse_dot(text)
+    assert [labels[f"x{j}"] for j in range(1, 5)] == names
+    assert all(nodes[f"x{j}"][1] == "black" for j in range(1, 5))
+    assert len(edges) == 4 + 1
 
 
 def test_emit_diagram_arch_mismatch(fitted):
@@ -310,8 +312,9 @@ def test_pd_csv():
                      replicates=3, restarts=1, seed=164)
     rows = list(csv.reader(io.StringIO(pd_csv(cells))))
     assert rows[0] == ["lambda", "q", "nz_pattern", "n", "pd_rate",
-                      "n_fit_failed", "n_total"]
-    assert rows[1][0] == "0.01" and rows[1][3] == "50"
+                      "n_fit_failed", "n_total", "n_converged"]
+    assert rows[1][:4] == ["0.01", "2", "5-1", "50"]
+    assert rows[1][6:] == ["3", str(cells[0].n_converged)]
 
 
 def test_sweep_csv():

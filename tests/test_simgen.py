@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from statnn.model import Architecture, ParamVector
-from statnn.simgen import (ZERO_PATTERNS, PdCell, PowerSweep, SimScenario,
-                           default_true_theta, generate, pd_study,
-                           power_sweep, run_scenario)
+from statnn.report import overview_csv, pd_csv
+from statnn.seeds import derive_seed
+from statnn.simgen import (ZERO_PATTERNS, PowerPoint, SimReport,
+                           SimScenario, default_true_theta, generate,
+                           pd_study, power_sweep, run_scenario)
 
 
 def _tiny(**kw):
@@ -166,15 +168,16 @@ def test_estimates_aligned_to_truth():
 
 def test_power_sweep_reuses_draws_and_orders_points():
     scen = _tiny(n=200, replicates=6, restarts=2, seed=41)
-    sweepres = power_sweep(scen, [0.0, 0.6])
-    assert isinstance(sweepres, PowerSweep)
-    assert [pt.effect for pt in sweepres.points] == [0.0, 0.6]
-    for pt in sweepres.points:
+    points = power_sweep(scen, [0.0, 0.6])
+    assert isinstance(points, tuple)
+    assert all(isinstance(pt, PowerPoint) for pt in points)
+    assert [pt.effect for pt in points] == [0.0, 0.6]
+    for pt in points:
         assert 0.0 <= pt.sp_power <= 1.0
         assert 0.0 <= pt.mp_power <= 1.0
         assert 0.0 <= pt.pd_rate <= 1.0
     # a strong effect should not be less detectable than a null one
-    assert sweepres.points[1].mp_power >= sweepres.points[0].mp_power
+    assert points[1].mp_power >= points[0].mp_power
 
 
 def test_power_sweep_zero_effect_disconnects_covariate():
@@ -187,9 +190,9 @@ def test_power_sweep_zero_effect_disconnects_covariate():
     omega[2] = 0.0
     want = ParamVector.from_parts(base.arch, omega, base.gamma_vector())
     direct = run_scenario(replace(scen, true_theta=want))
-    swept = power_sweep(scen, [0.0])
-    assert swept.points[0].mp_power == direct.mp_rate(2)
-    assert swept.points[0].sp_power == direct.sp_rate(2, 1)
+    (point,) = power_sweep(scen, [0.0])
+    assert point.mp_power == direct.mp_rate(2)
+    assert point.sp_power == direct.sp_rate(2, 1)
 
 
 def test_pd_study_grid_order_and_fields():
@@ -197,16 +200,32 @@ def test_pd_study_grid_order_and_fields():
                      lam_values=[0.0, 0.01], replicates=4, restarts=1,
                      seed=61)
     assert len(cells) == 4
-    assert [(c.lam, c.n) for c in cells] == [(0.0, 50), (0.0, 80),
-                                             (0.01, 50), (0.01, 80)]
+    assert [(c.scenario.lam, c.scenario.n) for c in cells] == [
+        (0.0, 50), (0.0, 80), (0.01, 50), (0.01, 80)]
     for c in cells:
-        assert isinstance(c, PdCell)
+        assert isinstance(c, SimReport)
         assert 0.0 <= c.pd_rate <= 1.0
         assert c.n_total == 4
-        assert c.q == 2 and c.nz_pattern == "5-1"
+        assert c.scenario.q == 2 and c.scenario.nz_pattern == "5-1"
+
+
+def test_pd_study_cell_seeds():
+    """Cell (li, ni) is the scenario run seeded derive_seed(seed, li, ni, 2)."""
+    cells = pd_study(q=2, nz_pattern="3-3", n_values=[40, 60],
+                     lam_values=[0.0, 0.01], replicates=2, restarts=1,
+                     seed=81, noise_sd=0.5)
+    for li, lam in enumerate([0.0, 0.01]):
+        for ni, n in enumerate([40, 60]):
+            want = run_scenario(SimScenario(
+                q=2, nz_pattern="3-3", n=n, lam=lam, noise_sd=0.5,
+                replicates=2, restarts=1, seed=derive_seed(81, li, ni, 2)))
+            assert (overview_csv(cells[2 * li + ni])
+                    == overview_csv(want)), (li, ni)
 
 
 def test_pd_study_deterministic():
     kw = dict(q=2, nz_pattern="5-1", n_values=[60], lam_values=[0.01],
               replicates=4, restarts=1, seed=71)
-    assert pd_study(**kw) == pd_study(**kw)
+    first, second = pd_study(**kw), pd_study(**kw)
+    assert pd_csv(first) == pd_csv(second)
+    assert [c.iterations for c in first] == [c.iterations for c in second]
