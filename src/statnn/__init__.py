@@ -10,10 +10,8 @@ whole pipeline's sampling behavior.
 """
 
 from .canonical import (SymmetryOp, align_to, all_symmetry_ops,
-                        apply_symmetry, canonicalize, check_reducible,
-                        symmetry_matrix)
-from .effects import (PceConfig, PceCurve, PcePoint, interaction_screen,
-                      pce_binary, pce_curve, to_original_scale)
+                        apply_symmetry, canonicalize, symmetry_matrix)
+from .effects import PceCurve, PcePoint, pce_curve, to_original_scale
 from .exceptions import (DataError, FitError, NotPositiveDefiniteError,
                          ShapeError, SingularMatrixError, StatnnError)
 from .fit import FitConfig, FitResult, evaluate_at, fit
@@ -40,19 +38,18 @@ __all__ = [
     "Architecture", "ColumnMeta", "CovarianceEstimate", "DataError",
     "Dataset", "FitConfig", "FitError", "FitResult", "InferenceReport",
     "LikelihoodSpec", "LinearFit", "ModelDocument",
-    "NotPositiveDefiniteError", "ParamVector", "PceConfig", "PceCurve",
-    "PcePoint", "PreprocessPlan", "SelectionSweep", "ShapeError",
-    "SimReport", "SimScenario", "SingularMatrixError", "StatnnError",
-    "SymmetryOp", "WaldResult", "align_to", "all_symmetry_ops",
-    "apply_symmetry", "bic", "canonicalize", "check_reducible",
-    "chi_square_survival", "cross_validate", "dataset_from_meta",
-    "default_true_theta", "effective_df", "emit_diagram", "emit_summary",
-    "evaluate_at", "fit", "fit_linear", "forward", "forward_batch",
-    "gradient", "ingest", "interaction_screen", "load_model",
-    "load_scenario", "log_likelihood", "model_document", "normal_quantile",
-    "observed_information", "pce_binary", "pce_curve", "pd_study", "penalty",
-    "power_sweep", "prediction_gradient", "run_scenario",
+    "NotPositiveDefiniteError", "ParamVector", "PceCurve", "PcePoint",
+    "PreprocessPlan", "SelectionSweep", "ShapeError", "SimReport",
+    "SimScenario", "SingularMatrixError", "StatnnError", "SymmetryOp",
+    "WaldResult", "align_to", "all_symmetry_ops", "apply_symmetry",
+    "bic", "canonicalize", "chi_square_survival", "cross_validate",
+    "dataset_from_meta", "default_true_theta", "effective_df",
+    "emit_diagram", "emit_summary", "evaluate_at", "fit", "fit_linear",
+    "forward", "forward_batch", "gradient", "ingest", "load_model",
+    "load_scenario", "log_likelihood", "model_document",
+    "normal_quantile", "observed_information", "pce_curve", "pd_study",
+    "penalty", "power_sweep", "prediction_gradient", "run_scenario",
     "sandwich_covariance", "save_model", "save_scenario",
-    "selection_matrix", "sigmoid", "summarize", "sweep", "symmetry_matrix",
-    "to_original_scale", "wald_multi", "wald_single",
+    "selection_matrix", "sigmoid", "summarize", "sweep",
+    "symmetry_matrix", "to_original_scale", "wald_multi", "wald_single",
 ]

@@ -1,4 +1,4 @@
-"""Weight-space symmetries, canonical form, and reducibility diagnostics.
+"""Weight-space symmetries, canonical form, and alignment to a reference.
 
 A single-hidden-layer network with logistic hidden activation has a
 likelihood that is exactly invariant under two families of weight
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Architecture, Dataset, ParamVector, design_with_intercept
+from .model import Architecture, ParamVector
 
 
 @dataclass(frozen=True)
@@ -154,53 +154,6 @@ def canonical_op(theta: ParamVector) -> SymmetryOp:
 def canonicalize(theta: ParamVector) -> ParamVector:
     """Canonical representative of the symmetry orbit of ``theta``."""
     return apply_symmetry(theta, canonical_op(theta))
-
-
-# ---------------------------------------------------------------------------
-# Reducibility
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ReducibilityReport:
-    """Advisory diagnosis of formally redundant hidden nodes.
-
-    ``reasons`` is a tuple of (kind, nodes) pairs with kind one of
-    "zero_gamma", "sign_equivalent_pair", "constant_net_input"; nodes
-    are 1-based hidden-node indices.
-    """
-
-    reducible: bool
-    reasons: tuple
-
-
-def check_reducible(arch: Architecture, theta: ParamVector, data: Dataset,
-                    tol: float = 1e-6) -> ReducibilityReport:
-    """Detect hidden nodes that contribute no identifiable signal.
-
-    Checks, each against ``tol``: an output weight at zero; two nodes
-    whose net inputs agree up to sign on every observation; a node whose
-    net input is constant across the data.  The verdict is advisory (no
-    exception, no refusal to proceed).
-    """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    x1 = design_with_intercept(data.x)
-    s = x1 @ theta.omega_matrix()
-    g = theta.gamma_vector()
-    reasons = []
-    for k in range(1, arch.q + 1):
-        if abs(g[k]) <= tol:
-            reasons.append(("zero_gamma", (k,)))
-    abs_s = np.abs(s)
-    for k1 in range(1, arch.q + 1):
-        for k2 in range(k1 + 1, arch.q + 1):
-            if np.max(np.abs(abs_s[:, k1 - 1] - abs_s[:, k2 - 1])) <= tol:
-                reasons.append(("sign_equivalent_pair", (k1, k2)))
-    for k in range(1, arch.q + 1):
-        col = s[:, k - 1]
-        if np.max(np.abs(col - col.mean())) <= tol:
-            reasons.append(("constant_net_input", (k,)))
-    return ReducibilityReport(reducible=bool(reasons), reasons=tuple(reasons))
 
 
 # ---------------------------------------------------------------------------

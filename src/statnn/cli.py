@@ -22,8 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .effects import (PceConfig, PceCurve, conditioning_values, effect_grid,
-                      pce_curve, to_original_scale)
+from .effects import effect_grid, pce_curve, to_original_scale
 from .exceptions import (DataError, FitError, NotPositiveDefiniteError,
                          ShapeError, SingularMatrixError)
 from .fit import FitConfig, evaluate_at, fit
@@ -93,7 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_pce.add_argument("--covariate", required=True,
                        help="model column to profile")
     p_pce.add_argument("--d", type=float,
-                       help="step size (default: one sample sd)")
+                       help="step size in standardized units, also with "
+                            "--original-scale (default: one sample sd); a "
+                            "0/1 covariate's step is 1 and no other is "
+                            "accepted")
     p_pce.add_argument("--by",
                        help="condition on this covariate (dummy: levels "
                             "0 and 1; continuous: mean -/+ one sd)")
@@ -221,46 +223,22 @@ def cmd_summary(args) -> int:
     return 0
 
 
-def _linear_reference(data: Dataset, j: int, d: float, original: bool):
-    """Linear-model analogue of a d-step effect, on the curve's scale."""
-    linear = fit_linear(data)
-    beta = float(linear.beta[j])        # beta[0] is the intercept
-    ref = beta * d
-    if original:
-        ref *= data.response_meta.sd
-    return ref
-
-
 def cmd_pce(args) -> int:
     doc, data, _result, cov = _model_and_covariance(args.model, args.csv)
     j = data.column_index(args.covariate) + 1
-    meta = data.column_meta[j - 1]
-    conditioning = None
-    if args.by is not None:
-        k = data.column_index(args.by) + 1
-        conditioning = (k, conditioning_values(data, k))
-    if meta.kind == "dummy":
-        # A dummy's only meaningful effect is the 0 -> 1 switch.
-        config = PceConfig(j=j, d=1.0, grid=np.array([0.0]),
-                           conditioning=conditioning)
-    else:
-        config = PceConfig(
-            j=j, d=args.d, conditioning=conditioning,
-            grid=effect_grid(data, j, args.d, args.grid_points))
-    curves = pce_curve(doc.arch, doc.theta, cov, data, config)
-    single = isinstance(curves, PceCurve)
+    by = None if args.by is None else data.column_index(args.by) + 1
+    curves = pce_curve(doc.arch, doc.theta, cov, data, j, args.d,
+                       effect_grid(data, j, args.d, args.grid_points), by)
+    d = curves[0].d                     # the fitted (standardized) step
     if args.original_scale:
-        if single:
-            curves = to_original_scale(curves, data)
-        else:
-            curves = tuple(to_original_scale(c, data) for c in curves)
+        curves = tuple(to_original_scale(c, data) for c in curves)
     linear_beta = None
     if args.linear_reference:
-        d_for_ref = curves.d if single else curves[0].d
-        if args.original_scale and meta.kind != "dummy":
-            d_for_ref /= meta.sd       # back to the fitted (standardized) step
-        linear_beta = _linear_reference(data, j, d_for_ref,
-                                        args.original_scale)
+        # Linear-model analogue of the d-step effect; beta[0] is the
+        # intercept.
+        linear_beta = float(fit_linear(data).beta[j]) * d
+        if args.original_scale:
+            linear_beta *= data.response_meta.sd
     _emit_or_print(pce_csv(curves), args.out)
     if args.svg:
         atomic_write_text(args.svg,

@@ -30,10 +30,14 @@ grid is taken in chunks so that each G x n x q temporary holds at most
 ``_CHUNK_ELEMENTS`` (2^16) values; a single point is never split.
 
 Curves are computed on the standardized scale used for fitting and can
-be mapped back to original units afterwards.  A second covariate can be
-pinned to a set of values to screen for interactions: if the effect of
-j does not depend on the pinned value of k, the conditional curves
-coincide (up to estimation noise).
+be mapped back to original units afterwards.  A dummy (0/1) covariate
+has one effect, the 0 -> 1 switch: its step is 1 and its grid is [0].
+
+A second covariate k can be pinned to screen for interactions, giving
+one curve per pin.  The pins come from ``conditioning_values``: 0 and 1
+for a dummy k, its sample mean -/+ one standard deviation otherwise.
+If the effect of j does not depend on the pinned value of k, the
+conditional curves coincide (up to estimation noise).
 """
 
 from __future__ import annotations
@@ -52,49 +56,13 @@ from .model import (Architecture, Dataset, ParamVector, design_with_intercept,
                     sigmoid)
 from .special import normal_quantile
 
-#: Two-sided 95% normal critical value; equal bit for bit to the value
-#: ``_curve_for`` computes at level 0.95.
+#: Two-sided 95% normal critical value of every confidence band.
 Z_95 = normal_quantile(0.975)
 
 _DEFAULT_GRID_POINTS = 101
 
 #: Upper bound on the elements of each G x n x q temporary of a curve.
 _CHUNK_ELEMENTS = 2 ** 16
-
-
-@dataclass(frozen=True)
-class PceConfig:
-    """Settings for a partial-effect curve.
-
-    ``j`` is the 1-based covariate whose effect is traced.  ``d`` is the
-    step size (default: the sample standard deviation of column j).
-    ``grid`` the evaluation points for x0 (default: ``effect_grid``,
-    equally spaced from the column minimum to the maximum minus d).
-    ``conditioning`` optionally pins a second covariate: (k, values)
-    produces one curve per value.
-    """
-
-    j: int
-    d: float | None = None
-    grid: np.ndarray | None = None
-    level: float = 0.95
-    conditioning: tuple | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level must be in (0, 1), got {self.level}")
-        if self.d is not None and not np.isfinite(self.d):
-            raise ValueError(f"step d must be finite, got {self.d}")
-        if self.grid is not None:
-            g = np.asarray(self.grid, dtype=float)
-            if g.ndim != 1 or g.size == 0:
-                raise ValueError("grid must be a nonempty 1-d array")
-            if g.size > 1 and not np.all(np.diff(g) > 0.0):
-                raise ValueError("grid must be strictly increasing")
-        if self.conditioning is not None:
-            k, values = self.conditioning
-            if len(tuple(values)) == 0:
-                raise ValueError("conditioning values must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -110,7 +78,7 @@ class PcePoint:
 
 @dataclass(frozen=True)
 class PceCurve:
-    """A partial-effect curve with pointwise confidence bands."""
+    """A partial-effect curve with pointwise 95% confidence bands."""
 
     covariate: str
     j: int
@@ -155,7 +123,7 @@ def _averaged(arch, theta, x1, s_base, j, xs):
     return mu.mean(axis=1), grad
 
 
-def _curve_for(arch, theta, cov, data, j, d, grid, level, pin, label):
+def _curve_for(arch, theta, cov, data, j, d, grid, pin, label):
     """Core computation: one curve, optionally with covariate ``pin[0]``
     fixed at ``pin[1]`` in every averaged prediction."""
     x1 = design_with_intercept(data.x)
@@ -174,20 +142,35 @@ def _curve_for(arch, theta, cov, data, j, d, grid, level, pin, label):
         grad[start:start + step] = g_hi - g_lo
     var = np.einsum("gr,rs,gs->g", grad, cov.sigma_hat, grad)
     se = np.sqrt(np.maximum(var, 0.0))
-    z = normal_quantile(0.5 + level / 2.0)
     pts = tuple(PcePoint(x=float(x0), beta_hat=float(b), se=float(s),
-                         lo=float(b - z * s), hi=float(b + z * s))
+                         lo=float(b - Z_95 * s), hi=float(b + Z_95 * s))
                 for x0, b, s in zip(grid, beta, se))
     name = data.column_meta[j - 1].name
-    return PceCurve(covariate=name, j=j, d=float(d), level=level,
+    return PceCurve(covariate=name, j=j, d=float(d), level=0.95,
                     scale="standardized", points=pts,
                     condition_label=label)
 
 
+def _is_dummy(data: Dataset, j: int) -> bool:
+    return data.column_meta[j - 1].kind == "dummy"
+
+
 def _resolve_step(data: Dataset, j: int, d: float | None) -> float:
-    """The step d, defaulting to the sample standard deviation of column j."""
+    """The step d.  A dummy's step is 1, its 0 -> 1 switch, and any other
+    explicit step is refused; otherwise d defaults to the sample standard
+    deviation of column j."""
     if d is not None:
-        return float(d)
+        d = float(d)
+        if not np.isfinite(d):
+            raise ValueError(f"step d must be finite, got {d}")
+        if _is_dummy(data, j) and d != 1.0:
+            raise DataError(
+                f"covariate {data.column_meta[j - 1].name!r} is a 0/1 "
+                f"dummy, whose effect is the 0 -> 1 switch; its step must "
+                f"be 1, got {d:g}")
+        return d
+    if _is_dummy(data, j):
+        return 1.0
     d = float(np.std(data.x[:, j - 1], ddof=1))
     if not d > 0.0:
         raise DataError(f"covariate {j} has zero sample variation; "
@@ -199,86 +182,54 @@ def effect_grid(data: Dataset, j: int, d: float | None = None,
                 points: int = _DEFAULT_GRID_POINTS) -> np.ndarray:
     """Default x0 grid of a curve: ``points`` equally spaced values from
     the minimum of column j to its maximum minus the step d (default
-    step as in ``PceConfig``).  When the step spans the column's range
-    the grid is the single point [minimum]."""
+    step as in ``_resolve_step``).  When the step spans the column's
+    range the grid is the single point [minimum]; a dummy's grid is [0]."""
     if points < 1:
         raise ValueError(f"grid needs at least one point, got {points}")
+    d = _resolve_step(data, j, d)
+    if _is_dummy(data, j):
+        return np.array([0.0])
     col = data.x[:, j - 1]
     lo = float(np.min(col))
-    hi = float(np.max(col)) - _resolve_step(data, j, d)
+    hi = float(np.max(col)) - d
     if hi <= lo:
         return np.array([lo])
     return np.linspace(lo, hi, points)
 
 
 def pce_curve(arch: Architecture, theta: ParamVector, cov: CovarianceEstimate,
-              data: Dataset, config: PceConfig):
-    """Partial-effect curve(s) for one covariate.
+              data: Dataset, j: int, d: float | None = None,
+              grid=None, by: int | None = None) -> tuple:
+    """Partial-effect curves of the 1-based covariate j, as a tuple.
 
-    Without conditioning, returns a single ``PceCurve``.  With
-    ``config.conditioning = (k, values)`` returns a tuple of curves, one
-    per pinned value of covariate k.  Requires a positive definite
-    covariance; bands are meaningless otherwise.
+    ``d`` is the step (default as in ``_resolve_step``) and ``grid`` the
+    strictly increasing x0 points (default ``effect_grid``).  Without
+    ``by`` the tuple holds one curve; with ``by = k`` it holds one curve
+    per pin of covariate k from ``conditioning_values``.  Requires a
+    positive definite covariance; bands are meaningless otherwise.
     """
-    _check_covariate(arch, config.j)
+    _check_covariate(arch, j)
     if not cov.positive_definite:
         raise NotPositiveDefiniteError(
             "covariance is not positive definite; confidence bands are "
             "unavailable")
-    d = _resolve_step(data, config.j, config.d)
-    grid = (effect_grid(data, config.j, d) if config.grid is None
-            else np.asarray(config.grid, dtype=float))
-    if config.conditioning is None:
-        return _curve_for(arch, theta, cov, data, config.j, d, grid,
-                          config.level, None, None)
-    k, values = config.conditioning
-    _check_covariate(arch, k)
-    if k == config.j:
+    d = _resolve_step(data, j, d)
+    if grid is None:
+        grid = effect_grid(data, j, d)
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("grid must be a nonempty 1-d array")
+    if not np.all(np.diff(grid) > 0.0):
+        raise ValueError("grid must be strictly increasing")
+    if by is None:
+        return (_curve_for(arch, theta, cov, data, j, d, grid, None, None),)
+    _check_covariate(arch, by)
+    if by == j:
         raise ValueError("conditioning covariate must differ from j")
-    kname = data.column_meta[k - 1].name
-    curves = []
-    for v in values:
-        label = f"{kname}={float(v):.6g}"
-        curves.append(_curve_for(arch, theta, cov, data, config.j, d, grid,
-                                 config.level, (k, float(v)), label))
-    return tuple(curves)
-
-
-def pce_binary(arch: Architecture, theta: ParamVector, cov: CovarianceEstimate,
-               data: Dataset, j: int, level: float = 0.95) -> PcePoint:
-    """Effect of switching a dummy covariate from 0 to 1.
-
-    Identical to a curve with grid {0} and step d = 1; returned as the
-    single point.
-    """
-    _check_covariate(arch, j)
-    meta = data.column_meta[j - 1]
-    if meta.kind != "dummy":
-        raise DataError(
-            f"covariate {meta.name!r} is {meta.kind}, not a dummy; "
-            "use pce_curve instead")
-    curve = pce_curve(arch, theta, cov, data,
-                      PceConfig(j=j, d=1.0, grid=np.array([0.0]), level=level))
-    return curve.points[0]
-
-
-def interaction_screen(arch: Architecture, theta: ParamVector,
-                       cov: CovarianceEstimate, data: Dataset,
-                       j: int, k: int, level: float = 0.95):
-    """Conditional partial-effect curves of j at two pinned values of k.
-
-    For a continuous k the pins are mean -/+ one standard deviation of
-    its sample values; for a dummy k they are 0 and 1.  Coinciding
-    curves are consistent with no interaction between j and k; clearly
-    separated bands flag one.
-    """
-    _check_covariate(arch, j)
-    _check_covariate(arch, k)
-    if j == k:
-        raise ValueError("interaction screen needs two distinct covariates")
-    return pce_curve(arch, theta, cov, data,
-                     PceConfig(j=j, level=level,
-                               conditioning=(k, conditioning_values(data, k))))
+    kname = data.column_meta[by - 1].name
+    return tuple(_curve_for(arch, theta, cov, data, j, d, grid, (by, v),
+                            f"{kname}={v:.6g}")
+                 for v in conditioning_values(data, by))
 
 
 def conditioning_values(data: Dataset, k: int) -> tuple:

@@ -91,8 +91,9 @@ class LikelihoodSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.lam < 0.0:
-            raise ValueError(f"ridge penalty must be nonnegative, got {self.lam}")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"ridge penalty must be finite and nonnegative, "
+                             f"got {self.lam}")
 
 
 def check_family(arch: Architecture, spec: LikelihoodSpec):

@@ -8,16 +8,15 @@ usable as golden files and makes repeated pipeline runs diff-clean.
 Partial-effect curves are drawn with a shaded pointwise confidence band
 and can overlay a dashed reference line for the corresponding linear
 model coefficient.  Each renderer takes the records the analysis
-returns (curves, power points, a selection sweep) and returns the SVG
-text; names from the data are escaped so the document stays well-formed
-XML.
+returns (a tuple of curves, power points, a selection sweep) and
+returns the SVG text; names from the data are escaped so the document
+stays well-formed XML.
 """
 
 from __future__ import annotations
 
 import math
 
-from .effects import PceCurve
 from .exceptions import DataError
 
 WIDTH = 640.0
@@ -164,14 +163,13 @@ def _legend(panel, entries):
 
 def pce_plot_svg(curves, linear_beta: float | None = None,
                  title: str | None = None) -> str:
-    """Partial-effect curve(s) with shaded confidence bands.
+    """Partial-effect curves with shaded confidence bands.
 
-    ``curves`` is one curve or a tuple of conditioned curves sharing a
-    covariate; ``linear_beta`` overlays a dashed horizontal reference
-    (the matching coefficient from a linear model).
+    ``curves`` is the tuple ``pce_curve`` returns: one curve, or the
+    conditioned curves of one covariate; ``linear_beta`` overlays a
+    dashed horizontal reference (the matching coefficient from a linear
+    model).
     """
-    if isinstance(curves, PceCurve):
-        curves = (curves,)
     if not curves:
         raise DataError("no curves to plot")
     xs_all = [pt.x for c in curves for pt in c.points]

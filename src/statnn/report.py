@@ -335,9 +335,8 @@ def sweep_csv(sweep) -> str:
 
 
 def pce_csv(curves) -> str:
-    """Partial-effect curve(s) as a flat table, one row per grid point."""
-    if not isinstance(curves, tuple):
-        curves = (curves,)
+    """The tuple of curves ``pce_curve`` returns as a flat table, one row
+    per grid point."""
     return _csv_text(
         ["covariate", "condition", "scale", "d", "x", "beta_hat", "se", "lo",
          "hi"],

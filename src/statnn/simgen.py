@@ -135,8 +135,8 @@ class SimScenario:
             raise ValueError(f"q must be >= 1, got {self.q}")
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not self.noise_sd > 0.0:
             raise ValueError(f"noise_sd must be positive, got {self.noise_sd}")
         if self.replicates < 1:

@@ -38,7 +38,7 @@ from scipy.stats import chi2, ncx2
 
 from statnn.canonical import all_symmetry_ops, apply_symmetry, canonicalize
 from statnn.cli import main
-from statnn.effects import PceConfig, interaction_screen, pce_binary, pce_curve
+from statnn.effects import pce_curve
 from statnn.fit import FitConfig, fit
 from statnn.inference import (CovarianceEstimate, effective_df,
                               sandwich_covariance, summarize)
@@ -480,7 +480,8 @@ def test_insurance_benchmark():
 
     # Binary effect of smoking on the original response scale.
     j_smoker = names.index("smoker") + 1
-    point = pce_binary(arch2, result.theta_hat, cov, data, j_smoker)
+    (curve,) = pce_curve(arch2, result.theta_hat, cov, data, j_smoker)
+    point = curve.points[0]
     smoker_effect = point.beta_hat * sd_y
     pce_ok = abs(smoker_effect - 23.85) <= 1.5
 
@@ -542,12 +543,12 @@ def test_partial_effect_structural_properties():
     # positive: perturbing those weights away from zero would revive the
     # effect, and the band prices exactly that uncertainty.)
     theta_dis = theta.with_omega(2, 1, 0.0).with_omega(2, 2, 0.0)
-    curve_dis = pce_curve(arch, theta_dis, cov, data, PceConfig(j=2))
+    (curve_dis,) = pce_curve(arch, theta_dis, cov, data, 2)
     dis_beta = float(np.max(np.abs(curve_dis.betas())))
     dis_ok = dis_beta == 0.0
 
     # A zero step compares the prediction with itself.
-    curve_zero = pce_curve(arch, theta, cov, data, PceConfig(j=1, d=0.0))
+    (curve_zero,) = pce_curve(arch, theta, cov, data, 1, d=0.0)
     zero_ok = (float(np.max(np.abs(curve_zero.betas()))) == 0.0
                and max(pt.se for pt in curve_zero.points) == 0.0)
 
@@ -568,8 +569,8 @@ def test_partial_effect_structural_properties():
     g_fd = _fd_gradient(beta_fn, theta.values.copy())
     scale = np.maximum(np.abs(g_fd), 1.0)
     grad_err = float(np.max(np.abs(g_analytic - g_fd) / scale))
-    point = pce_curve(arch, theta, cov, data,
-                      PceConfig(j=1, d=d, grid=np.array([x0]))).points[0]
+    (curve,) = pce_curve(arch, theta, cov, data, 1, d=d, grid=np.array([x0]))
+    point = curve.points[0]
     se_want = float(np.sqrt(g_analytic @ cov.sigma_hat @ g_analytic))
     beta_dev = abs(point.beta_hat - beta_fn(theta.values))
     se_dev = abs(point.se - se_want) / max(se_want, 1e-300)
@@ -581,7 +582,7 @@ def test_partial_effect_structural_properties():
                  .with_omega(0, 1, 0.2).with_omega(1, 1, 1.3)
                  .with_omega(0, 2, -0.4).with_omega(2, 2, 0.9)
                  .with_gamma(0, 0.5).with_gamma(1, 2.0).with_gamma(2, -1.5))
-    lo, hi = interaction_screen(arch, theta_add, cov, data, j=1, k=2)
+    lo, hi = pce_curve(arch, theta_add, cov, data, 1, by=2)
     screen_dev = max(abs(a.beta_hat - b.beta_hat)
                      for a, b in zip(lo.points, hi.points))
     screen_ok = screen_dev <= 1e-12

@@ -7,7 +7,7 @@ import pytest
 
 from statnn.canonical import (SymmetryOp, align_to, all_symmetry_ops,
                               apply_symmetry, canonical_op, canonicalize,
-                              check_reducible, symmetry_matrix)
+                              symmetry_matrix)
 from statnn.likelihood import LikelihoodSpec, log_likelihood
 from statnn.model import Architecture, Dataset, ParamVector, forward
 
@@ -209,48 +209,3 @@ def test_align_transforms_covariance_consistently():
     omega_diag = np.diag(moved)[:n_omega]
     np.testing.assert_allclose(sorted(omega_diag),
                                sorted(np.diag(cov)[:n_omega]), atol=1e-12)
-
-
-def test_reducibility_zero_gamma():
-    arch = Architecture(p=1, q=2)
-    theta = (ParamVector.zeros(arch).with_omega(1, 1, 1.0)
-             .with_omega(1, 2, -1.3).with_gamma(1, 2.0))
-    data = Dataset(x=np.linspace(-1, 1, 8)[:, None], y=np.zeros(8))
-    report = check_reducible(arch, theta, data)
-    assert report.reducible
-    assert ("zero_gamma", (2,)) in report.reasons
-
-
-def test_reducibility_sign_equivalent_pair():
-    arch = Architecture(p=1, q=2)
-    theta = (ParamVector.zeros(arch)
-             .with_omega(0, 1, 0.4).with_omega(1, 1, 1.1)
-             .with_omega(0, 2, -0.4).with_omega(1, 2, -1.1)
-             .with_gamma(1, 1.0).with_gamma(2, 1.0))
-    data = Dataset(x=np.linspace(-2, 2, 9)[:, None], y=np.zeros(9))
-    report = check_reducible(arch, theta, data)
-    assert report.reducible
-    assert any(kind == "sign_equivalent_pair" and nodes == (1, 2)
-               for kind, nodes in report.reasons)
-
-
-def test_reducibility_constant_net_input():
-    arch = Architecture(p=1, q=1)
-    theta = (ParamVector.zeros(arch).with_omega(0, 1, 0.9)
-             .with_gamma(1, 1.0))  # omega_11 = 0: input never reaches node
-    data = Dataset(x=np.linspace(-1, 1, 5)[:, None], y=np.zeros(5))
-    report = check_reducible(arch, theta, data)
-    assert report.reducible
-    assert ("constant_net_input", (1,)) in report.reasons
-
-
-def test_reducibility_clean_network():
-    arch = Architecture(p=1, q=2)
-    theta = (ParamVector.zeros(arch)
-             .with_omega(0, 1, 0.3).with_omega(1, 1, 1.0)
-             .with_omega(0, 2, -0.8).with_omega(1, 2, -2.0)
-             .with_gamma(1, 1.5).with_gamma(2, -1.0))
-    data = Dataset(x=np.linspace(-2, 2, 12)[:, None], y=np.zeros(12))
-    report = check_reducible(arch, theta, data)
-    assert not report.reducible
-    assert report.reasons == ()

@@ -143,6 +143,21 @@ def test_pce_dummy_single_point(workspace, capsys):
     assert float(rows[1][3]) == 1.0
 
 
+def test_pce_dummy_refuses_step_other_than_one(workspace, capsys):
+    """A dummy's effect is the 0 -> 1 switch; --d 1 is the default and any
+    other step is refused instead of being ignored."""
+    _, csv_path, model_path = workspace
+    argv = ["pce", model_path, csv_path, "--covariate", "smoker.no"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(argv + ["--d", "1"]) == 0
+    assert capsys.readouterr().out == default
+    for d in ("0.5", "2"):
+        assert main(argv + ["--d", d]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "smoker.no" in err and "step" in err
+
+
 def test_pce_conditioned(workspace, capsys, tmp_path):
     _, csv_path, model_path = workspace
     svg = tmp_path / "curve.svg"
@@ -257,6 +272,31 @@ def test_simulate_null_field_exits_2(tmp_path, capsys):
     assert main(["simulate", str(scen_path), "--out-dir",
                  str(tmp_path / "results")]) == 2
     assert "q must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,lam", [("fit", "nan"), ("fit", "inf"),
+                                         ("select", "nan")])
+def test_nonfinite_lambda_exits_2(workspace, tmp_path, capsys, command, lam):
+    _, csv_path, _ = workspace
+    argv = [command, csv_path, "--response", "charges", "--lambda", lam,
+            "--restarts", "1"]
+    argv += (["--q", "1", "--out", str(tmp_path / "m.json")]
+             if command == "fit" else ["--q-list", "0,1", "--no-cv"])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "ridge penalty" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_simulate_nonfinite_lambda_exits_2(tmp_path, capsys):
+    scen = {"format_version": 1, "q": 2, "nz_pattern": "5-1", "n": 50,
+            "replicates": 2, "restarts": 1, "lambda": float("nan")}
+    scen_path = tmp_path / "scenario.json"
+    scen_path.write_text(json.dumps(scen))     # writes the token NaN
+    assert main(["simulate", str(scen_path), "--out-dir",
+                 str(tmp_path / "results")]) == 2
+    assert "lam must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
 
 
 def test_exit_2_on_missing_file(capsys):

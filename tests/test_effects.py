@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from statnn.effects import (PceConfig, interaction_screen, pce_binary,
-                            pce_curve, to_original_scale)
+from statnn.effects import (conditioning_values, effect_grid, pce_curve,
+                            to_original_scale)
 from statnn.exceptions import DataError, NotPositiveDefiniteError
 from statnn.inference import CovarianceEstimate, sandwich_covariance
 from statnn.likelihood import (LikelihoodSpec, observed_information,
@@ -49,7 +49,7 @@ def test_disconnected_covariate_has_zero_effect():
         theta = theta.with_omega(2, k, 0.0)
     data = _dataset()
     cov = _identity_cov(arch.r)
-    curve = pce_curve(arch, theta, cov, data, PceConfig(j=2))
+    (curve,) = pce_curve(arch, theta, cov, data, 2)
     for pt in curve.points:
         assert pt.beta_hat == 0.0
 
@@ -59,7 +59,7 @@ def test_zero_step_gives_zero_effect():
     theta = _theta(arch)
     data = _dataset()
     cov = _identity_cov(arch.r)
-    curve = pce_curve(arch, theta, cov, data, PceConfig(j=1, d=0.0))
+    (curve,) = pce_curve(arch, theta, cov, data, 1, d=0.0)
     for pt in curve.points:
         assert pt.beta_hat == 0.0
         assert pt.se == 0.0
@@ -73,8 +73,7 @@ def test_effect_matches_direct_average_difference():
     cov = _identity_cov(arch.r)
     d = 0.8
     grid = np.array([-0.5, 0.0, 0.7])
-    curve = pce_curve(arch, theta, cov, data,
-                      PceConfig(j=1, d=d, grid=grid))
+    (curve,) = pce_curve(arch, theta, cov, data, 1, d=d, grid=grid)
     for pt, x0 in zip(curve.points, grid):
         x_lo = np.array(data.x)
         x_hi = np.array(data.x)
@@ -99,8 +98,7 @@ def test_delta_method_gradient_matches_finite_differences():
                              min_eigenvalue=float(np.linalg.eigvalsh(sigma)[0]))
     d = 0.6
     x0 = 0.25
-    curve = pce_curve(arch, theta, cov, data,
-                      PceConfig(j=1, d=d, grid=np.array([x0])))
+    (curve,) = pce_curve(arch, theta, cov, data, 1, d=d, grid=np.array([x0]))
     se = curve.points[0].se
 
     def beta_at(values):
@@ -129,7 +127,7 @@ def test_confidence_band_geometry():
     theta = _theta(arch)
     data = _dataset()
     cov = _identity_cov(arch.r, scale=0.01)
-    curve = pce_curve(arch, theta, cov, data, PceConfig(j=1, level=0.95))
+    (curve,) = pce_curve(arch, theta, cov, data, 1)
     from statnn.special import normal_quantile
     z = normal_quantile(0.975)
     for pt in curve.points:
@@ -143,7 +141,7 @@ def test_default_step_is_sample_sd():
     theta = _theta(arch)
     data = _dataset(seed=75)
     cov = _identity_cov(arch.r)
-    curve = pce_curve(arch, theta, cov, data, PceConfig(j=1))
+    (curve,) = pce_curve(arch, theta, cov, data, 1)
     assert curve.d == pytest.approx(float(np.std(data.x[:, 0], ddof=1)),
                                     rel=1e-12)
     # default grid spans min(col) .. max(col) - d
@@ -157,8 +155,8 @@ def test_step_spanning_range_gives_one_point_grid():
     arch = Architecture(p=2, q=1)
     data = _dataset(seed=75)
     d = 2.0 * float(np.ptp(data.x[:, 0]))
-    curve = pce_curve(arch, _theta(arch), _identity_cov(arch.r), data,
-                      PceConfig(j=1, d=d))
+    (curve,) = pce_curve(arch, _theta(arch), _identity_cov(arch.r), data, 1,
+                         d=d)
     assert curve.xs().tolist() == [float(data.x[:, 0].min())]
 
 
@@ -170,7 +168,7 @@ def test_requires_positive_definite_covariance():
                              a_matrix=np.eye(arch.r),
                              positive_definite=False, min_eigenvalue=-1.0)
     with pytest.raises(NotPositiveDefiniteError):
-        pce_curve(arch, theta, bad, data, PceConfig(j=1))
+        pce_curve(arch, theta, bad, data, 1)
 
 
 def test_covariate_index_validation():
@@ -179,20 +177,25 @@ def test_covariate_index_validation():
     data = _dataset()
     cov = _identity_cov(arch.r)
     with pytest.raises(IndexError):
-        pce_curve(arch, theta, cov, data, PceConfig(j=0))
+        pce_curve(arch, theta, cov, data, 0)
     with pytest.raises(IndexError):
-        pce_curve(arch, theta, cov, data, PceConfig(j=3))
+        pce_curve(arch, theta, cov, data, 3)
+    with pytest.raises(IndexError):
+        pce_curve(arch, theta, cov, data, 1, by=3)
 
 
 def test_config_validation():
+    arch = Architecture(p=2, q=1)
+    theta = _theta(arch)
+    data = _dataset()
+    cov = _identity_cov(arch.r)
+    for kwargs in ({"grid": np.array([1.0, 0.5])}, {"grid": np.array([])},
+                   {"grid": np.zeros((2, 2))}, {"d": np.nan},
+                   {"d": np.inf}, {"by": 1}):
+        with pytest.raises(ValueError):
+            pce_curve(arch, theta, cov, data, 1, **kwargs)
     with pytest.raises(ValueError):
-        PceConfig(j=1, level=1.0)
-    with pytest.raises(ValueError):
-        PceConfig(j=1, grid=np.array([1.0, 0.5]))
-    with pytest.raises(ValueError):
-        PceConfig(j=1, grid=np.array([]))
-    with pytest.raises(ValueError):
-        PceConfig(j=1, conditioning=(2, ()))
+        effect_grid(data, 1, points=0)
 
 
 def test_binary_effect_is_zero_to_one_switch():
@@ -200,7 +203,9 @@ def test_binary_effect_is_zero_to_one_switch():
     theta = _theta(arch, seed=76)
     data = _dataset(seed=77, dummy_last=True)
     cov = _identity_cov(arch.r)
-    pt = pce_binary(arch, theta, cov, data, j=2)
+    (curve,) = pce_curve(arch, theta, cov, data, 2)
+    assert curve.d == 1.0 and len(curve.points) == 1
+    pt = curve.points[0]
     x0 = np.array(data.x)
     x1 = np.array(data.x)
     x0[:, 1] = 0.0
@@ -211,25 +216,37 @@ def test_binary_effect_is_zero_to_one_switch():
     assert pt.x == 0.0
 
 
-def test_binary_effect_refuses_continuous_covariate():
+def test_binary_effect_refuses_step_other_than_one():
+    """A dummy's only effect is the 0 -> 1 switch: step 1 on grid [0],
+    whatever grid size is asked for; any other step is refused."""
     arch = Architecture(p=2, q=1)
     theta = _theta(arch)
     data = _dataset(dummy_last=True)
     cov = _identity_cov(arch.r)
-    with pytest.raises(DataError):
-        pce_binary(arch, theta, cov, data, j=1)
+    assert effect_grid(data, 2).tolist() == [0.0]
+    assert effect_grid(data, 2, 1.0, points=7).tolist() == [0.0]
+    for d in (0.5, 2.0, 0.0, -1.0):
+        with pytest.raises(DataError):
+            pce_curve(arch, theta, cov, data, 2, d=d)
+        with pytest.raises(DataError):
+            effect_grid(data, 2, d)
+    assert (pce_curve(arch, theta, cov, data, 2, d=1.0)
+            == pce_curve(arch, theta, cov, data, 2))
 
 
 def test_conditioning_produces_one_curve_per_value():
+    """The pins are the conditioning column's sample mean -/+ one sd."""
     arch = Architecture(p=2, q=2)
     theta = _theta(arch)
     data = _dataset()
     cov = _identity_cov(arch.r)
-    curves = pce_curve(arch, theta, cov, data,
-                       PceConfig(j=1, conditioning=(2, (-1.0, 0.0, 1.0))))
-    assert len(curves) == 3
-    labels = [c.condition_label for c in curves]
-    assert labels == ["x2=-1", "x2=0", "x2=1"]
+    curves = pce_curve(arch, theta, cov, data, 1, by=2)
+    col = data.x[:, 1]
+    mean = col.sum() / col.size
+    sd = np.sqrt(((col - mean) ** 2).sum() / (col.size - 1))
+    assert len(curves) == 2
+    assert [c.condition_label for c in curves] == [
+        f"x2={mean - sd:.6g}", f"x2={mean + sd:.6g}"]
 
 
 def test_conditioning_pins_covariate():
@@ -240,18 +257,18 @@ def test_conditioning_pins_covariate():
     data = _dataset(seed=79)
     cov = _identity_cov(arch.r)
     grid = np.array([-0.3, 0.4])
-    (curve,) = pce_curve(arch, theta, cov, data,
-                         PceConfig(j=1, d=0.5, grid=grid,
-                                   conditioning=(2, (0.7,))))
-    pinned_x = np.array(data.x)
-    pinned_x[:, 1] = 0.7
-    pinned = Dataset(x=pinned_x, y=data.y, column_meta=data.column_meta,
-                     response_meta=data.response_meta)
-    direct = pce_curve(arch, theta, cov, pinned,
-                       PceConfig(j=1, d=0.5, grid=grid))
-    for a, b in zip(curve.points, direct.points):
-        assert a.beta_hat == pytest.approx(b.beta_hat, rel=1e-12)
-        assert a.se == pytest.approx(b.se, rel=1e-12)
+    curves = pce_curve(arch, theta, cov, data, 1, d=0.5, grid=grid, by=2)
+    pins = conditioning_values(data, 2)
+    assert len(curves) == len(pins) == 2
+    for curve, pin in zip(curves, pins):
+        pinned_x = np.array(data.x)
+        pinned_x[:, 1] = pin
+        pinned = Dataset(x=pinned_x, y=data.y, column_meta=data.column_meta,
+                         response_meta=data.response_meta)
+        (direct,) = pce_curve(arch, theta, cov, pinned, 1, d=0.5, grid=grid)
+        for a, b in zip(curve.points, direct.points):
+            assert a.beta_hat == pytest.approx(b.beta_hat, rel=1e-12)
+            assert a.se == pytest.approx(b.se, rel=1e-12)
 
 
 def test_no_interaction_when_additive():
@@ -264,7 +281,7 @@ def test_no_interaction_when_additive():
              .with_gamma(0, 0.5).with_gamma(1, 2.0).with_gamma(2, -1.5))
     data = _dataset(seed=80)
     cov = _identity_cov(arch.r)
-    lo, hi = interaction_screen(arch, theta, cov, data, j=1, k=2)
+    lo, hi = pce_curve(arch, theta, cov, data, 1, by=2)
     for a, b in zip(lo.points, hi.points):
         assert abs(a.beta_hat - b.beta_hat) <= 1e-12
 
@@ -279,7 +296,7 @@ def test_interaction_screen_separates_when_coupled():
     theta = theta.with_gamma(1, 3.0).with_gamma(2, -3.0)
     data = _dataset(seed=82)
     cov = _identity_cov(arch.r)
-    lo, hi = interaction_screen(arch, theta, cov, data, j=1, k=2)
+    lo, hi = pce_curve(arch, theta, cov, data, 1, by=2)
     gap = max(abs(a.beta_hat - b.beta_hat)
               for a, b in zip(lo.points, hi.points))
     assert gap > 0.01
@@ -290,7 +307,7 @@ def test_interaction_screen_dummy_conditioner_uses_levels():
     theta = _theta(arch, seed=83)
     data = _dataset(seed=84, dummy_last=True)
     cov = _identity_cov(arch.r)
-    curves = interaction_screen(arch, theta, cov, data, j=1, k=2)
+    curves = pce_curve(arch, theta, cov, data, 1, by=2)
     assert [c.condition_label for c in curves] == ["x2=0", "x2=1"]
 
 
@@ -299,8 +316,8 @@ def test_to_original_scale_continuous():
     theta = _theta(arch, seed=85)
     data = _dataset(seed=86)
     cov = _identity_cov(arch.r, scale=0.01)
-    std = pce_curve(arch, theta, cov, data,
-                    PceConfig(j=1, d=0.5, grid=np.array([-1.0, 0.0, 1.0])))
+    (std,) = pce_curve(arch, theta, cov, data, 1, d=0.5,
+                       grid=np.array([-1.0, 0.0, 1.0]))
     orig = to_original_scale(std, data)
     meta = data.column_meta[0]
     sy = data.response_meta.sd
@@ -319,8 +336,7 @@ def test_to_original_scale_dummy_keeps_grid():
     theta = _theta(arch, seed=87)
     data = _dataset(seed=88, dummy_last=True)
     cov = _identity_cov(arch.r)
-    std = pce_curve(arch, theta, cov, data,
-                    PceConfig(j=2, d=1.0, grid=np.array([0.0])))
+    (std,) = pce_curve(arch, theta, cov, data, 2)
     orig = to_original_scale(std, data)
     assert orig.points[0].x == 0.0
     assert orig.d == 1.0
@@ -333,7 +349,7 @@ def test_to_original_scale_rejects_double_application():
     theta = _theta(arch)
     data = _dataset()
     cov = _identity_cov(arch.r)
-    std = pce_curve(arch, theta, cov, data, PceConfig(j=1))
+    (std,) = pce_curve(arch, theta, cov, data, 1)
     orig = to_original_scale(std, data)
     with pytest.raises(DataError):
         to_original_scale(orig, data)
@@ -356,7 +372,7 @@ def test_sandwich_end_to_end_band_positive():
                                 sigma_sq=result.sigma_sq_hat)
     cov = sandwich_covariance(info, lam=0.01)
     assert cov.positive_definite
-    curve = pce_curve(arch, result.theta_hat, cov, data, PceConfig(j=1))
+    (curve,) = pce_curve(arch, result.theta_hat, cov, data, 1)
     assert all(pt.se > 0.0 for pt in curve.points)
     assert all(pt.lo < pt.beta_hat < pt.hi for pt in curve.points)
 
@@ -365,7 +381,7 @@ def test_sandwich_end_to_end_band_positive():
 # Equivalence with the per-point definition
 # ---------------------------------------------------------------------------
 
-def _per_point_oracle(arch, theta, sigma, data, j, d, grid, level, pin=None):
+def _per_point_oracle(arch, theta, sigma, data, j, d, grid, pin=None):
     """(x, beta, se, lo, hi) per grid point, one point at a time: the
     averaged prediction difference and the averaged n x r prediction
     gradients from ``prediction_gradient``."""
@@ -373,7 +389,7 @@ def _per_point_oracle(arch, theta, sigma, data, j, d, grid, level, pin=None):
     if pin is not None:
         x_lo[:, pin[0] - 1] = pin[1]
     x_hi = x_lo.copy()
-    z = normal_quantile(0.5 + level / 2.0)
+    z = normal_quantile(0.975)
     rows = []
     for x0 in grid:
         x_lo[:, j - 1] = x0
@@ -415,9 +431,9 @@ def test_batched_curve_matches_per_point_oracle(output):
     theta = _theta(arch, seed=92)
     data = _dataset(seed=93, n=80, p=3)
     cov = _random_cov(arch.r, seed=94)
-    curve = pce_curve(arch, theta, cov, data, PceConfig(j=2, d=0.7))
+    (curve,) = pce_curve(arch, theta, cov, data, 2, d=0.7)
     want = _per_point_oracle(arch, theta, cov.sigma_hat, data, 2, 0.7,
-                             curve.xs(), 0.95)
+                             curve.xs())
     _assert_matches_oracle(curve.points, want)
 
 
@@ -427,12 +443,11 @@ def test_batched_conditioned_curve_matches_per_point_oracle():
     data = _dataset(seed=96, n=70, p=3, dummy_last=True)
     cov = _random_cov(arch.r, seed=97)
     grid = np.linspace(-1.5, 1.2, 9)
-    curves = pce_curve(arch, theta, cov, data,
-                       PceConfig(j=1, d=0.4, grid=grid, level=0.9,
-                                 conditioning=(3, (0.0, 1.0))))
+    curves = pce_curve(arch, theta, cov, data, 1, d=0.4, grid=grid, by=3)
+    assert len(curves) == 2
     for curve, pin in zip(curves, (0.0, 1.0)):
         want = _per_point_oracle(arch, theta, cov.sigma_hat, data, 1, 0.4,
-                                 grid, 0.9, pin=(3, pin))
+                                 grid, pin=(3, pin))
         _assert_matches_oracle(curve.points, want)
 
 
@@ -441,9 +456,9 @@ def test_batched_binary_effect_matches_per_point_oracle():
     theta = _theta(arch, seed=98)
     data = _dataset(seed=99, dummy_last=True)
     cov = _random_cov(arch.r, seed=100)
-    pt = pce_binary(arch, theta, cov, data, j=2)
+    pt = pce_curve(arch, theta, cov, data, 2)[0].points[0]
     want = _per_point_oracle(arch, theta, cov.sigma_hat, data, 2, 1.0,
-                             np.array([0.0]), 0.95)
+                             np.array([0.0]))
     _assert_matches_oracle((pt,), want)
 
 
@@ -454,9 +469,9 @@ def test_batched_curve_over_several_chunks_matches_per_point_oracle():
     theta = _theta(arch, seed=101)
     data = _dataset(seed=102, n=2000, p=3)
     cov = _random_cov(arch.r, seed=103)
-    curve = pce_curve(arch, theta, cov, data, PceConfig(j=3))
+    (curve,) = pce_curve(arch, theta, cov, data, 3)
     assert len(curve.points) == 101
     assert 101 * data.n * arch.q > 5 * _CHUNK_ELEMENTS
     want = _per_point_oracle(arch, theta, cov.sigma_hat, data, 3, curve.d,
-                             curve.xs(), 0.95)
+                             curve.xs())
     _assert_matches_oracle(curve.points, want)

@@ -3,7 +3,6 @@
 import re
 import xml.etree.ElementTree as ET
 
-import numpy as np
 import pytest
 
 from statnn.effects import PceCurve, PcePoint
@@ -45,7 +44,7 @@ def _is_svg(text):
 
 
 def test_pce_plot_structure():
-    text = pce_plot_svg(_curve())
+    text = pce_plot_svg((_curve(),))
     assert _is_svg(text)
     assert f'width="{WIDTH:g}"' in text
     assert f'height="{HEIGHT:g}"' in text
@@ -56,14 +55,14 @@ def test_pce_plot_structure():
 
 
 def test_pce_plot_byte_stable():
-    a = pce_plot_svg(_curve())
-    b = pce_plot_svg(_curve())
+    a = pce_plot_svg((_curve(),))
+    b = pce_plot_svg((_curve(),))
     assert a == b
 
 
 def test_pce_plot_coordinates_quantized():
     """All emitted coordinates use two decimals, the byte-stability unit."""
-    text = pce_plot_svg(_curve())
+    text = pce_plot_svg((_curve(),))
     for m in re.finditer(r'points="([^"]+)"', text):
         for pair in m.group(1).split():
             x, y = pair.split(",")
@@ -75,15 +74,15 @@ def test_pce_plot_single_point_has_marker_no_band():
     pts = (PcePoint(x=0.0, beta_hat=1.0, se=0.2, lo=0.6, hi=1.4),)
     curve = PceCurve(covariate="smoker.yes", j=2, d=1.0, level=0.95,
                      scale="standardized", points=pts)
-    text = pce_plot_svg(curve)
+    text = pce_plot_svg((curve,))
     assert "<polygon" not in text
     assert "<circle" in text
 
 
 def test_pce_plot_reference_line_and_legend():
-    text = pce_plot_svg(_curve(), linear_beta=0.25)
+    text = pce_plot_svg((_curve(),), linear_beta=0.25)
     assert "linear model" in text
-    plain = pce_plot_svg(_curve())
+    plain = pce_plot_svg((_curve(),))
     assert "linear model" not in plain
     assert len(text) > len(plain)
 
@@ -147,7 +146,7 @@ def test_selection_plot_unscored_rejected():
 
 
 def test_pce_plot_title_override():
-    text = pce_plot_svg(_curve(), title="my custom title")
+    text = pce_plot_svg((_curve(),), title="my custom title")
     assert "my custom title" in text
     assert "partial effect: age" not in text
 
@@ -162,7 +161,7 @@ def test_pce_plot_escapes_names_from_the_data():
     assert "partial effect: a<b&c" in texts
     assert "a<b&c (standardized scale)" in texts
     assert "x<1 & y>2" in texts and "x>=1" in texts
-    root = ET.fromstring(pce_plot_svg(_curve(), title="<R&D>"))
+    root = ET.fromstring(pce_plot_svg((_curve(),), title="<R&D>"))
     assert "<R&D>" in [el.text for el in
                        root.iter("{http://www.w3.org/2000/svg}text")]
 
@@ -177,7 +176,7 @@ def test_golden_pce_plot(tmp_path):
     import pathlib
 
     golden = pathlib.Path(__file__).parent / "golden" / "pce_small.svg"
-    text = pce_plot_svg(_curve(), linear_beta=0.25)
+    text = pce_plot_svg((_curve(),), linear_beta=0.25)
     if not golden.exists():
         golden.parent.mkdir(exist_ok=True)
         golden.write_text(text, encoding="utf-8")

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from statnn.effects import PceConfig, pce_curve
+from statnn.effects import conditioning_values, pce_curve
 from statnn.fit import FitConfig, fit
 from statnn.inference import (SIGNIFICANCE_LEGEND, CovariateRow,
                               InferenceReport, WeightCell,
@@ -333,9 +333,9 @@ def test_sweep_csv():
 
 def test_pce_csv(fitted):
     arch, data, result, cov, _ = fitted
-    curve = pce_curve(arch, result.theta_hat, cov, data,
-                      PceConfig(j=1, d=0.5, grid=np.array([-1.0, 0.0])))
-    rows = list(csv.reader(io.StringIO(pce_csv(curve))))
+    curves = pce_curve(arch, result.theta_hat, cov, data, 1, d=0.5,
+                       grid=np.array([-1.0, 0.0]))
+    rows = list(csv.reader(io.StringIO(pce_csv(curves))))
     assert rows[0] == ["covariate", "condition", "scale", "d", "x",
                       "beta_hat", "se", "lo", "hi"]
     assert len(rows) == 3
@@ -343,8 +343,8 @@ def test_pce_csv(fitted):
     assert rows[1][2] == "standardized"
     assert float(rows[1][4]) == -1.0
     # conditioned curves keep their label in the condition column
-    curves = pce_curve(arch, result.theta_hat, cov, data,
-                       PceConfig(j=1, d=0.5, grid=np.array([0.0]),
-                                 conditioning=(3, (-1.0, 1.0))))
+    curves = pce_curve(arch, result.theta_hat, cov, data, 1, d=0.5,
+                       grid=np.array([0.0]), by=3)
     rows = list(csv.reader(io.StringIO(pce_csv(curves))))
-    assert [r[1] for r in rows[1:]] == ["bmi=-1", "bmi=1"]
+    assert [r[1] for r in rows[1:]] == [
+        f"bmi={v:.6g}" for v in conditioning_values(data, 3)]
