@@ -28,8 +28,8 @@ from .selection import (LinearFit, SelectionSweep, bic, cross_validate,
                         fit_linear, sweep)
 from .serialize import (ModelDocument, load_model, load_scenario,
                         model_document, save_model, save_scenario)
-from .simgen import (SimReport, SimScenario, default_true_theta, pd_study,
-                     power_sweep, run_scenario)
+from .simgen import (SimReport, SimScenario, default_true_theta, run_grid,
+                     run_scenario)
 from .special import chi_square_survival, normal_quantile
 
 __version__ = "0.1.0"
@@ -47,8 +47,8 @@ __all__ = [
     "emit_diagram", "emit_summary", "evaluate_at", "fit", "fit_linear",
     "forward", "forward_batch", "gradient", "ingest", "load_model",
     "load_scenario", "log_likelihood", "model_document",
-    "normal_quantile", "observed_information", "pce_curve", "pd_study",
-    "penalty", "power_sweep", "prediction_gradient", "run_scenario",
+    "normal_quantile", "observed_information", "pce_curve", "penalty",
+    "prediction_gradient", "run_grid", "run_scenario",
     "sandwich_covariance", "save_model", "save_scenario",
     "selection_matrix", "sigmoid", "summarize", "sweep",
     "symmetry_matrix", "to_original_scale", "wald_multi", "wald_single",

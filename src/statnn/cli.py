@@ -4,7 +4,8 @@ Subcommands cover the full workflow: ``fit`` (CSV to model JSON),
 ``summary`` (Wald-test table for a stored model), ``pce`` (partial
 covariate effects as CSV and/or SVG), ``select`` (BIC and
 cross-validation sweep over widths), ``diagram`` (significance-annotated
-DOT graph), and ``simulate`` (Monte Carlo scenario to report CSVs).
+DOT graph), and ``simulate`` (a Monte Carlo scenario to report CSVs,
+or a study grid to the power curve or the positive-definiteness table).
 
 Exit codes: 0 on success, 2 on input problems (bad files, unknown
 columns, malformed flags), 3 on numerical failure — typically a
@@ -15,7 +16,6 @@ with the standard remediation of refitting with a larger ridge penalty.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -30,14 +30,14 @@ from .inference import sandwich_covariance, summarize
 from .likelihood import (LikelihoodSpec, observed_information,
                          output_activation_for)
 from .model import Architecture, Dataset
-from .plots import pce_plot_svg, selection_plot_svg
+from .plots import pce_plot_svg, power_plot_svg, selection_plot_svg
 from .preprocess import dataset_from_meta, ingest
 from .report import (emit_diagram, emit_summary, estimates_csv, overview_csv,
-                     pce_csv, rejections_csv, sweep_csv)
+                     pce_csv, pd_csv, power_csv, rejections_csv, sweep_csv)
 from .selection import fit_linear, sweep
-from .serialize import (atomic_write_text, load_model, load_scenario,
-                        model_document, save_model)
-from .simgen import run_scenario
+from .serialize import (atomic_write_text, json_object, load_model,
+                        model_document, parse_study, save_model)
+from .simgen import run_grid, run_scenario
 
 _LAMBDA_HINT = ("refit with a larger ridge penalty (--lambda) to obtain a "
                 "positive definite covariance")
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pce.add_argument("--original-scale", action="store_true",
                        help="report effects in original response units")
     p_pce.add_argument("--linear-reference", action="store_true",
-                       help="overlay the linear-model coefficient")
+                       help="overlay the linear model on the --svg plot")
     p_pce.add_argument("--out", help="write curve CSV here instead of stdout")
     p_pce.add_argument("--svg", help="also render an SVG plot to this path")
     p_pce.set_defaults(func=cmd_pce)
@@ -136,8 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_dia.add_argument("--out", help="write here instead of stdout")
     p_dia.set_defaults(func=cmd_diagram)
 
-    p_sim = sub.add_parser("simulate",
-                           help="run a Monte Carlo scenario from JSON")
+    p_sim = sub.add_parser(
+        "simulate", help="run a Monte Carlo scenario or study grid from JSON",
+        description="One scenario writes overview.csv, estimates.csv and "
+                    "rejections.csv.  n and/or lambda lists write pd.csv; "
+                    "an effect list (covariate 2's true weights) writes "
+                    "power.csv and power.svg, without n or lambda lists.")
     p_sim.add_argument("scenario", help="scenario JSON file")
     p_sim.add_argument("--out-dir", required=True,
                        help="directory for the report CSVs")
@@ -151,13 +155,7 @@ def _load_schema(path):
     if path is None:
         return None
     with open(path, encoding="utf-8") as fh:
-        try:
-            schema = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(schema, dict):
-        raise DataError(f"{path}: schema top level must be an object")
-    return schema
+        return json_object(fh.read(), path)
 
 
 def _emit_or_print(text: str, out_path):
@@ -224,6 +222,9 @@ def cmd_summary(args) -> int:
 
 
 def cmd_pce(args) -> int:
+    if args.linear_reference and not args.svg:
+        raise DataError("--linear-reference is drawn only on the SVG plot; "
+                        "give --svg as well")
     doc, data, _result, cov = _model_and_covariance(args.model, args.csv)
     j = data.column_index(args.covariate) + 1
     by = None if args.by is None else data.column_index(args.by) + 1
@@ -258,6 +259,9 @@ def cmd_select(args) -> int:
         if args.q_max < 1:
             raise DataError(f"--q-max must be >= 1, got {args.q_max}")
         q_list = tuple(range(0, args.q_max + 1))
+    if args.family == "bernoulli" and max(q_list) < 1:
+        raise DataError("a bernoulli sweep needs a width >= 1: the linear "
+                        "baseline has no BIC comparable with a network's")
     spec = LikelihoodSpec(args.family, args.lam)
     config = FitConfig(n_restarts=args.restarts, seed=args.seed)
     result = sweep(data, q_list, spec, config, folds=args.folds,
@@ -281,20 +285,26 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if args.jobs < 1:
-        raise DataError(f"--jobs must be >= 1, got {args.jobs}")
-    report = run_scenario(scenario, n_jobs=args.jobs)
+    with open(args.scenario, encoding="utf-8") as fh:
+        scenario, axes = parse_study(fh.read(), where=args.scenario)
+    if axes:
+        reports = run_grid(scenario, n_jobs=args.jobs, **axes)
+        outputs = ({"power.csv": power_csv(reports),
+                    "power.svg": power_plot_svg(reports)}
+                   if "effect" in axes else {"pd.csv": pd_csv(reports)})
+    else:
+        reports = (run_scenario(scenario, n_jobs=args.jobs),)
+        outputs = {name: render(reports[0]) for name, render in (
+            ("overview.csv", overview_csv), ("estimates.csv", estimates_csv),
+            ("rejections.csv", rejections_csv))}
     os.makedirs(args.out_dir, exist_ok=True)
-    for name, text in [("overview.csv", overview_csv(report)),
-                       ("estimates.csv", estimates_csv(report)),
-                       ("rejections.csv", rejections_csv(report))]:
+    for name, text in outputs.items():
         atomic_write_text(os.path.join(args.out_dir, name), text)
     print(f"simulate: q = {scenario.q}, pattern = {scenario.nz_pattern}, "
-          f"n = {scenario.n}, replicates = {report.n_total}")
-    print(f"fit failures = {report.n_fit_failed}, "
-          f"positive definite = {report.n_pd}/{report.n_total}, "
-          f"converged = {report.n_converged}")
+          f"{len(reports)} cell(s) of {scenario.replicates} replicates: "
+          f"fit failures = {sum(r.n_fit_failed for r in reports)}, "
+          f"positive definite = {sum(r.n_pd for r in reports)}, "
+          f"converged = {sum(r.n_converged for r in reports)}")
     print(f"reports written to {args.out_dir}")
     return 0
 

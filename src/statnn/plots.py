@@ -8,9 +8,9 @@ usable as golden files and makes repeated pipeline runs diff-clean.
 Partial-effect curves are drawn with a shaded pointwise confidence band
 and can overlay a dashed reference line for the corresponding linear
 model coefficient.  Each renderer takes the records the analysis
-returns (a tuple of curves, power points, a selection sweep) and
-returns the SVG text; names from the data are escaped so the document
-stays well-formed XML.
+returns (a tuple of curves, a grid's ``SimReport``s, a selection
+sweep) and returns the SVG text; names from the data are escaped so
+the document stays well-formed XML.
 """
 
 from __future__ import annotations
@@ -211,14 +211,14 @@ def pce_plot_svg(curves, linear_beta: float | None = None,
     return _document(body, title or f"partial effect: {first.covariate}")
 
 
-def power_plot_svg(points, title: str | None = None) -> str:
+def power_plot_svg(reports, title: str | None = None) -> str:
     """Rejection rate against effect size for both test variants.
 
-    ``points`` is the tuple of ``PowerPoint`` a power sweep returns.
+    ``reports`` holds one ``SimReport`` per effect cell of a grid.
     """
-    if not points:
+    if not reports:
         raise DataError("empty power sweep")
-    xs = [pt.effect for pt in points]
+    xs = [rep.effect for rep in reports]
     xlim = _pad_range(min(xs), max(xs))
     ylim = (-0.02, 1.05)
     panel = _Panel(MARGIN_L, MARGIN_T, WIDTH - MARGIN_L - MARGIN_R,
@@ -226,9 +226,9 @@ def power_plot_svg(points, title: str | None = None) -> str:
     body = panel.frame(xlabel="true weight value", ylabel="rejection rate")
     body.append(panel.polyline(list(panel.xlim), [0.05, 0.05], "#909090",
                                dash="2 4", width=1.0))
-    body.append(panel.polyline(xs, [pt.sp_power for pt in points],
+    body.append(panel.polyline(xs, [rep.sp_rate(2, 1) for rep in reports],
                                _SERIES_COLORS[0]))
-    body.append(panel.polyline(xs, [pt.mp_power for pt in points],
+    body.append(panel.polyline(xs, [rep.mp_rate(2) for rep in reports],
                                _SERIES_COLORS[1], dash="7 3"))
     body.extend(_legend(panel, [
         ("single-parameter", _SERIES_COLORS[0], None),

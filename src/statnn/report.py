@@ -16,8 +16,8 @@ significant.  Intercept nodes are omitted.  Structural nodes (hidden
 layer, output) carry no test and are drawn black.
 
 Simulation tables read the study records directly: a ``SimReport``
-gives the overview, estimates and rejections tables and one row of the
-PD table, a ``PowerPoint`` one row of the power table.
+gives the overview, estimates and rejections tables, and each cell's
+``SimReport`` of a grid gives one row of the PD or the power table.
 """
 
 from __future__ import annotations
@@ -52,39 +52,20 @@ def _fmt(x) -> str:
 # Inference summaries
 # ---------------------------------------------------------------------------
 
+def _cells_payload(cells) -> list:
+    return [{"node": k, "estimate": _round6(cell.estimate),
+             "se": _round6(cell.se), "statistic": _round6(cell.statistic),
+             "p_value": _round6(cell.p_value), "stars": cell.stars}
+            for k, cell in enumerate(cells, start=1)]
+
+
 def _summary_payload(report: InferenceReport) -> dict:
-    covs = []
-    for row in report.covariates:
-        weights = []
-        for k, cell in enumerate(row.cells, start=1):
-            weights.append({
-                "node": k,
-                "estimate": _round6(cell.estimate),
-                "se": _round6(cell.se),
-                "statistic": _round6(cell.statistic),
-                "p_value": _round6(cell.p_value),
-                "stars": cell.stars,
-            })
-        covs.append({
-            "name": row.name,
-            "weights": weights,
-            "mp": {
-                "statistic": _round6(row.mp_statistic),
-                "df": _round6(row.mp_df),
-                "p_value": _round6(row.mp_p_value),
-                "stars": row.mp_stars,
-            },
-        })
-    gamma = []
-    for k, cell in enumerate(report.gamma_cells, start=1):
-        gamma.append({
-            "node": k,
-            "estimate": _round6(cell.estimate),
-            "se": _round6(cell.se),
-            "statistic": _round6(cell.statistic),
-            "p_value": _round6(cell.p_value),
-            "stars": cell.stars,
-        })
+    covs = [{"name": row.name, "weights": _cells_payload(row.cells),
+             "mp": {"statistic": _round6(row.mp_statistic),
+                    "df": _round6(row.mp_df),
+                    "p_value": _round6(row.mp_p_value),
+                    "stars": row.mp_stars}}
+            for row in report.covariates]
     return {
         "format_version": 1,
         "family": family_for(report.arch.output_activation),
@@ -98,7 +79,7 @@ def _summary_payload(report: InferenceReport) -> dict:
         "positive_definite": report.positive_definite,
         "gamma0": _round6(report.gamma0_estimate),
         "covariates": covs,
-        "gamma": gamma,
+        "gamma": _cells_payload(report.gamma_cells),
     }
 
 
@@ -305,13 +286,14 @@ def rejections_csv(report) -> str:
          for j in range(1, sc.p + 1)))
 
 
-def power_csv(points) -> str:
-    """Power curve table, one row per ``PowerPoint``."""
+def power_csv(reports) -> str:
+    """Power curve table, one row per effect cell: true omega_21, its
+    single-parameter and covariate 2's grouped rejection rates, PD rate."""
     return _csv_text(
         ["effect", "sp_power", "mp_power", "pd_rate"],
-        ([_csv_value(pt.effect), _csv_value(pt.sp_power),
-          _csv_value(pt.mp_power), _csv_value(pt.pd_rate)]
-         for pt in points))
+        ([_csv_value(rep.effect), _csv_value(rep.sp_rate(2, 1)),
+          _csv_value(rep.mp_rate(2)), _csv_value(rep.pd_rate)]
+         for rep in reports))
 
 
 def pd_csv(reports) -> str:

@@ -237,29 +237,32 @@ def sweep(data: Dataset, q_list, spec: LikelihoodSpec,
     """Fit every candidate width and score it by BIC (and optionally CV).
 
     Candidate failures are recorded in their entry rather than aborting
-    the sweep; at least the surviving candidates stay comparable.
+    the sweep; at least the surviving candidates stay comparable.  For
+    the bernoulli family the linear baseline gets no BIC (its entry says
+    why), only its CV RMSE.
     """
     entries = []
     for q in q_list:
         if q < 0:
             raise ValueError(f"candidate width must be >= 0, got {q}")
+        arch, note = None, None
         try:
-            if q == 0:
-                linear = fit_linear(data)
-                bic_val = linear_bic(linear)
-                arch = None
-            else:
+            if q > 0:
                 arch = Architecture(
                     p=data.p, q=q,
                     output_activation=output_activation_for(spec.family))
-                result = fit(arch, data, spec, config)
-                bic_val = bic(result, arch, data.n)
-            if cv:
-                cv_res = cross_validate(arch, data, spec, config, folds=folds)
-                entry = SweepEntry(q=q, bic=bic_val, cv_rmse=cv_res.rmse,
-                                   cv_se=cv_res.se)
+                bic_val = bic(fit(arch, data, spec, config), arch, data.n)
+            elif spec.family == "gaussian":
+                bic_val = linear_bic(fit_linear(data))
             else:
-                entry = SweepEntry(q=q, bic=bic_val, cv_rmse=None, cv_se=None)
+                bic_val, note = None, ("no BIC: the linear baseline's "
+                                       "likelihood is Gaussian, not "
+                                       "comparable with bernoulli networks")
+            cv_res = (cross_validate(arch, data, spec, config, folds=folds)
+                      if cv else None)
+            entry = SweepEntry(q=q, bic=bic_val, error=note,
+                               cv_rmse=cv_res.rmse if cv else None,
+                               cv_se=cv_res.se if cv else None)
         except (FitError, DataError) as exc:
             entry = SweepEntry(q=q, bic=None, cv_rmse=None, cv_se=None,
                                error=str(exc))

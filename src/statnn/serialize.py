@@ -11,7 +11,10 @@ factor level an indicator marks (``null`` for a numeric column).  This
 is model format version 2.  Version 1 records lacked ``raw`` and
 ``level``, so they cannot say which CSV column an indicator comes from;
 such files are refused with a request to refit.  Scenario files are
-versioned separately and are at version 1.
+versioned separately and are at version 1.  In a scenario file ``n``
+and ``lambda`` may each be a non-empty list, and an ``effect`` list may
+be given instead; the lists are the axes of a study grid, read value by
+value as the single fields are.
 
 Floats are emitted with 17 significant digits so that loading recovers
 bit-identical values, and the emitter walks dictionaries in a fixed
@@ -217,6 +220,17 @@ def _parse_meta(entry, where: str) -> ColumnMeta:
         raise DataError(f"{where}: invalid column metadata: {exc}") from exc
 
 
+def json_object(text: str, where: str) -> dict:
+    """A JSON document whose top level is an object, else a DataError."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{where}: not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"{where}: top level must be an object")
+    return payload
+
+
 def _check_version(payload: dict, where: str, wanted: int):
     version = _json_int(_require(payload, "format_version", where),
                         "format_version", where)
@@ -227,12 +241,7 @@ def _check_version(payload: dict, where: str, wanted: int):
 
 
 def parse_model(text: str, where: str = "model") -> ModelDocument:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{where}: not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise DataError(f"{where}: top level must be an object")
+    payload = json_object(text, where)
     version = payload.get("format_version")
     if type(version) is int and version == 1:
         raise DataError(
@@ -284,7 +293,7 @@ def load_model(path) -> ModelDocument:
 # ---------------------------------------------------------------------------
 
 _SCENARIO_INT_FIELDS = ("q", "n", "p", "replicates", "restarts", "seed")
-_SCENARIO_FLOAT_FIELDS = ("lambda", "noise_sd")
+_SCENARIO_FLOAT_FIELDS = ("lambda", "noise_sd", "effect")
 
 
 def scenario_to_json(scenario: SimScenario) -> str:
@@ -310,33 +319,47 @@ def save_scenario(scenario: SimScenario, path):
     atomic_write_text(path, scenario_to_json(scenario))
 
 
-def parse_scenario(text: str, where: str = "scenario") -> SimScenario:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{where}: not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise DataError(f"{where}: top level must be an object")
+def parse_study(text: str, where: str = "scenario") -> tuple:
+    """A scenario file as ``(scenario, axes)``.  ``axes`` holds the
+    values of each list the file gives, keyed as ``run_grid`` takes
+    them; a list's first value stands in the scenario."""
+    payload = json_object(text, where)
     _check_version(payload, where, SCENARIO_FORMAT_VERSION)
     known = set(_SCENARIO_INT_FIELDS) | set(_SCENARIO_FLOAT_FIELDS) | {
         "format_version", "nz_pattern", "true_theta"}
     unknown = set(payload) - known
     if unknown:
         raise DataError(f"{where}: unknown fields {sorted(unknown)}")
-    kwargs = {}
-    for field in _SCENARIO_INT_FIELDS:
-        if field in payload:
-            kwargs[field] = _json_int(payload[field], field, where)
-    for field in _SCENARIO_FLOAT_FIELDS:
-        if field in payload:
-            key = "lam" if field == "lambda" else field
-            kwargs[key] = _json_float(payload[field], field, where)
+    kwargs, axes = {}, {}
+    for field in _SCENARIO_INT_FIELDS + _SCENARIO_FLOAT_FIELDS:
+        if field not in payload:
+            continue
+        key = "lam" if field == "lambda" else field
+        parse = _json_int if field in _SCENARIO_INT_FIELDS else _json_float
+        value = payload[field]
+        if key in ("lam", "n", "effect") and isinstance(value, list):
+            if not value:
+                raise DataError(f"{where}: {field} list must not be empty")
+            axes[key] = tuple(parse(v, f"{field}[{i}]", where)
+                              for i, v in enumerate(value))
+            kwargs[key] = axes[key][0]
+        else:
+            kwargs[key] = parse(value, field, where)
+    if kwargs.pop("effect", None) is not None and not (
+            "effect" in axes and np.all(np.isfinite(axes["effect"]))):
+        raise DataError(f"{where}: effect must be a list of finite numbers")
+    if "effect" in axes and len(axes) > 1:
+        raise DataError(f"{where}: an effect list makes a power curve and "
+                        "n or lambda lists a PD table; give one, not both")
     for field in ("q", "n", "nz_pattern"):
         if field not in payload:
             raise DataError(f"{where}: missing required field {field!r}")
     kwargs["nz_pattern"] = str(payload["nz_pattern"])
     try:
         scenario = SimScenario(**kwargs)
+        for key in ("lam", "n"):
+            for value in axes.get(key, ()):
+                replace(scenario, **{key: value})
     except ValueError as exc:
         raise DataError(f"{where}: invalid scenario: {exc}") from exc
     if "true_theta" in payload:
@@ -347,6 +370,15 @@ def parse_scenario(text: str, where: str = "scenario") -> SimScenario:
                 f"{where}: true_theta must be a list of {arch.r} numbers")
         theta = ParamVector(arch, _json_floats(raw, "true_theta", where))
         scenario = replace(scenario, true_theta=theta)
+    return scenario, axes
+
+
+def parse_scenario(text: str, where: str = "scenario") -> SimScenario:
+    """A single-cell scenario file; a grid file is refused."""
+    scenario, axes = parse_study(text, where)
+    if axes:
+        raise DataError(f"{where}: lists {sorted(axes)} make a grid; run "
+                        "it with 'statnn simulate'")
     return scenario
 
 

@@ -19,11 +19,11 @@ Everything is reproducible: replicate i of a scenario depends only on
 (scenario.seed, i), and parallel runs reduce results in replicate order
 so serial and multi-process executions agree bitwise.
 
-Studies.  A power curve reruns one scenario at each effect size, so
-every point reuses the same covariate and noise draws, and returns one
-``PowerPoint`` per effect.  A positive-definiteness study runs one
-scenario per (lambda, n) cell, seeded from (seed, lambda index, n
-index), and returns each cell's ``SimReport``.
+Studies.  ``run_grid`` runs one scenario per cell of a lambda x n x
+effect grid and returns each cell's ``SimReport``; a lambda x n grid is
+the positive-definiteness study.  Cells are seeded from (seed, lambda
+index, n index).  An effect sets covariate 2's weights but not the
+seed, so the points of a power curve reuse the same draws.
 """
 
 from __future__ import annotations
@@ -181,42 +181,35 @@ class _ReplicateOutcome:
     sp_p: np.ndarray         # (r,), NaN where unavailable
     mp_p: np.ndarray         # (p,), NaN where unavailable
     iterations: int = 0      # optimizer work over all restarts
-    error: str | None = None
 
 
 def _replicate_task(args):
     scenario, i = args
     arch = Architecture(p=scenario.p, q=scenario.q)
-    r = arch.r
     truth = scenario.resolved_truth()
-    nan_r = np.full(r, np.nan)
-    nan_p = np.full(scenario.p, np.nan)
+    nan_r = np.full(arch.r, np.nan)
+    outcome = _ReplicateOutcome(False, False, False, nan_r, nan_r, nan_r,
+                                nan_r, np.full(scenario.p, np.nan))
     data = generate(scenario, i)
     spec = LikelihoodSpec("gaussian", scenario.lam)
     cfg = FitConfig(n_restarts=scenario.restarts,
                     seed=seeds.derive_seed(scenario.seed, i, 1))
     try:
         res = fit(arch, data, spec, cfg)
-    except FitError as exc:
-        return _ReplicateOutcome(False, False, False, nan_r, nan_r.copy(),
-                                 nan_r.copy(), nan_r.copy(), nan_p,
-                                 error=str(exc))
+    except FitError:
+        return outcome
     aligned, _, t_mat = align_to(res.theta_hat, truth)
     est = np.array(aligned.values)
+    outcome = replace(outcome, fit_ok=True, converged=res.converged,
+                      estimate=est, iterations=sum(res.restart_iterations))
     info = observed_information(arch, res.theta_hat, data, spec,
                                 sigma_sq=res.sigma_sq_hat)
-    se = nan_r.copy()
-    covered = nan_r.copy()
-    sp_p = nan_r.copy()
-    mp_p = nan_p.copy()
     try:
         cov = sandwich_covariance(info, scenario.lam)
-    except SingularMatrixError as exc:
-        return _ReplicateOutcome(True, res.converged, False, est, se, covered,
-                                 sp_p, mp_p, sum(res.restart_iterations),
-                                 error=str(exc))
-    sigma_aligned = t_mat @ cov.sigma_hat @ t_mat.T
-    var = np.diag(sigma_aligned)
+    except SingularMatrixError:
+        return outcome
+    var = np.diag(t_mat @ cov.sigma_hat @ t_mat.T)
+    se = covered = nan_r
     if cov.positive_definite:
         se = np.sqrt(np.maximum(var, 0.0))
         covered = (np.abs(truth.values - est) <= Z_95 * se).astype(float)
@@ -225,15 +218,14 @@ def _replicate_task(args):
         stats = np.where(ok, est ** 2 / np.where(ok, var, 1.0), np.nan)
     sp_p = np.array([chi_square_survival(s, 1.0) if np.isfinite(s) else np.nan
                      for s in stats])
+    mp_p = outcome.mp_p
     for j in range(1, scenario.p + 1):
         try:
-            mp = wald_multi(res.theta_hat, cov, arch, j)
-            mp_p[j - 1] = mp.p_value
+            mp_p[j - 1] = wald_multi(res.theta_hat, cov, arch, j).p_value
         except NotPositiveDefiniteError:
-            mp_p[j - 1] = np.nan
-    return _ReplicateOutcome(True, res.converged, cov.positive_definite, est,
-                             se, covered, sp_p, mp_p,
-                             sum(res.restart_iterations))
+            pass                            # stays NaN
+    return replace(outcome, positive_definite=cov.positive_definite, se=se,
+                   covered=covered, sp_p=sp_p)
 
 
 def _run_tasks(task_fn, args_list, n_jobs: int):
@@ -284,6 +276,12 @@ class SimReport:
     def pd_rate(self) -> float:
         return self.n_pd / self.n_total
 
+    @property
+    def effect(self) -> float:
+        """True omega_21, the weight a power curve varies."""
+        arch = Architecture(p=self.scenario.p, q=self.scenario.q)
+        return float(self.true_values[arch.omega_index(2, 1)])
+
     def sp_rate(self, j: int, k: int) -> float:
         """Single-parameter rejection rate for omega_{jk}."""
         arch = Architecture(p=self.scenario.p, q=self.scenario.q)
@@ -294,10 +292,8 @@ class SimReport:
         return float(self.mp_rejection[j - 1])
 
 
-def run_scenario(scenario: SimScenario, n_jobs: int = 1) -> SimReport:
-    """Full Monte Carlo run of one scenario."""
-    args = [(scenario, i) for i in range(scenario.replicates)]
-    outcomes = _run_tasks(_replicate_task, args, n_jobs)
+def _report(scenario: SimScenario, outcomes) -> SimReport:
+    """Aggregate a scenario's replicate outcomes, given in replicate order."""
     r = Architecture(p=scenario.p, q=scenario.q).r
     ests = np.array([o.estimate for o in outcomes])
     ses = np.array([o.se for o in outcomes])
@@ -337,64 +333,37 @@ def run_scenario(scenario: SimScenario, n_jobs: int = 1) -> SimReport:
     )
 
 
-# ---------------------------------------------------------------------------
-# Power curves
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PowerPoint:
-    """Rejection rates when covariate 2's weights all equal ``effect``."""
-
-    effect: float
-    sp_power: float       # omega_21 single-parameter test
-    mp_power: float       # covariate-2 grouped test
-    pd_rate: float
+def run_scenario(scenario: SimScenario, n_jobs: int = 1) -> SimReport:
+    """Full Monte Carlo run of one scenario."""
+    args = [(scenario, i) for i in range(scenario.replicates)]
+    return _report(scenario, _run_tasks(_replicate_task, args, n_jobs))
 
 
-def power_sweep(scenario: SimScenario, effect_values,
-                n_jobs: int = 1) -> tuple:
-    """Rejection rates as covariate 2's common weight value varies.
+def run_grid(scenario: SimScenario, lam=None, n=None, effect=None,
+             n_jobs: int = 1) -> tuple:
+    """One :class:`SimReport` per cell of the grid lam x n x effect.
 
-    Returns one ``PowerPoint`` per effect value, in the given order.
-    Each effect size reuses the same covariate and noise draws (they
-    depend only on the scenario seed and replicate index), so the curve
-    is smooth in the effect rather than jittered by re-simulation.
+    Cells come in that order; a missing axis holds the scenario's value.
+    Cell (li, ni) runs with seed ``derive_seed(seed, li, ni, 2)``, so
+    cells are reproducible and independent.  An effect sets every weight
+    of covariate 2 and not the seed: a power curve's points share draws.
     """
-    base_truth = scenario.resolved_truth()
-    arch = base_truth.arch
-    points = []
-    for e in effect_values:
-        e = float(e)
-        omega = base_truth.omega_matrix()
-        omega[2] = e
-        truth = ParamVector.from_parts(arch, omega, base_truth.gamma_vector())
-        rep = run_scenario(replace(scenario, true_theta=truth), n_jobs=n_jobs)
-        points.append(PowerPoint(
-            effect=e,
-            sp_power=rep.sp_rate(2, 1),
-            mp_power=rep.mp_rate(2),
-            pd_rate=rep.pd_rate,
-        ))
-    return tuple(points)
-
-
-# ---------------------------------------------------------------------------
-# Positive-definiteness study
-# ---------------------------------------------------------------------------
-
-def pd_study(q: int, nz_pattern: str, n_values, lam_values,
-             replicates: int = 100, restarts: int = 5, seed: int = 0,
-             noise_sd: float = 1.0, n_jobs: int = 1) -> tuple:
-    """PD rate of the sandwich covariance across (lambda, n) cells.
-
-    Returns each cell's :class:`SimReport` in the order lambdas x sample
-    sizes.  Cell (li, ni) runs with seed ``derive_seed(seed, li, ni, 2)``,
-    so the table is reproducible and cells are independent.
-    """
-    return tuple(
-        run_scenario(SimScenario(
-            q=q, nz_pattern=nz_pattern, n=int(n), lam=float(lam),
-            noise_sd=noise_sd, replicates=replicates, restarts=restarts,
-            seed=seeds.derive_seed(seed, li, ni, 2)), n_jobs=n_jobs)
-        for li, lam in enumerate(lam_values)
-        for ni, n in enumerate(n_values))
+    truth = scenario.resolved_truth()
+    cells = []
+    for li, lam_v in enumerate((scenario.lam,) if lam is None else lam):
+        for ni, n_v in enumerate((scenario.n,) if n is None else n):
+            cell = replace(scenario, lam=float(lam_v), n=int(n_v),
+                           seed=seeds.derive_seed(scenario.seed, li, ni, 2))
+            for e in (None,) if effect is None else effect:
+                if e is not None:
+                    omega = truth.omega_matrix()
+                    omega[2] = float(e)
+                    cell = replace(cell, true_theta=ParamVector.from_parts(
+                        truth.arch, omega, truth.gamma_vector()))
+                cells.append(cell)
+    # one pool for all cells: each new pool's workers import scipy anew
+    reps = scenario.replicates
+    outcomes = _run_tasks(_replicate_task, [(c, i) for c in cells
+                                            for i in range(reps)], n_jobs)
+    return tuple(_report(c, outcomes[k * reps:(k + 1) * reps])
+                 for k, c in enumerate(cells))

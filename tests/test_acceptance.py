@@ -50,7 +50,7 @@ from statnn.model import (Architecture, ColumnMeta, Dataset, ParamVector,
 from statnn.preprocess import ingest
 from statnn.selection import cross_validate, fit_linear, sweep
 from statnn.serialize import save_scenario
-from statnn.simgen import ALPHA, SimScenario, pd_study, run_scenario
+from statnn.simgen import ALPHA, SimScenario, run_grid, run_scenario
 from statnn.special import chi_square_survival
 
 
@@ -366,10 +366,10 @@ def test_simulation_coverage_and_se_calibration():
 
 def test_simulation_positive_definite_rates():
     t0 = time.perf_counter()
-    ridged = pd_study(q=2, nz_pattern="5-1", n_values=(250,),
-                      lam_values=(0.01,), replicates=200, seed=0)[0]
-    bare = pd_study(q=6, nz_pattern="3-3", n_values=(500,),
-                    lam_values=(0.0,), replicates=100, seed=0)[0]
+    (ridged,) = run_grid(SimScenario(q=2, nz_pattern="5-1", n=250,
+                                     lam=0.01, replicates=200, restarts=5))
+    (bare,) = run_grid(SimScenario(q=6, nz_pattern="3-3", n=500, lam=0.0,
+                                   replicates=100, restarts=5))
     elapsed = time.perf_counter() - t0
     work = ridged.iterations + bare.iterations
     work_bound = 695_000             # measured 63,362 + 492,282

@@ -122,16 +122,30 @@ def test_pce_continuous(workspace, capsys):
     assert all(r[2] == "standardized" for r in rows[1:])
 
 
-def test_pce_original_scale_with_reference(workspace, capsys):
+def test_pce_original_scale_with_reference(workspace, tmp_path, capsys):
     _, csv_path, model_path = workspace
+    svg = tmp_path / "age.svg"
     assert main(["pce", model_path, csv_path, "--covariate", "age",
                  "--grid-points", "5", "--original-scale",
-                 "--linear-reference"]) == 0
+                 "--linear-reference", "--svg", str(svg)]) == 0
     out = capsys.readouterr().out
     rows = list(csv.reader(io.StringIO(out)))
     assert all(r[2] == "original" for r in rows[1:])
     xs = [float(r[4]) for r in rows[1:]]
     assert min(xs) > 15.0  # ages, not z-scores
+    assert "linear model" in svg.read_text()
+
+
+def test_pce_linear_reference_needs_svg(workspace, capsys):
+    """The reference line is drawn only on the plot; without --svg the
+    flag is refused before any model is read."""
+    _, csv_path, model_path = workspace
+    assert main(["pce", model_path, csv_path, "--covariate", "age",
+                 "--linear-reference"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--linear-reference" in captured.err and "--svg" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_pce_dummy_single_point(workspace, capsys):
@@ -265,6 +279,75 @@ def test_simulate_parallel_byte_identical(tmp_path):
                 == (parallel / name).read_bytes())
 
 
+@pytest.mark.parametrize("grid, outputs", [
+    ({"effect": [0.0, 0.4]}, ("power.csv", "power.svg")),
+    ({"n": [40, 60], "lambda": [0.0, 0.01]}, ("pd.csv",)),
+])
+def test_simulate_grid_serial_and_parallel_byte_identical(tmp_path, grid,
+                                                          outputs):
+    """A grid file writes only its study table, equal to the library's
+    rendering of run_grid, and --jobs does not change a byte."""
+    from statnn.plots import power_plot_svg
+    from statnn.report import pd_csv, power_csv
+    from statnn.serialize import parse_study
+    from statnn.simgen import run_grid
+
+    scen = dict({"format_version": 1, "q": 2, "nz_pattern": "5-1", "n": 40,
+                 "replicates": 2, "restarts": 1, "seed": 10}, **grid)
+    scen_path = tmp_path / "grid.json"
+    scen_path.write_text(json.dumps(scen))
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    assert main(["simulate", str(scen_path), "--out-dir", str(serial)]) == 0
+    assert main(["simulate", str(scen_path), "--out-dir", str(parallel),
+                 "--jobs", "2"]) == 0
+    assert sorted(p.name for p in serial.iterdir()) == sorted(outputs)
+    for name in outputs:
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+    scenario, axes = parse_study(scen_path.read_text())
+    reports = run_grid(scenario, **axes)
+    render = {"power.csv": power_csv, "power.svg": power_plot_svg,
+              "pd.csv": pd_csv}
+    for name in outputs:
+        assert (serial / name).read_text() == render[name](reports)
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"n": []}, "n list must not be empty"),
+    ({"effect": []}, "effect list must not be empty"),
+    ({"lambda": [0.01, "0.1"]}, r"lambda\[1\] must be a number"),
+    ({"n": [40, 50.5]}, r"n\[1\] must be an integer"),
+    ({"effect": [0.1, None]}, r"effect\[1\] must be a number"),
+    ({"n": [40, 1]}, "n must be >= 2"),
+    ({"lambda": [0.01, float("nan")]}, "lam must be finite"),
+    ({"lambda": [float("inf")]}, "lam must be finite"),
+    ({"effect": [0.1, float("nan")]}, "effect must be a list of finite"),
+    ({"effect": 0.2}, "effect must be a list of finite"),
+    ({"effect": [0.1], "n": [40, 60]}, "not both"),
+    ({"effect": [0.1], "lambda": [0.0]}, "not both"),
+])
+def test_simulate_malformed_grid_exits_2(tmp_path, capsys, grid, message):
+    scen = dict({"format_version": 1, "q": 2, "nz_pattern": "5-1", "n": 40,
+                 "replicates": 2, "restarts": 1}, **grid)
+    scen_path = tmp_path / "grid.json"
+    scen_path.write_text(json.dumps(scen))     # NaN and inf as bare tokens
+    assert main(["simulate", str(scen_path), "--out-dir",
+                 str(tmp_path / "results")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(message, err), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "results").exists()
+
+
+def test_simulate_zero_jobs_exits_2(tmp_path, capsys):
+    scen_path = tmp_path / "scenario.json"
+    scen_path.write_text(json.dumps({"format_version": 1, "q": 2,
+                                     "nz_pattern": "5-1", "n": [40, 50]}))
+    assert main(["simulate", str(scen_path), "--out-dir",
+                 str(tmp_path / "results"), "--jobs", "0"]) == 2
+    assert "n_jobs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
 def test_simulate_null_field_exits_2(tmp_path, capsys):
     scen = {"format_version": 1, "q": None, "nz_pattern": "5-1", "n": 50}
     scen_path = tmp_path / "scenario.json"
@@ -396,6 +479,19 @@ def test_bernoulli_requires_binary_response(workspace, capsys):
     assert main(["fit", csv_path, "--response", "charges", "--q", "1",
                  "--family", "bernoulli", "--out", "/tmp/b.json"]) == 2
     assert "0/1" in capsys.readouterr().err
+
+
+def test_select_bernoulli_baseline_only_exits_2(tmp_path, capsys):
+    """The linear baseline has no BIC beside Bernoulli networks, so a
+    Bernoulli sweep of width 0 alone is refused before any fit."""
+    path = tmp_path / "bin.csv"
+    rng = np.random.default_rng(174)
+    rows = ["x,y"] + [f"{x:.4f},{int(x > 0)}" for x in rng.normal(size=30)]
+    path.write_text("\n".join(rows) + "\n")
+    assert main(["select", str(path), "--response", "y", "--family",
+                 "bernoulli", "--q-list", "0", "--no-cv"]) == 2
+    err = capsys.readouterr().err
+    assert "width >= 1" in err and "Traceback" not in err
 
 
 def test_fit_bernoulli_on_factor_response(tmp_path):

@@ -3,14 +3,16 @@
 import re
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from statnn.effects import PceCurve, PcePoint
 from statnn.exceptions import DataError
+from statnn.model import Architecture
 from statnn.plots import (HEIGHT, WIDTH, pce_plot_svg, power_plot_svg,
                           selection_plot_svg)
 from statnn.selection import SelectionSweep, SweepEntry
-from statnn.simgen import PowerPoint
+from statnn.simgen import SimReport, SimScenario
 
 
 def _curve(label=None, shift=0.0, covariate="age"):
@@ -23,11 +25,26 @@ def _curve(label=None, shift=0.0, covariate="age"):
 
 
 def _power():
-    return (
-        PowerPoint(effect=0.0, sp_power=0.04, mp_power=0.05, pd_rate=1.0),
-        PowerPoint(effect=0.3, sp_power=0.35, mp_power=0.55, pd_rate=1.0),
-        PowerPoint(effect=0.6, sp_power=0.88, mp_power=0.99, pd_rate=0.98),
-    )
+    """Three effect cells of a power grid, with known rates."""
+    arch = Architecture(p=6, q=2)
+    blank = np.full(arch.r, np.nan)
+    cells = []
+    for effect, sp, mp, n_pd in ((0.0, 0.04, 0.05, 100),
+                                 (0.3, 0.35, 0.55, 100),
+                                 (0.6, 0.88, 0.99, 98)):
+        true_values = np.zeros(arch.r)
+        true_values[arch.omega_index(2, 1)] = effect
+        sp_rejection = np.zeros(arch.r)
+        sp_rejection[arch.omega_index(2, 1)] = sp
+        cells.append(SimReport(
+            scenario=SimScenario(q=2, nz_pattern="5-1", n=100,
+                                 replicates=100),
+            true_values=true_values, n_total=100, n_fit_failed=0, n_pd=n_pd,
+            n_converged=100, iterations=0, mean_estimate=blank,
+            emp_se=blank, see=blank, coverage=blank,
+            sp_rejection=sp_rejection,
+            mp_rejection=np.array([0.0, mp, 0.0, 0.0, 0.0, 0.0])))
+    return tuple(cells)
 
 
 def _sweep():

@@ -20,7 +20,7 @@ from statnn.report import (ALPHA_DIAGRAM, emit_diagram, emit_summary,
                            estimates_csv, overview_csv, parameter_names,
                            pce_csv, pd_csv, power_csv, rejections_csv,
                            sweep_csv)
-from statnn.simgen import SimScenario, pd_study, power_sweep, run_scenario
+from statnn.simgen import SimScenario, run_grid, run_scenario
 
 
 @pytest.fixture(scope="module")
@@ -299,17 +299,19 @@ def test_rejections_csv(sim_report):
 
 
 def test_power_csv():
-    sweep = power_sweep(SimScenario(q=2, nz_pattern="5-1", n=60,
-                                    replicates=3, restarts=1, seed=163),
-                        [0.0, 0.5])
+    sweep = run_grid(SimScenario(q=2, nz_pattern="5-1", n=60, replicates=3,
+                                 restarts=1, seed=163), effect=[0.0, 0.5])
     rows = list(csv.reader(io.StringIO(power_csv(sweep))))
     assert rows[0] == ["effect", "sp_power", "mp_power", "pd_rate"]
     assert [r[0] for r in rows[1:]] == ["0", "0.5"]
+    for row, rep in zip(rows[1:], sweep):
+        assert row[1:] == [f"{v:.10g}" for v in (
+            rep.sp_rate(2, 1), rep.mp_rate(2), rep.pd_rate)]
 
 
 def test_pd_csv():
-    cells = pd_study(q=2, nz_pattern="5-1", n_values=[50], lam_values=[0.01],
-                     replicates=3, restarts=1, seed=164)
+    cells = run_grid(SimScenario(q=2, nz_pattern="5-1", n=50, lam=0.01,
+                                 replicates=3, restarts=1, seed=164))
     rows = list(csv.reader(io.StringIO(pd_csv(cells))))
     assert rows[0] == ["lambda", "q", "nz_pattern", "n", "pd_rate",
                       "n_fit_failed", "n_total", "n_converged"]

@@ -227,3 +227,27 @@ def test_sweep_nonlinear_data_prefers_network():
     result = sweep(data, [0, 2], LikelihoodSpec("gaussian", lam=0.01),
                    FitConfig(n_restarts=4, seed=14), cv=False)
     assert result.best_bic().q == 2
+
+
+def test_sweep_bernoulli_baseline_has_no_bic():
+    """The OLS baseline's log-likelihood is Gaussian, so it is not ranked
+    against Bernoulli network BICs; its CV RMSE still is, and the entry
+    says why the BIC is missing."""
+    from statnn.report import sweep_csv
+
+    rng = np.random.default_rng(111)
+    x = rng.normal(size=(90, 2))
+    y = (rng.uniform(size=90) < 1.0 / (1.0 + np.exp(-2.0 * x[:, 0])))
+    data = Dataset(x=x, y=y.astype(float),
+                   column_meta=(ColumnMeta("x1"), ColumnMeta("x2")),
+                   response_meta=ColumnMeta("y", "dummy"))
+    result = sweep(data, [0, 1], LikelihoodSpec("bernoulli", lam=0.01),
+                   FitConfig(n_restarts=2, seed=15), folds=3)
+    baseline, net = result.entries
+    assert baseline.bic is None
+    assert "Gaussian" in baseline.error and "bernoulli" in baseline.error
+    assert baseline.cv_rmse is not None and baseline.cv_se is not None
+    assert net.bic is not None and net.error is None
+    assert result.best_bic().q == 1
+    row = sweep_csv(result).splitlines()[1].split(",")
+    assert row[:2] == ["0", "NA"] and row[2] != "NA"

@@ -11,8 +11,8 @@ from statnn.model import Architecture, ColumnMeta, ParamVector
 from statnn.serialize import (MODEL_FORMAT_VERSION, SCENARIO_FORMAT_VERSION,
                               ModelDocument, atomic_write_text, load_model,
                               load_scenario, model_to_json, parse_model,
-                              parse_scenario, save_model, save_scenario,
-                              scenario_to_json, to_json_text)
+                              parse_scenario, parse_study, save_model,
+                              save_scenario, scenario_to_json, to_json_text)
 from statnn.simgen import SimScenario
 
 
@@ -278,6 +278,22 @@ def test_parse_scenario_validation():
         parse_scenario(corrupt(true_theta=[0.0] * 3 + [None]
                                + [0.0] * (arch_r - 4)))
     assert parse_scenario(corrupt(noise_sd=2)).noise_sd == 2.0
+
+
+def test_parse_study_grid_axes():
+    """Lists become run_grid axes; their first value stands in the
+    scenario, and a single-cell file has no axes."""
+    single = scenario_to_json(SimScenario(q=2, nz_pattern="5-1", n=100))
+    assert parse_study(single) == (parse_scenario(single), {})
+    payload = dict(json.loads(single), n=[100, 200], **{"lambda": [0, 0.1]})
+    scenario, axes = parse_study(json.dumps(payload))
+    assert axes == {"n": (100, 200), "lam": (0.0, 0.1)}
+    assert (scenario.n, scenario.lam) == (100, 0.0)
+    payload = dict(json.loads(single), effect=[0, -0.25])
+    scenario, axes = parse_study(json.dumps(payload))
+    assert axes == {"effect": (0.0, -0.25)} and scenario.n == 100
+    with pytest.raises(DataError, match="make a grid"):
+        parse_scenario(json.dumps(payload))
 
 
 def test_to_json_text_value_coverage():

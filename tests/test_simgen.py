@@ -1,14 +1,16 @@
 """Simulation harness tests: truth patterns, determinism, aggregation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from statnn.model import Architecture, ParamVector
 from statnn.report import overview_csv, pd_csv
 from statnn.seeds import derive_seed
-from statnn.simgen import (ZERO_PATTERNS, PowerPoint, SimReport,
-                           SimScenario, default_true_theta, generate,
-                           pd_study, power_sweep, run_scenario)
+from statnn.simgen import (ZERO_PATTERNS, SimReport, SimScenario,
+                           default_true_theta, generate, run_grid,
+                           run_scenario)
 
 
 def _tiny(**kw):
@@ -168,16 +170,24 @@ def test_estimates_aligned_to_truth():
 
 def test_power_sweep_reuses_draws_and_orders_points():
     scen = _tiny(n=200, replicates=6, restarts=2, seed=41)
-    points = power_sweep(scen, [0.0, 0.6])
+    points = run_grid(scen, effect=[0.0, 0.6])
     assert isinstance(points, tuple)
-    assert all(isinstance(pt, PowerPoint) for pt in points)
+    assert all(isinstance(pt, SimReport) for pt in points)
     assert [pt.effect for pt in points] == [0.0, 0.6]
     for pt in points:
-        assert 0.0 <= pt.sp_power <= 1.0
-        assert 0.0 <= pt.mp_power <= 1.0
+        assert 0.0 <= pt.sp_rate(2, 1) <= 1.0
+        assert 0.0 <= pt.mp_rate(2) <= 1.0
         assert 0.0 <= pt.pd_rate <= 1.0
+        # the effect sets every weight of covariate 2 and nothing else
+        np.testing.assert_array_equal(
+            pt.scenario.true_theta.omega_matrix()[2], pt.effect)
+    # the effect never enters the seed: both points see the same draws
+    assert points[0].scenario.seed == points[1].scenario.seed == derive_seed(
+        41, 0, 0, 2)
+    np.testing.assert_array_equal(generate(points[0].scenario, 3).x,
+                                  generate(points[1].scenario, 3).x)
     # a strong effect should not be less detectable than a null one
-    assert points[1].mp_power >= points[0].mp_power
+    assert points[1].mp_rate(2) >= points[0].mp_rate(2)
 
 
 def test_power_sweep_zero_effect_disconnects_covariate():
@@ -189,16 +199,18 @@ def test_power_sweep_zero_effect_disconnects_covariate():
     omega = base.omega_matrix()
     omega[2] = 0.0
     want = ParamVector.from_parts(base.arch, omega, base.gamma_vector())
-    direct = run_scenario(replace(scen, true_theta=want))
-    (point,) = power_sweep(scen, [0.0])
-    assert point.mp_power == direct.mp_rate(2)
-    assert point.sp_power == direct.sp_rate(2, 1)
+    direct = run_scenario(replace(scen, true_theta=want,
+                                  seed=derive_seed(51, 0, 0, 2)))
+    (point,) = run_grid(scen, effect=[0.0])
+    assert point.mp_rate(2) == direct.mp_rate(2)
+    assert point.sp_rate(2, 1) == direct.sp_rate(2, 1)
+    assert overview_csv(point) == overview_csv(direct)
 
 
 def test_pd_study_grid_order_and_fields():
-    cells = pd_study(q=2, nz_pattern="5-1", n_values=[50, 80],
-                     lam_values=[0.0, 0.01], replicates=4, restarts=1,
-                     seed=61)
+    cells = run_grid(SimScenario(q=2, nz_pattern="5-1", n=50, replicates=4,
+                                 restarts=1, seed=61),
+                     lam=[0.0, 0.01], n=[50, 80])
     assert len(cells) == 4
     assert [(c.scenario.lam, c.scenario.n) for c in cells] == [
         (0.0, 50), (0.0, 80), (0.01, 50), (0.01, 80)]
@@ -207,13 +219,14 @@ def test_pd_study_grid_order_and_fields():
         assert 0.0 <= c.pd_rate <= 1.0
         assert c.n_total == 4
         assert c.scenario.q == 2 and c.scenario.nz_pattern == "5-1"
+        assert c.scenario.true_theta is None
 
 
 def test_pd_study_cell_seeds():
     """Cell (li, ni) is the scenario run seeded derive_seed(seed, li, ni, 2)."""
-    cells = pd_study(q=2, nz_pattern="3-3", n_values=[40, 60],
-                     lam_values=[0.0, 0.01], replicates=2, restarts=1,
-                     seed=81, noise_sd=0.5)
+    cells = run_grid(SimScenario(q=2, nz_pattern="3-3", n=40, noise_sd=0.5,
+                                 replicates=2, restarts=1, seed=81),
+                     lam=[0.0, 0.01], n=[40, 60])
     for li, lam in enumerate([0.0, 0.01]):
         for ni, n in enumerate([40, 60]):
             want = run_scenario(SimScenario(
@@ -223,9 +236,42 @@ def test_pd_study_cell_seeds():
                     == overview_csv(want)), (li, ni)
 
 
+def test_grid_cells_lambda_n_effect_order():
+    """Cells run lambda-major, then n, then effect; a missing axis keeps
+    the scenario's value, and effect cells share their (lambda, n) seed."""
+    scen = _tiny(n=30, replicates=1, restarts=1, seed=91, lam=0.5)
+    cells = run_grid(scen, n=[30, 40], effect=[0.0, 0.3])
+    assert [(c.scenario.lam, c.scenario.n, c.effect) for c in cells] == [
+        (0.5, 30, 0.0), (0.5, 30, 0.3), (0.5, 40, 0.0), (0.5, 40, 0.3)]
+    assert [c.scenario.seed for c in cells] == [
+        derive_seed(91, 0, ni, 2) for ni in (0, 0, 1, 1)]
+    (bare,) = run_grid(scen)
+    assert bare.scenario == dataclasses.replace(scen,
+                                                seed=derive_seed(91, 0, 0, 2))
+
+
+def test_grid_runs_all_cells_in_one_task_pool(monkeypatch):
+    """Every replicate of every cell goes through one _run_tasks call, so
+    a parallel grid starts its workers once, not once per cell."""
+    from statnn import simgen
+
+    calls = []
+    real = simgen._run_tasks
+
+    def counting(task_fn, args_list, n_jobs):
+        calls.append(len(args_list))
+        return real(task_fn, args_list, n_jobs)
+
+    monkeypatch.setattr(simgen, "_run_tasks", counting)
+    cells = run_grid(_tiny(n=30, replicates=2, restarts=1, seed=95),
+                     lam=[0.0, 0.01], n=[30, 40])
+    assert calls == [8]
+    assert [c.n_total for c in cells] == [2, 2, 2, 2]
+
+
 def test_pd_study_deterministic():
-    kw = dict(q=2, nz_pattern="5-1", n_values=[60], lam_values=[0.01],
-              replicates=4, restarts=1, seed=71)
-    first, second = pd_study(**kw), pd_study(**kw)
+    scen = SimScenario(q=2, nz_pattern="5-1", n=60, lam=0.01, replicates=4,
+                       restarts=1, seed=71)
+    first, second = (run_grid(scen, lam=[0.01], n=[60]) for _ in range(2))
     assert pd_csv(first) == pd_csv(second)
     assert [c.iterations for c in first] == [c.iterations for c in second]
