@@ -8,9 +8,10 @@ DOT graph), and ``simulate`` (a Monte Carlo scenario to report CSVs,
 or a study grid to the power curve or the positive-definiteness table).
 
 Exit codes: 0 on success, 2 on input problems (bad files, unknown
-columns, malformed flags), 3 on numerical failure — typically a
-covariance estimate that is not positive definite, reported together
-with the standard remediation of refitting with a larger ridge penalty.
+columns, malformed flags), 3 on numerical failure, reported with the
+remedy of refitting with a larger ridge penalty.  ``summary``,
+``diagram`` and ``pce`` exit 3 on a covariance estimate that is not
+positive definite, as no Wald test or confidence band is then available.
 """
 
 from __future__ import annotations
@@ -206,13 +207,8 @@ def _model_and_covariance(model_path, csv_path):
 
 
 def _wald_report(args):
-    """Shared summary/diagram step: Wald tests of a stored model, refused
-    unless its covariance estimate is positive definite."""
+    """Shared summary/diagram step: Wald tests of a stored model."""
     doc, data, result, cov = _model_and_covariance(args.model, args.csv)
-    if not cov.positive_definite:
-        raise NotPositiveDefiniteError(
-            "covariance estimate is not positive definite "
-            f"(min eigenvalue {cov.min_eigenvalue:.3g}); {_LAMBDA_HINT}")
     return summarize(result, cov, doc.arch, data)
 
 

@@ -46,8 +46,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import DataError, NotPositiveDefiniteError
-from .inference import CovarianceEstimate
+from .exceptions import DataError
+from .inference import CovarianceEstimate, require_positive_definite
 # Not called here.  perfbench/spans.py looks this binding up to count
 # prediction_gradient calls; it can go once spans are recorded inside
 # the package (ROADMAP item 1).
@@ -209,10 +209,7 @@ def pce_curve(arch: Architecture, theta: ParamVector, cov: CovarianceEstimate,
     positive definite covariance; bands are meaningless otherwise.
     """
     _check_covariate(arch, j)
-    if not cov.positive_definite:
-        raise NotPositiveDefiniteError(
-            "covariance is not positive definite; confidence bands are "
-            "unavailable")
+    require_positive_definite(cov, "confidence bands")
     d = _resolve_step(data, j, d)
     if grid is None:
         grid = effect_grid(data, j, d)

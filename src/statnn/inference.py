@@ -13,6 +13,12 @@ omega_j^T (S Sigma S^T)^-1 omega_j against a chi-square whose degrees
 of freedom are the effective count tr(S A S^T),
 A = (I_o + 2 lambda I)^-1 I_o, which is below q under penalization.
 
+A summary table and a confidence band need a positive definite
+covariance.  ``require_positive_definite`` is that one rule: ``summarize``
+and ``effects.pce_curve`` refuse a non-positive-definite estimate with
+``NotPositiveDefiniteError``, whose remedy is a larger ridge penalty, and
+never print a table with gaps.
+
 The linear algebra is numpy's: ``np.linalg.solve`` for the sandwich and
 ``np.linalg.cholesky`` for the grouped tests, so a query that only reads
 a stored model never imports scipy.
@@ -51,8 +57,8 @@ class CovarianceEstimate:
 
     ``a_matrix`` is (I_o + 2 lambda I)^-1 I_o, whose sub-traces give
     effective degrees of freedom.  ``positive_definite`` reflects the
-    spectrum of ``sigma_hat``; downstream consumers must refuse to build
-    confidence bands when it is False.
+    spectrum of ``sigma_hat``; ``require_positive_definite`` refuses
+    summaries and bands when it is False.
     """
 
     sigma_hat: np.ndarray
@@ -116,6 +122,15 @@ def sandwich_covariance(info: np.ndarray, lam: float) -> CovarianceEstimate:
                               positive_definite=pd, min_eigenvalue=min_eig)
 
 
+def require_positive_definite(cov: CovarianceEstimate, what: str):
+    """Raise ``NotPositiveDefiniteError`` unless ``cov`` is positive
+    definite; ``what`` names the results that are then unavailable."""
+    if not cov.positive_definite:
+        raise NotPositiveDefiniteError(
+            "covariance estimate is not positive definite (min eigenvalue "
+            f"{cov.min_eigenvalue:.3g}); {what} are unavailable")
+
+
 def effective_df(cov: CovarianceEstimate, s_matrix: np.ndarray) -> float:
     """tr(S A S^T): effective parameter count for the selected block."""
     s = np.asarray(s_matrix, dtype=float)
@@ -174,14 +189,13 @@ def wald_multi(theta_hat: ParamVector, cov: CovarianceEstimate,
 
 @dataclass(frozen=True)
 class WeightCell:
-    """One weight's estimate with its single-parameter test (or failure)."""
+    """One weight's estimate with its single-parameter test."""
 
     estimate: float
-    se: float | None
-    statistic: float | None
-    p_value: float | None
+    se: float
+    statistic: float
+    p_value: float
     stars: str
-    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -192,11 +206,10 @@ class CovariateRow:
     name: str
     index: int
     cells: tuple
-    mp_statistic: float | None
-    mp_df: float | None
-    mp_p_value: float | None
+    mp_statistic: float
+    mp_df: float
+    mp_p_value: float
     mp_stars: str
-    mp_error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -207,8 +220,6 @@ class InferenceReport:
     covariates: tuple
     gamma_cells: tuple        # gamma_1..gamma_q single-weight tests
     gamma0_estimate: float
-    positive_definite: bool
-    min_eigenvalue: float
     loglik: float
     sigma_sq_hat: float | None
     lam: float
@@ -217,13 +228,8 @@ class InferenceReport:
 
 
 def _single_cell(theta_hat, cov, idx) -> WeightCell:
-    est = float(theta_hat.values[idx])
-    try:
-        res = wald_single(theta_hat, cov, idx)
-    except NotPositiveDefiniteError as exc:
-        return WeightCell(estimate=est, se=None, statistic=None, p_value=None,
-                          stars="", error=str(exc))
-    return WeightCell(estimate=est,
+    res = wald_single(theta_hat, cov, idx)
+    return WeightCell(estimate=float(theta_hat.values[idx]),
                       se=float(np.sqrt(cov.sigma_hat[idx, idx])),
                       statistic=res.statistic, p_value=res.p_value,
                       stars=significance_stars(res.p_value))
@@ -233,27 +239,22 @@ def summarize(fit_result, cov: CovarianceEstimate, arch: Architecture,
               data: Dataset) -> InferenceReport:
     """Per-weight and per-covariate Wald tests for a fitted network.
 
-    Individual test failures (non-positive variance estimates) are
-    recorded in the affected cells rather than aborting the whole
-    summary.
+    Requires a positive definite covariance: otherwise the whole summary
+    is refused with ``NotPositiveDefiniteError``, as the tests it would
+    hold are unreliable.
     """
+    require_positive_definite(cov, "Wald tests")
     theta_hat = fit_result.theta_hat
     names = [m.name for m in data.column_meta]
     rows = []
     for j in range(1, arch.p + 1):
-        cells = tuple(_single_cell(theta_hat, cov, arch.omega_index(j, k))
-                      for k in range(1, arch.q + 1))
-        try:
-            mp = wald_multi(theta_hat, cov, arch, j)
-            row = CovariateRow(name=names[j - 1], index=j, cells=cells,
-                               mp_statistic=mp.statistic, mp_df=mp.df,
-                               mp_p_value=mp.p_value,
-                               mp_stars=significance_stars(mp.p_value))
-        except NotPositiveDefiniteError as exc:
-            row = CovariateRow(name=names[j - 1], index=j, cells=cells,
-                               mp_statistic=None, mp_df=None, mp_p_value=None,
-                               mp_stars="", mp_error=str(exc))
-        rows.append(row)
+        mp = wald_multi(theta_hat, cov, arch, j)
+        rows.append(CovariateRow(
+            name=names[j - 1], index=j,
+            cells=tuple(_single_cell(theta_hat, cov, arch.omega_index(j, k))
+                        for k in range(1, arch.q + 1)),
+            mp_statistic=mp.statistic, mp_df=mp.df, mp_p_value=mp.p_value,
+            mp_stars=significance_stars(mp.p_value)))
     gamma_cells = tuple(_single_cell(theta_hat, cov, arch.gamma_index(k))
                         for k in range(1, arch.q + 1))
     return InferenceReport(
@@ -261,8 +262,6 @@ def summarize(fit_result, cov: CovarianceEstimate, arch: Architecture,
         covariates=tuple(rows),
         gamma_cells=gamma_cells,
         gamma0_estimate=float(theta_hat.gamma(0)),
-        positive_definite=cov.positive_definite,
-        min_eigenvalue=cov.min_eigenvalue,
         loglik=fit_result.loglik,
         sigma_sq_hat=fit_result.sigma_sq_hat,
         lam=fit_result.lam,

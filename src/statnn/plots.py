@@ -137,11 +137,9 @@ def _document(body, title) -> str:
         f'viewBox="0 0 {WIDTH:g} {HEIGHT:g}">',
         f'<rect x="0" y="0" width="{WIDTH:g}" height="{HEIGHT:g}" '
         'fill="white"/>',
+        f'<text x="{_c(WIDTH / 2)}" y="22" font-family="sans-serif" '
+        f'font-size="14" text-anchor="middle">{_text(title)}</text>',
     ]
-    if title:
-        head.append(
-            f'<text x="{_c(WIDTH / 2)}" y="22" font-family="sans-serif" '
-            f'font-size="14" text-anchor="middle">{_text(title)}</text>')
     return "\n".join(head + body + ["</svg>"]) + "\n"
 
 
@@ -161,8 +159,7 @@ def _legend(panel, entries):
     return parts
 
 
-def pce_plot_svg(curves, linear_beta: float | None = None,
-                 title: str | None = None) -> str:
+def pce_plot_svg(curves, linear_beta: float | None = None) -> str:
     """Partial-effect curves with shaded confidence bands.
 
     ``curves`` is the tuple ``pce_curve`` returns: one curve, or the
@@ -208,10 +205,10 @@ def pce_plot_svg(curves, linear_beta: float | None = None,
     if linear_beta is not None:
         legend.append(("linear model", _REFERENCE_COLOR, "6 4"))
     body.extend(_legend(panel, legend))
-    return _document(body, title or f"partial effect: {first.covariate}")
+    return _document(body, f"partial effect: {first.covariate}")
 
 
-def power_plot_svg(reports, title: str | None = None) -> str:
+def power_plot_svg(reports) -> str:
     """Rejection rate against effect size for both test variants.
 
     ``reports`` holds one ``SimReport`` per effect cell of a grid.
@@ -234,10 +231,10 @@ def power_plot_svg(reports, title: str | None = None) -> str:
         ("single-parameter", _SERIES_COLORS[0], None),
         ("multiple-parameter", _SERIES_COLORS[1], "7 3"),
     ]))
-    return _document(body, title or "rejection rate vs effect size")
+    return _document(body, "rejection rate vs effect size")
 
 
-def selection_plot_svg(sweep, title: str | None = None) -> str:
+def selection_plot_svg(sweep) -> str:
     """Two stacked panels: BIC and cross-validated RMSE against width."""
     bic_pts = [(e.q, e.bic) for e in sweep.entries if e.bic is not None]
     cv_pts = [(e.q, e.cv_rmse, e.cv_se) for e in sweep.entries
@@ -284,4 +281,4 @@ def selection_plot_svg(sweep, title: str | None = None) -> str:
                             f'x2="{_c(x)}" y2="{_c(panel.sy(v + s))}" '
                             f'stroke="{_SERIES_COLORS[1]}" '
                             'stroke-width="1"/>')
-    return _document(body, title or "model selection sweep")
+    return _document(body, "model selection sweep")

@@ -6,7 +6,10 @@ mean and unit variance (sample standard deviation, n - 1 denominator)
 and categorical covariates are dummy encoded: a c-level factor becomes
 c - 1 indicator columns named ``variable.level``, with the reference
 level (by default the first level observed in file order) absorbed into
-the intercept.  A 0/1 numeric column passes through unchanged.
+the intercept.  A 0/1 numeric column passes through unchanged.  The
+response is planned by the same rule, except that a factor response
+must have two levels and becomes its second level's indicator, and a
+schema may set only a numeric response's action.
 
 :func:`infer_plan` records these decisions as one
 :class:`~statnn.model.ColumnMeta` per model column: the raw CSV column
@@ -147,12 +150,11 @@ def _factor_levels(name, cells, reference=None):
 
 
 def _schema_entry(schema, name):
-    """Normalize a schema column entry to (action, reference) or None."""
-    if schema is None:
-        return None
-    entry = schema.get("columns", {}).get(name)
+    """Normalize a schema column entry to (action, reference); both are
+    None without an entry."""
+    entry = (schema or {}).get("columns", {}).get(name)
     if entry is None:
-        return None
+        return None, None
     if isinstance(entry, str):
         return entry, None
     if isinstance(entry, dict):
@@ -168,63 +170,50 @@ def _is_binary(values) -> bool:
                 and np.any(values == 0.0) and np.any(values == 1.0))
 
 
-def _plan_column(name, cells, override) -> list:
-    """The model columns of one covariate column."""
-    numeric = _try_numeric(name, cells)
-    action, reference = override or (None, None)
-    if action is None:
-        # A 0/1 column is an already-encoded indicator: re-standardizing
-        # it would destroy the 0/1 coding the binary-effect machinery
-        # relies on.
-        action = ("dummy_encode" if numeric is None else
-                  "passthrough" if _is_binary(numeric) else "standardize")
-    if action == "dummy_encode":
-        return [ColumnMeta(f"{name}.{level}", kind="dummy", raw=name,
-                           level=level)
-                for level in _factor_levels(name, cells, reference)[1:]]
-    if action not in ACTIONS:
+def _plan_column(name, cells, action=None, reference=None,
+                 response=False) -> list:
+    """The model columns of one CSV column.
+
+    Without an ``action`` a non-numeric column is a factor, a 0/1 one an
+    already-encoded indicator (re-standardizing it would destroy the 0/1
+    coding the binary-effect machinery relies on) and any other is
+    standardized.  The response follows the same rule but takes only
+    ``RESPONSE_ACTIONS``, and a factor response must have two levels: it
+    is the indicator of the second level, so predictions stay
+    interpretable.
+    """
+    if response and action is not None and action not in RESPONSE_ACTIONS:
+        raise DataError(f"unknown response action {action!r}; supported: "
+                        f"{RESPONSE_ACTIONS}")
+    if action is not None and action not in ACTIONS:
         raise DataError(f"unknown schema action {action!r} for column "
                         f"{name!r}; supported: {ACTIONS}")
-    if numeric is None:
+    numeric = _try_numeric(name, cells)
+    if numeric is None and action not in (None, "dummy_encode"):
+        if response:
+            raise DataError(
+                f"response_action {action} given for non-numeric response "
+                f"{name!r}; a factor response is always its second level's "
+                "indicator, so drop response_action")
         raise DataError(
             f"schema requests {action} of non-numeric column {name!r}; "
             "use dummy_encode for factors")
-    if action == "passthrough":
-        return [_passthrough(name, numeric)]
-    mean, sd = _standardize_stats(name, numeric)
-    return [ColumnMeta(name, mean=mean, sd=sd)]
-
-
-def _passthrough(name, numeric) -> ColumnMeta:
-    """An unscaled numeric column; a 0/1 one is an indicator."""
-    return ColumnMeta(name, kind="dummy" if _is_binary(numeric)
-                      else "continuous")
-
-
-def _plan_response(name, cells, schema) -> ColumnMeta:
-    explicit = None
-    if schema is not None and "response_action" in schema:
-        explicit = schema["response_action"]
-        if explicit not in RESPONSE_ACTIONS:
-            raise DataError(
-                f"unknown response action {explicit!r}; supported: "
-                f"{RESPONSE_ACTIONS}")
-    numeric = _try_numeric(name, cells)
-    if numeric is None:
-        # A two-level factor response is the indicator of its second
-        # level, so predictions stay interpretable.
-        levels = _factor_levels(name, cells)
-        if len(levels) != 2:
+    if action is None:
+        action = ("dummy_encode" if numeric is None else
+                  "passthrough" if _is_binary(numeric) else "standardize")
+    if action == "dummy_encode":
+        levels = _factor_levels(name, cells, reference)
+        if response and len(levels) != 2:
             raise DataError(
                 f"response column {name!r} has {len(levels)} levels; only "
                 "two-level factors can serve as a binary response")
-        return ColumnMeta(f"{name}.{levels[1]}", kind="dummy", raw=name,
-                          level=levels[1])
-    if explicit == "passthrough" or (explicit is None
-                                     and _is_binary(numeric)):
-        return _passthrough(name, numeric)
+        return [ColumnMeta(f"{name}.{level}", kind="dummy", raw=name,
+                           level=level) for level in levels[1:]]
+    if action == "passthrough":
+        return [ColumnMeta(name, kind="dummy" if _is_binary(numeric)
+                           else "continuous")]
     mean, sd = _standardize_stats(name, numeric)
-    return ColumnMeta(name, mean=mean, sd=sd)
+    return [ColumnMeta(name, mean=mean, sd=sd)]
 
 
 def _describe(cm: ColumnMeta) -> str:
@@ -266,8 +255,11 @@ def infer_plan(names, columns, response: str,
         _check_no_missing(name, cells)
         if name == response:
             continue
-        metas.extend(_plan_column(name, cells, _schema_entry(schema, name)))
-    resp = _plan_response(response, columns[names.index(response)], schema)
+        metas.extend(_plan_column(name, cells,
+                                  *_schema_entry(schema, name)))
+    (resp,) = _plan_column(response, columns[names.index(response)],
+                           (schema or {}).get("response_action"),
+                           response=True)
     seen = {}
     for cm in metas + [resp]:
         if cm.name in seen:

@@ -6,7 +6,10 @@ node, a grouped-test p-value column, and the significance-code legend —
 so the output reads like the summaries statisticians already know.  The
 JSON rendering carries the same numbers (quantized identically, so the
 two formats agree exactly under a round-trip parse) plus standard
-errors and test statistics.
+errors and test statistics.  A report exists only for a positive
+definite covariance (``inference.summarize`` refuses any other), so
+every cell holds a test and no format carries a warning or gaps; the
+JSON's ``positive_definite`` is always true.
 
 Diagrams are DOT digraphs written straight from the same inference
 report: a left-to-right layered network where an edge is drawn black
@@ -43,9 +46,12 @@ def _round6(x):
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return "NA"
     return f"{_round6(x):.6g}"
+
+
+def _starred(x, stars) -> str:
+    """A p-value or estimate followed by its significance code, if any."""
+    return f"{_fmt(x)} {stars}" if stars else _fmt(x)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +82,7 @@ def _summary_payload(report: InferenceReport) -> dict:
         "log_likelihood": _round6(report.loglik),
         "sigma_sq": _round6(report.sigma_sq_hat),
         "converged": report.converged,
-        "positive_definite": report.positive_definite,
+        "positive_definite": True,
         "gamma0": _round6(report.gamma0_estimate),
         "covariates": covs,
         "gamma": _cells_payload(report.gamma_cells),
@@ -89,12 +95,9 @@ def _summary_text(report: InferenceReport) -> str:
                  + [len(row.name) for row in report.covariates])
     cell_texts = []
     for row in report.covariates:
-        cells = [f"{_fmt(c.estimate)}{' ' + c.stars if c.stars else ''}"
-                 for c in row.cells]
-        mp = (f"{_fmt(row.mp_p_value)}"
-              f"{' ' + row.mp_stars if row.mp_stars else ''}"
-              if row.mp_error is None else "NA")
-        cell_texts.append((row.name, cells, mp))
+        cells = [_starred(c.estimate, c.stars) for c in row.cells]
+        cell_texts.append((row.name, cells,
+                           _starred(row.mp_p_value, row.mp_stars)))
     col_w = max([len(f"omega_j{k}") for k in range(1, q + 1)]
                 + [len(c) for _, cells, _ in cell_texts for c in cells])
 
@@ -109,11 +112,6 @@ def _summary_text(report: InferenceReport) -> str:
     lines.append(
         f"log-likelihood = {_fmt(report.loglik)}{sigma_part}, "
         f"converged = {'yes' if report.converged else 'no'}")
-    if not report.positive_definite:
-        lines.append(
-            "warning: covariance estimate is not positive definite "
-            f"(min eigenvalue {report.min_eigenvalue:.3g}); tests are "
-            "unreliable -- consider refitting with a larger ridge penalty")
     lines.append("")
     sp_width = q * col_w + 2 * (q - 1)
     lines.append(f"{'':{name_w}}  {'SP':^{sp_width}}  {'MP':^12}")
@@ -128,8 +126,7 @@ def _summary_text(report: InferenceReport) -> str:
         parts.append(f"{mp:>12}")
         lines.append("  ".join(parts))
     lines.append("-" * (name_w + 2 + sp_width + 2 + 12))
-    gamma_bits = [f"gamma_{k} = {_fmt(c.estimate)}"
-                  f"{' ' + c.stars if c.stars else ''}"
+    gamma_bits = [f"gamma_{k} = {_starred(c.estimate, c.stars)}"
                   for k, c in enumerate(report.gamma_cells, start=1)]
     lines.append("output weights: gamma_0 = "
                  f"{_fmt(report.gamma0_estimate)}, " + ", ".join(gamma_bits))
@@ -149,8 +146,7 @@ def _csv_text(header, rows) -> str:
 def _summary_csv(report: InferenceReport) -> str:
     def cell_fields(cell):
         return [_fmt(cell.estimate), _fmt(cell.se), _fmt(cell.statistic),
-                "1" if cell.p_value is not None else "NA",
-                _fmt(cell.p_value), cell.stars]
+                "1", _fmt(cell.p_value), cell.stars]
 
     rows = []
     for row in report.covariates:
@@ -192,16 +188,14 @@ def emit_diagram(arch: Architecture, report: InferenceReport) -> str:
 
     An input node is black when its covariate's grouped test is below
     ``ALPHA_DIAGRAM``, an edge when its weight's single-parameter test
-    is; both are gray otherwise, including when the test is unavailable.
-    Hidden and output nodes carry no test.  Intercept weights never
-    appear.
+    is; both are gray otherwise.  Hidden and output nodes carry no test.
+    Intercept weights never appear.
     """
     if arch != report.arch:
         raise ValueError("architecture does not match the report")
 
     def color(p_value) -> str:
-        significant = p_value is not None and p_value < ALPHA_DIAGRAM
-        return "black" if significant else "gray"
+        return "black" if p_value < ALPHA_DIAGRAM else "gray"
 
     lines = ["digraph network {", "  rankdir=LR;",
              "  node [shape=circle];"]

@@ -446,32 +446,38 @@ def test_exit_2_on_unreadable_column_record(workspace, tmp_path, capsys,
     assert "Traceback" not in err
 
 
-def test_exit_3_numerical_failure_mentions_penalty(tmp_path, capsys):
-    """An overparameterized unpenalized fit on noise gives a non-PD
-    covariance; summary must exit 3 and point at the ridge penalty."""
-    rng = np.random.default_rng(171)
-    n = 18
-    path = tmp_path / "tiny.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x1", "x2", "y"])
-        for i in range(n):
-            writer.writerow([f"{rng.normal():.6f}", f"{rng.normal():.6f}",
-                             f"{rng.normal():.6f}"])
-    model = tmp_path / "tiny_model.json"
-    code = main(["fit", str(path), "--response", "y", "--q", "4",
-                 "--lambda", "0", "--restarts", "2", "--seed", "1",
-                 "--out", str(model)])
-    assert code == 0
-    capsys.readouterr()
-    code = main(["summary", str(model), str(path)])
-    err = capsys.readouterr().err
-    if code == 3:
-        assert "numerical failure" in err
-        assert "larger ridge" in err
-    else:
-        # a lucky draw can stay positive definite; accept but verify
-        assert code == 0
+def test_exit_3_numerical_failure_mentions_penalty(workspace, tmp_path,
+                                                   capsys):
+    """A stored model whose hidden node 2 copies node 1 (omega_j2 =
+    omega_j1, gamma_2 = gamma_1) has a covariance estimate that is not
+    positive definite.  summary, diagram and pce all exit 3 with one
+    message form that points at the ridge penalty, and print nothing
+    else."""
+    import dataclasses
+
+    from statnn.model import ParamVector
+    from statnn.serialize import load_model, save_model
+
+    _, csv_path, model_path = workspace
+    doc = load_model(model_path)
+    arch, values = doc.arch, doc.theta.values.copy()
+    for j in range(arch.p + 1):
+        values[arch.omega_index(j, 2)] = values[arch.omega_index(j, 1)]
+    values[arch.gamma_index(2)] = values[arch.gamma_index(1)]
+    dup = str(tmp_path / "duplicated_node.json")
+    save_model(dataclasses.replace(doc, theta=ParamVector(arch, values)), dup)
+    form = (r"numerical failure: covariance estimate is not positive "
+            r"definite \(min eigenvalue -\d[\d.e+-]*\); {} are unavailable\n"
+            r"hint: refit with a larger ridge penalty \(--lambda\) to "
+            r"obtain a positive definite covariance\n")
+    for argv, what in ((["summary"], "Wald tests"),
+                       (["diagram"], "Wald tests"),
+                       (["pce", "--covariate", "age"], "confidence bands")):
+        assert main([argv[0], dup, csv_path] + argv[1:]) == 3, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(form.format(what), err), err
+        assert "Traceback" not in err
 
 
 def test_bernoulli_requires_binary_response(workspace, capsys):
@@ -554,6 +560,22 @@ def test_schema_file_flag(tmp_path, capsys):
     payload = json.loads(model.read_text())
     names = [m["name"] for m in payload["column_meta"]]
     assert "smoker.yes" in names
+
+
+def test_schema_response_action_on_factor_response_exits_2(tmp_path,
+                                                          capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("x,y\n0.5,a\n1.5,b\n2.5,b\n0.1,a\n", encoding="utf-8")
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"response_action": "standardize"}))
+    assert main(["fit", str(path), "--response", "y", "--q", "1",
+                 "--schema", str(schema),
+                 "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: response_action standardize given for "
+                          "non-numeric response 'y'")
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_model_fitted_on_bom_csv_serves_csv_without_bom(tmp_path, capsys):

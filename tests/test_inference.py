@@ -197,18 +197,15 @@ def test_summarize_structure():
     assert len(report.gamma_cells) == arch.q
     assert report.n_obs == data.n
     assert report.lam == 0.01
-    assert report.positive_definite
     for row in report.covariates:
         assert len(row.cells) == arch.q
         # cells follow node order k = 1..q
         for k, cell in enumerate(row.cells, start=1):
             idx = arch.omega_index(row.index, k)
-            assert cell.error is None
             assert cell.estimate == result.theta_hat.values[idx]
             assert cell.se == pytest.approx(
                 np.sqrt(cov.sigma_hat[idx, idx]), rel=1e-9)
             assert cell.stars == significance_stars(cell.p_value)
-        assert row.mp_error is None
         assert 0.0 <= row.mp_p_value <= 1.0
         assert 0.0 < row.mp_df <= arch.q
     for k, cell in enumerate(report.gamma_cells, start=1):
@@ -239,15 +236,15 @@ def test_summarize_uses_column_meta_names():
     assert [row.name for row in report.covariates] == ["age", "bmi"]
 
 
-def test_summarize_records_cell_errors_when_cov_degenerate():
+def test_summarize_refuses_non_positive_definite_covariance():
+    """A non-PD estimate is refused as a whole, even where its diagonal
+    would still give every single-weight test a positive variance."""
     arch, data, result, info = _fitted_instance(lam=0.01)
-    sigma = np.zeros((arch.r, arch.r))
-    cov = CovarianceEstimate(sigma_hat=sigma, a_matrix=np.zeros((arch.r, arch.r)),
-                             positive_definite=False, min_eigenvalue=0.0)
-    report = summarize(result, cov, arch, data)
-    assert not report.positive_definite
-    for row in report.covariates:
-        assert row.mp_error is not None
-        for cell in row.cells:
-            assert cell.error is not None
-            assert cell.se is None or np.isnan(cell.se)
+    cov = sandwich_covariance(info, lam=0.01)
+    bad = CovarianceEstimate(sigma_hat=cov.sigma_hat, a_matrix=cov.a_matrix,
+                             positive_definite=False, min_eigenvalue=-0.25)
+    with pytest.raises(NotPositiveDefiniteError,
+                       match=r"^covariance estimate is not positive definite "
+                             r"\(min eigenvalue -0\.25\); Wald tests are "
+                             r"unavailable$"):
+        summarize(result, bad, arch, data)

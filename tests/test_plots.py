@@ -162,15 +162,10 @@ def test_selection_plot_unscored_rejected():
         selection_plot_svg(sweep)
 
 
-def test_pce_plot_title_override():
-    text = pce_plot_svg((_curve(),), title="my custom title")
-    assert "my custom title" in text
-    assert "partial effect: age" not in text
-
-
 def test_pce_plot_escapes_names_from_the_data():
-    """Covariate names, condition labels and titles come from CSV headers
-    and levels; markup characters in them must not break the XML."""
+    """Covariate names (also in the title) and condition labels come from
+    CSV headers and levels; markup characters in them must not break the
+    XML."""
     curves = (_curve(label="x<1 & y>2", covariate="a<b&c"),
               _curve(label="x>=1", shift=0.4, covariate="a<b&c"))
     root = ET.fromstring(pce_plot_svg(curves, linear_beta=0.1))
@@ -178,9 +173,6 @@ def test_pce_plot_escapes_names_from_the_data():
     assert "partial effect: a<b&c" in texts
     assert "a<b&c (standardized scale)" in texts
     assert "x<1 & y>2" in texts and "x>=1" in texts
-    root = ET.fromstring(pce_plot_svg((_curve(),), title="<R&D>"))
-    assert "<R&D>" in [el.text for el in
-                       root.iter("{http://www.w3.org/2000/svg}text")]
 
 
 def test_golden_pce_plot(tmp_path):

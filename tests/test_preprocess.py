@@ -228,6 +228,19 @@ def test_schema_response_action_override(tmp_path):
     np.testing.assert_allclose(data.y, want, rtol=1e-12)
 
 
+@pytest.mark.parametrize("action", ["standardize", "passthrough"])
+def test_response_action_on_factor_response_refused(tmp_path, action):
+    """A factor response is always its second level's indicator, so an
+    explicit response action on it is refused rather than ignored."""
+    text = "x,y\n0.5,a\n1.5,b\n2.5,b\n0.1,a\n"
+    with pytest.raises(DataError, match=f"^response_action {action} given "
+                       "for non-numeric response 'y'"):
+        ingest(_write(tmp_path, text), response="y",
+               schema={"response_action": action})
+    _, plan = ingest(_write(tmp_path, text), response="y")
+    assert plan.response == ColumnMeta("y.b", "dummy", raw="y", level="b")
+
+
 def test_apply_plan_columns_in_plan_order(tmp_path):
     data, plan = ingest(_write(tmp_path, BASIC), response="charges")
     assert data.column_meta == plan.columns

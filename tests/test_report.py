@@ -135,23 +135,6 @@ def test_unknown_format_rejected(fitted):
         emit_summary(report, "yaml")
 
 
-def test_nonpd_summary_carries_warning(fitted):
-    arch, data, result, cov, _ = fitted
-    from statnn.inference import CovarianceEstimate
-
-    bad = CovarianceEstimate(sigma_hat=np.zeros_like(cov.sigma_hat),
-                             a_matrix=np.zeros_like(cov.a_matrix),
-                             positive_definite=False, min_eigenvalue=-0.5)
-    report = summarize(result, bad, arch, data)
-    text = emit_summary(report, "text")
-    assert "not positive definite" in text
-    assert "NA" in text
-    payload = json.loads(emit_summary(report, "json"))
-    assert payload["positive_definite"] is False
-    for cov_entry in payload["covariates"]:
-        assert cov_entry["mp"]["p_value"] is None
-
-
 def _parse_dot(text):
     """Tiny DOT reader: node id -> (shape, color, fontcolor),
     (src, dst) -> color, and node id -> unescaped label."""
@@ -211,8 +194,7 @@ def _flat_report(names, p_value):
                  for j, name in enumerate(names, start=1))
     return InferenceReport(arch=Architecture(p=len(names), q=1),
                            covariates=rows, gamma_cells=(cell,),
-                           gamma0_estimate=0.0, positive_definite=True,
-                           min_eigenvalue=1.0, loglik=-10.0, sigma_sq_hat=1.0,
+                           gamma0_estimate=0.0, loglik=-10.0, sigma_sq_hat=1.0,
                            lam=0.0, converged=True, n_obs=50)
 
 
