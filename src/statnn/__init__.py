@@ -9,11 +9,11 @@ cross-validation, and ships a Monte Carlo harness for studying the
 whole pipeline's sampling behavior.
 """
 
-from .canonical import (SymmetryOp, align_to, all_symmetry_ops,
-                        apply_symmetry, canonicalize, symmetry_matrix)
+from .canonical import (align_to, all_symmetry_ops, apply_symmetry,
+                        canonicalize)
 from .effects import PceCurve, PcePoint, pce_curve, to_original_scale
 from .exceptions import (DataError, FitError, NotPositiveDefiniteError,
-                         ShapeError, SingularMatrixError, StatnnError)
+                         ShapeError, StatnnError)
 from .fit import FitConfig, FitResult, evaluate_at, fit
 from .inference import (CovarianceEstimate, InferenceReport, WaldResult,
                         effective_df, sandwich_covariance, summarize,
@@ -40,16 +40,15 @@ __all__ = [
     "LikelihoodSpec", "LinearFit", "ModelDocument",
     "NotPositiveDefiniteError", "ParamVector", "PceCurve", "PcePoint",
     "PreprocessPlan", "SelectionSweep", "ShapeError", "SimReport",
-    "SimScenario", "SingularMatrixError", "StatnnError", "SymmetryOp",
-    "WaldResult", "align_to", "all_symmetry_ops", "apply_symmetry",
-    "bic", "canonicalize", "chi_square_survival", "cross_validate",
-    "dataset_from_meta", "default_true_theta", "effective_df",
-    "emit_diagram", "emit_summary", "evaluate_at", "fit", "fit_linear",
-    "forward", "forward_batch", "gradient", "ingest", "load_model",
-    "load_scenario", "log_likelihood", "model_document",
-    "normal_quantile", "observed_information", "pce_curve", "penalty",
-    "prediction_gradient", "run_grid", "run_scenario",
-    "sandwich_covariance", "save_model", "save_scenario",
+    "SimScenario", "StatnnError", "WaldResult", "align_to",
+    "all_symmetry_ops", "apply_symmetry", "bic", "canonicalize",
+    "chi_square_survival", "cross_validate", "dataset_from_meta",
+    "default_true_theta", "effective_df", "emit_diagram", "emit_summary",
+    "evaluate_at", "fit", "fit_linear", "forward", "forward_batch",
+    "gradient", "ingest", "load_model", "load_scenario", "log_likelihood",
+    "model_document", "normal_quantile", "observed_information",
+    "pce_curve", "penalty", "prediction_gradient", "run_grid",
+    "run_scenario", "sandwich_covariance", "save_model", "save_scenario",
     "selection_matrix", "sigmoid", "summarize", "sweep",
-    "symmetry_matrix", "to_original_scale", "wald_multi", "wald_single",
+    "to_original_scale", "wald_multi", "wald_single",
 ]

@@ -10,8 +10,9 @@ or a study grid to the power curve or the positive-definiteness table).
 Exit codes: 0 on success, 2 on input problems (bad files, unknown
 columns, malformed flags), 3 on numerical failure, reported with the
 remedy of refitting with a larger ridge penalty.  ``summary``,
-``diagram`` and ``pce`` exit 3 on a covariance estimate that is not
-positive definite, as no Wald test or confidence band is then available.
+``diagram`` and ``pce`` exit 3 on a covariance estimate that is singular
+or not positive definite, as no Wald test or confidence band is then
+available.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from . import __version__
 from .effects import effect_grid, pce_curve, to_original_scale
 from .exceptions import (DataError, FitError, NotPositiveDefiniteError,
-                         ShapeError, SingularMatrixError)
+                         ShapeError)
 from .fit import FitConfig, evaluate_at, fit
 from .inference import sandwich_covariance, summarize
 from .likelihood import (LikelihoodSpec, observed_information,
@@ -321,10 +322,9 @@ def main(argv=None) -> int:
                                   and exc.args) else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
-    except (FitError, SingularMatrixError, NotPositiveDefiniteError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        if "larger ridge" not in str(exc):
-            print(f"hint: {_LAMBDA_HINT}", file=sys.stderr)
+    except (FitError, NotPositiveDefiniteError) as exc:
+        print(f"numerical failure: {exc}\nhint: {_LAMBDA_HINT}",
+              file=sys.stderr)
         return 3
 
 

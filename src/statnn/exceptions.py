@@ -25,17 +25,5 @@ class FitError(StatnnError, RuntimeError):
     """Raised when every optimization restart fails."""
 
 
-class SingularMatrixError(StatnnError, RuntimeError):
-    """Raised when a required matrix factorization fails.
-
-    ``hint`` carries the practical remediation (typically: refit with a
-    larger ridge penalty so the curvature matrix is better conditioned).
-    """
-
-    def __init__(self, message: str, hint: str | None = None):
-        self.hint = hint
-        super().__init__(message if hint is None else f"{message} ({hint})")
-
-
 class NotPositiveDefiniteError(StatnnError, RuntimeError):
     """Raised when an operation requires a positive definite covariance."""

@@ -13,11 +13,14 @@ omega_j^T (S Sigma S^T)^-1 omega_j against a chi-square whose degrees
 of freedom are the effective count tr(S A S^T),
 A = (I_o + 2 lambda I)^-1 I_o, which is below q under penalization.
 
-A summary table and a confidence band need a positive definite
-covariance.  ``require_positive_definite`` is that one rule: ``summarize``
-and ``effects.pce_curve`` refuse a non-positive-definite estimate with
-``NotPositiveDefiniteError``, whose remedy is a larger ridge penalty, and
-never print a table with gaps.
+Every Wald test, summary table and confidence band needs a positive
+definite covariance.  ``require_positive_definite`` is that one rule:
+``wald_single``, ``wald_multi``, ``summarize`` and ``effects.pce_curve``
+refuse a non-positive-definite estimate with ``NotPositiveDefiniteError``,
+whose remedy is a larger ridge penalty, and never print a table with
+gaps.  ``sandwich_covariance`` raises the same error where the
+information cannot be inverted at all, and the Monte Carlo study
+(``simgen``) tests a replicate only where this rule holds.
 
 The linear algebra is numpy's: ``np.linalg.solve`` for the sandwich and
 ``np.linalg.cholesky`` for the grouped tests, so a query that only reads
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (NotPositiveDefiniteError, SingularMatrixError)
+from .exceptions import NotPositiveDefiniteError
 from .model import Architecture, Dataset, ParamVector, selection_matrix
 from .special import chi_square_survival
 
@@ -58,7 +61,7 @@ class CovarianceEstimate:
     ``a_matrix`` is (I_o + 2 lambda I)^-1 I_o, whose sub-traces give
     effective degrees of freedom.  ``positive_definite`` reflects the
     spectrum of ``sigma_hat``; ``require_positive_definite`` refuses
-    summaries and bands when it is False.
+    Wald tests, summaries and bands when it is False.
     """
 
     sigma_hat: np.ndarray
@@ -82,7 +85,12 @@ class WaldResult:
 
 
 def sandwich_covariance(info: np.ndarray, lam: float) -> CovarianceEstimate:
-    """Model-based sandwich covariance of the penalized estimator."""
+    """Model-based sandwich covariance of the penalized estimator.
+
+    An information matrix the solve cannot invert has no covariance
+    estimate at all: ``NotPositiveDefiniteError``, as for one that is
+    not positive definite.
+    """
     info = np.asarray(info, dtype=float)
     if info.ndim != 2 or info.shape[0] != info.shape[1]:
         raise ValueError(f"information matrix must be square, got {info.shape}")
@@ -105,15 +113,12 @@ def sandwich_covariance(info: np.ndarray, lam: float) -> CovarianceEstimate:
             a_matrix = np.linalg.solve(bread, info)
             sigma = np.linalg.solve(bread, a_matrix.T).T
     except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            f"penalized information matrix is numerically singular: {exc}",
-            hint="a larger ridge penalty (lambda) usually restores "
-                 "invertibility") from exc
+        raise NotPositiveDefiniteError(
+            f"penalized information matrix is numerically singular: {exc}"
+        ) from exc
     if not np.all(np.isfinite(sigma)):
-        raise SingularMatrixError(
-            "covariance solve produced non-finite entries",
-            hint="a larger ridge penalty (lambda) usually restores "
-                 "invertibility")
+        raise NotPositiveDefiniteError(
+            "covariance solve produced non-finite entries")
     sigma = 0.5 * (sigma + sigma.T)
     eigs = np.linalg.eigvalsh(sigma)
     min_eig = float(eigs[0])
@@ -143,11 +148,8 @@ def wald_single(theta_hat: ParamVector, cov: CovarianceEstimate,
     r = theta_hat.arch.r
     if not 0 <= param_index < r:
         raise IndexError(f"param_index must be in 0..{r - 1}, got {param_index}")
+    require_positive_definite(cov, "Wald tests")
     var = float(cov.sigma_hat[param_index, param_index])
-    if not var > 0.0:
-        raise NotPositiveDefiniteError(
-            f"variance estimate for parameter {param_index} is {var}; "
-            "test unavailable")
     stat = float(theta_hat.values[param_index]) ** 2 / var
     return WaldResult(statistic=stat, df=1.0,
                       p_value=chi_square_survival(stat, 1.0),
@@ -161,6 +163,7 @@ def wald_multi(theta_hat: ParamVector, cov: CovarianceEstimate,
     Uses effective degrees of freedom tr(S A S^T), so under penalization
     the reference distribution has fewer than q degrees of freedom.
     """
+    require_positive_definite(cov, "Wald tests")
     s = selection_matrix(arch, j)
     omega = s @ theta_hat.values
     block = s @ cov.sigma_hat @ s.T

@@ -236,49 +236,36 @@ def power_plot_svg(reports) -> str:
 
 def selection_plot_svg(sweep) -> str:
     """Two stacked panels: BIC and cross-validated RMSE against width."""
-    bic_pts = [(e.q, e.bic) for e in sweep.entries if e.bic is not None]
-    cv_pts = [(e.q, e.cv_rmse, e.cv_se) for e in sweep.entries
-              if e.cv_rmse is not None]
-    if not bic_pts and not cv_pts:
+    series = (
+        ("BIC", [(e.q, e.bic, None) for e in sweep.entries
+                 if e.bic is not None]),
+        ("CV RMSE", [(e.q, e.cv_rmse, e.cv_se) for e in sweep.entries
+                     if e.cv_rmse is not None]))
+    panels = [(label, color, pts) for (label, pts), color
+              in zip(series, _SERIES_COLORS) if pts]
+    if not panels:
         raise DataError("sweep has no scored candidates to plot")
-    panels = []
-    n_panels = (1 if bic_pts else 0) + (1 if cv_pts else 0)
-    inner_h = (HEIGHT - MARGIN_T - MARGIN_B - 30.0 * (n_panels - 1))
-    inner_h /= n_panels
+    inner_h = (HEIGHT - MARGIN_T - MARGIN_B - 30.0 * (len(panels) - 1))
+    inner_h /= len(panels)
     y_cursor = MARGIN_T
     body = []
     qs = [e.q for e in sweep.entries]
     xlim = _pad_range(min(qs), max(qs))
-    if bic_pts:
-        ylim = _pad_range(min(v for _, v in bic_pts),
-                          max(v for _, v in bic_pts))
+    for label, color, pts in panels:
+        ylim = _pad_range(min(v - (s or 0.0) for _, v, s in pts),
+                          max(v + (s or 0.0) for _, v, s in pts))
         panel = _Panel(MARGIN_L, y_cursor, WIDTH - MARGIN_L - MARGIN_R,
                        inner_h, xlim, ylim)
         body.extend(panel.frame(xlabel="hidden nodes (0 = linear)",
-                                ylabel="BIC"))
-        body.append(panel.polyline([q for q, _ in bic_pts],
-                                   [v for _, v in bic_pts],
-                                   _SERIES_COLORS[0]))
-        for q, v in bic_pts:
-            body.append(panel.marker(q, v, _SERIES_COLORS[0]))
-        y_cursor += inner_h + 30.0
-    if cv_pts:
-        lo = min(v - (s or 0.0) for _, v, s in cv_pts)
-        hi = max(v + (s or 0.0) for _, v, s in cv_pts)
-        ylim = _pad_range(lo, hi)
-        panel = _Panel(MARGIN_L, y_cursor, WIDTH - MARGIN_L - MARGIN_R,
-                       inner_h, xlim, ylim)
-        body.extend(panel.frame(xlabel="hidden nodes (0 = linear)",
-                                ylabel="CV RMSE"))
-        body.append(panel.polyline([q for q, _, _ in cv_pts],
-                                   [v for _, v, _ in cv_pts],
-                                   _SERIES_COLORS[1]))
-        for q, v, s in cv_pts:
-            body.append(panel.marker(q, v, _SERIES_COLORS[1]))
+                                ylabel=label))
+        body.append(panel.polyline([q for q, _, _ in pts],
+                                   [v for _, v, _ in pts], color))
+        for q, v, s in pts:
+            body.append(panel.marker(q, v, color))
             if s:
                 x = panel.sx(q)
                 body.append(f'<line x1="{_c(x)}" y1="{_c(panel.sy(v - s))}" '
                             f'x2="{_c(x)}" y2="{_c(panel.sy(v + s))}" '
-                            f'stroke="{_SERIES_COLORS[1]}" '
-                            'stroke-width="1"/>')
+                            f'stroke="{color}" stroke-width="1"/>')
+        y_cursor += inner_h + 30.0
     return _document(body, "model selection sweep")

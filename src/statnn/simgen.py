@@ -7,7 +7,11 @@ zeroes covariates 1, 3, and 4.  Each replicate is fitted from scratch,
 the estimate is aligned to the true parameter by searching the weight
 symmetry group, and single- and multiple-parameter Wald tests are
 recorded, yielding empirical type-I error and power at the 5% level
-plus the usual estimation metrics (bias, SE, SEE, coverage).
+plus the usual estimation metrics (bias, SE, SEE, coverage).  As for a
+summary table, a replicate's SEs, coverage and tests need a positive
+definite sandwich covariance (``inference.require_positive_definite``);
+a replicate without one keeps its estimate and counts as a
+non-rejection.
 
 The weakest effect is covariate 2, whose per-node weights are fixed at
 (-0.14, -0.27) for q = 2, (-0.14, -0.27, -0.20, -0.29) for q = 4 and
@@ -35,10 +39,10 @@ import numpy as np
 from . import seeds
 from .canonical import align_to
 from .effects import Z_95
-from .exceptions import (FitError, NotPositiveDefiniteError,
-                         SingularMatrixError)
+from .exceptions import FitError, NotPositiveDefiniteError
 from .fit import FitConfig, fit
-from .inference import sandwich_covariance, wald_multi
+from .inference import (require_positive_definite, sandwich_covariance,
+                        wald_multi)
 from .likelihood import LikelihoodSpec, observed_information
 from .model import (Architecture, Dataset, ParamVector, design_with_intercept,
                     forward_design)
@@ -178,8 +182,8 @@ class _ReplicateOutcome:
     estimate: np.ndarray     # (r,), NaN on fit failure
     se: np.ndarray           # (r,), NaN unless PD
     covered: np.ndarray      # (r,), NaN unless PD
-    sp_p: np.ndarray         # (r,), NaN where unavailable
-    mp_p: np.ndarray         # (p,), NaN where unavailable
+    sp_p: np.ndarray         # (r,), NaN unless PD
+    mp_p: np.ndarray         # (p,), NaN unless PD
     iterations: int = 0      # optimizer work over all restarts
 
 
@@ -206,26 +210,17 @@ def _replicate_task(args):
                                 sigma_sq=res.sigma_sq_hat)
     try:
         cov = sandwich_covariance(info, scenario.lam)
-    except SingularMatrixError:
+        require_positive_definite(cov, "Wald tests")
+    except NotPositiveDefiniteError:
         return outcome
     var = np.diag(t_mat @ cov.sigma_hat @ t_mat.T)
-    se = covered = nan_r
-    if cov.positive_definite:
-        se = np.sqrt(np.maximum(var, 0.0))
-        covered = (np.abs(truth.values - est) <= Z_95 * se).astype(float)
-    ok = var > 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        stats = np.where(ok, est ** 2 / np.where(ok, var, 1.0), np.nan)
-    sp_p = np.array([chi_square_survival(s, 1.0) if np.isfinite(s) else np.nan
-                     for s in stats])
-    mp_p = outcome.mp_p
-    for j in range(1, scenario.p + 1):
-        try:
-            mp_p[j - 1] = wald_multi(res.theta_hat, cov, arch, j).p_value
-        except NotPositiveDefiniteError:
-            pass                            # stays NaN
-    return replace(outcome, positive_definite=cov.positive_definite, se=se,
-                   covered=covered, sp_p=sp_p)
+    se = np.sqrt(var)
+    sp_p = np.array([chi_square_survival(s, 1.0) for s in est ** 2 / var])
+    mp_p = np.array([wald_multi(res.theta_hat, cov, arch, j).p_value
+                     for j in range(1, scenario.p + 1)])
+    covered = (np.abs(truth.values - est) <= Z_95 * se).astype(float)
+    return replace(outcome, positive_definite=True, se=se, covered=covered,
+                   sp_p=sp_p, mp_p=mp_p)
 
 
 def _run_tasks(task_fn, args_list, n_jobs: int):
@@ -251,9 +246,10 @@ class SimReport:
     (length p).  ``emp_se`` is the standard deviation of aligned
     estimates over successful fits; ``see`` the average estimated
     standard error and ``coverage`` the empirical 95% interval coverage,
-    both over positive-definite replicates only.  Rejection rates use
-    the full replicate count as denominator; replicates whose test was
-    unavailable count as non-rejections.  ``iterations`` is the
+    both over positive-definite replicates only.  Wald tests, too, run
+    only on positive-definite replicates, but rejection rates use the
+    full replicate count as denominator: any other replicate counts as a
+    non-rejection, so no rate exceeds ``pd_rate``.  ``iterations`` is the
     optimizer work of the whole run: L-BFGS-B iterations plus Newton
     polish steps, summed over every restart of every replicate.
     """

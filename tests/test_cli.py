@@ -480,6 +480,36 @@ def test_exit_3_numerical_failure_mentions_penalty(workspace, tmp_path,
         assert "Traceback" not in err
 
 
+def test_exit_3_singular_information_mentions_penalty(workspace, tmp_path,
+                                                      capsys):
+    """Unpenalized, a hidden node with all-zero weights leaves the
+    information exactly singular.  That is the same numerical failure as
+    a covariance that is not positive definite: exit 3 with the ridge
+    hint on its own line, and nothing on stdout."""
+    import dataclasses
+
+    from statnn.model import ParamVector
+    from statnn.serialize import load_model, save_model
+
+    _, csv_path, model_path = workspace
+    doc = load_model(model_path)
+    arch, values = doc.arch, doc.theta.values.copy()
+    for j in range(arch.p + 1):
+        values[arch.omega_index(j, 2)] = 0.0
+    values[arch.gamma_index(2)] = 0.0
+    dead = str(tmp_path / "dead_node.json")
+    save_model(dataclasses.replace(doc, theta=ParamVector(arch, values),
+                                   lam=0.0), dead)
+    assert main(["summary", dead, csv_path]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"numerical failure: penalized information matrix "
+                        r"is numerically singular: [^\n]*\n"
+                        r"hint: refit with a larger ridge penalty "
+                        r"\(--lambda\) to obtain a positive definite "
+                        r"covariance\n", err), err
+
+
 def test_bernoulli_requires_binary_response(workspace, capsys):
     _, csv_path, _ = workspace
     assert main(["fit", csv_path, "--response", "charges", "--q", "1",

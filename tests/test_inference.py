@@ -81,6 +81,15 @@ def test_penalty_does_not_mask_indefiniteness():
     assert not sandwich_covariance(info, lam=50.0).positive_definite
 
 
+def test_singular_information_has_no_covariance():
+    """Unpenalized, an exactly singular information cannot be inverted:
+    the one non-positive-definite error, not a covariance."""
+    with pytest.raises(NotPositiveDefiniteError,
+                       match="penalized information matrix is numerically "
+                             "singular"):
+        sandwich_covariance(np.diag([4.0, 0.0]), lam=0.0)
+
+
 def test_sandwich_shrinks_variance():
     """Ridge penalization can only tighten the reported variances."""
     rng = np.random.default_rng(62)
@@ -177,6 +186,21 @@ def test_wald_multi_rejects_singular_block():
                              positive_definite=False, min_eigenvalue=0.0)
     with pytest.raises(NotPositiveDefiniteError):
         wald_multi(theta, cov, arch, 1)
+
+
+def test_wald_tests_refuse_non_positive_definite_covariance():
+    """The one rule holds for single tests too: a non-PD estimate is
+    refused even where the tested variance or block is positive."""
+    arch, data, result, info = _fitted_instance(lam=0.01)
+    cov = sandwich_covariance(info, lam=0.01)
+    bad = CovarianceEstimate(sigma_hat=cov.sigma_hat, a_matrix=cov.a_matrix,
+                             positive_definite=False, min_eigenvalue=-0.25)
+    message = (r"^covariance estimate is not positive definite \(min "
+               r"eigenvalue -0\.25\); Wald tests are unavailable$")
+    with pytest.raises(NotPositiveDefiniteError, match=message):
+        wald_single(result.theta_hat, bad, arch.omega_index(1, 1))
+    with pytest.raises(NotPositiveDefiniteError, match=message):
+        wald_multi(result.theta_hat, bad, arch, 1)
 
 
 def test_significance_stars():

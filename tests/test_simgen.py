@@ -9,8 +9,8 @@ from statnn.model import Architecture, ParamVector
 from statnn.report import overview_csv, pd_csv
 from statnn.seeds import derive_seed
 from statnn.simgen import (ZERO_PATTERNS, SimReport, SimScenario,
-                           default_true_theta, generate, run_grid,
-                           run_scenario)
+                           _replicate_task, default_true_theta, generate,
+                           run_grid, run_scenario)
 
 
 def _tiny(**kw):
@@ -155,6 +155,25 @@ def test_rate_accessors_match_arrays():
     arch = Architecture(p=6, q=2)
     assert rep.sp_rate(2, 1) == rep.sp_rejection[arch.omega_index(2, 1)]
     assert rep.mp_rate(3) == rep.mp_rejection[2]
+
+
+def test_wald_tests_only_on_positive_definite_replicates():
+    """Unpenalized at n = 60, most replicates have no positive definite
+    covariance.  Such a replicate keeps its estimate but has no SE,
+    coverage or Wald test, so no rejection rate exceeds the PD rate."""
+    scen = _tiny(lam=0.0, replicates=20, seed=7)
+    rep = run_scenario(scen)
+    assert rep.n_fit_failed == 0
+    assert 0 < rep.n_pd < rep.n_total
+    assert np.all(rep.sp_rejection <= rep.pd_rate)
+    assert np.all(rep.mp_rejection <= rep.pd_rate)
+    outcome = next(o for o in (_replicate_task((scen, i))
+                               for i in range(scen.replicates))
+                   if not o.positive_definite)
+    assert outcome.fit_ok
+    assert np.all(np.isfinite(outcome.estimate))
+    for values in (outcome.se, outcome.covered, outcome.sp_p, outcome.mp_p):
+        assert np.all(np.isnan(values))
 
 
 def test_estimates_aligned_to_truth():
