@@ -243,27 +243,16 @@ def conditioning_values(data: Dataset, k: int) -> tuple:
 def to_original_scale(curve: PceCurve, data: Dataset) -> PceCurve:
     """Map a standardized-scale curve back to original units.
 
-    The grid is de-standardized with the covariate's stored mean and
-    standard deviation (dummies pass through), and the effect and its
-    band scale by the response standard deviation.  Requires the
-    dataset's column and response metadata; a curve already on the
-    original scale is refused.
+    The grid goes through the covariate record's ``to_original`` and the
+    step d scales by its sd (a dummy's map is the identity, so its grid
+    [0] and step 1 stay); the effect and its band scale by the response
+    record's sd.  A curve already on the original scale is refused.
     """
     if curve.scale != "standardized":
         raise DataError(f"curve is already on scale {curve.scale!r}")
     meta = data.column_meta[curve.j - 1]
-    ymeta = data.response_meta
-    sy = ymeta.sd
-    if not (np.isfinite(sy) and sy > 0.0):
-        raise DataError(f"response metadata has invalid sd {sy}")
-    if meta.kind == "dummy":
-        sx, mx = 1.0, 0.0
-    else:
-        sx, mx = meta.sd, meta.mean
-        if not (np.isfinite(sx) and sx > 0.0):
-            raise DataError(
-                f"column metadata for {meta.name!r} has invalid sd {sx}")
-    pts = tuple(PcePoint(x=pt.x * sx + mx, beta_hat=pt.beta_hat * sy,
+    sy = data.response_meta.sd
+    pts = tuple(PcePoint(x=meta.to_original(pt.x), beta_hat=pt.beta_hat * sy,
                          se=pt.se * sy, lo=pt.lo * sy, hi=pt.hi * sy)
                 for pt in curve.points)
-    return replace(curve, d=curve.d * sx, scale="original", points=pts)
+    return replace(curve, d=curve.d * meta.sd, scale="original", points=pts)

@@ -158,15 +158,18 @@ class ParamVector:
 
 @dataclass(frozen=True)
 class ColumnMeta:
-    """How one model column is read from a CSV file.
+    """How one model column is read from a CSV file, and its scale map.
 
     ``raw`` is the CSV column the values come from (``name`` unless
     given).  ``level`` is set only on a factor level's indicator: the
     column is 1 where the raw cell equals ``level`` and 0 elsewhere.
-    Otherwise the raw cells are numbers.  For continuous columns,
-    ``mean`` and ``sd`` describe the affine map applied during
-    preprocessing (original = standardized * sd + mean).  Dummy columns
-    are 0/1 indicators, passed through unchanged (mean 0, sd 1).
+    Otherwise the raw cells are numbers.  ``mean`` and ``sd`` are the
+    column's map from CSV to model units, ``to_model(v) = (v - mean) /
+    sd``, inverted by ``to_original``: a standardized column's training
+    mean and sd, else the identity (mean 0, sd 1), which a dummy must
+    have.  An sd that is not finite and positive is refused.  Cross-
+    validation re-estimates a map on each training fold unless it is the
+    identity.
     """
 
     name: str
@@ -181,10 +184,27 @@ class ColumnMeta:
             raise ValueError(f"column kind must be continuous or dummy, got {self.kind!r}")
         if self.level is not None and self.kind != "dummy":
             raise ValueError(f"column {self.name!r} has a level, so it must be a dummy column")
-        if not (np.isfinite(self.mean) and np.isfinite(self.sd)):
-            raise DataError(f"non-finite standardization metadata for column {self.name!r}")
+        got = f"mean {self.mean!r}, sd {self.sd!r}"
+        if not (np.isfinite(self.mean) and np.isfinite(self.sd) and self.sd > 0.0):
+            raise DataError(f"column {self.name!r} has an unusable scale map "
+                            f"({got}): sd must be finite and positive")
+        if self.kind == "dummy" and not self.identity:
+            raise DataError(f"dummy column {self.name!r} must have mean 0 and sd 1, got {got}")
         if self.raw is None:
             object.__setattr__(self, "raw", self.name)
+
+    @property
+    def identity(self) -> bool:
+        """True if model units are CSV units (mean 0, sd 1)."""
+        return self.mean == 0.0 and self.sd == 1.0
+
+    def to_model(self, v):
+        """CSV units to model units."""
+        return (v - self.mean) / self.sd
+
+    def to_original(self, v):
+        """Model units to CSV units."""
+        return v * self.sd + self.mean
 
 
 @dataclass(frozen=True)

@@ -91,12 +91,10 @@ def _try_numeric(name, cells):
     Cells that parse to non-finite floats are rejected outright: they
     are neither usable numbers nor factor levels.
     """
-    out = np.empty(len(cells))
-    for i, cell in enumerate(cells):
-        try:
-            out[i] = float(cell)
-        except ValueError:
-            return None
+    try:
+        out = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return None
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         i = int(bad[0])
@@ -292,10 +290,10 @@ def ingest(csv_path, response: str, schema=None):
 def dataset_from_meta(csv_path, column_meta, response_meta) -> Dataset:
     """Rebuild a model-ready dataset from stored column metadata.
 
-    Used when applying a persisted model to a CSV: continuous columns
-    are re-centered with the *stored* mean/sd (not the new file's), and
-    dummy columns are re-derived from their recorded raw column and
-    level.
+    Used when applying a persisted model to a CSV: numeric columns are
+    mapped with their record's *stored* ``to_model`` (not the new file's
+    mean and sd), and factor indicators are re-derived from their
+    recorded raw column and level.
     """
     names, columns = read_csv(csv_path)
     return _encode(csv_path, names, columns, column_meta, response_meta)
@@ -323,15 +321,14 @@ def _encode(csv_path, names, columns, column_meta, response_meta) -> Dataset:
         if cm.level is not None:
             return np.array([1.0 if c == cm.level else 0.0 for c in cells])
         numeric = _try_numeric(cm.raw, cells)
-        if cm.kind != "dummy":
-            if numeric is None:
-                raise DataError(f"column {cm.raw!r} is not numeric")
-            return (numeric - cm.mean) / cm.sd
-        if numeric is None or not np.all((numeric == 0.0) | (numeric == 1.0)):
+        if cm.kind == "dummy" and (numeric is None or not np.all(
+                (numeric == 0.0) | (numeric == 1.0))):
             raise DataError(
                 f"column {cm.raw!r} must contain only 0/1 values to match "
                 f"stored indicator {cm.name!r}")
-        return numeric
+        if numeric is None:
+            raise DataError(f"column {cm.raw!r} is not numeric")
+        return cm.to_model(numeric)
 
     x_cols = [encode(cm, f"{cm.kind} column {cm.name!r}")
               for cm in column_meta]

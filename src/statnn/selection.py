@@ -5,8 +5,8 @@ a network must beat to justify its extra parameters, and a sanity check
 for effect estimates (a network fitted to linear data should reproduce
 the OLS slopes).  BIC counts every network weight, plus the residual
 variance for the Gaussian family, and evaluates the unpenalized
-log-likelihood at the penalized estimate.  Cross-validation
-re-standardizes inside each training fold so no test-fold information
+log-likelihood at the penalized estimate.  Cross-validation repeats the
+fit's preprocessing in each training fold, so no test-fold information
 leaks into the fit, and scores RMSE on the original response scale.
 """
 
@@ -23,6 +23,7 @@ from .fit import FitConfig, FitResult, fit
 from .likelihood import (LOG_2PI, LikelihoodSpec, output_activation_for,
                          penalty)
 from .model import Architecture, Dataset, design_with_intercept, forward_design
+from .preprocess import _standardize_stats
 
 
 @dataclass(frozen=True)
@@ -85,13 +86,16 @@ def bic(fit_result: FitResult, arch: Architecture, n: int) -> float:
         raise ValueError(f"n must be positive, got {n}")
     unpen = fit_result.loglik + penalty(fit_result.theta_hat, fit_result.lam)
     k = arch.r + (1 if fit_result.sigma_sq_hat is not None else 0)
-    return -2.0 * unpen + k * math.log(n)
+    return _bic(unpen, k, n)
 
 
 def linear_bic(linear: LinearFit) -> float:
     """BIC of the OLS baseline, counting coefficients plus sigma^2."""
-    k = len(linear.beta) + 1
-    return -2.0 * linear.loglik + k * math.log(linear.n)
+    return _bic(linear.loglik, len(linear.beta) + 1, linear.n)
+
+
+def _bic(loglik: float, k: int, n: int) -> float:
+    return -2.0 * loglik + k * math.log(n)
 
 
 # ---------------------------------------------------------------------------
@@ -108,26 +112,8 @@ class CvResult:
     fold_rmses: tuple
 
 
-def _raw_columns(data: Dataset):
-    """Undo the stored standardization to recover original-scale data."""
-    x_raw = np.array(data.x)
-    for j, meta in enumerate(data.column_meta):
-        if meta.kind == "continuous":
-            x_raw[:, j] = x_raw[:, j] * meta.sd + meta.mean
-    y_raw = data.y * data.response_meta.sd + data.response_meta.mean
-    return x_raw, y_raw
-
-
 def _fold_indices(n: int, folds: int, seed: int):
     return np.array_split(seeds.rng(seed, 0x5F01).permutation(n), folds)
-
-
-def _train_stats(train_col: np.ndarray):
-    m = float(np.mean(train_col))
-    s = float(np.std(train_col, ddof=1))
-    if not s > 0.0:
-        raise DataError("zero variance inside a training fold")
-    return m, s
 
 
 def cross_validate(arch: Architecture | None, data: Dataset,
@@ -135,27 +121,25 @@ def cross_validate(arch: Architecture | None, data: Dataset,
                    folds: int = 5) -> CvResult:
     """k-fold CV of a network (or, with arch None, the OLS baseline).
 
-    Continuous covariates and a Gaussian response are re-standardized
-    with training-fold statistics only; predictions are mapped back to
-    the original response scale before scoring.  Fold membership depends
-    only on ``config.seed``, so candidates compared under one seed see
-    identical folds.
+    Each fold repeats the fit's preprocessing on its training rows: a
+    column whose record's map is not the identity (the response
+    included) is decoded with ``to_original`` and re-standardized with
+    the training rows' mean and sd; a column with the identity map (a
+    dummy, a passthrough column) enters unchanged, as it did in the fit.
+    Predictions are mapped back to the original response scale before
+    scoring.  Fold membership depends only on ``config.seed``, so
+    candidates compared under one seed see identical folds.
     """
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
     n = data.n
     if n < folds:
         raise DataError(f"cannot make {folds} folds from {n} observations")
-    x_raw, y_raw = _raw_columns(data)
-    gaussian = spec.family == "gaussian"
-    qcode = 0 if arch is None else arch.q
+    y_raw = data.response_meta.to_original(data.y)
     fold_rmses = []
     for f, test_idx in enumerate(_fold_indices(n, folds, config.seed)):
-        train_mask = np.ones(n, dtype=bool)
-        train_mask[test_idx] = False
         try:
-            pred = _fold_predict(arch, data, spec, config, x_raw, y_raw,
-                                 train_mask, test_idx, gaussian, qcode, f)
+            pred = _fold_predict(arch, data, spec, config, test_idx, f)
         except (FitError, DataError) as exc:
             raise FitError(f"cross-validation fold {f} failed: {exc}") from exc
         err = y_raw[test_idx] - pred
@@ -166,37 +150,34 @@ def cross_validate(arch: Architecture | None, data: Dataset,
     return CvResult(rmse=mean, se=se, fold_rmses=fold_rmses)
 
 
-def _fold_predict(arch, data, spec, config, x_raw, y_raw, train_mask,
-                  test_idx, gaussian, qcode, f):
+def _fold_column(meta, values, train_mask):
+    """The fold's record of one column and the column in its units."""
+    if meta.identity:
+        return meta, values
+    raw = meta.to_original(values)
+    mean, sd = _standardize_stats(meta.name, raw[train_mask])
+    fold = dc_replace(meta, mean=mean, sd=sd)
+    return fold, fold.to_model(raw)
+
+
+def _fold_predict(arch, data, spec, config, test_idx, f):
     """Fit on the training part and predict the held-out part (raw scale)."""
-    x_train = np.array(x_raw[train_mask])
-    x_test = np.array(x_raw[test_idx])
-    metas = []
-    for j, meta in enumerate(data.column_meta):
-        if meta.kind == "continuous":
-            m, s = _train_stats(x_raw[train_mask, j])
-            x_train[:, j] = (x_train[:, j] - m) / s
-            x_test[:, j] = (x_test[:, j] - m) / s
-            metas.append(dc_replace(meta, mean=m, sd=s))
-        else:
-            metas.append(meta)
-    if gaussian:
-        my, sy = _train_stats(y_raw[train_mask])
-        y_train = (y_raw[train_mask] - my) / sy
-    else:
-        y_train, my, sy = y_raw[train_mask], 0.0, 1.0
-    train = Dataset(x_train, y_train, column_meta=tuple(metas),
-                    response_meta=dc_replace(data.response_meta, mean=my,
-                                             sd=sy))
+    train_mask = np.ones(data.n, dtype=bool)
+    train_mask[test_idx] = False
+    metas, cols = zip(*(_fold_column(meta, data.x[:, j], train_mask)
+                        for j, meta in enumerate(data.column_meta)))
+    x = np.column_stack(cols)
+    ymeta, y = _fold_column(data.response_meta, data.y, train_mask)
+    train = Dataset(x[train_mask], y[train_mask], column_meta=metas,
+                    response_meta=ymeta)
+    x_test = design_with_intercept(x[test_idx])
     if arch is None:
-        linear = fit_linear(train)
-        pred_std = design_with_intercept(x_test) @ linear.beta
+        pred = x_test @ fit_linear(train).beta
     else:
-        seed = seeds.derive_seed(config.seed, qcode, f)
+        seed = seeds.derive_seed(config.seed, arch.q, f)
         result = fit(arch, train, spec, dc_replace(config, seed=seed))
-        pred_std = forward_design(arch, result.theta_hat,
-                                  design_with_intercept(x_test))
-    return pred_std * sy + my
+        pred = forward_design(arch, result.theta_hat, x_test)
+    return ymeta.to_original(pred)
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,28 @@ def test_exit_2_on_unreadable_column_record(workspace, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [
+    ["summary"], ["pce", "--covariate", "age", "--original-scale"]],
+    ids=["summary", "pce-original-scale"])
+@pytest.mark.parametrize("scale", [-1.0, 0.0], ids=["negated", "zero"])
+def test_exit_2_on_unusable_scale_map(workspace, tmp_path, capsys, command,
+                                      scale):
+    """A stored sd that is not positive cannot map a column between CSV
+    and model units: the model file is refused, naming the column."""
+    _, csv_path, model_path = workspace
+    with open(model_path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    payload["column_meta"][0]["sd"] *= scale
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main([command[0], str(bad), csv_path] + command[1:]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"error: .*bad\.json: invalid column metadata: column 'age' has an "
+        r"unusable scale map \(mean \S+, sd -?\S+\): sd must be finite "
+        r"and positive\n", err)
+
+
 def test_exit_3_numerical_failure_mentions_penalty(workspace, tmp_path,
                                                    capsys):
     """A stored model whose hidden node 2 copies node 1 (omega_j2 =

@@ -236,6 +236,23 @@ def test_column_meta_source():
         ColumnMeta("a.b", raw="a", level="b")
 
 
+def test_column_meta_scale_map():
+    """A record maps CSV units to model units and back; a passthrough or
+    dummy map is the identity, and an unusable map is refused."""
+    cm = ColumnMeta("age", mean=40.0, sd=8.0)
+    v = np.array([24.0, 40.0, 61.0])
+    np.testing.assert_array_equal(cm.to_model(v), (v - 40.0) / 8.0)
+    np.testing.assert_array_equal(cm.to_original(cm.to_model(v)), v)
+    assert not cm.identity
+    assert ColumnMeta("x4").identity and ColumnMeta("f", kind="dummy").identity
+    for mean, sd in ((0.0, 0.0), (0.0, -2.0), (0.0, np.inf), (np.nan, 1.0)):
+        with pytest.raises(DataError, match="'age' has an unusable scale"):
+            ColumnMeta("age", mean=mean, sd=sd)
+    for mean, sd in ((0.5, 1.0), (0.0, 2.0)):
+        with pytest.raises(DataError, match="dummy column 'f' must have"):
+            ColumnMeta("f", kind="dummy", mean=mean, sd=sd)
+
+
 def test_dataset_immutability():
     data = Dataset(x=np.array([[1.0, 2.0]]), y=np.array([3.0]))
     with pytest.raises(ValueError):

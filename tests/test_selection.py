@@ -251,3 +251,58 @@ def test_sweep_bernoulli_baseline_has_no_bic():
     assert result.best_bic().q == 1
     row = sweep_csv(result).splitlines()[1].split(",")
     assert row[:2] == ["0", "NA"] and row[2] != "NA"
+
+
+def test_cv_folds_repeat_the_fits_preprocessing(tmp_path, monkeypatch):
+    """A schema passthrough column and response reach every fold's fit
+    in CSV units, as they reach ``fit``; only the standardized column is
+    re-standardized, with training-fold statistics."""
+    import statnn.selection as selection
+    from statnn.preprocess import ingest
+
+    rng = np.random.default_rng(112)
+    n = 60
+    x1 = 50.0 + 10.0 * rng.normal(size=n)
+    x4 = 100.0 + 30.0 * rng.normal(size=n)
+    y = 0.05 * x1 - 0.02 * x4 + 0.5 * rng.normal(size=n)
+    path = tmp_path / "table.csv"
+    path.write_text("x1,x4,y\n" + "".join(
+        f"{a:.6f},{b:.6f},{c:.6f}\n" for a, b, c in zip(x1, x4, y)))
+    schema = {"columns": {"x4": "passthrough"},
+              "response_action": "passthrough"}
+    data, _plan = ingest(str(path), "y", schema)
+    x1_meta, x4_meta = data.column_meta
+    assert (x4_meta.mean, x4_meta.sd) == (0.0, 1.0)
+    x1_raw = data.x[:, 0] * x1_meta.sd + x1_meta.mean
+
+    seen = []
+    real_fit, real_linear = selection.fit, selection.fit_linear
+
+    def spy_fit(arch, train, spec, config):
+        seen.append(train)
+        return real_fit(arch, train, spec, config)
+
+    def spy_linear(train):
+        seen.append(train)
+        return real_linear(train)
+
+    monkeypatch.setattr(selection, "fit", spy_fit)
+    monkeypatch.setattr(selection, "fit_linear", spy_linear)
+    config = FitConfig(n_restarts=1, seed=16)
+    spec = LikelihoodSpec("gaussian", lam=0.01)
+    for arch in (None, Architecture(p=2, q=1)):
+        seen.clear()
+        cross_validate(arch, data, spec, config, folds=3)
+        assert len(seen) == 3
+        for train, test_idx in zip(seen, selection._fold_indices(
+                n, 3, config.seed)):
+            rows = np.setdiff1d(np.arange(n), test_idx)
+            np.testing.assert_array_equal(train.x[:, 1], data.x[rows, 1])
+            np.testing.assert_array_equal(train.y, data.y[rows])
+            assert train.column_meta[1] == x4_meta
+            assert train.response_meta == data.response_meta
+            meta = train.column_meta[0]
+            assert meta.mean == float(np.mean(x1_raw[rows]))
+            assert meta.sd == float(np.std(x1_raw[rows], ddof=1))
+            np.testing.assert_allclose(train.x[:, 0] * meta.sd + meta.mean,
+                                       x1_raw[rows], rtol=1e-12)
