@@ -18,8 +18,8 @@ from .fit import FitConfig, FitResult, evaluate_at, fit
 from .inference import (CovarianceEstimate, InferenceReport, WaldResult,
                         effective_df, sandwich_covariance, summarize,
                         wald_multi, wald_single)
-from .likelihood import (LikelihoodSpec, gradient, log_likelihood,
-                         observed_information, penalty, prediction_gradient)
+from .likelihood import (gradient, log_likelihood, observed_information,
+                         penalty, prediction_gradient)
 from .model import (Architecture, ColumnMeta, Dataset, ParamVector, forward,
                     forward_batch, selection_matrix, sigmoid)
 from .preprocess import PreprocessPlan, dataset_from_meta, ingest
@@ -37,8 +37,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Architecture", "ColumnMeta", "CovarianceEstimate", "DataError",
     "Dataset", "FitConfig", "FitError", "FitResult", "InferenceReport",
-    "LikelihoodSpec", "LinearFit", "ModelDocument",
-    "NotPositiveDefiniteError", "ParamVector", "PceCurve", "PcePoint",
+    "LinearFit", "ModelDocument", "NotPositiveDefiniteError",
+    "ParamVector", "PceCurve", "PcePoint",
     "PreprocessPlan", "SelectionSweep", "ShapeError", "SimReport",
     "SimScenario", "StatnnError", "WaldResult", "align_to",
     "all_symmetry_ops", "apply_symmetry", "bic", "canonicalize",

@@ -29,8 +29,7 @@ from .exceptions import (DataError, FitError, NotPositiveDefiniteError,
                          ShapeError)
 from .fit import FitConfig, evaluate_at, fit
 from .inference import sandwich_covariance, summarize
-from .likelihood import (LikelihoodSpec, observed_information,
-                         output_activation_for)
+from .likelihood import observed_information
 from .model import Architecture, Dataset
 from .plots import pce_plot_svg, power_plot_svg, selection_plot_svg
 from .preprocess import dataset_from_meta, ingest
@@ -180,11 +179,9 @@ def _ingest_response(args) -> Dataset:
 
 def cmd_fit(args) -> int:
     data = _ingest_response(args)
-    arch = Architecture(p=data.p, q=args.q,
-                        output_activation=output_activation_for(args.family))
-    spec = LikelihoodSpec(args.family, args.lam)
+    arch = Architecture(p=data.p, q=args.q, family=args.family)
     config = FitConfig(n_restarts=args.restarts, seed=args.seed)
-    result = fit(arch, data, spec, config)
+    result = fit(arch, data, args.lam, config)
     save_model(model_document(result, data), args.out)
     sigma_part = ("" if result.sigma_sq_hat is None
                   else f", sigma^2 = {result.sigma_sq_hat:.6g}")
@@ -199,9 +196,8 @@ def _model_and_covariance(model_path, csv_path):
     """Shared summary/pce/diagram preamble: load, evaluate, sandwich."""
     doc = load_model(model_path)
     data = dataset_from_meta(csv_path, doc.column_meta, doc.response_meta)
-    spec = LikelihoodSpec(doc.family, doc.lam)
-    result = evaluate_at(doc.arch, doc.theta, data, spec)
-    info = observed_information(doc.arch, doc.theta, data, spec,
+    result = evaluate_at(doc.arch, doc.theta, data, doc.lam)
+    info = observed_information(doc.arch, doc.theta, data,
                                 sigma_sq=result.sigma_sq_hat)
     cov = sandwich_covariance(info, doc.lam)
     return doc, data, result, cov
@@ -259,10 +255,9 @@ def cmd_select(args) -> int:
     if args.family == "bernoulli" and max(q_list) < 1:
         raise DataError("a bernoulli sweep needs a width >= 1: the linear "
                         "baseline has no BIC comparable with a network's")
-    spec = LikelihoodSpec(args.family, args.lam)
     config = FitConfig(n_restarts=args.restarts, seed=args.seed)
-    result = sweep(data, q_list, spec, config, folds=args.folds,
-                   cv=not args.no_cv)
+    result = sweep(data, q_list, args.family, args.lam, config,
+                   folds=args.folds, cv=not args.no_cv)
     _emit_or_print(sweep_csv(result), args.out)
     if args.svg:
         atomic_write_text(args.svg, selection_plot_svg(result))

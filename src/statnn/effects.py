@@ -108,7 +108,7 @@ def _averaged(arch, theta, x1, s_base, j, xs):
     gam = theta.gamma_vector()
     h = sigmoid(s_base + xs[:, None, None] * theta.omega_matrix()[j])
     z = gam[0] + h @ gam[1:]                            # G x n
-    if arch.output_activation == "logistic":
+    if arch.family == "bernoulli":
         mu = sigmoid(z)
         u = mu * (1.0 - mu) / n
     else:

@@ -5,9 +5,10 @@ quasi-Newton method, then polishes the result with damped Newton steps
 using the exact analytic Hessian.  For the Gaussian family the
 optimization runs at sigma^2 = 1 (penalized least squares); sigma_hat^2
 = RSS/n is recovered afterwards and the reported log-likelihood is
-evaluated there.  The objective, its derivatives, the input checks and
-the profiled variance all come from ``likelihood._Evaluator``; this
-module holds only the search.
+evaluated there.  The response family is the architecture's and the
+ridge penalty a plain ``lam``.  The objective, its derivatives, the
+input checks and the profiled variance all come from
+``likelihood._Evaluator``; this module holds only the search.
 
 Each restart draws its starting point from a private generator seeded by
 (seed, restart_index), so results are reproducible and independent of
@@ -45,7 +46,7 @@ import numpy as np
 from . import seeds
 from .canonical import canonicalize
 from .exceptions import FitError
-from .likelihood import LikelihoodSpec, _Evaluator
+from .likelihood import _Evaluator
 from .model import Architecture, Dataset, ParamVector
 
 #: Starting points are Uniform(-INIT_SCALE, INIT_SCALE) in every coordinate.
@@ -169,10 +170,10 @@ def _solve_damped(hess: np.ndarray, rhs: np.ndarray):
     return None
 
 
-def fit(arch: Architecture, data: Dataset, spec: LikelihoodSpec,
+def fit(arch: Architecture, data: Dataset, lam: float,
         config: FitConfig = FitConfig()) -> FitResult:
     """Penalized maximum-likelihood estimate with random restarts."""
-    obj = _Evaluator(arch, data, spec)
+    obj = _Evaluator(arch, data, lam)
     runs = [None] * config.n_restarts     # (loglik, theta, sigma_sq)
     restart_iterations = [0] * config.n_restarts
     failures = []
@@ -205,7 +206,7 @@ def fit(arch: Architecture, data: Dataset, spec: LikelihoodSpec,
         theta_hat=theta_hat,
         loglik=loglik,
         sigma_sq_hat=sigma_sq_hat,
-        lam=spec.lam,
+        lam=lam,
         restart_logliks=tuple(logliks),
         restart_iterations=tuple(restart_iterations),
         chosen_restart=chosen,
@@ -233,7 +234,7 @@ def _choose_restart(runs, logliks) -> int:
 
 
 def evaluate_at(arch: Architecture, theta: ParamVector, data: Dataset,
-                spec: LikelihoodSpec) -> FitResult:
+                lam: float) -> FitResult:
     """Wrap fixed parameter values (e.g. a stored model) as a FitResult.
 
     No optimization happens: the log-likelihood, profiled variance, and
@@ -241,7 +242,7 @@ def evaluate_at(arch: Architecture, theta: ParamVector, data: Dataset,
     ``converged`` reporting whether ``theta`` is a stationary point
     there (it will not be if the data differ from the fitting data).
     """
-    obj = _Evaluator(arch, data, spec)
+    obj = _Evaluator(arch, data, lam)
     loglik, sigma_sq_hat = obj.profile(theta.values)
     # Stationarity is measured on the optimizer's scale (sigma^2 = 1 for
     # the Gaussian family), the same convention fit() reports.
@@ -252,7 +253,7 @@ def evaluate_at(arch: Architecture, theta: ParamVector, data: Dataset,
         theta_hat=theta,
         loglik=loglik,
         sigma_sq_hat=sigma_sq_hat,
-        lam=spec.lam,
+        lam=lam,
         restart_logliks=(loglik,),
         restart_iterations=(0,),
         chosen_restart=0,

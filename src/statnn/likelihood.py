@@ -5,10 +5,10 @@ The objective is
     l(theta) = sum_i log f(y_i | theta) - lambda * ||theta_pen||^2
 
 where theta_pen excludes the hidden intercepts omega_0k and the output
-intercept gamma_0.  Two response families are supported: Gaussian with
-identity output activation (y ~ N(NN(x), sigma^2)) and Bernoulli with
-logistic output activation; ``output_activation_for`` and
-``family_for`` hold that pairing.
+intercept gamma_0.  The response family is the architecture's
+``family``: Gaussian (y ~ N(NN(x), sigma^2), identity output) or
+Bernoulli (logistic output).  The ridge penalty lambda is a plain
+number, checked once by ``_Evaluator``.
 
 All of the algebra lives in ``_Evaluator``, shared by the functions
 below and the fitter in ``fit.py``.  It works on the unit scale (the
@@ -46,18 +46,11 @@ nodes vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import DataError, ShapeError
 from .model import (Architecture, Dataset, ParamVector, _net_parts,
                     design_with_intercept, sigmoid)
-
-#: Output activation each response family pairs with.
-_OUTPUT_ACTIVATIONS = {"gaussian": "identity", "bernoulli": "logistic"}
-
-FAMILIES = tuple(_OUTPUT_ACTIVATIONS)
 
 #: Clamp distance from {0, 1} applied to Bernoulli success probabilities
 #: before taking logs; prevents -inf without materially biasing the objective.
@@ -70,45 +63,16 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 _SIGMA_SQ_FLOOR = float(np.finfo(float).tiny)
 
 
-def output_activation_for(family: str) -> str:
-    """Output activation of the network a response family requires."""
-    return _OUTPUT_ACTIVATIONS[family]
-
-
-def family_for(output_activation: str) -> str:
-    """Response family implied by a network's output activation."""
-    return {act: fam for fam, act in _OUTPUT_ACTIVATIONS.items()}[
-        output_activation]
-
-
-@dataclass(frozen=True)
-class LikelihoodSpec:
-    """Response family plus the ridge penalty size."""
-
-    family: str
-    lam: float = 0.0
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if not 0.0 <= self.lam < np.inf:
-            raise ValueError(f"ridge penalty must be finite and nonnegative, "
-                             f"got {self.lam}")
-
-
-def check_family(arch: Architecture, spec: LikelihoodSpec):
-    """Gaussian pairs with identity output, Bernoulli with logistic."""
-    want = output_activation_for(spec.family)
-    if arch.output_activation != want:
-        raise DataError(
-            f"{spec.family} family requires {want!r} output activation, "
-            f"architecture has {arch.output_activation!r}")
+def check_lambda(lam: float):
+    """Refuse a ridge penalty that is not finite and nonnegative."""
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"ridge penalty must be finite and nonnegative, "
+                         f"got {lam}")
 
 
 def penalty(theta: ParamVector, lam: float) -> float:
     """Ridge penalty lambda * ||theta_pen||^2; intercepts contribute nothing."""
-    if lam < 0.0:
-        raise ValueError(f"ridge penalty must be nonnegative, got {lam}")
+    check_lambda(lam)
     return lam * float(np.sum(theta.values[theta.arch.penalized_mask()] ** 2))
 
 
@@ -161,9 +125,10 @@ def _clamped_bernoulli_loglik(y: np.ndarray, mu: np.ndarray) -> float:
 
 
 class _Evaluator:
-    """The penalized log-likelihood of one architecture, dataset and spec.
+    """The penalized log-likelihood of one architecture, dataset and
+    ridge penalty.
 
-    The constructor checks the family pairing, the covariate count and a
+    The constructor checks the penalty, the covariate count and a
     Bernoulli response once and fixes the ridge weights; the methods
     take a flat parameter array and run one forward pass each, with no
     further checks, so the optimizer can call ``value_grad`` and
@@ -172,12 +137,11 @@ class _Evaluator:
     information build the n x r Jacobian.
     """
 
-    def __init__(self, arch: Architecture, data: Dataset,
-                 spec: LikelihoodSpec):
-        check_family(arch, spec)
+    def __init__(self, arch: Architecture, data: Dataset, lam: float):
+        check_lambda(lam)
         if data.p != arch.p:
             raise ShapeError("covariate count", arch.p, data.p)
-        self.gaussian = spec.family == "gaussian"
+        self.gaussian = arch.family == "gaussian"
         if not self.gaussian and not np.all((data.y == 0.0)
                                             | (data.y == 1.0)):
             raise DataError(
@@ -187,7 +151,7 @@ class _Evaluator:
         self.y = data.y
         # d(penalty)/dtheta = ridge_w * theta: 2 lambda on the penalized
         # coordinates, 0 on the intercepts.
-        self.ridge_w = 2.0 * spec.lam * arch.penalized_mask()
+        self.ridge_w = 2.0 * lam * arch.penalized_mask()
 
     def _terms(self, theta, kernel=False):
         """Forward pass and the family branch.
@@ -267,35 +231,33 @@ class _Evaluator:
 # ---------------------------------------------------------------------------
 
 def log_likelihood(arch: Architecture, theta: ParamVector, data: Dataset,
-                   spec: LikelihoodSpec, sigma_sq: float | None = None) -> float:
+                   lam: float, sigma_sq: float | None = None) -> float:
     """Penalized log-likelihood (penalty already subtracted)."""
-    ev = _Evaluator(arch, data, spec)
+    ev = _Evaluator(arch, data, lam)
     return ev._penalized(theta.values, ev._terms(theta.values)[2], sigma_sq)
 
 
 def gradient(arch: Architecture, theta: ParamVector, data: Dataset,
-             spec: LikelihoodSpec, sigma_sq: float | None = None) -> np.ndarray:
+             lam: float, sigma_sq: float | None = None) -> np.ndarray:
     """Gradient of the penalized log-likelihood, length r.
 
     The ridge term contributes -2 lambda theta on the penalized
     coordinates and nothing on the intercepts.
     """
-    ev = _Evaluator(arch, data, spec)
+    ev = _Evaluator(arch, data, lam)
     g, h, _, u, _ = ev._terms(theta.values)
     div, _ = ev._scale(sigma_sq)
     return ev._score(g, h, u) / div - ev.ridge_w * theta.values
 
 
 def observed_information(arch: Architecture, theta: ParamVector, data: Dataset,
-                         spec: LikelihoodSpec,
                          sigma_sq: float | None = None) -> np.ndarray:
     """Negative Hessian of the unpenalized log-likelihood at ``theta``.
 
-    Symmetric by construction ((H + H^T)/2 after assembly) and invariant
-    under the penalty used elsewhere: the ridge term is stripped by
-    definition.
+    Symmetric by construction ((H + H^T)/2 after assembly).  It takes no
+    ridge penalty: the information is unpenalized by definition.
     """
-    ev = _Evaluator(arch, data, spec)
+    ev = _Evaluator(arch, data, 0.0)
     div, _ = ev._scale(sigma_sq)
     info = ev._information(theta.values) / div
     info = 0.5 * (info + info.T)
@@ -318,7 +280,7 @@ def prediction_gradient(arch: Architecture, theta: ParamVector,
     x1 = design_with_intercept(x)
     g, h, z = _net_parts(arch.p, arch.q, x1, theta.values)
     a = _pred_jacobian(arch.p, arch.q, x1, h, g[1:])
-    if arch.output_activation == "logistic":
+    if arch.family == "bernoulli":
         mu = sigmoid(z)
         a = a * (mu * (1.0 - mu))[:, None]
     return a

@@ -5,7 +5,9 @@ The model is a single-hidden-layer feedforward network
     NN(x, theta) = phi_o( gamma_0 + sum_k gamma_k * sigmoid( sum_j omega_jk x_j ) )
 
 with x_0 = 1, input weights omega_jk for j = 0..p (j = 0 is the hidden
-intercept), k = 1..q, and output weights gamma_0..gamma_q.  The flat
+intercept), k = 1..q, and output weights gamma_0..gamma_q.  The response
+family fixes the output activation phi_o: the identity for the Gaussian
+family, the logistic function for the Bernoulli family.  The flat
 parameter vector is laid out as
 
     theta = (omega_0^T, omega_1^T, ..., omega_p^T, gamma^T)
@@ -24,8 +26,8 @@ import numpy as np
 
 from .exceptions import DataError, ShapeError
 
-HIDDEN_ACTIVATIONS = ("logistic",)
-OUTPUT_ACTIVATIONS = ("identity", "logistic")
+#: Response families; each fixes the output activation (see above).
+FAMILIES = ("gaussian", "bernoulli")
 
 
 def sigmoid(s):
@@ -45,26 +47,21 @@ def sigmoid(s):
 
 @dataclass(frozen=True)
 class Architecture:
-    """Network shape: p covariates (excluding the intercept), q hidden nodes."""
+    """Network shape and response family: p covariates (excluding the
+    intercept), q hidden nodes, ``family`` one of ``FAMILIES``."""
 
     p: int
     q: int
-    hidden_activation: str = "logistic"
-    output_activation: str = "identity"
+    family: str = "gaussian"
 
     def __post_init__(self):
         if self.p < 1:
             raise ValueError(f"p must be >= 1, got {self.p}")
         if self.q < 1:
             raise ValueError(f"q must be >= 1, got {self.q}")
-        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise ValueError(
-                f"unsupported hidden activation {self.hidden_activation!r}; "
-                f"supported: {HIDDEN_ACTIVATIONS}")
-        if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise ValueError(
-                f"unsupported output activation {self.output_activation!r}; "
-                f"supported: {OUTPUT_ACTIVATIONS}")
+        if self.family not in FAMILIES:
+            raise ValueError(f"family must be one of {FAMILIES}, "
+                             f"got {self.family!r}")
 
     @property
     def r(self) -> int:
@@ -302,7 +299,7 @@ def _net_parts(p: int, q: int, x1: np.ndarray, theta: np.ndarray):
 def forward_design(arch: Architecture, theta: ParamVector, x1: np.ndarray) -> np.ndarray:
     """Forward pass over a design matrix that already carries the 1-column."""
     _, _, z = _net_parts(arch.p, arch.q, x1, theta.values)
-    if arch.output_activation == "logistic":
+    if arch.family == "bernoulli":
         return sigmoid(z)
     return z
 

@@ -31,7 +31,6 @@ import io
 import numpy as np
 
 from .inference import SIGNIFICANCE_LEGEND, InferenceReport
-from .likelihood import family_for
 from .model import Architecture
 from .serialize import to_json_text
 
@@ -74,7 +73,7 @@ def _summary_payload(report: InferenceReport) -> dict:
             for row in report.covariates]
     return {
         "format_version": 1,
-        "family": family_for(report.arch.output_activation),
+        "family": report.arch.family,
         "n": report.n_obs,
         "p": report.arch.p,
         "q": report.arch.q,
@@ -106,7 +105,7 @@ def _summary_text(report: InferenceReport) -> str:
     sigma_part = ("" if report.sigma_sq_hat is None
                   else f", sigma^2 = {_fmt(report.sigma_sq_hat)}")
     lines.append(
-        f"family {family_for(report.arch.output_activation)}, "
+        f"family {report.arch.family}, "
         f"n = {report.n_obs}, p = {report.arch.p}, q = {q}, "
         f"lambda = {_fmt(report.lam)}")
     lines.append(

@@ -8,6 +8,8 @@ variance for the Gaussian family, and evaluates the unpenalized
 log-likelihood at the penalized estimate.  Cross-validation repeats the
 fit's preprocessing in each training fold, so no test-fold information
 leaks into the fit, and scores RMSE on the original response scale.
+A sweep builds each candidate's ``Architecture`` from the family it is
+given; the family and the ridge penalty are checked before any fit.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import numpy as np
 from . import seeds
 from .exceptions import DataError, FitError
 from .fit import FitConfig, FitResult, fit
-from .likelihood import (LOG_2PI, LikelihoodSpec, output_activation_for,
-                         penalty)
-from .model import Architecture, Dataset, design_with_intercept, forward_design
+from .likelihood import LOG_2PI, check_lambda, penalty
+from .model import (FAMILIES, Architecture, Dataset, design_with_intercept,
+                    forward_design)
 from .preprocess import _standardize_stats
 
 
@@ -116,8 +118,8 @@ def _fold_indices(n: int, folds: int, seed: int):
     return np.array_split(seeds.rng(seed, 0x5F01).permutation(n), folds)
 
 
-def cross_validate(arch: Architecture | None, data: Dataset,
-                   spec: LikelihoodSpec, config: FitConfig = FitConfig(),
+def cross_validate(arch: Architecture | None, data: Dataset, lam: float,
+                   config: FitConfig = FitConfig(),
                    folds: int = 5) -> CvResult:
     """k-fold CV of a network (or, with arch None, the OLS baseline).
 
@@ -139,7 +141,7 @@ def cross_validate(arch: Architecture | None, data: Dataset,
     fold_rmses = []
     for f, test_idx in enumerate(_fold_indices(n, folds, config.seed)):
         try:
-            pred = _fold_predict(arch, data, spec, config, test_idx, f)
+            pred = _fold_predict(arch, data, lam, config, test_idx, f)
         except (FitError, DataError) as exc:
             raise FitError(f"cross-validation fold {f} failed: {exc}") from exc
         err = y_raw[test_idx] - pred
@@ -160,7 +162,7 @@ def _fold_column(meta, values, train_mask):
     return fold, fold.to_model(raw)
 
 
-def _fold_predict(arch, data, spec, config, test_idx, f):
+def _fold_predict(arch, data, lam, config, test_idx, f):
     """Fit on the training part and predict the held-out part (raw scale)."""
     train_mask = np.ones(data.n, dtype=bool)
     train_mask[test_idx] = False
@@ -175,7 +177,7 @@ def _fold_predict(arch, data, spec, config, test_idx, f):
         pred = x_test @ fit_linear(train).beta
     else:
         seed = seeds.derive_seed(config.seed, arch.q, f)
-        result = fit(arch, train, spec, dc_replace(config, seed=seed))
+        result = fit(arch, train, lam, dc_replace(config, seed=seed))
         pred = forward_design(arch, result.theta_hat, x_test)
     return ymeta.to_original(pred)
 
@@ -212,7 +214,7 @@ class SelectionSweep:
         return min(ok, key=lambda e: e.cv_rmse)
 
 
-def sweep(data: Dataset, q_list, spec: LikelihoodSpec,
+def sweep(data: Dataset, q_list, family: str, lam: float,
           config: FitConfig = FitConfig(), folds: int = 5,
           cv: bool = True) -> SelectionSweep:
     """Fit every candidate width and score it by BIC (and optionally CV).
@@ -222,6 +224,9 @@ def sweep(data: Dataset, q_list, spec: LikelihoodSpec,
     the bernoulli family the linear baseline gets no BIC (its entry says
     why), only its CV RMSE.
     """
+    if family not in FAMILIES:
+        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+    check_lambda(lam)
     entries = []
     for q in q_list:
         if q < 0:
@@ -229,17 +234,15 @@ def sweep(data: Dataset, q_list, spec: LikelihoodSpec,
         arch, note = None, None
         try:
             if q > 0:
-                arch = Architecture(
-                    p=data.p, q=q,
-                    output_activation=output_activation_for(spec.family))
-                bic_val = bic(fit(arch, data, spec, config), arch, data.n)
-            elif spec.family == "gaussian":
+                arch = Architecture(p=data.p, q=q, family=family)
+                bic_val = bic(fit(arch, data, lam, config), arch, data.n)
+            elif family == "gaussian":
                 bic_val = linear_bic(fit_linear(data))
             else:
                 bic_val, note = None, ("no BIC: the linear baseline's "
                                        "likelihood is Gaussian, not "
                                        "comparable with bernoulli networks")
-            cv_res = (cross_validate(arch, data, spec, config, folds=folds)
+            cv_res = (cross_validate(arch, data, lam, config, folds=folds)
                       if cv else None)
             entry = SweepEntry(q=q, bic=bic_val, error=note,
                                cv_rmse=cv_res.rmse if cv else None,

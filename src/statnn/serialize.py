@@ -7,8 +7,10 @@ A fitted network is stored as a single JSON document::
 
 Each column record is ``{name, kind, mean, sd, raw, level}``: ``raw``
 names the CSV column the model column is read from, and ``level`` is the
-factor level an indicator marks (``null`` for a numeric column).  This
-is model format version 2.  Version 1 records lacked ``raw`` and
+factor level an indicator marks (``null`` for a numeric column).  The
+activation fields encode the family: ``hidden_activation`` is always
+``logistic`` and ``output_activation`` is ``_OUTPUT_ACTIVATIONS[family]``.
+This is model format version 2.  Version 1 records lacked ``raw`` and
 ``level``, so they cannot say which CSV column an indicator comes from;
 such files are refused with a request to refit.  Scenario files are
 versioned separately and are at version 1.  In a scenario file ``n``
@@ -16,9 +18,9 @@ and ``lambda`` may each be a non-empty list, and an ``effect`` list may
 be given instead; the lists are the axes of a study grid, read value by
 value as the single fields are.
 
-Floats are emitted with 17 significant digits so that loading recovers
-bit-identical values, and the emitter walks dictionaries in a fixed
-insertion order so repeated saves of the same model are byte-identical.
+``json.dumps`` writes floats by ``repr``, which reads back to the same
+double, refuses non-finite values and keeps insertion order, so repeated
+saves of the same model are byte-identical.
 All writes go through a write-temp-then-rename step so a crash never
 leaves a half-written file behind.
 """
@@ -34,54 +36,23 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import DataError
-from .likelihood import family_for
 from .model import Architecture, ColumnMeta, Dataset, ParamVector
 from .simgen import SimScenario
 
 MODEL_FORMAT_VERSION = 2
 SCENARIO_FORMAT_VERSION = 1
 
+#: The model file's output activation for each response family.
+_OUTPUT_ACTIVATIONS = {"gaussian": "identity", "bernoulli": "logistic"}
+
 
 # ---------------------------------------------------------------------------
 # Deterministic JSON emission
 # ---------------------------------------------------------------------------
 
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite value {x!r}")
-    return format(float(x), ".17g")
-
-
-def _emit(obj, indent: int) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{inner}{json.dumps(str(k))}: {_emit(v, indent + 1)}"
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{_emit(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if obj is None:
-        return "null"
-    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
-
-
 def to_json_text(obj) -> str:
-    """Deterministic JSON with 17-significant-digit floats."""
-    return _emit(obj, 0) + "\n"
+    """Deterministic JSON, two-space indent; floats by ``repr``."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def atomic_write_text(path, text: str):
@@ -122,11 +93,6 @@ class ModelDocument:
                 f"model stores {len(self.column_meta)} column records for "
                 f"p = {self.arch.p} covariates")
 
-    @property
-    def family(self) -> str:
-        """Likelihood family implied by the output activation."""
-        return family_for(self.arch.output_activation)
-
 
 def model_document(fit_result, data: Dataset) -> ModelDocument:
     """Bundle a fit with the dataset's preprocessing metadata."""
@@ -138,17 +104,17 @@ def model_document(fit_result, data: Dataset) -> ModelDocument:
 
 def _meta_dict(meta: ColumnMeta) -> dict:
     return {"name": meta.name, "kind": meta.kind,
-            "mean": meta.mean, "sd": meta.sd,
+            "mean": float(meta.mean), "sd": float(meta.sd),
             "raw": meta.raw, "level": meta.level}
 
 
 def model_to_json(doc: ModelDocument) -> str:
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
-        "p": doc.arch.p,
-        "q": doc.arch.q,
-        "hidden_activation": doc.arch.hidden_activation,
-        "output_activation": doc.arch.output_activation,
+        "p": int(doc.arch.p),
+        "q": int(doc.arch.q),
+        "hidden_activation": "logistic",
+        "output_activation": _OUTPUT_ACTIVATIONS[doc.arch.family],
         "theta": [float(v) for v in doc.theta.values],
         "lambda": float(doc.lam),
         "column_meta": [_meta_dict(m) for m in doc.column_meta],
@@ -249,15 +215,20 @@ def parse_model(text: str, where: str = "model") -> ModelDocument:
             "CSV column and level of each model column; refit the model "
             "with 'statnn fit'")
     _check_version(payload, where, MODEL_FORMAT_VERSION)
+    p = _json_int(_require(payload, "p", where), "p", where)
+    q = _json_int(_require(payload, "q", where), "q", where)
+    hidden = str(_require(payload, "hidden_activation", where))
+    output = str(_require(payload, "output_activation", where))
+    families = [f for f, act in _OUTPUT_ACTIVATIONS.items() if act == output]
     try:
-        arch = Architecture(
-            p=_json_int(_require(payload, "p", where), "p", where),
-            q=_json_int(_require(payload, "q", where), "q", where),
-            hidden_activation=str(_require(payload, "hidden_activation",
-                                           where)),
-            output_activation=str(_require(payload, "output_activation",
-                                           where)),
-        )
+        if hidden != "logistic":
+            raise ValueError(f"unsupported hidden activation {hidden!r}; "
+                             "supported: ('logistic',)")
+        if not families:
+            raise ValueError(
+                f"unsupported output activation {output!r}; "
+                f"supported: {tuple(_OUTPUT_ACTIVATIONS.values())}")
+        arch = Architecture(p=p, q=q, family=families[0])
     except ValueError as exc:
         raise DataError(f"{where}: invalid architecture: {exc}") from exc
     theta_raw = _require(payload, "theta", where)
@@ -299,15 +270,15 @@ _SCENARIO_FLOAT_FIELDS = ("lambda", "noise_sd", "effect")
 def scenario_to_json(scenario: SimScenario) -> str:
     payload = {
         "format_version": SCENARIO_FORMAT_VERSION,
-        "q": scenario.q,
+        "q": int(scenario.q),
         "nz_pattern": scenario.nz_pattern,
-        "n": scenario.n,
-        "p": scenario.p,
+        "n": int(scenario.n),
+        "p": int(scenario.p),
         "lambda": float(scenario.lam),
         "noise_sd": float(scenario.noise_sd),
-        "replicates": scenario.replicates,
-        "restarts": scenario.restarts,
-        "seed": scenario.seed,
+        "replicates": int(scenario.replicates),
+        "restarts": int(scenario.restarts),
+        "seed": int(scenario.seed),
     }
     if scenario.true_theta is not None:
         payload["true_theta"] = [float(v)

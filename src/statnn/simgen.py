@@ -43,7 +43,7 @@ from .exceptions import FitError, NotPositiveDefiniteError
 from .fit import FitConfig, fit
 from .inference import (require_positive_definite, sandwich_covariance,
                         wald_multi)
-from .likelihood import LikelihoodSpec, observed_information
+from .likelihood import observed_information
 from .model import (Architecture, Dataset, ParamVector, design_with_intercept,
                     forward_design)
 from .special import chi_square_survival
@@ -141,8 +141,9 @@ class SimScenario:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if not 0.0 <= self.lam < np.inf:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if not self.noise_sd > 0.0:
-            raise ValueError(f"noise_sd must be positive, got {self.noise_sd}")
+        if not 0.0 < self.noise_sd < np.inf:
+            raise ValueError(f"noise_sd must be finite and positive, "
+                             f"got {self.noise_sd}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if self.restarts < 1:
@@ -195,18 +196,17 @@ def _replicate_task(args):
     outcome = _ReplicateOutcome(False, False, False, nan_r, nan_r, nan_r,
                                 nan_r, np.full(scenario.p, np.nan))
     data = generate(scenario, i)
-    spec = LikelihoodSpec("gaussian", scenario.lam)
     cfg = FitConfig(n_restarts=scenario.restarts,
                     seed=seeds.derive_seed(scenario.seed, i, 1))
     try:
-        res = fit(arch, data, spec, cfg)
+        res = fit(arch, data, scenario.lam, cfg)
     except FitError:
         return outcome
     aligned, _, t_mat = align_to(res.theta_hat, truth)
     est = np.array(aligned.values)
     outcome = replace(outcome, fit_ok=True, converged=res.converged,
                       estimate=est, iterations=sum(res.restart_iterations))
-    info = observed_information(arch, res.theta_hat, data, spec,
+    info = observed_information(arch, res.theta_hat, data,
                                 sigma_sq=res.sigma_sq_hat)
     try:
         cov = sandwich_covariance(info, scenario.lam)

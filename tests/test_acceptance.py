@@ -42,7 +42,7 @@ from statnn.effects import pce_curve
 from statnn.fit import FitConfig, fit
 from statnn.inference import (CovarianceEstimate, effective_df,
                               sandwich_covariance, summarize)
-from statnn.likelihood import (LikelihoodSpec, gradient, log_likelihood,
+from statnn.likelihood import (gradient, log_likelihood,
                                observed_information, penalty,
                                prediction_gradient)
 from statnn.model import (Architecture, ColumnMeta, Dataset, ParamVector,
@@ -173,8 +173,7 @@ def test_gradient_and_information_match_finite_differences():
         q = int(rng.integers(1, 4))
         n = int(rng.integers(10, 51))
         family = "gaussian" if i % 2 == 0 else "bernoulli"
-        out = "identity" if family == "gaussian" else "logistic"
-        arch = Architecture(p=p, q=q, output_activation=out)
+        arch = Architecture(p=p, q=q, family=family)
         theta = ParamVector(arch, rng.uniform(-1.0, 1.0, arch.r))
         x = rng.normal(size=(n, p))
         if family == "gaussian":
@@ -185,13 +184,12 @@ def test_gradient_and_information_match_finite_differences():
         lam = float(rng.choice([0.0, 0.01, 0.1]))
         kw = ({"sigma_sq": float(rng.uniform(0.5, 2.0))}
               if family == "gaussian" else {})
-        spec_pen = LikelihoodSpec(family, lam)
 
-        def loglik(values, _spec=spec_pen):
+        def loglik(values, _lam=lam):
             return log_likelihood(arch, ParamVector(arch, values), data,
-                                  _spec, **kw)
+                                  _lam, **kw)
 
-        analytic = gradient(arch, theta, data, spec_pen, **kw)
+        analytic = gradient(arch, theta, data, lam, **kw)
         numeric = _fd_gradient(loglik, theta.values.copy())
         scale = np.maximum(np.abs(numeric), 1.0)
         worst_grad = max(worst_grad,
@@ -199,13 +197,10 @@ def test_gradient_and_information_match_finite_differences():
 
         # The observed information excludes the ridge term by definition,
         # so the reference Hessian differentiates the unpenalized gradient.
-        spec_plain = LikelihoodSpec(family, 0.0)
+        def grad_fn(values):
+            return gradient(arch, ParamVector(arch, values), data, 0.0, **kw)
 
-        def grad_fn(values, _spec=spec_plain):
-            return gradient(arch, ParamVector(arch, values), data,
-                            _spec, **kw)
-
-        info = observed_information(arch, theta, data, spec_plain, **kw)
+        info = observed_information(arch, theta, data, **kw)
         numeric_h = -_fd_hessian(grad_fn, theta.values.copy())
         worst_info = max(worst_info, float(np.max(np.abs(info - numeric_h))))
     elapsed = time.perf_counter() - t0
@@ -449,26 +444,26 @@ def test_insurance_benchmark():
     ols_se = float(lin.se[i_smoker]) * sd_y
     ols_ok = abs(ols_coef - 23.849) <= 0.01 and abs(ols_se - 0.413) <= 0.01
 
-    spec = LikelihoodSpec("gaussian", 0.01)
+    lam = 0.01
     config = FitConfig(n_restarts=10, seed=0)
 
     # Five-fold cross-validation, original response units.
     arch2 = Architecture(p=data.p, q=2)
-    cv_net = cross_validate(arch2, data, spec, config, folds=5)
-    cv_lin = cross_validate(None, data, spec, config, folds=5)
+    cv_net = cross_validate(arch2, data, lam, config, folds=5)
+    cv_lin = cross_validate(None, data, lam, config, folds=5)
     cv_ok = (abs(cv_net.rmse - 4.634) <= 0.40
              and abs(cv_lin.rmse - 6.107) <= 0.30)
 
     # Width selection by BIC over 1..8 hidden nodes.
-    sw = sweep(data, list(range(1, 9)), spec, config, cv=False)
+    sw = sweep(data, list(range(1, 9)), "gaussian", lam, config, cv=False)
     best_q = sw.best_bic().q
     bic_ok = best_q == 2
 
     # Covariate-level Wald tests at the 5% level.
-    result = fit(arch2, data, spec, config)
-    info = observed_information(arch2, result.theta_hat, data, spec,
+    result = fit(arch2, data, lam, config)
+    info = observed_information(arch2, result.theta_hat, data,
                                 sigma_sq=result.sigma_sq_hat)
-    cov = sandwich_covariance(info, spec.lam)
+    cov = sandwich_covariance(info, lam)
     report = summarize(result, cov, arch2, data)
     observed = {row.name: row.mp_p_value < 0.05
                 for row in report.covariates}

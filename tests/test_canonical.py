@@ -8,7 +8,7 @@ import pytest
 from statnn.canonical import (SymmetryOp, align_to, all_symmetry_ops,
                               apply_symmetry, canonical_op, canonicalize,
                               symmetry_matrix)
-from statnn.likelihood import LikelihoodSpec, log_likelihood
+from statnn.likelihood import log_likelihood
 from statnn.model import Architecture, Dataset, ParamVector, forward
 
 
@@ -40,11 +40,11 @@ def test_symmetry_preserves_loglik():
     theta = _random_theta(arch, 22)
     rng = np.random.default_rng(23)
     data = Dataset(x=rng.normal(size=(10, 2)), y=rng.normal(size=10))
-    spec = LikelihoodSpec("gaussian", lam=0.3)
-    base = log_likelihood(arch, theta, data, spec, sigma_sq=1.0)
+    lam = 0.3
+    base = log_likelihood(arch, theta, data, lam, sigma_sq=1.0)
     for op in all_symmetry_ops(2):
         image = apply_symmetry(theta, op)
-        got = log_likelihood(arch, image, data, spec, sigma_sq=1.0)
+        got = log_likelihood(arch, image, data, lam, sigma_sq=1.0)
         assert abs(got - base) <= 1e-12
 
 

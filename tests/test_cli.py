@@ -357,14 +357,20 @@ def test_simulate_null_field_exits_2(tmp_path, capsys):
     assert "q must be an integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command,lam", [("fit", "nan"), ("fit", "inf"),
-                                         ("select", "nan")])
-def test_nonfinite_lambda_exits_2(workspace, tmp_path, capsys, command, lam):
+@pytest.mark.parametrize("command,lam,q_list", [
+    pytest.param("fit", "nan", None, id="fit-nan"),
+    pytest.param("fit", "inf", None, id="fit-inf"),
+    pytest.param("select", "nan", "0,1", id="select-nan"),
+    # The linear baseline alone fits no network: the sweep checks lambda
+    # before its first candidate.
+    pytest.param("select", "nan", "0", id="select-nan-linear")])
+def test_nonfinite_lambda_exits_2(workspace, tmp_path, capsys, command, lam,
+                                  q_list):
     _, csv_path, _ = workspace
     argv = [command, csv_path, "--response", "charges", "--lambda", lam,
             "--restarts", "1"]
     argv += (["--q", "1", "--out", str(tmp_path / "m.json")]
-             if command == "fit" else ["--q-list", "0,1", "--no-cv"])
+             if command == "fit" else ["--q-list", q_list, "--no-cv"])
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "ridge penalty" in err

@@ -7,8 +7,7 @@ from statnn.effects import (conditioning_values, effect_grid, pce_curve,
                             to_original_scale)
 from statnn.exceptions import DataError, NotPositiveDefiniteError
 from statnn.inference import CovarianceEstimate, sandwich_covariance
-from statnn.likelihood import (LikelihoodSpec, observed_information,
-                               prediction_gradient)
+from statnn.likelihood import observed_information, prediction_gradient
 from statnn.model import (Architecture, ColumnMeta, Dataset, ParamVector,
                           forward_batch)
 from statnn.special import normal_quantile
@@ -366,9 +365,9 @@ def test_sandwich_end_to_end_band_positive():
     y = forward_batch(arch, truth, Dataset(x=x, y=np.zeros(150)))
     y = y + 0.2 * rng.normal(size=150)
     data = Dataset(x=x, y=y)
-    spec = LikelihoodSpec("gaussian", lam=0.01)
-    result = fit(arch, data, spec, FitConfig(n_restarts=4, seed=91))
-    info = observed_information(arch, result.theta_hat, data, spec,
+    lam = 0.01
+    result = fit(arch, data, lam, FitConfig(n_restarts=4, seed=91))
+    info = observed_information(arch, result.theta_hat, data,
                                 sigma_sq=result.sigma_sq_hat)
     cov = sandwich_covariance(info, lam=0.01)
     assert cov.positive_definite
@@ -425,9 +424,10 @@ def _assert_matches_oracle(points, want):
     np.testing.assert_allclose(got[:, 1:], want[:, 1:], rtol=1e-10, atol=0)
 
 
-@pytest.mark.parametrize("output", ["identity", "logistic"])
-def test_batched_curve_matches_per_point_oracle(output):
-    arch = Architecture(p=3, q=2, output_activation=output)
+@pytest.mark.parametrize("family", [pytest.param("gaussian", id="identity"),
+                                    pytest.param("bernoulli", id="logistic")])
+def test_batched_curve_matches_per_point_oracle(family):
+    arch = Architecture(p=3, q=2, family=family)
     theta = _theta(arch, seed=92)
     data = _dataset(seed=93, n=80, p=3)
     cov = _random_cov(arch.r, seed=94)
@@ -438,7 +438,7 @@ def test_batched_curve_matches_per_point_oracle(output):
 
 
 def test_batched_conditioned_curve_matches_per_point_oracle():
-    arch = Architecture(p=3, q=3, output_activation="logistic")
+    arch = Architecture(p=3, q=3, family="bernoulli")
     theta = _theta(arch, seed=95)
     data = _dataset(seed=96, n=70, p=3, dummy_last=True)
     cov = _random_cov(arch.r, seed=97)

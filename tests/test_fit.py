@@ -11,8 +11,7 @@ from statnn.canonical import canonicalize
 from statnn.exceptions import DataError, FitError
 from statnn.fit import (POLISH_TOL, THETA_TOL, TIE_RTOL, FitConfig,
                         evaluate_at, fit, initialize)
-from statnn.likelihood import (LikelihoodSpec, _Evaluator, gradient,
-                               log_likelihood)
+from statnn.likelihood import _Evaluator, gradient, log_likelihood
 from statnn.model import Architecture, Dataset, ParamVector, forward_batch
 
 # The package rebinds the name ``statnn.fit`` to the function.
@@ -41,8 +40,8 @@ def test_fit_recovers_generating_function():
     arch = Architecture(p=2, q=2)
     truth = _true_theta(arch)
     data = _gaussian_data(arch, truth, 400, seed=40)
-    spec = LikelihoodSpec("gaussian", lam=0.0)
-    result = fit(arch, data, spec, FitConfig(n_restarts=6, seed=1))
+    lam = 0.0
+    result = fit(arch, data, lam, FitConfig(n_restarts=6, seed=1))
     assert result.converged
     fitted = forward_batch(arch, result.theta_hat, data)
     target = forward_batch(arch, truth, data)
@@ -56,9 +55,9 @@ def test_fit_satisfies_stationarity():
     arch = Architecture(p=2, q=2)
     truth = _true_theta(arch)
     data = _gaussian_data(arch, truth, 150, seed=41)
-    spec = LikelihoodSpec("gaussian", lam=0.01)
-    result = fit(arch, data, spec, FitConfig(n_restarts=4, seed=2))
-    g = gradient(arch, result.theta_hat, data, spec, sigma_sq=1.0)
+    lam = 0.01
+    result = fit(arch, data, lam, FitConfig(n_restarts=4, seed=2))
+    g = gradient(arch, result.theta_hat, data, lam, sigma_sq=1.0)
     assert np.max(np.abs(g)) == pytest.approx(result.grad_max, rel=1e-8)
     assert result.grad_max <= POLISH_TOL
 
@@ -67,8 +66,7 @@ def test_fit_returns_canonical_theta():
     arch = Architecture(p=2, q=2)
     truth = _true_theta(arch)
     data = _gaussian_data(arch, truth, 150, seed=42)
-    result = fit(arch, data, spec=LikelihoodSpec("gaussian", lam=0.01),
-                 config=FitConfig(n_restarts=3, seed=3))
+    result = fit(arch, data, lam=0.01, config=FitConfig(n_restarts=3, seed=3))
     np.testing.assert_array_equal(canonicalize(result.theta_hat).values,
                                   result.theta_hat.values)
 
@@ -77,9 +75,9 @@ def test_fit_deterministic_given_seed():
     arch = Architecture(p=2, q=2)
     truth = _true_theta(arch)
     data = _gaussian_data(arch, truth, 120, seed=43)
-    spec = LikelihoodSpec("gaussian", lam=0.01)
-    a = fit(arch, data, spec, FitConfig(n_restarts=5, seed=9))
-    b = fit(arch, data, spec, FitConfig(n_restarts=5, seed=9))
+    lam = 0.01
+    a = fit(arch, data, lam, FitConfig(n_restarts=5, seed=9))
+    b = fit(arch, data, lam, FitConfig(n_restarts=5, seed=9))
     np.testing.assert_array_equal(a.theta_hat.values, b.theta_hat.values)
     assert a.loglik == b.loglik
     assert a.restart_logliks == b.restart_logliks
@@ -98,8 +96,7 @@ def test_restart_records_and_chosen_restart():
     arch = Architecture(p=2, q=2)
     truth = _true_theta(arch)
     data = _gaussian_data(arch, truth, 120, seed=44)
-    result = fit(arch, data, LikelihoodSpec("gaussian", lam=0.01),
-                 FitConfig(n_restarts=6, seed=4))
+    result = fit(arch, data, 0.01, FitConfig(n_restarts=6, seed=4))
     assert len(result.restart_logliks) == 6
     assert len(result.restart_iterations) == 6
     chosen = result.chosen_restart
@@ -124,10 +121,10 @@ def _scripted_restarts(monkeypatch, outcomes):
     monkeypatch.setattr(fit_module, "_run_restart", run)
 
 
-def _uphill_pair(arch, data, spec, base):
+def _uphill_pair(arch, data, lam, base):
     """Two points a hair apart around ``base``, lower penalized
     log-likelihood first: theta within THETA_TOL, values within TIE_RTOL."""
-    obj = _Evaluator(arch, data, spec)
+    obj = _Evaluator(arch, data, lam)
     _, g = obj.value_grad(base)
     step = 1e-12 * max(1.0, float(np.max(np.abs(base)))) * g / np.max(np.abs(g))
     low, high = base + step, base - step
@@ -143,10 +140,10 @@ def test_tied_restarts_go_to_the_lowest_index(monkeypatch):
     arch = Architecture(p=2, q=2)
     truth = _true_theta(arch)
     data = _gaussian_data(arch, truth, 150, seed=50)
-    spec = LikelihoodSpec("gaussian", lam=0.01)
-    low, high = _uphill_pair(arch, data, spec, truth.values)
+    lam = 0.01
+    low, high = _uphill_pair(arch, data, lam, truth.values)
     _scripted_restarts(monkeypatch, [(low, 7), (high, 11)])
-    result = fit(arch, data, spec, FitConfig(n_restarts=2, seed=0))
+    result = fit(arch, data, lam, FitConfig(n_restarts=2, seed=0))
     assert result.restart_logliks[1] > result.restart_logliks[0]
     np.testing.assert_array_equal(result.theta_hat.values,
                                   canonicalize(ParamVector(arch, low)).values)
@@ -166,13 +163,13 @@ def test_near_tie_at_a_different_theta_keeps_the_best(monkeypatch):
     truth = canonicalize(ParamVector(arch, np.array([0.3, 1.2, 0.0, 2.5, 3.0])))
     mu = forward_batch(arch, truth, Dataset(x=x, y=np.zeros(150)))
     data = Dataset(x=x, y=mu + 0.05 * rng.normal(size=150))
-    spec = LikelihoodSpec("gaussian", lam=0.0)
-    low, high = _uphill_pair(arch, data, spec, truth.values)
+    lam = 0.0
+    low, high = _uphill_pair(arch, data, lam, truth.values)
     elsewhere = high.copy()
     elsewhere[arch.omega_index(2, 1)] = 0.7
     _scripted_restarts(monkeypatch, [(low, 7), (elsewhere, 11)])
-    result = fit(arch, data, spec, FitConfig(n_restarts=2, seed=0))
-    assert result.restart_logliks[1] == _Evaluator(arch, data, spec).profile(
+    result = fit(arch, data, lam, FitConfig(n_restarts=2, seed=0))
+    assert result.restart_logliks[1] == _Evaluator(arch, data, lam).profile(
         high)[0]
     assert result.chosen_restart == 1
     assert result.iterations == 11
@@ -187,8 +184,7 @@ def test_failed_restart_records_no_work(monkeypatch):
     truth = _true_theta(arch)
     data = _gaussian_data(arch, truth, 100, seed=52)
     _scripted_restarts(monkeypatch, [FitError("boom"), (truth.values, 5)])
-    result = fit(arch, data, LikelihoodSpec("gaussian", lam=0.01),
-                 FitConfig(n_restarts=2, seed=0))
+    result = fit(arch, data, 0.01, FitConfig(n_restarts=2, seed=0))
     assert result.restart_logliks[0] == float("-inf")
     assert result.restart_iterations == (0, 5)
     assert result.chosen_restart == 1
@@ -207,8 +203,7 @@ def test_start_point_is_evaluated_once(monkeypatch):
         return value_grad(self, theta)
 
     monkeypatch.setattr(_Evaluator, "value_grad", recording)
-    fit(arch, data, LikelihoodSpec("gaussian", lam=0.01),
-        FitConfig(n_restarts=1, seed=5))
+    fit(arch, data, 0.01, FitConfig(n_restarts=1, seed=5))
     x0 = initialize(arch, seeds.rng(5, 0)).values
     assert sum(np.array_equal(p, x0) for p in points) == 1
 
@@ -223,18 +218,15 @@ def test_non_finite_start_is_reported():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(FitError,
                           match="objective not finite at the starting point"):
-        fit(arch, data, LikelihoodSpec("gaussian", lam=0.01),
-            FitConfig(n_restarts=2, seed=0))
+        fit(arch, data, 0.01, FitConfig(n_restarts=2, seed=0))
 
 
 def test_penalty_shrinks_weights():
     arch = Architecture(p=2, q=2)
     truth = _true_theta(arch)
     data = _gaussian_data(arch, truth, 200, seed=46)
-    loose = fit(arch, data, LikelihoodSpec("gaussian", lam=0.0),
-                FitConfig(n_restarts=4, seed=6))
-    tight = fit(arch, data, LikelihoodSpec("gaussian", lam=5.0),
-                FitConfig(n_restarts=4, seed=6))
+    loose = fit(arch, data, 0.0, FitConfig(n_restarts=4, seed=6))
+    tight = fit(arch, data, 5.0, FitConfig(n_restarts=4, seed=6))
     mask = arch.penalized_mask()
 
     def pen_norm(res):
@@ -245,14 +237,13 @@ def test_penalty_shrinks_weights():
 
 def test_fit_bernoulli():
     rng = np.random.default_rng(47)
-    arch = Architecture(p=2, q=2, output_activation="logistic")
+    arch = Architecture(p=2, q=2, family="bernoulli")
     truth = _true_theta(arch)
     x = rng.normal(size=(300, 2))
     mu = forward_batch(arch, truth, Dataset(x=x, y=np.zeros(300)))
     y = (rng.uniform(size=300) < mu).astype(float)
     data = Dataset(x=x, y=y)
-    result = fit(arch, data, LikelihoodSpec("bernoulli", lam=0.01),
-                 FitConfig(n_restarts=4, seed=7))
+    result = fit(arch, data, 0.01, FitConfig(n_restarts=4, seed=7))
     assert result.converged
     assert result.sigma_sq_hat is None
     # fitted probabilities beat the intercept-only model on log-loss
@@ -263,28 +254,18 @@ def test_fit_bernoulli():
     assert ll_fit > ll_base
 
 
-def test_fit_rejects_family_mismatch():
-    arch = Architecture(p=1, q=1, output_activation="logistic")
-    data = Dataset(x=np.zeros((4, 1)), y=np.array([0.0, 1.0, 0.0, 1.0]))
-    with pytest.raises(Exception):
-        fit(arch, data, LikelihoodSpec("gaussian", lam=0.0),
-            FitConfig(n_restarts=1))
-
-
 def test_fit_rejects_non_binary_bernoulli_response():
-    arch = Architecture(p=1, q=1, output_activation="logistic")
+    arch = Architecture(p=1, q=1, family="bernoulli")
     data = Dataset(x=np.zeros((4, 1)), y=np.array([0.0, 1.0, 0.5, 1.0]))
     with pytest.raises(DataError, match="0, 1"):
-        fit(arch, data, LikelihoodSpec("bernoulli", lam=0.0),
-            FitConfig(n_restarts=1))
+        fit(arch, data, 0.0, FitConfig(n_restarts=1))
 
 
 def test_fit_p_mismatch():
     arch = Architecture(p=3, q=1)
     data = Dataset(x=np.zeros((4, 2)), y=np.zeros(4))
     with pytest.raises(Exception):
-        fit(arch, data, LikelihoodSpec("gaussian", lam=0.0),
-            FitConfig(n_restarts=1))
+        fit(arch, data, 0.0, FitConfig(n_restarts=1))
 
 
 def test_config_validation():
@@ -297,9 +278,9 @@ def test_evaluate_at_matches_fit_conventions():
     arch = Architecture(p=2, q=2)
     truth = _true_theta(arch)
     data = _gaussian_data(arch, truth, 150, seed=48)
-    spec = LikelihoodSpec("gaussian", lam=0.01)
-    fitted = fit(arch, data, spec, FitConfig(n_restarts=3, seed=8))
-    wrapped = evaluate_at(arch, fitted.theta_hat, data, spec)
+    lam = 0.01
+    fitted = fit(arch, data, lam, FitConfig(n_restarts=3, seed=8))
+    wrapped = evaluate_at(arch, fitted.theta_hat, data, lam)
     assert wrapped.loglik == pytest.approx(fitted.loglik, rel=1e-12)
     assert wrapped.sigma_sq_hat == pytest.approx(fitted.sigma_sq_hat,
                                                  rel=1e-12)
@@ -315,8 +296,8 @@ def test_evaluate_at_nonstationary_point():
     arch = Architecture(p=1, q=1)
     data = _gaussian_data(arch, _true_theta(arch), 50, seed=49)
     theta = ParamVector(arch, np.full(arch.r, 0.3))
-    spec = LikelihoodSpec("gaussian", lam=0.0)
-    result = evaluate_at(arch, theta, data, spec)
+    lam = 0.0
+    result = evaluate_at(arch, theta, data, lam)
     assert not result.converged
     assert result.grad_max > 1e-6
     np.testing.assert_array_equal(result.theta_hat.values, theta.values)
@@ -326,5 +307,4 @@ def test_evaluate_at_p_mismatch():
     arch = Architecture(p=2, q=1)
     data = Dataset(x=np.zeros((4, 1)), y=np.zeros(4))
     with pytest.raises(ValueError):
-        evaluate_at(arch, ParamVector.zeros(arch), data,
-                    LikelihoodSpec("gaussian", lam=0.0))
+        evaluate_at(arch, ParamVector.zeros(arch), data, 0.0)

@@ -129,9 +129,9 @@ def _table(seed, root):
 
 
 def _document(data):
-    output = ("identity" if data.response_meta.kind == "continuous"
-              else "logistic")
-    arch = Architecture(p=data.p, q=1, output_activation=output)
+    family = ("gaussian" if data.response_meta.kind == "continuous"
+              else "bernoulli")
+    arch = Architecture(p=data.p, q=1, family=family)
     return ModelDocument(arch=arch, theta=ParamVector.zeros(arch), lam=0.01,
                          column_meta=data.column_meta,
                          response_meta=data.response_meta)

@@ -9,7 +9,7 @@ from statnn.inference import (SIGNIFICANCE_LEGEND, CovarianceEstimate,
                               effective_df, sandwich_covariance,
                               significance_stars, summarize, wald_multi,
                               wald_single)
-from statnn.likelihood import LikelihoodSpec, observed_information
+from statnn.likelihood import observed_information
 from statnn.model import (Architecture, Dataset, ParamVector, forward_batch,
                           selection_matrix)
 from statnn.special import chi_square_survival
@@ -24,9 +24,8 @@ def _fitted_instance(lam=0.01, n=300, seed=60):
     mu = forward_batch(arch, truth, Dataset(x=x, y=np.zeros(n)))
     y = mu + 0.3 * rng.normal(size=n)
     data = Dataset(x=x, y=y)
-    spec = LikelihoodSpec("gaussian", lam=lam)
-    result = fit(arch, data, spec, FitConfig(n_restarts=5, seed=seed))
-    info = observed_information(arch, result.theta_hat, data, spec,
+    result = fit(arch, data, lam, FitConfig(n_restarts=5, seed=seed))
+    info = observed_information(arch, result.theta_hat, data,
                                 sigma_sq=result.sigma_sq_hat)
     return arch, data, result, info
 

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from statnn.exceptions import DataError, ShapeError
-from statnn.likelihood import (LikelihoodSpec, _Evaluator, _pred_jacobian,
-                               gradient, log_likelihood,
-                               observed_information, penalty,
+from statnn.likelihood import (_Evaluator, _pred_jacobian, gradient,
+                               log_likelihood, observed_information, penalty,
                                prediction_gradient)
 from statnn.model import Architecture, Dataset, ParamVector
 
 
 def _instance(seed, p=3, q=2, n=25, family="gaussian"):
     rng = np.random.default_rng(seed)
-    out = "identity" if family == "gaussian" else "logistic"
-    arch = Architecture(p=p, q=q, output_activation=out)
+    arch = Architecture(p=p, q=q, family=family)
     theta = ParamVector(arch, rng.uniform(-1.0, 1.0, arch.r))
     x = rng.normal(size=(n, p))
     if family == "gaussian":
@@ -52,13 +50,12 @@ def _fd_hessian(fun_grad, theta0, h=1e-5):
 @pytest.mark.parametrize("lam", [0.0, 0.05])
 def test_gradient_matches_finite_differences(family, lam):
     arch, theta, data = _instance(10, family=family)
-    spec = LikelihoodSpec(family=family, lam=lam)
     kw = {"sigma_sq": 1.3} if family == "gaussian" else {}
 
     def ll(values):
-        return log_likelihood(arch, ParamVector(arch, values), data, spec, **kw)
+        return log_likelihood(arch, ParamVector(arch, values), data, lam, **kw)
 
-    analytic = gradient(arch, theta, data, spec, **kw)
+    analytic = gradient(arch, theta, data, lam, **kw)
     numeric = _fd_gradient(ll, theta.values.copy())
     scale = np.maximum(np.abs(numeric), 1.0)
     assert np.max(np.abs(analytic - numeric) / scale) < 1e-6
@@ -84,7 +81,6 @@ def test_block_score_matches_jacobian_contraction(family, q, lam):
     """The optimizer's gradient and ``gradient`` equal the contraction of
     the explicit Jacobian with the score, plus the ridge term."""
     arch, theta, data = _instance(20 + q, q=q, n=40, family=family)
-    spec = LikelihoodSpec(family=family, lam=lam)
     ridge = 2.0 * lam * theta.values * arch.penalized_mask()
     jtu = _jacobian_score(arch, theta, data, family)
 
@@ -92,12 +88,12 @@ def test_block_score_matches_jacobian_contraction(family, q, lam):
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(want)))
 
-    _, g_opt = _Evaluator(arch, data, spec).value_grad(theta.values)
+    _, g_opt = _Evaluator(arch, data, lam).value_grad(theta.values)
     close(g_opt, -jtu + ridge)
     kw = {"sigma_sq": 1.0} if family == "gaussian" else {}
-    close(gradient(arch, theta, data, spec, **kw), jtu - ridge)
+    close(gradient(arch, theta, data, lam, **kw), jtu - ridge)
     if family == "gaussian":
-        close(gradient(arch, theta, data, spec, sigma_sq=1.7),
+        close(gradient(arch, theta, data, lam, sigma_sq=1.7),
               jtu / 1.7 - ridge)
 
 
@@ -106,7 +102,7 @@ def test_block_score_matches_jacobian_contraction(family, q, lam):
 @pytest.mark.parametrize("lam", [0.0, 0.1])
 def test_optimizer_gradient_matches_finite_differences(family, q, lam):
     arch, theta, data = _instance(30 + q, q=q, n=40, family=family)
-    ev = _Evaluator(arch, data, LikelihoodSpec(family=family, lam=lam))
+    ev = _Evaluator(arch, data, lam)
     _, analytic = ev.value_grad(theta.values)
     numeric = _fd_gradient(lambda v: ev.value_grad(v)[0],
                            theta.values.copy())
@@ -116,28 +112,26 @@ def test_optimizer_gradient_matches_finite_differences(family, q, lam):
 @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
 def test_information_matches_finite_differences(family):
     arch, theta, data = _instance(11, family=family)
-    spec = LikelihoodSpec(family=family, lam=0.0)
     kw = {"sigma_sq": 0.8} if family == "gaussian" else {}
 
     def grad(values):
-        return gradient(arch, ParamVector(arch, values), data, spec, **kw)
+        return gradient(arch, ParamVector(arch, values), data, 0.0, **kw)
 
-    info = observed_information(arch, theta, data, spec, **kw)
+    info = observed_information(arch, theta, data, **kw)
     numeric = -_fd_hessian(grad, theta.values.copy())
     assert np.max(np.abs(info - numeric)) < 1e-4
     np.testing.assert_allclose(info, info.T, atol=0)
 
 
 def test_information_ignores_penalty():
-    """Observed information excludes the ridge term by definition."""
+    """Observed information excludes the ridge term by definition: it is
+    the penalized objective's Hessian less the ridge's diagonal."""
     arch, theta, data = _instance(12)
-    without = observed_information(arch, theta, data,
-                                   LikelihoodSpec("gaussian", lam=0.0),
-                                   sigma_sq=1.0)
-    with_pen = observed_information(arch, theta, data,
-                                    LikelihoodSpec("gaussian", lam=0.7),
-                                    sigma_sq=1.0)
-    np.testing.assert_array_equal(without, with_pen)
+    info = observed_information(arch, theta, data, sigma_sq=1.0)
+    ev = _Evaluator(arch, data, 0.7)
+    np.testing.assert_allclose(
+        info, ev.hessian(theta.values) - np.diag(ev.ridge_w),
+        rtol=1e-12, atol=1e-12 * np.max(np.abs(info)))
 
 
 def test_penalty_excludes_intercepts():
@@ -153,13 +147,11 @@ def test_penalty_excludes_intercepts():
 
 def test_penalty_changes_loglik_and_gradient():
     arch, theta, data = _instance(13)
-    base = LikelihoodSpec("gaussian", lam=0.0)
-    pen = LikelihoodSpec("gaussian", lam=0.5)
-    ll0 = log_likelihood(arch, theta, data, base, sigma_sq=1.0)
-    ll1 = log_likelihood(arch, theta, data, pen, sigma_sq=1.0)
+    ll0 = log_likelihood(arch, theta, data, 0.0, sigma_sq=1.0)
+    ll1 = log_likelihood(arch, theta, data, 0.5, sigma_sq=1.0)
     assert ll0 - ll1 == pytest.approx(penalty(theta, 0.5), rel=1e-12)
-    g0 = gradient(arch, theta, data, base, sigma_sq=1.0)
-    g1 = gradient(arch, theta, data, pen, sigma_sq=1.0)
+    g0 = gradient(arch, theta, data, 0.0, sigma_sq=1.0)
+    g1 = gradient(arch, theta, data, 0.5, sigma_sq=1.0)
     diff = g0 - g1
     mask = arch.penalized_mask()
     np.testing.assert_allclose(diff[mask], 2.0 * 0.5 * theta.values[mask],
@@ -169,27 +161,18 @@ def test_penalty_changes_loglik_and_gradient():
 
 def test_gaussian_requires_sigma_sq():
     arch, theta, data = _instance(14)
-    spec = LikelihoodSpec("gaussian")
     with pytest.raises(ValueError):
-        log_likelihood(arch, theta, data, spec)
+        log_likelihood(arch, theta, data, 0.0)
     with pytest.raises(ValueError):
-        log_likelihood(arch, theta, data, spec, sigma_sq=0.0)
-
-
-def test_family_activation_pairing_enforced():
-    arch = Architecture(p=1, q=1)  # identity output
-    theta = ParamVector.zeros(arch)
-    data = Dataset(x=np.zeros((3, 1)), y=np.array([0.0, 1.0, 1.0]))
-    with pytest.raises(DataError):
-        log_likelihood(arch, theta, data, LikelihoodSpec("bernoulli"))
+        log_likelihood(arch, theta, data, 0.0, sigma_sq=0.0)
 
 
 def test_bernoulli_requires_binary_response():
-    arch = Architecture(p=1, q=1, output_activation="logistic")
+    arch = Architecture(p=1, q=1, family="bernoulli")
     theta = ParamVector.zeros(arch)
     data = Dataset(x=np.zeros((2, 1)), y=np.array([0.0, 0.5]))
     with pytest.raises(DataError):
-        log_likelihood(arch, theta, data, LikelihoodSpec("bernoulli"))
+        log_likelihood(arch, theta, data, 0.0)
 
 
 @pytest.mark.parametrize("fn", [log_likelihood, gradient,
@@ -197,21 +180,22 @@ def test_bernoulli_requires_binary_response():
 def test_covariate_count_mismatch_raises_shape_error(fn):
     arch, theta, _ = _instance(16, p=3)
     data = Dataset(x=np.zeros((4, 2)), y=np.zeros(4))
+    lam = () if fn is observed_information else (0.0,)
     with pytest.raises(ShapeError, match="covariate count"):
-        fn(arch, theta, data, LikelihoodSpec("gaussian"), sigma_sq=1.0)
+        fn(arch, theta, data, *lam, sigma_sq=1.0)
 
 
 def test_bernoulli_extreme_logits_stay_finite():
     """Saturated probabilities are clamped rather than producing -inf."""
-    arch = Architecture(p=1, q=1, output_activation="logistic")
+    arch = Architecture(p=1, q=1, family="bernoulli")
     theta = (ParamVector.zeros(arch).with_omega(1, 1, 100.0)
              .with_gamma(1, 100.0))
     # y disagrees with the saturated prediction at x = 1
     data = Dataset(x=np.array([[1.0]]), y=np.array([0.0]))
-    ll = log_likelihood(arch, theta, data, LikelihoodSpec("bernoulli"))
+    ll = log_likelihood(arch, theta, data, 0.0)
     assert np.isfinite(ll)
     assert ll == pytest.approx(np.log(1e-12), rel=1e-6)
-    g = gradient(arch, theta, data, LikelihoodSpec("bernoulli"))
+    g = gradient(arch, theta, data, 0.0)
     assert np.all(np.isfinite(g))
 
 
@@ -220,18 +204,18 @@ def test_gaussian_loglik_value():
     arch = Architecture(p=1, q=1)
     theta = ParamVector.zeros(arch)
     data = Dataset(x=np.array([[0.0]]), y=np.array([2.0]))
-    got = log_likelihood(arch, theta, data, LikelihoodSpec("gaussian"),
-                         sigma_sq=1.0)
+    got = log_likelihood(arch, theta, data, 0.0, sigma_sq=1.0)
     want = -0.5 * np.log(2.0 * np.pi) - 0.5 * 4.0
     assert got == pytest.approx(want, rel=1e-14)
 
 
-@pytest.mark.parametrize("output", ["identity", "logistic"])
-def test_prediction_gradient_matches_finite_differences(output):
+@pytest.mark.parametrize("family", [pytest.param("gaussian", id="identity"),
+                                    pytest.param("bernoulli", id="logistic")])
+def test_prediction_gradient_matches_finite_differences(family):
     from statnn.model import forward
 
     rng = np.random.default_rng(15)
-    arch = Architecture(p=3, q=2, output_activation=output)
+    arch = Architecture(p=3, q=2, family=family)
     theta = ParamVector(arch, rng.uniform(-1.0, 1.0, arch.r))
     x = rng.normal(size=(5, 3))
     a = prediction_gradient(arch, theta, x)

@@ -23,10 +23,8 @@ def test_architecture_validation():
         Architecture(p=0, q=1)
     with pytest.raises(ValueError):
         Architecture(p=1, q=0)
-    with pytest.raises(ValueError):
-        Architecture(p=1, q=1, hidden_activation="tanh")
-    with pytest.raises(ValueError):
-        Architecture(p=1, q=1, output_activation="softmax")
+    with pytest.raises(ValueError, match="family"):
+        Architecture(p=1, q=1, family="poisson")
 
 
 def test_accessor_round_trip():
@@ -122,7 +120,7 @@ def test_forward_batch_identical_rows():
 
 def test_logistic_output_in_unit_interval():
     rng = np.random.default_rng(3)
-    arch = Architecture(p=2, q=2, output_activation="logistic")
+    arch = Architecture(p=2, q=2, family="bernoulli")
     theta = _random_theta(arch, rng, scale=50.0)
     x = rng.normal(size=(20, 2)) * 10
     out = forward_batch(arch, theta, Dataset(x=x, y=np.zeros(20)))

@@ -13,7 +13,7 @@ from statnn.fit import FitConfig, fit
 from statnn.inference import (SIGNIFICANCE_LEGEND, CovariateRow,
                               InferenceReport, WeightCell,
                               sandwich_covariance, summarize)
-from statnn.likelihood import LikelihoodSpec, observed_information
+from statnn.likelihood import observed_information
 from statnn.model import (Architecture, ColumnMeta, Dataset, ParamVector,
                           forward_batch)
 from statnn.report import (ALPHA_DIAGRAM, emit_diagram, emit_summary,
@@ -40,9 +40,9 @@ def fitted():
                                 ColumnMeta("bmi", "continuous", 27.0, 5.0)),
                    response_meta=ColumnMeta("charges", "continuous",
                                             9000.0, 11000.0))
-    spec = LikelihoodSpec("gaussian", lam=0.01)
-    result = fit(arch, data, spec, FitConfig(n_restarts=5, seed=161))
-    info = observed_information(arch, result.theta_hat, data, spec,
+    lam = 0.01
+    result = fit(arch, data, lam, FitConfig(n_restarts=5, seed=161))
+    info = observed_information(arch, result.theta_hat, data,
                                 sigma_sq=result.sigma_sq_hat)
     cov = sandwich_covariance(info, lam=0.01)
     report = summarize(result, cov, arch, data)

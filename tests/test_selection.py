@@ -7,7 +7,7 @@ import pytest
 
 from statnn.exceptions import DataError, FitError
 from statnn.fit import FitConfig, fit
-from statnn.likelihood import LikelihoodSpec, penalty
+from statnn.likelihood import penalty
 from statnn.model import Architecture, ColumnMeta, Dataset, forward_batch
 from statnn.selection import (CvResult, SelectionSweep, SweepEntry, bic,
                               cross_validate, fit_linear, linear_bic, sweep)
@@ -86,8 +86,8 @@ def test_bic_formula():
     """BIC strips the ridge term and counts r + 1 parameters (Gaussian)."""
     data, _ = _linear_data(n=120)
     arch = Architecture(p=3, q=2)
-    spec = LikelihoodSpec("gaussian", lam=0.05)
-    result = fit(arch, data, spec, FitConfig(n_restarts=2, seed=5))
+    lam = 0.05
+    result = fit(arch, data, lam, FitConfig(n_restarts=2, seed=5))
     unpen = result.loglik + penalty(result.theta_hat, result.lam)
     want = -2.0 * unpen + (arch.r + 1) * math.log(data.n)
     assert bic(result, arch, data.n) == pytest.approx(want, rel=1e-12)
@@ -103,26 +103,25 @@ def test_linear_bic_formula():
 def test_bic_prefers_true_linear_model():
     """On linear data the q = 0 baseline should beat a width-2 network."""
     data, _ = _linear_data(seed=102, n=150, sd=0.3)
-    result = sweep(data, [0, 2], LikelihoodSpec("gaussian", lam=0.01),
+    result = sweep(data, [0, 2], "gaussian", 0.01,
                    FitConfig(n_restarts=3, seed=6), cv=False)
     assert result.best_bic().q == 0
 
 
 def test_cv_deterministic_given_seed():
     data, _ = _linear_data(seed=103, n=60)
-    spec = LikelihoodSpec("gaussian", lam=0.01)
+    lam = 0.01
     arch = Architecture(p=3, q=1)
     config = FitConfig(n_restarts=2, seed=7)
-    a = cross_validate(arch, data, spec, config, folds=4)
-    b = cross_validate(arch, data, spec, config, folds=4)
+    a = cross_validate(arch, data, lam, config, folds=4)
+    b = cross_validate(arch, data, lam, config, folds=4)
     assert a.fold_rmses == b.fold_rmses
     assert a.rmse == b.rmse and a.se == b.se
 
 
 def test_cv_statistics_derive_from_folds():
     data, _ = _linear_data(seed=104, n=60)
-    res = cross_validate(None, data, LikelihoodSpec("gaussian"),
-                         FitConfig(seed=8), folds=5)
+    res = cross_validate(None, data, 0.0, FitConfig(seed=8), folds=5)
     assert len(res.fold_rmses) == 5
     assert res.rmse == pytest.approx(float(np.mean(res.fold_rmses)), rel=1e-12)
     assert res.se == pytest.approx(
@@ -135,30 +134,29 @@ def test_cv_scores_on_original_response_scale():
     my, sy = float(np.mean(data.y)), float(np.std(data.y, ddof=1))
     std = Dataset(x=data.x, y=(data.y - my) / sy, column_meta=data.column_meta,
                   response_meta=ColumnMeta("y", "continuous", my, sy))
-    spec = LikelihoodSpec("gaussian")
-    a = cross_validate(None, data, spec, FitConfig(seed=9), folds=4)
-    b = cross_validate(None, std, spec, FitConfig(seed=9), folds=4)
+    lam = 0.0
+    a = cross_validate(None, data, lam, FitConfig(seed=9), folds=4)
+    b = cross_validate(None, std, lam, FitConfig(seed=9), folds=4)
     assert a.rmse == pytest.approx(b.rmse, rel=1e-9)
 
 
 def test_cv_baseline_close_to_noise_level():
     data, _ = _linear_data(seed=106, n=200, sd=0.5)
-    res = cross_validate(None, data, LikelihoodSpec("gaussian"),
-                         FitConfig(seed=10), folds=5)
+    res = cross_validate(None, data, 0.0, FitConfig(seed=10), folds=5)
     assert res.rmse == pytest.approx(0.5, rel=0.25)
 
 
 def test_cv_fold_count_validation():
     data, _ = _linear_data(n=10)
     with pytest.raises(ValueError):
-        cross_validate(None, data, LikelihoodSpec("gaussian"), folds=1)
+        cross_validate(None, data, 0.0, folds=1)
     with pytest.raises(DataError):
-        cross_validate(None, data, LikelihoodSpec("gaussian"), folds=11)
+        cross_validate(None, data, 0.0, folds=11)
 
 
 def test_sweep_entries_and_orders():
     data, _ = _linear_data(seed=107, n=120, sd=0.3)
-    result = sweep(data, [0, 1, 2], LikelihoodSpec("gaussian", lam=0.01),
+    result = sweep(data, [0, 1, 2], "gaussian", 0.01,
                    FitConfig(n_restarts=2, seed=11), folds=4)
     assert isinstance(result, SelectionSweep)
     assert [e.q for e in result.entries] == [0, 1, 2]
@@ -171,7 +169,7 @@ def test_sweep_entries_and_orders():
 
 def test_sweep_without_cv():
     data, _ = _linear_data(seed=108, n=80)
-    result = sweep(data, [0, 1], LikelihoodSpec("gaussian", lam=0.01),
+    result = sweep(data, [0, 1], "gaussian", 0.01,
                    FitConfig(n_restarts=2, seed=12), cv=False)
     for e in result.entries:
         assert e.cv_rmse is None and e.cv_se is None
@@ -183,7 +181,17 @@ def test_sweep_without_cv():
 def test_sweep_negative_width_rejected():
     data, _ = _linear_data(n=40)
     with pytest.raises(ValueError):
-        sweep(data, [-1], LikelihoodSpec("gaussian"), cv=False)
+        sweep(data, [-1], "gaussian", 0.0, cv=False)
+
+
+def test_sweep_checks_family_and_lambda_before_any_candidate():
+    """The linear baseline alone builds no network, so the sweep checks
+    the family and the ridge penalty itself."""
+    data, _ = _linear_data(n=40)
+    with pytest.raises(ValueError, match="family"):
+        sweep(data, [0], "poisson", 0.0, cv=False)
+    with pytest.raises(ValueError, match="ridge penalty"):
+        sweep(data, [0], "gaussian", float("nan"), cv=False)
 
 
 def test_sweep_records_candidate_failure():
@@ -196,7 +204,7 @@ def test_sweep_records_candidate_failure():
                    column_meta=(ColumnMeta("x1"), ColumnMeta("x2"),
                                 ColumnMeta("x3")),
                    response_meta=ColumnMeta("y"))
-    result = sweep(data, [0, 1], LikelihoodSpec("gaussian", lam=0.01),
+    result = sweep(data, [0, 1], "gaussian", 0.01,
                    FitConfig(n_restarts=1, seed=13), cv=False)
     assert result.entries[0].error is not None
     assert "collinear" in result.entries[0].error
@@ -224,7 +232,7 @@ def test_sweep_nonlinear_data_prefers_network():
                    column_meta=(ColumnMeta("x1", "continuous", 0.0, 1.0),
                                 ColumnMeta("x2", "continuous", 0.0, 1.0)),
                    response_meta=ColumnMeta("y", "continuous", 0.0, 1.0))
-    result = sweep(data, [0, 2], LikelihoodSpec("gaussian", lam=0.01),
+    result = sweep(data, [0, 2], "gaussian", 0.01,
                    FitConfig(n_restarts=4, seed=14), cv=False)
     assert result.best_bic().q == 2
 
@@ -241,7 +249,7 @@ def test_sweep_bernoulli_baseline_has_no_bic():
     data = Dataset(x=x, y=y.astype(float),
                    column_meta=(ColumnMeta("x1"), ColumnMeta("x2")),
                    response_meta=ColumnMeta("y", "dummy"))
-    result = sweep(data, [0, 1], LikelihoodSpec("bernoulli", lam=0.01),
+    result = sweep(data, [0, 1], "bernoulli", 0.01,
                    FitConfig(n_restarts=2, seed=15), folds=3)
     baseline, net = result.entries
     assert baseline.bic is None
@@ -278,9 +286,9 @@ def test_cv_folds_repeat_the_fits_preprocessing(tmp_path, monkeypatch):
     seen = []
     real_fit, real_linear = selection.fit, selection.fit_linear
 
-    def spy_fit(arch, train, spec, config):
+    def spy_fit(arch, train, lam, config):
         seen.append(train)
-        return real_fit(arch, train, spec, config)
+        return real_fit(arch, train, lam, config)
 
     def spy_linear(train):
         seen.append(train)
@@ -289,10 +297,10 @@ def test_cv_folds_repeat_the_fits_preprocessing(tmp_path, monkeypatch):
     monkeypatch.setattr(selection, "fit", spy_fit)
     monkeypatch.setattr(selection, "fit_linear", spy_linear)
     config = FitConfig(n_restarts=1, seed=16)
-    spec = LikelihoodSpec("gaussian", lam=0.01)
+    lam = 0.01
     for arch in (None, Architecture(p=2, q=1)):
         seen.clear()
-        cross_validate(arch, data, spec, config, folds=3)
+        cross_validate(arch, data, lam, config, folds=3)
         assert len(seen) == 3
         for train, test_idx in zip(seen, selection._fold_indices(
                 n, 3, config.seed)):

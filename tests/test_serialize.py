@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,14 +91,29 @@ def test_save_and_load_model(tmp_path):
     assert path.read_bytes() == first
 
 
-def test_model_document_family():
+def test_numpy_scalars_are_written_as_plain_numbers():
+    """Counts given as numpy integers write the same bytes as Python ones."""
     doc = _doc()
-    assert doc.family == "gaussian"
-    arch = Architecture(p=2, q=1, output_activation="logistic")
+    arch = Architecture(p=np.int64(2), q=np.int64(2))
+    np_doc = replace(doc, arch=arch, theta=ParamVector(arch, doc.theta.values))
+    assert model_to_json(np_doc) == model_to_json(doc)
+    scen = SimScenario(q=2, nz_pattern="5-1", n=500, seed=42)
+    np_scen = replace(scen, q=np.int64(2), n=np.int64(500), seed=np.uint64(42))
+    assert scenario_to_json(np_scen) == scenario_to_json(scen)
+
+
+def test_model_document_family():
+    """The family is the architecture's; the file records it as the
+    output activation and reads it back."""
+    doc = _doc()
+    assert parse_model(model_to_json(doc)).arch.family == "gaussian"
+    arch = Architecture(p=2, q=1, family="bernoulli")
     logdoc = ModelDocument(arch=arch, theta=ParamVector.zeros(arch), lam=0.0,
                            column_meta=(ColumnMeta("a"), ColumnMeta("b")),
                            response_meta=ColumnMeta("y", "dummy"))
-    assert logdoc.family == "bernoulli"
+    text = model_to_json(logdoc)
+    assert json.loads(text)["output_activation"] == "logistic"
+    assert parse_model(text).arch.family == "bernoulli"
 
 
 def test_model_document_validates_meta_length():
@@ -130,8 +146,14 @@ def test_parse_model_error_paths():
         parse_model(corrupt(q=0))
     with pytest.raises(DataError):
         parse_model(corrupt(**{"lambda": -1.0}))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError,
+                       match="invalid architecture: unsupported output "
+                             "activation 'relu'"):
         parse_model(corrupt(output_activation="relu"))
+    with pytest.raises(DataError,
+                       match="invalid architecture: unsupported hidden "
+                             "activation 'tanh'"):
+        parse_model(corrupt(hidden_activation="tanh"))
     missing = json.loads(good)
     del missing["theta"]
     with pytest.raises(DataError, match="theta"):
@@ -278,6 +300,11 @@ def test_parse_scenario_validation():
         parse_scenario(corrupt(true_theta=[0.0] * 3 + [None]
                                + [0.0] * (arch_r - 4)))
     assert parse_scenario(corrupt(noise_sd=2)).noise_sd == 2.0
+    # json.loads reads the token Infinity: refused by name here, not deep
+    # inside a replicate's data
+    with pytest.raises(DataError,
+                       match="noise_sd must be finite and positive"):
+        parse_scenario(corrupt(noise_sd=float("inf")))
 
 
 def test_parse_study_grid_axes():
@@ -304,3 +331,7 @@ def test_to_json_text_value_coverage():
                        "e": [1, 2], "f": None, "g": {"h": 1}}
     # booleans must not degrade to integers
     assert '"a": true' in text
+    # floats are written by repr: the shortest text of the same double
+    assert to_json_text([18.563, 0.1]) == "[\n  18.563,\n  0.1\n]\n"
+    with pytest.raises(ValueError):
+        to_json_text({"x": float("nan")})

@@ -1,0 +1,186 @@
+"""Record the ``statnn`` command line's outputs for one source tree, and
+compare two recordings.
+
+    python3 tools/cli_equivalence.py record SRC OUT
+    python3 tools/cli_equivalence.py compare A B
+
+``record`` writes seeded tables with ``perfbench/inputs.write_table``
+(a Gaussian one and a Bernoulli one), then runs a fixed list of
+``statnn`` commands on them, each as its own ``python -m statnn.cli``
+process with ``PYTHONPATH=SRC`` and one BLAS thread, inside OUT.  Each
+command leaves the files it writes in OUT, plus ``<label>.log`` with its
+exit code, stdout and stderr (SRC itself is written as ``<src>``).  The
+script imports nothing from the package and patches nothing, so the
+same list runs unchanged against any two versions of it, across API
+changes.
+
+``compare`` lists every file of either recording as ``byte-identical``,
+``JSON-equal`` (a ``.json`` file whose bytes differ but whose parsed
+values, floats included, are equal), ``different`` or missing on one
+side.  It exits 1 if any file is different or missing, else 0.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+SCENARIOS = {
+    "cell.json": {"format_version": 1, "q": 2, "nz_pattern": "5-1",
+                  "n": 200, "replicates": 4, "restarts": 2, "seed": 0},
+    "power.json": {"format_version": 1, "q": 2, "nz_pattern": "5-1",
+                   "n": 100, "replicates": 4, "restarts": 1, "seed": 0,
+                   "effect": [0.0, 0.5]},
+    "badnoise.json": {"format_version": 1, "q": 2, "nz_pattern": "5-1",
+                      "n": 50, "replicates": 2, "restarts": 1,
+                      "noise_sd": float("inf")},
+}
+
+
+def _family_commands(tag: str, family: str) -> list:
+    """Fit, query and sweep commands on table ``<tag>.csv``."""
+    table, model = f"{tag}.csv", f"{tag}_model.json"
+    fam = ["--family", family]
+    return [
+        (f"{tag}_fit", ["fit", table, "--response", "y", "--q", "2",
+                        "--restarts", "2", "--seed", "0", "--out", model]
+         + fam),
+        (f"{tag}_summary_text", ["summary", model, table]),
+        (f"{tag}_summary_json", ["summary", model, table, "--format",
+                                 "json", "--out", f"{tag}_summary.json"]),
+        (f"{tag}_summary_csv", ["summary", model, table, "--format", "csv",
+                                "--out", f"{tag}_summary.csv"]),
+        (f"{tag}_pce_by", ["pce", model, table, "--covariate", "x1", "--by",
+                           "grp.b", "--grid-points", "21",
+                           "--out", f"{tag}_pce_by.csv",
+                           "--svg", f"{tag}_pce_by.svg"]),
+        (f"{tag}_pce_original", ["pce", model, table, "--covariate", "x2",
+                                 "--original-scale", "--grid-points", "21",
+                                 "--out", f"{tag}_pce_original.csv"]),
+        (f"{tag}_pce_dummy", ["pce", model, table, "--covariate", "flag",
+                              "--by", "x1", "--original-scale",
+                              "--linear-reference",
+                              "--out", f"{tag}_pce_dummy.csv",
+                              "--svg", f"{tag}_pce_dummy.svg"]),
+        (f"{tag}_diagram", ["diagram", model, table,
+                            "--out", f"{tag}_net.dot"]),
+        (f"{tag}_select", ["select", table, "--response", "y", "--q-max",
+                           "2" if family == "gaussian" else "1",
+                           "--folds", "3", "--restarts", "2",
+                           "--out", f"{tag}_sweep.csv",
+                           "--svg", f"{tag}_sweep.svg"] + fam),
+    ]
+
+
+COMMANDS = (
+    _family_commands("g", "gaussian")
+    + _family_commands("b", "bernoulli")
+    + [("simulate_cell", ["simulate", "cell.json", "--out-dir", "cell"]),
+       ("simulate_power", ["simulate", "power.json", "--out-dir", "power"])])
+
+#: Copies of the Gaussian model with fields replaced, for REFUSALS.
+CORRUPT_MODELS = {
+    "tanh_model.json": {"hidden_activation": "tanh"},
+    "relu_model.json": {"output_activation": "relu"},
+}
+
+#: Bad inputs: each should exit 2 with a message.
+REFUSALS = [
+    ("select_linear_nan", ["select", "g.csv", "--response", "y", "--q-list",
+                           "0", "--no-cv", "--lambda", "nan"]),
+    ("fit_inf", ["fit", "g.csv", "--response", "y", "--q", "1",
+                 "--lambda", "inf", "--out", "inf_model.json"]),
+    ("summary_tanh", ["summary", "tanh_model.json", "g.csv"]),
+    ("summary_relu", ["summary", "relu_model.json", "g.csv"]),
+    ("simulate_badnoise", ["simulate", "badnoise.json",
+                           "--out-dir", "badnoise"]),
+]
+
+
+def _write_inputs(out: Path):
+    sys.path.insert(0, str(PERFBENCH))
+    from inputs import write_table
+
+    write_table(out / "g.csv", 300, 7)
+    write_table(out / "b.csv", 400, 5, "bernoulli")
+    for name, payload in SCENARIOS.items():
+        (out / name).write_text(json.dumps(payload), encoding="utf-8")
+
+
+def _run(src: str, out: Path, commands):
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    for label, argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "statnn.cli"] + argv,
+                              cwd=out, env=env, capture_output=True,
+                              text=True)
+        log = (f"exit: {proc.returncode}\n--- stdout\n{proc.stdout}"
+               f"--- stderr\n{proc.stderr}").replace(src, "<src>")
+        (out / f"{label}.log").write_text(log, encoding="utf-8")
+        print(f"{label}: exit {proc.returncode}")
+
+
+def record(src: str, out: str) -> int:
+    src = str(Path(src).resolve())
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=False)
+    _write_inputs(out)
+    _run(src, out, COMMANDS)
+    model = json.loads((out / "g_model.json").read_text(encoding="utf-8"))
+    for name, changes in CORRUPT_MODELS.items():
+        (out / name).write_text(json.dumps({**model, **changes}),
+                                encoding="utf-8")
+    _run(src, out, REFUSALS)
+    return 0
+
+
+def _files(root: Path) -> set:
+    return {p.relative_to(root).as_posix()
+            for p in root.rglob("*") if p.is_file()}
+
+
+def _verdict(a: Path, b: Path) -> str:
+    left, right = a.read_bytes(), b.read_bytes()
+    if left == right:
+        return "byte-identical"
+    if a.suffix == ".json":
+        try:
+            if json.loads(left) == json.loads(right):
+                return "JSON-equal"
+        except ValueError:
+            pass
+    return "different"
+
+
+def compare(a: str, b: str) -> int:
+    a, b = Path(a), Path(b)
+    left, right = _files(a), _files(b)
+    bad = 0
+    for name in sorted(left | right):
+        if name not in right:
+            verdict = f"only in {a}"
+        elif name not in left:
+            verdict = f"only in {b}"
+        else:
+            verdict = _verdict(a / name, b / name)
+        bad += verdict not in ("byte-identical", "JSON-equal")
+        print(f"{verdict:15} {name}")
+    print(f"{len(left | right)} files, {bad} different or missing")
+    return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 3 or argv[0] not in ("record", "compare"):
+        print(__doc__, file=sys.stderr)
+        return 2
+    return (record if argv[0] == "record" else compare)(argv[1], argv[2])
+
+
+if __name__ == "__main__":
+    sys.exit(main())
