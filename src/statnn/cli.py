@@ -10,9 +10,10 @@ or a study grid to the power curve or the positive-definiteness table).
 Exit codes: 0 on success, 2 on input problems (bad files, unknown
 columns, malformed flags), 3 on numerical failure, reported with the
 remedy of refitting with a larger ridge penalty.  ``summary``,
-``diagram`` and ``pce`` exit 3 on a covariance estimate that is singular
-or not positive definite, as no Wald test or confidence band is then
-available.
+``diagram`` and ``pce`` exit 3 where the information is singular or the
+covariance is not positive definite: a ``CovarianceEstimate`` is
+positive definite by construction, and no Wald test or confidence band
+exists without one.
 """
 
 from __future__ import annotations

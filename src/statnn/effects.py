@@ -10,7 +10,9 @@ measured on the sample-averaged prediction
 which for a linear model is constant in x0 and equal to d times the
 slope.  Pointwise confidence bands come from the delta method: the
 gradient of beta with respect to theta is averaged over the sample, and
-se = sqrt(g^T Sigma g) with the sandwich covariance.
+se = sqrt(g^T Sigma g) with the sandwich covariance.  A
+``CovarianceEstimate`` is positive definite by construction, so every
+band it yields is defined.
 
 A curve is computed in one batched pass over its grid, without the
 n x r prediction Jacobian.  With x1 the design whose column j is zeroed
@@ -47,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import DataError
-from .inference import CovarianceEstimate, require_positive_definite
+from .inference import CovarianceEstimate
 # Not called here.  perfbench/spans.py looks this binding up to count
 # prediction_gradient calls; it can go once spans are recorded inside
 # the package (ROADMAP item 1).
@@ -205,11 +207,9 @@ def pce_curve(arch: Architecture, theta: ParamVector, cov: CovarianceEstimate,
     ``d`` is the step (default as in ``_resolve_step``) and ``grid`` the
     strictly increasing x0 points (default ``effect_grid``).  Without
     ``by`` the tuple holds one curve; with ``by = k`` it holds one curve
-    per pin of covariate k from ``conditioning_values``.  Requires a
-    positive definite covariance; bands are meaningless otherwise.
+    per pin of covariate k from ``conditioning_values``.
     """
     _check_covariate(arch, j)
-    require_positive_definite(cov, "confidence bands")
     d = _resolve_step(data, j, d)
     if grid is None:
         grid = effect_grid(data, j, d)

@@ -14,13 +14,12 @@ of freedom are the effective count tr(S A S^T),
 A = (I_o + 2 lambda I)^-1 I_o, which is below q under penalization.
 
 Every Wald test, summary table and confidence band needs a positive
-definite covariance.  ``require_positive_definite`` is that one rule:
-``wald_single``, ``wald_multi``, ``summarize`` and ``effects.pce_curve``
-refuse a non-positive-definite estimate with ``NotPositiveDefiniteError``,
-whose remedy is a larger ridge penalty, and never print a table with
-gaps.  ``sandwich_covariance`` raises the same error where the
-information cannot be inverted at all, and the Monte Carlo study
-(``simgen``) tests a replicate only where this rule holds.
+definite covariance, so a ``CovarianceEstimate`` is positive definite by
+construction: building one from any other matrix raises
+``NotPositiveDefiniteError``, whose remedy is a larger ridge penalty.
+``sandwich_covariance`` raises the same error where the information
+cannot be inverted at all.  Whatever holds a record can test with it,
+and no table is printed with gaps.
 
 The linear algebra is numpy's: ``np.linalg.solve`` for the sandwich and
 ``np.linalg.cholesky`` for the grouped tests, so a query that only reads
@@ -34,11 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NotPositiveDefiniteError
+from .likelihood import check_lambda
 from .model import Architecture, Dataset, ParamVector, selection_matrix
 from .special import chi_square_survival
 
-#: Relative eigenvalue threshold below which the covariance is flagged
-#: as not positive definite.
+#: Relative eigenvalue threshold below which a covariance is refused as
+#: not positive definite.
 _PD_RTOL = 1e-10
 
 SIGNIFICANCE_LEGEND = "Significance codes: 0 *** 0.001 ** 0.01 * 0.05"
@@ -59,15 +59,23 @@ class CovarianceEstimate:
     """Sandwich covariance plus the pieces Wald tests need.
 
     ``a_matrix`` is (I_o + 2 lambda I)^-1 I_o, whose sub-traces give
-    effective degrees of freedom.  ``positive_definite`` reflects the
-    spectrum of ``sigma_hat``; ``require_positive_definite`` refuses
-    Wald tests, summaries and bands when it is False.
+    effective degrees of freedom.  ``sigma_hat`` must be finite and
+    positive definite: its smallest eigenvalue must exceed ``_PD_RTOL``
+    times max(1, largest).  Otherwise construction, ``dataclasses.replace``
+    included, raises ``NotPositiveDefiniteError``.
     """
 
     sigma_hat: np.ndarray
     a_matrix: np.ndarray
-    positive_definite: bool
-    min_eigenvalue: float
+
+    def __post_init__(self):
+        eigs = (np.linalg.eigvalsh(self.sigma_hat)
+                if np.all(np.isfinite(self.sigma_hat)) else [np.nan])
+        if not eigs[0] > _PD_RTOL * max(1.0, float(eigs[-1])):
+            raise NotPositiveDefiniteError(
+                "covariance estimate is not positive definite (min "
+                f"eigenvalue {eigs[0]:.3g}); Wald tests and confidence "
+                "bands are unavailable")
 
 
 @dataclass(frozen=True)
@@ -88,20 +96,19 @@ def sandwich_covariance(info: np.ndarray, lam: float) -> CovarianceEstimate:
     """Model-based sandwich covariance of the penalized estimator.
 
     An information matrix the solve cannot invert has no covariance
-    estimate at all: ``NotPositiveDefiniteError``, as for one that is
-    not positive definite.
+    estimate at all: ``NotPositiveDefiniteError``, as for a result that
+    is not positive definite.
     """
     info = np.asarray(info, dtype=float)
     if info.ndim != 2 or info.shape[0] != info.shape[1]:
         raise ValueError(f"information matrix must be square, got {info.shape}")
     if not np.all(np.isfinite(info)):
         raise ValueError("information matrix has non-finite entries")
-    if lam < 0.0:
-        raise ValueError(f"ridge penalty must be nonnegative, got {lam}")
+    check_lambda(lam)
     r = info.shape[0]
     bread = info + 2.0 * lam * np.eye(r)
-    # Ill-conditioning is diagnosed explicitly through the positive-definite
-    # flag below; only an exactly singular matrix fails the solve.
+    # The record refuses an ill-conditioned result; only an exactly
+    # singular matrix fails the solve.
     try:
         if lam == 0.0:
             # Unpenalized case in closed form: the bread equals the
@@ -116,24 +123,8 @@ def sandwich_covariance(info: np.ndarray, lam: float) -> CovarianceEstimate:
         raise NotPositiveDefiniteError(
             f"penalized information matrix is numerically singular: {exc}"
         ) from exc
-    if not np.all(np.isfinite(sigma)):
-        raise NotPositiveDefiniteError(
-            "covariance solve produced non-finite entries")
-    sigma = 0.5 * (sigma + sigma.T)
-    eigs = np.linalg.eigvalsh(sigma)
-    min_eig = float(eigs[0])
-    pd = bool(min_eig > _PD_RTOL * max(1.0, float(eigs[-1])))
-    return CovarianceEstimate(sigma_hat=sigma, a_matrix=a_matrix,
-                              positive_definite=pd, min_eigenvalue=min_eig)
-
-
-def require_positive_definite(cov: CovarianceEstimate, what: str):
-    """Raise ``NotPositiveDefiniteError`` unless ``cov`` is positive
-    definite; ``what`` names the results that are then unavailable."""
-    if not cov.positive_definite:
-        raise NotPositiveDefiniteError(
-            "covariance estimate is not positive definite (min eigenvalue "
-            f"{cov.min_eigenvalue:.3g}); {what} are unavailable")
+    return CovarianceEstimate(sigma_hat=0.5 * (sigma + sigma.T),
+                              a_matrix=a_matrix)
 
 
 def effective_df(cov: CovarianceEstimate, s_matrix: np.ndarray) -> float:
@@ -148,7 +139,6 @@ def wald_single(theta_hat: ParamVector, cov: CovarianceEstimate,
     r = theta_hat.arch.r
     if not 0 <= param_index < r:
         raise IndexError(f"param_index must be in 0..{r - 1}, got {param_index}")
-    require_positive_definite(cov, "Wald tests")
     var = float(cov.sigma_hat[param_index, param_index])
     stat = float(theta_hat.values[param_index]) ** 2 / var
     return WaldResult(statistic=stat, df=1.0,
@@ -163,7 +153,6 @@ def wald_multi(theta_hat: ParamVector, cov: CovarianceEstimate,
     Uses effective degrees of freedom tr(S A S^T), so under penalization
     the reference distribution has fewer than q degrees of freedom.
     """
-    require_positive_definite(cov, "Wald tests")
     s = selection_matrix(arch, j)
     omega = s @ theta_hat.values
     block = s @ cov.sigma_hat @ s.T
@@ -240,13 +229,7 @@ def _single_cell(theta_hat, cov, idx) -> WeightCell:
 
 def summarize(fit_result, cov: CovarianceEstimate, arch: Architecture,
               data: Dataset) -> InferenceReport:
-    """Per-weight and per-covariate Wald tests for a fitted network.
-
-    Requires a positive definite covariance: otherwise the whole summary
-    is refused with ``NotPositiveDefiniteError``, as the tests it would
-    hold are unreliable.
-    """
-    require_positive_definite(cov, "Wald tests")
+    """Per-weight and per-covariate Wald tests for a fitted network."""
     theta_hat = fit_result.theta_hat
     names = [m.name for m in data.column_meta]
     rows = []

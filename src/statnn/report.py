@@ -6,8 +6,8 @@ node, a grouped-test p-value column, and the significance-code legend —
 so the output reads like the summaries statisticians already know.  The
 JSON rendering carries the same numbers (quantized identically, so the
 two formats agree exactly under a round-trip parse) plus standard
-errors and test statistics.  A report exists only for a positive
-definite covariance (``inference.summarize`` refuses any other), so
+errors and test statistics.  A report is built from a
+``CovarianceEstimate``, which is positive definite by construction, so
 every cell holds a test and no format carries a warning or gaps; the
 JSON's ``positive_definite`` is always true.
 
@@ -257,7 +257,7 @@ def overview_csv(report) -> str:
 
 def estimates_csv(report) -> str:
     """Per-parameter truth, mean estimate, empirical/estimated SE, coverage."""
-    arch = Architecture(p=report.scenario.p, q=report.scenario.q)
+    arch = report.scenario.arch
     columns = (report.true_values, report.mean_estimate, report.emp_se,
                report.see, report.coverage)
     return _csv_text(
@@ -269,7 +269,7 @@ def estimates_csv(report) -> str:
 def rejections_csv(report) -> str:
     """Per-covariate grouped-test and per-node single-test rejection rates."""
     sc = report.scenario
-    arch = Architecture(p=sc.p, q=sc.q)
+    arch = sc.arch
     return _csv_text(
         ["covariate", "mp_rejection"]
         + [f"sp_rejection_node{k}" for k in range(1, sc.q + 1)],

@@ -28,7 +28,6 @@ leaves a half-written file behind.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 from dataclasses import dataclass, replace
@@ -36,6 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import DataError
+from .likelihood import check_lambda
 from .model import Architecture, ColumnMeta, Dataset, ParamVector
 from .simgen import SimScenario
 
@@ -240,9 +240,10 @@ def parse_model(text: str, where: str = "model") -> ModelDocument:
     if not np.all(np.isfinite(theta.values)):
         raise DataError(f"{where}: theta contains non-finite entries")
     lam = _json_float(_require(payload, "lambda", where), "lambda", where)
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise DataError(f"{where}: lambda must be a nonnegative number, "
-                        f"got {lam!r}")
+    try:
+        check_lambda(lam)
+    except ValueError as exc:
+        raise DataError(f"{where}: {exc}") from exc
     meta_raw = _require(payload, "column_meta", where)
     if not isinstance(meta_raw, list):
         raise DataError(f"{where}: column_meta must be a list")
@@ -327,20 +328,25 @@ def parse_study(text: str, where: str = "scenario") -> tuple:
             raise DataError(f"{where}: missing required field {field!r}")
     kwargs["nz_pattern"] = str(payload["nz_pattern"])
     try:
+        # The truth goes in with the rest: a scenario without one must
+        # have a default truth.
+        if "true_theta" in payload:
+            arch = Architecture(p=kwargs.get("p", SimScenario.p),
+                                q=kwargs["q"])
+            raw = payload["true_theta"]
+            if not isinstance(raw, list) or len(raw) != arch.r:
+                raise DataError(
+                    f"{where}: true_theta must be a list of {arch.r} numbers")
+            kwargs["true_theta"] = ParamVector(
+                arch, _json_floats(raw, "true_theta", where))
         scenario = SimScenario(**kwargs)
         for key in ("lam", "n"):
             for value in axes.get(key, ()):
                 replace(scenario, **{key: value})
+    except DataError:
+        raise
     except ValueError as exc:
         raise DataError(f"{where}: invalid scenario: {exc}") from exc
-    if "true_theta" in payload:
-        arch = Architecture(p=scenario.p, q=scenario.q)
-        raw = payload["true_theta"]
-        if not isinstance(raw, list) or len(raw) != arch.r:
-            raise DataError(
-                f"{where}: true_theta must be a list of {arch.r} numbers")
-        theta = ParamVector(arch, _json_floats(raw, "true_theta", where))
-        scenario = replace(scenario, true_theta=theta)
     return scenario, axes
 
 

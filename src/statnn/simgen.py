@@ -8,10 +8,10 @@ the estimate is aligned to the true parameter by searching the weight
 symmetry group, and single- and multiple-parameter Wald tests are
 recorded, yielding empirical type-I error and power at the 5% level
 plus the usual estimation metrics (bias, SE, SEE, coverage).  As for a
-summary table, a replicate's SEs, coverage and tests need a positive
-definite sandwich covariance (``inference.require_positive_definite``);
-a replicate without one keeps its estimate and counts as a
-non-rejection.
+summary table, a replicate's SEs, coverage and tests need its sandwich
+covariance, and a ``CovarianceEstimate`` is positive definite by
+construction: a replicate whose covariance is refused keeps its estimate
+and counts as a non-rejection.
 
 The weakest effect is covariate 2, whose per-node weights are fixed at
 (-0.14, -0.27) for q = 2, (-0.14, -0.27, -0.20, -0.29) for q = 4 and
@@ -41,9 +41,8 @@ from .canonical import align_to
 from .effects import Z_95
 from .exceptions import FitError, NotPositiveDefiniteError
 from .fit import FitConfig, fit
-from .inference import (require_positive_definite, sandwich_covariance,
-                        wald_multi)
-from .likelihood import observed_information
+from .inference import sandwich_covariance, wald_multi
+from .likelihood import check_lambda, observed_information
 from .model import (Architecture, Dataset, ParamVector, design_with_intercept,
                     forward_design)
 from .special import chi_square_survival
@@ -139,8 +138,7 @@ class SimScenario:
             raise ValueError(f"q must be >= 1, got {self.q}")
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
-        if not 0.0 <= self.lam < np.inf:
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        check_lambda(self.lam)
         if not 0.0 < self.noise_sd < np.inf:
             raise ValueError(f"noise_sd must be finite and positive, "
                              f"got {self.noise_sd}")
@@ -148,10 +146,16 @@ class SimScenario:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.true_theta is not None:
-            if self.true_theta.arch.p != self.p or self.true_theta.arch.q != self.q:
-                raise ValueError("true_theta architecture does not match "
-                                 "the scenario's p and q")
+        if self.true_theta is None:
+            # refuse a scenario without a truth now, not in its first replicate
+            default_true_theta(self.q, self.nz_pattern, self.p)
+        elif self.true_theta.arch.p != self.p or self.true_theta.arch.q != self.q:
+            raise ValueError("true_theta architecture does not match "
+                             "the scenario's p and q")
+
+    @property
+    def arch(self) -> Architecture:
+        return Architecture(p=self.p, q=self.q)
 
     def resolved_truth(self) -> ParamVector:
         if self.true_theta is not None:
@@ -166,9 +170,8 @@ def generate(scenario: SimScenario, replicate_index: int) -> Dataset:
         raise ValueError(f"replicate_index must be >= 0, got {replicate_index}")
     rng = seeds.rng(scenario.seed, replicate_index, 0)
     x = rng.standard_normal((scenario.n, scenario.p))
-    arch = Architecture(p=scenario.p, q=scenario.q)
     truth = scenario.resolved_truth()
-    mu = forward_design(arch, truth, design_with_intercept(x))
+    mu = forward_design(scenario.arch, truth, design_with_intercept(x))
     y = mu + scenario.noise_sd * rng.standard_normal(scenario.n)
     return Dataset(x, y)
 
@@ -179,7 +182,7 @@ class _ReplicateOutcome:
 
     fit_ok: bool
     converged: bool
-    positive_definite: bool
+    pd_ok: bool
     estimate: np.ndarray     # (r,), NaN on fit failure
     se: np.ndarray           # (r,), NaN unless PD
     covered: np.ndarray      # (r,), NaN unless PD
@@ -190,7 +193,7 @@ class _ReplicateOutcome:
 
 def _replicate_task(args):
     scenario, i = args
-    arch = Architecture(p=scenario.p, q=scenario.q)
+    arch = scenario.arch
     truth = scenario.resolved_truth()
     nan_r = np.full(arch.r, np.nan)
     outcome = _ReplicateOutcome(False, False, False, nan_r, nan_r, nan_r,
@@ -210,7 +213,6 @@ def _replicate_task(args):
                                 sigma_sq=res.sigma_sq_hat)
     try:
         cov = sandwich_covariance(info, scenario.lam)
-        require_positive_definite(cov, "Wald tests")
     except NotPositiveDefiniteError:
         return outcome
     var = np.diag(t_mat @ cov.sigma_hat @ t_mat.T)
@@ -219,7 +221,7 @@ def _replicate_task(args):
     mp_p = np.array([wald_multi(res.theta_hat, cov, arch, j).p_value
                      for j in range(1, scenario.p + 1)])
     covered = (np.abs(truth.values - est) <= Z_95 * se).astype(float)
-    return replace(outcome, positive_definite=True, se=se, covered=covered,
+    return replace(outcome, pd_ok=True, se=se, covered=covered,
                    sp_p=sp_p, mp_p=mp_p)
 
 
@@ -275,13 +277,11 @@ class SimReport:
     @property
     def effect(self) -> float:
         """True omega_21, the weight a power curve varies."""
-        arch = Architecture(p=self.scenario.p, q=self.scenario.q)
-        return float(self.true_values[arch.omega_index(2, 1)])
+        return float(self.true_values[self.scenario.arch.omega_index(2, 1)])
 
     def sp_rate(self, j: int, k: int) -> float:
         """Single-parameter rejection rate for omega_{jk}."""
-        arch = Architecture(p=self.scenario.p, q=self.scenario.q)
-        return float(self.sp_rejection[arch.omega_index(j, k)])
+        return float(self.sp_rejection[self.scenario.arch.omega_index(j, k)])
 
     def mp_rate(self, j: int) -> float:
         """Multiple-parameter rejection rate for covariate j."""
@@ -290,14 +290,14 @@ class SimReport:
 
 def _report(scenario: SimScenario, outcomes) -> SimReport:
     """Aggregate a scenario's replicate outcomes, given in replicate order."""
-    r = Architecture(p=scenario.p, q=scenario.q).r
+    r = scenario.arch.r
     ests = np.array([o.estimate for o in outcomes])
     ses = np.array([o.se for o in outcomes])
     covs = np.array([o.covered for o in outcomes])
     sp = np.array([o.sp_p for o in outcomes])
     mp = np.array([o.mp_p for o in outcomes])
     fit_ok = np.array([o.fit_ok for o in outcomes])
-    pd_ok = np.array([o.positive_definite for o in outcomes])
+    pd_ok = np.array([o.pd_ok for o in outcomes])
     n_total = scenario.replicates
     mean_est = np.full(r, np.nan)
     emp_se = np.full(r, np.nan)

@@ -528,8 +528,7 @@ def test_partial_effect_structural_properties():
                  for j in (1, 2, 3))
     data = Dataset(x=x, y=rng.normal(size=40), column_meta=meta)
     cov = CovarianceEstimate(sigma_hat=0.04 * np.eye(arch.r),
-                             a_matrix=np.eye(arch.r),
-                             positive_definite=True, min_eigenvalue=0.04)
+                             a_matrix=np.eye(arch.r))
     theta = ParamVector(arch, rng.uniform(-1.2, 1.2, arch.r))
 
     # A covariate with all-zero weights cannot move the prediction, so

@@ -318,12 +318,14 @@ def test_simulate_grid_serial_and_parallel_byte_identical(tmp_path, grid,
     ({"n": [40, 50.5]}, r"n\[1\] must be an integer"),
     ({"effect": [0.1, None]}, r"effect\[1\] must be a number"),
     ({"n": [40, 1]}, "n must be >= 2"),
-    ({"lambda": [0.01, float("nan")]}, "lam must be finite"),
-    ({"lambda": [float("inf")]}, "lam must be finite"),
+    ({"lambda": [0.01, float("nan")]}, "ridge penalty must be finite"),
+    ({"lambda": [float("inf")]}, "ridge penalty must be finite"),
     ({"effect": [0.1, float("nan")]}, "effect must be a list of finite"),
     ({"effect": 0.2}, "effect must be a list of finite"),
     ({"effect": [0.1], "n": [40, 60]}, "not both"),
     ({"effect": [0.1], "lambda": [0.0]}, "not both"),
+    # no default truth: refused by file name before any replicate runs
+    ({"q": 3}, r"grid\.json: invalid scenario: default truth"),
 ])
 def test_simulate_malformed_grid_exits_2(tmp_path, capsys, grid, message):
     scen = dict({"format_version": 1, "q": 2, "nz_pattern": "5-1", "n": 40,
@@ -384,7 +386,7 @@ def test_simulate_nonfinite_lambda_exits_2(tmp_path, capsys):
     scen_path.write_text(json.dumps(scen))     # writes the token NaN
     assert main(["simulate", str(scen_path), "--out-dir",
                  str(tmp_path / "results")]) == 2
-    assert "lam must be finite" in capsys.readouterr().err
+    assert "ridge penalty must be finite" in capsys.readouterr().err
     assert not (tmp_path / "results").exists()
 
 
@@ -478,9 +480,9 @@ def test_exit_3_numerical_failure_mentions_penalty(workspace, tmp_path,
                                                    capsys):
     """A stored model whose hidden node 2 copies node 1 (omega_j2 =
     omega_j1, gamma_2 = gamma_1) has a covariance estimate that is not
-    positive definite.  summary, diagram and pce all exit 3 with one
-    message form that points at the ridge penalty, and print nothing
-    else."""
+    positive definite.  summary, diagram and pce all exit 3 with the one
+    message of a refused covariance and the ridge-penalty hint, and
+    print nothing else."""
     import dataclasses
 
     from statnn.model import ParamVector
@@ -495,16 +497,15 @@ def test_exit_3_numerical_failure_mentions_penalty(workspace, tmp_path,
     dup = str(tmp_path / "duplicated_node.json")
     save_model(dataclasses.replace(doc, theta=ParamVector(arch, values)), dup)
     form = (r"numerical failure: covariance estimate is not positive "
-            r"definite \(min eigenvalue -\d[\d.e+-]*\); {} are unavailable\n"
+            r"definite \(min eigenvalue -\d[\d.e+-]*\); Wald tests and "
+            r"confidence bands are unavailable\n"
             r"hint: refit with a larger ridge penalty \(--lambda\) to "
             r"obtain a positive definite covariance\n")
-    for argv, what in ((["summary"], "Wald tests"),
-                       (["diagram"], "Wald tests"),
-                       (["pce", "--covariate", "age"], "confidence bands")):
+    for argv in (["summary"], ["diagram"], ["pce", "--covariate", "age"]):
         assert main([argv[0], dup, csv_path] + argv[1:]) == 3, argv
         out, err = capsys.readouterr()
         assert out == ""
-        assert re.fullmatch(form.format(what), err), err
+        assert re.fullmatch(form, err), err
         assert "Traceback" not in err
 
 

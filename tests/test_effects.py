@@ -15,8 +15,7 @@ from statnn.special import normal_quantile
 
 def _identity_cov(r, scale=1e-4):
     return CovarianceEstimate(sigma_hat=scale * np.eye(r),
-                              a_matrix=np.eye(r), positive_definite=True,
-                              min_eigenvalue=scale)
+                              a_matrix=np.eye(r))
 
 
 def _dataset(seed=70, n=60, p=2, dummy_last=False):
@@ -92,9 +91,7 @@ def test_delta_method_gradient_matches_finite_differences():
     rng = np.random.default_rng(74)
     m = rng.normal(size=(arch.r, arch.r))
     sigma = m @ m.T + arch.r * np.eye(arch.r)
-    cov = CovarianceEstimate(sigma_hat=sigma, a_matrix=np.eye(arch.r),
-                             positive_definite=True,
-                             min_eigenvalue=float(np.linalg.eigvalsh(sigma)[0]))
+    cov = CovarianceEstimate(sigma_hat=sigma, a_matrix=np.eye(arch.r))
     d = 0.6
     x0 = 0.25
     (curve,) = pce_curve(arch, theta, cov, data, 1, d=d, grid=np.array([x0]))
@@ -160,14 +157,18 @@ def test_step_spanning_range_gives_one_point_grid():
 
 
 def test_requires_positive_definite_covariance():
-    arch = Architecture(p=2, q=1)
-    theta = _theta(arch)
-    data = _dataset()
-    bad = CovarianceEstimate(sigma_hat=np.eye(arch.r),
-                             a_matrix=np.eye(arch.r),
-                             positive_definite=False, min_eigenvalue=-1.0)
-    with pytest.raises(NotPositiveDefiniteError):
-        pce_curve(arch, theta, bad, data, 1)
+    """A band needs a covariance, and with hidden node 2 a copy of node 1
+    the penalized sandwich is singular: no covariance, so no curve."""
+    arch = Architecture(p=2, q=2)
+    values = _theta(arch).values.copy()
+    for j in range(arch.p + 1):
+        values[arch.omega_index(j, 2)] = values[arch.omega_index(j, 1)]
+    values[arch.gamma_index(2)] = values[arch.gamma_index(1)]
+    info = observed_information(arch, ParamVector(arch, values), _dataset(),
+                                sigma_sq=1.0)
+    with pytest.raises(NotPositiveDefiniteError,
+                       match="not positive definite"):
+        sandwich_covariance(info, lam=0.01)
 
 
 def test_covariate_index_validation():
@@ -370,7 +371,6 @@ def test_sandwich_end_to_end_band_positive():
     info = observed_information(arch, result.theta_hat, data,
                                 sigma_sq=result.sigma_sq_hat)
     cov = sandwich_covariance(info, lam=0.01)
-    assert cov.positive_definite
     (curve,) = pce_curve(arch, result.theta_hat, cov, data, 1)
     assert all(pt.se > 0.0 for pt in curve.points)
     assert all(pt.lo < pt.beta_hat < pt.hi for pt in curve.points)
@@ -405,9 +405,7 @@ def _per_point_oracle(arch, theta, sigma, data, j, d, grid, pin=None):
 def _random_cov(r, seed):
     m = np.random.default_rng(seed).normal(size=(r, r))
     sigma = m @ m.T / r + 0.1 * np.eye(r)
-    return CovarianceEstimate(sigma_hat=sigma, a_matrix=np.eye(r),
-                              positive_definite=True,
-                              min_eigenvalue=float(np.linalg.eigvalsh(sigma)[0]))
+    return CovarianceEstimate(sigma_hat=sigma, a_matrix=np.eye(r))
 
 
 def _as_rows(points):

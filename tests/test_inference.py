@@ -1,5 +1,7 @@
 """Sandwich covariance, Wald tests, and model-summary tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,6 @@ def test_unpenalized_sandwich_inverts_information():
     """At lambda = 0 the sandwich collapses to the inverse information."""
     arch, data, result, info = _fitted_instance(lam=0.0)
     cov = sandwich_covariance(info, lam=0.0)
-    assert cov.positive_definite
     r = arch.r
     np.testing.assert_allclose(cov.sigma_hat @ info, np.eye(r), atol=1e-8)
     np.testing.assert_allclose(cov.a_matrix, np.eye(r), atol=1e-8)
@@ -60,24 +61,46 @@ def test_sandwich_symmetric_matrix_identity():
                                rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(cov.a_matrix, bread @ info,
                                rtol=1e-10, atol=1e-12)
-    assert cov.positive_definite
-    assert cov.min_eigenvalue > 0.0
 
 
 def test_sandwich_flags_indefinite_information():
-    info = np.diag([4.0, -1.0])
-    cov = sandwich_covariance(info, lam=0.0)
-    assert not cov.positive_definite
-    assert cov.min_eigenvalue < 0.0
+    with pytest.raises(NotPositiveDefiniteError,
+                       match=r"\(min eigenvalue -1\)"):
+        sandwich_covariance(np.diag([4.0, -1.0]), lam=0.0)
 
 
 def test_penalty_does_not_mask_indefiniteness():
     """Sigma = B I B is congruent to I, so an indefinite information
-    stays flagged no matter how large the ridge penalty is."""
+    stays refused no matter how large the ridge penalty is."""
     info = np.diag([4.0, -0.2])
-    assert not sandwich_covariance(info, lam=0.0).positive_definite
-    assert not sandwich_covariance(info, lam=0.5).positive_definite
-    assert not sandwich_covariance(info, lam=50.0).positive_definite
+    for lam in (0.0, 0.5, 50.0):
+        with pytest.raises(NotPositiveDefiniteError):
+            sandwich_covariance(info, lam=lam)
+
+
+def test_nonfinite_penalty_is_bad_input():
+    """A penalty that is not finite is a bad argument (exit 2 in the
+    command line), not a numerical failure of the covariance."""
+    for lam in (np.nan, np.inf, -0.1):
+        with pytest.raises(ValueError,
+                           match="ridge penalty must be finite and "
+                                 "nonnegative"):
+            sandwich_covariance(np.eye(3), lam)
+
+
+def test_covariance_estimate_is_positive_definite_by_construction():
+    """The record refuses an indefinite or a non-finite matrix, also when
+    ``dataclasses.replace`` builds it from a valid one."""
+    cov = sandwich_covariance(np.diag([4.0, 2.0]), lam=0.0)
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    nonfinite = np.array([[1.0, 0.0], [0.0, np.inf]])
+    for sigma in (indefinite, nonfinite):
+        with pytest.raises(NotPositiveDefiniteError):
+            CovarianceEstimate(sigma_hat=sigma, a_matrix=np.eye(2))
+    with pytest.raises(NotPositiveDefiniteError):
+        dataclasses.replace(cov, sigma_hat=-cov.sigma_hat)
+    doubled = dataclasses.replace(cov, sigma_hat=2.0 * cov.sigma_hat)
+    np.testing.assert_array_equal(doubled.sigma_hat, 2.0 * cov.sigma_hat)
 
 
 def test_singular_information_has_no_covariance():
@@ -167,39 +190,22 @@ def test_wald_multi_detects_active_covariate():
     assert 0.0 <= res.p_value <= 1.0
 
 
-def test_wald_single_rejects_nonpositive_variance():
-    arch = Architecture(p=1, q=1)
-    theta = ParamVector(arch, np.ones(arch.r))
-    cov = CovarianceEstimate(sigma_hat=np.zeros((arch.r, arch.r)),
-                             a_matrix=np.eye(arch.r),
-                             positive_definite=False, min_eigenvalue=0.0)
-    with pytest.raises(NotPositiveDefiniteError):
-        wald_single(theta, cov, 0)
-
-
-def test_wald_multi_rejects_singular_block():
-    arch = Architecture(p=1, q=2)
-    theta = ParamVector(arch, np.ones(arch.r))
-    sigma = np.zeros((arch.r, arch.r))
-    cov = CovarianceEstimate(sigma_hat=sigma, a_matrix=np.eye(arch.r),
-                             positive_definite=False, min_eigenvalue=0.0)
-    with pytest.raises(NotPositiveDefiniteError):
-        wald_multi(theta, cov, arch, 1)
-
-
 def test_wald_tests_refuse_non_positive_definite_covariance():
-    """The one rule holds for single tests too: a non-PD estimate is
-    refused even where the tested variance or block is positive."""
+    """The one rule holds for single tests too: no Wald test can be given
+    a non-PD estimate, even one whose every variance is positive, since
+    the record refuses the matrix with the one message."""
     arch, data, result, info = _fitted_instance(lam=0.01)
     cov = sandwich_covariance(info, lam=0.01)
-    bad = CovarianceEstimate(sigma_hat=cov.sigma_hat, a_matrix=cov.a_matrix,
-                             positive_definite=False, min_eigenvalue=-0.25)
+    # Pull the smallest eigenvalue down to -0.001, keeping every variance
+    # positive.
+    eigs, vecs = np.linalg.eigh(cov.sigma_hat)
+    bad = cov.sigma_hat - (eigs[0] + 0.001) * np.outer(vecs[:, 0], vecs[:, 0])
+    assert np.all(np.diag(bad) > 0.0)
     message = (r"^covariance estimate is not positive definite \(min "
-               r"eigenvalue -0\.25\); Wald tests are unavailable$")
+               r"eigenvalue -0\.001\); Wald tests and confidence bands are "
+               r"unavailable$")
     with pytest.raises(NotPositiveDefiniteError, match=message):
-        wald_single(result.theta_hat, bad, arch.omega_index(1, 1))
-    with pytest.raises(NotPositiveDefiniteError, match=message):
-        wald_multi(result.theta_hat, bad, arch, 1)
+        CovarianceEstimate(sigma_hat=bad, a_matrix=cov.a_matrix)
 
 
 def test_significance_stars():
@@ -258,16 +264,3 @@ def test_summarize_uses_column_meta_names():
     report = summarize(result, cov, arch, named)
     assert [row.name for row in report.covariates] == ["age", "bmi"]
 
-
-def test_summarize_refuses_non_positive_definite_covariance():
-    """A non-PD estimate is refused as a whole, even where its diagonal
-    would still give every single-weight test a positive variance."""
-    arch, data, result, info = _fitted_instance(lam=0.01)
-    cov = sandwich_covariance(info, lam=0.01)
-    bad = CovarianceEstimate(sigma_hat=cov.sigma_hat, a_matrix=cov.a_matrix,
-                             positive_definite=False, min_eigenvalue=-0.25)
-    with pytest.raises(NotPositiveDefiniteError,
-                       match=r"^covariance estimate is not positive definite "
-                             r"\(min eigenvalue -0\.25\); Wald tests are "
-                             r"unavailable$"):
-        summarize(result, bad, arch, data)

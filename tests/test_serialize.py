@@ -144,8 +144,10 @@ def test_parse_model_error_paths():
         parse_model(corrupt(theta=["x"] * 9))
     with pytest.raises(DataError):
         parse_model(corrupt(q=0))
-    with pytest.raises(DataError):
-        parse_model(corrupt(**{"lambda": -1.0}))
+    for lam in (-1.0, float("inf")):
+        with pytest.raises(DataError, match="^model: ridge penalty must be "
+                                            "finite and nonnegative"):
+            parse_model(corrupt(**{"lambda": lam}))
     with pytest.raises(DataError,
                        match="invalid architecture: unsupported output "
                              "activation 'relu'"):
@@ -251,13 +253,15 @@ def test_scenario_round_trip():
 
 
 def test_scenario_round_trip_with_truth():
-    arch = Architecture(p=6, q=2)
+    """q = 3 has no default truth, so the file's own must go in when the
+    scenario is built."""
+    arch = Architecture(p=6, q=3)
     rng = np.random.default_rng(141)
     truth = ParamVector(arch, rng.uniform(-3, 3, arch.r))
-    scen = SimScenario(q=2, nz_pattern="3-3", n=100, true_theta=truth)
+    scen = SimScenario(q=3, nz_pattern="3-3", n=100, true_theta=truth)
     back = parse_scenario(scenario_to_json(scen))
     np.testing.assert_array_equal(back.true_theta.values, truth.values)
-    assert back.q == 2 and back.nz_pattern == "3-3"
+    assert back.q == 3 and back.nz_pattern == "3-3"
 
 
 def test_scenario_file_round_trip(tmp_path):
@@ -288,6 +292,9 @@ def test_parse_scenario_validation():
         parse_scenario(json.dumps(missing))
     with pytest.raises(DataError, match="true_theta"):
         parse_scenario(corrupt(true_theta=[1.0, 2.0]))
+    with pytest.raises(DataError, match="^q3.json: invalid scenario: "
+                                        "default truth is defined for q"):
+        parse_scenario(corrupt(q=3), where="q3.json")
     # integer fields take JSON integers only; float fields take numbers
     for field, value in [("q", 2.7), ("q", None), ("p", None),
                          ("seed", True), ("n", "100"),

@@ -63,6 +63,12 @@ def test_scenario_validation():
     wrong_arch = ParamVector.zeros(Architecture(p=6, q=3))
     with pytest.raises(ValueError):
         _tiny(true_theta=wrong_arch)
+    # without a truth of its own a scenario needs a default one
+    with pytest.raises(ValueError, match="default truth is defined for q"):
+        _tiny(q=3)
+    with pytest.raises(ValueError, match="default truth is defined for p"):
+        _tiny(p=4)
+    assert _tiny(q=3, true_theta=wrong_arch).arch == Architecture(p=6, q=3)
 
 
 def test_generate_deterministic():
@@ -169,7 +175,7 @@ def test_wald_tests_only_on_positive_definite_replicates():
     assert np.all(rep.mp_rejection <= rep.pd_rate)
     outcome = next(o for o in (_replicate_task((scen, i))
                                for i in range(scen.replicates))
-                   if not o.positive_definite)
+                   if not o.pd_ok)
     assert outcome.fit_ok
     assert np.all(np.isfinite(outcome.estimate))
     for values in (outcome.se, outcome.covered, outcome.sp_p, outcome.mp_p):

@@ -9,8 +9,10 @@ compare two recordings.
 ``statnn`` commands on them, each as its own ``python -m statnn.cli``
 process with ``PYTHONPATH=SRC`` and one BLAS thread, inside OUT.  Each
 command leaves the files it writes in OUT, plus ``<label>.log`` with its
-exit code, stdout and stderr (SRC itself is written as ``<src>``).  The
-script imports nothing from the package and patches nothing, so the
+exit code, stdout and stderr (SRC itself is written as ``<src>``).  Last
+come the refusals: bad inputs, which exit 2, and models without a
+covariance estimate, which exit 3; the bad models are copies of the
+Gaussian model with JSON fields edited.  The script imports nothing from the package and patches nothing, so the
 same list runs unchanged against any two versions of it, across API
 changes.
 
@@ -36,9 +38,20 @@ SCENARIOS = {
     "power.json": {"format_version": 1, "q": 2, "nz_pattern": "5-1",
                    "n": 100, "replicates": 4, "restarts": 1, "seed": 0,
                    "effect": [0.0, 0.5]},
+    # Unpenalized at n = 60 and 90 some replicates have no positive
+    # definite covariance.
+    "pd.json": {"format_version": 1, "q": 2, "nz_pattern": "5-1",
+                "n": [60, 90], "lambda": [0.0, 0.01], "replicates": 10,
+                "restarts": 2, "seed": 7},
     "badnoise.json": {"format_version": 1, "q": 2, "nz_pattern": "5-1",
                       "n": 50, "replicates": 2, "restarts": 1,
                       "noise_sd": float("inf")},
+    "badlam.json": {"format_version": 1, "q": 2, "nz_pattern": "5-1",
+                    "n": 50, "replicates": 2, "restarts": 1,
+                    "lambda": float("nan")},
+    # No default truth for q = 3.
+    "q3.json": {"format_version": 1, "q": 3, "nz_pattern": "5-1", "n": 50,
+                "replicates": 2, "restarts": 1},
 }
 
 
@@ -81,15 +94,37 @@ COMMANDS = (
     _family_commands("g", "gaussian")
     + _family_commands("b", "bernoulli")
     + [("simulate_cell", ["simulate", "cell.json", "--out-dir", "cell"]),
-       ("simulate_power", ["simulate", "power.json", "--out-dir", "power"])])
+       ("simulate_power", ["simulate", "power.json", "--out-dir", "power"]),
+       ("simulate_pd", ["simulate", "pd.json", "--out-dir", "pd"])])
 
-#: Copies of the Gaussian model with fields replaced, for REFUSALS.
-CORRUPT_MODELS = {
-    "tanh_model.json": {"hidden_activation": "tanh"},
-    "relu_model.json": {"output_activation": "relu"},
-}
 
-#: Bad inputs: each should exit 2 with a message.
+def _node2(model: dict, copy: bool) -> list:
+    """The model's theta with hidden node 2 a copy of node 1, or all zero.
+
+    For q = 2, omega_j2 sits right after omega_j1 (j = 0..p) and gamma_2
+    right after gamma_1, at (p + 1) q + 1."""
+    p, q, theta = model["p"], model["q"], list(model["theta"])
+    for i in [j * q + 1 for j in range(p + 1)] + [(p + 1) * q + 2]:
+        theta[i] = theta[i - 1] if copy else 0.0
+    return theta
+
+
+def _corrupt_models(model: dict) -> dict:
+    """Copies of the Gaussian model with fields replaced, for REFUSALS."""
+    return {
+        "tanh_model.json": {"hidden_activation": "tanh"},
+        "relu_model.json": {"output_activation": "relu"},
+        "neglam_model.json": {"lambda": -1.0},
+        # covariance not positive definite
+        "dup_model.json": {"theta": _node2(model, copy=True)},
+        # information exactly singular
+        "dead_model.json": {"theta": _node2(model, copy=False),
+                            "lambda": 0.0},
+    }
+
+
+#: Bad inputs, each of which should exit 2 with a message, and models
+#: without a covariance, which should exit 3.
 REFUSALS = [
     ("select_linear_nan", ["select", "g.csv", "--response", "y", "--q-list",
                            "0", "--no-cv", "--lambda", "nan"]),
@@ -97,8 +132,15 @@ REFUSALS = [
                  "--lambda", "inf", "--out", "inf_model.json"]),
     ("summary_tanh", ["summary", "tanh_model.json", "g.csv"]),
     ("summary_relu", ["summary", "relu_model.json", "g.csv"]),
+    ("summary_neglam", ["summary", "neglam_model.json", "g.csv"]),
     ("simulate_badnoise", ["simulate", "badnoise.json",
                            "--out-dir", "badnoise"]),
+    ("simulate_badlam", ["simulate", "badlam.json", "--out-dir", "badlam"]),
+    ("simulate_q3", ["simulate", "q3.json", "--out-dir", "q3"]),
+    ("summary_dup", ["summary", "dup_model.json", "g.csv"]),
+    ("diagram_dup", ["diagram", "dup_model.json", "g.csv"]),
+    ("pce_dup", ["pce", "dup_model.json", "g.csv", "--covariate", "x1"]),
+    ("summary_dead", ["summary", "dead_model.json", "g.csv"]),
 ]
 
 
@@ -132,7 +174,7 @@ def record(src: str, out: str) -> int:
     _write_inputs(out)
     _run(src, out, COMMANDS)
     model = json.loads((out / "g_model.json").read_text(encoding="utf-8"))
-    for name, changes in CORRUPT_MODELS.items():
+    for name, changes in _corrupt_models(model).items():
         (out / name).write_text(json.dumps({**model, **changes}),
                                 encoding="utf-8")
     _run(src, out, REFUSALS)
