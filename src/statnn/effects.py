@@ -18,9 +18,9 @@ A curve is computed in one batched pass over its grid, without the
 n x r prediction Jacobian.  With x1 the design whose column j is zeroed
 and W the input weights, the hidden net inputs at x0 are
 s_base + x0 W_j for s_base = x1 W, a G x n x q block for G grid points.
-The averaged output's gradient is the block contraction that
-``likelihood._Evaluator._score`` uses, with weights u = 1/n (identity
-output) or mu (1 - mu) / n (logistic output):
+The averaged output's gradient is the block contraction of the score
+in ``likelihood`` (``_Evaluator._omega_score`` and H u), with weights
+u = 1/n (identity output) or mu (1 - mu) / n (logistic output):
 
     omega block   x1^T (u * h (1 - h) * gamma_1..q), row j replaced by
                   x0 * sum_i (u * h (1 - h) * gamma_1..q)

@@ -10,9 +10,22 @@ ridge penalty a plain ``lam``.  The objective, its derivatives, the
 input checks and the profiled variance all come from
 ``likelihood._Evaluator``; this module holds only the search.
 
-Each restart draws its starting point from a private generator seeded by
-(seed, restart_index), so results are reproducible and independent of
-evaluation order.
+**Gaussian fits by variable projection.**  The output weights gamma
+enter the Gaussian objective linearly, so L-BFGS-B searches only the
+input weights omega, on the objective with gamma profiled out
+(``_Evaluator.profiled``: a (q + 1) x (q + 1) ridge solve per
+evaluation).  theta = (omega-hat, gamma*(omega-hat)) is then polished on
+all of theta like any other fit.  On 10 rounds of the select workload
+this halved the iterations (106,154 to 55,496) and kept every q <= 2
+optimum (theta-hat within 3.4e-13 relative).  A Bernoulli fit searches
+all of theta.
+
+**Starts in the data's units.**  Each restart draws its start from a
+private generator seeded by (seed, restart_index), so results are
+reproducible and independent of evaluation order.  The draw is read in
+standardized units of the fit's own x (``initialize``), so a column
+passed through in large units does not saturate the hidden units from
+the first step.
 
 The estimate is set by the optimum, not by how the search got there:
 
@@ -29,12 +42,20 @@ The estimate is set by the optimum, not by how the search got there:
   TIE_RTOL (relative) of the best and whose canonical theta is within
   THETA_TOL (relative max-norm) of the best restart's.  A restart at a
   different theta never displaces the best log-likelihood, however close
-  its value.
+  its value.  A restart whose estimate's squared norm overflows has run
+  towards a limit at infinity and fails.
 
 Only the restart count and the seed are settings.  The rest are
 constants, each below with the measurement behind it; a change to the
 search should be argued from measurements of the whole fit, not offered
-as a flag.  ``converged`` reports ``grad_max <= GRAD_TOL``.
+as a flag.  ``converged`` reports ``grad_max <= GRAD_TOL``.  Iterations
+count L-BFGS-B iterations (over omega for a Gaussian fit) plus Newton
+polish steps.
+
+The measurements below were made on the profiled search: the fits of 10
+rounds of the select workload (seed 1; q = 1-3, n = 800-1,000), 4 rounds
+of 12 headline-cell replicates, and, for FTOL and the tie rules, q = 1-3
+fits of 3 select tables and 6 headline replicates with 10 restarts.
 """
 
 from __future__ import annotations
@@ -49,25 +70,27 @@ from .exceptions import FitError
 from .likelihood import _Evaluator
 from .model import Architecture, Dataset, ParamVector
 
-#: Starting points are Uniform(-INIT_SCALE, INIT_SCALE) in every coordinate.
+#: Starting points are Uniform(-INIT_SCALE, INIT_SCALE) in every
+#: coordinate, the input weights in standardized units (``initialize``).
 INIT_SCALE = 0.5
 #: Iteration cap of one L-BFGS-B run.
 MAX_ITERS = 1000
 #: Gradient max-norm that ``converged`` reports against.
 GRAD_TOL = 1e-8
 #: L-BFGS-B's relative-decrease stop: at 1e-9 the polish still reaches
-#: the same optimum (theta-hat within 1.3e-11 relative of running to
-#: GRAD_TOL) in 8-41% fewer iterations on headline-cell and select fits.
+#: the same optimum (theta-hat within 2.5e-13 relative of running to
+#: GRAD_TOL) in 9-32% fewer iterations.
 FTOL = 1e-9
-#: Polish target: winners' gradient max-norms measure 1e-14 to 6e-13 at
-#: n = 1,000-1,500; polishing only to GRAD_TOL leaves some at 4e-9, too
-#: loose for tied restarts to agree in theta.
+#: Polish target: winners' gradient max-norms measure 5.8e-15 to 8.0e-12
+#: on select fits and 3.7e-14 to 9.9e-13 on headline-cell fits.
+#: Polishing only to GRAD_TOL left some at 4e-9 (measured before the
+#: profiled search), too loose for tied restarts to agree in theta.
 POLISH_TOL = 1e-11
-#: Tied restarts measured at most 1.0e-14 apart in relative penalized
-#: log-likelihood, distinct optima at least 5.7e-4 apart.
+#: Tied restarts measured at most 2.7e-13 apart in relative penalized
+#: log-likelihood, distinct optima at least 3.4e-3 apart.
 TIE_RTOL = 1e-10
-#: Tied restarts measured at most 2.4e-14 apart in canonical theta
-#: (relative max-norm), distinct optima at least 0.53 apart.
+#: Tied restarts measured at most 2.1e-12 apart in canonical theta
+#: (relative max-norm), distinct optima at least 0.54 apart.
 THETA_TOL = 1e-8
 _POLISH_MAX_STEPS = 25
 _POLISH_MAX_BACKTRACKS = 30
@@ -114,9 +137,20 @@ class FitResult:
     grad_max: float
 
 
-def initialize(arch: Architecture, rng: np.random.Generator) -> ParamVector:
-    """Uniform(-INIT_SCALE, INIT_SCALE) draw for all r coordinates."""
-    return ParamVector(arch, rng.uniform(-INIT_SCALE, INIT_SCALE, size=arch.r))
+def initialize(arch: Architecture, rng: np.random.Generator,
+               x: np.ndarray) -> ParamVector:
+    """A restart's start: a Uniform(-INIT_SCALE, INIT_SCALE) draw w for
+    all r coordinates, with the input weights read in standardized units
+    of the design x.  With column means m_j and sds s_j (1 for a
+    constant column), omega_jk = w_jk / s_j and omega_0k = w_0k -
+    sum_j omega_jk m_j, so every hidden net input starts as w's on the
+    standardized columns."""
+    values = rng.uniform(-INIT_SCALE, INIT_SCALE, size=arch.r)
+    w = values[:(arch.p + 1) * arch.q].reshape(arch.p + 1, arch.q)
+    sd = np.where(np.ptp(x, axis=0) > 0.0, np.std(x, axis=0), 1.0)
+    w[1:] /= sd[:, None]
+    w[0] -= np.mean(x, axis=0) @ w[1:]
+    return ParamVector(arch, values)
 
 
 def _newton_polish(obj: _Evaluator, x: np.ndarray, f: float, g: np.ndarray):
@@ -179,7 +213,7 @@ def fit(arch: Architecture, data: Dataset, lam: float,
     failures = []
 
     for i in range(config.n_restarts):
-        x0 = initialize(arch, seeds.rng(config.seed, i)).values
+        x0 = initialize(arch, seeds.rng(config.seed, i), data.x).values
         try:
             x_hat, nit = _run_restart(obj, x0)
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
@@ -189,6 +223,12 @@ def fit(arch: Architecture, data: Dataset, lam: float,
         ll, sigma_sq = obj.profile(theta_c.values)
         if not np.isfinite(ll):
             failures.append(f"restart {i}: non-finite log-likelihood at optimum")
+            continue
+        with np.errstate(over="ignore"):
+            norm_sq = theta_c.values @ theta_c.values
+        if not np.isfinite(norm_sq):
+            failures.append(f"restart {i}: estimate diverged (its squared "
+                            f"norm overflows)")
             continue
         runs[i] = (ll, theta_c, sigma_sq)
         restart_iterations[i] = nit
@@ -264,19 +304,35 @@ def evaluate_at(arch: Architecture, theta: ParamVector, data: Dataset,
 
 
 def _run_restart(obj: _Evaluator, x0: np.ndarray):
-    """One quasi-Newton run plus Newton polish; returns (x, n_iter)."""
+    """One quasi-Newton run plus Newton polish; returns (x, n_iter).
+
+    A Gaussian run searches the input weights on the profiled objective
+    and rebuilds theta with gamma*(omega-hat); a Bernoulli run searches
+    all of theta.  The polish works on full theta in both."""
+    if obj.gaussian:
+        res = _quasi_newton(lambda omega: obj.profiled(omega)[:2],
+                            x0[:obj.pq])
+        x = np.concatenate((res.x, obj.profiled(res.x)[2]))
+        f, g = obj.value_grad(x)
+    else:
+        res = _quasi_newton(obj.value_grad, x0)
+        x, f, g = res.x, res.fun, res.jac
+    x_hat, polish_steps = _newton_polish(obj, x, f, g)
+    return x_hat, int(res.nit) + polish_steps
+
+
+def _quasi_newton(objective, start: np.ndarray):
+    """L-BFGS-B on ``objective`` (value and gradient) from ``start``."""
     import scipy.optimize   # here, not at module load: serving never fits
 
     res = scipy.optimize.minimize(
-        obj.value_grad, x0, jac=True, method="L-BFGS-B",
+        objective, start, jac=True, method="L-BFGS-B",
         options={"maxiter": MAX_ITERS, "ftol": FTOL, "gtol": GRAD_TOL,
                  "maxcor": 20})
     if not np.isfinite(res.fun):
-        # The optimizer's first evaluation was at x0; only on this failure
-        # path is it repeated, to say which point went wrong.
-        if not np.isfinite(obj.value_grad(x0)[0]):
+        # The optimizer's first evaluation was at the start; only on this
+        # failure path is it repeated, to say which point went wrong.
+        if not np.isfinite(objective(start)[0]):
             raise FitError("objective not finite at the starting point")
         raise FitError("optimizer returned a non-finite objective")
-    x_hat, polish_steps = _newton_polish(
-        obj, np.asarray(res.x, dtype=float), res.fun, res.jac)
-    return x_hat, int(res.nit) + polish_steps
+    return res

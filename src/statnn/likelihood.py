@@ -16,18 +16,35 @@ Gaussian family at sigma^2 = 1 without its normalizing constant);
 public functions rescale to a given sigma^2, and ``profile`` evaluates
 the Gaussian log-likelihood at sigma_hat^2 = RSS/n.
 
-The score J^T u (J the n x r Jacobian dz/dtheta, u the per-observation
-score dl/dz) is what the optimizer asks for on every step, so
-``_Evaluator._score`` contracts it by parameter blocks without forming
-J:
+The forward pass builds one units-major (q + 1) x n activation block H
+(``model._activation_block``): row 0 is ones, row k the hidden
+activations h_k.  Then z = gamma @ H, and the score J^T u (J the n x r
+Jacobian dz/dtheta, u the per-observation score dl/dz), which the
+optimizer asks for on every step, is contracted by parameter blocks
+without forming J:
 
-    omega block   x1^T (u * h (1 - h) * gamma_1..q)
-    gamma_0       sum_i u_i
-    gamma_1..q    h^T u
+    omega block   x1^T (u * gamma_k h_k (1 - h_k))   (``_omega_score``)
+    gamma block   H u
 
 The n x r Jacobian (``_pred_jacobian``) is formed only for curvature
 (the observed information and the polishing Hessian) and for
 per-row prediction gradients.
+
+**The profiled Gaussian objective** (``_Evaluator.profiled``).  The
+Gaussian objective (1/2) ||y - H^T gamma||^2 + (1/2) theta^T D theta,
+D = diag(ridge_w), is quadratic in gamma.  For fixed input weights omega
+its minimizer solves the (q + 1) x (q + 1) ridge normal equations
+
+    (H H^T + D_gamma) gamma* = H y
+
+by Cholesky (LAPACK ``dposv``).  By the envelope theorem the gradient of
+the profiled objective in omega is the omega block of the full gradient
+at (omega, gamma*(omega)), since the gamma block vanishes there.  Where
+the Gram matrix H H^T + D_gamma is numerically singular (two hidden
+units alike, or one constant, at lambda = 0), gamma* is not determined:
+when ``dposv`` fails, or a squared Cholesky pivot falls below GRAM_RTOL
+times the largest diagonal entry, the profiled objective is +inf, so a
+line search backs off.
 
 The observed information is the negative Hessian of the *unpenalized*
 log-likelihood, assembled from exact analytic second derivatives (not a
@@ -49,8 +66,8 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import DataError, ShapeError
-from .model import (Architecture, Dataset, ParamVector, _net_parts,
-                    design_with_intercept, sigmoid)
+from .model import (Architecture, Dataset, ParamVector, _activation_block,
+                    _net_parts, design_with_intercept, sigmoid)
 
 #: Clamp distance from {0, 1} applied to Bernoulli success probabilities
 #: before taking logs; prevents -inf without materially biasing the objective.
@@ -61,6 +78,16 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 #: Smallest admissible profiled variance; guards the degenerate
 #: zero-residual fit so the profile log-likelihood stays finite.
 _SIGMA_SQ_FLOOR = float(np.finfo(float).tiny)
+
+#: A profiled point's Gram matrix counts as singular when a squared
+#: Cholesky pivot falls below GRAM_RTOL times its largest diagonal entry.
+#: Two identical units measured at most 5.9e-17 (n = 60-1,000, 600
+#: draws; ``dposv`` failed on 469).  Every evaluation of 2 select rounds
+#: and 12 headline-cell replicates (lambda = 0.01) measured at least
+#: 2.5e-4.  In the PD-rate check's bare cell (q = 6, lambda = 0,
+#: n = 500; 6 replicates) L-BFGS-B runs ended at 2.4e-11 or above, and 3
+#: of 21,736 evaluations fell below 1e-13.
+GRAM_RTOL = 1e-13
 
 
 def check_lambda(lam: float):
@@ -131,10 +158,10 @@ class _Evaluator:
     The constructor checks the penalty, the covariate count and a
     Bernoulli response once and fixes the ridge weights; the methods
     take a flat parameter array and run one forward pass each, with no
-    further checks, so the optimizer can call ``value_grad`` and
-    ``hessian`` in its loop.  ``value_grad`` and ``gradient`` contract
-    the score by blocks (``_score``); only ``hessian`` and the
-    information build the n x r Jacobian.
+    further checks, so the optimizer can call ``value_grad``,
+    ``profiled`` and ``hessian`` in its loop.  The score is contracted
+    by blocks on the activation block (``_omega_score`` and H u); only
+    ``hessian`` and the information build the n x r Jacobian.
     """
 
     def __init__(self, arch: Architecture, data: Dataset, lam: float):
@@ -147,6 +174,7 @@ class _Evaluator:
             raise DataError(
                 "bernoulli likelihood requires a response in {0, 1}")
         self.p, self.q, self.n = arch.p, arch.q, data.n
+        self.pq = (arch.p + 1) * arch.q
         self.x1 = design_with_intercept(data.x)
         self.y = data.y
         # d(penalty)/dtheta = ridge_w * theta: 2 lambda on the penalized
@@ -156,30 +184,26 @@ class _Evaluator:
     def _terms(self, theta, kernel=False):
         """Forward pass and the family branch.
 
-        Returns gamma, the hidden activations, the unit-scale
+        Returns gamma, the activation block H, the unit-scale
         log-likelihood, the score dl/dz per observation and, if
         ``kernel``, the weights -d2l/dz2 (None where they are all 1).
         """
-        g, h, z = _net_parts(self.p, self.q, self.x1, theta)
+        g, hb, z = _net_parts(self.p, self.q, self.x1, theta)
         if self.gaussian:
             res = self.y - z
-            return g, h, -0.5 * float(res @ res), res, None
+            return g, hb, -0.5 * float(res @ res), res, None
         mu = sigmoid(z)
-        return (g, h, _clamped_bernoulli_loglik(self.y, mu), self.y - mu,
+        return (g, hb, _clamped_bernoulli_loglik(self.y, mu), self.y - mu,
                 mu * (1.0 - mu) if kernel else None)
 
-    def _jacobian(self, g, h):
-        return _pred_jacobian(self.p, self.q, self.x1, h, g[1:])
+    def _jacobian(self, g, hb):
+        return _pred_jacobian(self.p, self.q, self.x1, hb[1:].T, g[1:])
 
-    def _score(self, g, h, u):
-        """J^T u for the Jacobian J of ``_jacobian``, contracted by
-        parameter blocks without forming J."""
-        pq = (self.p + 1) * self.q
-        out = np.empty(pq + self.q + 1)
-        out[:pq] = (self.x1.T @ (u[:, None] * g[1:] * (h * (1.0 - h)))).ravel()
-        out[pq] = u.sum()
-        out[pq + 1:] = u @ h
-        return out
+    def _omega_score(self, g, hb, u):
+        """The omega block of J^T u, x1^T (u * gamma_k h_k (1 - h_k)),
+        flattened in the parameter layout."""
+        h = hb[1:]
+        return (self.x1.T @ ((g[1:, None] * u) * (h * (1.0 - h))).T).ravel()
 
     def _ridge(self, theta):
         """The penalty lambda * ||theta_pen||^2."""
@@ -199,10 +223,11 @@ class _Evaluator:
 
     def _information(self, theta):
         """Unit-scale observed information, before symmetrization."""
-        g, h, _, u, w = self._terms(theta, kernel=True)
-        a = self._jacobian(g, h)
+        g, hb, _, u, w = self._terms(theta, kernel=True)
+        a = self._jacobian(g, hb)
         return ((a.T if w is None else a.T * w) @ a
-                - _curvature_correction(self.p, self.q, self.x1, h, g[1:], u))
+                - _curvature_correction(self.p, self.q, self.x1, hb[1:].T,
+                                        g[1:], u))
 
     def profile(self, theta):
         """Penalized log-likelihood and the profiled variance: for the
@@ -216,9 +241,36 @@ class _Evaluator:
     def value_grad(self, theta):
         """The optimizer's objective: the negative penalized unit-scale
         log-likelihood and its gradient."""
-        g, h, ll, u, _ = self._terms(theta)
-        return (-ll + self._ridge(theta),
-                self.ridge_w * theta - self._score(g, h, u))
+        g, hb, ll, u, _ = self._terms(theta)
+        score = np.concatenate((self._omega_score(g, hb, u), hb @ u))
+        return -ll + self._ridge(theta), self.ridge_w * theta - score
+
+    def profiled(self, omega):
+        """``value_grad``'s Gaussian objective with gamma profiled out.
+
+        For the input weights ``omega`` (the first (p + 1) q entries of
+        theta), returns the objective at gamma*(omega), its gradient in
+        omega and gamma*(omega); (+inf, zeros, None) where the Gram
+        matrix is singular (see the module docstring).
+        """
+        # here, not at module load: serving never fits
+        from scipy.linalg.blas import dgemm
+        from scipy.linalg.lapack import dposv
+
+        hb = _activation_block(self.x1, omega.reshape(self.p + 1, self.q))
+        # H H^T as a gemm on H^T: numpy sends hb @ hb.T to syrk, about
+        # four times slower at q + 1 = 3, n = 1000.
+        gram = dgemm(1.0, hb.T, hb.T, trans_a=1)
+        gram.flat[::self.q + 2] += self.ridge_w[self.pq:]
+        top = max(gram.diagonal().tolist())
+        chol, gamma, info = dposv(gram, hb @ self.y, overwrite_a=True)
+        if info or min(chol.diagonal().tolist()) ** 2 < GRAM_RTOL * top:
+            return np.inf, np.zeros_like(omega), None
+        res = self.y - gamma @ hb
+        ridge = self.ridge_w[:self.pq] * omega
+        value = 0.5 * (float(res @ res) + float(omega @ ridge) + float(
+            gamma @ (self.ridge_w[self.pq:] * gamma)))
+        return value, ridge - self._omega_score(gamma, hb, res), gamma
 
     def hessian(self, theta):
         """Hessian of ``value_grad``'s objective (penalty included)."""
@@ -245,9 +297,10 @@ def gradient(arch: Architecture, theta: ParamVector, data: Dataset,
     coordinates and nothing on the intercepts.
     """
     ev = _Evaluator(arch, data, lam)
-    g, h, _, u, _ = ev._terms(theta.values)
+    g, hb, _, u, _ = ev._terms(theta.values)
     div, _ = ev._scale(sigma_sq)
-    return ev._score(g, h, u) / div - ev.ridge_w * theta.values
+    score = np.concatenate((ev._omega_score(g, hb, u), hb @ u))
+    return score / div - ev.ridge_w * theta.values
 
 
 def observed_information(arch: Architecture, theta: ParamVector, data: Dataset,
@@ -278,8 +331,8 @@ def prediction_gradient(arch: Architecture, theta: ParamVector,
     """
     x = np.asarray(x, dtype=float)
     x1 = design_with_intercept(x)
-    g, h, z = _net_parts(arch.p, arch.q, x1, theta.values)
-    a = _pred_jacobian(arch.p, arch.q, x1, h, g[1:])
+    g, hb, z = _net_parts(arch.p, arch.q, x1, theta.values)
+    a = _pred_jacobian(arch.p, arch.q, x1, hb[1:].T, g[1:])
     if arch.family == "bernoulli":
         mu = sigmoid(z)
         a = a * (mu * (1.0 - mu))[:, None]

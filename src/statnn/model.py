@@ -30,16 +30,18 @@ from .exceptions import DataError, ShapeError
 FAMILIES = ("gaussian", "bernoulli")
 
 
-def sigmoid(s):
-    """Numerically stable logistic function, elementwise.
+def sigmoid(s, out=None):
+    """Numerically stable logistic function, elementwise, written into
+    ``out`` if given.
 
     With e = exp(-|s|) this is 1 / (1 + e) for s >= 0 and e / (1 + e)
     below, so large net inputs (which occur routinely during exploratory
-    optimization) never overflow.  One exponential serves both branches.
+    optimization) never overflow.  One exponential serves both branches,
+    and since e <= 1 the numerator is max(e, [s >= 0]).
     """
     s = np.asarray(s, dtype=float)
     e = np.exp(-np.abs(s))
-    out = np.where(s >= 0, 1.0, e) / (1.0 + e)
+    out = np.divide(np.maximum(e, s >= 0), 1.0 + e, out=out)
     if out.ndim == 0:
         return float(out)
     return out
@@ -288,12 +290,22 @@ def forward_batch(arch: Architecture, theta: ParamVector, data: Dataset) -> np.n
     return forward_design(arch, theta, design_with_intercept(data.x))
 
 
+def _activation_block(x1: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The units-major (q + 1) x n block H for the (p + 1) x q input
+    weights W: row 0 is ones, row k the hidden activations h_k."""
+    hb = np.empty((w.shape[1] + 1, x1.shape[0]))
+    hb[0] = 1.0
+    sigmoid(w.T @ x1.T, out=hb[1:])
+    return hb
+
+
 def _net_parts(p: int, q: int, x1: np.ndarray, theta: np.ndarray):
     """Forward pass pieces on a flat parameter array: the output weights
-    gamma, the hidden activations h and the output-node net input z."""
+    gamma, the activation block H (``_activation_block``) and the
+    output-node net input z = gamma @ H."""
     g = theta[(p + 1) * q:]
-    h = sigmoid(x1 @ theta[:(p + 1) * q].reshape(p + 1, q))
-    return g, h, g[0] + h @ g[1:]
+    hb = _activation_block(x1, theta[:(p + 1) * q].reshape(p + 1, q))
+    return g, hb, g @ hb
 
 
 def forward_design(arch: Architecture, theta: ParamVector, x1: np.ndarray) -> np.ndarray:

@@ -367,7 +367,7 @@ def test_simulation_positive_definite_rates():
                                    replicates=100, restarts=5))
     elapsed = time.perf_counter() - t0
     work = ridged.iterations + bare.iterations
-    work_bound = 695_000             # measured 63,362 + 492,282
+    work_bound = 461_000             # measured 49,269 + 319,282
     ok = (ridged.pd_rate >= 0.98 and bare.pd_rate < 0.70
           and work <= work_bound)
     detail = (f"ridge 0.01 / 2 nodes / n=250: PD rate {ridged.pd_rate:.3f} "

@@ -85,9 +85,32 @@ def test_fit_deterministic_given_seed():
 
 def test_fit_seed_changes_start_points():
     arch = Architecture(p=2, q=2)
-    a = initialize(arch, np.random.default_rng(0))
-    b = initialize(arch, np.random.default_rng(1))
+    x = np.random.default_rng(2).normal(size=(20, 2))
+    a = initialize(arch, np.random.default_rng(0), x)
+    b = initialize(arch, np.random.default_rng(1), x)
     assert not np.array_equal(a.values, b.values)
+
+
+def test_start_reads_the_draw_in_standardized_units():
+    """The hidden net inputs at the start are the draw's on the
+    standardized columns, whatever the columns' units; a constant column
+    is centred with sd 1, so it adds nothing at the start."""
+    arch = Architecture(p=3, q=2)
+    rng = np.random.default_rng(3)
+    x = np.column_stack([50.0 + 10.0 * rng.normal(size=40),
+                         np.full(40, 7.0),
+                         -3.0 + 0.01 * rng.normal(size=40)])
+    start = initialize(arch, np.random.default_rng(4), x)
+    draw = np.random.default_rng(4).uniform(-0.5, 0.5, arch.r)
+    sd = x.std(axis=0)
+    sd[1] = 1.0
+    z = (x - x.mean(axis=0)) / sd
+    w = draw[:(arch.p + 1) * arch.q].reshape(arch.p + 1, arch.q)
+    np.testing.assert_allclose(
+        np.hstack([np.ones((40, 1)), x]) @ start.omega_matrix(),
+        np.hstack([np.ones((40, 1)), z]) @ w, rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(start.gamma_vector(),
+                                  draw[(arch.p + 1) * arch.q:])
 
 
 def test_restart_records_and_chosen_restart():
@@ -190,22 +213,72 @@ def test_failed_restart_records_no_work(monkeypatch):
     assert result.chosen_restart == 1
 
 
+def _bernoulli_data(arch, n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, arch.p))
+    mu = forward_batch(arch, _true_theta(arch), Dataset(x=x, y=np.zeros(n)))
+    return Dataset(x=x, y=(rng.uniform(size=n) < mu).astype(float))
+
+
 def test_start_point_is_evaluated_once(monkeypatch):
-    """The optimizer's own first evaluation is the only one at x0."""
+    """In each family the searched objective is evaluated once at the
+    start's searched coordinates, by the optimizer itself: the input
+    weights on the profiled objective for a Gaussian fit, all of theta
+    on ``value_grad`` for a Bernoulli one."""
+    for family, name in (("gaussian", "profiled"),
+                         ("bernoulli", "value_grad")):
+        arch = Architecture(p=2, q=2, family=family)
+        data = (_gaussian_data(arch, _true_theta(arch), 100, seed=53)
+                if family == "gaussian" else _bernoulli_data(arch, 100, 53))
+        points = []
+        method = getattr(_Evaluator, name)
+
+        def recording(self, values, method=method, points=points):
+            points.append(np.array(values, dtype=float))
+            return method(self, values)
+
+        monkeypatch.setattr(_Evaluator, name, recording)
+        fit(arch, data, 0.01, FitConfig(n_restarts=1, seed=5))
+        monkeypatch.undo()
+        x0 = initialize(arch, seeds.rng(5, 0), data.x).values
+        searched = x0[:(arch.p + 1) * arch.q] if family == "gaussian" else x0
+        assert sum(np.array_equal(p, searched) for p in points) == 1, family
+
+
+def test_bernoulli_fit_never_profiles(monkeypatch):
+    """Only the Gaussian family has gamma in closed form."""
+    def refuse(self, omega):
+        raise AssertionError("profiled objective called")
+
+    monkeypatch.setattr(_Evaluator, "profiled", refuse)
+    arch = Architecture(p=2, q=2, family="bernoulli")
+    result = fit(arch, _bernoulli_data(arch, 200, 55), 0.01,
+                 FitConfig(n_restarts=2, seed=1))
+    assert result.iterations > 0
+
+
+def test_gaussian_fit_searches_the_profiled_objective(monkeypatch):
+    """A Gaussian fit's quasi-Newton search never evaluates the full
+    objective: ``value_grad`` is reached only from the polish, which
+    starts at (omega-hat, gamma*(omega-hat))."""
     arch = Architecture(p=2, q=2)
-    truth = _true_theta(arch)
-    data = _gaussian_data(arch, truth, 100, seed=53)
-    points = []
-    value_grad = _Evaluator.value_grad
+    data = _gaussian_data(arch, _true_theta(arch), 120, seed=56)
+    ev = _Evaluator(arch, data, 0.01)
+    starts = []
+    polish = fit_module._newton_polish
 
-    def recording(self, theta):
-        points.append(np.array(theta, dtype=float))
-        return value_grad(self, theta)
+    def spy(obj, x, f, g):
+        starts.append((x.copy(), f, g.copy()))
+        return polish(obj, x, f, g)
 
-    monkeypatch.setattr(_Evaluator, "value_grad", recording)
-    fit(arch, data, 0.01, FitConfig(n_restarts=1, seed=5))
-    x0 = initialize(arch, seeds.rng(5, 0)).values
-    assert sum(np.array_equal(p, x0) for p in points) == 1
+    monkeypatch.setattr(fit_module, "_newton_polish", spy)
+    fit(arch, data, 0.01, FitConfig(n_restarts=2, seed=3))
+    for x, f, g in starts:
+        pq = (arch.p + 1) * arch.q
+        f_p, g_p, gamma = ev.profiled(x[:pq])
+        np.testing.assert_array_equal(x[pq:], gamma)
+        assert f == pytest.approx(f_p, rel=1e-12)
+        np.testing.assert_allclose(g[:pq], g_p, rtol=1e-9, atol=1e-9)
 
 
 def test_non_finite_start_is_reported():

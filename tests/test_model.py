@@ -177,6 +177,8 @@ def test_sigmoid_bitwise_equals_two_branch_form():
     got, want = sigmoid(s), _two_branch_sigmoid(s)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    buf = np.empty_like(s)
+    assert sigmoid(s, out=buf) is buf and buf.tobytes() == want.tobytes()
     for v in special:
         out = sigmoid(np.float64(v))
         assert type(out) is float

@@ -1,6 +1,9 @@
 """Model-selection tests: OLS baseline, BIC, cross-validation, sweep."""
 
+import csv
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -314,3 +317,41 @@ def test_cv_folds_repeat_the_fits_preprocessing(tmp_path, monkeypatch):
             assert meta.sd == float(np.std(x1_raw[rows], ddof=1))
             np.testing.assert_allclose(train.x[:, 0] * meta.sd + meta.mean,
                                        x1_raw[rows], rtol=1e-12)
+
+
+def test_raw_scale_columns_start_in_their_own_units(tmp_path, monkeypatch):
+    """Restarts start in the fit's own column units, so columns passed
+    through in CSV units do not stall the search.  On a perfbench table
+    with x4 (sd 30, mean 100) and y passed through, two restarts per fold
+    find the q = 2 fit (CV RMSE 0.5314, as with 10 restarts; 0.7947 and
+    a best CV width of 1 with starts drawn in CSV units), and ten
+    full-data restarts reach the -209.92 optimum and converge (the
+    profiled search from starts in CSV units never reached it: its best
+    was -312.05, gradient max-norm 1e-2)."""
+    from statnn.cli import main
+    from statnn.preprocess import ingest
+
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    from inputs import write_table
+
+    table, schema_path = tmp_path / "t.csv", tmp_path / "schema.json"
+    sweep_path = tmp_path / "sweep.csv"
+    write_table(table, 300, 7)
+    schema = {"columns": {"x4": "passthrough"},
+              "response_action": "passthrough"}
+    schema_path.write_text(json.dumps(schema), encoding="utf-8")
+    assert main(["select", str(table), "--response", "y", "--q-max", "2",
+                 "--folds", "3", "--restarts", "2", "--seed", "0",
+                 "--schema", str(schema_path), "--out",
+                 str(sweep_path)]) == 0
+    with open(sweep_path, encoding="utf-8") as fh:
+        rmse = {int(row["q"]): float(row["cv_rmse"])
+                for row in csv.DictReader(fh)}
+    assert rmse[2] == pytest.approx(0.531394, rel=1e-5)
+    assert min(rmse, key=rmse.get) == 2
+    data, _ = ingest(str(table), "y", schema)
+    result = fit(Architecture(p=data.p, q=2), data, 0.01,
+                 FitConfig(n_restarts=10, seed=0))
+    assert result.loglik == pytest.approx(-209.918279, rel=1e-8)
+    assert result.converged

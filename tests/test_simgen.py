@@ -129,6 +129,32 @@ def test_run_scenario_aggregates():
     assert np.all(rep.sp_rejection[ok] <= 1.0)
 
 
+def test_a_diverged_estimate_counts_as_a_failed_fit(monkeypatch):
+    """An unpenalized over-wide fit can run towards a limit at infinity:
+    two hidden units merge and their output weights grow without bound,
+    with a finite likelihood.  Such a replicate counts as a failed fit,
+    and the study goes on to the next one."""
+    import importlib
+
+    fit_module = importlib.import_module("statnn.fit")
+    real, calls = fit_module._run_restart, []
+
+    def run(obj, x0):
+        calls.append(x0)
+        if len(calls) > 1:
+            return real(obj, x0)
+        theta = x0.copy()               # unit 2 a copy of unit 1
+        for j in range(obj.p + 1):
+            theta[j * 2 + 1] = theta[j * 2]
+        theta[(obj.p + 1) * 2 + 1:] = (5e158, -5e158)
+        return theta, 1
+
+    monkeypatch.setattr(fit_module, "_run_restart", run)
+    rep = run_scenario(_tiny(replicates=3, restarts=1, lam=0.0))
+    assert rep.n_total == 3 and rep.n_fit_failed == 1
+    assert np.all(np.isfinite(rep.mean_estimate))
+
+
 def test_run_scenario_deterministic():
     scen = _tiny(seed=7)
     a = run_scenario(scen)

@@ -19,12 +19,18 @@ changes.
 ``compare`` lists every file of either recording as ``byte-identical``,
 ``JSON-equal`` (a ``.json`` file whose bytes differ but whose parsed
 values, floats included, are equal), ``different`` or missing on one
-side.  It exits 1 if any file is different or missing, else 0.
+side.  A different ``.json`` or ``.csv`` file also gets the largest
+relative difference between numbers at the same position, or
+``structure differs`` when anything else differs: keys, lengths, text
+cells.  It exits 1 if any file is different or missing, else 0.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -186,17 +192,71 @@ def _files(root: Path) -> set:
             for p in root.rglob("*") if p.is_file()}
 
 
-def _verdict(a: Path, b: Path) -> str:
+def _parse(path: Path):
+    """A .json file's values, a .csv file's rows of cells (numbers where
+    a cell parses as one), else None."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        return json.loads(text)
+    if path.suffix == ".csv":
+        rows = []
+        for row in csv.reader(io.StringIO(text)):
+            cells = []
+            for cell in row:
+                try:
+                    cells.append(float(cell))
+                except ValueError:
+                    cells.append(cell)
+            rows.append(cells)
+        return rows
+    return None
+
+
+def _max_rel(left, right) -> float | None:
+    """Largest relative difference between numbers at the same position
+    of two parsed files; None if anything else differs."""
+    if isinstance(left, dict) and isinstance(right, dict):
+        if left.keys() != right.keys():
+            return None
+        pairs = [(left[k], right[k]) for k in left]
+    elif isinstance(left, list) and isinstance(right, list):
+        if len(left) != len(right):
+            return None
+        pairs = list(zip(left, right))
+    elif all(isinstance(v, (int, float)) and not isinstance(v, bool)
+             for v in (left, right)):
+        if left == right or (math.isnan(left) and math.isnan(right)):
+            return 0.0
+        if not (math.isfinite(left) and math.isfinite(right)):
+            return math.inf
+        return abs(left - right) / max(abs(left), abs(right))
+    else:
+        return 0.0 if left == right else None
+    worst = 0.0
+    for a, b in pairs:
+        rel = _max_rel(a, b)
+        if rel is None:
+            return None
+        worst = max(worst, rel)
+    return worst
+
+
+def _verdict(a: Path, b: Path) -> tuple:
+    """(verdict, detail) for one file of both recordings."""
     left, right = a.read_bytes(), b.read_bytes()
     if left == right:
-        return "byte-identical"
-    if a.suffix == ".json":
-        try:
-            if json.loads(left) == json.loads(right):
-                return "JSON-equal"
-        except ValueError:
-            pass
-    return "different"
+        return "byte-identical", ""
+    try:
+        parsed = _parse(a), _parse(b)
+    except (UnicodeDecodeError, ValueError):
+        return "different", ""
+    if a.suffix == ".json" and parsed[0] == parsed[1]:
+        return "JSON-equal", ""
+    if parsed[0] is None:
+        return "different", ""
+    rel = _max_rel(*parsed)
+    return "different", (" (structure differs)" if rel is None
+                         else f" (max rel {rel:.1e})")
 
 
 def compare(a: str, b: str) -> int:
@@ -204,14 +264,15 @@ def compare(a: str, b: str) -> int:
     left, right = _files(a), _files(b)
     bad = 0
     for name in sorted(left | right):
+        detail = ""
         if name not in right:
             verdict = f"only in {a}"
         elif name not in left:
             verdict = f"only in {b}"
         else:
-            verdict = _verdict(a / name, b / name)
+            verdict, detail = _verdict(a / name, b / name)
         bad += verdict not in ("byte-identical", "JSON-equal")
-        print(f"{verdict:15} {name}")
+        print(f"{verdict:15} {name}{detail}")
     print(f"{len(left | right)} files, {bad} different or missing")
     return 1 if bad else 0
 
