@@ -14,21 +14,30 @@ se = sqrt(g^T Sigma g) with the sandwich covariance.  A
 ``CovarianceEstimate`` is positive definite by construction, so every
 band it yields is defined.
 
-A curve is computed in one batched pass over its grid, without the
+A curve is computed in batched passes over its grid, without the
 n x r prediction Jacobian.  With x1 the design whose column j is zeroed
 and W the input weights, the hidden net inputs at x0 are
-s_base + x0 W_j for s_base = x1 W, a G x n x q block for G grid points.
-The averaged output's gradient is the block contraction of the score
-in ``likelihood`` (``_Evaluator._omega_score`` and H u), with weights
-u = 1/n (identity output) or mu (1 - mu) / n (logistic output):
+s_base + x0 W_j for s_base = x1 W, an n x G x q block for G grid points,
+stored n-major as n x (G q) and worked in place: the activations
+overwrite the net inputs.  The averaged output's gradient is the block
+contraction of the score in ``likelihood`` (``_Evaluator._omega_score``
+and H u), with weights u = 1/n (identity output, where the constant 1/n
+is folded into gamma) or mu (1 - mu) / n (logistic output):
 
     omega block   x1^T (u * h (1 - h) * gamma_1..q), row j replaced by
                   x0 * sum_i (u * h (1 - h) * gamma_1..q)
     gamma_0       sum_i u_i
     gamma_1..q    h^T u
 
-and all the standard errors come from one contraction with Sigma.  The
-grid is taken in chunks so that each G x n x q temporary holds at most
+The omega block, row j included, is one gemm per pass: x1^T, made
+contiguous once per curve with row j set to ones, times the n x (G q)
+block.  The mean over the sample runs along a contiguous G x n array,
+so numpy sums it pairwise.  The x0 and x0 + d passes stay two calls of
+identical shape: fused into one block, the two halves would sit at
+different positions, where BLAS and SIMD tails round differently, and a
+zero step would no longer give an effect of exactly 0.  All the
+standard errors come from one contraction with Sigma.  The grid is
+taken in chunks so that each n x G x q block holds at most
 ``_CHUNK_ELEMENTS`` (2^16) values; a single point is never split.
 
 Curves are computed on the standardized scale used for fitting and can
@@ -63,7 +72,7 @@ Z_95 = normal_quantile(0.975)
 
 _DEFAULT_GRID_POINTS = 101
 
-#: Upper bound on the elements of each G x n x q temporary of a curve.
+#: Upper bound on the elements of each n x G x q block of a curve.
 _CHUNK_ELEMENTS = 2 ** 16
 
 
@@ -102,26 +111,40 @@ def _check_covariate(arch: Architecture, j: int):
         raise IndexError(f"covariate index must be in 1..{arch.p}, got {j}")
 
 
-def _averaged(arch, theta, x1, s_base, j, xs):
+def _averaged(arch, gam, w_j, x1t, s_base, j, xs):
     """Sample-averaged prediction (G) and its gradient w.r.t. theta
     (G x r) at each x0 in ``xs``, by the contraction in the module
-    docstring."""
-    n = x1.shape[0]
-    gam = theta.gamma_vector()
-    h = sigmoid(s_base + xs[:, None, None] * theta.omega_matrix()[j])
-    z = gam[0] + h @ gam[1:]                            # G x n
+    docstring, worked in place on one n x G x q block.  Row j of ``x1t``
+    holds ones, so the gemm's row j is sum_i a_i, which x0 then scales."""
+    (n, q), size = s_base.shape, xs.size
+    h = np.tile(s_base, size)                           # n x (G q)
+    h += np.multiply.outer(xs, w_j).ravel()
+    sigmoid(h, out=h)
+    h3 = h.reshape(n, size, q)
+    z = np.matmul(h3.transpose(1, 0, 2), gam[1:])       # G x n
+    z += gam[0]
+    a = 1.0 - h
+    a *= h
     if arch.family == "bernoulli":
-        mu = sigmoid(z)
-        u = mu * (1.0 - mu) / n
+        mu = sigmoid(z, out=z)
+        u = 1.0 - mu
+        u *= mu
+        u /= n
+        a *= np.repeat(u.T, q, axis=1)
+        a *= np.tile(gam[1:], size)
+        g_0 = u.sum(axis=1)
+        g_h = np.einsum("gn,ngk->gk", u, h3)
     else:
         mu = z
-        u = np.full_like(z, 1.0 / n)
-    a = u[:, :, None] * (h * (1.0 - h)) * gam[1:]
-    omega = np.matmul(x1.T, a)                          # G x (p+1) x q
-    omega[:, j] = xs[:, None] * a.sum(axis=1)
-    grad = np.concatenate([omega.reshape(len(xs), -1),
-                           u.sum(axis=1)[:, None],
-                           np.einsum("gn,gnk->gk", u, h)], axis=1)
+        a *= np.tile(gam[1:] / n, size)
+        g_0 = np.ones(size)
+        # einsum is several times faster than h3.mean(axis=0) here
+        g_h = np.einsum("n,ngk->gk", np.full(n, 1.0 / n), h3)
+    omega = x1t @ a                                     # (p + 1) x (G q)
+    omega[j] *= np.repeat(xs, q)
+    omega = omega.reshape(arch.p + 1, size, q).transpose(1, 0, 2)
+    grad = np.concatenate([omega.reshape(size, -1), g_0[:, None], g_h],
+                          axis=1)
     return mu.mean(axis=1), grad
 
 
@@ -132,14 +155,18 @@ def _curve_for(arch, theta, cov, data, j, d, grid, pin, label):
     if pin is not None:
         x1[:, pin[0]] = pin[1]
     x1[:, j] = 0.0
-    s_base = x1 @ theta.omega_matrix()
+    w = theta.omega_matrix()
+    gam = theta.gamma_vector()
+    s_base = x1 @ w
+    x1t = np.ascontiguousarray(x1.T)
+    x1t[j] = 1.0
     step = max(1, _CHUNK_ELEMENTS // (data.n * arch.q))
     beta = np.empty(grid.size)
     grad = np.empty((grid.size, arch.r))
     for start in range(0, grid.size, step):
         xs = grid[start:start + step]
-        m_lo, g_lo = _averaged(arch, theta, x1, s_base, j, xs)
-        m_hi, g_hi = _averaged(arch, theta, x1, s_base, j, xs + d)
+        m_lo, g_lo = _averaged(arch, gam, w[j], x1t, s_base, j, xs)
+        m_hi, g_hi = _averaged(arch, gam, w[j], x1t, s_base, j, xs + d)
         beta[start:start + step] = m_hi - m_lo
         grad[start:start + step] = g_hi - g_lo
     var = np.einsum("gr,rs,gs->g", grad, cov.sigma_hat, grad)

@@ -37,11 +37,19 @@ def sigmoid(s, out=None):
     With e = exp(-|s|) this is 1 / (1 + e) for s >= 0 and e / (1 + e)
     below, so large net inputs (which occur routinely during exploratory
     optimization) never overflow.  One exponential serves both branches,
-    and since e <= 1 the numerator is max(e, [s >= 0]).
+    and since e <= 1 the numerator is max(e, [s >= 0]).  Besides the
+    result, e is the only float buffer made.  ``out`` may be ``s`` itself:
+    [s >= 0] is taken before the numerator overwrites s.
     """
     s = np.asarray(s, dtype=float)
-    e = np.exp(-np.abs(s))
-    out = np.divide(np.maximum(e, s >= 0), 1.0 + e, out=out)
+    e = np.abs(s, out=np.empty(s.shape))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    if out is None:
+        out = np.empty(s.shape)
+    np.maximum(e, s >= 0, out=out)
+    e += 1.0
+    np.divide(out, e, out=out)
     if out.ndim == 0:
         return float(out)
     return out

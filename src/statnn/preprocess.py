@@ -27,8 +27,10 @@ imputation is attempted.
 
 from __future__ import annotations
 
+import codecs
 import csv
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -41,6 +43,10 @@ RESPONSE_ACTIONS = ("standardize", "passthrough")
 # Cell values treated as missing (case-insensitive, after stripping).
 _MISSING = frozenset({"", "na", "nan", "n/a", "null"})
 
+#: Rows read_csv turns into columns at a time.  The row lists of a whole
+#: 10,000-row file at once would add 2 MB to its peak memory.
+_BLOCK_ROWS = 1024
+
 
 def read_csv(path):
     """Read a UTF-8 CSV with a header row into per-column string lists.
@@ -50,29 +56,54 @@ def read_csv(path):
 
     Returns ``(names, columns)`` where ``names`` is the header tuple and
     ``columns[i]`` is the list of (stripped) cell strings for column i.
-    Ragged rows and duplicate header names are rejected.
+    Ragged rows and duplicate header names are rejected, and so are
+    bytes that are not UTF-8 and anything the ``csv`` module cannot
+    parse (a field over its size limit, say), naming the line.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        names = tuple(name.strip() for name in header)
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise DataError(f"{path}: duplicate column names {dupes}")
-        columns = [[] for _ in names]
-        for i, row in enumerate(reader, start=1):
-            if len(row) != len(names):
-                raise DataError(
-                    f"{path}: row {i} has {len(row)} fields, expected "
-                    f"{len(names)}")
-            for col, cell in zip(columns, row):
-                col.append(cell.strip())
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: file is empty")
+            names = tuple(name.strip() for name in header)
+            if len(set(names)) != len(names):
+                dupes = sorted({n for n in names if names.count(n) > 1})
+                raise DataError(f"{path}: duplicate column names {dupes}")
+            columns = [[] for _ in names]
+            done = 0
+            while block := list(islice(reader, _BLOCK_ROWS)):
+                for i, row in enumerate(block, start=done + 1):
+                    if len(row) != len(names):
+                        raise DataError(
+                            f"{path}: row {i} has {len(row)} fields, "
+                            f"expected {len(names)}")
+                for col, cells in zip(columns, zip(*block)):
+                    col.extend(map(str.strip, cells))
+                done += len(block)
+        except csv.Error as exc:
+            raise DataError(
+                f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise DataError(_not_utf8(path)) from None
     if not columns or not columns[0]:
         raise DataError(f"{path}: no data rows")
     return names, columns
+
+
+def _not_utf8(path) -> str:
+    """The message for a file that does not decode as UTF-8, naming the
+    line of its first bad byte.  The text reader decodes in blocks, so
+    the line it had reached when decoding failed is not that line."""
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return (f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not "
+                f"UTF-8 ({exc.reason})")
+    return f"{path}: not UTF-8"
 
 
 def _check_no_missing(name, cells):
@@ -85,22 +116,23 @@ def _check_no_missing(name, cells):
                 "(first data row is row 1); no imputation is performed")
 
 
-def _try_numeric(name, cells):
-    """Parse a column as floats, or return None if any cell is non-numeric.
-
-    Cells that parse to non-finite floats are rejected outright: they
-    are neither usable numbers nor factor levels.
-    """
+def _parse_floats(cells):
+    """The cells as floats, or None if any cell does not parse.
+    Non-finite values are returned as they are."""
     try:
-        out = np.fromiter(map(float, cells), float, len(cells))
+        return np.fromiter(map(float, cells), float, len(cells))
     except ValueError:
         return None
-    bad = np.flatnonzero(~np.isfinite(out))
+
+
+def _check_finite(name, cells, values):
+    """Refuse a parsed column holding a non-finite value: it is neither a
+    usable number nor a factor level."""
+    bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         i = int(bad[0])
         raise DataError(
             f"non-finite value {cells[i]!r} in column {name!r}, row {i + 1}")
-    return out
 
 
 @dataclass(frozen=True)
@@ -186,7 +218,9 @@ def _plan_column(name, cells, action=None, reference=None,
     if action is not None and action not in ACTIONS:
         raise DataError(f"unknown schema action {action!r} for column "
                         f"{name!r}; supported: {ACTIONS}")
-    numeric = _try_numeric(name, cells)
+    numeric = _parse_floats(cells)
+    if numeric is not None:
+        _check_finite(name, cells, numeric)
     if numeric is None and action not in (None, "dummy_encode"):
         if response:
             raise DataError(
@@ -302,25 +336,31 @@ def dataset_from_meta(csv_path, column_meta, response_meta) -> Dataset:
 def _encode(csv_path, names, columns, column_meta, response_meta) -> Dataset:
     """Encode parsed CSV columns as ``column_meta`` and ``response_meta``
     describe; the one encoder behind both :func:`ingest` and
-    :func:`dataset_from_meta`."""
+    :func:`dataset_from_meta`.
+
+    Every raw column is scanned once for missing values before anything
+    else is said about it, except a column read as numbers whose cells
+    all parse to finite floats: none of the missing-value tokens parses,
+    and ``nan`` is not finite, so such a column cannot hold one.
+    """
     by_name = dict(zip(names, columns))
     checked = set()     # a factor's levels share one raw column
 
-    def raw_cells(raw, what):
-        if raw not in by_name:
-            raise DataError(
-                f"{what} requires raw column {raw!r}, which is not in "
-                f"{csv_path}; available columns: {list(names)}")
-        if raw not in checked:
-            _check_no_missing(raw, by_name[raw])
-            checked.add(raw)
-        return by_name[raw]
-
     def encode(cm, what):
-        cells = raw_cells(cm.raw, what)
+        if cm.raw not in by_name:
+            raise DataError(
+                f"{what} requires raw column {cm.raw!r}, which is not in "
+                f"{csv_path}; available columns: {list(names)}")
+        cells = by_name[cm.raw]
+        numeric = None if cm.level is not None else _parse_floats(cells)
+        if cm.raw not in checked:
+            if numeric is None or not np.isfinite(numeric).all():
+                _check_no_missing(cm.raw, cells)
+            checked.add(cm.raw)
         if cm.level is not None:
             return np.array([1.0 if c == cm.level else 0.0 for c in cells])
-        numeric = _try_numeric(cm.raw, cells)
+        if numeric is not None:
+            _check_finite(cm.raw, cells, numeric)
         if cm.kind == "dummy" and (numeric is None or not np.all(
                 (numeric == 0.0) | (numeric == 1.0))):
             raise DataError(

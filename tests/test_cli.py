@@ -396,6 +396,25 @@ def test_exit_2_on_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "summary"])
+@pytest.mark.parametrize("bad_line,message", [
+    (b"3," + b"x" * 140_000 + b"\n", "field larger than field limit"),
+    (b"3,\xff\n", "byte 0xff is not UTF-8"),
+], ids=["over-limit-field", "not-utf8"])
+def test_exit_2_on_malformed_csv(workspace, tmp_path, capsys, command,
+                                 bad_line, message):
+    """The csv module's errors and undecodable bytes name the file and
+    the line, past the text reader's first block."""
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"a,b\n" + b"1,2\n" * 3000 + bad_line + b"4,5\n")
+    argv = (["fit", str(path), "--response", "b", "--q", "1",
+             "--out", str(tmp_path / "m.json")] if command == "fit"
+            else ["summary", workspace[2], str(path)])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: line 3002: {message}" in err
+
+
 def test_exit_2_on_unknown_response(workspace, capsys):
     root, csv_path, _ = workspace
     assert main(["fit", csv_path, "--response", "nope", "--q", "1",

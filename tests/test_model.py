@@ -179,6 +179,13 @@ def test_sigmoid_bitwise_equals_two_branch_form():
     assert got.tobytes() == want.tobytes()
     buf = np.empty_like(s)
     assert sigmoid(s, out=buf) is buf and buf.tobytes() == want.tobytes()
+    # In place, as the partial-effect kernel calls it, and on a 3-d block.
+    c = s.copy()
+    assert sigmoid(c, out=c) is c and c.tobytes() == want.tobytes()
+    block = s[7:].reshape(100, 50, 20)
+    assert sigmoid(block).tobytes() == _two_branch_sigmoid(block).tobytes()
+    c = block.copy()
+    assert sigmoid(c, out=c) is c and c.tobytes() == want[7:].tobytes()
     for v in special:
         out = sigmoid(np.float64(v))
         assert type(out) is float

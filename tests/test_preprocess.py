@@ -59,6 +59,18 @@ def test_read_csv_errors(tmp_path):
         read_csv(_write(tmp_path, "a,b\n"))  # header only, no data rows
 
 
+def test_read_csv_rows_past_the_first_block(tmp_path):
+    """Rows are turned into columns a block at a time; order and the
+    numbering of a ragged row carry across blocks."""
+    rows = [f"{i},{-i}" for i in range(2500)]
+    names, cols = read_csv(_write(tmp_path, "a,b\n" + "\n".join(rows)))
+    assert cols == [[str(i) for i in range(2500)],
+                    [str(-i) for i in range(2500)]]
+    rows[2400] = "7"
+    with pytest.raises(DataError, match="row 2401 has 1 fields, expected 2"):
+        read_csv(_write(tmp_path, "a,b\n" + "\n".join(rows), name="r.csv"))
+
+
 def test_missing_values_error_names_location(tmp_path):
     for token in ("", "NA", "nan", "N/A", "null"):
         text = f"a,b\n1,2\n{token},4\n"
@@ -316,6 +328,46 @@ def test_dataset_from_meta_missing_value_names_first_row(tmp_path):
     assert str(exc.value) == (
         "missing value in column 'smoker', row 2 (first data row is row 1); "
         "no imputation is performed")
+
+
+_MISSING_BMI = ("missing value in column 'bmi', row {} (first data row is "
+                "row 1); no imputation is performed")
+
+
+@pytest.mark.parametrize("cells,message", [
+    (("25.0", "NA", "27.0"), _MISSING_BMI.format(2)),
+    (("25.0", "nan", "27.0"), _MISSING_BMI.format(2)),
+    (("25.0", "", "27.0"), _MISSING_BMI.format(2)),
+    (("25.0", "inf", "27.0"), "non-finite value 'inf' in column 'bmi', row 2"),
+    # The scan for missing tokens comes first, as for every column.
+    (("-inf", "26.0", "N/A"), _MISSING_BMI.format(3)),
+], ids=["NA", "nan", "empty", "inf", "missing-after-inf"])
+def test_dataset_from_meta_refuses_missing_and_non_finite_cells(
+        tmp_path, cells, message):
+    """A numeric query column is refused with the same message whether or
+    not its cells are parsed before the scan for missing values."""
+    train = _write(tmp_path, BASIC, name="train.csv")
+    data, _ = ingest(train, response="charges")
+    rows = "".join(f"{30 + i},{c},no,{100 * i}\n" for i, c in enumerate(cells))
+    test = _write(tmp_path, "age,bmi,smoker,charges\n" + rows,
+                  name="test.csv")
+    with pytest.raises(DataError) as exc:
+        dataset_from_meta(test, data.column_meta, data.response_meta)
+    assert str(exc.value) == message
+
+
+def test_dataset_from_meta_parses_cells_as_float_does(tmp_path):
+    train = _write(tmp_path, BASIC, name="train.csv")
+    data, _ = ingest(train, response="charges")
+    cells = [" 1.5 ", "1_000", "+.5e1", "-2"]
+    rows = "".join(f"{c},25.0,no,{c}\n" for c in cells)
+    test = _write(tmp_path, "age,bmi,smoker,charges\n" + rows,
+                  name="test.csv")
+    rebuilt = dataset_from_meta(test, data.column_meta, data.response_meta)
+    want = np.array([float(c) for c in cells])
+    assert rebuilt.x[:, 0].tobytes() == data.column_meta[0].to_model(
+        want).tobytes()
+    assert rebuilt.y.tobytes() == data.response_meta.to_model(want).tobytes()
 
 
 def test_dataset_from_meta_unseen_level_encodes_as_reference(tmp_path):

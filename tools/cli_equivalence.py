@@ -12,9 +12,10 @@ command leaves the files it writes in OUT, plus ``<label>.log`` with its
 exit code, stdout and stderr (SRC itself is written as ``<src>``).  Last
 come the refusals: bad inputs, which exit 2, and models without a
 covariance estimate, which exit 3; the bad models are copies of the
-Gaussian model with JSON fields edited.  The script imports nothing from the package and patches nothing, so the
-same list runs unchanged against any two versions of it, across API
-changes.
+Gaussian model with JSON fields edited, and the bad tables copies of
+its table with one cell replaced or dropped.  The script imports
+nothing from the package and patches nothing, so the same list runs
+unchanged against any two versions of it, across API changes.
 
 ``compare`` lists every file of either recording as ``byte-identical``,
 ``JSON-equal`` (a ``.json`` file whose bytes differ but whose parsed
@@ -78,6 +79,10 @@ def _family_commands(tag: str, family: str) -> list:
                            "grp.b", "--grid-points", "21",
                            "--out", f"{tag}_pce_by.csv",
                            "--svg", f"{tag}_pce_by.svg"]),
+        # 301 x rows x q > 2^16 values: the curve runs in several chunks.
+        (f"{tag}_pce_fine", ["pce", model, table, "--covariate", "x1",
+                             "--grid-points", "301",
+                             "--out", f"{tag}_pce_fine.csv"]),
         (f"{tag}_pce_original", ["pce", model, table, "--covariate", "x2",
                                  "--original-scale", "--grid-points", "21",
                                  "--out", f"{tag}_pce_original.csv"]),
@@ -147,7 +152,32 @@ REFUSALS = [
     ("diagram_dup", ["diagram", "dup_model.json", "g.csv"]),
     ("pce_dup", ["pce", "dup_model.json", "g.csv", "--covariate", "x1"]),
     ("summary_dead", ["summary", "dead_model.json", "g.csv"]),
+    ("summary_na", ["summary", "g_model.json", "g_na.csv"]),
+    ("summary_inf", ["summary", "g_model.json", "g_inf.csv"]),
+    ("summary_ragged", ["summary", "g_model.json", "g_ragged.csv"]),
+    ("summary_bigfield", ["summary", "g_model.json", "g_bigfield.csv"]),
 ]
+
+
+def _bad_tables(lines: list) -> dict:
+    """Copies of the Gaussian table's lines (header first) with one cell
+    of one data row replaced or dropped, for REFUSALS."""
+    header = lines[0].rstrip("\n").split(",")
+
+    def edited(row: int, column: str, cell: str | None) -> str:
+        cells = lines[row].rstrip("\n").split(",")
+        i = header.index(column)
+        cells[i:i + 1] = [] if cell is None else [cell]
+        return "".join(lines[:row] + [",".join(cells) + "\n"]
+                       + lines[row + 1:])
+
+    return {
+        "g_na.csv": edited(3, "x2", "NA"),
+        "g_inf.csv": edited(4, "x2", "inf"),
+        "g_ragged.csv": edited(5, "flag", None),
+        # over the csv module's field limit of 131,072 characters
+        "g_bigfield.csv": edited(6, "grp", "z" * 140_000),
+    }
 
 
 def _write_inputs(out: Path):
@@ -156,6 +186,10 @@ def _write_inputs(out: Path):
 
     write_table(out / "g.csv", 300, 7)
     write_table(out / "b.csv", 400, 5, "bernoulli")
+    with open(out / "g.csv", encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()
+    for name, text in _bad_tables(lines).items():
+        (out / name).write_text(text, encoding="utf-8", newline="")
     for name, payload in SCENARIOS.items():
         (out / name).write_text(json.dumps(payload), encoding="utf-8")
 
