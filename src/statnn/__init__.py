@@ -21,7 +21,7 @@ from .inference import (CovarianceEstimate, InferenceReport, WaldResult,
 from .likelihood import (gradient, log_likelihood, observed_information,
                          penalty, prediction_gradient)
 from .model import (Architecture, ColumnMeta, Dataset, ParamVector, forward,
-                    forward_batch, selection_matrix, sigmoid)
+                    forward_batch, sigmoid)
 from .preprocess import PreprocessPlan, dataset_from_meta, ingest
 from .report import emit_diagram, emit_summary
 from .selection import (LinearFit, SelectionSweep, bic, cross_validate,
@@ -49,6 +49,6 @@ __all__ = [
     "model_document", "normal_quantile", "observed_information",
     "pce_curve", "penalty", "prediction_gradient", "run_grid",
     "run_scenario", "sandwich_covariance", "save_model", "save_scenario",
-    "selection_matrix", "sigmoid", "summarize", "sweep",
-    "to_original_scale", "wald_multi", "wald_single",
+    "sigmoid", "summarize", "sweep", "to_original_scale", "wald_multi",
+    "wald_single",
 ]

@@ -106,11 +106,6 @@ class PceCurve:
         return np.array([pt.beta_hat for pt in self.points])
 
 
-def _check_covariate(arch: Architecture, j: int):
-    if not 1 <= j <= arch.p:
-        raise IndexError(f"covariate index must be in 1..{arch.p}, got {j}")
-
-
 def _averaged(arch, gam, w_j, x1t, s_base, j, xs):
     """Sample-averaged prediction (G) and its gradient w.r.t. theta
     (G x r) at each x0 in ``xs``, by the contraction in the module
@@ -236,7 +231,7 @@ def pce_curve(arch: Architecture, theta: ParamVector, cov: CovarianceEstimate,
     ``by`` the tuple holds one curve; with ``by = k`` it holds one curve
     per pin of covariate k from ``conditioning_values``.
     """
-    _check_covariate(arch, j)
+    arch.covariate_block(j)     # refuses j outside 1..p
     d = _resolve_step(data, j, d)
     if grid is None:
         grid = effect_grid(data, j, d)
@@ -247,7 +242,7 @@ def pce_curve(arch: Architecture, theta: ParamVector, cov: CovarianceEstimate,
         raise ValueError("grid must be strictly increasing")
     if by is None:
         return (_curve_for(arch, theta, cov, data, j, d, grid, None, None),)
-    _check_covariate(arch, by)
+    arch.covariate_block(by)
     if by == j:
         raise ValueError("conditioning covariate must differ from j")
     kname = data.column_meta[by - 1].name

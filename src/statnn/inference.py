@@ -8,18 +8,18 @@ penalized estimator is approximated by
 
 which collapses to I_o^-1 at lambda = 0.  Single weights are tested
 with theta_j^2 / Sigma_jj against chi-square(1); a covariate's whole
-incoming weight vector with the quadratic form
-omega_j^T (S Sigma S^T)^-1 omega_j against a chi-square whose degrees
-of freedom are the effective count tr(S A S^T),
+incoming weight vector, the block b = ``covariate_block(j)`` of theta,
+with omega_j^T Sigma[b, b]^-1 omega_j against a chi-square whose degrees
+of freedom are the effective count tr(A[b, b]),
 A = (I_o + 2 lambda I)^-1 I_o, which is below q under penalization.
 
 Every Wald test, summary table and confidence band needs a positive
-definite covariance, so a ``CovarianceEstimate`` is positive definite by
-construction: building one from any other matrix raises
+definite covariance, so a ``CovarianceEstimate`` is symmetric positive
+definite by construction: building one from any other matrix raises
 ``NotPositiveDefiniteError``, whose remedy is a larger ridge penalty.
 ``sandwich_covariance`` raises the same error where the information
-cannot be inverted at all.  Whatever holds a record can test with it,
-and no table is printed with gaps.
+cannot be inverted at all.  Whatever holds a record can test with it:
+each block Sigma[b, b] has a Cholesky factor, and tr(A[b, b]) > 0.
 
 The linear algebra is numpy's: ``np.linalg.solve`` for the sandwich and
 ``np.linalg.cholesky`` for the grouped tests, so a query that only reads
@@ -34,7 +34,7 @@ import numpy as np
 
 from .exceptions import NotPositiveDefiniteError
 from .likelihood import check_lambda
-from .model import Architecture, Dataset, ParamVector, selection_matrix
+from .model import Architecture, Dataset, ParamVector
 from .special import chi_square_survival
 
 #: Relative eigenvalue threshold below which a covariance is refused as
@@ -58,10 +58,11 @@ def significance_stars(p_value: float) -> str:
 class CovarianceEstimate:
     """Sandwich covariance plus the pieces Wald tests need.
 
-    ``a_matrix`` is (I_o + 2 lambda I)^-1 I_o, whose sub-traces give
-    effective degrees of freedom.  ``sigma_hat`` must be finite and
-    positive definite: its smallest eigenvalue must exceed ``_PD_RTOL``
-    times max(1, largest).  Otherwise construction, ``dataclasses.replace``
+    ``a_matrix`` is (I_o + 2 lambda I)^-1 I_o, whose diagonal blocks'
+    traces give effective degrees of freedom.  ``sigma_hat`` must be
+    finite, equal to its transpose (eigvalsh reads one triangle) and
+    positive definite: its smallest eigenvalue above ``_PD_RTOL`` times
+    max(1, largest).  Otherwise construction, ``dataclasses.replace``
     included, raises ``NotPositiveDefiniteError``.
     """
 
@@ -69,8 +70,15 @@ class CovarianceEstimate:
     a_matrix: np.ndarray
 
     def __post_init__(self):
-        eigs = (np.linalg.eigvalsh(self.sigma_hat)
-                if np.all(np.isfinite(self.sigma_hat)) else [np.nan])
+        s = np.asarray(self.sigma_hat, dtype=float)
+        object.__setattr__(self, "sigma_hat", s)
+        object.__setattr__(self, "a_matrix",
+                           np.asarray(self.a_matrix, dtype=float))
+        if not np.array_equal(s, s.T, equal_nan=True):
+            raise NotPositiveDefiniteError(
+                "covariance estimate is not symmetric; Wald tests and "
+                "confidence bands are unavailable")
+        eigs = np.linalg.eigvalsh(s) if np.all(np.isfinite(s)) else [np.nan]
         if not eigs[0] > _PD_RTOL * max(1.0, float(eigs[-1])):
             raise NotPositiveDefiniteError(
                 "covariance estimate is not positive definite (min "
@@ -127,10 +135,9 @@ def sandwich_covariance(info: np.ndarray, lam: float) -> CovarianceEstimate:
                               a_matrix=a_matrix)
 
 
-def effective_df(cov: CovarianceEstimate, s_matrix: np.ndarray) -> float:
-    """tr(S A S^T): effective parameter count for the selected block."""
-    s = np.asarray(s_matrix, dtype=float)
-    return float(np.einsum("ij,jk,ik->", s, cov.a_matrix, s))
+def effective_df(cov: CovarianceEstimate, block: slice) -> float:
+    """tr(A[block, block]): effective parameter count of a block of theta."""
+    return float(np.trace(cov.a_matrix[block, block]))
 
 
 def wald_single(theta_hat: ParamVector, cov: CovarianceEstimate,
@@ -150,27 +157,15 @@ def wald_multi(theta_hat: ParamVector, cov: CovarianceEstimate,
                arch: Architecture, j: int) -> WaldResult:
     """Joint Wald test that covariate j's incoming weights are all zero.
 
-    Uses effective degrees of freedom tr(S A S^T), so under penalization
-    the reference distribution has fewer than q degrees of freedom.
+    Its reference chi-square has the effective df tr(A[b, b]) of block
+    b = ``arch.covariate_block(j)``, fewer than q under penalization.
     """
-    s = selection_matrix(arch, j)
-    omega = s @ theta_hat.values
-    block = s @ cov.sigma_hat @ s.T
-    block = 0.5 * (block + block.T)
-    try:
-        chol = np.linalg.cholesky(block)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            f"covariance block for covariate {j} is not positive definite; "
-            "grouped test unavailable") from exc
-    # omega^T block^-1 omega = |L^-1 omega|^2 with block = L L^T.
-    z = np.linalg.solve(chol, omega)
+    block = arch.covariate_block(j)
+    # omega^T Sigma_bb^-1 omega = |L^-1 omega|^2 with Sigma_bb = L L^T.
+    z = np.linalg.solve(np.linalg.cholesky(cov.sigma_hat[block, block]),
+                        theta_hat.values[block])
     stat = float(z @ z)
-    df = effective_df(cov, s)
-    if not df > 0.0:
-        raise NotPositiveDefiniteError(
-            f"effective degrees of freedom for covariate {j} is {df}; "
-            "grouped test unavailable")
+    df = effective_df(cov, block)
     return WaldResult(statistic=stat, df=df,
                       p_value=chi_square_survival(stat, df), target=j)
 

@@ -14,7 +14,7 @@ parameter vector is laid out as
 
 where omega_j = (omega_j1, ..., omega_jq) and gamma = (gamma_0, ..., gamma_q),
 giving r = (p + 2) q + 1 entries in total.  The ordering is part of the
-serialization contract: Wald selection matrices and the canonical-form
+serialization contract: covariate blocks and the canonical-form
 machinery rely on a stable index map.
 """
 
@@ -85,6 +85,13 @@ class Architecture:
         if not 1 <= k <= self.q:
             raise IndexError(f"hidden index k must be in 1..{self.q}, got {k}")
         return j * self.q + (k - 1)
+
+    def covariate_block(self, j: int) -> slice:
+        """Slice of theta holding omega_j1..omega_jq, j in 1..p."""
+        if not 1 <= j <= self.p:
+            raise IndexError(f"covariate index must be in 1..{self.p} "
+                             f"(intercepts are not testable), got {j}")
+        return slice(j * self.q, (j + 1) * self.q)
 
     def gamma_index(self, k: int) -> int:
         """Flat index of gamma_k, k in 0..q."""
@@ -323,19 +330,3 @@ def forward_design(arch: Architecture, theta: ParamVector, x1: np.ndarray) -> np
         return sigmoid(z)
     return z
 
-
-def selection_matrix(arch: Architecture, j: int) -> np.ndarray:
-    """q x r selection matrix S with S theta = omega_j.
-
-    Each row is a distinct unit vector; the hidden intercepts omega_0k are
-    never selected, so j = 0 is rejected (intercepts are not testable
-    covariates).
-    """
-    if not 1 <= j <= arch.p:
-        raise IndexError(
-            f"covariate index must be in 1..{arch.p} (intercepts are not "
-            f"testable), got {j}")
-    s = np.zeros((arch.q, arch.r))
-    for k in range(1, arch.q + 1):
-        s[k - 1, arch.omega_index(j, k)] = 1.0
-    return s

@@ -58,7 +58,8 @@ def read_csv(path):
     ``columns[i]`` is the list of (stripped) cell strings for column i.
     Ragged rows and duplicate header names are rejected, and so are
     bytes that are not UTF-8 and anything the ``csv`` module cannot
-    parse (a field over its size limit, say), naming the line.
+    parse (a field over its size limit, say), naming the line (the
+    header is line 1).
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -75,9 +76,8 @@ def read_csv(path):
             while block := list(islice(reader, _BLOCK_ROWS)):
                 for i, row in enumerate(block, start=done + 1):
                     if len(row) != len(names):
-                        raise DataError(
-                            f"{path}: row {i} has {len(row)} fields, "
-                            f"expected {len(names)}")
+                        raise DataError(_ragged(path, i, len(row),
+                                                len(names)))
                 for col, cells in zip(columns, zip(*block)):
                     col.extend(map(str.strip, cells))
                 done += len(block)
@@ -89,6 +89,20 @@ def read_csv(path):
     if not columns or not columns[0]:
         raise DataError(f"{path}: no data rows")
     return names, columns
+
+
+def _ragged(path, i, got, expected) -> str:
+    """The message for data row i holding ``got`` fields, naming the
+    physical line the row starts on (the header is line 1).  Rows are
+    read a block at a time, so the reader's line count has moved past
+    that row; the file is read again up to it, on this error path only.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        for _ in islice(reader, i):     # the header and rows 1..i-1
+            pass
+        line = reader.line_num + 1
+    return f"{path}: line {line}: row has {got} fields, expected {expected}"
 
 
 def _not_utf8(path) -> str:
@@ -132,7 +146,8 @@ def _check_finite(name, cells, values):
     if bad.size:
         i = int(bad[0])
         raise DataError(
-            f"non-finite value {cells[i]!r} in column {name!r}, row {i + 1}")
+            f"non-finite value {cells[i]!r} in column {name!r}, row {i + 1} "
+            "(first data row is row 1)")
 
 
 @dataclass(frozen=True)

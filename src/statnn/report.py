@@ -274,8 +274,7 @@ def rejections_csv(report) -> str:
         ["covariate", "mp_rejection"]
         + [f"sp_rejection_node{k}" for k in range(1, sc.q + 1)],
         ([f"x{j}", _csv_value(report.mp_rejection[j - 1])]
-         + [_csv_value(report.sp_rejection[arch.omega_index(j, k)])
-            for k in range(1, sc.q + 1)]
+         + list(map(_csv_value, report.sp_rejection[arch.covariate_block(j)]))
          for j in range(1, sc.p + 1)))
 
 

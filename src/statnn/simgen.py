@@ -7,11 +7,12 @@ zeroes covariates 1, 3, and 4.  Each replicate is fitted from scratch,
 the estimate is aligned to the true parameter by searching the weight
 symmetry group, and single- and multiple-parameter Wald tests are
 recorded, yielding empirical type-I error and power at the 5% level
-plus the usual estimation metrics (bias, SE, SEE, coverage).  As for a
-summary table, a replicate's SEs, coverage and tests need its sandwich
-covariance, and a ``CovarianceEstimate`` is positive definite by
-construction: a replicate whose covariance is refused keeps its estimate
-and counts as a non-rejection.
+plus the usual estimation metrics (bias, SE, SEE, coverage).  A
+replicate's SEs, coverage and tests are inference at an optimum, so they
+need a fit that converged and, as for a summary table, its sandwich
+covariance, which a ``CovarianceEstimate`` holds only if positive
+definite.  A replicate without both keeps its estimate and counts as a
+non-rejection.
 
 The weakest effect is covariate 2, whose per-node weights are fixed at
 (-0.14, -0.27) for q = 2, (-0.14, -0.27, -0.20, -0.29) for q = 4 and
@@ -182,12 +183,12 @@ class _ReplicateOutcome:
 
     fit_ok: bool
     converged: bool
-    pd_ok: bool
+    pd_ok: bool              # converged and PD: the replicate is tested
     estimate: np.ndarray     # (r,), NaN on fit failure
-    se: np.ndarray           # (r,), NaN unless PD
-    covered: np.ndarray      # (r,), NaN unless PD
-    sp_p: np.ndarray         # (r,), NaN unless PD
-    mp_p: np.ndarray         # (p,), NaN unless PD
+    se: np.ndarray           # (r,), NaN unless pd_ok
+    covered: np.ndarray      # (r,), NaN unless pd_ok
+    sp_p: np.ndarray         # (r,), NaN unless pd_ok
+    mp_p: np.ndarray         # (p,), NaN unless pd_ok
     iterations: int = 0      # optimizer work over all restarts
 
 
@@ -209,6 +210,8 @@ def _replicate_task(args):
     est = np.array(aligned.values)
     outcome = replace(outcome, fit_ok=True, converged=res.converged,
                       estimate=est, iterations=sum(res.restart_iterations))
+    if not res.converged:
+        return outcome
     info = observed_information(arch, res.theta_hat, data,
                                 sigma_sq=res.sigma_sq_hat)
     try:
@@ -245,11 +248,13 @@ class SimReport:
     """Aggregated scenario results.
 
     Arrays indexed by flat parameter position (length r) or covariate
-    (length p).  ``emp_se`` is the standard deviation of aligned
-    estimates over successful fits; ``see`` the average estimated
-    standard error and ``coverage`` the empirical 95% interval coverage,
-    both over positive-definite replicates only.  Wald tests, too, run
-    only on positive-definite replicates, but rejection rates use the
+    (length p).  ``mean_estimate`` and ``emp_se`` are the mean and
+    standard deviation of aligned estimates over successful fits,
+    converged or not.  A replicate is tested only if its winning restart
+    converged and its covariance is positive definite; ``n_pd`` counts
+    these, so ``n_pd <= n_converged``.  ``see``, the average estimated
+    standard error, and ``coverage``, the empirical 95% interval
+    coverage, are over tested replicates only.  Rejection rates use the
     full replicate count as denominator: any other replicate counts as a
     non-rejection, so no rate exceeds ``pd_rate``.  ``iterations`` is the
     optimizer work of the whole run: L-BFGS-B iterations plus Newton

@@ -46,7 +46,7 @@ from statnn.likelihood import (gradient, log_likelihood,
                                observed_information, penalty,
                                prediction_gradient)
 from statnn.model import (Architecture, ColumnMeta, Dataset, ParamVector,
-                          forward_batch, selection_matrix)
+                          forward_batch)
 from statnn.preprocess import ingest
 from statnn.selection import cross_validate, fit_linear, sweep
 from statnn.serialize import save_scenario
@@ -266,7 +266,7 @@ def test_unpenalized_sandwich_collapses_to_inverse_information():
     cov = sandwich_covariance(info, lam=0.0)
     identity_dev = float(np.max(np.abs(
         cov.sigma_hat @ info - np.eye(arch.r))))
-    dfs = [effective_df(cov, selection_matrix(arch, j))
+    dfs = [effective_df(cov, arch.covariate_block(j))
            for j in range(1, arch.p + 1)]
     df_exact = all(df == float(arch.q) for df in dfs)
 

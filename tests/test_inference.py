@@ -7,13 +7,12 @@ import pytest
 
 from statnn.exceptions import NotPositiveDefiniteError
 from statnn.fit import FitConfig, fit
-from statnn.inference import (SIGNIFICANCE_LEGEND, CovarianceEstimate,
-                              effective_df, sandwich_covariance,
-                              significance_stars, summarize, wald_multi,
-                              wald_single)
+from statnn.inference import (_PD_RTOL, SIGNIFICANCE_LEGEND,
+                              CovarianceEstimate, effective_df,
+                              sandwich_covariance, significance_stars,
+                              summarize, wald_multi, wald_single)
 from statnn.likelihood import observed_information
-from statnn.model import (Architecture, Dataset, ParamVector, forward_batch,
-                          selection_matrix)
+from statnn.model import Architecture, Dataset, ParamVector, forward_batch
 from statnn.special import chi_square_survival
 
 
@@ -97,6 +96,20 @@ def test_covariance_estimate_is_positive_definite_by_construction():
     for sigma in (indefinite, nonfinite):
         with pytest.raises(NotPositiveDefiniteError):
             CovarianceEstimate(sigma_hat=sigma, a_matrix=np.eye(2))
+    # The lower triangle alone is the identity, which eigvalsh would
+    # accept; the symmetric part has eigenvalue -49.
+    with pytest.raises(NotPositiveDefiniteError,
+                       match=r"^covariance estimate is not symmetric; Wald "
+                             r"tests and confidence bands are unavailable$"):
+        CovarianceEstimate(sigma_hat=[[1.0, 100.0], [0.0, 1.0]],
+                           a_matrix=np.eye(2))
+    # A nested list is held as an array, so the grouped test can slice it.
+    arch = Architecture(p=1, q=1)
+    listed = CovarianceEstimate(
+        sigma_hat=np.diag([1.0, 0.25, 1.0, 1.0]).tolist(),
+        a_matrix=np.eye(arch.r).tolist())
+    res = wald_multi(ParamVector(arch, [0.0, 2.0, 0.0, 0.0]), listed, arch, 1)
+    assert (res.statistic, res.df) == (16.0, 1.0)
     with pytest.raises(NotPositiveDefiniteError):
         dataclasses.replace(cov, sigma_hat=-cov.sigma_hat)
     doubled = dataclasses.replace(cov, sigma_hat=2.0 * cov.sigma_hat)
@@ -125,15 +138,14 @@ def test_sandwich_shrinks_variance():
 def test_effective_df_unpenalized_equals_block_size():
     arch, data, result, info = _fitted_instance(lam=0.0)
     cov = sandwich_covariance(info, lam=0.0)
-    s = selection_matrix(arch, 1)
-    assert effective_df(cov, s) == pytest.approx(arch.q, abs=1e-8)
+    block = arch.covariate_block(1)
+    assert effective_df(cov, block) == pytest.approx(arch.q, abs=1e-8)
 
 
 def test_effective_df_shrinks_under_penalty():
     arch, data, result, info = _fitted_instance(lam=0.1)
     cov = sandwich_covariance(info, lam=0.1)
-    s = selection_matrix(arch, 1)
-    df = effective_df(cov, s)
+    df = effective_df(cov, arch.covariate_block(1))
     assert 0.0 < df < arch.q
 
 
@@ -141,9 +153,10 @@ def test_effective_df_identity_block():
     """Diagonal worked example: A = diag(i / (i + 2 lambda))."""
     info = np.diag([2.0, 4.0])
     cov = sandwich_covariance(info, lam=0.5)
-    s = np.eye(2)
-    want = 2.0 / 3.0 + 4.0 / 5.0
-    assert effective_df(cov, s) == pytest.approx(want, rel=1e-12)
+    assert effective_df(cov, slice(0, 2)) == pytest.approx(
+        2.0 / 3.0 + 4.0 / 5.0, rel=1e-12)
+    assert effective_df(cov, slice(1, 2)) == pytest.approx(
+        4.0 / 5.0, rel=1e-12)
 
 
 def test_wald_single_statistic_definition():
@@ -168,17 +181,61 @@ def test_wald_single_index_bounds():
         wald_single(result.theta_hat, cov, -1)
 
 
+def _check_against_selection_matrix(arch, theta, cov):
+    """The grouped statistic and df equal omega^T (S Sigma S^T)^-1 omega
+    and tr(S A S^T), with the selection matrix S built from the rows of
+    the identity at omega_j1..omega_jq's flat positions."""
+    for j in range(1, arch.p + 1):
+        res = wald_multi(theta, cov, arch, j)
+        s = np.eye(arch.r)[[j * arch.q + k for k in range(arch.q)]]
+        omega = s @ theta.values
+        want = float(omega @ np.linalg.solve(s @ cov.sigma_hat @ s.T, omega))
+        assert res.statistic == pytest.approx(want, rel=1e-9)
+        assert res.df == pytest.approx(np.trace(s @ cov.a_matrix @ s.T),
+                                       rel=1e-12)
+        assert res.target == j
+
+
 def test_wald_multi_matches_direct_quadratic_form():
     arch, data, result, info = _fitted_instance(lam=0.01)
-    cov = sandwich_covariance(info, lam=0.01)
-    res = wald_multi(result.theta_hat, cov, arch, 2)
-    s = selection_matrix(arch, 2)
-    omega = s @ result.theta_hat.values
-    block = s @ cov.sigma_hat @ s.T
-    want = float(omega @ np.linalg.solve(block, omega))
-    assert res.statistic == pytest.approx(want, rel=1e-9)
-    assert res.df == pytest.approx(effective_df(cov, s), rel=1e-12)
-    assert res.target == 2
+    _check_against_selection_matrix(
+        arch, result.theta_hat, sandwich_covariance(info, lam=0.01))
+    rng = np.random.default_rng(73)
+    arch = Architecture(p=3, q=3)
+    m = rng.normal(size=(arch.r, arch.r))
+    info = m @ m.T + arch.r * np.eye(arch.r)
+    _check_against_selection_matrix(
+        arch, ParamVector(arch, rng.normal(size=arch.r)),
+        sandwich_covariance(info, lam=0.05))
+
+
+def test_grouped_tests_at_the_positive_definite_boundary():
+    """A record whose smallest eigenvalue is just above the refusal
+    threshold still gives every covariate a finite grouped statistic and
+    df > 0: its principal blocks are positive definite, and so is A."""
+    arch = Architecture(p=3, q=3)
+    rng = np.random.default_rng(75)
+    vecs, _ = np.linalg.qr(rng.normal(size=(arch.r, arch.r)))
+    lam = 0.01
+    mu = np.geomspace(1e6, 1.0, arch.r)     # information eigenvalues
+    shrink = mu / (mu + 2.0 * lam)
+    sig = shrink / (mu + 2.0 * lam)
+    sig = sig / sig[0] * 1.5 * _PD_RTOL       # smallest eigenvalue first
+    sig[-1] = 1.0
+    sigma = vecs @ np.diag(sig) @ vecs.T
+    sigma = 0.5 * (sigma + sigma.T)
+    eigs = np.linalg.eigvalsh(sigma)
+    assert _PD_RTOL < eigs[0] < 2.0 * _PD_RTOL and eigs[-1] < 1.0 + 1e-12
+    cov = CovarianceEstimate(sigma_hat=sigma,
+                             a_matrix=vecs @ np.diag(shrink) @ vecs.T)
+    theta = ParamVector(arch, rng.normal(size=arch.r))
+    for j in range(1, arch.p + 1):
+        res = wald_multi(theta, cov, arch, j)
+        assert np.isfinite(res.statistic) and res.statistic > 0.0
+        assert res.df > 0.0
+        assert 0.0 <= res.p_value <= 1.0
+    with pytest.raises(NotPositiveDefiniteError):
+        dataclasses.replace(cov, sigma_hat=sigma - 1e-10 * np.eye(arch.r))
 
 
 def test_wald_multi_detects_active_covariate():

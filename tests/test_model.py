@@ -6,7 +6,7 @@ import pytest
 from statnn.exceptions import DataError, ShapeError
 from statnn.model import (Architecture, ColumnMeta, Dataset, ParamVector,
                           design_with_intercept, forward, forward_batch,
-                          selection_matrix, sigmoid)
+                          sigmoid)
 
 
 def _random_theta(arch, rng, scale=1.0):
@@ -193,32 +193,40 @@ def test_sigmoid_bitwise_equals_two_branch_form():
             np.array([v])).tobytes()
     assert type(sigmoid(np.array(3.0))) is float
 
-def test_selection_matrix_picks_omega_block():
+def test_covariate_block_picks_omega_block():
     arch = Architecture(p=2, q=2)
-    rng = np.random.default_rng(5)
-    theta = _random_theta(arch, rng)
+    theta = _random_theta(arch, np.random.default_rng(5))
+    assert arch.covariate_block(1) == slice(2, 4)
+    assert arch.covariate_block(2) == slice(4, 6)
     for j in (1, 2):
-        s = selection_matrix(arch, j)
         expected = [theta.omega(j, k) for k in range(1, arch.q + 1)]
-        np.testing.assert_array_equal(s @ theta.values, expected)
-        np.testing.assert_array_equal(s @ s.T, np.eye(arch.q))
+        np.testing.assert_array_equal(
+            theta.values[arch.covariate_block(j)], expected)
 
 
-def test_selection_matrix_larger_net_matches_loop():
+def test_covariate_block_larger_net_matches_loop():
+    """The blocks of covariates 1..p tile theta between the hidden
+    intercepts and gamma, each holding omega_j1..omega_jq in order."""
     arch = Architecture(p=6, q=4)
     theta = _random_theta(arch, np.random.default_rng(6))
-    s = selection_matrix(arch, 2)
-    by_loop = np.array([theta.values[arch.omega_index(2, k)]
-                        for k in range(1, 5)])
-    np.testing.assert_array_equal(s @ theta.values, by_loop)
+    for j in range(1, arch.p + 1):
+        block = arch.covariate_block(j)
+        by_loop = np.array([theta.values[arch.omega_index(j, k)]
+                            for k in range(1, arch.q + 1)])
+        np.testing.assert_array_equal(theta.values[block], by_loop)
+    covered = np.concatenate([np.arange(arch.r)[arch.covariate_block(j)]
+                              for j in range(1, arch.p + 1)])
+    np.testing.assert_array_equal(
+        covered, np.arange(arch.q, arch.gamma_index(0)))
 
 
-def test_selection_matrix_rejects_intercept():
+def test_covariate_block_refuses_intercept_and_past_p():
     arch = Architecture(p=2, q=2)
-    with pytest.raises(IndexError):
-        selection_matrix(arch, 0)
-    with pytest.raises(IndexError):
-        selection_matrix(arch, 3)
+    message = (r"^covariate index must be in 1\.\.2 \(intercepts are not "
+               r"testable\), got {}$")
+    for j in (0, 3):
+        with pytest.raises(IndexError, match=message.format(j)):
+            arch.covariate_block(j)
 
 
 def test_dataset_validation():

@@ -51,7 +51,7 @@ def test_read_csv_strips_whitespace(tmp_path):
 def test_read_csv_errors(tmp_path):
     with pytest.raises(DataError, match="duplicate"):
         read_csv(_write(tmp_path, "a,a\n1,2\n"))
-    with pytest.raises(DataError, match="row 2"):
+    with pytest.raises(DataError, match="line 3: row has 1 fields"):
         read_csv(_write(tmp_path, "a,b\n1,2\n3\n"))
     with pytest.raises(DataError):
         read_csv(_write(tmp_path, ""))
@@ -67,8 +67,24 @@ def test_read_csv_rows_past_the_first_block(tmp_path):
     assert cols == [[str(i) for i in range(2500)],
                     [str(-i) for i in range(2500)]]
     rows[2400] = "7"
-    with pytest.raises(DataError, match="row 2401 has 1 fields, expected 2"):
+    with pytest.raises(DataError,
+                       match="r.csv: line 2402: row has 1 fields, expected 2"):
         read_csv(_write(tmp_path, "a,b\n" + "\n".join(rows), name="r.csv"))
+
+
+def test_read_csv_names_a_ragged_row_by_its_line(tmp_path):
+    """A ragged row is named by the physical line it starts on, header
+    line 1, as a csv-module or UTF-8 error is: every line of a quoted
+    field spanning lines before it counts, with or without a byte-order
+    mark, and so does a blank line."""
+    text = 'a,b\n1,2\n"x\n\ny",3\n4,5\n6\n7,8\n'
+    for name, prefix in (("plain.csv", ""), ("bom.csv", "\ufeff")):
+        with pytest.raises(DataError) as exc:
+            read_csv(_write(tmp_path, prefix + text, name=name))
+        assert str(exc.value).endswith(
+            f"{name}: line 7: row has 1 fields, expected 2")
+    with pytest.raises(DataError, match=r"blank.csv: line 3: row has 0 "):
+        read_csv(_write(tmp_path, "a,b\n1,2\n\n3,4\n", name="blank.csv"))
 
 
 def test_missing_values_error_names_location(tmp_path):
@@ -338,7 +354,8 @@ _MISSING_BMI = ("missing value in column 'bmi', row {} (first data row is "
     (("25.0", "NA", "27.0"), _MISSING_BMI.format(2)),
     (("25.0", "nan", "27.0"), _MISSING_BMI.format(2)),
     (("25.0", "", "27.0"), _MISSING_BMI.format(2)),
-    (("25.0", "inf", "27.0"), "non-finite value 'inf' in column 'bmi', row 2"),
+    (("25.0", "inf", "27.0"), "non-finite value 'inf' in column 'bmi', row 2 "
+                              "(first data row is row 1)"),
     # The scan for missing tokens comes first, as for every column.
     (("-inf", "26.0", "N/A"), _MISSING_BMI.format(3)),
 ], ids=["NA", "nan", "empty", "inf", "missing-after-inf"])

@@ -155,6 +155,48 @@ def test_a_diverged_estimate_counts_as_a_failed_fit(monkeypatch):
     assert np.all(np.isfinite(rep.mean_estimate))
 
 
+def test_an_unconverged_replicate_is_not_tested(monkeypatch):
+    """Wald tests are inference at an optimum.  A replicate whose winning
+    restart stopped short of convergence keeps its estimate, flag and
+    iteration count, but gets no SE, coverage or Wald test and is not
+    counted PD, although its covariance here is positive definite."""
+    import importlib
+
+    from statnn.fit import FitConfig, fit
+    from statnn.inference import sandwich_covariance
+    from statnn.likelihood import observed_information
+
+    fit_module = importlib.import_module("statnn.fit")
+    real = fit_module._run_restart
+
+    def stopped_short(obj, x0):
+        x, nit = real(obj, x0)
+        return x + 1e-4, nit
+
+    monkeypatch.setattr(fit_module, "_run_restart", stopped_short)
+    scen = _tiny(n=200, replicates=3, restarts=1)
+    for i in range(scen.replicates):
+        outcome = _replicate_task((scen, i))
+        assert outcome.fit_ok and not outcome.converged
+        assert not outcome.pd_ok
+        assert outcome.iterations > 0
+        assert np.all(np.isfinite(outcome.estimate))
+        for values in (outcome.se, outcome.covered, outcome.sp_p,
+                       outcome.mp_p):
+            assert np.all(np.isnan(values))
+        data = generate(scen, i)
+        res = fit(scen.arch, data, scen.lam,
+                  FitConfig(n_restarts=1, seed=derive_seed(scen.seed, i, 1)))
+        sandwich_covariance(observed_information(
+            scen.arch, res.theta_hat, data, sigma_sq=res.sigma_sq_hat),
+            scen.lam)
+    rep = run_scenario(scen)
+    assert rep.n_fit_failed == 0 and rep.n_converged == 0 and rep.n_pd == 0
+    assert np.all(rep.sp_rejection == 0.0) and np.all(rep.mp_rejection == 0.0)
+    assert np.all(np.isnan(rep.see)) and np.all(np.isnan(rep.coverage))
+    assert np.all(np.isfinite(rep.mean_estimate))
+
+
 def test_run_scenario_deterministic():
     scen = _tiny(seed=7)
     a = run_scenario(scen)
