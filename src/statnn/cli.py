@@ -197,9 +197,8 @@ def _model_and_covariance(model_path, csv_path):
     """Shared summary/pce/diagram preamble: load, evaluate, sandwich."""
     doc = load_model(model_path)
     data = dataset_from_meta(csv_path, doc.column_meta, doc.response_meta)
-    result = evaluate_at(doc.arch, doc.theta, data, doc.lam)
-    info = observed_information(doc.arch, doc.theta, data,
-                                sigma_sq=result.sigma_sq_hat)
+    result = evaluate_at(doc.theta, data, doc.lam)
+    info = observed_information(doc.theta, data, sigma_sq=result.sigma_sq_hat)
     cov = sandwich_covariance(info, doc.lam)
     return doc, data, result, cov
 
@@ -222,7 +221,7 @@ def cmd_pce(args) -> int:
     doc, data, _result, cov = _model_and_covariance(args.model, args.csv)
     j = data.column_index(args.covariate) + 1
     by = None if args.by is None else data.column_index(args.by) + 1
-    curves = pce_curve(doc.arch, doc.theta, cov, data, j, args.d,
+    curves = pce_curve(doc.theta, cov, data, j, args.d,
                        effect_grid(data, j, args.d, args.grid_points), by)
     d = curves[0].d                     # the fitted (standardized) step
     if args.original_scale:

@@ -63,8 +63,7 @@ from .inference import CovarianceEstimate
 # prediction_gradient calls; it can go once spans are recorded inside
 # the package (ROADMAP item 1).
 from .likelihood import prediction_gradient  # noqa: F401
-from .model import (Architecture, Dataset, ParamVector, design_with_intercept,
-                    sigmoid)
+from .model import Dataset, ParamVector, design_with_intercept, sigmoid
 from .special import normal_quantile
 
 #: Two-sided 95% normal critical value of every confidence band.
@@ -143,9 +142,10 @@ def _averaged(arch, gam, w_j, x1t, s_base, j, xs):
     return mu.mean(axis=1), grad
 
 
-def _curve_for(arch, theta, cov, data, j, d, grid, pin, label):
+def _curve_for(theta, cov, data, j, d, grid, pin, label):
     """Core computation: one curve, optionally with covariate ``pin[0]``
     fixed at ``pin[1]`` in every averaged prediction."""
+    arch = theta.arch
     x1 = design_with_intercept(data.x)
     if pin is not None:
         x1[:, pin[0]] = pin[1]
@@ -221,17 +221,18 @@ def effect_grid(data: Dataset, j: int, d: float | None = None,
     return np.linspace(lo, hi, points)
 
 
-def pce_curve(arch: Architecture, theta: ParamVector, cov: CovarianceEstimate,
-              data: Dataset, j: int, d: float | None = None,
-              grid=None, by: int | None = None) -> tuple:
+def pce_curve(theta: ParamVector, cov: CovarianceEstimate, data: Dataset,
+              j: int, d: float | None = None, grid=None,
+              by: int | None = None) -> tuple:
     """Partial-effect curves of the 1-based covariate j, as a tuple.
 
+    The network's shape and output activation are ``theta.arch``'s.
     ``d`` is the step (default as in ``_resolve_step``) and ``grid`` the
     strictly increasing x0 points (default ``effect_grid``).  Without
     ``by`` the tuple holds one curve; with ``by = k`` it holds one curve
     per pin of covariate k from ``conditioning_values``.
     """
-    arch.covariate_block(j)     # refuses j outside 1..p
+    theta.arch.covariate_block(j)     # refuses j outside 1..p
     d = _resolve_step(data, j, d)
     if grid is None:
         grid = effect_grid(data, j, d)
@@ -241,12 +242,12 @@ def pce_curve(arch: Architecture, theta: ParamVector, cov: CovarianceEstimate,
     if not np.all(np.diff(grid) > 0.0):
         raise ValueError("grid must be strictly increasing")
     if by is None:
-        return (_curve_for(arch, theta, cov, data, j, d, grid, None, None),)
-    arch.covariate_block(by)
+        return (_curve_for(theta, cov, data, j, d, grid, None, None),)
+    theta.arch.covariate_block(by)
     if by == j:
         raise ValueError("conditioning covariate must differ from j")
     kname = data.column_meta[by - 1].name
-    return tuple(_curve_for(arch, theta, cov, data, j, d, grid, (by, v),
+    return tuple(_curve_for(theta, cov, data, j, d, grid, (by, v),
                             f"{kname}={v:.6g}")
                  for v in conditioning_values(data, by))
 

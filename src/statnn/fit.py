@@ -112,6 +112,7 @@ class FitConfig:
 class FitResult:
     """Outcome of a penalized fit.
 
+    The architecture is ``theta_hat.arch``; the record keeps no other.
     ``loglik`` is the penalized log-likelihood at ``theta_hat`` (for the
     Gaussian family, at the recovered sigma_hat^2).  ``restart_logliks``
     and ``restart_iterations`` hold every restart's value and work
@@ -124,7 +125,6 @@ class FitResult:
     by at most TIE_RTOL (relative).  ``iterations`` is the winner's work.
     """
 
-    arch: Architecture
     theta_hat: ParamVector
     loglik: float
     sigma_sq_hat: float | None
@@ -242,7 +242,6 @@ def fit(arch: Architecture, data: Dataset, lam: float,
     _, g_final = obj.value_grad(theta_hat.values)
     grad_max = float(np.max(np.abs(g_final)))
     return FitResult(
-        arch=arch,
         theta_hat=theta_hat,
         loglik=loglik,
         sigma_sq_hat=sigma_sq_hat,
@@ -273,23 +272,22 @@ def _choose_restart(runs, logliks) -> int:
     return best
 
 
-def evaluate_at(arch: Architecture, theta: ParamVector, data: Dataset,
-                lam: float) -> FitResult:
+def evaluate_at(theta: ParamVector, data: Dataset, lam: float) -> FitResult:
     """Wrap fixed parameter values (e.g. a stored model) as a FitResult.
 
     No optimization happens: the log-likelihood, profiled variance, and
-    gradient norm are computed at ``theta`` on the given data, with
-    ``converged`` reporting whether ``theta`` is a stationary point
-    there (it will not be if the data differ from the fitting data).
+    gradient norm are computed at ``theta``, under its architecture, on
+    the given data, with ``converged`` reporting whether ``theta`` is a
+    stationary point there (it will not be if the data differ from the
+    fitting data).
     """
-    obj = _Evaluator(arch, data, lam)
+    obj = _Evaluator(theta.arch, data, lam)
     loglik, sigma_sq_hat = obj.profile(theta.values)
     # Stationarity is measured on the optimizer's scale (sigma^2 = 1 for
     # the Gaussian family), the same convention fit() reports.
     _, g = obj.value_grad(theta.values)
     grad_max = float(np.max(np.abs(g)))
     return FitResult(
-        arch=arch,
         theta_hat=theta,
         loglik=loglik,
         sigma_sq_hat=sigma_sq_hat,

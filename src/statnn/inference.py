@@ -88,16 +88,11 @@ class CovarianceEstimate:
 
 @dataclass(frozen=True)
 class WaldResult:
-    """A single Wald test: statistic, reference df, p-value.
-
-    ``target`` is the flat parameter index for single-weight tests and
-    the covariate index (1-based) for grouped tests.
-    """
+    """A grouped Wald test: statistic, reference df, p-value."""
 
     statistic: float
     df: float
     p_value: float
-    target: int
 
 
 def sandwich_covariance(info: np.ndarray, lam: float) -> CovarianceEstimate:
@@ -140,34 +135,35 @@ def effective_df(cov: CovarianceEstimate, block: slice) -> float:
     return float(np.trace(cov.a_matrix[block, block]))
 
 
-def wald_single(theta_hat: ParamVector, cov: CovarianceEstimate,
-                param_index: int) -> WaldResult:
-    """Wald test of one weight against zero, chi-square(1) reference."""
-    r = theta_hat.arch.r
-    if not 0 <= param_index < r:
-        raise IndexError(f"param_index must be in 0..{r - 1}, got {param_index}")
-    var = float(cov.sigma_hat[param_index, param_index])
-    stat = float(theta_hat.values[param_index]) ** 2 / var
-    return WaldResult(statistic=stat, df=1.0,
-                      p_value=chi_square_survival(stat, 1.0),
-                      target=param_index)
+def wald_single(estimates, variances) -> tuple:
+    """Wald tests of single weights against zero, elementwise.
+
+    For estimates theta_i with variances Sigma_ii, returns the arrays
+    ``(se, statistic, p_value)``: sqrt(Sigma_ii), theta_i^2 / Sigma_ii
+    and its chi-square(1) upper tail.  The one single-weight rule of the
+    summary table and of the Monte Carlo study.
+    """
+    statistic = np.square(estimates) / variances
+    p_value = np.array([chi_square_survival(s, 1.0) for s in statistic])
+    return np.sqrt(variances), statistic, p_value
 
 
 def wald_multi(theta_hat: ParamVector, cov: CovarianceEstimate,
-               arch: Architecture, j: int) -> WaldResult:
+               j: int) -> WaldResult:
     """Joint Wald test that covariate j's incoming weights are all zero.
 
     Its reference chi-square has the effective df tr(A[b, b]) of block
-    b = ``arch.covariate_block(j)``, fewer than q under penalization.
+    b = ``theta_hat.arch.covariate_block(j)``, fewer than q under
+    penalization.
     """
-    block = arch.covariate_block(j)
+    block = theta_hat.arch.covariate_block(j)
     # omega^T Sigma_bb^-1 omega = |L^-1 omega|^2 with Sigma_bb = L L^T.
     z = np.linalg.solve(np.linalg.cholesky(cov.sigma_hat[block, block]),
                         theta_hat.values[block])
     stat = float(z @ z)
     df = effective_df(cov, block)
     return WaldResult(statistic=stat, df=df,
-                      p_value=chi_square_survival(stat, df), target=j)
+                      p_value=chi_square_survival(stat, df))
 
 
 # ---------------------------------------------------------------------------
@@ -214,34 +210,33 @@ class InferenceReport:
     n_obs: int
 
 
-def _single_cell(theta_hat, cov, idx) -> WeightCell:
-    res = wald_single(theta_hat, cov, idx)
-    return WeightCell(estimate=float(theta_hat.values[idx]),
-                      se=float(np.sqrt(cov.sigma_hat[idx, idx])),
-                      statistic=res.statistic, p_value=res.p_value,
-                      stars=significance_stars(res.p_value))
-
-
 def summarize(fit_result, cov: CovarianceEstimate, arch: Architecture,
               data: Dataset) -> InferenceReport:
-    """Per-weight and per-covariate Wald tests for a fitted network."""
+    """Per-weight and per-covariate Wald tests for a fitted network.
+
+    ``arch`` must be ``fit_result.theta_hat.arch`` (``ValueError``
+    otherwise); the estimate already carries it.
+    """
     theta_hat = fit_result.theta_hat
+    if arch != theta_hat.arch:
+        raise ValueError("architecture does not match the fitted theta")
+    se, stat, p_value = wald_single(theta_hat.values, np.diag(cov.sigma_hat))
+    cells = tuple(WeightCell(float(b), float(s), float(z), float(pv),
+                             significance_stars(pv))
+                  for b, s, z, pv in zip(theta_hat.values, se, stat, p_value))
     names = [m.name for m in data.column_meta]
     rows = []
     for j in range(1, arch.p + 1):
-        mp = wald_multi(theta_hat, cov, arch, j)
+        mp = wald_multi(theta_hat, cov, j)
         rows.append(CovariateRow(
             name=names[j - 1], index=j,
-            cells=tuple(_single_cell(theta_hat, cov, arch.omega_index(j, k))
-                        for k in range(1, arch.q + 1)),
+            cells=cells[arch.covariate_block(j)],
             mp_statistic=mp.statistic, mp_df=mp.df, mp_p_value=mp.p_value,
             mp_stars=significance_stars(mp.p_value)))
-    gamma_cells = tuple(_single_cell(theta_hat, cov, arch.gamma_index(k))
-                        for k in range(1, arch.q + 1))
     return InferenceReport(
         arch=arch,
         covariates=tuple(rows),
-        gamma_cells=gamma_cells,
+        gamma_cells=cells[arch.gamma_index(1):],
         gamma0_estimate=float(theta_hat.gamma(0)),
         loglik=fit_result.loglik,
         sigma_sq_hat=fit_result.sigma_sq_hat,

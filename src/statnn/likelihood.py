@@ -282,35 +282,35 @@ class _Evaluator:
 # Public API
 # ---------------------------------------------------------------------------
 
-def log_likelihood(arch: Architecture, theta: ParamVector, data: Dataset,
-                   lam: float, sigma_sq: float | None = None) -> float:
+def log_likelihood(theta: ParamVector, data: Dataset, lam: float,
+                   sigma_sq: float | None = None) -> float:
     """Penalized log-likelihood (penalty already subtracted)."""
-    ev = _Evaluator(arch, data, lam)
+    ev = _Evaluator(theta.arch, data, lam)
     return ev._penalized(theta.values, ev._terms(theta.values)[2], sigma_sq)
 
 
-def gradient(arch: Architecture, theta: ParamVector, data: Dataset,
-             lam: float, sigma_sq: float | None = None) -> np.ndarray:
+def gradient(theta: ParamVector, data: Dataset, lam: float,
+             sigma_sq: float | None = None) -> np.ndarray:
     """Gradient of the penalized log-likelihood, length r.
 
     The ridge term contributes -2 lambda theta on the penalized
     coordinates and nothing on the intercepts.
     """
-    ev = _Evaluator(arch, data, lam)
+    ev = _Evaluator(theta.arch, data, lam)
     g, hb, _, u, _ = ev._terms(theta.values)
     div, _ = ev._scale(sigma_sq)
     score = np.concatenate((ev._omega_score(g, hb, u), hb @ u))
     return score / div - ev.ridge_w * theta.values
 
 
-def observed_information(arch: Architecture, theta: ParamVector, data: Dataset,
+def observed_information(theta: ParamVector, data: Dataset,
                          sigma_sq: float | None = None) -> np.ndarray:
     """Negative Hessian of the unpenalized log-likelihood at ``theta``.
 
     Symmetric by construction ((H + H^T)/2 after assembly).  It takes no
     ridge penalty: the information is unpenalized by definition.
     """
-    ev = _Evaluator(arch, data, 0.0)
+    ev = _Evaluator(theta.arch, data, 0.0)
     div, _ = ev._scale(sigma_sq)
     info = ev._information(theta.values) / div
     info = 0.5 * (info + info.T)
@@ -322,14 +322,13 @@ def observed_information(arch: Architecture, theta: ParamVector, data: Dataset,
     return info
 
 
-def prediction_gradient(arch: Architecture, theta: ParamVector,
-                        x: np.ndarray) -> np.ndarray:
+def prediction_gradient(theta: ParamVector, x: np.ndarray) -> np.ndarray:
     """Per-row gradient of the network output w.r.t. theta (n x r).
 
     For the logistic output the chain rule through the output activation
     is included.
     """
-    x = np.asarray(x, dtype=float)
+    arch = theta.arch
     x1 = design_with_intercept(x)
     g, hb, z = _net_parts(arch.p, arch.q, x1, theta.values)
     a = _pred_jacobian(arch.p, arch.q, x1, hb[1:].T, g[1:])

@@ -16,6 +16,10 @@ where omega_j = (omega_j1, ..., omega_jq) and gamma = (gamma_0, ..., gamma_q),
 giving r = (p + 2) q + 1 entries in total.  The ordering is part of the
 serialization contract: covariate blocks and the canonical-form
 machinery rely on a stable index map.
+
+A ``ParamVector`` carries its ``Architecture``: every function that takes
+theta reads p, q and the family from ``theta.arch``, and only functions
+that have no theta yet (``fit``, ``initialize``) take an architecture.
 """
 
 from __future__ import annotations
@@ -278,31 +282,28 @@ class Dataset:
         raise KeyError(f"no model column named {name!r}")
 
 
-def _check_arch_data(arch: Architecture, p_actual: int):
-    if p_actual != arch.p:
-        raise ShapeError("covariate count", arch.p, p_actual)
-
-
 def design_with_intercept(x: np.ndarray) -> np.ndarray:
     """Prepend the implicit column of ones."""
     x = np.asarray(x, dtype=float)
     return np.hstack([np.ones((x.shape[0], 1)), x])
 
 
-def forward(arch: Architecture, theta: ParamVector, x) -> float:
+def forward(theta: ParamVector, x) -> float:
     """Evaluate the network at a single covariate vector of length p."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (arch.p,):
-        raise ShapeError("covariate vector length", (arch.p,), x.shape)
+    p = theta.arch.p
+    if x.shape != (p,):
+        raise ShapeError("covariate vector length", (p,), x.shape)
     if not np.all(np.isfinite(x)):
         raise DataError("covariate vector contains non-finite entries")
-    return float(forward_design(arch, theta, design_with_intercept(x[None, :]))[0])
+    return float(forward_design(theta, design_with_intercept(x[None, :]))[0])
 
 
-def forward_batch(arch: Architecture, theta: ParamVector, data: Dataset) -> np.ndarray:
+def forward_batch(theta: ParamVector, data: Dataset) -> np.ndarray:
     """Evaluate the network at every row of the dataset, preserving order."""
-    _check_arch_data(arch, data.p)
-    return forward_design(arch, theta, design_with_intercept(data.x))
+    if data.p != theta.arch.p:
+        raise ShapeError("covariate count", theta.arch.p, data.p)
+    return forward_design(theta, design_with_intercept(data.x))
 
 
 def _activation_block(x1: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -323,8 +324,9 @@ def _net_parts(p: int, q: int, x1: np.ndarray, theta: np.ndarray):
     return g, hb, g @ hb
 
 
-def forward_design(arch: Architecture, theta: ParamVector, x1: np.ndarray) -> np.ndarray:
+def forward_design(theta: ParamVector, x1: np.ndarray) -> np.ndarray:
     """Forward pass over a design matrix that already carries the 1-column."""
+    arch = theta.arch
     _, _, z = _net_parts(arch.p, arch.q, x1, theta.values)
     if arch.family == "bernoulli":
         return sigmoid(z)

@@ -76,10 +76,11 @@ def fit_linear(data: Dataset) -> LinearFit:
         loglik=loglik, n=n)
 
 
-def bic(fit_result: FitResult, arch: Architecture, n: int) -> float:
+def bic(fit_result: FitResult, n: int) -> float:
     """-2 * unpenalized log-likelihood + K log n.
 
-    K counts all r weights, plus one for sigma^2 in the Gaussian family.
+    K counts all r weights of ``fit_result.theta_hat.arch``, plus one
+    for sigma^2 in the Gaussian family.
     The penalty is stripped from the reported log-likelihood before use,
     so ridge-penalized and unpenalized fits are scored on the same
     footing.
@@ -87,7 +88,7 @@ def bic(fit_result: FitResult, arch: Architecture, n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     unpen = fit_result.loglik + penalty(fit_result.theta_hat, fit_result.lam)
-    k = arch.r + (1 if fit_result.sigma_sq_hat is not None else 0)
+    k = fit_result.theta_hat.arch.r + int(fit_result.sigma_sq_hat is not None)
     return _bic(unpen, k, n)
 
 
@@ -178,7 +179,7 @@ def _fold_predict(arch, data, lam, config, test_idx, f):
     else:
         seed = seeds.derive_seed(config.seed, arch.q, f)
         result = fit(arch, train, lam, dc_replace(config, seed=seed))
-        pred = forward_design(arch, result.theta_hat, x_test)
+        pred = forward_design(result.theta_hat, x_test)
     return ymeta.to_original(pred)
 
 
@@ -235,7 +236,7 @@ def sweep(data: Dataset, q_list, family: str, lam: float,
         try:
             if q > 0:
                 arch = Architecture(p=data.p, q=q, family=family)
-                bic_val = bic(fit(arch, data, lam, config), arch, data.n)
+                bic_val = bic(fit(arch, data, lam, config), data.n)
             elif family == "gaussian":
                 bic_val = linear_bic(fit_linear(data))
             else:

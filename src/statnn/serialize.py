@@ -79,13 +79,20 @@ def atomic_write_text(path, text: str):
 
 @dataclass(frozen=True)
 class ModelDocument:
-    """A fitted network plus everything needed to re-apply it to data."""
+    """A fitted network plus everything needed to re-apply it to data.
 
-    arch: Architecture
+    ``arch`` is read from ``theta``, so the document cannot name another
+    architecture than its weights have.
+    """
+
     theta: ParamVector
     lam: float
     column_meta: tuple
     response_meta: ColumnMeta
+
+    @property
+    def arch(self) -> Architecture:
+        return self.theta.arch
 
     def __post_init__(self):
         if len(self.column_meta) != self.arch.p:
@@ -96,8 +103,7 @@ class ModelDocument:
 
 def model_document(fit_result, data: Dataset) -> ModelDocument:
     """Bundle a fit with the dataset's preprocessing metadata."""
-    return ModelDocument(arch=fit_result.arch, theta=fit_result.theta_hat,
-                         lam=fit_result.lam,
+    return ModelDocument(theta=fit_result.theta_hat, lam=fit_result.lam,
                          column_meta=tuple(data.column_meta),
                          response_meta=data.response_meta)
 
@@ -250,8 +256,7 @@ def parse_model(text: str, where: str = "model") -> ModelDocument:
     column_meta = tuple(_parse_meta(m, where) for m in meta_raw)
     response_meta = _parse_meta(_require(payload, "response_meta", where),
                                 where)
-    return ModelDocument(arch=arch, theta=theta, lam=lam,
-                         column_meta=column_meta,
+    return ModelDocument(theta=theta, lam=lam, column_meta=column_meta,
                          response_meta=response_meta)
 
 

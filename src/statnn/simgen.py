@@ -42,11 +42,10 @@ from .canonical import align_to
 from .effects import Z_95
 from .exceptions import FitError, NotPositiveDefiniteError
 from .fit import FitConfig, fit
-from .inference import sandwich_covariance, wald_multi
+from .inference import sandwich_covariance, wald_multi, wald_single
 from .likelihood import check_lambda, observed_information
 from .model import (Architecture, Dataset, ParamVector, design_with_intercept,
                     forward_design)
-from .special import chi_square_survival
 
 ZERO_PATTERNS = {"5-1": (1,), "3-3": (1, 3, 4)}
 
@@ -172,7 +171,7 @@ def generate(scenario: SimScenario, replicate_index: int) -> Dataset:
     rng = seeds.rng(scenario.seed, replicate_index, 0)
     x = rng.standard_normal((scenario.n, scenario.p))
     truth = scenario.resolved_truth()
-    mu = forward_design(scenario.arch, truth, design_with_intercept(x))
+    mu = forward_design(truth, design_with_intercept(x))
     y = mu + scenario.noise_sd * rng.standard_normal(scenario.n)
     return Dataset(x, y)
 
@@ -212,16 +211,13 @@ def _replicate_task(args):
                       estimate=est, iterations=sum(res.restart_iterations))
     if not res.converged:
         return outcome
-    info = observed_information(arch, res.theta_hat, data,
-                                sigma_sq=res.sigma_sq_hat)
+    info = observed_information(res.theta_hat, data, sigma_sq=res.sigma_sq_hat)
     try:
         cov = sandwich_covariance(info, scenario.lam)
     except NotPositiveDefiniteError:
         return outcome
-    var = np.diag(t_mat @ cov.sigma_hat @ t_mat.T)
-    se = np.sqrt(var)
-    sp_p = np.array([chi_square_survival(s, 1.0) for s in est ** 2 / var])
-    mp_p = np.array([wald_multi(res.theta_hat, cov, arch, j).p_value
+    se, _, sp_p = wald_single(est, np.diag(t_mat @ cov.sigma_hat @ t_mat.T))
+    mp_p = np.array([wald_multi(res.theta_hat, cov, j).p_value
                      for j in range(1, scenario.p + 1)])
     covered = (np.abs(truth.values - est) <= Z_95 * se).astype(float)
     return replace(outcome, pd_ok=True, se=se, covered=covered,

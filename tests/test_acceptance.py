@@ -186,10 +186,10 @@ def test_gradient_and_information_match_finite_differences():
               if family == "gaussian" else {})
 
         def loglik(values, _lam=lam):
-            return log_likelihood(arch, ParamVector(arch, values), data,
+            return log_likelihood(ParamVector(arch, values), data,
                                   _lam, **kw)
 
-        analytic = gradient(arch, theta, data, lam, **kw)
+        analytic = gradient(theta, data, lam, **kw)
         numeric = _fd_gradient(loglik, theta.values.copy())
         scale = np.maximum(np.abs(numeric), 1.0)
         worst_grad = max(worst_grad,
@@ -198,9 +198,9 @@ def test_gradient_and_information_match_finite_differences():
         # The observed information excludes the ridge term by definition,
         # so the reference Hessian differentiates the unpenalized gradient.
         def grad_fn(values):
-            return gradient(arch, ParamVector(arch, values), data, 0.0, **kw)
+            return gradient(ParamVector(arch, values), data, 0.0, **kw)
 
-        info = observed_information(arch, theta, data, **kw)
+        info = observed_information(theta, data, **kw)
         numeric_h = -_fd_hessian(grad_fn, theta.values.copy())
         worst_info = max(worst_info, float(np.max(np.abs(info - numeric_h))))
     elapsed = time.perf_counter() - t0
@@ -227,7 +227,7 @@ def test_symmetry_group_invariance_and_canonical_form():
         arch = Architecture(p=2, q=q)
         theta = ParamVector(arch, rng.uniform(-1.5, 1.5, arch.r))
         data = Dataset(x=rng.normal(size=(8, 2)), y=rng.normal(size=8))
-        base = forward_batch(arch, theta, data)
+        base = forward_batch(theta, data)
         base_pen = penalty(theta, 0.7)
         ops = list(all_symmetry_ops(q))
         sizes_ok = sizes_ok and len(ops) == (2 ** q) * math.factorial(q)
@@ -235,7 +235,7 @@ def test_symmetry_group_invariance_and_canonical_form():
         for op in ops:
             image = apply_symmetry(theta, op)
             worst_fun = max(worst_fun, float(np.max(np.abs(
-                forward_batch(arch, image, data) - base))))
+                forward_batch(image, data) - base))))
             worst_pen = max(worst_pen, abs(penalty(image, 0.7) - base_pen))
             worst_orbit = max(worst_orbit, float(np.max(np.abs(
                 canonicalize(image).values - reference))))
@@ -461,7 +461,7 @@ def test_insurance_benchmark():
 
     # Covariate-level Wald tests at the 5% level.
     result = fit(arch2, data, lam, config)
-    info = observed_information(arch2, result.theta_hat, data,
+    info = observed_information(result.theta_hat, data,
                                 sigma_sq=result.sigma_sq_hat)
     cov = sandwich_covariance(info, lam)
     report = summarize(result, cov, arch2, data)
@@ -474,7 +474,7 @@ def test_insurance_benchmark():
 
     # Binary effect of smoking on the original response scale.
     j_smoker = names.index("smoker") + 1
-    (curve,) = pce_curve(arch2, result.theta_hat, cov, data, j_smoker)
+    (curve,) = pce_curve(result.theta_hat, cov, data, j_smoker)
     point = curve.points[0]
     smoker_effect = point.beta_hat * sd_y
     pce_ok = abs(smoker_effect - 23.85) <= 1.5
@@ -536,12 +536,12 @@ def test_partial_effect_structural_properties():
     # positive: perturbing those weights away from zero would revive the
     # effect, and the band prices exactly that uncertainty.)
     theta_dis = theta.with_omega(2, 1, 0.0).with_omega(2, 2, 0.0)
-    (curve_dis,) = pce_curve(arch, theta_dis, cov, data, 2)
+    (curve_dis,) = pce_curve(theta_dis, cov, data, 2)
     dis_beta = float(np.max(np.abs(curve_dis.betas())))
     dis_ok = dis_beta == 0.0
 
     # A zero step compares the prediction with itself.
-    (curve_zero,) = pce_curve(arch, theta, cov, data, 1, d=0.0)
+    (curve_zero,) = pce_curve(theta, cov, data, 1, d=0.0)
     zero_ok = (float(np.max(np.abs(curve_zero.betas()))) == 0.0
                and max(pt.se for pt in curve_zero.points) == 0.0)
 
@@ -557,12 +557,12 @@ def test_partial_effect_structural_properties():
     def beta_fn(values):
         return _nn_mean(arch, values, x_hi) - _nn_mean(arch, values, x_lo)
 
-    g_analytic = (prediction_gradient(arch, theta, x_hi).mean(axis=0)
-                  - prediction_gradient(arch, theta, x_lo).mean(axis=0))
+    g_analytic = (prediction_gradient(theta, x_hi).mean(axis=0)
+                  - prediction_gradient(theta, x_lo).mean(axis=0))
     g_fd = _fd_gradient(beta_fn, theta.values.copy())
     scale = np.maximum(np.abs(g_fd), 1.0)
     grad_err = float(np.max(np.abs(g_analytic - g_fd) / scale))
-    (curve,) = pce_curve(arch, theta, cov, data, 1, d=d, grid=np.array([x0]))
+    (curve,) = pce_curve(theta, cov, data, 1, d=d, grid=np.array([x0]))
     point = curve.points[0]
     se_want = float(np.sqrt(g_analytic @ cov.sigma_hat @ g_analytic))
     beta_dev = abs(point.beta_hat - beta_fn(theta.values))
@@ -575,7 +575,7 @@ def test_partial_effect_structural_properties():
                  .with_omega(0, 1, 0.2).with_omega(1, 1, 1.3)
                  .with_omega(0, 2, -0.4).with_omega(2, 2, 0.9)
                  .with_gamma(0, 0.5).with_gamma(1, 2.0).with_gamma(2, -1.5))
-    lo, hi = pce_curve(arch, theta_add, cov, data, 1, by=2)
+    lo, hi = pce_curve(theta_add, cov, data, 1, by=2)
     screen_dev = max(abs(a.beta_hat - b.beta_hat)
                      for a, b in zip(lo.points, hi.points))
     screen_ok = screen_dev <= 1e-12

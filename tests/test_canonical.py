@@ -28,10 +28,10 @@ def test_symmetry_preserves_network_function():
     theta = _random_theta(arch, 20)
     rng = np.random.default_rng(21)
     xs = rng.normal(size=(6, 2))
-    base = [forward(arch, theta, x) for x in xs]
+    base = [forward(theta, x) for x in xs]
     for op in all_symmetry_ops(3):
         image = apply_symmetry(theta, op)
-        got = [forward(arch, image, x) for x in xs]
+        got = [forward(image, x) for x in xs]
         np.testing.assert_allclose(got, base, rtol=0, atol=1e-12)
 
 
@@ -41,10 +41,10 @@ def test_symmetry_preserves_loglik():
     rng = np.random.default_rng(23)
     data = Dataset(x=rng.normal(size=(10, 2)), y=rng.normal(size=10))
     lam = 0.3
-    base = log_likelihood(arch, theta, data, lam, sigma_sq=1.0)
+    base = log_likelihood(theta, data, lam, sigma_sq=1.0)
     for op in all_symmetry_ops(2):
         image = apply_symmetry(theta, op)
-        got = log_likelihood(arch, image, data, lam, sigma_sq=1.0)
+        got = log_likelihood(image, data, lam, sigma_sq=1.0)
         assert abs(got - base) <= 1e-12
 
 

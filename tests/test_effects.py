@@ -47,7 +47,7 @@ def test_disconnected_covariate_has_zero_effect():
         theta = theta.with_omega(2, k, 0.0)
     data = _dataset()
     cov = _identity_cov(arch.r)
-    (curve,) = pce_curve(arch, theta, cov, data, 2)
+    (curve,) = pce_curve(theta, cov, data, 2)
     for pt in curve.points:
         assert pt.beta_hat == 0.0
 
@@ -57,7 +57,7 @@ def test_zero_step_gives_zero_effect():
     theta = _theta(arch)
     data = _dataset()
     cov = _identity_cov(arch.r)
-    (curve,) = pce_curve(arch, theta, cov, data, 1, d=0.0)
+    (curve,) = pce_curve(theta, cov, data, 1, d=0.0)
     for pt in curve.points:
         assert pt.beta_hat == 0.0
         assert pt.se == 0.0
@@ -71,14 +71,14 @@ def test_effect_matches_direct_average_difference():
     cov = _identity_cov(arch.r)
     d = 0.8
     grid = np.array([-0.5, 0.0, 0.7])
-    (curve,) = pce_curve(arch, theta, cov, data, 1, d=d, grid=grid)
+    (curve,) = pce_curve(theta, cov, data, 1, d=d, grid=grid)
     for pt, x0 in zip(curve.points, grid):
         x_lo = np.array(data.x)
         x_hi = np.array(data.x)
         x_lo[:, 0] = x0
         x_hi[:, 0] = x0 + d
-        want = (np.mean(forward_batch(arch, theta, Dataset(x=x_hi, y=data.y)))
-                - np.mean(forward_batch(arch, theta,
+        want = (np.mean(forward_batch(theta, Dataset(x=x_hi, y=data.y)))
+                - np.mean(forward_batch(theta,
                                         Dataset(x=x_lo, y=data.y))))
         assert pt.beta_hat == pytest.approx(float(want), rel=1e-12)
 
@@ -94,7 +94,7 @@ def test_delta_method_gradient_matches_finite_differences():
     cov = CovarianceEstimate(sigma_hat=sigma, a_matrix=np.eye(arch.r))
     d = 0.6
     x0 = 0.25
-    (curve,) = pce_curve(arch, theta, cov, data, 1, d=d, grid=np.array([x0]))
+    (curve,) = pce_curve(theta, cov, data, 1, d=d, grid=np.array([x0]))
     se = curve.points[0].se
 
     def beta_at(values):
@@ -103,8 +103,8 @@ def test_delta_method_gradient_matches_finite_differences():
         x_hi = np.array(data.x)
         x_lo[:, 0] = x0
         x_hi[:, 0] = x0 + d
-        return (np.mean(forward_batch(arch, th, Dataset(x=x_hi, y=data.y)))
-                - np.mean(forward_batch(arch, th, Dataset(x=x_lo, y=data.y))))
+        return (np.mean(forward_batch(th, Dataset(x=x_hi, y=data.y)))
+                - np.mean(forward_batch(th, Dataset(x=x_lo, y=data.y))))
 
     h = 1e-6
     g = np.empty(arch.r)
@@ -123,7 +123,7 @@ def test_confidence_band_geometry():
     theta = _theta(arch)
     data = _dataset()
     cov = _identity_cov(arch.r, scale=0.01)
-    (curve,) = pce_curve(arch, theta, cov, data, 1)
+    (curve,) = pce_curve(theta, cov, data, 1)
     from statnn.special import normal_quantile
     z = normal_quantile(0.975)
     for pt in curve.points:
@@ -137,7 +137,7 @@ def test_default_step_is_sample_sd():
     theta = _theta(arch)
     data = _dataset(seed=75)
     cov = _identity_cov(arch.r)
-    (curve,) = pce_curve(arch, theta, cov, data, 1)
+    (curve,) = pce_curve(theta, cov, data, 1)
     assert curve.d == pytest.approx(float(np.std(data.x[:, 0], ddof=1)),
                                     rel=1e-12)
     # default grid spans min(col) .. max(col) - d
@@ -151,7 +151,7 @@ def test_step_spanning_range_gives_one_point_grid():
     arch = Architecture(p=2, q=1)
     data = _dataset(seed=75)
     d = 2.0 * float(np.ptp(data.x[:, 0]))
-    (curve,) = pce_curve(arch, _theta(arch), _identity_cov(arch.r), data, 1,
+    (curve,) = pce_curve(_theta(arch), _identity_cov(arch.r), data, 1,
                          d=d)
     assert curve.xs().tolist() == [float(data.x[:, 0].min())]
 
@@ -164,7 +164,7 @@ def test_requires_positive_definite_covariance():
     for j in range(arch.p + 1):
         values[arch.omega_index(j, 2)] = values[arch.omega_index(j, 1)]
     values[arch.gamma_index(2)] = values[arch.gamma_index(1)]
-    info = observed_information(arch, ParamVector(arch, values), _dataset(),
+    info = observed_information(ParamVector(arch, values), _dataset(),
                                 sigma_sq=1.0)
     with pytest.raises(NotPositiveDefiniteError,
                        match="not positive definite"):
@@ -177,11 +177,11 @@ def test_covariate_index_validation():
     data = _dataset()
     cov = _identity_cov(arch.r)
     with pytest.raises(IndexError):
-        pce_curve(arch, theta, cov, data, 0)
+        pce_curve(theta, cov, data, 0)
     with pytest.raises(IndexError):
-        pce_curve(arch, theta, cov, data, 3)
+        pce_curve(theta, cov, data, 3)
     with pytest.raises(IndexError):
-        pce_curve(arch, theta, cov, data, 1, by=3)
+        pce_curve(theta, cov, data, 1, by=3)
 
 
 def test_config_validation():
@@ -193,7 +193,7 @@ def test_config_validation():
                    {"grid": np.zeros((2, 2))}, {"d": np.nan},
                    {"d": np.inf}, {"by": 1}):
         with pytest.raises(ValueError):
-            pce_curve(arch, theta, cov, data, 1, **kwargs)
+            pce_curve(theta, cov, data, 1, **kwargs)
     with pytest.raises(ValueError):
         effect_grid(data, 1, points=0)
 
@@ -203,15 +203,15 @@ def test_binary_effect_is_zero_to_one_switch():
     theta = _theta(arch, seed=76)
     data = _dataset(seed=77, dummy_last=True)
     cov = _identity_cov(arch.r)
-    (curve,) = pce_curve(arch, theta, cov, data, 2)
+    (curve,) = pce_curve(theta, cov, data, 2)
     assert curve.d == 1.0 and len(curve.points) == 1
     pt = curve.points[0]
     x0 = np.array(data.x)
     x1 = np.array(data.x)
     x0[:, 1] = 0.0
     x1[:, 1] = 1.0
-    want = (np.mean(forward_batch(arch, theta, Dataset(x=x1, y=data.y)))
-            - np.mean(forward_batch(arch, theta, Dataset(x=x0, y=data.y))))
+    want = (np.mean(forward_batch(theta, Dataset(x=x1, y=data.y)))
+            - np.mean(forward_batch(theta, Dataset(x=x0, y=data.y))))
     assert pt.beta_hat == pytest.approx(float(want), rel=1e-12)
     assert pt.x == 0.0
 
@@ -227,11 +227,11 @@ def test_binary_effect_refuses_step_other_than_one():
     assert effect_grid(data, 2, 1.0, points=7).tolist() == [0.0]
     for d in (0.5, 2.0, 0.0, -1.0):
         with pytest.raises(DataError):
-            pce_curve(arch, theta, cov, data, 2, d=d)
+            pce_curve(theta, cov, data, 2, d=d)
         with pytest.raises(DataError):
             effect_grid(data, 2, d)
-    assert (pce_curve(arch, theta, cov, data, 2, d=1.0)
-            == pce_curve(arch, theta, cov, data, 2))
+    assert (pce_curve(theta, cov, data, 2, d=1.0)
+            == pce_curve(theta, cov, data, 2))
 
 
 def test_conditioning_produces_one_curve_per_value():
@@ -240,7 +240,7 @@ def test_conditioning_produces_one_curve_per_value():
     theta = _theta(arch)
     data = _dataset()
     cov = _identity_cov(arch.r)
-    curves = pce_curve(arch, theta, cov, data, 1, by=2)
+    curves = pce_curve(theta, cov, data, 1, by=2)
     col = data.x[:, 1]
     mean = col.sum() / col.size
     sd = np.sqrt(((col - mean) ** 2).sum() / (col.size - 1))
@@ -257,7 +257,7 @@ def test_conditioning_pins_covariate():
     data = _dataset(seed=79)
     cov = _identity_cov(arch.r)
     grid = np.array([-0.3, 0.4])
-    curves = pce_curve(arch, theta, cov, data, 1, d=0.5, grid=grid, by=2)
+    curves = pce_curve(theta, cov, data, 1, d=0.5, grid=grid, by=2)
     pins = conditioning_values(data, 2)
     assert len(curves) == len(pins) == 2
     for curve, pin in zip(curves, pins):
@@ -265,7 +265,7 @@ def test_conditioning_pins_covariate():
         pinned_x[:, 1] = pin
         pinned = Dataset(x=pinned_x, y=data.y, column_meta=data.column_meta,
                          response_meta=data.response_meta)
-        (direct,) = pce_curve(arch, theta, cov, pinned, 1, d=0.5, grid=grid)
+        (direct,) = pce_curve(theta, cov, pinned, 1, d=0.5, grid=grid)
         for a, b in zip(curve.points, direct.points):
             assert a.beta_hat == pytest.approx(b.beta_hat, rel=1e-12)
             assert a.se == pytest.approx(b.se, rel=1e-12)
@@ -281,7 +281,7 @@ def test_no_interaction_when_additive():
              .with_gamma(0, 0.5).with_gamma(1, 2.0).with_gamma(2, -1.5))
     data = _dataset(seed=80)
     cov = _identity_cov(arch.r)
-    lo, hi = pce_curve(arch, theta, cov, data, 1, by=2)
+    lo, hi = pce_curve(theta, cov, data, 1, by=2)
     for a, b in zip(lo.points, hi.points):
         assert abs(a.beta_hat - b.beta_hat) <= 1e-12
 
@@ -296,7 +296,7 @@ def test_interaction_screen_separates_when_coupled():
     theta = theta.with_gamma(1, 3.0).with_gamma(2, -3.0)
     data = _dataset(seed=82)
     cov = _identity_cov(arch.r)
-    lo, hi = pce_curve(arch, theta, cov, data, 1, by=2)
+    lo, hi = pce_curve(theta, cov, data, 1, by=2)
     gap = max(abs(a.beta_hat - b.beta_hat)
               for a, b in zip(lo.points, hi.points))
     assert gap > 0.01
@@ -307,7 +307,7 @@ def test_interaction_screen_dummy_conditioner_uses_levels():
     theta = _theta(arch, seed=83)
     data = _dataset(seed=84, dummy_last=True)
     cov = _identity_cov(arch.r)
-    curves = pce_curve(arch, theta, cov, data, 1, by=2)
+    curves = pce_curve(theta, cov, data, 1, by=2)
     assert [c.condition_label for c in curves] == ["x2=0", "x2=1"]
 
 
@@ -316,7 +316,7 @@ def test_to_original_scale_continuous():
     theta = _theta(arch, seed=85)
     data = _dataset(seed=86)
     cov = _identity_cov(arch.r, scale=0.01)
-    (std,) = pce_curve(arch, theta, cov, data, 1, d=0.5,
+    (std,) = pce_curve(theta, cov, data, 1, d=0.5,
                        grid=np.array([-1.0, 0.0, 1.0]))
     orig = to_original_scale(std, data)
     meta = data.column_meta[0]
@@ -336,7 +336,7 @@ def test_to_original_scale_dummy_keeps_grid():
     theta = _theta(arch, seed=87)
     data = _dataset(seed=88, dummy_last=True)
     cov = _identity_cov(arch.r)
-    (std,) = pce_curve(arch, theta, cov, data, 2)
+    (std,) = pce_curve(theta, cov, data, 2)
     orig = to_original_scale(std, data)
     assert orig.points[0].x == 0.0
     assert orig.d == 1.0
@@ -349,7 +349,7 @@ def test_to_original_scale_rejects_double_application():
     theta = _theta(arch)
     data = _dataset()
     cov = _identity_cov(arch.r)
-    (std,) = pce_curve(arch, theta, cov, data, 1)
+    (std,) = pce_curve(theta, cov, data, 1)
     orig = to_original_scale(std, data)
     with pytest.raises(DataError):
         to_original_scale(orig, data)
@@ -363,15 +363,15 @@ def test_sandwich_end_to_end_band_positive():
     arch = Architecture(p=2, q=2)
     truth = _theta(arch, seed=90)
     x = rng.normal(size=(150, 2))
-    y = forward_batch(arch, truth, Dataset(x=x, y=np.zeros(150)))
+    y = forward_batch(truth, Dataset(x=x, y=np.zeros(150)))
     y = y + 0.2 * rng.normal(size=150)
     data = Dataset(x=x, y=y)
     lam = 0.01
     result = fit(arch, data, lam, FitConfig(n_restarts=4, seed=91))
-    info = observed_information(arch, result.theta_hat, data,
+    info = observed_information(result.theta_hat, data,
                                 sigma_sq=result.sigma_sq_hat)
     cov = sandwich_covariance(info, lam=0.01)
-    (curve,) = pce_curve(arch, result.theta_hat, cov, data, 1)
+    (curve,) = pce_curve(result.theta_hat, cov, data, 1)
     assert all(pt.se > 0.0 for pt in curve.points)
     assert all(pt.lo < pt.beta_hat < pt.hi for pt in curve.points)
 
@@ -393,10 +393,10 @@ def _per_point_oracle(arch, theta, sigma, data, j, d, grid, pin=None):
     for x0 in grid:
         x_lo[:, j - 1] = x0
         x_hi[:, j - 1] = x0 + d
-        beta = float(np.mean(forward_batch(arch, theta, Dataset(x_hi, data.y)))
-                     - np.mean(forward_batch(arch, theta, Dataset(x_lo, data.y))))
-        g = (prediction_gradient(arch, theta, x_hi).mean(axis=0)
-             - prediction_gradient(arch, theta, x_lo).mean(axis=0))
+        beta = float(np.mean(forward_batch(theta, Dataset(x_hi, data.y)))
+                     - np.mean(forward_batch(theta, Dataset(x_lo, data.y))))
+        g = (prediction_gradient(theta, x_hi).mean(axis=0)
+             - prediction_gradient(theta, x_lo).mean(axis=0))
         se = float(np.sqrt(max(float(g @ sigma @ g), 0.0)))
         rows.append((float(x0), beta, se, beta - z * se, beta + z * se))
     return np.array(rows)
@@ -429,7 +429,7 @@ def test_batched_curve_matches_per_point_oracle(family):
     theta = _theta(arch, seed=92)
     data = _dataset(seed=93, n=80, p=3)
     cov = _random_cov(arch.r, seed=94)
-    (curve,) = pce_curve(arch, theta, cov, data, 2, d=0.7)
+    (curve,) = pce_curve(theta, cov, data, 2, d=0.7)
     want = _per_point_oracle(arch, theta, cov.sigma_hat, data, 2, 0.7,
                              curve.xs())
     _assert_matches_oracle(curve.points, want)
@@ -441,7 +441,7 @@ def test_batched_conditioned_curve_matches_per_point_oracle():
     data = _dataset(seed=96, n=70, p=3, dummy_last=True)
     cov = _random_cov(arch.r, seed=97)
     grid = np.linspace(-1.5, 1.2, 9)
-    curves = pce_curve(arch, theta, cov, data, 1, d=0.4, grid=grid, by=3)
+    curves = pce_curve(theta, cov, data, 1, d=0.4, grid=grid, by=3)
     assert len(curves) == 2
     for curve, pin in zip(curves, (0.0, 1.0)):
         want = _per_point_oracle(arch, theta, cov.sigma_hat, data, 1, 0.4,
@@ -454,7 +454,7 @@ def test_batched_binary_effect_matches_per_point_oracle():
     theta = _theta(arch, seed=98)
     data = _dataset(seed=99, dummy_last=True)
     cov = _random_cov(arch.r, seed=100)
-    pt = pce_curve(arch, theta, cov, data, 2)[0].points[0]
+    pt = pce_curve(theta, cov, data, 2)[0].points[0]
     want = _per_point_oracle(arch, theta, cov.sigma_hat, data, 2, 1.0,
                              np.array([0.0]))
     _assert_matches_oracle((pt,), want)
@@ -467,7 +467,7 @@ def test_batched_curve_over_several_chunks_matches_per_point_oracle():
     theta = _theta(arch, seed=101)
     data = _dataset(seed=102, n=2000, p=3)
     cov = _random_cov(arch.r, seed=103)
-    (curve,) = pce_curve(arch, theta, cov, data, 3)
+    (curve,) = pce_curve(theta, cov, data, 3)
     assert len(curve.points) == 101
     assert 101 * data.n * arch.q > 5 * _CHUNK_ELEMENTS
     want = _per_point_oracle(arch, theta, cov.sigma_hat, data, 3, curve.d,

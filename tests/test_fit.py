@@ -21,7 +21,7 @@ fit_module = importlib.import_module("statnn.fit")
 def _gaussian_data(arch, theta, n, seed, noise_sd=0.05):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, arch.p))
-    mu = forward_batch(arch, theta, Dataset(x=x, y=np.zeros(n)))
+    mu = forward_batch(theta, Dataset(x=x, y=np.zeros(n)))
     y = mu + noise_sd * rng.normal(size=n)
     return Dataset(x=x, y=y)
 
@@ -43,8 +43,8 @@ def test_fit_recovers_generating_function():
     lam = 0.0
     result = fit(arch, data, lam, FitConfig(n_restarts=6, seed=1))
     assert result.converged
-    fitted = forward_batch(arch, result.theta_hat, data)
-    target = forward_batch(arch, truth, data)
+    fitted = forward_batch(result.theta_hat, data)
+    target = forward_batch(truth, data)
     rmse = float(np.sqrt(np.mean((fitted - target) ** 2)))
     assert rmse < 0.05  # function recovered to well under the noise level
     assert result.sigma_sq_hat == pytest.approx(0.05 ** 2, rel=0.5)
@@ -57,7 +57,7 @@ def test_fit_satisfies_stationarity():
     data = _gaussian_data(arch, truth, 150, seed=41)
     lam = 0.01
     result = fit(arch, data, lam, FitConfig(n_restarts=4, seed=2))
-    g = gradient(arch, result.theta_hat, data, lam, sigma_sq=1.0)
+    g = gradient(result.theta_hat, data, lam, sigma_sq=1.0)
     assert np.max(np.abs(g)) == pytest.approx(result.grad_max, rel=1e-8)
     assert result.grad_max <= POLISH_TOL
 
@@ -184,7 +184,7 @@ def test_near_tie_at_a_different_theta_keeps_the_best(monkeypatch):
     x = rng.normal(size=(150, 2))
     x[:, 1] = 0.0       # covariate 2's weight changes nothing at lam = 0
     truth = canonicalize(ParamVector(arch, np.array([0.3, 1.2, 0.0, 2.5, 3.0])))
-    mu = forward_batch(arch, truth, Dataset(x=x, y=np.zeros(150)))
+    mu = forward_batch(truth, Dataset(x=x, y=np.zeros(150)))
     data = Dataset(x=x, y=mu + 0.05 * rng.normal(size=150))
     lam = 0.0
     low, high = _uphill_pair(arch, data, lam, truth.values)
@@ -216,7 +216,7 @@ def test_failed_restart_records_no_work(monkeypatch):
 def _bernoulli_data(arch, n, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, arch.p))
-    mu = forward_batch(arch, _true_theta(arch), Dataset(x=x, y=np.zeros(n)))
+    mu = forward_batch(_true_theta(arch), Dataset(x=x, y=np.zeros(n)))
     return Dataset(x=x, y=(rng.uniform(size=n) < mu).astype(float))
 
 
@@ -313,14 +313,14 @@ def test_fit_bernoulli():
     arch = Architecture(p=2, q=2, family="bernoulli")
     truth = _true_theta(arch)
     x = rng.normal(size=(300, 2))
-    mu = forward_batch(arch, truth, Dataset(x=x, y=np.zeros(300)))
+    mu = forward_batch(truth, Dataset(x=x, y=np.zeros(300)))
     y = (rng.uniform(size=300) < mu).astype(float)
     data = Dataset(x=x, y=y)
     result = fit(arch, data, 0.01, FitConfig(n_restarts=4, seed=7))
     assert result.converged
     assert result.sigma_sq_hat is None
     # fitted probabilities beat the intercept-only model on log-loss
-    p_hat = forward_batch(arch, result.theta_hat, data)
+    p_hat = forward_batch(result.theta_hat, data)
     base = np.mean(y)
     ll_base = float(np.sum(y * np.log(base) + (1 - y) * np.log(1 - base)))
     ll_fit = float(np.sum(y * np.log(p_hat) + (1 - y) * np.log(1 - p_hat)))
@@ -353,7 +353,7 @@ def test_evaluate_at_matches_fit_conventions():
     data = _gaussian_data(arch, truth, 150, seed=48)
     lam = 0.01
     fitted = fit(arch, data, lam, FitConfig(n_restarts=3, seed=8))
-    wrapped = evaluate_at(arch, fitted.theta_hat, data, lam)
+    wrapped = evaluate_at(fitted.theta_hat, data, lam)
     assert wrapped.loglik == pytest.approx(fitted.loglik, rel=1e-12)
     assert wrapped.sigma_sq_hat == pytest.approx(fitted.sigma_sq_hat,
                                                  rel=1e-12)
@@ -370,7 +370,7 @@ def test_evaluate_at_nonstationary_point():
     data = _gaussian_data(arch, _true_theta(arch), 50, seed=49)
     theta = ParamVector(arch, np.full(arch.r, 0.3))
     lam = 0.0
-    result = evaluate_at(arch, theta, data, lam)
+    result = evaluate_at(theta, data, lam)
     assert not result.converged
     assert result.grad_max > 1e-6
     np.testing.assert_array_equal(result.theta_hat.values, theta.values)
@@ -380,4 +380,4 @@ def test_evaluate_at_p_mismatch():
     arch = Architecture(p=2, q=1)
     data = Dataset(x=np.zeros((4, 1)), y=np.zeros(4))
     with pytest.raises(ValueError):
-        evaluate_at(arch, ParamVector.zeros(arch), data, 0.0)
+        evaluate_at(ParamVector.zeros(arch), data, 0.0)

@@ -132,7 +132,7 @@ def _document(data):
     family = ("gaussian" if data.response_meta.kind == "continuous"
               else "bernoulli")
     arch = Architecture(p=data.p, q=1, family=family)
-    return ModelDocument(arch=arch, theta=ParamVector.zeros(arch), lam=0.01,
+    return ModelDocument(theta=ParamVector.zeros(arch), lam=0.01,
                          column_meta=data.column_meta,
                          response_meta=data.response_meta)
 

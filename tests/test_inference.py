@@ -22,11 +22,11 @@ def _fitted_instance(lam=0.01, n=300, seed=60):
     values = np.array([0.4, -0.9, 1.1, 0.7, -0.8, 1.2, 0.3, 4.0, -3.5])
     truth = ParamVector(arch, values)
     x = rng.normal(size=(n, 2))
-    mu = forward_batch(arch, truth, Dataset(x=x, y=np.zeros(n)))
+    mu = forward_batch(truth, Dataset(x=x, y=np.zeros(n)))
     y = mu + 0.3 * rng.normal(size=n)
     data = Dataset(x=x, y=y)
     result = fit(arch, data, lam, FitConfig(n_restarts=5, seed=seed))
-    info = observed_information(arch, result.theta_hat, data,
+    info = observed_information(result.theta_hat, data,
                                 sigma_sq=result.sigma_sq_hat)
     return arch, data, result, info
 
@@ -108,7 +108,7 @@ def test_covariance_estimate_is_positive_definite_by_construction():
     listed = CovarianceEstimate(
         sigma_hat=np.diag([1.0, 0.25, 1.0, 1.0]).tolist(),
         a_matrix=np.eye(arch.r).tolist())
-    res = wald_multi(ParamVector(arch, [0.0, 2.0, 0.0, 0.0]), listed, arch, 1)
+    res = wald_multi(ParamVector(arch, [0.0, 2.0, 0.0, 0.0]), listed, 1)
     assert (res.statistic, res.df) == (16.0, 1.0)
     with pytest.raises(NotPositiveDefiniteError):
         dataclasses.replace(cov, sigma_hat=-cov.sigma_hat)
@@ -160,25 +160,19 @@ def test_effective_df_identity_block():
 
 
 def test_wald_single_statistic_definition():
+    """Every weight's SE, theta_i^2 / Sigma_ii and chi-square(1) tail."""
     arch, data, result, info = _fitted_instance(lam=0.01)
     cov = sandwich_covariance(info, lam=0.01)
-    idx = arch.omega_index(1, 1)
-    res = wald_single(result.theta_hat, cov, idx)
-    want = result.theta_hat.values[idx] ** 2 / cov.sigma_hat[idx, idx]
-    assert res.statistic == pytest.approx(want, rel=1e-12)
-    assert res.df == 1.0
-    assert res.p_value == pytest.approx(chi_square_survival(want, 1.0),
-                                        rel=1e-12)
-    assert res.target == idx
-
-
-def test_wald_single_index_bounds():
-    arch, data, result, info = _fitted_instance(lam=0.01)
-    cov = sandwich_covariance(info, lam=0.01)
-    with pytest.raises(IndexError):
-        wald_single(result.theta_hat, cov, arch.r)
-    with pytest.raises(IndexError):
-        wald_single(result.theta_hat, cov, -1)
+    theta = result.theta_hat.values
+    se, stat, p_value = wald_single(theta, np.diag(cov.sigma_hat))
+    assert se.shape == stat.shape == p_value.shape == (arch.r,)
+    for idx in range(arch.r):
+        var = cov.sigma_hat[idx, idx]
+        want = theta[idx] ** 2 / var
+        assert se[idx] == pytest.approx(np.sqrt(var), rel=1e-12)
+        assert stat[idx] == pytest.approx(want, rel=1e-12)
+        assert p_value[idx] == pytest.approx(chi_square_survival(want, 1.0),
+                                             rel=1e-12)
 
 
 def _check_against_selection_matrix(arch, theta, cov):
@@ -186,14 +180,13 @@ def _check_against_selection_matrix(arch, theta, cov):
     and tr(S A S^T), with the selection matrix S built from the rows of
     the identity at omega_j1..omega_jq's flat positions."""
     for j in range(1, arch.p + 1):
-        res = wald_multi(theta, cov, arch, j)
+        res = wald_multi(theta, cov, j)
         s = np.eye(arch.r)[[j * arch.q + k for k in range(arch.q)]]
         omega = s @ theta.values
         want = float(omega @ np.linalg.solve(s @ cov.sigma_hat @ s.T, omega))
         assert res.statistic == pytest.approx(want, rel=1e-9)
         assert res.df == pytest.approx(np.trace(s @ cov.a_matrix @ s.T),
                                        rel=1e-12)
-        assert res.target == j
 
 
 def test_wald_multi_matches_direct_quadratic_form():
@@ -230,7 +223,7 @@ def test_grouped_tests_at_the_positive_definite_boundary():
                              a_matrix=vecs @ np.diag(shrink) @ vecs.T)
     theta = ParamVector(arch, rng.normal(size=arch.r))
     for j in range(1, arch.p + 1):
-        res = wald_multi(theta, cov, arch, j)
+        res = wald_multi(theta, cov, j)
         assert np.isfinite(res.statistic) and res.statistic > 0.0
         assert res.df > 0.0
         assert 0.0 <= res.p_value <= 1.0
@@ -242,7 +235,7 @@ def test_wald_multi_detects_active_covariate():
     """A strongly connected input rejects; tests stay sane on p-value range."""
     arch, data, result, info = _fitted_instance(lam=0.01)
     cov = sandwich_covariance(info, lam=0.01)
-    res = wald_multi(result.theta_hat, cov, arch, 1)
+    res = wald_multi(result.theta_hat, cov, 1)
     assert res.p_value < 0.05
     assert 0.0 <= res.p_value <= 1.0
 
@@ -299,6 +292,18 @@ def test_summarize_structure():
     assert report.gamma0_estimate == result.theta_hat.gamma(0)
     assert report.loglik == result.loglik
     assert report.sigma_sq_hat == result.sigma_sq_hat
+
+
+@pytest.mark.parametrize("other", [{"family": "bernoulli"}, {"q": 3}],
+                         ids=["family", "q"])
+def test_summarize_refuses_an_architecture_unlike_its_theta(other):
+    """The estimate carries its architecture; a different one is refused
+    rather than used to read the weights."""
+    arch, data, result, info = _fitted_instance(lam=0.01)
+    cov = sandwich_covariance(info, lam=0.01)
+    wrong = dataclasses.replace(arch, **other)
+    with pytest.raises(ValueError, match="architecture does not match"):
+        summarize(result, cov, wrong, data)
 
 
 def test_summarize_default_names():

@@ -53,9 +53,9 @@ def test_gradient_matches_finite_differences(family, lam):
     kw = {"sigma_sq": 1.3} if family == "gaussian" else {}
 
     def ll(values):
-        return log_likelihood(arch, ParamVector(arch, values), data, lam, **kw)
+        return log_likelihood(ParamVector(arch, values), data, lam, **kw)
 
-    analytic = gradient(arch, theta, data, lam, **kw)
+    analytic = gradient(theta, data, lam, **kw)
     numeric = _fd_gradient(ll, theta.values.copy())
     scale = np.maximum(np.abs(numeric), 1.0)
     assert np.max(np.abs(analytic - numeric) / scale) < 1e-6
@@ -91,9 +91,9 @@ def test_block_score_matches_jacobian_contraction(family, q, lam):
     _, g_opt = _Evaluator(arch, data, lam).value_grad(theta.values)
     close(g_opt, -jtu + ridge)
     kw = {"sigma_sq": 1.0} if family == "gaussian" else {}
-    close(gradient(arch, theta, data, lam, **kw), jtu - ridge)
+    close(gradient(theta, data, lam, **kw), jtu - ridge)
     if family == "gaussian":
-        close(gradient(arch, theta, data, lam, sigma_sq=1.7),
+        close(gradient(theta, data, lam, sigma_sq=1.7),
               jtu / 1.7 - ridge)
 
 
@@ -161,9 +161,9 @@ def test_information_matches_finite_differences(family):
     kw = {"sigma_sq": 0.8} if family == "gaussian" else {}
 
     def grad(values):
-        return gradient(arch, ParamVector(arch, values), data, 0.0, **kw)
+        return gradient(ParamVector(arch, values), data, 0.0, **kw)
 
-    info = observed_information(arch, theta, data, **kw)
+    info = observed_information(theta, data, **kw)
     numeric = -_fd_hessian(grad, theta.values.copy())
     assert np.max(np.abs(info - numeric)) < 1e-4
     np.testing.assert_allclose(info, info.T, atol=0)
@@ -173,7 +173,7 @@ def test_information_ignores_penalty():
     """Observed information excludes the ridge term by definition: it is
     the penalized objective's Hessian less the ridge's diagonal."""
     arch, theta, data = _instance(12)
-    info = observed_information(arch, theta, data, sigma_sq=1.0)
+    info = observed_information(theta, data, sigma_sq=1.0)
     ev = _Evaluator(arch, data, 0.7)
     np.testing.assert_allclose(
         info, ev.hessian(theta.values) - np.diag(ev.ridge_w),
@@ -193,11 +193,11 @@ def test_penalty_excludes_intercepts():
 
 def test_penalty_changes_loglik_and_gradient():
     arch, theta, data = _instance(13)
-    ll0 = log_likelihood(arch, theta, data, 0.0, sigma_sq=1.0)
-    ll1 = log_likelihood(arch, theta, data, 0.5, sigma_sq=1.0)
+    ll0 = log_likelihood(theta, data, 0.0, sigma_sq=1.0)
+    ll1 = log_likelihood(theta, data, 0.5, sigma_sq=1.0)
     assert ll0 - ll1 == pytest.approx(penalty(theta, 0.5), rel=1e-12)
-    g0 = gradient(arch, theta, data, 0.0, sigma_sq=1.0)
-    g1 = gradient(arch, theta, data, 0.5, sigma_sq=1.0)
+    g0 = gradient(theta, data, 0.0, sigma_sq=1.0)
+    g1 = gradient(theta, data, 0.5, sigma_sq=1.0)
     diff = g0 - g1
     mask = arch.penalized_mask()
     np.testing.assert_allclose(diff[mask], 2.0 * 0.5 * theta.values[mask],
@@ -208,9 +208,9 @@ def test_penalty_changes_loglik_and_gradient():
 def test_gaussian_requires_sigma_sq():
     arch, theta, data = _instance(14)
     with pytest.raises(ValueError):
-        log_likelihood(arch, theta, data, 0.0)
+        log_likelihood(theta, data, 0.0)
     with pytest.raises(ValueError):
-        log_likelihood(arch, theta, data, 0.0, sigma_sq=0.0)
+        log_likelihood(theta, data, 0.0, sigma_sq=0.0)
 
 
 def test_bernoulli_requires_binary_response():
@@ -218,7 +218,7 @@ def test_bernoulli_requires_binary_response():
     theta = ParamVector.zeros(arch)
     data = Dataset(x=np.zeros((2, 1)), y=np.array([0.0, 0.5]))
     with pytest.raises(DataError):
-        log_likelihood(arch, theta, data, 0.0)
+        log_likelihood(theta, data, 0.0)
 
 
 @pytest.mark.parametrize("fn", [log_likelihood, gradient,
@@ -228,7 +228,7 @@ def test_covariate_count_mismatch_raises_shape_error(fn):
     data = Dataset(x=np.zeros((4, 2)), y=np.zeros(4))
     lam = () if fn is observed_information else (0.0,)
     with pytest.raises(ShapeError, match="covariate count"):
-        fn(arch, theta, data, *lam, sigma_sq=1.0)
+        fn(theta, data, *lam, sigma_sq=1.0)
 
 
 def test_bernoulli_extreme_logits_stay_finite():
@@ -238,10 +238,10 @@ def test_bernoulli_extreme_logits_stay_finite():
              .with_gamma(1, 100.0))
     # y disagrees with the saturated prediction at x = 1
     data = Dataset(x=np.array([[1.0]]), y=np.array([0.0]))
-    ll = log_likelihood(arch, theta, data, 0.0)
+    ll = log_likelihood(theta, data, 0.0)
     assert np.isfinite(ll)
     assert ll == pytest.approx(np.log(1e-12), rel=1e-6)
-    g = gradient(arch, theta, data, 0.0)
+    g = gradient(theta, data, 0.0)
     assert np.all(np.isfinite(g))
 
 
@@ -250,7 +250,7 @@ def test_gaussian_loglik_value():
     arch = Architecture(p=1, q=1)
     theta = ParamVector.zeros(arch)
     data = Dataset(x=np.array([[0.0]]), y=np.array([2.0]))
-    got = log_likelihood(arch, theta, data, 0.0, sigma_sq=1.0)
+    got = log_likelihood(theta, data, 0.0, sigma_sq=1.0)
     want = -0.5 * np.log(2.0 * np.pi) - 0.5 * 4.0
     assert got == pytest.approx(want, rel=1e-14)
 
@@ -264,12 +264,12 @@ def test_prediction_gradient_matches_finite_differences(family):
     arch = Architecture(p=3, q=2, family=family)
     theta = ParamVector(arch, rng.uniform(-1.0, 1.0, arch.r))
     x = rng.normal(size=(5, 3))
-    a = prediction_gradient(arch, theta, x)
+    a = prediction_gradient(theta, x)
     assert a.shape == (5, arch.r)
     h = 1e-6
     for i in range(5):
         def pred(values, row=x[i]):
-            return forward(arch, ParamVector(arch, values), row)
+            return forward(ParamVector(arch, values), row)
 
         numeric = _fd_gradient(pred, theta.values.copy(), h=h)
         scale = np.maximum(np.abs(numeric), 1.0)

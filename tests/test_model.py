@@ -1,8 +1,13 @@
 """Architecture, parameter layout, and forward-map tests."""
 
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
+import statnn
 from statnn.exceptions import DataError, ShapeError
 from statnn.model import (Architecture, ColumnMeta, Dataset, ParamVector,
                           design_with_intercept, forward, forward_batch,
@@ -79,13 +84,13 @@ def test_penalized_mask_excludes_intercepts():
 
 def test_forward_zero_theta():
     arch = Architecture(p=1, q=1)
-    assert forward(arch, ParamVector.zeros(arch), np.array([5.0])) == 0.0
+    assert forward(ParamVector.zeros(arch), np.array([5.0])) == 0.0
 
 
 def test_forward_disconnected_hidden_layer():
     arch = Architecture(p=1, q=1)
     theta = ParamVector.zeros(arch).with_gamma(0, 1.0)
-    assert forward(arch, theta, np.array([3.7])) == 1.0
+    assert forward(theta, np.array([3.7])) == 1.0
 
 
 def test_forward_scalar_value():
@@ -93,7 +98,7 @@ def test_forward_scalar_value():
     arch = Architecture(p=1, q=1)
     theta = (ParamVector.zeros(arch).with_omega(1, 1, 1.0)
              .with_gamma(1, 2.0))
-    got = forward(arch, theta, np.array([1.0]))
+    got = forward(theta, np.array([1.0]))
     assert abs(got - 1.4621171572600098) < 1e-12
 
 
@@ -103,10 +108,10 @@ def test_forward_batch_matches_loop():
     theta = _random_theta(arch, rng)
     x = rng.normal(size=(4, 3))
     data = Dataset(x=x, y=np.zeros(4))
-    batch = forward_batch(arch, theta, data)
+    batch = forward_batch(theta, data)
     for i in range(4):
         # matrix and per-row evaluation may differ in summation order
-        assert batch[i] == pytest.approx(forward(arch, theta, x[i]),
+        assert batch[i] == pytest.approx(forward(theta, x[i]),
                                          rel=1e-13, abs=1e-13)
 
 
@@ -114,7 +119,7 @@ def test_forward_batch_identical_rows():
     arch = Architecture(p=2, q=2)
     theta = _random_theta(arch, np.random.default_rng(2))
     x = np.tile([0.3, -1.2], (3, 1))
-    out = forward_batch(arch, theta, Dataset(x=x, y=np.zeros(3)))
+    out = forward_batch(theta, Dataset(x=x, y=np.zeros(3)))
     assert out[0] == out[1] == out[2]
 
 
@@ -123,7 +128,7 @@ def test_logistic_output_in_unit_interval():
     arch = Architecture(p=2, q=2, family="bernoulli")
     theta = _random_theta(arch, rng, scale=50.0)
     x = rng.normal(size=(20, 2)) * 10
-    out = forward_batch(arch, theta, Dataset(x=x, y=np.zeros(20)))
+    out = forward_batch(theta, Dataset(x=x, y=np.zeros(20)))
     assert np.all(out > 0.0) and np.all(out < 1.0)
 
 
@@ -132,8 +137,8 @@ def test_identity_output_monotone_in_gamma0():
     arch = Architecture(p=2, q=3)
     theta = _random_theta(arch, rng)
     x = np.array([0.5, -0.7])
-    base = forward(arch, theta, x)
-    shifted = forward(arch, theta.with_gamma(0, theta.gamma(0) + 0.25), x)
+    base = forward(theta, x)
+    shifted = forward(theta.with_gamma(0, theta.gamma(0) + 0.25), x)
     assert shifted - base == pytest.approx(0.25, abs=1e-12)
 
 
@@ -141,11 +146,11 @@ def test_forward_dimension_errors():
     arch = Architecture(p=2, q=1)
     theta = ParamVector.zeros(arch)
     with pytest.raises(ShapeError):
-        forward(arch, theta, np.array([1.0]))
+        forward(theta, np.array([1.0]))
     with pytest.raises(ShapeError):
         ParamVector(arch, np.zeros(arch.r + 1))
     with pytest.raises(DataError):
-        forward(arch, theta, np.array([np.nan, 0.0]))
+        forward(theta, np.array([np.nan, 0.0]))
 
 
 def test_sigmoid_stability_and_values():
@@ -281,3 +286,55 @@ def test_design_with_intercept():
     x1 = design_with_intercept(x)
     np.testing.assert_array_equal(x1[:, 0], [1.0, 1.0])
     np.testing.assert_array_equal(x1[:, 1:], x)
+
+
+
+#: Parameters that carry an architecture, by annotation or by name:
+#: theta itself and the records built around one.
+_CARRIES_ARCH = {"ParamVector", "FitResult", "ModelDocument", "theta",
+                 "theta_hat", "fit_result", "doc"}
+#: ``summarize`` keeps its ``arch`` parameter for existing positional
+#: callers; it refuses one unlike ``fit_result.theta_hat.arch``.
+_ARCH_BESIDE_THETA_ALLOWED = {"statnn.inference.summarize"}
+
+
+def _package_callables():
+    """Every function and class defined in the package, with the
+    functions defined in those classes, by qualified name."""
+    for info in pkgutil.iter_modules(statnn.__path__):
+        module = importlib.import_module(f"statnn.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{obj.__qualname__}", obj
+            elif inspect.isclass(obj):
+                yield f"{module.__name__}.{obj.__qualname__}", obj
+                for attr in vars(obj).values():
+                    attr = getattr(attr, "__func__", attr)
+                    if inspect.isfunction(attr):
+                        yield f"{module.__name__}.{attr.__qualname__}", attr
+
+
+def _labels(param):
+    """A parameter's name and the type names in its annotation."""
+    ann = param.annotation
+    text = "" if ann is inspect.Parameter.empty else str(ann)
+    return {param.name} | {part.strip() for part in text.split("|")}
+
+
+def test_no_callable_takes_an_architecture_beside_theta():
+    """Whatever takes theta, a fit or a model document reads p, q and
+    the family from it; nothing also takes a separate architecture that
+    could disagree with it."""
+    offenders = []
+    for name, obj in _package_callables():
+        try:
+            params = inspect.signature(obj).parameters.values()
+        except ValueError:          # exception classes have none
+            continue
+        labels = set().union(*map(_labels, params))
+        if ({"arch", "Architecture"} & labels and _CARRIES_ARCH & labels
+                and name not in _ARCH_BESIDE_THETA_ALLOWED):
+            offenders.append(name)
+    assert offenders == []

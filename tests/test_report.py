@@ -32,7 +32,7 @@ def fitted():
         [0.4, -0.9, 1.4, 0.9, 0.0, 0.0, -0.7, 1.1, 0.2, 4.5, -4.0]))
     x = rng.normal(size=(250, 3))
     x[:, 1] = (x[:, 1] > 0).astype(float)
-    mu = forward_batch(arch, truth, Dataset(x=x, y=np.zeros(250)))
+    mu = forward_batch(truth, Dataset(x=x, y=np.zeros(250)))
     y = mu + 0.3 * rng.normal(size=250)
     data = Dataset(x=x, y=y,
                    column_meta=(ColumnMeta("age", "continuous", 40.0, 12.0),
@@ -42,7 +42,7 @@ def fitted():
                                             9000.0, 11000.0))
     lam = 0.01
     result = fit(arch, data, lam, FitConfig(n_restarts=5, seed=161))
-    info = observed_information(arch, result.theta_hat, data,
+    info = observed_information(result.theta_hat, data,
                                 sigma_sq=result.sigma_sq_hat)
     cov = sandwich_covariance(info, lam=0.01)
     report = summarize(result, cov, arch, data)
@@ -317,7 +317,7 @@ def test_sweep_csv():
 
 def test_pce_csv(fitted):
     arch, data, result, cov, _ = fitted
-    curves = pce_curve(arch, result.theta_hat, cov, data, 1, d=0.5,
+    curves = pce_curve(result.theta_hat, cov, data, 1, d=0.5,
                        grid=np.array([-1.0, 0.0]))
     rows = list(csv.reader(io.StringIO(pce_csv(curves))))
     assert rows[0] == ["covariate", "condition", "scale", "d", "x",
@@ -327,7 +327,7 @@ def test_pce_csv(fitted):
     assert rows[1][2] == "standardized"
     assert float(rows[1][4]) == -1.0
     # conditioned curves keep their label in the condition column
-    curves = pce_curve(arch, result.theta_hat, cov, data, 1, d=0.5,
+    curves = pce_curve(result.theta_hat, cov, data, 1, d=0.5,
                        grid=np.array([0.0]), by=3)
     rows = list(csv.reader(io.StringIO(pce_csv(curves))))
     assert [r[1] for r in rows[1:]] == [

@@ -93,7 +93,7 @@ def test_bic_formula():
     result = fit(arch, data, lam, FitConfig(n_restarts=2, seed=5))
     unpen = result.loglik + penalty(result.theta_hat, result.lam)
     want = -2.0 * unpen + (arch.r + 1) * math.log(data.n)
-    assert bic(result, arch, data.n) == pytest.approx(want, rel=1e-12)
+    assert bic(result, data.n) == pytest.approx(want, rel=1e-12)
 
 
 def test_linear_bic_formula():
@@ -229,7 +229,7 @@ def test_sweep_nonlinear_data_prefers_network():
              .with_omega(2, 2, 1.1)
              .with_gamma(0, 0.3).with_gamma(1, 4.5).with_gamma(2, -4.0))
     x = rng.normal(size=(300, 2))
-    mu = forward_batch(arch, truth, Dataset(x=x, y=np.zeros(300)))
+    mu = forward_batch(truth, Dataset(x=x, y=np.zeros(300)))
     y = mu + 0.2 * rng.normal(size=300)
     data = Dataset(x=x, y=y,
                    column_meta=(ColumnMeta("x1", "continuous", 0.0, 1.0),

@@ -26,7 +26,7 @@ def _doc(seed=140, p=2, q=2, lam=0.01):
                         level="yes"))[:p]
     while len(metas) < p:
         metas = metas + (ColumnMeta(f"x{len(metas) + 1}"),)
-    return ModelDocument(arch=arch, theta=theta, lam=lam,
+    return ModelDocument(theta=theta, lam=lam,
                          column_meta=metas,
                          response_meta=ColumnMeta("charges", "continuous",
                                                   13270.42, 12110.01))
@@ -39,7 +39,7 @@ def test_model_json_round_trip_bit_exact():
     theta = ParamVector(doc.arch, np.array(
         [0.1, 1.0 / 3.0, np.pi, -np.e, 1e-15, 123456.789,
          np.nextafter(1.0, 2.0), -7.25, 0.0][:doc.arch.r]))
-    doc = ModelDocument(arch=doc.arch, theta=theta, lam=doc.lam,
+    doc = ModelDocument(theta=theta, lam=doc.lam,
                         column_meta=doc.column_meta,
                         response_meta=doc.response_meta)
     back = parse_model(model_to_json(doc))
@@ -95,7 +95,7 @@ def test_numpy_scalars_are_written_as_plain_numbers():
     """Counts given as numpy integers write the same bytes as Python ones."""
     doc = _doc()
     arch = Architecture(p=np.int64(2), q=np.int64(2))
-    np_doc = replace(doc, arch=arch, theta=ParamVector(arch, doc.theta.values))
+    np_doc = replace(doc, theta=ParamVector(arch, doc.theta.values))
     assert model_to_json(np_doc) == model_to_json(doc)
     scen = SimScenario(q=2, nz_pattern="5-1", n=500, seed=42)
     np_scen = replace(scen, q=np.int64(2), n=np.int64(500), seed=np.uint64(42))
@@ -108,7 +108,7 @@ def test_model_document_family():
     doc = _doc()
     assert parse_model(model_to_json(doc)).arch.family == "gaussian"
     arch = Architecture(p=2, q=1, family="bernoulli")
-    logdoc = ModelDocument(arch=arch, theta=ParamVector.zeros(arch), lam=0.0,
+    logdoc = ModelDocument(theta=ParamVector.zeros(arch), lam=0.0,
                            column_meta=(ColumnMeta("a"), ColumnMeta("b")),
                            response_meta=ColumnMeta("y", "dummy"))
     text = model_to_json(logdoc)
@@ -119,7 +119,7 @@ def test_model_document_family():
 def test_model_document_validates_meta_length():
     arch = Architecture(p=3, q=1)
     with pytest.raises(Exception):
-        ModelDocument(arch=arch, theta=ParamVector.zeros(arch), lam=0.0,
+        ModelDocument(theta=ParamVector.zeros(arch), lam=0.0,
                       column_meta=(ColumnMeta("a"),),
                       response_meta=ColumnMeta("y"))
 
@@ -221,8 +221,7 @@ def test_non_finite_floats_refused():
     theta = ParamVector(doc.arch, np.zeros(doc.arch.r))
     values = theta.values.copy()
     values[0] = np.inf
-    bad = ModelDocument(arch=doc.arch,
-                        theta=ParamVector(doc.arch, values), lam=doc.lam,
+    bad = ModelDocument(theta=ParamVector(doc.arch, values), lam=doc.lam,
                         column_meta=doc.column_meta,
                         response_meta=doc.response_meta)
     with pytest.raises(ValueError):

@@ -97,8 +97,7 @@ def test_generate_shapes_and_model():
     data = generate(scen, 0)
     assert data.x.shape == (4000, 6)
     truth = scen.resolved_truth()
-    arch = truth.arch
-    mu = forward_batch(arch, truth, Dataset(x=data.x, y=data.y))
+    mu = forward_batch(truth, Dataset(x=data.x, y=data.y))
     resid_sd = float(np.std(data.y - mu))
     assert resid_sd == pytest.approx(0.7, rel=0.05)
 
@@ -188,8 +187,7 @@ def test_an_unconverged_replicate_is_not_tested(monkeypatch):
         res = fit(scen.arch, data, scen.lam,
                   FitConfig(n_restarts=1, seed=derive_seed(scen.seed, i, 1)))
         sandwich_covariance(observed_information(
-            scen.arch, res.theta_hat, data, sigma_sq=res.sigma_sq_hat),
-            scen.lam)
+            res.theta_hat, data, sigma_sq=res.sigma_sq_hat), scen.lam)
     rep = run_scenario(scen)
     assert rep.n_fit_failed == 0 and rep.n_converged == 0 and rep.n_pd == 0
     assert np.all(rep.sp_rejection == 0.0) and np.all(rep.mp_rejection == 0.0)
