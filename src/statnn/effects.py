@@ -232,6 +232,7 @@ def pce_curve(theta: ParamVector, cov: CovarianceEstimate, data: Dataset,
     ``by`` the tuple holds one curve; with ``by = k`` it holds one curve
     per pin of covariate k from ``conditioning_values``.
     """
+    theta.arch.check_covariates(data)
     theta.arch.covariate_block(j)     # refuses j outside 1..p
     d = _resolve_step(data, j, d)
     if grid is None:

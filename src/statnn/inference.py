@@ -220,6 +220,7 @@ def summarize(fit_result, cov: CovarianceEstimate, arch: Architecture,
     theta_hat = fit_result.theta_hat
     if arch != theta_hat.arch:
         raise ValueError("architecture does not match the fitted theta")
+    arch.check_covariates(data)
     se, stat, p_value = wald_single(theta_hat.values, np.diag(cov.sigma_hat))
     cells = tuple(WeightCell(float(b), float(s), float(z), float(pv),
                              significance_stars(pv))

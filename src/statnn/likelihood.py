@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DataError, ShapeError
+from .exceptions import DataError
 from .model import (Architecture, Dataset, ParamVector, _activation_block,
                     _net_parts, design_with_intercept, sigmoid)
 
@@ -166,8 +166,7 @@ class _Evaluator:
 
     def __init__(self, arch: Architecture, data: Dataset, lam: float):
         check_lambda(lam)
-        if data.p != arch.p:
-            raise ShapeError("covariate count", arch.p, data.p)
+        arch.check_covariates(data)
         self.gaussian = arch.family == "gaussian"
         if not self.gaussian and not np.all((data.y == 0.0)
                                             | (data.y == 1.0)):

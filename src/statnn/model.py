@@ -82,6 +82,11 @@ class Architecture:
         """Total number of parameters, (p + 2) q + 1."""
         return (self.p + 2) * self.q + 1
 
+    def check_covariates(self, data) -> None:
+        """Refuse a ``Dataset`` whose covariate count is not p."""
+        if data.p != self.p:
+            raise ShapeError("covariate count", self.p, data.p)
+
     def omega_index(self, j: int, k: int) -> int:
         """Flat index of omega_jk, j in 0..p, k in 1..q."""
         if not 0 <= j <= self.p:
@@ -301,8 +306,7 @@ def forward(theta: ParamVector, x) -> float:
 
 def forward_batch(theta: ParamVector, data: Dataset) -> np.ndarray:
     """Evaluate the network at every row of the dataset, preserving order."""
-    if data.p != theta.arch.p:
-        raise ShapeError("covariate count", theta.arch.p, data.p)
+    theta.arch.check_covariates(data)
     return forward_design(theta, design_with_intercept(data.x))
 
 

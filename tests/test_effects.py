@@ -5,7 +5,7 @@ import pytest
 
 from statnn.effects import (conditioning_values, effect_grid, pce_curve,
                             to_original_scale)
-from statnn.exceptions import DataError, NotPositiveDefiniteError
+from statnn.exceptions import DataError, NotPositiveDefiniteError, ShapeError
 from statnn.inference import CovarianceEstimate, sandwich_covariance
 from statnn.likelihood import observed_information, prediction_gradient
 from statnn.model import (Architecture, ColumnMeta, Dataset, ParamVector,
@@ -182,6 +182,15 @@ def test_covariate_index_validation():
         pce_curve(theta, cov, data, 3)
     with pytest.raises(IndexError):
         pce_curve(theta, cov, data, 1, by=3)
+
+
+def test_curve_refuses_data_with_another_covariate_count():
+    """A p = 3 theta on 2-column data is refused by name, as the forward
+    pass refuses it, not left to fail inside numpy."""
+    arch = Architecture(p=3, q=2)
+    with pytest.raises(ShapeError, match="covariate count: expected 3, "
+                                         "got 2"):
+        pce_curve(_theta(arch), _identity_cov(arch.r), _dataset(p=2), 1)
 
 
 def test_config_validation():

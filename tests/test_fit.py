@@ -2,6 +2,7 @@
 evaluate_at."""
 
 import importlib
+import pathlib
 
 import numpy as np
 import pytest
@@ -292,6 +293,76 @@ def test_non_finite_start_is_reported():
             pytest.raises(FitError,
                           match="objective not finite at the starting point"):
         fit(arch, data, 0.01, FitConfig(n_restarts=2, seed=0))
+
+
+def _oracle_objective(case, tmp_path, monkeypatch):
+    """(objective, start) of one L-BFGS-B run of the oracle test below."""
+    if case == "gradient stop":
+        scale = np.array([1.0, 2.0])
+        return (lambda x: (0.5 * float(x @ (scale * x)), scale * x),
+                np.array([3.0, 4.0]))
+    from statnn.preprocess import ingest
+
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    from inputs import write_table
+
+    family = "bernoulli" if case == "bernoulli q=3" else "gaussian"
+    q, lam = {"gaussian q=2": (2, 0.01), "bernoulli q=3": (3, 0.01),
+              "iteration cap": (2, 0.01), "ftol stop": (3, 0.0)}[case]
+    write_table(tmp_path / "t.csv", 300, 7, family)
+    data, _ = ingest(str(tmp_path / "t.csv"), "y")
+    arch = Architecture(p=data.p, q=q, family=family)
+    ev = _Evaluator(arch, data, lam)
+    x0 = initialize(arch, seeds.rng(0, 1), data.x).values
+    if family == "bernoulli":
+        return ev.value_grad, x0
+    return (lambda omega: ev.profiled(omega)[:2]), x0[:ev.pq]
+
+
+@pytest.mark.parametrize("case, stop", [
+    ("gaussian q=2", "RELATIVE REDUCTION OF F"),
+    ("bernoulli q=3", "RELATIVE REDUCTION OF F"),
+    ("iteration cap", "ITERATIONS REACHED LIMIT"),
+    ("ftol stop", "RELATIVE REDUCTION OF F"),
+    ("gradient stop", "NORM OF PROJECTED GRADIENT"),
+])
+def test_quasi_newton_matches_scipy_minimize(case, stop, tmp_path,
+                                             monkeypatch):
+    """The fitter drives scipy's L-BFGS-B routine itself; every run ends
+    bitwise where ``scipy.optimize.minimize`` with the same options ends,
+    so a scipy release that changes the private routine fails here.  The
+    runs cover the profiled Gaussian search, the full-theta Bernoulli
+    search, the iteration cap and both convergence tests."""
+    import scipy.optimize
+
+    objective, start = _oracle_objective(case, tmp_path, monkeypatch)
+    if case == "iteration cap":
+        monkeypatch.setattr(fit_module, "MAX_ITERS", 5)
+    expected = scipy.optimize.minimize(
+        objective, start, jac=True, method="L-BFGS-B",
+        options={"maxiter": fit_module.MAX_ITERS, "ftol": fit_module.FTOL,
+                 "gtol": fit_module.GRAD_TOL, "maxcor": 20})
+    assert stop in expected.message
+    x, f, g, nit = fit_module._quasi_newton(objective, start)
+    assert np.array_equal(x, expected.x)
+    assert np.array_equal(f, expected.fun)
+    assert np.array_equal(g, expected.jac)
+    assert nit == expected.nit
+    assert nit == 5 if case == "iteration cap" else nit > 5
+
+
+def test_non_finite_optimum_is_reported():
+    """An objective finite at the start that turns NaN along the search
+    (here past x0 = 3): the run ends on a non-finite value."""
+    def objective(x):
+        if abs(x[0]) > 3.0:
+            return np.nan, np.full(2, np.nan)
+        return float(x[1] ** 2 - x[0]), np.array([-1.0, 2.0 * x[1]])
+
+    with pytest.raises(FitError,
+                       match="optimizer returned a non-finite objective"):
+        fit_module._quasi_newton(objective, np.array([0.0, 1.0]))
 
 
 def test_penalty_shrinks_weights():

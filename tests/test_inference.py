@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from statnn.exceptions import NotPositiveDefiniteError
+from statnn.exceptions import NotPositiveDefiniteError, ShapeError
 from statnn.fit import FitConfig, fit
 from statnn.inference import (_PD_RTOL, SIGNIFICANCE_LEGEND,
                               CovarianceEstimate, effective_df,
@@ -304,6 +304,17 @@ def test_summarize_refuses_an_architecture_unlike_its_theta(other):
     wrong = dataclasses.replace(arch, **other)
     with pytest.raises(ValueError, match="architecture does not match"):
         summarize(result, cov, wrong, data)
+
+
+def test_summarize_refuses_data_with_another_covariate_count():
+    """The data's covariates name the table's rows, so 1 or 3 columns
+    for a p = 2 estimate are refused by name, not read past their end
+    or silently cut short."""
+    arch, data, result, info = _fitted_instance(lam=0.01)
+    cov = sandwich_covariance(info, lam=0.01)
+    for x in (data.x[:, :1], np.column_stack([data.x, data.x[:, 0]])):
+        with pytest.raises(ShapeError, match="covariate count: expected 2"):
+            summarize(result, cov, arch, Dataset(x=x, y=data.y))
 
 
 def test_summarize_default_names():
