@@ -12,7 +12,12 @@ transformations:
   columns and the gamma entries together.
 
 Together these form a group of 2^q * q! linear maps of the parameter
-vector.  ``canonicalize`` picks one representative per orbit, which
+vector.  An element is a plain pair ``(flips, src)`` in the package's
+1-based node numbering, as in ``omega_index(j, k)`` and ``gamma(k)``:
+``flips`` holds the distinct nodes whose signs flip, applied in
+ascending order (so gamma_0 sums the flipped gamma_k in that order),
+and then slot s of the result holds node ``src[s - 1]`` of the flipped
+input.  ``canonicalize`` picks one representative per orbit, which
 makes fitted parameters comparable across runs, restarts, and the true
 values of a simulation.
 """
@@ -20,154 +25,96 @@ values of a simulation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Architecture, ParamVector
 
 
-@dataclass(frozen=True)
-class SymmetryOp:
-    """One element of the symmetry group for a width-q network.
+def _apply(w: np.ndarray, g: np.ndarray, flips, src):
+    """Flip, then permute, omega matrix w and gamma vector g (copies);
+    axes after w's second and g's first ride along."""
+    w, g = w.copy(), g.copy()
+    for k in flips:
+        g[0] += g[k]
+        g[k] = -g[k]
+        w[:, k - 1] = -w[:, k - 1]
+    idx = [s - 1 for s in src]
+    w = w[:, idx]
+    g[1:] = g[1:][idx]
+    return w, g
 
-    ``sign_flips`` lists the hidden nodes (1-based) whose weights are
-    negated; ``permutation`` is a bijection on {1..q} read as "slot k of
-    the result holds node permutation[k-1] of the input".  Flips are
-    applied before the permutation, on the original node labels.
-    """
 
-    q: int
-    sign_flips: frozenset
-    permutation: tuple
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValueError(f"q must be positive, got {self.q}")
-        if not all(1 <= k <= self.q for k in self.sign_flips):
-            raise ValueError(f"sign_flips must be node indices in 1..{self.q}")
-        if sorted(self.permutation) != list(range(1, self.q + 1)):
-            raise ValueError(
-                f"permutation must be a bijection on 1..{self.q}, "
-                f"got {self.permutation}")
-
-    @classmethod
-    def identity(cls, q: int) -> "SymmetryOp":
-        return cls(q=q, sign_flips=frozenset(), permutation=tuple(range(1, q + 1)))
-
-    def is_identity(self) -> bool:
-        return not self.sign_flips and self.permutation == tuple(range(1, self.q + 1))
+def _checked(q: int, op) -> tuple:
+    """``op`` with its flips ascending; a ValueError unless it is a
+    symmetry of the width-q network."""
+    flips, src, nodes = sorted(op[0]), tuple(op[1]), range(1, q + 1)
+    if flips != sorted(set(flips) & set(nodes)) or sorted(src) != [*nodes]:
+        raise ValueError(f"{op!r} is not a symmetry of {q} hidden nodes: "
+                         f"flips must be distinct nodes in 1..{q} and src "
+                         "a permutation of them")
+    return flips, src
 
 
 def _flip_sets(q: int):
     """The 2^q sign-flip sets, by size and then lexicographically."""
-    nodes = range(1, q + 1)
     for m in range(q + 1):
-        for flips in itertools.combinations(nodes, m):
-            yield frozenset(flips)
+        yield from itertools.combinations(range(1, q + 1), m)
 
 
 def all_symmetry_ops(q: int):
-    """Iterate over the full group: 2^q * q! operations."""
-    for fs in _flip_sets(q):
-        for perm in itertools.permutations(range(1, q + 1)):
-            yield SymmetryOp(q=q, sign_flips=fs, permutation=perm)
+    """Iterate over the full group: 2^q * q! ``(flips, src)`` pairs."""
+    for flips in _flip_sets(q):
+        for src in itertools.permutations(range(1, q + 1)):
+            yield flips, src
 
 
-def _apply_op_raw(w: np.ndarray, g: np.ndarray, op: SymmetryOp):
-    """Apply an op to an omega matrix and gamma vector (copies)."""
-    w = w.copy()
-    g = g.copy()
-    for k in op.sign_flips:
-        g[0] += g[k]
-        g[k] = -g[k]
-        w[:, k - 1] = -w[:, k - 1]
-    src = [s - 1 for s in op.permutation]
-    w = w[:, src]
-    g[1:] = g[1:][src]
-    return w, g
-
-
-def apply_symmetry(theta: ParamVector, op: SymmetryOp) -> ParamVector:
+def apply_symmetry(theta: ParamVector, op) -> ParamVector:
     """Transformed parameter with identical input-output behaviour."""
     arch = theta.arch
-    if op.q != arch.q:
-        raise ValueError(f"op is for q={op.q}, parameter has q={arch.q}")
-    w, g = _apply_op_raw(theta.omega_matrix(), theta.gamma_vector(), op)
+    w, g = _apply(theta.omega_matrix(), theta.gamma_vector(),
+                  *_checked(arch.q, op))
     return ParamVector.from_parts(arch, w, g)
 
 
-def symmetry_matrix(arch: Architecture, op: SymmetryOp) -> np.ndarray:
+def symmetry_matrix(arch: Architecture, op) -> np.ndarray:
     """The op as an r x r matrix T with apply_symmetry(theta) = T theta.
 
     Every op is linear in theta (the gamma_0 update is a shear), so the
     matrix is the op applied to the r unit vectors at once, carried as a
     trailing axis of the omega matrix and gamma vector.
     """
-    r = arch.r
     n_omega = (arch.p + 1) * arch.q
-    eye = np.eye(r)
-    tw, tg = _apply_op_raw(eye[:n_omega].reshape(arch.p + 1, arch.q, r),
-                           eye[n_omega:], op)
-    return np.concatenate([tw.reshape(n_omega, r), tg])
-
-
-# ---------------------------------------------------------------------------
-# Canonical form
-# ---------------------------------------------------------------------------
-
-def _canonical_flip_set(w: np.ndarray, g: np.ndarray) -> frozenset:
-    """Nodes to flip so gamma_k >= 0, ties broken by the omega column."""
-    flips = []
-    q = w.shape[1]
-    for k in range(1, q + 1):
-        gk = g[k]
-        if gk < 0.0:
-            flips.append(k)
-        elif gk == 0.0:
-            col = w[:, k - 1]
-            nz = np.nonzero(col)[0]
-            if nz.size and col[nz[0]] < 0.0:
-                flips.append(k)
-    return frozenset(flips)
-
-
-def canonical_op(theta: ParamVector) -> SymmetryOp:
-    """The group element mapping ``theta`` to its canonical representative.
-
-    Flip every node so its output weight is nonnegative (for gamma_k = 0
-    the first nonzero entry of the omega column must be positive), then
-    sort nodes by decreasing gamma_k, breaking ties lexicographically on
-    the omega column.
-    """
-    q = theta.arch.q
-    w = theta.omega_matrix()
-    g = theta.gamma_vector()
-    flips = _canonical_flip_set(w, g)
-    wf, gf = _apply_op_raw(w, g, SymmetryOp(q=q, sign_flips=flips,
-                                            permutation=tuple(range(1, q + 1))))
-    order = sorted(range(q), key=lambda k: (-gf[k + 1], tuple(wf[:, k])))
-    return SymmetryOp(q=q, sign_flips=flips,
-                      permutation=tuple(k + 1 for k in order))
+    eye = np.eye(arch.r)
+    tw, tg = _apply(eye[:n_omega].reshape(arch.p + 1, arch.q, arch.r),
+                    eye[n_omega:], *_checked(arch.q, op))
+    return np.concatenate([tw.reshape(n_omega, arch.r), tg])
 
 
 def canonicalize(theta: ParamVector) -> ParamVector:
-    """Canonical representative of the symmetry orbit of ``theta``."""
-    return apply_symmetry(theta, canonical_op(theta))
+    """Canonical representative of the symmetry orbit of ``theta``.
 
+    Flip every node so its output weight is nonnegative (for gamma_k = 0
+    the first nonzero entry of the omega column must be positive; an
+    all-zero column stays), then sort nodes by decreasing gamma_k,
+    breaking ties lexicographically on the omega column.
+    """
+    nodes = range(1, theta.arch.q + 1)
+    w, g = theta.omega_matrix(), theta.gamma_vector()
+    flips = [k for k in nodes if g[k] < 0.0 or g[k] == 0.0
+             and (w[:, k - 1][w[:, k - 1] != 0.0][:1] < 0.0).any()]
+    w, g = _apply(w, g, flips, nodes)
+    src = sorted(nodes, key=lambda k: (-g[k], tuple(w[:, k - 1])))
+    w, g = _apply(w, g, (), src)
+    return ParamVector.from_parts(theta.arch, w, g)
 
-# ---------------------------------------------------------------------------
-# Alignment (used when comparing estimates to a reference parameter)
-# ---------------------------------------------------------------------------
 
 def align_to(theta_hat: ParamVector, theta_ref: ParamVector):
     """Symmetry image of ``theta_hat`` closest to ``theta_ref``.
 
-    Finds the op minimizing the Euclidean distance
-    ``||T theta_hat - theta_ref||`` and returns ``(aligned, op, t_matrix)``
-    where ``t_matrix`` is the op as an r x r linear map (useful for
-    transforming a covariance as T Sigma T^T alongside the point
-    estimate).
+    Finds the op minimizing the Euclidean distance ``||T theta_hat -
+    theta_ref||`` and returns ``(aligned, T)``, T the op as an r x r
+    matrix (to move a covariance as T Sigma T^T with the estimate).
 
     For a fixed flip set the new gamma_0 does not depend on the
     permutation, and the rest of the squared distance is a sum over
@@ -185,28 +132,19 @@ def align_to(theta_hat: ParamVector, theta_ref: ParamVector):
     arch = theta_hat.arch
     if arch.r != theta_ref.arch.r or arch.q != theta_ref.arch.q:
         raise ValueError("theta_hat and theta_ref have different architectures")
-    q = arch.q
-    identity = tuple(range(1, q + 1))
-    w = theta_hat.omega_matrix()
-    g = theta_hat.gamma_vector()
-    ref_w = theta_ref.omega_matrix()
-    ref_g = theta_ref.gamma_vector()
-    best = None
-    best_d = np.inf
-    for flips in _flip_sets(q):
-        fw, fg = _apply_op_raw(w, g, SymmetryOp(q=q, sign_flips=flips,
-                                                permutation=identity))
+    nodes = range(1, arch.q + 1)
+    w, g = theta_hat.omega_matrix(), theta_hat.gamma_vector()
+    ref_w, ref_g = theta_ref.omega_matrix(), theta_ref.gamma_vector()
+    best, best_d = None, np.inf
+    for flips in _flip_sets(arch.q):
+        fw, fg = _apply(w, g, flips, nodes)
         cost = (((fw[:, :, None] - ref_w[:, None, :]) ** 2).sum(axis=0)
                 + (fg[1:, None] - ref_g[None, 1:]) ** 2)
-        nodes, slots = scipy.optimize.linear_sum_assignment(cost)
-        src = nodes[np.argsort(slots)]          # node moved into each slot
-        d = np.concatenate([fw[:, src].ravel(), fg[:1], fg[1:][src]])
-        d -= theta_ref.values
+        ks, slots = scipy.optimize.linear_sum_assignment(cost)
+        src = ks[np.argsort(slots)]             # node moved into each slot
+        image = np.concatenate([fw[:, src].ravel(), fg[:1], fg[1:][src]])
+        d = image - theta_ref.values
         dist = float(d @ d)
         if dist < best_d - 1e-15 or best is None:
-            best_d = dist
-            best = (flips, src)
-    best_op = SymmetryOp(q=q, sign_flips=best[0],
-                         permutation=tuple(int(k) + 1 for k in best[1]))
-    aligned = apply_symmetry(theta_hat, best_op)
-    return aligned, best_op, symmetry_matrix(arch, best_op)
+            best, best_d = (image, (flips, [int(k) + 1 for k in src])), dist
+    return ParamVector(arch, best[0]), symmetry_matrix(arch, best[1])

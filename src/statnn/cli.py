@@ -295,7 +295,8 @@ def cmd_simulate(args) -> int:
     print(f"simulate: q = {scenario.q}, pattern = {scenario.nz_pattern}, "
           f"{len(reports)} cell(s) of {scenario.replicates} replicates: "
           f"fit failures = {sum(r.n_fit_failed for r in reports)}, "
-          f"positive definite = {sum(r.n_pd for r in reports)}, "
+          f"converged with positive definite covariance = "
+          f"{sum(r.n_pd for r in reports)}, "
           f"converged = {sum(r.n_converged for r in reports)}")
     print(f"reports written to {args.out_dir}")
     return 0

@@ -223,8 +223,10 @@ def parse_model(text: str, where: str = "model") -> ModelDocument:
     _check_version(payload, where, MODEL_FORMAT_VERSION)
     p = _json_int(_require(payload, "p", where), "p", where)
     q = _json_int(_require(payload, "q", where), "q", where)
-    hidden = str(_require(payload, "hidden_activation", where))
-    output = str(_require(payload, "output_activation", where))
+    hidden = _json_str(_require(payload, "hidden_activation", where),
+                       "hidden_activation", where)
+    output = _json_str(_require(payload, "output_activation", where),
+                       "output_activation", where)
     families = [f for f, act in _OUTPUT_ACTIVATIONS.items() if act == output]
     try:
         if hidden != "logistic":
@@ -331,7 +333,8 @@ def parse_study(text: str, where: str = "scenario") -> tuple:
     for field in ("q", "n", "nz_pattern"):
         if field not in payload:
             raise DataError(f"{where}: missing required field {field!r}")
-    kwargs["nz_pattern"] = str(payload["nz_pattern"])
+    kwargs["nz_pattern"] = _json_str(payload["nz_pattern"], "nz_pattern",
+                                     where)
     try:
         # The truth goes in with the rest: a scenario without one must
         # have a default truth.

@@ -152,6 +152,8 @@ class SimScenario:
         elif self.true_theta.arch.p != self.p or self.true_theta.arch.q != self.q:
             raise ValueError("true_theta architecture does not match "
                              "the scenario's p and q")
+        elif not np.all(np.isfinite(self.true_theta.values)):
+            raise ValueError("true_theta contains non-finite entries")
 
     @property
     def arch(self) -> Architecture:
@@ -205,7 +207,7 @@ def _replicate_task(args):
         res = fit(arch, data, scenario.lam, cfg)
     except FitError:
         return outcome
-    aligned, _, t_mat = align_to(res.theta_hat, truth)
+    aligned, t_mat = align_to(res.theta_hat, truth)
     est = np.array(aligned.values)
     outcome = replace(outcome, fit_ok=True, converged=res.converged,
                       estimate=est, iterations=sum(res.restart_iterations))

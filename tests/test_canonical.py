@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from statnn.canonical import (SymmetryOp, align_to, all_symmetry_ops,
-                              apply_symmetry, canonical_op, canonicalize,
-                              symmetry_matrix)
+from statnn.canonical import (align_to, all_symmetry_ops, apply_symmetry,
+                              canonicalize, symmetry_matrix)
 from statnn.likelihood import log_likelihood
 from statnn.model import Architecture, Dataset, ParamVector, forward
 
@@ -72,26 +71,36 @@ def test_symmetry_matrix_unimodular_and_flips_involutive():
     for op in all_symmetry_ops(3):
         t = symmetry_matrix(arch, op)
         assert abs(abs(np.linalg.det(t)) - 1.0) < 1e-10
-        if op.permutation == (1, 2, 3):  # pure flip
+        if op[1] == (1, 2, 3):  # pure flip
             np.testing.assert_allclose(t @ t, identity, atol=1e-15)
 
 
 def test_identity_op():
-    op = SymmetryOp.identity(3)
-    assert op.is_identity()
     arch = Architecture(p=2, q=3)
     theta = _random_theta(arch, 25)
-    np.testing.assert_array_equal(apply_symmetry(theta, op).values,
+    identity = ((), (1, 2, 3))
+    assert next(iter(all_symmetry_ops(3))) == identity
+    np.testing.assert_array_equal(apply_symmetry(theta, identity).values,
                                   theta.values)
+    np.testing.assert_array_equal(symmetry_matrix(arch, identity),
+                                  np.eye(arch.r))
 
 
 def test_op_validation():
-    with pytest.raises(ValueError):
-        SymmetryOp(q=2, sign_flips=frozenset({3}), permutation=(1, 2))
-    with pytest.raises(ValueError):
-        SymmetryOp(q=2, sign_flips=frozenset(), permutation=(1, 1))
-    with pytest.raises(ValueError):
-        SymmetryOp(q=0, sign_flips=frozenset(), permutation=())
+    """An op that is not a symmetry of the width-q network is refused."""
+    arch = Architecture(p=1, q=2)
+    theta = _random_theta(arch, 26)
+    for op in [((3,), (1, 2)),        # node 3 of 2
+               ((0,), (1, 2)),        # nodes are numbered from 1
+               ((1, 1), (1, 2)),      # a node flipped twice
+               ((), (1, 1)),          # not a permutation
+               ((), (0, 1)),
+               ((), (1, 2, 3)),       # an op for q = 3
+               ((), (1,))]:           # an op for q = 1
+        with pytest.raises(ValueError, match="not a symmetry of 2 hidden"):
+            apply_symmetry(theta, op)
+        with pytest.raises(ValueError, match="not a symmetry of 2 hidden"):
+            symmetry_matrix(arch, op)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
@@ -113,7 +122,6 @@ def test_canonicalize_idempotent(q):
     once = canonicalize(theta)
     twice = canonicalize(once)
     np.testing.assert_array_equal(twice.values, once.values)
-    assert canonical_op(once).is_identity()
 
 
 def test_canonical_gamma_order():
@@ -137,35 +145,70 @@ def test_canonical_zero_gamma_tiebreak():
     assert rep.gamma(1) == 0.0
 
 
+def test_canonical_equal_gamma_ordered_by_omega_column():
+    """Nodes with equal gamma_k are sorted by their omega columns,
+    lexicographically, whatever their labels."""
+    arch = Architecture(p=1, q=3)
+    w = np.array([[0.5, 0.5, -0.2],
+                  [1.0, -1.0, 3.0]])
+    theta = ParamVector.from_parts(arch, w, np.array([0.3, 1.0, 1.0, 1.0]))
+    want = ParamVector.from_parts(arch, w[:, [2, 1, 0]], theta.gamma_vector())
+    for op in all_symmetry_ops(3):
+        got = canonicalize(apply_symmetry(theta, op))
+        np.testing.assert_allclose(got.values, want.values, rtol=0,
+                                   atol=1e-15)
+    assert canonicalize(theta).values.tobytes() == want.values.tobytes()
+
+
+def test_canonical_zero_gamma_with_zero_column_is_not_flipped():
+    """gamma_k = 0 with an all-zero omega column: no flip, no error.  A
+    column that leads with zeros is flipped on its first nonzero entry."""
+    arch = Architecture(p=2, q=2)
+    w = np.array([[0.0, 0.0],
+                  [0.0, 0.0],
+                  [0.0, -2.0]])
+    theta = ParamVector.from_parts(arch, w, np.array([0.7, 0.0, 0.0]))
+    rep = canonicalize(theta)
+    # tied at gamma = 0, the columns sort (0, 0, 0) < (0, 0, 2); a flip
+    # would turn the zero node's +0.0 entries into -0.0
+    zero_node = [rep.omega(j, 1) for j in range(3)] + [rep.gamma(1)]
+    assert zero_node == [0.0] * 4 and not np.signbit(zero_node).any()
+    assert [rep.omega(j, 2) for j in range(3)] == [0.0, 0.0, 2.0]
+    assert rep.gamma(0) == 0.7
+
+
 def test_align_recovers_scrambling_op():
     """align_to undoes an arbitrary symmetry op applied to the reference."""
     arch = Architecture(p=2, q=3)
     ref = _random_theta(arch, 35)
-    for op in [SymmetryOp(q=3, sign_flips=frozenset({2}), permutation=(3, 1, 2)),
-               SymmetryOp(q=3, sign_flips=frozenset({1, 3}), permutation=(2, 3, 1))]:
+    for op in [((2,), (3, 1, 2)), ((1, 3), (2, 3, 1))]:
         scrambled = apply_symmetry(ref, op)
-        aligned, used_op, t = align_to(scrambled, ref)
+        aligned, t = align_to(scrambled, ref)
         np.testing.assert_allclose(aligned.values, ref.values, atol=1e-12)
         np.testing.assert_allclose(t @ scrambled.values, ref.values,
                                    atol=1e-12)
 
 
 
-def _align_by_full_scan(theta_hat, ref):
-    """Reference alignment: every op of the group, first strict winner."""
+def _assert_align_matches_full_scan(theta_hat, ref):
+    """Reference alignment: every op of the group, first strict winner;
+    align_to's aligned theta and T must equal the winner's byte for byte."""
     best_op, best_d = None, np.inf
     for op in all_symmetry_ops(theta_hat.arch.q):
         d = apply_symmetry(theta_hat, op).values - ref.values
         dist = float(d @ d)
         if best_op is None or dist < best_d - 1e-15:
             best_op, best_d = op, dist
-    return best_op, best_d
+    aligned, t = align_to(theta_hat, ref)
+    assert aligned.values.tobytes() == apply_symmetry(
+        theta_hat, best_op).values.tobytes()
+    assert t.tobytes() == symmetry_matrix(theta_hat.arch, best_op).tobytes()
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_align_matches_full_group_scan(q):
-    """The per-flip-set assignment finds the scan's op and distance, both
-    for an unrelated pair of vectors and for a noisy scrambled copy."""
+    """The per-flip-set assignment finds the scan's op, both for an
+    unrelated pair of vectors and for a noisy scrambled copy."""
     arch = Architecture(p=2, q=q)
     rng = np.random.default_rng(40 + q)
     ops = list(all_symmetry_ops(q))
@@ -177,28 +220,20 @@ def test_align_matches_full_group_scan(q):
             op = ops[rng.integers(len(ops))]
             hat = ParamVector(arch, apply_symmetry(ref, op).values
                               + rng.normal(scale=0.3, size=arch.r))
-        aligned, used_op, _ = align_to(hat, ref)
-        want_op, want_d = _align_by_full_scan(hat, ref)
-        assert used_op == want_op
-        d = aligned.values - ref.values
-        assert float(d @ d) == pytest.approx(want_d, rel=1e-12)
+        _assert_align_matches_full_scan(hat, ref)
 
 
 def test_align_matches_full_group_scan_at_width_six():
     arch = Architecture(p=1, q=6)
     ref = _random_theta(arch, 61)
-    hat = _random_theta(arch, 62)
-    aligned, _, _ = align_to(hat, ref)
-    _, want_d = _align_by_full_scan(hat, ref)
-    d = aligned.values - ref.values
-    assert float(d @ d) == pytest.approx(want_d, rel=1e-12)
+    _assert_align_matches_full_scan(_random_theta(arch, 62), ref)
+
 
 def test_align_transforms_covariance_consistently():
     arch = Architecture(p=1, q=2)
     ref = _random_theta(arch, 36)
-    op = SymmetryOp(q=2, sign_flips=frozenset({1}), permutation=(2, 1))
-    scrambled = apply_symmetry(ref, op)
-    _, _, t = align_to(scrambled, ref)
+    scrambled = apply_symmetry(ref, ((1,), (2, 1)))
+    _, t = align_to(scrambled, ref)
     cov = np.diag(np.arange(1.0, arch.r + 1.0))
     moved = t @ cov @ t.T
     # T Sigma T^T keeps symmetry and generalized volume; the omega block

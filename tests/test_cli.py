@@ -326,6 +326,14 @@ def test_simulate_grid_serial_and_parallel_byte_identical(tmp_path, grid,
     ({"effect": [0.1], "lambda": [0.0]}, "not both"),
     # no default truth: refused by file name before any replicate runs
     ({"q": 3}, r"grid\.json: invalid scenario: default truth"),
+    # NaN, Infinity and 1e999 (read as inf) in the truth: refused by name
+    # before any replicate runs
+    ({"true_theta": [0.5] * 16 + [float("nan")]},
+     r"^error: .*grid\.json: invalid scenario: true_theta contains "
+     r"non-finite entries\n$"),
+    ({"true_theta": [0.5] * 16 + [float("inf")]},
+     r"^error: .*grid\.json: invalid scenario: true_theta contains "
+     r"non-finite entries\n$"),
 ])
 def test_simulate_malformed_grid_exits_2(tmp_path, capsys, grid, message):
     scen = dict({"format_version": 1, "q": 2, "nz_pattern": "5-1", "n": 40,

@@ -193,6 +193,24 @@ def test_parse_model_refuses_bad_column_source(field, value, match):
         parse_model(json.dumps(payload))
 
 
+@pytest.mark.parametrize("value", [None, ["logistic"], 3])
+@pytest.mark.parametrize("field", ["hidden_activation", "output_activation",
+                                   "nz_pattern"])
+def test_non_string_fields_refused(field, value):
+    """A model's activations and a scenario's nz_pattern must be JSON
+    strings, like every other text field, not coerced with str()."""
+    if field == "nz_pattern":
+        text, parse = scenario_to_json(SimScenario(q=2, nz_pattern="5-1",
+                                                   n=100)), parse_study
+    else:
+        text, parse = model_to_json(_doc()), parse_model
+    payload = json.loads(text)
+    payload[field] = value
+    with pytest.raises(DataError) as err:
+        parse(json.dumps(payload), "f.json")
+    assert str(err.value) == f"f.json: {field} must be a string, got {value!r}"
+
+
 def test_parse_model_refuses_level_on_continuous_column():
     payload = json.loads(model_to_json(_doc()))
     payload["column_meta"][0]["level"] = "old"

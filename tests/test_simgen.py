@@ -71,6 +71,17 @@ def test_scenario_validation():
     assert _tiny(q=3, true_theta=wrong_arch).arch == Architecture(p=6, q=3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scenario_refuses_non_finite_truth(bad):
+    """A truth with a non-finite weight is refused by name, not deep in a
+    replicate's data or in the alignment of its first fit."""
+    values = default_true_theta(2, "5-1").values.copy()
+    values[3] = bad
+    with pytest.raises(ValueError,
+                       match="^true_theta contains non-finite entries$"):
+        _tiny(true_theta=ParamVector(Architecture(p=6, q=2), values))
+
+
 def test_generate_deterministic():
     scen = _tiny()
     a = generate(scen, 3)

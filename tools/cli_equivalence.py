@@ -59,6 +59,13 @@ SCENARIOS = {
     # No default truth for q = 3.
     "q3.json": {"format_version": 1, "q": 3, "nz_pattern": "5-1", "n": 50,
                 "replicates": 2, "restarts": 1},
+    # q = 4: alignment searches a group of 384 ops, not 8.
+    "cell4.json": {"format_version": 1, "q": 4, "nz_pattern": "3-3",
+                   "n": 200, "replicates": 3, "restarts": 2, "seed": 0},
+    # 17 weights for p = 6, q = 2; json.dumps writes the last as Infinity.
+    "inftruth.json": {"format_version": 1, "q": 2, "nz_pattern": "5-1",
+                      "n": 50, "replicates": 2, "restarts": 1,
+                      "true_theta": [0.5] * 16 + [float("inf")]},
 }
 
 
@@ -104,7 +111,12 @@ def _family_commands(tag: str, family: str) -> list:
 COMMANDS = (
     _family_commands("g", "gaussian")
     + _family_commands("b", "bernoulli")
-    + [("simulate_cell", ["simulate", "cell.json", "--out-dir", "cell"]),
+    + [("g3_fit", ["fit", "g.csv", "--response", "y", "--q", "3",
+                   "--restarts", "2", "--seed", "0",
+                   "--out", "g3_model.json"]),
+       ("g3_summary_text", ["summary", "g3_model.json", "g.csv"]),
+       ("simulate_cell", ["simulate", "cell.json", "--out-dir", "cell"]),
+       ("simulate_cell4", ["simulate", "cell4.json", "--out-dir", "cell4"]),
        ("simulate_power", ["simulate", "power.json", "--out-dir", "power"]),
        ("simulate_pd", ["simulate", "pd.json", "--out-dir", "pd"])])
 
@@ -125,6 +137,7 @@ def _corrupt_models(model: dict) -> dict:
     return {
         "tanh_model.json": {"hidden_activation": "tanh"},
         "relu_model.json": {"output_activation": "relu"},
+        "nullact_model.json": {"output_activation": None},
         "neglam_model.json": {"lambda": -1.0},
         # covariance not positive definite
         "dup_model.json": {"theta": _node2(model, copy=True)},
@@ -143,11 +156,14 @@ REFUSALS = [
                  "--lambda", "inf", "--out", "inf_model.json"]),
     ("summary_tanh", ["summary", "tanh_model.json", "g.csv"]),
     ("summary_relu", ["summary", "relu_model.json", "g.csv"]),
+    ("summary_nullact", ["summary", "nullact_model.json", "g.csv"]),
     ("summary_neglam", ["summary", "neglam_model.json", "g.csv"]),
     ("simulate_badnoise", ["simulate", "badnoise.json",
                            "--out-dir", "badnoise"]),
     ("simulate_badlam", ["simulate", "badlam.json", "--out-dir", "badlam"]),
     ("simulate_q3", ["simulate", "q3.json", "--out-dir", "q3"]),
+    ("simulate_inftruth", ["simulate", "inftruth.json",
+                           "--out-dir", "inftruth"]),
     ("summary_dup", ["summary", "dup_model.json", "g.csv"]),
     ("diagram_dup", ["diagram", "dup_model.json", "g.csv"]),
     ("pce_dup", ["pce", "dup_model.json", "g.csv", "--covariate", "x1"]),
