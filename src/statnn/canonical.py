@@ -33,15 +33,15 @@ from .model import Architecture, ParamVector
 
 def _apply(w: np.ndarray, g: np.ndarray, flips, src):
     """Flip, then permute, omega matrix w and gamma vector g (copies);
-    axes after w's second and g's first ride along."""
+    leading axes ride along, as in ``Architecture.split``."""
     w, g = w.copy(), g.copy()
     for k in flips:
-        g[0] += g[k]
-        g[k] = -g[k]
-        w[:, k - 1] = -w[:, k - 1]
+        g[..., 0] += g[..., k]
+        g[..., k] = -g[..., k]
+        w[..., k - 1] = -w[..., k - 1]
     idx = [s - 1 for s in src]
-    w = w[:, idx]
-    g[1:] = g[1:][idx]
+    w = w[..., idx]
+    g[..., 1:] = g[..., 1:][..., idx]
     return w, g
 
 
@@ -72,23 +72,20 @@ def all_symmetry_ops(q: int):
 def apply_symmetry(theta: ParamVector, op) -> ParamVector:
     """Transformed parameter with identical input-output behaviour."""
     arch = theta.arch
-    w, g = _apply(theta.omega_matrix(), theta.gamma_vector(),
-                  *_checked(arch.q, op))
-    return ParamVector.from_parts(arch, w, g)
+    w, g = _apply(*arch.split(theta.values), *_checked(arch.q, op))
+    return ParamVector(arch, arch.join(w, g))
 
 
 def symmetry_matrix(arch: Architecture, op) -> np.ndarray:
     """The op as an r x r matrix T with apply_symmetry(theta) = T theta.
 
     Every op is linear in theta (the gamma_0 update is a shear), so the
-    matrix is the op applied to the r unit vectors at once, carried as a
-    trailing axis of the omega matrix and gamma vector.
+    matrix is the op applied to the r unit vectors at once, as rows of
+    the identity: image i is column i of T.
     """
-    n_omega = (arch.p + 1) * arch.q
-    eye = np.eye(arch.r)
-    tw, tg = _apply(eye[:n_omega].reshape(arch.p + 1, arch.q, arch.r),
-                    eye[n_omega:], *_checked(arch.q, op))
-    return np.concatenate([tw.reshape(n_omega, arch.r), tg])
+    images = arch.join(*_apply(*arch.split(np.eye(arch.r)),
+                               *_checked(arch.q, op)))
+    return np.ascontiguousarray(images.T)
 
 
 def canonicalize(theta: ParamVector) -> ParamVector:
@@ -141,10 +138,11 @@ def align_to(theta_hat: ParamVector, theta_ref: ParamVector):
         cost = (((fw[:, :, None] - ref_w[:, None, :]) ** 2).sum(axis=0)
                 + (fg[1:, None] - ref_g[None, 1:]) ** 2)
         ks, slots = scipy.optimize.linear_sum_assignment(cost)
-        src = ks[np.argsort(slots)]             # node moved into each slot
-        image = np.concatenate([fw[:, src].ravel(), fg[:1], fg[1:][src]])
+        # the node moved into each slot
+        src = [int(k) + 1 for k in ks[np.argsort(slots)]]
+        image = arch.join(*_apply(fw, fg, (), src))
         d = image - theta_ref.values
         dist = float(d @ d)
         if dist < best_d - 1e-15 or best is None:
-            best, best_d = (image, (flips, [int(k) + 1 for k in src])), dist
+            best, best_d = (image, (flips, src)), dist
     return ParamVector(arch, best[0]), symmetry_matrix(arch, best[1])

@@ -137,9 +137,7 @@ def _averaged(arch, gam, w_j, x1t, s_base, j, xs):
     omega = x1t @ a                                     # (p + 1) x (G q)
     omega[j] *= np.repeat(xs, q)
     omega = omega.reshape(arch.p + 1, size, q).transpose(1, 0, 2)
-    grad = np.concatenate([omega.reshape(size, -1), g_0[:, None], g_h],
-                          axis=1)
-    return mu.mean(axis=1), grad
+    return mu.mean(axis=1), arch.join(omega, np.column_stack((g_0, g_h)))
 
 
 def _curve_for(theta, cov, data, j, d, grid, pin, label):
@@ -150,8 +148,7 @@ def _curve_for(theta, cov, data, j, d, grid, pin, label):
     if pin is not None:
         x1[:, pin[0]] = pin[1]
     x1[:, j] = 0.0
-    w = theta.omega_matrix()
-    gam = theta.gamma_vector()
+    w, gam = arch.split(theta.values)
     s_base = x1 @ w
     x1t = np.ascontiguousarray(x1.T)
     x1t[j] = 1.0

@@ -162,7 +162,7 @@ def initialize(arch: Architecture, rng: np.random.Generator,
     sum_j omega_jk m_j, so every hidden net input starts as w's on the
     standardized columns."""
     values = rng.uniform(-INIT_SCALE, INIT_SCALE, size=arch.r)
-    w = values[:(arch.p + 1) * arch.q].reshape(arch.p + 1, arch.q)
+    w, _ = arch.split(values)
     sd = np.where(np.ptp(x, axis=0) > 0.0, np.std(x, axis=0), 1.0)
     w[1:] /= sd[:, None]
     w[0] -= np.mean(x, axis=0) @ w[1:]
@@ -324,9 +324,10 @@ def _run_restart(obj: _Evaluator, x0: np.ndarray):
     and rebuilds theta with gamma*(omega-hat); a Bernoulli run searches
     all of theta.  The polish works on full theta in both."""
     if obj.gaussian:
+        w0, _ = obj.arch.split(x0)
         omega, _, _, nit = _quasi_newton(
-            lambda omega: obj.profiled(omega)[:2], x0[:obj.pq])
-        x = np.concatenate((omega, obj.profiled(omega)[2]))
+            lambda omega: obj.profiled(omega)[:2], w0.ravel())
+        x = obj.arch.join(omega.reshape(w0.shape), obj.profiled(omega)[2])
         f, g = obj.value_grad(x)
     else:
         x, f, g, nit = _quasi_newton(obj.value_grad, x0)

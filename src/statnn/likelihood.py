@@ -26,9 +26,11 @@ without forming J:
     omega block   x1^T (u * gamma_k h_k (1 - h_k))   (``_omega_score``)
     gamma block   H u
 
-The n x r Jacobian (``_pred_jacobian``) is formed only for curvature
-(the observed information and the polishing Hessian) and for
-per-row prediction gradients.
+The n x r Jacobian, ``_pred_jacobian(arch, x1, H, gamma)``, is formed
+only for curvature (the observed information and the polishing Hessian,
+with ``_curvature_correction(arch, x1, H, gamma, weights)``) and for
+per-row prediction gradients.  Everything indexed like theta is read and
+written through ``Architecture.split`` and ``join``.
 
 **The profiled Gaussian objective** (``_Evaluator.profiled``).  The
 Gaussian objective (1/2) ||y - H^T gamma||^2 + (1/2) theta^T D theta,
@@ -67,7 +69,7 @@ import numpy as np
 
 from .exceptions import DataError
 from .model import (Architecture, Dataset, ParamVector, _activation_block,
-                    _net_parts, design_with_intercept, sigmoid)
+                    design_with_intercept, sigmoid)
 
 #: Clamp distance from {0, 1} applied to Bernoulli success probabilities
 #: before taking logs; prevents -inf without materially biasing the objective.
@@ -114,35 +116,34 @@ def _validate_gaussian(sigma_sq):
 # Vectorized core on plain arrays
 # ---------------------------------------------------------------------------
 
-def _pred_jacobian(p: int, q: int, x1: np.ndarray, h: np.ndarray,
-                   gk: np.ndarray) -> np.ndarray:
+def _pred_jacobian(arch: Architecture, x1: np.ndarray, hb: np.ndarray,
+                   g: np.ndarray) -> np.ndarray:
     """n x r matrix of dz/dtheta per observation."""
-    n = x1.shape[0]
-    r = (p + 2) * q + 1
-    a = np.empty((n, r))
-    hp = h * (1.0 - h)
-    a[:, :(p + 1) * q] = (x1[:, :, None] * (hp * gk)[:, None, :]).reshape(n, -1)
-    a[:, (p + 1) * q] = 1.0
-    a[:, (p + 1) * q + 1:] = h
-    return a
+    h = hb[1:].T
+    # the omega block as one temporary: a strided out= into the split
+    # view of the result was slower
+    a_w = x1[:, :, None] * (h * (1.0 - h) * g[1:])[:, None, :]
+    return arch.join(a_w, hb.T)
 
 
-def _curvature_correction(p: int, q: int, x1: np.ndarray, h: np.ndarray,
-                          gk: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _curvature_correction(arch: Architecture, x1: np.ndarray,
+                          hb: np.ndarray, g: np.ndarray,
+                          weights: np.ndarray) -> np.ndarray:
     """sum_i weights_i * d2z_i/dtheta dtheta^T (r x r, symmetric)."""
-    r = (p + 2) * q + 1
-    c = np.zeros((r, r))
+    c = np.zeros((arch.r, arch.r))
+    # rows, then columns: ww[j, k, m, l] = c[omega_jk, omega_ml],
+    # wg[j, k, l] = c[omega_jk, gamma_l], gw[l, j, k] = c[gamma_l, omega_jk]
+    w_rows, g_rows = (np.moveaxis(v, 0, -1) for v in arch.split(c.T))
+    (ww, wg), (gw, _) = arch.split(w_rows), arch.split(g_rows)
+    h = hb[1:]
     hp = h * (1.0 - h)
     hpp = hp * (1.0 - 2.0 * h)
-    cols = np.arange(p + 1) * q
-    for k in range(q):
-        idx = cols + k
-        wk = weights * hpp[:, k] * gk[k]
-        c[np.ix_(idx, idx)] += x1.T @ (wk[:, None] * x1)
-        v = x1.T @ (weights * hp[:, k])
-        gi = (p + 1) * q + 1 + k
-        c[gi, idx] += v
-        c[idx, gi] += v
+    for k in range(arch.q):
+        wk = weights * hpp[k] * g[k + 1]
+        ww[:, k, :, k] += x1.T @ (wk[:, None] * x1)
+        v = x1.T @ (weights * hp[k])
+        gw[k + 1, :, k] += v
+        wg[:, k, k + 1] += v
     return c
 
 
@@ -172,13 +173,13 @@ class _Evaluator:
                                             | (data.y == 1.0)):
             raise DataError(
                 "bernoulli likelihood requires a response in {0, 1}")
-        self.p, self.q, self.n = arch.p, arch.q, data.n
-        self.pq = (arch.p + 1) * arch.q
+        self.arch, self.n = arch, data.n
         self.x1 = design_with_intercept(data.x)
         self.y = data.y
         # d(penalty)/dtheta = ridge_w * theta: 2 lambda on the penalized
         # coordinates, 0 on the intercepts.
         self.ridge_w = 2.0 * lam * arch.penalized_mask()
+        self.ridge_omega, self.ridge_gamma = arch.split(self.ridge_w)
 
     def _terms(self, theta, kernel=False):
         """Forward pass and the family branch.
@@ -187,7 +188,9 @@ class _Evaluator:
         log-likelihood, the score dl/dz per observation and, if
         ``kernel``, the weights -d2l/dz2 (None where they are all 1).
         """
-        g, hb, z = _net_parts(self.p, self.q, self.x1, theta)
+        w, g = self.arch.split(theta)
+        hb = _activation_block(self.x1, w)
+        z = g @ hb
         if self.gaussian:
             res = self.y - z
             return g, hb, -0.5 * float(res @ res), res, None
@@ -195,14 +198,11 @@ class _Evaluator:
         return (g, hb, _clamped_bernoulli_loglik(self.y, mu), self.y - mu,
                 mu * (1.0 - mu) if kernel else None)
 
-    def _jacobian(self, g, hb):
-        return _pred_jacobian(self.p, self.q, self.x1, hb[1:].T, g[1:])
-
     def _omega_score(self, g, hb, u):
-        """The omega block of J^T u, x1^T (u * gamma_k h_k (1 - h_k)),
-        flattened in the parameter layout."""
+        """The omega block of J^T u, x1^T (u * gamma_k h_k (1 - h_k)), as
+        a (p + 1) x q matrix."""
         h = hb[1:]
-        return (self.x1.T @ ((g[1:, None] * u) * (h * (1.0 - h))).T).ravel()
+        return self.x1.T @ ((g[1:, None] * u) * (h * (1.0 - h))).T
 
     def _ridge(self, theta):
         """The penalty lambda * ||theta_pen||^2."""
@@ -223,10 +223,9 @@ class _Evaluator:
     def _information(self, theta):
         """Unit-scale observed information, before symmetrization."""
         g, hb, _, u, w = self._terms(theta, kernel=True)
-        a = self._jacobian(g, hb)
+        a = _pred_jacobian(self.arch, self.x1, hb, g)
         return ((a.T if w is None else a.T * w) @ a
-                - _curvature_correction(self.p, self.q, self.x1, hb[1:].T,
-                                        g[1:], u))
+                - _curvature_correction(self.arch, self.x1, hb, g, u))
 
     def profile(self, theta):
         """Penalized log-likelihood and the profiled variance: for the
@@ -241,14 +240,14 @@ class _Evaluator:
         """The optimizer's objective: the negative penalized unit-scale
         log-likelihood and its gradient."""
         g, hb, ll, u, _ = self._terms(theta)
-        score = np.concatenate((self._omega_score(g, hb, u), hb @ u))
+        score = self.arch.join(self._omega_score(g, hb, u), hb @ u)
         return -ll + self._ridge(theta), self.ridge_w * theta - score
 
     def profiled(self, omega):
         """``value_grad``'s Gaussian objective with gamma profiled out.
 
-        For the input weights ``omega`` (the first (p + 1) q entries of
-        theta), returns the objective at gamma*(omega), its gradient in
+        For the input weights ``omega`` (W of ``Architecture.split``,
+        raveled), returns the objective at gamma*(omega), its gradient in
         omega and gamma*(omega); (+inf, zeros, None) where the Gram
         matrix is singular (see the module docstring).
         """
@@ -256,20 +255,22 @@ class _Evaluator:
         from scipy.linalg.blas import dgemm
         from scipy.linalg.lapack import dposv
 
-        hb = _activation_block(self.x1, omega.reshape(self.p + 1, self.q))
+        w = omega.reshape(self.ridge_omega.shape)
+        hb = _activation_block(self.x1, w)
         # H H^T as a gemm on H^T: numpy sends hb @ hb.T to syrk, about
         # four times slower at q + 1 = 3, n = 1000.
         gram = dgemm(1.0, hb.T, hb.T, trans_a=1)
-        gram.flat[::self.q + 2] += self.ridge_w[self.pq:]
+        gram.flat[::len(gram) + 1] += self.ridge_gamma
         top = max(gram.diagonal().tolist())
         chol, gamma, info = dposv(gram, hb @ self.y, overwrite_a=True)
         if info or min(chol.diagonal().tolist()) ** 2 < GRAM_RTOL * top:
             return np.inf, np.zeros_like(omega), None
         res = self.y - gamma @ hb
-        ridge = self.ridge_w[:self.pq] * omega
-        value = 0.5 * (float(res @ res) + float(omega @ ridge) + float(
-            gamma @ (self.ridge_w[self.pq:] * gamma)))
-        return value, ridge - self._omega_score(gamma, hb, res), gamma
+        ridge = self.ridge_omega * w
+        value = 0.5 * (float(res @ res) + float(omega @ ridge.ravel())
+                       + float(gamma @ (self.ridge_gamma * gamma)))
+        return (value, (ridge - self._omega_score(gamma, hb, res)).ravel(),
+                gamma)
 
     def hessian(self, theta):
         """Hessian of ``value_grad``'s objective (penalty included)."""
@@ -298,7 +299,7 @@ def gradient(theta: ParamVector, data: Dataset, lam: float,
     ev = _Evaluator(theta.arch, data, lam)
     g, hb, _, u, _ = ev._terms(theta.values)
     div, _ = ev._scale(sigma_sq)
-    score = np.concatenate((ev._omega_score(g, hb, u), hb @ u))
+    score = ev.arch.join(ev._omega_score(g, hb, u), hb @ u)
     return score / div - ev.ridge_w * theta.values
 
 
@@ -329,9 +330,10 @@ def prediction_gradient(theta: ParamVector, x: np.ndarray) -> np.ndarray:
     """
     arch = theta.arch
     x1 = design_with_intercept(x)
-    g, hb, z = _net_parts(arch.p, arch.q, x1, theta.values)
-    a = _pred_jacobian(arch.p, arch.q, x1, hb[1:].T, g[1:])
+    w, g = arch.split(theta.values)
+    hb = _activation_block(x1, w)
+    a = _pred_jacobian(arch, x1, hb, g)
     if arch.family == "bernoulli":
-        mu = sigmoid(z)
+        mu = sigmoid(g @ hb)
         a = a * (mu * (1.0 - mu))[:, None]
     return a

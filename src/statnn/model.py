@@ -14,8 +14,8 @@ parameter vector is laid out as
 
 where omega_j = (omega_j1, ..., omega_jq) and gamma = (gamma_0, ..., gamma_q),
 giving r = (p + 2) q + 1 entries in total.  The ordering is part of the
-serialization contract: covariate blocks and the canonical-form
-machinery rely on a stable index map.
+serialization contract, and ``Architecture.split`` and ``join`` are its
+one map between flat theta and (W, gamma), W[j, k-1] = omega_jk.
 
 A ``ParamVector`` carries its ``Architecture``: every function that takes
 theta reads p, q and the family from ``theta.arch``, and only functions
@@ -108,6 +108,17 @@ class Architecture:
             raise IndexError(f"output index k must be in 0..{self.q}, got {k}")
         return (self.p + 1) * self.q + k
 
+    def split(self, values):
+        """Views (W, gamma) of theta on the last axis of ``values``, W the
+        (p + 1) x q matrix of omega_jk; leading axes ride along."""
+        n_omega = (self.p + 1) * self.q
+        return (values[..., :n_omega].reshape(
+            values.shape[:-1] + (self.p + 1, self.q)), values[..., n_omega:])
+
+    def join(self, w: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Flat theta from (W, gamma): ``split``'s inverse, a new array."""
+        return np.concatenate((w.reshape(g.shape[:-1] + (-1,)), g), -1)
+
     def penalized_mask(self) -> np.ndarray:
         """Boolean mask over theta selecting the ridge-penalized entries.
 
@@ -115,8 +126,8 @@ class Architecture:
         intercept gamma_0.
         """
         mask = np.ones(self.r, dtype=bool)
-        mask[0:self.q] = False                  # omega_0 block
-        mask[self.gamma_index(0)] = False       # gamma_0
+        w, g = self.split(mask)
+        w[0] = g[0] = False
         return mask
 
 
@@ -159,12 +170,11 @@ class ParamVector:
 
     def omega_matrix(self) -> np.ndarray:
         """(p + 1) x q matrix W with W[j, k-1] = omega_jk (a fresh copy)."""
-        return self.values[:(self.arch.p + 1) * self.arch.q].reshape(
-            self.arch.p + 1, self.arch.q).copy()
+        return self.arch.split(self.values)[0].copy()
 
     def gamma_vector(self) -> np.ndarray:
         """Length-(q + 1) vector (gamma_0, ..., gamma_q) (a fresh copy)."""
-        return self.values[(self.arch.p + 1) * self.arch.q:].copy()
+        return self.arch.split(self.values)[1].copy()
 
     @classmethod
     def from_parts(cls, arch: Architecture, omega: np.ndarray,
@@ -176,7 +186,7 @@ class ParamVector:
             raise ShapeError("omega matrix shape", (arch.p + 1, arch.q), omega.shape)
         if gamma.shape != (arch.q + 1,):
             raise ShapeError("gamma vector length", (arch.q + 1,), gamma.shape)
-        return cls(arch, np.concatenate([omega.ravel(), gamma]))
+        return cls(arch, arch.join(omega, gamma))
 
 
 @dataclass(frozen=True)
@@ -319,20 +329,11 @@ def _activation_block(x1: np.ndarray, w: np.ndarray) -> np.ndarray:
     return hb
 
 
-def _net_parts(p: int, q: int, x1: np.ndarray, theta: np.ndarray):
-    """Forward pass pieces on a flat parameter array: the output weights
-    gamma, the activation block H (``_activation_block``) and the
-    output-node net input z = gamma @ H."""
-    g = theta[(p + 1) * q:]
-    hb = _activation_block(x1, theta[:(p + 1) * q].reshape(p + 1, q))
-    return g, hb, g @ hb
-
-
 def forward_design(theta: ParamVector, x1: np.ndarray) -> np.ndarray:
     """Forward pass over a design matrix that already carries the 1-column."""
     arch = theta.arch
-    _, _, z = _net_parts(arch.p, arch.q, x1, theta.values)
+    w, g = arch.split(theta.values)
+    z = g @ _activation_block(x1, w)
     if arch.family == "bernoulli":
         return sigmoid(z)
     return z
-

@@ -328,6 +328,9 @@ def ingest(csv_path, response: str, schema=None):
     """
     names, columns = read_csv(csv_path)
     plan = infer_plan(names, columns, response, schema)
+    if not plan.columns:
+        raise DataError(f"{csv_path} has no covariate column besides the "
+                        f"response {response!r}")
     data = _encode(csv_path, names, columns, plan.columns, plan.response)
     return data, plan
 

@@ -9,7 +9,8 @@ log-likelihood at the penalized estimate.  Cross-validation repeats the
 fit's preprocessing in each training fold, so no test-fold information
 leaks into the fit, and scores RMSE on the original response scale.
 A sweep builds each candidate's ``Architecture`` from the family it is
-given; the family and the ridge penalty are checked before any fit.
+given; the family, the ridge penalty, the widths and the fold count are
+checked before any fit.
 """
 
 from __future__ import annotations
@@ -115,6 +116,14 @@ class CvResult:
     fold_rmses: tuple
 
 
+def _check_folds(folds: int, n: int):
+    """Refuse a fold count outside 2..n."""
+    if folds < 2:
+        raise ValueError(f"folds must be >= 2, got {folds}")
+    if n < folds:
+        raise DataError(f"cannot make {folds} folds from {n} observations")
+
+
 def _fold_indices(n: int, folds: int, seed: int):
     return np.array_split(seeds.rng(seed, 0x5F01).permutation(n), folds)
 
@@ -133,11 +142,8 @@ def cross_validate(arch: Architecture | None, data: Dataset, lam: float,
     scoring.  Fold membership depends only on ``config.seed``, so
     candidates compared under one seed see identical folds.
     """
-    if folds < 2:
-        raise ValueError(f"folds must be >= 2, got {folds}")
     n = data.n
-    if n < folds:
-        raise DataError(f"cannot make {folds} folds from {n} observations")
+    _check_folds(folds, n)
     y_raw = data.response_meta.to_original(data.y)
     fold_rmses = []
     for f, test_idx in enumerate(_fold_indices(n, folds, config.seed)):
@@ -228,10 +234,13 @@ def sweep(data: Dataset, q_list, family: str, lam: float,
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
     check_lambda(lam)
-    entries = []
     for q in q_list:
         if q < 0:
             raise ValueError(f"candidate width must be >= 0, got {q}")
+    if cv:
+        _check_folds(folds, data.n)
+    entries = []
+    for q in q_list:
         arch, note = None, None
         try:
             if q > 0:

@@ -586,6 +586,43 @@ def test_select_bernoulli_baseline_only_exits_2(tmp_path, capsys):
     assert "width >= 1" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--folds", "5"], "cannot make 5 folds from 3 observations"),
+    (["--folds", "1"], "folds must be >= 2"),
+    (["--folds", "3", "--q-list", "2,-1"], "candidate width must be >= 0"),
+])
+def test_select_refuses_folds_and_widths_before_any_fit(tmp_path, capsys,
+                                                       monkeypatch, flags,
+                                                       message):
+    """A fold count outside 2..n or a negative width exits 2 before the
+    first candidate is fitted, not after some of them."""
+    import statnn.selection as selection
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a candidate was fitted before the checks")
+
+    monkeypatch.setattr(selection, "fit", no_fit)
+    monkeypatch.setattr(selection, "fit_linear", no_fit)
+    path = tmp_path / "three.csv"
+    path.write_text("x,y\n1.0,2.0\n2.0,1.5\n3.5,4.0\n")
+    assert main(["select", str(path), "--response", "y", "--q-max", "1",
+                 *flags]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "--lambda" not in err
+
+
+@pytest.mark.parametrize("command", ["fit", "select"])
+def test_exit_2_on_a_table_of_only_the_response(tmp_path, capsys, command):
+    path = tmp_path / "y.csv"
+    path.write_text("y\n1.0\n2.0\n4.0\n")
+    flags = (["--q", "1", "--out", str(tmp_path / "m.json")]
+             if command == "fit" else ["--no-cv"])
+    assert main([command, str(path), "--response", "y", *flags]) == 2
+    err = capsys.readouterr().err
+    assert "y.csv" in err and "response 'y'" in err
+    assert "concatenate" not in err
+
+
 def test_fit_bernoulli_on_factor_response(tmp_path):
     rng = np.random.default_rng(172)
     n = 80

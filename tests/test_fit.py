@@ -317,7 +317,7 @@ def _oracle_objective(case, tmp_path, monkeypatch):
     x0 = initialize(arch, seeds.rng(0, 1), data.x).values
     if family == "bernoulli":
         return ev.value_grad, x0
-    return (lambda omega: ev.profiled(omega)[:2]), x0[:ev.pq]
+    return (lambda omega: ev.profiled(omega)[:2]), ev.arch.split(x0)[0].ravel()
 
 
 @pytest.mark.parametrize("case, stop", [

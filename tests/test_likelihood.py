@@ -71,7 +71,8 @@ def _jacobian_score(arch, theta, data, family):
     h = 1.0 / (1.0 + np.exp(-(x1 @ w)))
     z = g[0] + h @ g[1:]
     fitted = z if family == "gaussian" else 1.0 / (1.0 + np.exp(-z))
-    return _pred_jacobian(p, q, x1, h, g[1:]).T @ (data.y - fitted)
+    hb = np.vstack([np.ones(data.n), h.T])
+    return _pred_jacobian(arch, x1, hb, g).T @ (data.y - fitted)
 
 
 @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])

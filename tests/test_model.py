@@ -338,3 +338,57 @@ def test_no_callable_takes_an_architecture_beside_theta():
                 and name not in _ARCH_BESIDE_THETA_ALLOWED):
             offenders.append(name)
     assert offenders == []
+
+
+#: The records that define a shape, and the Monte Carlo truth built
+#: from one before any theta exists.
+_P_AND_Q_ALLOWED = {"statnn.model.Architecture", "statnn.simgen.SimScenario",
+                    "statnn.simgen.default_true_theta"}
+
+
+def test_no_callable_takes_p_and_q():
+    """The layout of theta is ``Architecture``'s: a kernel takes the
+    architecture (or theta), not a loose p and q to recompute offsets
+    from."""
+    offenders = []
+    for name, obj in _package_callables():
+        try:
+            params = inspect.signature(obj).parameters
+        except ValueError:          # exception classes have none
+            continue
+        if ({"p", "q"} <= params.keys()
+                and name.removesuffix(".__init__") not in _P_AND_Q_ALLOWED):
+            offenders.append(name)
+    assert offenders == []
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (3, 2), (2, 4)])
+def test_split_join_round_trip_matches_index_map(p, q):
+    """``split`` puts omega_jk at W[j, k-1] and gamma_k at g[k], as
+    ``omega_index`` and ``gamma_index`` number them, on the last axis
+    with leading axes riding along; its views write through, and
+    ``join`` inverts it."""
+    arch = Architecture(p=p, q=q)
+    values = np.random.default_rng(p * 10 + q).normal(size=(2, 3, arch.r))
+    w, g = arch.split(values)
+    assert w.shape == (2, 3, p + 1, q) and g.shape == (2, 3, q + 1)
+    for j in range(p + 1):
+        for k in range(1, q + 1):
+            np.testing.assert_array_equal(
+                w[..., j, k - 1], values[..., arch.omega_index(j, k)])
+    for k in range(q + 1):
+        np.testing.assert_array_equal(g[..., k],
+                                      values[..., arch.gamma_index(k)])
+    np.testing.assert_array_equal(arch.join(w, g), values)
+    assert np.shares_memory(w, values) and np.shares_memory(g, values)
+    theta = values[1, 2]
+    w1, g1 = arch.split(theta)
+    np.testing.assert_array_equal(arch.join(w1, g1), theta)
+    w1[p, q - 1] = g1[q] = 7.0
+    assert theta[arch.omega_index(p, q)] == theta[arch.gamma_index(q)] == 7.0
+    # the rows of an r x r matrix split through its transpose
+    c = np.arange(arch.r * arch.r, dtype=float).reshape(arch.r, arch.r)
+    rows_w, rows_g = arch.split(c.T)
+    np.testing.assert_array_equal(rows_w[:, p, q - 1],
+                                  c[arch.omega_index(p, q)])
+    np.testing.assert_array_equal(rows_g[:, 0], c[arch.gamma_index(0)])

@@ -154,9 +154,9 @@ def test_a_diverged_estimate_counts_as_a_failed_fit(monkeypatch):
         if len(calls) > 1:
             return real(obj, x0)
         theta = x0.copy()               # unit 2 a copy of unit 1
-        for j in range(obj.p + 1):
+        for j in range(obj.arch.p + 1):
             theta[j * 2 + 1] = theta[j * 2]
-        theta[(obj.p + 1) * 2 + 1:] = (5e158, -5e158)
+        theta[(obj.arch.p + 1) * 2 + 1:] = (5e158, -5e158)
         return theta, 1
 
     monkeypatch.setattr(fit_module, "_run_restart", run)

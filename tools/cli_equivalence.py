@@ -13,9 +13,20 @@ exit code, stdout and stderr (SRC itself is written as ``<src>``).  Last
 come the refusals: bad inputs, which exit 2, and models without a
 covariance estimate, which exit 3; the bad models are copies of the
 Gaussian model with JSON fields edited, and the bad tables copies of
-its table with one cell replaced or dropped.  The script imports
-nothing from the package and patches nothing, so the same list runs
+its table with one cell replaced or dropped.  The commands import
+nothing from the package and patch nothing, so the same list runs
 unchanged against any two versions of it, across API changes.
+
+Last, ``record`` writes the library outputs that no command reaches to
+``library/`` in OUT, as hex-float text (one array row per line), with
+``library.log``: ``prediction_gradient``, ``gradient`` and
+``log_likelihood`` at a given sigma^2 on both stored models, the
+Bernoulli ``observed_information``, and ``align_to``'s (aligned, T) at
+q = 3 and 4.  One ``PYTHONPATH=SRC`` process (``LIBRARY_SCRIPT``)
+computes them by calling only public functions.  Unlike the commands,
+this part needs the same public signatures on both sides: where one
+changed, ``library.log`` shows the error and ``compare`` reports its
+files missing.
 
 ``compare`` lists every file of either recording as ``byte-identical``,
 ``JSON-equal`` (a ``.json`` file whose bytes differ but whose parsed
@@ -172,7 +183,20 @@ REFUSALS = [
     ("summary_inf", ["summary", "g_model.json", "g_inf.csv"]),
     ("summary_ragged", ["summary", "g_model.json", "g_ragged.csv"]),
     ("summary_bigfield", ["summary", "g_model.json", "g_bigfield.csv"]),
+    ("select_folds_over_n", ["select", "three.csv", "--response", "y",
+                             "--q-max", "1", "--folds", "5"]),
+    ("select_one_fold", ["select", "three.csv", "--response", "y",
+                         "--q-max", "1", "--folds", "1"]),
+    ("select_negative_width", ["select", "g.csv", "--response", "y",
+                               "--q-list", "2,-1", "--folds", "3",
+                               "--restarts", "2"]),
+    ("fit_response_only", ["fit", "yonly.csv", "--response", "y", "--q",
+                           "1", "--out", "yonly_model.json"]),
 ]
+
+#: Small tables for REFUSALS: three rows, and the response alone.
+SMALL_TABLES = {"three.csv": "x,y\n1.0,2.0\n2.0,1.5\n3.5,4.0\n",
+                "yonly.csv": "y\n1.0\n2.0\n4.0\n"}
 
 
 def _bad_tables(lines: list) -> dict:
@@ -196,6 +220,60 @@ def _bad_tables(lines: list) -> dict:
     }
 
 
+#: Run as ``python -c LIBRARY_SCRIPT OUT`` with ``PYTHONPATH=SRC``;
+#: public functions only.
+LIBRARY_SCRIPT = r"""
+import os
+import sys
+
+import numpy as np
+
+from statnn.canonical import align_to, apply_symmetry
+from statnn.likelihood import (gradient, log_likelihood,
+                               observed_information, prediction_gradient)
+from statnn.model import Architecture, ParamVector
+from statnn.preprocess import dataset_from_meta
+from statnn.serialize import load_model
+
+out = os.path.join(sys.argv[1], "library")
+os.makedirs(out)
+
+
+def write(name, array):
+    rows = np.atleast_2d(np.asarray(array, dtype=float))
+    with open(os.path.join(out, name + ".txt"), "w") as fh:
+        for row in rows:
+            fh.write(" ".join(float(v).hex() for v in row) + "\n")
+
+
+for tag, sigma_sq in (("g", 0.8), ("b", None)):
+    doc = load_model(os.path.join(sys.argv[1], f"{tag}_model.json"))
+    data = dataset_from_meta(os.path.join(sys.argv[1], f"{tag}.csv"),
+                             doc.column_meta, doc.response_meta)
+    theta = doc.theta
+    write(f"{tag}_prediction_gradient", prediction_gradient(theta, data.x))
+    write(f"{tag}_gradient", gradient(theta, data, 0.03, sigma_sq))
+    write(f"{tag}_log_likelihood",
+          log_likelihood(theta, data, 0.03, sigma_sq))
+    if tag == "b":
+        write("b_observed_information", observed_information(theta, data))
+
+rng = np.random.default_rng(20)
+for p, q in ((3, 3), (2, 4)):
+    arch = Architecture(p, q)
+    for case in range(4):
+        ref = ParamVector(arch, rng.normal(size=arch.r))
+        flips = tuple(k for k in range(1, q + 1) if rng.random() < 0.5)
+        src = tuple(int(k) + 1 for k in rng.permutation(q))
+        moved = apply_symmetry(ref, (flips, src)).values
+        theta = ParamVector(arch, moved + rng.normal(scale=0.3,
+                                                     size=arch.r))
+        aligned, t = align_to(theta, ref)
+        write(f"align_q{q}_{case}", aligned.values)
+        write(f"align_q{q}_{case}_T", t)
+"""
+
+
 def _write_inputs(out: Path):
     sys.path.insert(0, str(PERFBENCH))
     from inputs import write_table
@@ -206,15 +284,17 @@ def _write_inputs(out: Path):
         lines = fh.readlines()
     for name, text in _bad_tables(lines).items():
         (out / name).write_text(text, encoding="utf-8", newline="")
+    for name, text in SMALL_TABLES.items():
+        (out / name).write_text(text, encoding="utf-8")
     for name, payload in SCENARIOS.items():
         (out / name).write_text(json.dumps(payload), encoding="utf-8")
 
 
-def _run(src: str, out: Path, commands):
+def _run(src: str, out: Path, commands, python_args=("-m", "statnn.cli")):
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1")
     for label, argv in commands:
-        proc = subprocess.run([sys.executable, "-m", "statnn.cli"] + argv,
+        proc = subprocess.run([sys.executable, *python_args, *argv],
                               cwd=out, env=env, capture_output=True,
                               text=True)
         log = (f"exit: {proc.returncode}\n--- stdout\n{proc.stdout}"
@@ -234,6 +314,7 @@ def record(src: str, out: str) -> int:
         (out / name).write_text(json.dumps({**model, **changes}),
                                 encoding="utf-8")
     _run(src, out, REFUSALS)
+    _run(src, out, [("library", [str(out)])], ("-c", LIBRARY_SCRIPT))
     return 0
 
 
