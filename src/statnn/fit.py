@@ -36,15 +36,28 @@ The estimate is set by the optimum, not by how the search got there:
   directly (``_quasi_newton``) with the stops and settings that
   ``scipy.optimize.minimize(method="L-BFGS-B")`` would pass it, so every
   iterate is bitwise ``minimize``'s; only ``minimize``'s wrappers around
-  each evaluation are gone.
+  each evaluation are gone.  Restarts run in index order.  A fit whose
+  config sets ``confirmations`` stops as soon as that many of the
+  restarts run so far are tied with the best of them (see the
+  tie-break), so ``n_restarts`` is a cap; one with at most that many
+  restarts runs them all.  Stopping once the best point has been
+  confirmed is the classical rule for multistart searches (Boender &
+  Rinnooy Kan 1987, Math. Programming 37, 59-80).  It is sound where
+  the fitted width is the generating one, as in a simulation study
+  (``simgen`` sets RESTART_CONFIRMATIONS).  A wider network has many
+  lower optima that several restarts can agree on, so other fits run
+  every restart (the replay beside the constant).
 * **Polish.**  Damped Newton steps then continue until the gradient
   max-norm is at most POLISH_TOL, near the rounding level of the
   gradient, or until no step can lower it further.  Restarts that reach
   the same optimum then agree to rounding.
-* **Tie-break.**  Every restart is canonicalized.  The winner is the
-  lowest-indexed restart whose penalized log-likelihood is within
-  TIE_RTOL (relative) of the best and whose canonical theta is within
-  THETA_TOL (relative max-norm) of the best restart's.  A restart at a
+* **Tie-break.**  Every restart is canonicalized.  A restart is tied
+  with the best when its penalized log-likelihood is within TIE_RTOL
+  (relative) of the best and its canonical theta within THETA_TOL
+  (relative max-norm) of the best restart's (``_tied_with_best``).  The
+  winner is the lowest-indexed tied restart, and the same list decides
+  when to stop, so a stopped fit returns the restart a full run would
+  have returned whenever the best optimum is the same.  A restart at a
   different theta never displaces the best log-likelihood, however close
   its value.  A restart whose estimate's squared norm overflows has run
   towards a limit at infinity and fails.
@@ -96,6 +109,35 @@ TIE_RTOL = 1e-10
 #: Tied restarts measured at most 2.1e-12 apart in canonical theta
 #: (relative max-norm), distinct optima at least 0.54 apart.
 THETA_TOL = 1e-8
+#: Restarts tied with the best so far that stop a simulation study's fit
+#: (``FitConfig.confirmations``).  A replay ran all 10 restarts of each
+#: fit, then applied "stop at k ties, winner the first tied restart" to
+#: the prefixes; a miss is a winner other than the full run's, and the
+#: share is of the full run's iterations:
+#:
+#:     k   headline cell,   select tables, fitted width minus generating:
+#:         1,440 fits       <= 0: 864 fits   +1: 576 fits   +2: 576 fits
+#:     2   4 misses, 21.0%  0, 20.3%         172, 45.7%     118, 72.3%
+#:     3   1,        31.4%  0, 30.5%          92, 69.9%      34, 91.2%
+#:     4   0,        42.2%  0, 40.6%          39, 84.2%       9, 97.4%
+#:     7                    0, 71.1%           1, 98.5%       0, 99.9%
+#:
+#: A fit wider than the generating network has many lower optima that
+#: several restarts reach, and its best optimum was reached by a single
+#: restart in 167 of the 576 fits one unit too wide.  Its misses at k = 4
+#: were 0.04-10.2 below the best in penalized log-likelihood, and the
+#: rule saved little there.  So only a study's fits, at the generating
+#: width by construction, stop early; ``fit`` and ``select`` cannot know
+#: that width and run every restart.
+#:
+#: The headline fits are replicate i < 12 of round r < 120's scenario
+#: (q = 2, "5-1", n = 1,000, lam = 0.01), seed derive_seed(1, 1, r)
+#: (perfbench's), fitted with seed ``seeds.derive_seed(scenario seed, i,
+#: 1)``.  Table t < 48 of width w = 1, 2 is perfbench's
+#: ``write_table(path, 1000, derive_seed(1, 2, t), width=w)``; its fits
+#: are those of ``selection.sweep`` over q = 1..8 (q = 1..3 at w = 1) at
+#: lam = 0.01, seed t, 5 folds: the full-data fit and each fold's.
+RESTART_CONFIRMATIONS = 4
 _POLISH_MAX_STEPS = 25
 _POLISH_MAX_BACKTRACKS = 30
 #: Evaluation cap of one L-BFGS-B run, ``minimize``'s default ``maxfun``,
@@ -114,14 +156,20 @@ _STOP_MAXFUN, _STOP_MAXITER = 502, 504
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Number of random restarts and the seed they are drawn from."""
+    """Number of random restarts and the seed they are drawn from.  With
+    ``confirmations`` set, ``n_restarts`` is a cap: the fit stops once
+    that many restarts are tied with the best so far."""
 
     n_restarts: int = 10
     seed: int = 0
+    confirmations: int | None = None
 
     def __post_init__(self):
         if self.n_restarts < 1:
             raise ValueError(f"n_restarts must be >= 1, got {self.n_restarts}")
+        if self.confirmations is not None and self.confirmations < 1:
+            raise ValueError(f"confirmations must be >= 1, got "
+                             f"{self.confirmations}")
 
 
 @dataclass(frozen=True)
@@ -131,14 +179,16 @@ class FitResult:
     The architecture is ``theta_hat.arch``; the record keeps no other.
     ``loglik`` is the penalized log-likelihood at ``theta_hat`` (for the
     Gaussian family, at the recovered sigma_hat^2).  ``restart_logliks``
-    and ``restart_iterations`` hold every restart's value and work
-    (L-BFGS-B iterations plus Newton polish steps); a failed restart
-    appears as ``-inf`` and 0.  ``chosen_restart`` is the index of the
-    winner: the lowest-indexed restart tied with the best, that is,
-    within TIE_RTOL of the best log-likelihood and within THETA_TOL of
-    its canonical theta.  ``loglik`` is therefore
-    ``restart_logliks[chosen_restart]``, which can sit below the maximum
-    by at most TIE_RTOL (relative).  ``iterations`` is the winner's work.
+    and ``restart_iterations`` hold the value and work (L-BFGS-B
+    iterations plus Newton polish steps) of every restart that ran, in
+    index order; a failed restart appears as ``-inf`` and 0.  Restarts
+    past the one that made ``config.confirmations`` ties did not run.
+    ``chosen_restart`` is the index of the winner: the lowest-indexed
+    restart tied with the best, that is, within TIE_RTOL of the best
+    log-likelihood and within THETA_TOL of its canonical theta.
+    ``loglik`` is therefore ``restart_logliks[chosen_restart]``, which
+    can sit below the maximum by at most TIE_RTOL (relative).
+    ``iterations`` is the winner's work.
     """
 
     theta_hat: ParamVector
@@ -224,11 +274,13 @@ def fit(arch: Architecture, data: Dataset, lam: float,
         config: FitConfig = FitConfig()) -> FitResult:
     """Penalized maximum-likelihood estimate with random restarts."""
     obj = _Evaluator(arch, data, lam)
-    runs = [None] * config.n_restarts     # (loglik, theta, sigma_sq)
-    restart_iterations = [0] * config.n_restarts
+    runs = []                   # (loglik, theta, sigma_sq), None if failed
+    restart_iterations = []
     failures = []
 
     for i in range(config.n_restarts):
+        runs.append(None)
+        restart_iterations.append(0)
         x0 = initialize(arch, seeds.rng(config.seed, i), data.x).values
         try:
             x_hat, nit = _run_restart(obj, x0)
@@ -248,12 +300,15 @@ def fit(arch: Architecture, data: Dataset, lam: float,
             continue
         runs[i] = (ll, theta_c, sigma_sq)
         restart_iterations[i] = nit
+        if (config.confirmations is not None
+                and len(_tied_with_best(runs)) >= config.confirmations):
+            break
 
-    if all(run is None for run in runs):
+    tied = _tied_with_best(runs)
+    if not tied:
         raise FitError("all restarts failed:\n" + "\n".join(failures))
 
-    logliks = [float("-inf") if run is None else run[0] for run in runs]
-    chosen = _choose_restart(runs, logliks)
+    chosen = tied[0]
     loglik, theta_hat, sigma_sq_hat = runs[chosen]
     _, g_final = obj.value_grad(theta_hat.values)
     grad_max = float(np.max(np.abs(g_final)))
@@ -262,7 +317,8 @@ def fit(arch: Architecture, data: Dataset, lam: float,
         loglik=loglik,
         sigma_sq_hat=sigma_sq_hat,
         lam=lam,
-        restart_logliks=tuple(logliks),
+        restart_logliks=tuple(float("-inf") if run is None else run[0]
+                              for run in runs),
         restart_iterations=tuple(restart_iterations),
         chosen_restart=chosen,
         converged=bool(grad_max <= GRAD_TOL),
@@ -271,21 +327,21 @@ def fit(arch: Architecture, data: Dataset, lam: float,
     )
 
 
-def _choose_restart(runs, logliks) -> int:
-    """Index of the winning restart: the lowest index whose penalized
-    log-likelihood is within TIE_RTOL of the best and whose canonical
-    theta is within THETA_TOL of the best's; the best itself when no
-    earlier restart ties with it."""
+def _tied_with_best(runs) -> list:
+    """Indices, in order, of the restarts tied with the best: those whose
+    penalized log-likelihood is within TIE_RTOL of the best and whose
+    canonical theta is within THETA_TOL of the best's, the best (the
+    lowest-indexed maximum) included.  Empty when every restart failed."""
+    logliks = [float("-inf") if run is None else run[0] for run in runs]
     best = int(np.argmax(logliks))
+    if runs[best] is None:
+        return []
     ll_best, theta_best = runs[best][0], runs[best][1].values
     ll_tol = TIE_RTOL * max(1.0, abs(ll_best))
     theta_tol = THETA_TOL * max(1.0, float(np.max(np.abs(theta_best))))
-    for i, run in enumerate(runs[:best]):
-        if (run is not None and ll_best - run[0] <= ll_tol
-                and float(np.max(np.abs(run[1].values - theta_best)))
-                <= theta_tol):
-            return i
-    return best
+    return [i for i, run in enumerate(runs)
+            if run is not None and ll_best - run[0] <= ll_tol
+            and float(np.max(np.abs(run[1].values - theta_best))) <= theta_tol]
 
 
 def evaluate_at(theta: ParamVector, data: Dataset, lam: float) -> FitResult:

@@ -9,8 +9,8 @@ log-likelihood at the penalized estimate.  Cross-validation repeats the
 fit's preprocessing in each training fold, so no test-fold information
 leaks into the fit, and scores RMSE on the original response scale.
 A sweep builds each candidate's ``Architecture`` from the family it is
-given; the family, the ridge penalty, the widths and the fold count are
-checked before any fit.
+given; the family, the ridge penalty, the widths, the fold count and
+each fold's preprocessing are checked before any fit.
 """
 
 from __future__ import annotations
@@ -142,15 +142,14 @@ def cross_validate(arch: Architecture | None, data: Dataset, lam: float,
     scoring.  Fold membership depends only on ``config.seed``, so
     candidates compared under one seed see identical folds.
     """
-    n = data.n
-    _check_folds(folds, n)
+    _check_folds(folds, data.n)
     y_raw = data.response_meta.to_original(data.y)
     fold_rmses = []
-    for f, test_idx in enumerate(_fold_indices(n, folds, config.seed)):
+    for f, test_idx, train, x_test in _folds(data, folds, config.seed):
         try:
-            pred = _fold_predict(arch, data, lam, config, test_idx, f)
+            pred = _fold_predict(arch, train, x_test, lam, config, f)
         except (FitError, DataError) as exc:
-            raise FitError(f"cross-validation fold {f} failed: {exc}") from exc
+            raise type(exc)(f"cross-validation fold {f} failed: {exc}") from exc
         err = y_raw[test_idx] - pred
         fold_rmses.append(float(np.sqrt(np.mean(err ** 2))))
     fold_rmses = tuple(fold_rmses)
@@ -169,24 +168,37 @@ def _fold_column(meta, values, train_mask):
     return fold, fold.to_model(raw)
 
 
-def _fold_predict(arch, data, lam, config, test_idx, f):
-    """Fit on the training part and predict the held-out part (raw scale)."""
-    train_mask = np.ones(data.n, dtype=bool)
-    train_mask[test_idx] = False
-    metas, cols = zip(*(_fold_column(meta, data.x[:, j], train_mask)
-                        for j, meta in enumerate(data.column_meta)))
-    x = np.column_stack(cols)
-    ymeta, y = _fold_column(data.response_meta, data.y, train_mask)
-    train = Dataset(x[train_mask], y[train_mask], column_meta=metas,
-                    response_meta=ymeta)
-    x_test = design_with_intercept(x[test_idx])
+def _folds(data, folds, seed):
+    """Each fold's index, held-out rows, training set and held-out
+    design, the training rows preprocessed as the fit's preprocessing
+    would.  A column that preprocessing refuses on a fold's training rows
+    raises a ``DataError`` that names the fold."""
+    for f, test_idx in enumerate(_fold_indices(data.n, folds, seed)):
+        train_mask = np.ones(data.n, dtype=bool)
+        train_mask[test_idx] = False
+        try:
+            metas, cols = zip(*(_fold_column(meta, data.x[:, j], train_mask)
+                                for j, meta in enumerate(data.column_meta)))
+            ymeta, y = _fold_column(data.response_meta, data.y, train_mask)
+        except DataError as exc:
+            raise DataError(
+                f"cross-validation fold {f} failed: {exc}") from exc
+        x = np.column_stack(cols)
+        train = Dataset(x[train_mask], y[train_mask], column_meta=metas,
+                        response_meta=ymeta)
+        yield f, test_idx, train, design_with_intercept(x[test_idx])
+
+
+def _fold_predict(arch, train, x_test, lam, config, f):
+    """Fit on a fold's training set and predict its held-out design on
+    the original response scale."""
     if arch is None:
         pred = x_test @ fit_linear(train).beta
     else:
         seed = seeds.derive_seed(config.seed, arch.q, f)
         result = fit(arch, train, lam, dc_replace(config, seed=seed))
         pred = forward_design(result.theta_hat, x_test)
-    return ymeta.to_original(pred)
+    return train.response_meta.to_original(pred)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +239,13 @@ def sweep(data: Dataset, q_list, family: str, lam: float,
     """Fit every candidate width and score it by BIC (and optionally CV).
 
     Candidate failures are recorded in their entry rather than aborting
-    the sweep; at least the surviving candidates stay comparable.  For
-    the bernoulli family the linear baseline gets no BIC (its entry says
+    the sweep; at least the surviving candidates stay comparable.  A
+    candidate whose cross-validation fails keeps its BIC, and its entry
+    says why it has no CV score.  Each fold's preprocessing does not
+    depend on the width, so it is checked once, before any fit: a column
+    that cannot be standardized on a fold's training rows is the data's
+    error, not a candidate's, and raises ``DataError``.  For the
+    bernoulli family the linear baseline gets no BIC (its entry says
     why), only its CV RMSE.
     """
     if family not in FAMILIES:
@@ -239,26 +256,31 @@ def sweep(data: Dataset, q_list, family: str, lam: float,
             raise ValueError(f"candidate width must be >= 0, got {q}")
     if cv:
         _check_folds(folds, data.n)
+        for _ in _folds(data, folds, config.seed):
+            pass                # preprocesses each fold; raises if one fails
     entries = []
     for q in q_list:
-        arch, note = None, None
+        arch = Architecture(p=data.p, q=q, family=family) if q > 0 else None
         try:
-            if q > 0:
-                arch = Architecture(p=data.p, q=q, family=family)
-                bic_val = bic(fit(arch, data, lam, config), data.n)
+            if arch is not None:
+                bic_val, note = bic(fit(arch, data, lam, config), data.n), None
             elif family == "gaussian":
-                bic_val = linear_bic(fit_linear(data))
+                bic_val, note = linear_bic(fit_linear(data)), None
             else:
                 bic_val, note = None, ("no BIC: the linear baseline's "
                                        "likelihood is Gaussian, not "
                                        "comparable with bernoulli networks")
-            cv_res = (cross_validate(arch, data, lam, config, folds=folds)
-                      if cv else None)
-            entry = SweepEntry(q=q, bic=bic_val, error=note,
-                               cv_rmse=cv_res.rmse if cv else None,
-                               cv_se=cv_res.se if cv else None)
         except (FitError, DataError) as exc:
-            entry = SweepEntry(q=q, bic=None, cv_rmse=None, cv_se=None,
-                               error=str(exc))
-        entries.append(entry)
+            entries.append(SweepEntry(q=q, bic=None, cv_rmse=None, cv_se=None,
+                                      error=str(exc)))
+            continue
+        cv_res = None
+        if cv:
+            try:
+                cv_res = cross_validate(arch, data, lam, config, folds=folds)
+            except (FitError, DataError) as exc:
+                note = f"{note}; {exc}" if note else str(exc)
+        entries.append(SweepEntry(q=q, bic=bic_val, error=note,
+                                  cv_rmse=cv_res.rmse if cv_res else None,
+                                  cv_se=cv_res.se if cv_res else None))
     return SelectionSweep(entries=tuple(entries))

@@ -20,6 +20,10 @@ The weakest effect is covariate 2, whose per-node weights are fixed at
 default blocks are package choices (all nonzero, stronger than
 covariate 2's) listed in ``_DEFAULT_TRUTH``.
 
+A replicate's fit is at the generating width, so it stops restarting
+once ``fit.RESTART_CONFIRMATIONS`` restarts reach its best optimum: a
+scenario's ``restarts`` is a cap.
+
 Everything is reproducible: replicate i of a scenario depends only on
 (scenario.seed, i), and parallel runs reduce results in replicate order
 so serial and multi-process executions agree bitwise.
@@ -41,7 +45,7 @@ from . import seeds
 from .canonical import align_to
 from .effects import Z_95
 from .exceptions import FitError, NotPositiveDefiniteError
-from .fit import FitConfig, fit
+from .fit import RESTART_CONFIRMATIONS, FitConfig, fit
 from .inference import sandwich_covariance, wald_multi, wald_single
 from .likelihood import check_lambda, observed_information
 from .model import (Architecture, Dataset, ParamVector, design_with_intercept,
@@ -190,7 +194,7 @@ class _ReplicateOutcome:
     covered: np.ndarray      # (r,), NaN unless pd_ok
     sp_p: np.ndarray         # (r,), NaN unless pd_ok
     mp_p: np.ndarray         # (p,), NaN unless pd_ok
-    iterations: int = 0      # optimizer work over all restarts
+    iterations: int = 0      # optimizer work over the restarts that ran
 
 
 def _replicate_task(args):
@@ -202,7 +206,8 @@ def _replicate_task(args):
                                 nan_r, np.full(scenario.p, np.nan))
     data = generate(scenario, i)
     cfg = FitConfig(n_restarts=scenario.restarts,
-                    seed=seeds.derive_seed(scenario.seed, i, 1))
+                    seed=seeds.derive_seed(scenario.seed, i, 1),
+                    confirmations=RESTART_CONFIRMATIONS)
     try:
         res = fit(arch, data, scenario.lam, cfg)
     except FitError:
@@ -256,7 +261,8 @@ class SimReport:
     full replicate count as denominator: any other replicate counts as a
     non-rejection, so no rate exceeds ``pd_rate``.  ``iterations`` is the
     optimizer work of the whole run: L-BFGS-B iterations plus Newton
-    polish steps, summed over every restart of every replicate.
+    polish steps, summed over every restart that ran in every
+    replicate.
     """
 
     scenario: SimScenario

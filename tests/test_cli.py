@@ -248,6 +248,40 @@ def test_select_no_cv(workspace, capsys):
     assert "best CV RMSE" not in captured.err
 
 
+def test_select_fold_data_error_exits_2(tmp_path, capsys):
+    """x is constant on the training rows of the fold that holds its one
+    2: the fold's data error names the column and exits 2, where it used
+    to exit 3 with a numerical-failure hint."""
+    path = tmp_path / "t.csv"
+    path.write_text("x,z,y\n1,0.5,1.2\n1,-1.0,0.3\n1,2.0,2.1\n"
+                    "2,0.1,0.9\n1,-0.4,-0.5\n")
+    assert main(["select", str(path), "--response", "y", "--q-list", "0",
+                 "--folds", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "cross-validation fold" in err and "'x'" in err
+    assert "hint" not in err
+
+
+def test_select_fold_collinear_dummy_costs_only_the_baseline(tmp_path,
+                                                             capsys):
+    """The dummy d is 0 on the training rows of the fold that holds its
+    one 1, so that fold's OLS design is collinear: the linear baseline
+    loses its CV score but keeps its BIC, and the network is scored in
+    full."""
+    path = tmp_path / "d.csv"
+    z = (0.5, -1.0, 2.0, 0.1, -0.4, 1.3, -0.7, 0.9, -1.6, 0.2)
+    y = (1.2, 0.3, 2.1, 0.9, -0.5, 1.6, 0.1, 1.0, -0.9, 0.4)
+    path.write_text("d,z,y\n" + "".join(
+        f"{int(i == 3)},{zi},{yi}\n" for i, (zi, yi) in enumerate(zip(z, y))))
+    assert main(["select", str(path), "--response", "y", "--q-list", "0,1",
+                 "--folds", "5", "--restarts", "4"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    linear, net = rows[1], rows[2]
+    assert linear[0] == "0" and linear[1] != "NA" and linear[2] == "NA"
+    assert "collinear" in linear[4] and "d" in linear[4]
+    assert net[0] == "1" and "NA" not in net[1:4] and net[4] == ""
+
+
 def test_simulate(tmp_path, capsys):
     scen = {"format_version": 1, "q": 2, "nz_pattern": "5-1", "n": 50,
             "replicates": 3, "restarts": 1, "seed": 8, "lambda": 0.01}

@@ -10,10 +10,11 @@ import pytest
 from statnn import seeds
 from statnn.canonical import canonicalize
 from statnn.exceptions import DataError, FitError
-from statnn.fit import (POLISH_TOL, THETA_TOL, TIE_RTOL, FitConfig,
-                        evaluate_at, fit, initialize)
+from statnn.fit import (POLISH_TOL, RESTART_CONFIRMATIONS, THETA_TOL,
+                        TIE_RTOL, FitConfig, evaluate_at, fit, initialize)
 from statnn.likelihood import _Evaluator, gradient, log_likelihood
 from statnn.model import Architecture, Dataset, ParamVector, forward_batch
+from statnn.simgen import SimScenario, _replicate_task, generate
 
 # The package rebinds the name ``statnn.fit`` to the function.
 fit_module = importlib.import_module("statnn.fit")
@@ -114,21 +115,93 @@ def test_start_reads_the_draw_in_standardized_units():
                                   draw[(arch.p + 1) * arch.q:])
 
 
-def test_restart_records_and_chosen_restart():
-    """Every restart's value and work is kept; the winner is tied with the
-    best value and its work is the reported ``iterations``."""
+def test_restart_records_and_chosen_restart(monkeypatch):
+    """A fit configured with ``confirmations`` stops at that many restarts
+    tied with the best so far and never earlier; a fit of at most that
+    many restarts, or one without ``confirmations``, runs them all.  The
+    records hold the restarts that ran, and the winner's value and work
+    are the reported ``loglik`` and ``iterations``."""
     arch = Architecture(p=2, q=2)
     truth = _true_theta(arch)
     data = _gaussian_data(arch, truth, 120, seed=44)
-    result = fit(arch, data, 0.01, FitConfig(n_restarts=6, seed=4))
-    assert len(result.restart_logliks) == 6
-    assert len(result.restart_iterations) == 6
-    chosen = result.chosen_restart
-    best = max(result.restart_logliks)
-    assert result.loglik == result.restart_logliks[chosen]
-    assert best - result.loglik <= TIE_RTOL * max(1.0, abs(best))
-    assert result.iterations == result.restart_iterations[chosen] > 0
-    assert all(n > 0 for n in result.restart_iterations)
+    for n in range(1, RESTART_CONFIRMATIONS + 1):
+        result = fit(arch, data, 0.01, FitConfig(
+            n_restarts=n, seed=4, confirmations=RESTART_CONFIRMATIONS))
+        assert len(result.restart_logliks) == n
+        assert len(result.restart_iterations) == n
+        assert all(k > 0 for k in result.restart_iterations)
+        best = max(result.restart_logliks)
+        assert result.loglik == result.restart_logliks[result.chosen_restart]
+        assert best - result.loglik <= TIE_RTOL * max(1.0, abs(best))
+        assert (result.iterations
+                == result.restart_iterations[result.chosen_restart])
+
+    # Restart 4 makes four ties at a lower optimum, restart 6 three ties
+    # at the best: neither stops the fit.  Restart 7 is the fourth tie
+    # with the best.  Without ``confirmations`` all ten run.
+    best = truth.values
+    low = best.copy()
+    low[arch.gamma_index(1)] *= 0.5
+    obj = _Evaluator(arch, data, 0.01)
+    assert obj.profile(low)[0] < obj.profile(best)[0]
+    order = [low, low, low, best, low, best, best, best, best, best]
+    for cap, confirmations, ran in ((10, RESTART_CONFIRMATIONS, 8),
+                                    (7, RESTART_CONFIRMATIONS, 7),
+                                    (10, None, 10)):
+        _scripted_restarts(monkeypatch, [(x, 10 + i)
+                                         for i, x in enumerate(order)])
+        result = fit(arch, data, 0.01, FitConfig(
+            n_restarts=cap, seed=0, confirmations=confirmations))
+        monkeypatch.undo()
+        assert result.restart_iterations == tuple(range(10, 10 + ran))
+        assert len(result.restart_logliks) == ran
+        assert result.chosen_restart == 3
+        assert result.loglik == result.restart_logliks[3]
+        assert result.iterations == result.restart_iterations[3] == 13
+        np.testing.assert_array_equal(
+            result.theta_hat.values, canonicalize(ParamVector(arch, best)).values)
+
+
+def test_stopped_fit_matches_a_scan_of_every_restart():
+    """A headline-cell replicate whose restarts 0, 1 and 3 agree on an
+    optimum 158.6 below the best, which restarts 4-9 reach.  The fit
+    stops after restart 7, the fourth tie with the best, and returns
+    restart 4's estimate, bitwise the winner of an independent scan of
+    all ten restarts.  Stopping at three ties would return restart 0's.
+    The study's own replicate stops there too; a fit without
+    ``confirmations`` runs all ten to the same estimate."""
+    sc = SimScenario(q=2, nz_pattern="5-1", n=1000, lam=0.01, replicates=12,
+                     restarts=10, seed=3524660374939341111)
+    data = generate(sc, 9)
+    seed = seeds.derive_seed(sc.seed, 9, 1)
+    obj = _Evaluator(sc.arch, data, sc.lam)
+    scan = []
+    for i in range(sc.restarts):
+        x0 = initialize(sc.arch, seeds.rng(seed, i), data.x).values
+        x_hat, nit = fit_module._run_restart(obj, x0)
+        theta = canonicalize(ParamVector(sc.arch, x_hat))
+        scan.append((obj.profile(theta.values)[0], theta.values, nit))
+    ll_best = max(ll for ll, _, _ in scan)
+    tied = [i for i, (ll, theta, _) in enumerate(scan)
+            if ll_best - ll <= 1e-9 * abs(ll_best)
+            and np.max(np.abs(theta - scan[4][1])) <= 1e-9]
+    assert tied == [4, 5, 6, 7, 8, 9]
+    assert ll_best - scan[0][0] == pytest.approx(158.63, abs=0.01)
+
+    result = fit(sc.arch, data, sc.lam, FitConfig(
+        n_restarts=sc.restarts, seed=seed,
+        confirmations=RESTART_CONFIRMATIONS))
+    np.testing.assert_array_equal(result.theta_hat.values, scan[4][1])
+    assert result.chosen_restart == 4
+    assert result.restart_logliks == tuple(ll for ll, _, _ in scan[:8])
+    assert result.restart_iterations == tuple(n for _, _, n in scan[:8])
+    assert (_replicate_task((sc, 9)).iterations
+            == sum(n for _, _, n in scan[:8]))
+
+    full = fit(sc.arch, data, sc.lam,
+               FitConfig(n_restarts=sc.restarts, seed=seed))
+    np.testing.assert_array_equal(full.theta_hat.values, scan[4][1])
+    assert full.restart_iterations == tuple(n for _, _, n in scan)
 
 
 def _scripted_restarts(monkeypatch, outcomes):
@@ -415,6 +488,8 @@ def test_fit_p_mismatch():
 def test_config_validation():
     with pytest.raises(ValueError):
         FitConfig(n_restarts=0)
+    with pytest.raises(ValueError, match="confirmations"):
+        FitConfig(confirmations=0)
 
 
 def test_evaluate_at_matches_fit_conventions():

@@ -216,6 +216,56 @@ def test_sweep_records_candidate_failure():
     assert result.best_bic().q == 1
 
 
+def test_sweep_keeps_the_bic_when_cv_fails(monkeypatch):
+    """A failure in a candidate's cross-validation costs it its CV score
+    and is recorded, but its BIC stands; the bernoulli baseline's note on
+    its missing BIC stays beside the CV failure."""
+    import statnn.selection as selection
+
+    def fail(*args, **kwargs):
+        raise FitError("cross-validation fold 1 failed: all restarts failed")
+
+    monkeypatch.setattr(selection, "cross_validate", fail)
+    rng = np.random.default_rng(111)
+    x = rng.normal(size=(40, 2))
+    meta = (ColumnMeta("x1"), ColumnMeta("x2"))
+    data = Dataset(x=x, y=rng.normal(size=40), column_meta=meta,
+                   response_meta=ColumnMeta("y"))
+    result = sweep(data, [0, 1], "gaussian", 0.01,
+                   FitConfig(n_restarts=1, seed=13), folds=4)
+    for entry in result.entries:
+        assert entry.bic is not None and np.isfinite(entry.bic)
+        assert entry.cv_rmse is None and entry.cv_se is None
+        assert "fold 1 failed" in entry.error
+    binary = Dataset(x=x, y=(x[:, 0] + rng.normal(size=40) > 0).astype(float),
+                     column_meta=meta, response_meta=ColumnMeta("y"))
+    linear, net = sweep(binary, [0, 1], "bernoulli", 0.01,
+                        FitConfig(n_restarts=1, seed=13), folds=4).entries
+    assert linear.bic is None
+    assert linear.error.startswith("no BIC") and "fold 1 failed" in linear.error
+    assert net.bic is not None and "fold 1 failed" in net.error
+
+
+def test_sweep_checks_fold_preprocessing_before_any_fit(monkeypatch):
+    """A column constant on one fold's training rows fails every width
+    alike, so the sweep raises before it fits anything."""
+    import statnn.selection as selection
+
+    calls = []
+    monkeypatch.setattr(selection, "fit",
+                        lambda *args, **kwargs: calls.append(args))
+    x = np.column_stack([[1.0, 1.0, 1.0, 2.0, 1.0],
+                         [0.5, -1.0, 2.0, 0.1, -0.4]])
+    meta = (ColumnMeta("x", mean=1.2, sd=0.4), ColumnMeta("z"))
+    data = Dataset(x=(x - [1.2, 0.0]) / [0.4, 1.0],
+                   y=np.array([1.2, 0.3, 2.1, 0.9, -0.5]), column_meta=meta,
+                   response_meta=ColumnMeta("y"))
+    with pytest.raises(DataError, match="cross-validation fold .*'x'"):
+        sweep(data, [1, 2], "gaussian", 0.01, FitConfig(n_restarts=2),
+              folds=5)
+    assert calls == []
+
+
 def test_sweep_nonlinear_data_prefers_network():
     """A genuinely nonlinear surface puts the baseline behind the nets."""
     from statnn.model import ParamVector

@@ -73,6 +73,10 @@ SCENARIOS = {
     # q = 4: alignment searches a group of 384 ops, not 8.
     "cell4.json": {"format_version": 1, "q": 4, "nz_pattern": "3-3",
                    "n": 200, "replicates": 3, "restarts": 2, "seed": 0},
+    # 10 restarts, so a study's fits can stop before the cap
+    # (fit.RESTART_CONFIRMATIONS).
+    "cell10.json": {"format_version": 1, "q": 2, "nz_pattern": "5-1",
+                    "n": 200, "replicates": 4, "restarts": 10, "seed": 0},
     # 17 weights for p = 6, q = 2; json.dumps writes the last as Infinity.
     "inftruth.json": {"format_version": 1, "q": 2, "nz_pattern": "5-1",
                       "n": 50, "replicates": 2, "restarts": 1,
@@ -126,7 +130,13 @@ COMMANDS = (
                    "--restarts", "2", "--seed", "0",
                    "--out", "g3_model.json"]),
        ("g3_summary_text", ["summary", "g3_model.json", "g.csv"]),
+       # 10 restarts: a fit outside a simulation study runs every one.
+       ("g10_fit", ["fit", "g.csv", "--response", "y", "--q", "2",
+                    "--restarts", "10", "--seed", "0",
+                    "--out", "g10_model.json"]),
        ("simulate_cell", ["simulate", "cell.json", "--out-dir", "cell"]),
+       ("simulate_cell10", ["simulate", "cell10.json",
+                            "--out-dir", "cell10"]),
        ("simulate_cell4", ["simulate", "cell4.json", "--out-dir", "cell4"]),
        ("simulate_power", ["simulate", "power.json", "--out-dir", "power"]),
        ("simulate_pd", ["simulate", "pd.json", "--out-dir", "pd"])])
@@ -305,7 +315,7 @@ def _run(src: str, out: Path, commands, python_args=("-m", "statnn.cli")):
 
 def record(src: str, out: str) -> int:
     src = str(Path(src).resolve())
-    out = Path(out)
+    out = Path(out).resolve()     # the library process runs inside OUT
     out.mkdir(parents=True, exist_ok=False)
     _write_inputs(out)
     _run(src, out, COMMANDS)
