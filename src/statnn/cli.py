@@ -23,15 +23,13 @@ import functools
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .effects import effect_grid, pce_curve, to_original_scale
 from .exceptions import DataError, FitError, NotPositiveDefiniteError
 from .fit import FitConfig, evaluate_at, fit
 from .inference import sandwich_covariance, summarize
 from .likelihood import observed_information
-from .model import Architecture, Dataset
+from .model import FAMILIES, Architecture
 from .plots import pce_plot_svg, power_plot_svg, selection_plot_svg
 from .preprocess import dataset_from_meta, ingest
 from .report import (emit_diagram, emit_summary, estimates_csv, overview_csv,
@@ -52,7 +50,7 @@ def _fit_flags(parser):
                         help="random seed for restarts (default 0)")
     parser.add_argument("--restarts", type=int, default=10,
                         help="number of random restarts (default 10)")
-    parser.add_argument("--family", choices=("gaussian", "bernoulli"),
+    parser.add_argument("--family", choices=tuple(FAMILIES),
                         default="gaussian",
                         help="likelihood family (default gaussian)")
 
@@ -95,9 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="model column to profile")
     p_pce.add_argument("--d", type=float,
                        help="step size in standardized units, also with "
-                            "--original-scale (default: one sample sd); a "
-                            "0/1 covariate's step is 1 and no other is "
-                            "accepted")
+                            "--original-scale (default: one sample sd; a "
+                            "negative step is a decrease); a 0/1 covariate's "
+                            "step is 1 and no other is accepted")
     p_pce.add_argument("--by",
                        help="condition on this covariate (dummy: levels "
                             "0 and 1; continuous: mean -/+ one sd)")
@@ -167,19 +165,8 @@ def _emit_or_print(text: str, out_path):
         atomic_write_text(out_path, text)
 
 
-def _ingest_response(args) -> Dataset:
-    """Read the fit/select CSV; a bernoulli response must be 0/1."""
-    data, _plan = ingest(args.csv, args.response, _load_schema(args.schema))
-    if args.family == "bernoulli" and not np.all((data.y == 0)
-                                                 | (data.y == 1)):
-        raise DataError(
-            f"response column {args.response!r} must be 0/1 for the "
-            "bernoulli family")
-    return data
-
-
 def cmd_fit(args) -> int:
-    data = _ingest_response(args)
+    data, _plan = ingest(args.csv, args.response, _load_schema(args.schema))
     arch = Architecture(p=data.p, q=args.q, family=args.family)
     config = FitConfig(n_restarts=args.restarts, seed=args.seed)
     result = fit(arch, data, args.lam, config)
@@ -241,7 +228,7 @@ def cmd_pce(args) -> int:
 
 
 def cmd_select(args) -> int:
-    data = _ingest_response(args)
+    data, _plan = ingest(args.csv, args.response, _load_schema(args.schema))
     if args.q_list:
         try:
             q_list = tuple(int(tok) for tok in args.q_list.split(","))
@@ -252,9 +239,6 @@ def cmd_select(args) -> int:
         if args.q_max < 1:
             raise DataError(f"--q-max must be >= 1, got {args.q_max}")
         q_list = tuple(range(0, args.q_max + 1))
-    if args.family == "bernoulli" and max(q_list) < 1:
-        raise DataError("a bernoulli sweep needs a width >= 1: the linear "
-                        "baseline has no BIC comparable with a network's")
     config = FitConfig(n_restarts=args.restarts, seed=args.seed)
     result = sweep(data, q_list, args.family, args.lam, config,
                    folds=args.folds, cv=not args.no_cv)

@@ -21,8 +21,8 @@ s_base + x0 W_j for s_base = x1 W, an n x G x q block for G grid points,
 stored n-major as n x (G q) and worked in place: the activations
 overwrite the net inputs.  The averaged output's gradient is the block
 contraction of the score in ``likelihood`` (``_Evaluator._omega_score``
-and H u), with weights u = 1/n (identity output, where the constant 1/n
-is folded into gamma) or mu (1 - mu) / n (logistic output):
+and H u), with weights u = V(mu) / n: 1/n for the identity output (the
+constant 1/n folded into gamma), mu (1 - mu) / n for the logistic one:
 
     omega block   x1^T (u * h (1 - h) * gamma_1..q), row j replaced by
                   x0 * sum_i (u * h (1 - h) * gamma_1..q)
@@ -119,21 +119,19 @@ def _averaged(arch, gam, w_j, x1t, s_base, j, xs):
     z += gam[0]
     a = 1.0 - h
     a *= h
-    if arch.family == "bernoulli":
-        mu = sigmoid(z, out=z)
-        u = 1.0 - mu
-        u *= mu
+    mu = arch.mean(z, out=z)
+    u = arch.variance(mu)
+    if u is None:
+        a *= np.tile(gam[1:] / n, size)
+        g_0 = np.ones(size)
+        # einsum is several times faster than h3.mean(axis=0) here
+        g_h = np.einsum("n,ngk->gk", np.full(n, 1.0 / n), h3)
+    else:
         u /= n
         a *= np.repeat(u.T, q, axis=1)
         a *= np.tile(gam[1:], size)
         g_0 = u.sum(axis=1)
         g_h = np.einsum("gn,ngk->gk", u, h3)
-    else:
-        mu = z
-        a *= np.tile(gam[1:] / n, size)
-        g_0 = np.ones(size)
-        # einsum is several times faster than h3.mean(axis=0) here
-        g_h = np.einsum("n,ngk->gk", np.full(n, 1.0 / n), h3)
     omega = x1t @ a                                     # (p + 1) x (G q)
     omega[j] *= np.repeat(xs, q)
     omega = omega.reshape(arch.p + 1, size, q).transpose(1, 0, 2)
@@ -202,19 +200,20 @@ def _resolve_step(data: Dataset, j: int, d: float | None) -> float:
 def effect_grid(data: Dataset, j: int, d: float | None = None,
                 points: int = _DEFAULT_GRID_POINTS) -> np.ndarray:
     """Default x0 grid of a curve: ``points`` equally spaced values from
-    the minimum of column j to its maximum minus the step d (default
-    step as in ``_resolve_step``).  When the step spans the column's
-    range the grid is the single point [minimum]; a dummy's grid is [0]."""
+    the minimum of column j to its maximum minus the step d (default as
+    in ``_resolve_step``), or to the maximum from the minimum minus a
+    negative d; [minimum] ([maximum]) when d spans the range, [0] for a
+    dummy."""
     if points < 1:
         raise ValueError(f"grid needs at least one point, got {points}")
     d = _resolve_step(data, j, d)
     if _is_dummy(data, j):
         return np.array([0.0])
     col = data.x[:, j - 1]
-    lo = float(np.min(col))
-    hi = float(np.max(col)) - d
+    lo, hi = float(np.min(col)), float(np.max(col))
+    lo, hi = (lo - d, hi) if d < 0.0 else (lo, hi - d)
     if hi <= lo:
-        return np.array([lo])
+        return np.array([hi if d < 0.0 else lo])
     return np.linspace(lo, hi, points)
 
 

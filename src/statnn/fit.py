@@ -376,10 +376,10 @@ def evaluate_at(theta: ParamVector, data: Dataset, lam: float) -> FitResult:
 def _run_restart(obj: _Evaluator, x0: np.ndarray):
     """One quasi-Newton run plus Newton polish; returns (x, n_iter).
 
-    A Gaussian run searches the input weights on the profiled objective
-    and rebuilds theta with gamma*(omega-hat); a Bernoulli run searches
-    all of theta.  The polish works on full theta in both."""
-    if obj.gaussian:
+    A Gaussian run (``sigma_profiled``) searches the input weights on the
+    profiled objective and rebuilds theta with gamma*(omega-hat); any
+    other searches all of theta.  The polish works on full theta."""
+    if obj.arch.sigma_profiled:
         w0, _ = obj.arch.split(x0)
         omega, _, _, nit = _quasi_newton(
             lambda omega: obj.profiled(omega)[:2], w0.ravel())

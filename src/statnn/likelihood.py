@@ -5,10 +5,11 @@ The objective is
     l(theta) = sum_i log f(y_i | theta) - lambda * ||theta_pen||^2
 
 where theta_pen excludes the hidden intercepts omega_0k and the output
-intercept gamma_0.  The response family is the architecture's
-``family``: Gaussian (y ~ N(NN(x), sigma^2), identity output) or
-Bernoulli (logistic output).  The ridge penalty lambda is a plain
-number, checked once by ``_Evaluator``.
+intercept gamma_0.  The response family is the architecture's:
+Gaussian (y ~ N(NN(x), sigma^2), identity output) or Bernoulli
+(logistic output).  This module holds their log-likelihood formulas and
+takes the mean mu and the weights V(mu) from the architecture.  The
+ridge penalty lambda is a plain number, checked once by ``_Evaluator``.
 
 All of the algebra lives in ``_Evaluator``, shared by the functions
 below and the fitter in ``fit.py``.  It works on the unit scale (the
@@ -69,7 +70,7 @@ import numpy as np
 
 from .exceptions import DataError
 from .model import (Architecture, Dataset, ParamVector, _activation_block,
-                    design_with_intercept, sigmoid)
+                    design_with_intercept)
 
 #: Clamp distance from {0, 1} applied to Bernoulli success probabilities
 #: before taking logs; prevents -inf without materially biasing the objective.
@@ -103,13 +104,6 @@ def penalty(theta: ParamVector, lam: float) -> float:
     """Ridge penalty lambda * ||theta_pen||^2; intercepts contribute nothing."""
     check_lambda(lam)
     return lam * float(np.sum(theta.values[theta.arch.penalized_mask()] ** 2))
-
-
-def _validate_gaussian(sigma_sq):
-    if sigma_sq is None:
-        raise DataError("gaussian likelihood requires sigma_sq")
-    if not (sigma_sq > 0.0 and np.isfinite(sigma_sq)):
-        raise DataError(f"sigma_sq must be positive and finite, got {sigma_sq}")
 
 
 # ---------------------------------------------------------------------------
@@ -156,23 +150,19 @@ class _Evaluator:
     """The penalized log-likelihood of one architecture, dataset and
     ridge penalty.
 
-    The constructor checks the penalty, the covariate count and a
-    Bernoulli response once and fixes the ridge weights; the methods
-    take a flat parameter array and run one forward pass each, with no
-    further checks, so the optimizer can call ``value_grad``,
-    ``profiled`` and ``hessian`` in its loop.  The score is contracted
-    by blocks on the activation block (``_omega_score`` and H u); only
-    ``hessian`` and the information build the n x r Jacobian.
+    The constructor checks the penalty, the covariate count and the
+    response once and fixes the ridge weights; the methods take a flat
+    parameter array and run one forward pass each, with no further
+    checks, so the optimizer can call ``value_grad``, ``profiled`` and
+    ``hessian`` in its loop.  The score is contracted by blocks on the
+    activation block (``_omega_score`` and H u); only ``hessian`` and
+    the information build the n x r Jacobian.
     """
 
     def __init__(self, arch: Architecture, data: Dataset, lam: float):
         check_lambda(lam)
         arch.check_covariates(data)
-        self.gaussian = arch.family == "gaussian"
-        if not self.gaussian and not np.all((data.y == 0.0)
-                                            | (data.y == 1.0)):
-            raise DataError(
-                "bernoulli likelihood requires a response in {0, 1}")
+        arch.check_response(data)
         self.arch, self.n = arch, data.n
         self.x1 = design_with_intercept(data.x)
         self.y = data.y
@@ -182,21 +172,16 @@ class _Evaluator:
         self.ridge_omega, self.ridge_gamma = arch.split(self.ridge_w)
 
     def _terms(self, theta, kernel=False):
-        """Forward pass and the family branch.
-
-        Returns gamma, the activation block H, the unit-scale
-        log-likelihood, the score dl/dz per observation and, if
-        ``kernel``, the weights -d2l/dz2 (None where they are all 1).
-        """
+        """Forward pass: gamma, the activation block H, the unit-scale
+        log-likelihood, the score dl/dz = y - mu per observation and, if
+        ``kernel``, the weights V(mu) (None where they are all 1)."""
         w, g = self.arch.split(theta)
         hb = _activation_block(self.x1, w)
-        z = g @ hb
-        if self.gaussian:
-            res = self.y - z
-            return g, hb, -0.5 * float(res @ res), res, None
-        mu = sigmoid(z)
-        return (g, hb, _clamped_bernoulli_loglik(self.y, mu), self.y - mu,
-                mu * (1.0 - mu) if kernel else None)
+        mu = self.arch.mean(g @ hb)
+        u = self.y - mu
+        ll = (-0.5 * float(u @ u) if self.arch.sigma_profiled
+              else _clamped_bernoulli_loglik(self.y, mu))
+        return g, hb, ll, u, self.arch.variance(mu) if kernel else None
 
     def _omega_score(self, g, hb, u):
         """The omega block of J^T u, x1^T (u * gamma_k h_k (1 - h_k)), as
@@ -211,9 +196,11 @@ class _Evaluator:
     def _scale(self, sigma_sq):
         """(divisor, additive constant) that take unit-scale terms to the
         Gaussian log-likelihood at ``sigma_sq``; (1, 0) for Bernoulli."""
-        if not self.gaussian:
+        if not self.arch.sigma_profiled:
             return 1.0, 0.0
-        _validate_gaussian(sigma_sq)
+        if sigma_sq is None or not 0.0 < sigma_sq < np.inf:
+            raise DataError("the gaussian likelihood needs a positive, "
+                            f"finite sigma_sq, got {sigma_sq}")
         return sigma_sq, -0.5 * self.n * (LOG_2PI + np.log(sigma_sq))
 
     def _penalized(self, theta, ll, sigma_sq):
@@ -233,7 +220,7 @@ class _Evaluator:
         log-likelihood uses; None for the Bernoulli family."""
         ll = self._terms(theta)[2]
         sigma_sq = (max(-2.0 * ll / self.n, _SIGMA_SQ_FLOOR)
-                    if self.gaussian else None)
+                    if self.arch.sigma_profiled else None)
         return self._penalized(theta, ll, sigma_sq), sigma_sq
 
     def value_grad(self, theta):
@@ -323,17 +310,13 @@ def observed_information(theta: ParamVector, data: Dataset,
 
 
 def prediction_gradient(theta: ParamVector, x: np.ndarray) -> np.ndarray:
-    """Per-row gradient of the network output w.r.t. theta (n x r).
-
-    For the logistic output the chain rule through the output activation
-    is included.
-    """
+    """Per-row gradient of the network output w.r.t. theta (n x r): the
+    chain rule through the output activation scales row i by dmu/dz =
+    V(mu_i), 1 for the identity output."""
     arch = theta.arch
     x1 = design_with_intercept(x)
     w, g = arch.split(theta.values)
     hb = _activation_block(x1, w)
     a = _pred_jacobian(arch, x1, hb, g)
-    if arch.family == "bernoulli":
-        mu = sigmoid(g @ hb)
-        a = a * (mu * (1.0 - mu))[:, None]
-    return a
+    v = arch.variance(arch.mean(g @ hb))
+    return a if v is None else a * v[:, None]

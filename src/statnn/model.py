@@ -6,9 +6,9 @@ The model is a single-hidden-layer feedforward network
 
 with x_0 = 1, input weights omega_jk for j = 0..p (j = 0 is the hidden
 intercept), k = 1..q, and output weights gamma_0..gamma_q.  The response
-family fixes the output activation phi_o: the identity for the Gaussian
-family, the logistic function for the Bernoulli family.  The flat
-parameter vector is laid out as
+family fixes the output activation phi_o, the inverse of its canonical
+link: the identity for the Gaussian family, the logistic function for
+the Bernoulli family.  The flat parameter vector is laid out as
 
     theta = (omega_0^T, omega_1^T, ..., omega_p^T, gamma^T)
 
@@ -20,6 +20,12 @@ one map between flat theta and (W, gamma), W[j, k-1] = omega_jk.
 A ``ParamVector`` carries its ``Architecture``: every function that takes
 theta reads p, q and the family from ``theta.arch``, and only functions
 that have no theta yet (``fit``, ``initialize``) take an architecture.
+
+``Architecture`` is the one reader of the family: both links are
+canonical, so the score per row is y - mu and the weight -d2l/dz2 the
+variance function V(mu) (McCullagh & Nelder 1989, ch. 2), and the
+package asks it for ``mean``, ``variance``, ``sigma_profiled`` and
+``check_response``; only the log-likelihoods live in ``likelihood``.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ import numpy as np
 
 from .exceptions import DataError, ShapeError
 
-#: Response families; each fixes the output activation (see above).
-FAMILIES = ("gaussian", "bernoulli")
+#: Response families and the output activation a model file names.
+FAMILIES = {"gaussian": "identity", "bernoulli": "logistic"}
 
 
 def sigmoid(s, out=None):
@@ -74,8 +80,37 @@ class Architecture:
         if self.q < 1:
             raise ValueError(f"q must be >= 1, got {self.q}")
         if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}, "
+            raise ValueError(f"family must be one of {tuple(FAMILIES)}, "
                              f"got {self.family!r}")
+
+    def mean(self, z, out=None):
+        """The inverse link mu(z), returned; ``out`` (which may be z) is a
+        buffer it may be written into, and the identity returns z."""
+        return sigmoid(z, out=out) if self.family == "bernoulli" else z
+
+    def variance(self, mu):
+        """V(mu) = dmu/dz = -d2l/dz2, a new array; None where it is 1."""
+        if self.family == "gaussian":
+            return None
+        v = 1.0 - mu
+        v *= mu
+        return v
+
+    @property
+    def sigma_profiled(self) -> bool:
+        """Whether sigma^2 is profiled at RSS/n (and the link identity)."""
+        return self.family == "gaussian"
+
+    def check_response(self, data) -> None:
+        """Refuse a response the family cannot model (Bernoulli: not 0/1)."""
+        if self.family != "bernoulli":
+            return
+        bad = np.flatnonzero((data.y != 0.0) & (data.y != 1.0))
+        if bad.size:
+            raise DataError(
+                f"response column {data.response_meta.name!r} must be 0/1 "
+                f"for the bernoulli family: row {bad[0] + 1} holds "
+                f"{float(data.y[bad[0]])!r}, outside {{0, 1}}")
 
     @property
     def r(self) -> int:
@@ -333,7 +368,4 @@ def forward_design(theta: ParamVector, x1: np.ndarray) -> np.ndarray:
     """Forward pass over a design matrix that already carries the 1-column."""
     arch = theta.arch
     w, g = arch.split(theta.values)
-    z = g @ _activation_block(x1, w)
-    if arch.family == "bernoulli":
-        return sigmoid(z)
-    return z
+    return arch.mean(g @ _activation_block(x1, w))

@@ -9,8 +9,8 @@ log-likelihood at the penalized estimate.  Cross-validation repeats the
 fit's preprocessing in each training fold, so no test-fold information
 leaks into the fit, and scores RMSE on the original response scale.
 A sweep builds each candidate's ``Architecture`` from the family it is
-given; the family, the ridge penalty, the widths, the fold count and
-each fold's preprocessing are checked before any fit.
+given; the family, the ridge penalty, the widths, the response, the
+fold count and each fold's preprocessing are checked before any fit.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import seeds
 from .exceptions import DataError, FitError
 from .fit import FitConfig, FitResult, fit
 from .likelihood import LOG_2PI, check_lambda, penalty
-from .model import (FAMILIES, Architecture, Dataset, design_with_intercept,
+from .model import (Architecture, Dataset, design_with_intercept,
                     forward_design)
 from .preprocess import _standardize_stats
 
@@ -244,16 +244,20 @@ def sweep(data: Dataset, q_list, family: str, lam: float,
     says why it has no CV score.  Each fold's preprocessing does not
     depend on the width, so it is checked once, before any fit: a column
     that cannot be standardized on a fold's training rows is the data's
-    error, not a candidate's, and raises ``DataError``.  For the
-    bernoulli family the linear baseline gets no BIC (its entry says
-    why), only its CV RMSE.
+    error, not a candidate's, and raises ``DataError``, as does a response
+    the family refuses.  The linear baseline's likelihood is Gaussian, so
+    for a family without a profiled sigma^2 it gets no BIC (its entry
+    says why) and the sweep needs a width >= 1.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+    family_arch = Architecture(p=data.p, q=1, family=family)  # any width
     check_lambda(lam)
     for q in q_list:
         if q < 0:
             raise ValueError(f"candidate width must be >= 0, got {q}")
+    family_arch.check_response(data)
+    if not family_arch.sigma_profiled and max(q_list, default=0) < 1:
+        raise DataError(f"a {family} sweep needs a width >= 1: the linear "
+                        "baseline has no BIC comparable with a network's")
     if cv:
         _check_folds(folds, data.n)
         for _ in _folds(data, folds, config.seed):
@@ -264,12 +268,12 @@ def sweep(data: Dataset, q_list, family: str, lam: float,
         try:
             if arch is not None:
                 bic_val, note = bic(fit(arch, data, lam, config), data.n), None
-            elif family == "gaussian":
+            elif family_arch.sigma_profiled:
                 bic_val, note = linear_bic(fit_linear(data)), None
             else:
                 bic_val, note = None, ("no BIC: the linear baseline's "
                                        "likelihood is Gaussian, not "
-                                       "comparable with bernoulli networks")
+                                       f"comparable with {family} networks")
         except (FitError, DataError) as exc:
             entries.append(SweepEntry(q=q, bic=None, cv_rmse=None, cv_se=None,
                                       error=str(exc)))

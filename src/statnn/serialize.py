@@ -9,7 +9,8 @@ Each column record is ``{name, kind, mean, sd, raw, level}``: ``raw``
 names the CSV column the model column is read from, and ``level`` is the
 factor level an indicator marks (``null`` for a numeric column).  The
 activation fields encode the family: ``hidden_activation`` is always
-``logistic`` and ``output_activation`` is ``_OUTPUT_ACTIVATIONS[family]``.
+``logistic`` and ``output_activation`` is ``model.FAMILIES[family]``, the
+one table of families and their activations.
 This is model format version 2.  Version 1 records lacked ``raw`` and
 ``level``, so they cannot say which CSV column an indicator comes from;
 such files are refused with a request to refit.  Scenario files are
@@ -36,14 +37,11 @@ import numpy as np
 
 from .exceptions import DataError
 from .likelihood import check_lambda
-from .model import Architecture, ColumnMeta, Dataset, ParamVector
+from .model import FAMILIES, Architecture, ColumnMeta, Dataset, ParamVector
 from .simgen import SimScenario
 
 MODEL_FORMAT_VERSION = 2
 SCENARIO_FORMAT_VERSION = 1
-
-#: The model file's output activation for each response family.
-_OUTPUT_ACTIVATIONS = {"gaussian": "identity", "bernoulli": "logistic"}
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +118,7 @@ def model_to_json(doc: ModelDocument) -> str:
         "p": int(doc.arch.p),
         "q": int(doc.arch.q),
         "hidden_activation": "logistic",
-        "output_activation": _OUTPUT_ACTIVATIONS[doc.arch.family],
+        "output_activation": FAMILIES[doc.arch.family],
         "theta": [float(v) for v in doc.theta.values],
         "lambda": float(doc.lam),
         "column_meta": [_meta_dict(m) for m in doc.column_meta],
@@ -227,7 +225,7 @@ def parse_model(text: str, where: str = "model") -> ModelDocument:
                        "hidden_activation", where)
     output = _json_str(_require(payload, "output_activation", where),
                        "output_activation", where)
-    families = [f for f, act in _OUTPUT_ACTIVATIONS.items() if act == output]
+    families = [f for f, act in FAMILIES.items() if act == output]
     try:
         if hidden != "logistic":
             raise ValueError(f"unsupported hidden activation {hidden!r}; "
@@ -235,7 +233,7 @@ def parse_model(text: str, where: str = "model") -> ModelDocument:
         if not families:
             raise ValueError(
                 f"unsupported output activation {output!r}; "
-                f"supported: {tuple(_OUTPUT_ACTIVATIONS.values())}")
+                f"supported: {tuple(FAMILIES.values())}")
         arch = Architecture(p=p, q=q, family=families[0])
     except ValueError as exc:
         raise DataError(f"{where}: invalid architecture: {exc}") from exc

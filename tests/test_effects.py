@@ -156,6 +156,21 @@ def test_step_spanning_range_gives_one_point_grid():
     assert curve.xs().tolist() == [float(data.x[:, 0].min())]
 
 
+def test_negative_step_grid_stays_inside_the_range():
+    """A negative step is a decrease: x0 runs from min - d to max, so x0
+    and x0 + d both stay in the column's range, and a step spanning the
+    range leaves [max].  Positive steps keep their grid."""
+    x = np.column_stack([np.linspace(0.0, 10.0, 11), np.zeros(11)])
+    data = Dataset(x=x, y=np.zeros(11),
+                   column_meta=(ColumnMeta("a"), ColumnMeta("b")))
+    assert effect_grid(data, 1, -2.0, points=5).tolist() == [2.0, 4.0, 6.0,
+                                                            8.0, 10.0]
+    assert effect_grid(data, 1, 2.0, points=5).tolist() == [0.0, 2.0, 4.0,
+                                                           6.0, 8.0]
+    assert effect_grid(data, 1, -20.0).tolist() == [10.0]
+    assert effect_grid(data, 1, 20.0).tolist() == [0.0]
+
+
 def test_requires_positive_definite_covariance():
     """A band needs a covariance, and with hidden node 2 a copy of node 1
     the penalized sandwich is singular: no covariance, so no curve."""

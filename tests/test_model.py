@@ -1,7 +1,9 @@
 """Architecture, parameter layout, and forward-map tests."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import numpy as np
@@ -9,9 +11,9 @@ import pytest
 
 import statnn
 from statnn.exceptions import DataError, ShapeError
-from statnn.model import (Architecture, ColumnMeta, Dataset, ParamVector,
-                          design_with_intercept, forward, forward_batch,
-                          sigmoid)
+from statnn.model import (FAMILIES, Architecture, ColumnMeta, Dataset,
+                          ParamVector, design_with_intercept, forward,
+                          forward_batch, sigmoid)
 
 
 def _random_theta(arch, rng, scale=1.0):
@@ -392,3 +394,69 @@ def test_split_join_round_trip_matches_index_map(p, q):
     np.testing.assert_array_equal(rows_w[:, p, q - 1],
                                   c[arch.omega_index(p, q)])
     np.testing.assert_array_equal(rows_g[:, 0], c[arch.gamma_index(0)])
+
+
+#: Each family's inverse link and unit-scale log-likelihood in the
+#: output net input z, written out here: an oracle for the architecture's
+#: ``mean`` and ``variance``, which a new family must extend.
+_CANONICAL_ORACLE = {
+    "gaussian": (lambda z: z, lambda y, z: -0.5 * (y - z) ** 2),
+    "bernoulli": (lambda z: 1.0 / (1.0 + np.exp(-z)),
+                  lambda y, z: y * z - np.log1p(np.exp(z))),
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_canonical_link_members_match_an_oracle(family):
+    """With a canonical link, V(mu(z)) = dmu/dz and dl/dz = y - mu: both
+    checked by central differences, l and mu from the oracle above."""
+    mean, loglik = _CANONICAL_ORACLE[family]
+    arch = Architecture(p=1, q=1, family=family)
+    z = np.linspace(-4.0, 4.0, 17)
+    y = (np.arange(17) % 2).astype(float)
+    h = 1e-5
+    mu = arch.mean(z.copy())
+    np.testing.assert_allclose(mu, mean(z), rtol=1e-14, atol=1e-15)
+    v = arch.variance(mu)
+    dmu = (mean(z + h) - mean(z - h)) / (2.0 * h)
+    np.testing.assert_allclose(np.ones_like(z) if v is None else v, dmu,
+                               rtol=1e-8, atol=1e-10)
+    dl = (loglik(y, z + h) - loglik(y, z - h)) / (2.0 * h)
+    np.testing.assert_allclose(y - mu, dl, rtol=1e-7, atol=1e-9)
+
+
+def test_check_response_names_the_column_row_and_value():
+    data = Dataset(x=np.zeros((4, 1)), y=np.array([0.0, 1.0, 2.5, 0.5]),
+                   response_meta=ColumnMeta("smoker"))
+    Architecture(p=1, q=1).check_response(data)
+    with pytest.raises(DataError,
+                       match=r"'smoker' must be 0/1 .* row 3 holds 2\.5"):
+        Architecture(p=1, q=1, family="bernoulli").check_response(data)
+
+
+def _family_comparisons(tree, families):
+    """Line numbers of comparisons one of whose operands is a family: a
+    name or attribute called ``family``, or a family's string."""
+    def is_family(node):
+        return ((isinstance(node, ast.Name) and node.id == "family")
+                or (isinstance(node, ast.Attribute) and node.attr == "family")
+                or (isinstance(node, ast.Constant) and node.value in families))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            and any(map(is_family, [node.left, *node.comparators]))]
+
+
+def test_only_the_model_compares_families():
+    """``Architecture`` is the one reader of the response family: every
+    other module asks it for the mean, the variance function, whether
+    sigma^2 is profiled and the response check, and compares no family
+    string itself."""
+    offenders = {}
+    for path in pathlib.Path(statnn.__path__[0]).glob("*.py"):
+        if path.name != "model.py":
+            lines = _family_comparisons(ast.parse(path.read_text()), FAMILIES)
+            if lines:
+                offenders[path.name] = lines
+    assert offenders == {}
+    assert _family_comparisons(ast.parse("arch.family == 'bernoulli'"), ())
+    assert _family_comparisons(ast.parse("'gaussian' != f"), FAMILIES)

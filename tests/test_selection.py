@@ -197,6 +197,44 @@ def test_sweep_checks_family_and_lambda_before_any_candidate():
         sweep(data, [0], "gaussian", float("nan"), cv=False)
 
 
+def _forbid_fits(monkeypatch):
+    """Make every network or OLS fit the sweep starts fail the test."""
+    import statnn.selection as selection
+
+    def fitted(*args, **kwargs):
+        raise AssertionError("the sweep fitted before refusing its input")
+
+    monkeypatch.setattr(selection, "fit", fitted)
+    monkeypatch.setattr(selection, "fit_linear", fitted)
+
+
+def test_sweep_refuses_a_non_binary_bernoulli_response_before_any_fit(
+        monkeypatch):
+    """A response the family cannot model is the data's error, named
+    with its row, not a failure of every candidate."""
+    _forbid_fits(monkeypatch)
+    data, _ = _linear_data(n=40)
+    y = np.where(data.y > 0.0, 1.0, 0.0)
+    y[6] = 0.5
+    data = Dataset(data.x, y, data.column_meta, data.response_meta)
+    with pytest.raises(DataError, match=r"'y' must be 0/1.* row 7 holds 0\.5"):
+        sweep(data, [0, 1, 2], "bernoulli", 0.01, FitConfig(n_restarts=1),
+              folds=3)
+
+
+def test_sweep_refuses_a_bernoulli_baseline_alone_before_any_fit(
+        monkeypatch):
+    """The linear baseline has no BIC beside Bernoulli networks, so a
+    Bernoulli sweep of width 0 alone has nothing to rank."""
+    _forbid_fits(monkeypatch)
+    data, _ = _linear_data(n=40)
+    data = Dataset(data.x, np.where(data.y > 0.0, 1.0, 0.0),
+                   data.column_meta, data.response_meta)
+    for cv in (False, True):
+        with pytest.raises(DataError, match="width >= 1"):
+            sweep(data, [0], "bernoulli", 0.01, cv=cv, folds=3)
+
+
 def test_sweep_records_candidate_failure():
     """A failing candidate is recorded in its entry, not raised: here the
     collinear design sinks the OLS baseline while the network survives."""

@@ -202,6 +202,15 @@ REFUSALS = [
                                "--restarts", "2"]),
     ("fit_response_only", ["fit", "yonly.csv", "--response", "y", "--q",
                            "1", "--out", "yonly_model.json"]),
+    # a response that is not 0/1, and a Bernoulli sweep of the linear
+    # baseline alone
+    ("fit_bernoulli_nonbinary", ["fit", "g.csv", "--response", "y", "--q",
+                                 "1", "--family", "bernoulli",
+                                 "--out", "gb_model.json"]),
+    ("select_bernoulli_nonbinary", ["select", "g.csv", "--response", "y",
+                                    "--family", "bernoulli"]),
+    ("select_bernoulli_width0", ["select", "b.csv", "--response", "y",
+                                 "--family", "bernoulli", "--q-list", "0"]),
 ]
 
 #: Small tables for REFUSALS: three rows, and the response alone.
