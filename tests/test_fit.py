@@ -115,6 +115,88 @@ def test_start_reads_the_draw_in_standardized_units():
                                   draw[(arch.p + 1) * arch.q:])
 
 
+def test_fit_starts_where_initialize_starts(monkeypatch):
+    """``fit`` computes the start scaling once for all its restarts;
+    each restart still starts bit for bit where ``initialize`` called
+    directly with that restart's generator starts."""
+    arch = Architecture(p=3, q=2)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(90, 3)) * [30.0, 0.01, 1.0] + [5.0, -2.0, 0.0]
+    data = Dataset(x=x, y=rng.normal(size=90))
+    starts = []
+    run_restart = fit_module._run_restart
+
+    def spy(obj, x0):
+        starts.append(x0.copy())
+        return run_restart(obj, x0)
+
+    monkeypatch.setattr(fit_module, "_run_restart", spy)
+    fit(arch, data, 0.01, FitConfig(n_restarts=4, seed=9))
+    assert len(starts) == 4
+    for i, x0 in enumerate(starts):
+        np.testing.assert_array_equal(
+            x0, initialize(arch, seeds.rng(9, i), data.x).values)
+
+
+def _cho_reference(hess, rhs):
+    """``_solve_damped`` as ``scipy.linalg.cho_factor`` and ``cho_solve``
+    with the same jitter schedule: the reference it must equal bitwise."""
+    import scipy.linalg
+
+    scale = max(1.0, float(np.trace(hess)) / hess.shape[0])
+    mu = 0.0
+    for _ in range(9):
+        try:
+            c = scipy.linalg.cho_factor(
+                hess + mu * np.eye(hess.shape[0]) if mu else hess)
+            return scipy.linalg.cho_solve(c, rhs)
+        except scipy.linalg.LinAlgError:
+            mu = 1e-10 * scale if mu == 0.0 else mu * 100.0
+    return None
+
+
+def test_damped_solve_equals_the_cholesky_reference_bitwise():
+    """On positive definite matrices of every size a fit meets (r up to
+    31) and on matrices that need jitter, the one-call solve gives the
+    reference's bits, or None where the reference gives up."""
+    solve = fit_module._solve_damped
+    rng = np.random.default_rng(12)
+    for case in range(400):
+        r = int(rng.integers(1, 32))
+        b = rng.normal(size=(r, r)) * 10.0 ** rng.uniform(-3, 3, size=r)
+        hess = b @ b.T + 10.0 ** rng.uniform(-12, 0) * np.eye(r)
+        rhs = rng.normal(size=r)
+        np.testing.assert_array_equal(solve(hess, rhs),
+                                      _cho_reference(hess, rhs))
+    # rank one: the first try fails and the jitter path decides the bits
+    v = rng.normal(size=5)
+    singular = np.outer(v, v)
+    rhs = rng.normal(size=5)
+    assert _cho_reference(singular.copy(), rhs) is not None
+    np.testing.assert_array_equal(solve(singular, rhs),
+                                  _cho_reference(singular, rhs))
+    # indefinite beyond the largest jitter: both give up, and never look
+    # at the right-hand side
+    indefinite = np.diag([1.0, -1e9, 2.0])
+    for b in (rhs[:3], np.array([1.0, np.inf, 0.0])):
+        assert _cho_reference(indefinite, b) is None
+        assert solve(indefinite, b) is None
+
+
+@pytest.mark.parametrize("bad", ["hess nan", "hess inf", "rhs inf"])
+def test_damped_solve_refuses_non_finite_input(bad):
+    """As ``cho_factor`` and ``cho_solve`` did, a non-finite Hessian or
+    right-hand side raises, which fails the restart; ``dposv`` alone
+    returns NaNs and the polish would go on."""
+    hess, rhs = np.eye(3) * 2.0, np.ones(3)
+    if bad == "rhs inf":
+        rhs[1] = np.inf
+    else:
+        hess[0, 2] = hess[2, 0] = np.nan if bad == "hess nan" else np.inf
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        fit_module._solve_damped(hess, rhs)
+
+
 def test_restart_records_and_chosen_restart(monkeypatch):
     """A fit configured with ``confirmations`` stops at that many restarts
     tied with the best so far and never earlier; a fit of at most that

@@ -19,11 +19,13 @@ unchanged against any two versions of it, across API changes.
 
 Last, ``record`` writes the library outputs that no command reaches to
 ``library/`` in OUT, as hex-float text (one array row per line), with
-``library.log``: ``prediction_gradient``, ``gradient`` and
-``log_likelihood`` at a given sigma^2 on both stored models, the
-Bernoulli ``observed_information``, and ``align_to``'s (aligned, T) at
-q = 3 and 4.  One ``PYTHONPATH=SRC`` process (``LIBRARY_SCRIPT``)
-computes them by calling only public functions.  Unlike the commands,
+``library.log``: ``prediction_gradient``, ``gradient``,
+``log_likelihood`` and ``observed_information`` at a given sigma^2 on
+both stored models; ``fit`` on both stored tables at q = 1, 2 and 3 with
+3 restarts (theta-hat, ``restart_logliks`` and ``restart_iterations``);
+and ``align_to``'s (aligned, T) at q = 3 and 4.  One ``PYTHONPATH=SRC``
+process (``LIBRARY_SCRIPT``) computes them by calling only public
+functions.  Unlike the commands,
 this part needs the same public signatures on both sides: where one
 changed, ``library.log`` shows the error and ``compare`` reports its
 files missing.
@@ -248,6 +250,7 @@ import sys
 import numpy as np
 
 from statnn.canonical import align_to, apply_symmetry
+from statnn.fit import FitConfig, fit
 from statnn.likelihood import (gradient, log_likelihood,
                                observed_information, prediction_gradient)
 from statnn.model import Architecture, ParamVector
@@ -274,8 +277,16 @@ for tag, sigma_sq in (("g", 0.8), ("b", None)):
     write(f"{tag}_gradient", gradient(theta, data, 0.03, sigma_sq))
     write(f"{tag}_log_likelihood",
           log_likelihood(theta, data, 0.03, sigma_sq))
-    if tag == "b":
-        write("b_observed_information", observed_information(theta, data))
+    write(f"{tag}_observed_information",
+          observed_information(theta, data, sigma_sq))
+    # at q = 1 a forward product on a contiguous transposed design is a
+    # gemv, not a gemm, so a layout change there shows in the bits
+    for q in (1, 2, 3):
+        res = fit(Architecture(data.p, q, theta.arch.family), data, 0.01,
+                  FitConfig(n_restarts=3, seed=q))
+        write(f"{tag}_fit_q{q}_theta", res.theta_hat.values)
+        write(f"{tag}_fit_q{q}_restart_logliks", res.restart_logliks)
+        write(f"{tag}_fit_q{q}_restart_iterations", res.restart_iterations)
 
 rng = np.random.default_rng(20)
 for p, q in ((3, 3), (2, 4)):
