@@ -14,6 +14,14 @@ remedy of refitting with a larger ridge penalty.  ``summary``,
 covariance is not positive definite: a ``CovarianceEstimate`` is
 positive definite by construction, and no Wald test or confidence band
 exists without one.
+
+Inference is the fit's: ``fit`` stores the training data's fit and
+observed information in the model file, and every query builds its
+sandwich covariance from them.  ``summary`` and ``diagram`` report the
+fit on its training data, so their CSV must be that data; it is parsed
+only when its bytes differ from the training file's, and refused (exit
+2) when its encoded rows differ too.  ``pce`` averages over the rows of
+its CSV, whichever sample that is.
 """
 
 from __future__ import annotations
@@ -26,17 +34,21 @@ import sys
 from . import __version__
 from .effects import effect_grid, pce_curve, to_original_scale
 from .exceptions import DataError, FitError, NotPositiveDefiniteError
-from .fit import FitConfig, evaluate_at, fit
+from .fit import FitConfig, fit
+# Not called here since queries read the stored fit.  perfbench/spans.py
+# looks these bindings up; they can go with the next benchmark change.
+from .fit import evaluate_at  # noqa: F401
 from .inference import sandwich_covariance, summarize
-from .likelihood import observed_information
+from .likelihood import observed_information  # noqa: F401
 from .model import FAMILIES, Architecture
 from .plots import pce_plot_svg, power_plot_svg, selection_plot_svg
 from .preprocess import dataset_from_meta, ingest
 from .report import (emit_diagram, emit_summary, estimates_csv, overview_csv,
                      pce_csv, pd_csv, power_csv, rejections_csv, sweep_csv)
 from .selection import fit_linear, sweep
-from .serialize import (atomic_write_text, json_object, load_model,
-                        model_document, parse_study, save_model)
+from .serialize import (atomic_write_text, data_sha256, file_sha256,
+                        json_object, load_model, model_document, parse_study,
+                        save_model)
 from .simgen import run_grid, run_scenario
 
 _LAMBDA_HINT = ("refit with a larger ridge penalty (--lambda) to obtain a "
@@ -170,7 +182,7 @@ def cmd_fit(args) -> int:
     arch = Architecture(p=data.p, q=args.q, family=args.family)
     config = FitConfig(n_restarts=args.restarts, seed=args.seed)
     result = fit(arch, data, args.lam, config)
-    save_model(model_document(result, data), args.out)
+    save_model(model_document(result, data, args.csv), args.out)
     sigma_part = ("" if result.sigma_sq_hat is None
                   else f", sigma^2 = {result.sigma_sq_hat:.6g}")
     print(f"fit: n = {data.n}, p = {data.p}, q = {args.q}, "
@@ -181,13 +193,28 @@ def cmd_fit(args) -> int:
 
 
 def _model_and_covariance(model_path, csv_path):
-    """Shared summary/pce/diagram preamble: load, evaluate, sandwich."""
+    """Shared summary/diagram preamble: the model, its training data's
+    stand-in (the document: n and the column records), the stored fit
+    and the sandwich covariance of its information.
+
+    ``csv_path`` must hold the training data.  Its rows are parsed only
+    when its bytes differ from the training file's (a byte-order mark,
+    other line ends, columns in another order); then any parse error
+    comes first, and encoded rows that differ are refused."""
     doc = load_model(model_path)
-    data = dataset_from_meta(csv_path, doc.column_meta, doc.response_meta)
-    result = evaluate_at(doc.theta, data, doc.lam)
-    info = observed_information(doc.theta, data, sigma_sq=result.sigma_sq_hat)
-    cov = sandwich_covariance(info, doc.lam)
-    return doc, data, result, cov
+    if file_sha256(csv_path) != doc.fit.csv_sha256:
+        data = dataset_from_meta(csv_path, doc.column_meta, doc.response_meta)
+        if data_sha256(data) != doc.fit.data_sha256:
+            raise DataError(
+                f"{csv_path} is not the data {model_path} was fitted to; "
+                "summary and diagram report the fit on its training data, "
+                "so give that CSV")
+    return doc, doc, doc.fit_result, _covariance(doc)
+
+
+def _covariance(doc):
+    """The sandwich covariance of a model's stored information."""
+    return sandwich_covariance(doc.fit.information, doc.lam)
 
 
 def _wald_report(args):
@@ -205,7 +232,9 @@ def cmd_pce(args) -> int:
     if args.linear_reference and not args.svg:
         raise DataError("--linear-reference is drawn only on the SVG plot; "
                         "give --svg as well")
-    doc, data, _result, cov = _model_and_covariance(args.model, args.csv)
+    doc = load_model(args.model)
+    data = dataset_from_meta(args.csv, doc.column_meta, doc.response_meta)
+    cov = _covariance(doc)
     j = data.column_index(args.covariate) + 1
     by = None if args.by is None else data.column_index(args.by) + 1
     curves = pce_curve(doc.theta, cov, data, j, args.d,

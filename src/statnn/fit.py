@@ -94,6 +94,9 @@ INIT_SCALE = 0.5
 MAX_ITERS = 1000
 #: Gradient max-norm that ``converged`` reports against.
 GRAD_TOL = 1e-8
+#: Gradient max-norm under which ``fixed_result`` reports a theta that
+#: no search produced (a stored model's) as converged.
+STATIONARY_TOL = 1e-6
 #: L-BFGS-B's relative-decrease stop: at 1e-9 the polish still reaches
 #: the same optimum (theta-hat within 2.5e-13 relative of running to
 #: GRAD_TOL) in 9-32% fewer iterations.
@@ -373,16 +376,25 @@ def evaluate_at(theta: ParamVector, data: Dataset, lam: float) -> FitResult:
 
     No optimization happens: the log-likelihood, profiled variance, and
     gradient norm are computed at ``theta``, under its architecture, on
-    the given data, with ``converged`` reporting whether ``theta`` is a
-    stationary point there (it will not be if the data differ from the
-    fitting data).
+    the given data, and wrapped by ``fixed_result``.  ``statnn fit``
+    stores these values for the training data, and a query reads them
+    back with ``fixed_result``.
     """
     obj = _Evaluator(theta.arch, data, lam)
     loglik, sigma_sq_hat = obj.profile(theta.values)
     # Stationarity is measured on the optimizer's scale (sigma^2 = 1 for
     # the Gaussian family), the same convention fit() reports.
     _, g = obj.value_grad(theta.values)
-    grad_max = float(np.max(np.abs(g)))
+    return fixed_result(theta, lam, loglik, sigma_sq_hat,
+                        float(np.max(np.abs(g))))
+
+
+def fixed_result(theta: ParamVector, lam: float, loglik: float,
+                 sigma_sq_hat: float | None, grad_max: float) -> FitResult:
+    """A FitResult for parameter values that no search produced: one
+    restart of no iterations, with ``converged`` reporting whether
+    ``theta`` is a stationary point, ``grad_max <= STATIONARY_TOL`` (it
+    will not be on data other than the fitting data)."""
     return FitResult(
         theta_hat=theta,
         loglik=loglik,
@@ -391,7 +403,7 @@ def evaluate_at(theta: ParamVector, data: Dataset, lam: float) -> FitResult:
         restart_logliks=(loglik,),
         restart_iterations=(0,),
         chosen_restart=0,
-        converged=bool(grad_max <= 1e-6),
+        converged=bool(grad_max <= STATIONARY_TOL),
         iterations=0,
         grad_max=grad_max,
     )

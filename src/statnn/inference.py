@@ -215,7 +215,9 @@ def summarize(fit_result, cov: CovarianceEstimate, arch: Architecture,
     """Per-weight and per-covariate Wald tests for a fitted network.
 
     ``arch`` must be ``fit_result.theta_hat.arch`` (``ValueError``
-    otherwise); the estimate already carries it.
+    otherwise); the estimate already carries it.  Of ``data`` only p, n
+    and the column records are read, so a stored model's
+    ``ModelDocument`` stands in for its training data.
     """
     theta_hat = fit_result.theta_hat
     if arch != theta_hat.arch:

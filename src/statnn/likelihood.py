@@ -149,22 +149,42 @@ def _pred_jacobian(arch: Architecture, x1: np.ndarray, hb: np.ndarray,
 def _curvature_correction(arch: Architecture, x1: np.ndarray,
                           hb: np.ndarray, g: np.ndarray,
                           weights: np.ndarray) -> np.ndarray:
-    """sum_i weights_i * d2z_i/dtheta dtheta^T (r x r, symmetric)."""
+    """sum_i weights_i * d2z_i/dtheta dtheta^T (r x r, symmetric).
+
+    Unit k fills the omega_.k x omega_.k block with x1^T diag(w_k) x1,
+    w_k = weights h_k (1 - h_k)(1 - 2 h_k) gamma_k, and the omega_.k x
+    gamma_k strips with x1^T (weights h_k (1 - h_k)).  Each gemm's right
+    operand is a C-contiguous n x (p + 1) array: the same product on a
+    transposed design is another BLAS call with other bits."""
     c = np.zeros((arch.r, arch.r))
-    # rows, then columns: ww[j, k, m, l] = c[omega_jk, omega_ml],
-    # wg[j, k, l] = c[omega_jk, gamma_l], gw[l, j, k] = c[gamma_l, omega_jk]
-    w_rows, g_rows = (np.moveaxis(v, 0, -1) for v in arch.split(c.T))
-    (ww, wg), (gw, _) = arch.split(w_rows), arch.split(g_rows)
+    flat = c.reshape(-1)
     h = hb[1:]
     hp = h * (1.0 - h)
-    hpp = hp * (1.0 - 2.0 * h)
-    for k in range(arch.q):
-        wk = weights * hpp[k] * g[k + 1]
-        ww[:, k, :, k] += x1.T @ (wk[:, None] * x1)
-        v = x1.T @ (weights * hp[k])
-        gw[k + 1, :, k] += v
-        wg[:, k, k + 1] += v
+    wp = weights * hp
+    hp *= 1.0 - 2.0 * h                 # now w_k, one row per unit
+    hp *= weights
+    hp *= g[1:, None]
+    scaled = np.empty(x1.shape)
+    for k, (block, row, col) in enumerate(_unit_entries(arch)):
+        m = x1.T @ np.multiply(hp[k][:, None], x1, out=scaled)
+        flat[block] += m.reshape(-1)
+        v = x1.T @ wp[k]
+        flat[row] += v
+        flat[col] += v
     return c
+
+
+@functools.cache
+def _unit_entries(arch: Architecture) -> tuple:
+    """Per hidden unit k, the entries of an r x r matrix, as indices into
+    its flat C-order array, that ``_curvature_correction`` writes: the
+    omega_.k x omega_.k block (row-major), then row gamma_k and column
+    gamma_k at omega_0k..omega_pk.  Read once per architecture from
+    ``Architecture.split``."""
+    w, g = arch.split(np.arange(arch.r))
+    return tuple(((omega[:, None] * arch.r + omega).ravel(),
+                  gamma * arch.r + omega, omega * arch.r + gamma)
+                 for omega, gamma in zip(w.T.copy(), g[1:]))
 
 
 @functools.cache

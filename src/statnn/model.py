@@ -231,13 +231,15 @@ class ColumnMeta:
     ``raw`` is the CSV column the values come from (``name`` unless
     given).  ``level`` is set only on a factor level's indicator: the
     column is 1 where the raw cell equals ``level`` and 0 elsewhere.
-    Otherwise the raw cells are numbers.  ``mean`` and ``sd`` are the
-    column's map from CSV to model units, ``to_model(v) = (v - mean) /
-    sd``, inverted by ``to_original``: a standardized column's training
-    mean and sd, else the identity (mean 0, sd 1), which a dummy must
-    have.  An sd that is not finite and positive is refused.  Cross-
-    validation re-estimates a map on each training fold unless it is the
-    identity.
+    ``levels``, if given, is then the factor's full level set, reference
+    level first, and a raw cell outside it cannot be encoded;
+    preprocessing always gives it.  Otherwise the raw cells are numbers
+    and both are None.  ``mean`` and ``sd`` are the column's map from CSV
+    to model units, ``to_model(v) = (v - mean) / sd``, inverted by
+    ``to_original``: a standardized column's training mean and sd, else
+    the identity (mean 0, sd 1), which a dummy must have.  An sd that is
+    not finite and positive is refused.  Cross-validation re-estimates a
+    map on each training fold unless it is the identity.
     """
 
     name: str
@@ -246,12 +248,16 @@ class ColumnMeta:
     sd: float = 1.0
     raw: str | None = None
     level: str | None = None
+    levels: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in ("continuous", "dummy"):
             raise ValueError(f"column kind must be continuous or dummy, got {self.kind!r}")
         if self.level is not None and self.kind != "dummy":
             raise ValueError(f"column {self.name!r} has a level, so it must be a dummy column")
+        if self.levels is not None and self.level not in self.levels[1:]:
+            raise ValueError(f"column {self.name!r} indicates level {self.level!r}, which must "
+                             f"follow the reference level in its levels {self.levels!r}")
         got = f"mean {self.mean!r}, sd {self.sd!r}"
         if not (np.isfinite(self.mean) and np.isfinite(self.sd) and self.sd > 0.0):
             raise DataError(f"column {self.name!r} has an unusable scale map "

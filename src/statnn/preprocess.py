@@ -13,13 +13,14 @@ schema may set only a numeric response's action.
 
 :func:`infer_plan` records these decisions as one
 :class:`~statnn.model.ColumnMeta` per model column: the raw CSV column
-it is read from, the level it indicates (for a factor level's
-indicator), and the training mean and sd.  A stored model keeps these
-records.  :func:`ingest` and :func:`dataset_from_meta` encode a file
-with the same code, which reads each model column from its stored raw
-column and level and never looks at the file's header to decide what a
-column means; so a query sees the training transformation exactly,
-whatever other columns the query file carries.
+it is read from, the level it indicates and the factor's full level set
+(for a factor level's indicator), and the training mean and sd.  A
+stored model keeps these records.  :func:`ingest` and
+:func:`dataset_from_meta` encode a file with the same code, which reads
+each model column from its stored raw column and level and never looks
+at the file's header to decide what a column means; so a query sees the
+training transformation exactly, whatever other columns the query file
+carries, and a factor cell outside the training level set is refused.
 
 Missing values are a hard error naming the offending row and column; no
 imputation is attempted.
@@ -255,7 +256,8 @@ def _plan_column(name, cells, action=None, reference=None,
                 f"response column {name!r} has {len(levels)} levels; only "
                 "two-level factors can serve as a binary response")
         return [ColumnMeta(f"{name}.{level}", kind="dummy", raw=name,
-                           level=level) for level in levels[1:]]
+                           level=level, levels=levels)
+                for level in levels[1:]]
     if action == "passthrough":
         return [ColumnMeta(name, kind="dummy" if _is_binary(numeric)
                            else "continuous")]
@@ -351,6 +353,17 @@ def dataset_from_meta(csv_path, column_meta, response_meta) -> Dataset:
     return _encode(csv_path, names, columns, column_meta, response_meta)
 
 
+def _check_levels(name, cells, levels):
+    """Refuse a factor cell outside the factor's training level set."""
+    if set(levels).issuperset(cells):
+        return
+    i = next(i for i, cell in enumerate(cells) if cell not in levels)
+    raise DataError(
+        f"level {cells[i]!r} in column {name!r}, row {i + 1} (first data "
+        f"row is row 1) was not seen in training; the model knows the "
+        f"levels {list(levels)}")
+
+
 def _encode(csv_path, names, columns, column_meta, response_meta) -> Dataset:
     """Encode parsed CSV columns as ``column_meta`` and ``response_meta``
     describe; the one encoder behind both :func:`ingest` and
@@ -359,7 +372,10 @@ def _encode(csv_path, names, columns, column_meta, response_meta) -> Dataset:
     Every raw column is scanned once for missing values before anything
     else is said about it, except a column read as numbers whose cells
     all parse to finite floats: none of the missing-value tokens parses,
-    and ``nan`` is not finite, so such a column cannot hold one.
+    and ``nan`` is not finite, so such a column cannot hold one.  Once
+    every column is encoded, a factor's cells are checked against its
+    recorded level set: a level the training data did not have would
+    otherwise read as the reference level.
     """
     by_name = dict(zip(names, columns))
     checked = set()     # a factor's levels share one raw column
@@ -391,6 +407,10 @@ def _encode(csv_path, names, columns, column_meta, response_meta) -> Dataset:
     x_cols = [encode(cm, f"{cm.kind} column {cm.name!r}")
               for cm in column_meta]
     y = encode(response_meta, f"response {response_meta.name!r}")
+    factors = {cm.raw: cm.levels for cm in (*column_meta, response_meta)
+               if cm.levels is not None}
+    for raw, levels in factors.items():
+        _check_levels(raw, by_name[raw], levels)
     return Dataset(x=np.column_stack(x_cols), y=y,
                    column_meta=tuple(column_meta),
                    response_meta=response_meta)

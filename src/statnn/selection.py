@@ -130,7 +130,7 @@ def _fold_indices(n: int, folds: int, seed: int):
 
 def cross_validate(arch: Architecture | None, data: Dataset, lam: float,
                    config: FitConfig = FitConfig(),
-                   folds: int = 5) -> CvResult:
+                   folds: int = 5, *, _fold_sets=None) -> CvResult:
     """k-fold CV of a network (or, with arch None, the OLS baseline).
 
     Each fold repeats the fit's preprocessing on its training rows: a
@@ -140,12 +140,16 @@ def cross_validate(arch: Architecture | None, data: Dataset, lam: float,
     dummy, a passthrough column) enters unchanged, as it did in the fit.
     Predictions are mapped back to the original response scale before
     scoring.  Fold membership depends only on ``config.seed``, so
-    candidates compared under one seed see identical folds.
+    candidates compared under one seed see identical folds; ``sweep``
+    builds them once (``_folds``) and passes them to every candidate's
+    call as ``_fold_sets``.
     """
     _check_folds(folds, data.n)
+    if _fold_sets is None:
+        _fold_sets = _folds(data, folds, config.seed)
     y_raw = data.response_meta.to_original(data.y)
     fold_rmses = []
-    for f, test_idx, train, x_test in _folds(data, folds, config.seed):
+    for f, test_idx, train, x_test in _fold_sets:
         try:
             pred = _fold_predict(arch, train, x_test, lam, config, f)
         except (FitError, DataError) as exc:
@@ -168,11 +172,12 @@ def _fold_column(meta, values, train_mask):
     return fold, fold.to_model(raw)
 
 
-def _folds(data, folds, seed):
+def _folds(data, folds, seed) -> list:
     """Each fold's index, held-out rows, training set and held-out
     design, the training rows preprocessed as the fit's preprocessing
     would.  A column that preprocessing refuses on a fold's training rows
     raises a ``DataError`` that names the fold."""
+    fold_sets = []
     for f, test_idx in enumerate(_fold_indices(data.n, folds, seed)):
         train_mask = np.ones(data.n, dtype=bool)
         train_mask[test_idx] = False
@@ -186,7 +191,9 @@ def _folds(data, folds, seed):
         x = np.column_stack(cols)
         train = Dataset(x[train_mask], y[train_mask], column_meta=metas,
                         response_meta=ymeta)
-        yield f, test_idx, train, design_with_intercept(x[test_idx])
+        fold_sets.append((f, test_idx, train,
+                          design_with_intercept(x[test_idx])))
+    return fold_sets
 
 
 def _fold_predict(arch, train, x_test, lam, config, f):
@@ -242,9 +249,10 @@ def sweep(data: Dataset, q_list, family: str, lam: float,
     the sweep; at least the surviving candidates stay comparable.  A
     candidate whose cross-validation fails keeps its BIC, and its entry
     says why it has no CV score.  Each fold's preprocessing does not
-    depend on the width, so it is checked once, before any fit: a column
-    that cannot be standardized on a fold's training rows is the data's
-    error, not a candidate's, and raises ``DataError``, as does a response
+    depend on the width, so the folds are built once, before any fit,
+    and every candidate is scored on them: a column that cannot be
+    standardized on a fold's training rows is the data's error, not a
+    candidate's, and raises ``DataError``, as does a response
     the family refuses.  The linear baseline's likelihood is Gaussian, so
     for a family without a profiled sigma^2 it gets no BIC (its entry
     says why) and the sweep needs a width >= 1.
@@ -260,8 +268,7 @@ def sweep(data: Dataset, q_list, family: str, lam: float,
                         "baseline has no BIC comparable with a network's")
     if cv:
         _check_folds(folds, data.n)
-        for _ in _folds(data, folds, config.seed):
-            pass                # preprocesses each fold; raises if one fails
+        fold_sets = _folds(data, folds, config.seed)    # raises if one fails
     entries = []
     for q in q_list:
         arch = Architecture(p=data.p, q=q, family=family) if q > 0 else None
@@ -281,7 +288,8 @@ def sweep(data: Dataset, q_list, family: str, lam: float,
         cv_res = None
         if cv:
             try:
-                cv_res = cross_validate(arch, data, lam, config, folds=folds)
+                cv_res = cross_validate(arch, data, lam, config, folds=folds,
+                                        _fold_sets=fold_sets)
             except (FitError, DataError) as exc:
                 note = f"{note}; {exc}" if note else str(exc)
         entries.append(SweepEntry(q=q, bic=bic_val, error=note,

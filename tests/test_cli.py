@@ -58,13 +58,18 @@ def test_fit_writes_valid_model(workspace):
 
     _, csv_path, model_path = workspace
     payload = json.loads(pathlib.Path(model_path).read_text("utf-8"))
-    assert payload["format_version"] == 2
+    assert payload["format_version"] == 3
     assert payload["p"] == 3 and payload["q"] == 2
     assert len(payload["theta"]) == 5 * 2 + 1
     sources = [(m["name"], m["raw"], m["level"])
                for m in payload["column_meta"]]
     assert sources == [("age", "age", None), ("bmi", "bmi", None),
                        ("smoker.no", "smoker", "no")]
+    assert [m["levels"] for m in payload["column_meta"]] == [
+        None, None, ["yes", "no"]]
+    fit = payload["fit"]
+    assert fit["n"] == 60 and fit["sigma_sq_hat"] > 0.0
+    assert np.array(fit["information"]).shape == (11, 11)
     assert payload["response_meta"]["name"] == "charges"
     assert payload["response_meta"]["raw"] == "charges"
 
@@ -537,6 +542,18 @@ def test_exit_2_on_unusable_scale_map(workspace, tmp_path, capsys, command,
         r"and positive\n", err)
 
 
+def _save_at(theta, lam, csv_path, path, response="charges"):
+    """Store a model at ``theta`` and ``lam`` on the training CSV, its
+    fit evaluated there as ``statnn fit`` evaluates its own."""
+    from statnn.fit import evaluate_at
+    from statnn.preprocess import ingest
+    from statnn.serialize import model_document, save_model
+
+    data, _ = ingest(csv_path, response)
+    save_model(model_document(evaluate_at(theta, data, lam), data, csv_path),
+               path)
+
+
 def test_exit_3_numerical_failure_mentions_penalty(workspace, tmp_path,
                                                    capsys):
     """A stored model whose hidden node 2 copies node 1 (omega_j2 =
@@ -544,10 +561,8 @@ def test_exit_3_numerical_failure_mentions_penalty(workspace, tmp_path,
     positive definite.  summary, diagram and pce all exit 3 with the one
     message of a refused covariance and the ridge-penalty hint, and
     print nothing else."""
-    import dataclasses
-
     from statnn.model import ParamVector
-    from statnn.serialize import load_model, save_model
+    from statnn.serialize import load_model
 
     _, csv_path, model_path = workspace
     doc = load_model(model_path)
@@ -556,7 +571,7 @@ def test_exit_3_numerical_failure_mentions_penalty(workspace, tmp_path,
         values[arch.omega_index(j, 2)] = values[arch.omega_index(j, 1)]
     values[arch.gamma_index(2)] = values[arch.gamma_index(1)]
     dup = str(tmp_path / "duplicated_node.json")
-    save_model(dataclasses.replace(doc, theta=ParamVector(arch, values)), dup)
+    _save_at(ParamVector(arch, values), doc.lam, csv_path, dup)
     form = (r"numerical failure: covariance estimate is not positive "
             r"definite \(min eigenvalue -\d[\d.e+-]*\); Wald tests and "
             r"confidence bands are unavailable\n"
@@ -576,10 +591,8 @@ def test_exit_3_singular_information_mentions_penalty(workspace, tmp_path,
     information exactly singular.  That is the same numerical failure as
     a covariance that is not positive definite: exit 3 with the ridge
     hint on its own line, and nothing on stdout."""
-    import dataclasses
-
     from statnn.model import ParamVector
-    from statnn.serialize import load_model, save_model
+    from statnn.serialize import load_model
 
     _, csv_path, model_path = workspace
     doc = load_model(model_path)
@@ -588,8 +601,7 @@ def test_exit_3_singular_information_mentions_penalty(workspace, tmp_path,
         values[arch.omega_index(j, 2)] = 0.0
     values[arch.gamma_index(2)] = 0.0
     dead = str(tmp_path / "dead_node.json")
-    save_model(dataclasses.replace(doc, theta=ParamVector(arch, values),
-                                   lam=0.0), dead)
+    _save_at(ParamVector(arch, values), 0.0, csv_path, dead)
     assert main(["summary", dead, csv_path]) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -750,6 +762,152 @@ def test_model_fitted_on_bom_csv_serves_csv_without_bom(tmp_path, capsys):
     capsys.readouterr()
     assert main(["summary", str(model), plain, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["n"] == 60
+
+
+def _reports(model, csv_path, capsys):
+    """The text, JSON and CSV summaries and the diagram of a model."""
+    outs = []
+    for argv in (["summary"], ["summary", "--format", "json"],
+                 ["summary", "--format", "csv"], ["diagram"]):
+        assert main([argv[0], model, str(csv_path)] + argv[1:]) == 0, argv
+        outs.append(capsys.readouterr().out)
+    return outs
+
+
+def test_summary_and_diagram_parse_no_rows_of_the_training_csv(
+        workspace, tmp_path, capsys, monkeypatch):
+    """The model stores its fit on the training data, so summary and
+    diagram read the training file only to hash its bytes: they run with
+    the CSV readers patched to fail and print what they print where the
+    rows are parsed (a copy of the file with a byte-order mark)."""
+    import statnn.cli
+    import statnn.preprocess
+
+    _, csv_path, model_path = workspace
+    bom = tmp_path / "bom.csv"
+    with open(csv_path, encoding="utf-8") as fh:
+        bom.write_text("\ufeff" + fh.read(), encoding="utf-8")
+    parsed = _reports(model_path, bom, capsys)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CSV was parsed")
+
+    monkeypatch.setattr(statnn.preprocess, "read_csv", refuse)
+    monkeypatch.setattr(statnn.cli, "dataset_from_meta", refuse)
+    assert _reports(model_path, csv_path, capsys) == parsed
+
+
+def test_summary_reads_the_training_data_with_its_columns_reordered(
+        workspace, tmp_path, capsys):
+    """Reordered columns change the file's bytes but not its encoded
+    rows: the reports are byte-identical."""
+    _, csv_path, model_path = workspace
+    with open(csv_path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    reordered = tmp_path / "reordered.csv"
+    with open(reordered, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [row[2], row[0], row[3], row[1]] for row in rows)
+    assert (_reports(model_path, reordered, capsys)
+            == _reports(model_path, csv_path, capsys))
+
+
+def test_summary_and_diagram_refuse_other_data(workspace, tmp_path,
+                                                capsys):
+    """A Wald table is the fit's, on its training data: another valid
+    table is refused, naming the model and the table."""
+    _, csv_path, model_path = workspace
+    other = _make_csv(tmp_path / "other.csv", seed=171)
+    for command in ("summary", "diagram"):
+        assert main([command, model_path, other]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {other} is not the data {model_path} was "
+                       "fitted to; summary and diagram report the fit on its "
+                       "training data, so give that CSV\n")
+
+
+def test_pce_on_another_sample_takes_the_stored_covariance(
+        workspace, tmp_path, capsys):
+    """pce averages over the rows of its CSV, and its bands come from the
+    covariance of the fit on the training data: on the training rows
+    listed twice it prints the curve of the stored information, not of
+    one rebuilt on the sample (twice the stored one)."""
+    from statnn.effects import effect_grid, pce_curve
+    from statnn.fit import evaluate_at
+    from statnn.inference import sandwich_covariance
+    from statnn.likelihood import observed_information
+    from statnn.preprocess import dataset_from_meta
+    from statnn.report import pce_csv
+    from statnn.serialize import load_model
+
+    _, csv_path, model_path = workspace
+    with open(csv_path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    sample = tmp_path / "sample.csv"
+    sample.write_text("".join(lines + lines[1:]), encoding="utf-8")
+    assert main(["pce", model_path, str(sample), "--covariate", "age",
+                 "--grid-points", "5"]) == 0
+    out = capsys.readouterr().out
+    doc = load_model(model_path)
+    data = dataset_from_meta(str(sample), doc.column_meta, doc.response_meta)
+    j = data.column_index("age") + 1
+
+    def curve(info):
+        cov = sandwich_covariance(info, doc.lam)
+        return pce_csv(pce_curve(doc.theta, cov, data, j, None,
+                                 effect_grid(data, j, None, 5)))
+
+    rebuilt = observed_information(
+        doc.theta, data, evaluate_at(doc.theta, data, doc.lam).sigma_sq_hat)
+    assert out == curve(doc.fit.information)
+    assert out != curve(rebuilt)
+
+
+@pytest.mark.parametrize("field", ["theta", "lambda"])
+def test_model_edited_after_fitting_exits_2(workspace, tmp_path, capsys,
+                                            field):
+    """The stored fit was computed at the file's theta and lambda; a file
+    where either was edited afterwards is refused with a request to
+    refit, by every query."""
+    _, csv_path, model_path = workspace
+    with open(model_path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if field == "theta":
+        payload["theta"][0] += 0.5
+    else:
+        payload["lambda"] *= 2.0
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(payload), encoding="utf-8")
+    for argv in (["summary"], ["diagram"], ["pce", "--covariate", "age"]):
+        assert main([argv[0], str(edited), csv_path] + argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \S*edited\.json: theta, lambda, the "
+                            r"architecture or the column records are not "
+                            r"those the stored fit was computed at \(the "
+                            r"file was edited after fitting\); refit the "
+                            r"model with 'statnn fit'\n", err), err
+
+
+def test_queries_refuse_a_level_not_seen_in_training(workspace, tmp_path,
+                                                     capsys):
+    """A factor level the training data did not have is not its
+    reference level: a copy of the training table whose first smoker
+    cells read zz is refused, naming the column, the level and the row."""
+    _, csv_path, model_path = workspace
+    with open(csv_path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][2] = rows[2][2] = "zz"
+    unseen = tmp_path / "unseen.csv"
+    with open(unseen, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    for argv in (["pce", "--covariate", "age"], ["summary"]):
+        assert main([argv[0], model_path, str(unseen)] + argv[1:]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: level 'zz' in column 'smoker', row 1 (first "
+                       "data row is row 1) was not seen in training; the "
+                       "model knows the levels ['yes', 'no']\n")
 
 
 def test_serving_imports_do_not_load_the_optimizer(workspace, tmp_path):

@@ -3,9 +3,9 @@
 Each table mixes dotted raw names and levels, quoted cells with commas
 and quotes, CRLF line ends, a byte-order mark, 0/1 columns and numeric
 or two-level factor responses.  Its query file reorders the columns,
-adds levels never seen in training and an extra column named like one
-of the stored indicators.  The expected encodings are computed from the
-generated values, not from the parsed file.
+adds levels never seen in training, which are refused, and an extra
+column named like one of the stored indicators.  The expected encodings
+are computed from the generated values, not from the parsed file.
 """
 
 import csv
@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from statnn.cli import main
+from statnn.exceptions import DataError
+from statnn.fit import evaluate_at
 from statnn.model import Architecture, ColumnMeta, ParamVector
 from statnn.preprocess import dataset_from_meta, ingest
-from statnn.serialize import (ModelDocument, model_to_json, parse_model,
+from statnn.serialize import (model_document, model_to_json, parse_model,
                               save_model)
 
 N_TABLES = 25
@@ -61,8 +63,9 @@ def _expected_records(kinds, train, response, response_kind):
                                float(np.std(v, ddof=1)))]
         if kind == "binary":
             return [ColumnMeta(name, "dummy")]
-        levels = list(dict.fromkeys(cells))
-        return [ColumnMeta(f"{name}.{lvl}", "dummy", raw=name, level=lvl)
+        levels = tuple(dict.fromkeys(cells))
+        return [ColumnMeta(f"{name}.{lvl}", "dummy", raw=name, level=lvl,
+                           levels=levels)
                 for lvl in levels[1:]]
 
     columns = [m for name, kind in kinds.items()
@@ -128,24 +131,25 @@ def _table(seed, root):
             columns, resp, query)
 
 
-def _document(data):
+def _document(data, train_path):
+    """A width-1 model at theta = 0 of the training table, built as
+    ``statnn fit`` builds its own."""
     family = ("gaussian" if data.response_meta.kind == "continuous"
               else "bernoulli")
     arch = Architecture(p=data.p, q=1, family=family)
-    return ModelDocument(theta=ParamVector.zeros(arch), lam=0.01,
-                         column_meta=data.column_meta,
-                         response_meta=data.response_meta)
+    return model_document(evaluate_at(ParamVector.zeros(arch), data, 0.01),
+                          data, train_path)
 
 
 @pytest.mark.parametrize("seed", range(N_TABLES))
 def test_generated_table_round_trip(tmp_path, seed):
-    (train_path, query_path, _, _, response, columns, resp,
-     query) = _table(seed, tmp_path)
+    (train_path, query_path, query_header, query_rows, response, columns,
+     resp, query) = _table(seed, tmp_path)
     data, _ = ingest(train_path, response)
     assert data.column_meta == columns
     assert data.response_meta == resp
 
-    back = parse_model(model_to_json(_document(data)))
+    back = parse_model(model_to_json(_document(data, train_path)))
     assert back.column_meta == data.column_meta
     assert back.response_meta == data.response_meta
     again = dataset_from_meta(train_path, back.column_meta,
@@ -153,6 +157,24 @@ def test_generated_table_round_trip(tmp_path, seed):
     assert again.x.tobytes() == data.x.tobytes()
     assert again.y.tobytes() == data.y.tobytes()
 
+    factors = [cm for cm in columns if cm.levels is not None]
+    if factors:
+        # Every factor's query rows 1, 4 and 7 hold levels never seen in
+        # training; the first factor's first row is named.
+        first = factors[0]
+        with pytest.raises(DataError) as err:
+            dataset_from_meta(query_path, back.column_meta,
+                              back.response_meta)
+        assert str(err.value) == (
+            f"level {query[first.raw][0]!r} in column {first.raw!r}, row 1 "
+            "(first data row is row 1) was not seen in training; the model "
+            f"knows the levels {list(map(str, first.levels))}")
+        keep = [i for i in range(len(query_rows)) if i % 3]
+        query_path = _write(tmp_path / f"seen{seed}.csv", query_header,
+                            [query_rows[i] for i in keep],
+                            np.random.default_rng(seed))
+        query = {name: [cells[i] for i in keep]
+                 for name, cells in query.items()}
     served = dataset_from_meta(query_path, back.column_meta,
                                back.response_meta)
     want_x = np.column_stack([_expected_encoding(cm, query[cm.raw])
@@ -169,7 +191,7 @@ def test_generated_malformed_query_exits_2(tmp_path, seed, capsys):
     (train_path, _, header, rows, response, _, _, _) = _table(seed, tmp_path)
     data, _ = ingest(train_path, response)
     model = str(tmp_path / "model.json")
-    save_model(_document(data), model)
+    save_model(_document(data, train_path), model)
     rng = np.random.default_rng(seed)
     used = [j for j, name in enumerate(header)
             if name in {cm.raw for cm in data.column_meta} | {response}]

@@ -106,7 +106,7 @@ def test_infer_plan_defaults(tmp_path):
                              float(ages.std(ddof=1)))
     assert bmi.kind == "continuous" and bmi.sd != 1.0
     assert smoker == ColumnMeta("smoker.no", "dummy", raw="smoker",
-                                level="no")
+                                level="no", levels=("yes", "no"))
     assert plan.response.kind == "continuous"
     assert plan.response.raw == "charges" and plan.response.sd != 1.0
 
@@ -191,7 +191,8 @@ def test_multi_level_factor(tmp_path):
             "sw,1\nnw,2\nse,3\nsw,4\nne,5\nnw,6\n")
     data, plan = ingest(_write(tmp_path, text), response="y")
     assert plan.columns == tuple(
-        ColumnMeta(f"region.{lvl}", "dummy", raw="region", level=lvl)
+        ColumnMeta(f"region.{lvl}", "dummy", raw="region", level=lvl,
+                   levels=("sw", "nw", "se", "ne"))
         for lvl in ("nw", "se", "ne"))
     np.testing.assert_array_equal(
         data.x, [[0, 0, 0], [1, 0, 0], [0, 1, 0],
@@ -229,7 +230,8 @@ def test_two_level_factor_response(tmp_path):
     data, plan = ingest(_write(tmp_path, text), response="outcome")
     # level coded 1 ("bad", the non-reference) appears in the meta name
     assert plan.response == ColumnMeta("outcome.bad", "dummy",
-                                       raw="outcome", level="bad")
+                                       raw="outcome", level="bad",
+                                       levels=("good", "bad"))
     assert data.response_meta == plan.response
     np.testing.assert_array_equal(data.y, [0.0, 1.0, 1.0, 0.0, 1.0])
 
@@ -266,7 +268,8 @@ def test_response_action_on_factor_response_refused(tmp_path, action):
         ingest(_write(tmp_path, text), response="y",
                schema={"response_action": action})
     _, plan = ingest(_write(tmp_path, text), response="y")
-    assert plan.response == ColumnMeta("y.b", "dummy", raw="y", level="b")
+    assert plan.response == ColumnMeta("y.b", "dummy", raw="y", level="b",
+                                       levels=("a", "b"))
 
 
 def test_apply_plan_columns_in_plan_order(tmp_path):
@@ -387,17 +390,26 @@ def test_dataset_from_meta_parses_cells_as_float_does(tmp_path):
     assert rebuilt.y.tobytes() == data.response_meta.to_model(want).tobytes()
 
 
-def test_dataset_from_meta_unseen_level_encodes_as_reference(tmp_path):
-    """Stored metadata records only the levels coded 1, so a value that
-    matches none of them is indistinguishable from the reference level
-    and takes the all-zero encoding."""
+def test_dataset_from_meta_refuses_an_unseen_level(tmp_path):
+    """A stored factor records its full level set, so a value outside it
+    is refused, naming the column, the level and the row, where it would
+    otherwise take the reference level's all-zero encoding; the training
+    levels encode as before."""
     train = _write(tmp_path, BASIC, name="train.csv")
     data, _ = ingest(train, response="charges")
     test = _write(tmp_path,
-                  "age,bmi,smoker,charges\n30,25.0,sometimes,100\n"
-                  "40,26.0,no,200\n",
+                  "age,bmi,smoker,charges\n40,26.0,no,200\n"
+                  "30,25.0,sometimes,100\n",
                   name="test.csv")
-    rebuilt = dataset_from_meta(test, data.column_meta, data.response_meta)
+    with pytest.raises(DataError) as err:
+        dataset_from_meta(test, data.column_meta, data.response_meta)
+    assert str(err.value) == (
+        "level 'sometimes' in column 'smoker', row 2 (first data row is "
+        "row 1) was not seen in training; the model knows the levels "
+        "['yes', 'no']")
+    seen = _write(tmp_path, "age,bmi,smoker,charges\n30,25.0,yes,100\n"
+                            "40,26.0,no,200\n", name="seen.csv")
+    rebuilt = dataset_from_meta(seen, data.column_meta, data.response_meta)
     np.testing.assert_array_equal(rebuilt.x[:, 2], [0.0, 1.0])
 
 

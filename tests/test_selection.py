@@ -284,6 +284,26 @@ def test_sweep_keeps_the_bic_when_cv_fails(monkeypatch):
     assert net.bic is not None and "fold 1 failed" in net.error
 
 
+def test_sweep_builds_the_folds_once(monkeypatch):
+    """Each fold's preprocessing does not depend on the width, so a sweep
+    builds the folds once and scores every candidate on them, with the
+    CV scores ``cross_validate`` gives that candidate alone."""
+    import statnn.selection as selection
+
+    built = []
+    folds = selection._folds
+    monkeypatch.setattr(selection, "_folds",
+                        lambda *args: built.append(args) or folds(*args))
+    data, _ = _linear_data(seed=112, n=60, p=2)
+    config = FitConfig(n_restarts=1, seed=14)
+    result = sweep(data, [0, 1, 2], "gaussian", 0.01, config, folds=4)
+    assert len(built) == 1
+    for entry in result.entries:
+        arch = Architecture(p=2, q=entry.q) if entry.q else None
+        alone = cross_validate(arch, data, 0.01, config, folds=4)
+        assert (entry.cv_rmse, entry.cv_se) == (alone.rmse, alone.se)
+
+
 def test_sweep_checks_fold_preprocessing_before_any_fit(monkeypatch):
     """A column constant on one fold's training rows fails every width
     alike, so the sweep raises before it fits anything."""

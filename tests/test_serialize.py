@@ -2,52 +2,70 @@
 
 import json
 import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from statnn.exceptions import DataError
+from statnn.fit import evaluate_at
+from statnn.likelihood import observed_information
 from statnn.model import Architecture, ColumnMeta, ParamVector
+from statnn.preprocess import ingest
 from statnn.serialize import (MODEL_FORMAT_VERSION, SCENARIO_FORMAT_VERSION,
-                              ModelDocument, atomic_write_text, load_model,
-                              load_scenario, model_to_json, parse_model,
+                              ModelDocument, atomic_write_text, data_sha256,
+                              file_sha256, load_model, load_scenario,
+                              model_document, model_to_json, parse_model,
                               parse_scenario, parse_study, save_model,
                               save_scenario, scenario_to_json, to_json_text)
 from statnn.simgen import SimScenario
 
 
-def _doc(seed=140, p=2, q=2, lam=0.01):
-    rng = np.random.default_rng(seed)
-    arch = Architecture(p=p, q=q)
-    theta = ParamVector(arch, rng.uniform(-2.0, 2.0, arch.r))
-    metas = (ColumnMeta("age", "continuous", 39.2071, 14.04996),
-             ColumnMeta("smoker.yes", "dummy", raw="smoker",
-                        level="yes"))[:p]
-    while len(metas) < p:
-        metas = metas + (ColumnMeta(f"x{len(metas) + 1}"),)
-    return ModelDocument(theta=theta, lam=lam,
-                         column_meta=metas,
-                         response_meta=ColumnMeta("charges", "continuous",
-                                                  13270.42, 12110.01))
+#: A small training table: a continuous covariate, a factor whose
+#: reference level is "no", and a continuous and a 0/1 response.
+TRAINING = (("age", "smoker", "charges", "claim"),
+            ("19", "no", "16884.92", "1"), ("33", "yes", "1725.55", "0"),
+            ("28", "no", "4449.46", "0"), ("45", "no", "7726.85", "1"),
+            ("52", "yes", "40904.17", "1"), ("23", "no", "1826.84", "0"),
+            ("61", "yes", "29141.36", "1"))
+
+
+def _doc(seed=140, q=2, lam=0.01, values=None, response="charges",
+         family="gaussian"):
+    """A model at a random theta (or at ``values``) of the training table
+    with one response, built as ``statnn fit`` builds one: its fit
+    evaluated there."""
+    keep = [0, 1, TRAINING[0].index(response)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "train.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(",".join(row[i] for i in keep) + "\n"
+                          for row in TRAINING)
+        data, _ = ingest(path, response)
+        arch = Architecture(p=data.p, q=q, family=family)
+        if values is None:
+            values = np.random.default_rng(seed).uniform(-2.0, 2.0, arch.r)
+        theta = ParamVector(arch, values)
+        return model_document(evaluate_at(theta, data, lam), data, path)
 
 
 def test_model_json_round_trip_bit_exact():
     """theta survives save -> parse without any change in the final bit."""
-    doc = _doc()
     # include values that stress decimal round tripping
-    theta = ParamVector(doc.arch, np.array(
+    doc = _doc(values=np.array(
         [0.1, 1.0 / 3.0, np.pi, -np.e, 1e-15, 123456.789,
-         np.nextafter(1.0, 2.0), -7.25, 0.0][:doc.arch.r]))
-    doc = ModelDocument(theta=theta, lam=doc.lam,
-                        column_meta=doc.column_meta,
-                        response_meta=doc.response_meta)
+         np.nextafter(1.0, 2.0), -7.25, 0.0]))
     back = parse_model(model_to_json(doc))
-    np.testing.assert_array_equal(back.theta.values, theta.values)
+    np.testing.assert_array_equal(back.theta.values, doc.theta.values)
     assert back.lam == doc.lam
     assert back.column_meta == doc.column_meta
     assert back.response_meta == doc.response_meta
     assert back.arch == doc.arch
+    # the stored fit reads back bit for bit too
+    assert back.fit.information.tobytes() == doc.fit.information.tobytes()
+    assert replace(back.fit, information=None) == replace(
+        doc.fit, information=None)
 
 
 def test_model_json_deterministic_and_ordered():
@@ -58,13 +76,17 @@ def test_model_json_deterministic_and_ordered():
     payload = json.loads(a)
     assert list(payload) == ["format_version", "p", "q", "hidden_activation",
                              "output_activation", "theta", "lambda",
-                             "column_meta", "response_meta"]
-    assert payload["format_version"] == MODEL_FORMAT_VERSION == 2
+                             "column_meta", "response_meta", "fit"]
+    assert payload["format_version"] == MODEL_FORMAT_VERSION == 3
     assert payload["column_meta"][1] == {
         "name": "smoker.yes", "kind": "dummy", "mean": 0.0, "sd": 1.0,
-        "raw": "smoker", "level": "yes"}
+        "raw": "smoker", "level": "yes", "levels": ["no", "yes"]}
     assert payload["column_meta"][0]["raw"] == "age"
     assert payload["column_meta"][0]["level"] is None
+    assert payload["column_meta"][0]["levels"] is None
+    assert list(payload["fit"]) == ["n", "csv_sha256", "data_sha256",
+                                    "digest", "loglik", "sigma_sq_hat",
+                                    "grad_max", "information"]
     assert payload["hidden_activation"] == "logistic"
     assert payload["output_activation"] == "identity"
     assert len(payload["theta"]) == doc.arch.r
@@ -107,10 +129,8 @@ def test_model_document_family():
     output activation and reads it back."""
     doc = _doc()
     assert parse_model(model_to_json(doc)).arch.family == "gaussian"
-    arch = Architecture(p=2, q=1, family="bernoulli")
-    logdoc = ModelDocument(theta=ParamVector.zeros(arch), lam=0.0,
-                           column_meta=(ColumnMeta("a"), ColumnMeta("b")),
-                           response_meta=ColumnMeta("y", "dummy"))
+    logdoc = _doc(q=1, lam=0.0, response="claim", family="bernoulli")
+    assert logdoc.fit.sigma_sq_hat is None
     text = model_to_json(logdoc)
     assert json.loads(text)["output_activation"] == "logistic"
     assert parse_model(text).arch.family == "bernoulli"
@@ -118,10 +138,10 @@ def test_model_document_family():
 
 def test_model_document_validates_meta_length():
     arch = Architecture(p=3, q=1)
-    with pytest.raises(Exception):
+    with pytest.raises(DataError, match="1 column records for p = 3"):
         ModelDocument(theta=ParamVector.zeros(arch), lam=0.0,
                       column_meta=(ColumnMeta("a"),),
-                      response_meta=ColumnMeta("y"))
+                      response_meta=ColumnMeta("y"), fit=_doc().fit)
 
 
 def test_parse_model_error_paths():
@@ -229,19 +249,116 @@ def test_parse_model_refuses_version_1_with_refit_message():
         parse_model(json.dumps(payload), where="old.json")
 
 
+def test_parse_model_refuses_version_2_with_refit_message():
+    """A version 2 file has no level sets and no stored fit, so queries
+    could neither refuse unseen levels nor test without its data."""
+    payload = json.loads(model_to_json(_doc()))
+    payload["format_version"] = 2
+    del payload["fit"]
+    with pytest.raises(DataError) as err:
+        parse_model(json.dumps(payload), where="old.json")
+    assert str(err.value) == (
+        "old.json: format_version 2 model files do not record the factor "
+        "level sets or the fit on the training data; refit the model with "
+        "'statnn fit'")
+
+
+def test_model_document_stores_the_fit_on_its_training_data(tmp_path):
+    """The stored fit is ``evaluate_at`` and ``observed_information`` at
+    theta on the training data, bit for bit, with that file's hashes."""
+    path = tmp_path / "train.csv"
+    path.write_text("".join(",".join(row[:3]) + "\n" for row in TRAINING),
+                    encoding="utf-8")
+    data, _ = ingest(str(path), "charges")
+    theta = _doc().theta
+    doc = model_document(evaluate_at(theta, data, 0.01), data, str(path))
+    at = evaluate_at(theta, data, 0.01)
+    assert (doc.fit.loglik, doc.fit.sigma_sq_hat, doc.fit.grad_max) == (
+        at.loglik, at.sigma_sq_hat, at.grad_max)
+    assert doc.fit.information.tobytes() == observed_information(
+        theta, data, at.sigma_sq_hat).tobytes()
+    assert doc.fit.n == 7
+    assert doc.fit.csv_sha256 == file_sha256(str(path))
+    assert doc.fit.data_sha256 == data_sha256(data)
+    assert doc.fit_result == at
+    assert (doc.n, doc.p) == (data.n, data.p)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m["theta"].__setitem__(0, m["theta"][0] + 1e-9),
+    lambda m: m.__setitem__("lambda", 0.02),
+    lambda m: m["column_meta"][0].__setitem__("mean", 40.0),
+    lambda m: m["column_meta"][1].__setitem__("levels", ["no", "yes", "x"]),
+    lambda m: m["response_meta"].__setitem__("sd", 1.0),
+], ids=["theta", "lambda", "mean", "levels", "response-sd"])
+def test_parse_model_refuses_a_file_edited_after_fitting(edit):
+    """The stored fit was computed at the file's theta, lambda and column
+    records; a file where one of them changed afterwards is refused with
+    a request to refit, while a reformatted file reads back."""
+    good = model_to_json(_doc())
+    assert parse_model(json.dumps(json.loads(good))).fit.digest
+    payload = json.loads(good)
+    edit(payload)
+    with pytest.raises(DataError) as err:
+        parse_model(json.dumps(payload), where="m.json")
+    assert str(err.value) == (
+        "m.json: theta, lambda, the architecture or the column records are "
+        "not those the stored fit was computed at (the file was edited "
+        "after fitting); refit the model with 'statnn fit'")
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda f: f.__setitem__("information", [[0.0]]),
+     "fit information must be 9 lists of 9 numbers"),
+    (lambda f: f["information"][2].__setitem__(3, "x"),
+     r"fit information\[2\]\[3\] must be a number"),
+    (lambda f: f["information"][0].__setitem__(0, float("inf")),
+     "fit holds non-finite numbers"),
+    (lambda f: f.__setitem__("sigma_sq_hat", None),
+     "fit sigma_sq_hat must be a number"),
+    (lambda f: f.__setitem__("sigma_sq_hat", 0.0),
+     "sigma_sq_hat > 0"),
+    (lambda f: f.__setitem__("n", 0), "fit needs n >= 1"),
+    (lambda f: f.__setitem__("digest", 3), "fit digest must be a string"),
+    (lambda f: f.pop("loglik"), "missing required field 'loglik'"),
+], ids=["shape", "text", "inf", "sigma-null", "sigma-zero", "n", "digest",
+        "missing"])
+def test_parse_model_refuses_a_bad_fit_block(edit, match):
+    payload = json.loads(model_to_json(_doc()))
+    edit(payload["fit"])
+    with pytest.raises(DataError, match=match):
+        parse_model(json.dumps(payload))
+
+
+def test_parse_model_refuses_an_indicator_without_its_level_set():
+    payload = json.loads(model_to_json(_doc()))
+    payload["column_meta"][1]["levels"] = None
+    with pytest.raises(DataError, match="column 'smoker.yes' indicates "
+                                        "level 'yes' but records no level"):
+        parse_model(json.dumps(payload))
+    payload["column_meta"][1]["levels"] = "no,yes"
+    with pytest.raises(DataError, match="levels of column 'smoker.yes' must "
+                                        "be a list of strings or null"):
+        parse_model(json.dumps(payload))
+    payload["column_meta"][1]["levels"] = ["yes", "no"]
+    with pytest.raises(DataError, match="invalid column metadata: column "
+                                        "'smoker.yes' indicates level 'yes', "
+                                        "which must follow the reference"):
+        parse_model(json.dumps(payload))
+
+
 def test_parse_model_where_prefix():
     with pytest.raises(DataError, match="^mymodel.json:"):
         parse_model("{", where="mymodel.json")
 
 
 def test_non_finite_floats_refused():
+    """The writer refuses a non-finite float: a theta edited in memory
+    (no fit is evaluated at it) cannot be saved."""
     doc = _doc()
-    theta = ParamVector(doc.arch, np.zeros(doc.arch.r))
-    values = theta.values.copy()
+    values = np.zeros(doc.arch.r)
     values[0] = np.inf
-    bad = ModelDocument(theta=ParamVector(doc.arch, values), lam=doc.lam,
-                        column_meta=doc.column_meta,
-                        response_meta=doc.response_meta)
+    bad = replace(doc, theta=ParamVector(doc.arch, values))
     with pytest.raises(ValueError):
         model_to_json(bad)
 

@@ -10,10 +10,12 @@ compare two recordings.
 process with ``PYTHONPATH=SRC`` and one BLAS thread, inside OUT.  Each
 command leaves the files it writes in OUT, plus ``<label>.log`` with its
 exit code, stdout and stderr (SRC itself is written as ``<src>``).  Last
-come the refusals: bad inputs, which exit 2, and models without a
-covariance estimate, which exit 3; the bad models are copies of the
-Gaussian model with JSON fields edited, and the bad tables copies of
-its table with one cell replaced or dropped.  The commands import
+come the refusals, bad inputs which exit 2: the bad models are copies of
+the Gaussian model with JSON fields edited (a model whose theta or
+lambda was edited no longer matches its stored fit), the bad tables
+copies of its table with one cell replaced or dropped, and a summary of
+the Gaussian model on the Bernoulli table, which is not its training
+data.  The commands import
 nothing from the package and patch nothing, so the same list runs
 unchanged against any two versions of it, across API changes.
 
@@ -162,16 +164,18 @@ def _corrupt_models(model: dict) -> dict:
         "relu_model.json": {"output_activation": "relu"},
         "nullact_model.json": {"output_activation": None},
         "neglam_model.json": {"lambda": -1.0},
-        # covariance not positive definite
+        # Edited after fitting.  Stored by a fit at these values, the
+        # first would have a covariance that is not positive definite
+        # and the second an exactly singular information.
         "dup_model.json": {"theta": _node2(model, copy=True)},
-        # information exactly singular
         "dead_model.json": {"theta": _node2(model, copy=False),
                             "lambda": 0.0},
+        "nudged_model.json": {"theta": [model["theta"][0] + 1e-9]
+                              + model["theta"][1:]},
     }
 
 
-#: Bad inputs, each of which should exit 2 with a message, and models
-#: without a covariance, which should exit 3.
+#: Bad inputs, each of which should exit 2 with a message.
 REFUSALS = [
     ("select_linear_nan", ["select", "g.csv", "--response", "y", "--q-list",
                            "0", "--no-cv", "--lambda", "nan"]),
@@ -191,6 +195,9 @@ REFUSALS = [
     ("diagram_dup", ["diagram", "dup_model.json", "g.csv"]),
     ("pce_dup", ["pce", "dup_model.json", "g.csv", "--covariate", "x1"]),
     ("summary_dead", ["summary", "dead_model.json", "g.csv"]),
+    ("summary_nudged", ["summary", "nudged_model.json", "g.csv"]),
+    # not the model's training data
+    ("summary_other_table", ["summary", "g_model.json", "b.csv"]),
     ("summary_na", ["summary", "g_model.json", "g_na.csv"]),
     ("summary_inf", ["summary", "g_model.json", "g_inf.csv"]),
     ("summary_ragged", ["summary", "g_model.json", "g_ragged.csv"]),
