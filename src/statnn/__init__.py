@@ -20,7 +20,7 @@ from .inference import (CovarianceEstimate, InferenceReport, WaldResult,
                         wald_multi, wald_single)
 from .likelihood import (gradient, log_likelihood, observed_information,
                          penalty, prediction_gradient)
-from .model import (Architecture, ColumnMeta, Dataset, ParamVector, forward,
+from .model import (Architecture, ColumnMeta, Dataset, ParamVector,
                     forward_batch, sigmoid)
 from .preprocess import PreprocessPlan, dataset_from_meta, ingest
 from .report import emit_diagram, emit_summary
@@ -44,7 +44,7 @@ __all__ = [
     "all_symmetry_ops", "apply_symmetry", "bic", "canonicalize",
     "chi_square_survival", "cross_validate", "dataset_from_meta",
     "default_true_theta", "effective_df", "emit_diagram", "emit_summary",
-    "evaluate_at", "fit", "fit_linear", "forward", "forward_batch",
+    "evaluate_at", "fit", "fit_linear", "forward_batch",
     "gradient", "ingest", "load_model", "load_scenario", "log_likelihood",
     "model_document", "normal_quantile", "observed_information",
     "pce_curve", "penalty", "prediction_gradient", "run_grid",

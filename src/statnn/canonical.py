@@ -13,7 +13,7 @@ transformations:
 
 Together these form a group of 2^q * q! linear maps of the parameter
 vector.  An element is a plain pair ``(flips, src)`` in the package's
-1-based node numbering, as in ``omega_index(j, k)`` and ``gamma(k)``:
+1-based node numbering, as in ``omega_index(j, k)`` and ``gamma_index(k)``:
 ``flips`` holds the distinct nodes whose signs flip, applied in
 ascending order (so gamma_0 sums the flipped gamma_k in that order),
 and then slot s of the result holds node ``src[s - 1]`` of the flipped
@@ -97,7 +97,7 @@ def canonicalize(theta: ParamVector) -> ParamVector:
     breaking ties lexicographically on the omega column.
     """
     nodes = range(1, theta.arch.q + 1)
-    w, g = theta.omega_matrix(), theta.gamma_vector()
+    w, g = theta.arch.split(theta.values)
     flips = [k for k in nodes if g[k] < 0.0 or g[k] == 0.0
              and (w[:, k - 1][w[:, k - 1] != 0.0][:1] < 0.0).any()]
     w, g = _apply(w, g, flips, nodes)
@@ -130,8 +130,8 @@ def align_to(theta_hat: ParamVector, theta_ref: ParamVector):
     if arch.r != theta_ref.arch.r or arch.q != theta_ref.arch.q:
         raise ValueError("theta_hat and theta_ref have different architectures")
     nodes = range(1, arch.q + 1)
-    w, g = theta_hat.omega_matrix(), theta_hat.gamma_vector()
-    ref_w, ref_g = theta_ref.omega_matrix(), theta_ref.gamma_vector()
+    w, g = arch.split(theta_hat.values)
+    ref_w, ref_g = theta_ref.arch.split(theta_ref.values)
     best, best_d = None, np.inf
     for flips in _flip_sets(arch.q):
         fw, fg = _apply(w, g, flips, nodes)

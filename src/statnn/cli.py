@@ -32,7 +32,8 @@ import os
 import sys
 
 from . import __version__
-from .effects import effect_grid, pce_curve, to_original_scale
+from .effects import (_DEFAULT_GRID_POINTS, effect_grid, pce_curve,
+                      to_original_scale)
 from .exceptions import DataError, FitError, NotPositiveDefiniteError
 from .fit import FitConfig, fit
 # Not called here since queries read the stored fit.  perfbench/spans.py
@@ -45,7 +46,7 @@ from .plots import pce_plot_svg, power_plot_svg, selection_plot_svg
 from .preprocess import dataset_from_meta, ingest
 from .report import (emit_diagram, emit_summary, estimates_csv, overview_csv,
                      pce_csv, pd_csv, power_csv, rejections_csv, sweep_csv)
-from .selection import fit_linear, sweep
+from .selection import _DEFAULT_FOLDS, fit_linear, sweep
 from .serialize import (atomic_write_text, data_sha256, file_sha256,
                         json_object, load_model, model_document, parse_study,
                         save_model)
@@ -60,8 +61,9 @@ def _fit_flags(parser):
                         help="ridge penalty (default 0.01)")
     parser.add_argument("--seed", type=int, default=0,
                         help="random seed for restarts (default 0)")
-    parser.add_argument("--restarts", type=int, default=10,
-                        help="number of random restarts (default 10)")
+    parser.add_argument("--restarts", type=int, default=FitConfig.n_restarts,
+                        help="number of random restarts (default "
+                             f"{FitConfig.n_restarts})")
     parser.add_argument("--family", choices=tuple(FAMILIES),
                         default="gaussian",
                         help="likelihood family (default gaussian)")
@@ -110,8 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "step is 1 and no other is accepted")
     p_pce.add_argument("--by",
                        help="condition on this covariate (dummy: levels "
-                            "0 and 1; continuous: mean -/+ one sd)")
-    p_pce.add_argument("--grid-points", type=int, default=101)
+                            "0 and 1; continuous: mean -/+ one sd, pinned "
+                            "and labelled in standardized units, also "
+                            "with --original-scale)")
+    p_pce.add_argument("--grid-points", type=int,
+                       default=_DEFAULT_GRID_POINTS)
     p_pce.add_argument("--original-scale", action="store_true",
                        help="report effects in original response units")
     p_pce.add_argument("--linear-reference", action="store_true",
@@ -131,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--q-list",
                        help="comma-separated explicit candidate widths "
                             "(overrides --q-max)")
-    p_sel.add_argument("--folds", type=int, default=5)
+    p_sel.add_argument("--folds", type=int, default=_DEFAULT_FOLDS)
     p_sel.add_argument("--no-cv", action="store_true",
                        help="skip cross-validation, BIC only")
     p_sel.add_argument("--schema",

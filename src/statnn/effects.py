@@ -58,17 +58,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import DataError
-from .inference import CovarianceEstimate
+from .inference import ALPHA, Z_95, CovarianceEstimate
 # Not called here.  perfbench/spans.py looks this binding up to count
 # prediction_gradient calls; it can go once spans are recorded inside
 # the package (ROADMAP item 1).
 from .likelihood import prediction_gradient  # noqa: F401
 from .model import Dataset, ParamVector, design_with_intercept, sigmoid
-from .special import normal_quantile
 
-#: Two-sided 95% normal critical value of every confidence band.
-Z_95 = normal_quantile(0.975)
-
+#: Points of a default grid, also ``statnn pce --grid-points``'s default.
 _DEFAULT_GRID_POINTS = 101
 
 #: Upper bound on the elements of each n x G x q block of a curve.
@@ -97,12 +94,6 @@ class PceCurve:
     scale: str                      # "standardized" or "original"
     points: tuple
     condition_label: str | None = None
-
-    def xs(self) -> np.ndarray:
-        return np.array([pt.x for pt in self.points])
-
-    def betas(self) -> np.ndarray:
-        return np.array([pt.beta_hat for pt in self.points])
 
 
 def _averaged(arch, gam, w_j, x1t, s_base, j, xs):
@@ -165,7 +156,7 @@ def _curve_for(theta, cov, data, j, d, grid, pin, label):
                          lo=float(b - Z_95 * s), hi=float(b + Z_95 * s))
                 for x0, b, s in zip(grid, beta, se))
     name = data.column_meta[j - 1].name
-    return PceCurve(covariate=name, j=j, d=float(d), level=0.95,
+    return PceCurve(covariate=name, j=j, d=float(d), level=1.0 - ALPHA,
                     scale="standardized", points=pts,
                     condition_label=label)
 

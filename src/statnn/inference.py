@@ -35,11 +35,18 @@ import numpy as np
 from .exceptions import NotPositiveDefiniteError
 from .likelihood import check_lambda
 from .model import Architecture, Dataset, ParamVector
-from .special import chi_square_survival
+from .special import chi_square_survival, normal_quantile
 
 #: Relative eigenvalue threshold below which a covariance is refused as
 #: not positive definite.
 _PD_RTOL = 1e-10
+
+#: Level of every test: a summary's "*", a diagram's black, a Monte Carlo
+#: rejection.
+ALPHA = 0.05
+
+#: Two-sided normal critical value of every 1 - ALPHA band and interval.
+Z_95 = normal_quantile(1.0 - ALPHA / 2)
 
 SIGNIFICANCE_LEGEND = "Significance codes: 0 *** 0.001 ** 0.01 * 0.05"
 
@@ -49,7 +56,7 @@ def significance_stars(p_value: float) -> str:
         return "***"
     if p_value < 0.01:
         return "**"
-    if p_value < 0.05:
+    if p_value < ALPHA:
         return "*"
     return ""
 
@@ -240,7 +247,7 @@ def summarize(fit_result, cov: CovarianceEstimate, arch: Architecture,
         arch=arch,
         covariates=tuple(rows),
         gamma_cells=cells[arch.gamma_index(1):],
-        gamma0_estimate=float(theta_hat.gamma(0)),
+        gamma0_estimate=float(theta_hat.values[arch.gamma_index(0)]),
         loglik=fit_result.loglik,
         sigma_sq_hat=fit_result.sigma_sq_hat,
         lam=fit_result.lam,

@@ -168,7 +168,9 @@ class Architecture:
 
 @dataclass(frozen=True)
 class ParamVector:
-    """Immutable flat parameter vector with structured accessors."""
+    """Immutable flat theta and the architecture that lays it out: read
+    it through ``arch.split`` or the index helpers, build it with
+    ``from_parts`` or from a flat array."""
 
     arch: Architecture
     values: np.ndarray
@@ -180,36 +182,6 @@ class ParamVector:
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def zeros(cls, arch: Architecture) -> "ParamVector":
-        return cls(arch, np.zeros(arch.r))
-
-    def omega(self, j: int, k: int) -> float:
-        """Weight from input j (0 = intercept) to hidden node k."""
-        return float(self.values[self.arch.omega_index(j, k)])
-
-    def gamma(self, k: int) -> float:
-        """Weight from hidden node k (0 = intercept) to the output."""
-        return float(self.values[self.arch.gamma_index(k)])
-
-    def with_omega(self, j: int, k: int, value: float) -> "ParamVector":
-        v = self.values.copy()
-        v[self.arch.omega_index(j, k)] = value
-        return ParamVector(self.arch, v)
-
-    def with_gamma(self, k: int, value: float) -> "ParamVector":
-        v = self.values.copy()
-        v[self.arch.gamma_index(k)] = value
-        return ParamVector(self.arch, v)
-
-    def omega_matrix(self) -> np.ndarray:
-        """(p + 1) x q matrix W with W[j, k-1] = omega_jk (a fresh copy)."""
-        return self.arch.split(self.values)[0].copy()
-
-    def gamma_vector(self) -> np.ndarray:
-        """Length-(q + 1) vector (gamma_0, ..., gamma_q) (a fresh copy)."""
-        return self.arch.split(self.values)[1].copy()
 
     @classmethod
     def from_parts(cls, arch: Architecture, omega: np.ndarray,
@@ -342,17 +314,6 @@ def design_with_intercept(x: np.ndarray) -> np.ndarray:
     """Prepend the implicit column of ones."""
     x = np.asarray(x, dtype=float)
     return np.hstack([np.ones((x.shape[0], 1)), x])
-
-
-def forward(theta: ParamVector, x) -> float:
-    """Evaluate the network at a single covariate vector of length p."""
-    x = np.asarray(x, dtype=float)
-    p = theta.arch.p
-    if x.shape != (p,):
-        raise ShapeError("covariate vector length", (p,), x.shape)
-    if not np.all(np.isfinite(x)):
-        raise DataError("covariate vector contains non-finite entries")
-    return float(forward_design(theta, design_with_intercept(x[None, :]))[0])
 
 
 def forward_batch(theta: ParamVector, data: Dataset) -> np.ndarray:

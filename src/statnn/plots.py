@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 
 from .exceptions import DataError
+from .inference import ALPHA
 
 WIDTH = 640.0
 HEIGHT = 420.0
@@ -221,7 +222,7 @@ def power_plot_svg(reports) -> str:
     panel = _Panel(MARGIN_L, MARGIN_T, WIDTH - MARGIN_L - MARGIN_R,
                    HEIGHT - MARGIN_T - MARGIN_B, xlim, ylim)
     body = panel.frame(xlabel="true weight value", ylabel="rejection rate")
-    body.append(panel.polyline(list(panel.xlim), [0.05, 0.05], "#909090",
+    body.append(panel.polyline(list(panel.xlim), [ALPHA, ALPHA], "#909090",
                                dash="2 4", width=1.0))
     body.append(panel.polyline(xs, [rep.sp_rate(2, 1) for rep in reports],
                                _SERIES_COLORS[0]))

@@ -30,11 +30,9 @@ import io
 
 import numpy as np
 
-from .inference import SIGNIFICANCE_LEGEND, InferenceReport
+from .inference import ALPHA, SIGNIFICANCE_LEGEND, InferenceReport
 from .model import Architecture
 from .serialize import to_json_text
-
-ALPHA_DIAGRAM = 0.05
 
 
 def _round6(x):
@@ -186,7 +184,7 @@ def emit_diagram(arch: Architecture, report: InferenceReport) -> str:
     """DOT rendering of a fitted network's significance structure.
 
     An input node is black when its covariate's grouped test is below
-    ``ALPHA_DIAGRAM``, an edge when its weight's single-parameter test
+    ``inference.ALPHA``, an edge when its weight's single-parameter test
     is; both are gray otherwise.  Hidden and output nodes carry no test.
     Intercept weights never appear.
     """
@@ -194,7 +192,7 @@ def emit_diagram(arch: Architecture, report: InferenceReport) -> str:
         raise ValueError("architecture does not match the report")
 
     def color(p_value) -> str:
-        return "black" if p_value < ALPHA_DIAGRAM else "gray"
+        return "black" if p_value < ALPHA else "gray"
 
     lines = ["digraph network {", "  rankdir=LR;",
              "  node [shape=circle];"]

@@ -36,7 +36,6 @@ class LinearFit:
     names: tuple                 # "intercept" followed by covariate names
     beta: np.ndarray
     se: np.ndarray
-    p_values: np.ndarray
     rss: float
     sigma_sq: float              # unbiased, RSS / (n - p - 1)
     loglik: float                # Gaussian log-likelihood at the MLE variance
@@ -51,12 +50,12 @@ def fit_linear(data: Dataset) -> LinearFit:
     n, k = x1.shape
     if n <= k:
         raise DataError(f"need more than {k} observations for OLS, have {n}")
+    names = ("intercept",) + tuple(m.name for m in data.column_meta)
     q_mat, r_mat, piv = scipy.linalg.qr(x1, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r_mat))
     tol = diag[0] * max(n, k) * np.finfo(float).eps
     deficient = [int(piv[i]) for i in range(k) if diag[i] <= tol]
     if deficient:
-        names = ["intercept"] + [m.name for m in data.column_meta]
         bad = ", ".join(names[i] for i in deficient)
         raise DataError(f"design matrix is collinear in columns: {bad}")
     beta = np.empty(k)
@@ -64,17 +63,15 @@ def fit_linear(data: Dataset) -> LinearFit:
     res = data.y - x1 @ beta
     rss = float(res @ res)
     sigma_sq = rss / (n - k)
-    xtx_inv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(x1.T @ x1),
-                                     np.eye(k))
-    se = np.sqrt(sigma_sq * np.diag(xtx_inv))
-    z = beta / se
-    p_values = np.array([math.erfc(abs(v) / math.sqrt(2.0)) for v in z])
+    # X P = Q R, so (X^T X)^-1 = P R^-1 R^-T P^T: its diagonal holds the
+    # squared row norms of R^-1, in pivoted order
+    r_inv = scipy.linalg.solve_triangular(r_mat, np.eye(k))
+    se = np.empty(k)
+    se[piv] = np.sqrt(sigma_sq * (r_inv * r_inv).sum(axis=1))
     sigma_sq_mle = max(rss / n, np.finfo(float).tiny)
     loglik = -0.5 * n * (LOG_2PI + math.log(sigma_sq_mle) + 1.0)
-    return LinearFit(
-        names=tuple(["intercept"] + [m.name for m in data.column_meta]),
-        beta=beta, se=se, p_values=p_values, rss=rss, sigma_sq=sigma_sq,
-        loglik=loglik, n=n)
+    return LinearFit(names=names, beta=beta, se=se, rss=rss,
+                     sigma_sq=sigma_sq, loglik=loglik, n=n)
 
 
 def bic(fit_result: FitResult, n: int) -> float:
@@ -106,6 +103,10 @@ def _bic(loglik: float, k: int, n: int) -> float:
 # Cross-validation
 # ---------------------------------------------------------------------------
 
+#: Fold count of ``cross_validate``, ``sweep`` and ``statnn select``.
+_DEFAULT_FOLDS = 5
+
+
 @dataclass(frozen=True)
 class CvResult:
     """Mean fold RMSE on the original response scale, with its
@@ -130,7 +131,8 @@ def _fold_indices(n: int, folds: int, seed: int):
 
 def cross_validate(arch: Architecture | None, data: Dataset, lam: float,
                    config: FitConfig = FitConfig(),
-                   folds: int = 5, *, _fold_sets=None) -> CvResult:
+                   folds: int = _DEFAULT_FOLDS, *,
+                   _fold_sets=None) -> CvResult:
     """k-fold CV of a network (or, with arch None, the OLS baseline).
 
     Each fold repeats the fit's preprocessing on its training rows: a
@@ -241,7 +243,7 @@ class SelectionSweep:
 
 
 def sweep(data: Dataset, q_list, family: str, lam: float,
-          config: FitConfig = FitConfig(), folds: int = 5,
+          config: FitConfig = FitConfig(), folds: int = _DEFAULT_FOLDS,
           cv: bool = True) -> SelectionSweep:
     """Fit every candidate width and score it by BIC (and optionally CV).
 

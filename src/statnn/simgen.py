@@ -43,17 +43,15 @@ import numpy as np
 
 from . import seeds
 from .canonical import align_to
-from .effects import Z_95
 from .exceptions import FitError, NotPositiveDefiniteError
 from .fit import RESTART_CONFIRMATIONS, FitConfig, fit
-from .inference import sandwich_covariance, wald_multi, wald_single
+from .inference import (ALPHA, Z_95, sandwich_covariance, wald_multi,
+                        wald_single)
 from .likelihood import check_lambda, observed_information
 from .model import (Architecture, Dataset, ParamVector, design_with_intercept,
                     forward_design)
 
 ZERO_PATTERNS = {"5-1": (1,), "3-3": (1, 3, 4)}
-
-ALPHA = 0.05
 
 #: Default true weights per width.  omega_2 holds the weak reference
 #: effect; the other entries are fixed package defaults.  They are
@@ -361,10 +359,10 @@ def run_grid(scenario: SimScenario, lam=None, n=None, effect=None,
                            seed=seeds.derive_seed(scenario.seed, li, ni, 2))
             for e in (None,) if effect is None else effect:
                 if e is not None:
-                    omega = truth.omega_matrix()
-                    omega[2] = float(e)
-                    cell = replace(cell, true_theta=ParamVector.from_parts(
-                        truth.arch, omega, truth.gamma_vector()))
+                    values = truth.values.copy()
+                    values[truth.arch.covariate_block(2)] = float(e)
+                    cell = replace(cell, true_theta=ParamVector(truth.arch,
+                                                                values))
                 cells.append(cell)
     # one pool for all cells: each new pool's workers import scipy anew
     reps = scenario.replicates

@@ -40,7 +40,7 @@ from statnn.canonical import all_symmetry_ops, apply_symmetry, canonicalize
 from statnn.cli import main
 from statnn.effects import pce_curve
 from statnn.fit import FitConfig, fit
-from statnn.inference import (CovarianceEstimate, effective_df,
+from statnn.inference import (ALPHA, CovarianceEstimate, effective_df,
                               sandwich_covariance, summarize)
 from statnn.likelihood import (gradient, log_likelihood,
                                observed_information, penalty,
@@ -50,8 +50,10 @@ from statnn.model import (Architecture, ColumnMeta, Dataset, ParamVector,
 from statnn.preprocess import ingest
 from statnn.selection import cross_validate, fit_linear, sweep
 from statnn.serialize import save_scenario
-from statnn.simgen import ALPHA, SimScenario, run_grid, run_scenario
+from statnn.simgen import SimScenario, run_grid, run_scenario
 from statnn.special import chi_square_survival
+
+from oracles import fd_gradient, fd_hessian, survival_by_quadrature
 
 
 def _verdict(ok: bool, label: str, detail: str) -> bool:
@@ -63,55 +65,6 @@ def _verdict(ok: bool, label: str, detail: str) -> bool:
 # ---------------------------------------------------------------------------
 # Independent numerical oracles
 # ---------------------------------------------------------------------------
-
-def _fd_gradient(fun, theta0, h=1e-6):
-    r = theta0.size
-    g = np.empty(r)
-    for i in range(r):
-        up = theta0.copy()
-        dn = theta0.copy()
-        up[i] += h
-        dn[i] -= h
-        g[i] = (fun(up) - fun(dn)) / (2.0 * h)
-    return g
-
-
-def _fd_hessian(fun_grad, theta0, h=1e-5):
-    r = theta0.size
-    hess = np.empty((r, r))
-    for i in range(r):
-        up = theta0.copy()
-        dn = theta0.copy()
-        up[i] += h
-        dn[i] -= h
-        hess[:, i] = (fun_grad(up) - fun_grad(dn)) / (2.0 * h)
-    return 0.5 * (hess + hess.T)
-
-
-def _survival_by_quadrature(x, df, n=200_000):
-    """Simpson integration of the chi-square density after x = t^2.
-
-    The substitution removes the integrable singularity at zero for
-    df < 2; fully independent of the series / continued-fraction
-    evaluation under test.
-    """
-    upper = math.sqrt(x)
-    t = np.linspace(0.0, upper, n + 1)
-    log_norm = -(df / 2.0) * math.log(2.0) - math.lgamma(df / 2.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_g = log_norm + (df - 1.0) * np.log(t) - t * t / 2.0
-        g = 2.0 * np.exp(log_g)
-    g[0] = 0.0
-    if df == 1.0:
-        g[0] = 2.0 * math.exp(log_norm)
-    elif df < 1.0:
-        raise ValueError("oracle requires df >= 1")
-    weights = np.ones(n + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    cdf = float(np.sum(weights * g) * (upper / n) / 3.0)
-    return 1.0 - cdf
-
 
 def _nn_mean(arch, values, xmat):
     """Independent re-implementation of the averaged network prediction."""
@@ -190,7 +143,7 @@ def test_gradient_and_information_match_finite_differences():
                                   _lam, **kw)
 
         analytic = gradient(theta, data, lam, **kw)
-        numeric = _fd_gradient(loglik, theta.values.copy())
+        numeric = fd_gradient(loglik, theta.values.copy())
         scale = np.maximum(np.abs(numeric), 1.0)
         worst_grad = max(worst_grad,
                          float(np.max(np.abs(analytic - numeric) / scale)))
@@ -201,7 +154,7 @@ def test_gradient_and_information_match_finite_differences():
             return gradient(ParamVector(arch, values), data, 0.0, **kw)
 
         info = observed_information(theta, data, **kw)
-        numeric_h = -_fd_hessian(grad_fn, theta.values.copy())
+        numeric_h = -fd_hessian(grad_fn, theta.values.copy())
         worst_info = max(worst_info, float(np.max(np.abs(info - numeric_h))))
     elapsed = time.perf_counter() - t0
     ok = worst_grad < 1e-6 and worst_info < 1e-4 and elapsed < 60.0
@@ -503,7 +456,7 @@ def test_chi_square_survival_against_quadrature():
     dev_df2 = abs(chi_square_survival(4.0, 2.0) - math.exp(-2.0))
     got = chi_square_survival(3.841459, 1.0)
     dev_const = abs(got - 0.05)
-    dev_quad = abs(got - _survival_by_quadrature(3.841459, 1.0))
+    dev_quad = abs(got - survival_by_quadrature(3.841459, 1.0))
     mono_ok = True
     for df in (1.0, 2.0, 5.0):
         grid = np.linspace(1e-6, 40.0, 1000)
@@ -538,14 +491,15 @@ def test_partial_effect_structural_properties():
     # its effect curve is identically zero.  (The delta-method band stays
     # positive: perturbing those weights away from zero would revive the
     # effect, and the band prices exactly that uncertainty.)
-    theta_dis = theta.with_omega(2, 1, 0.0).with_omega(2, 2, 0.0)
-    (curve_dis,) = pce_curve(theta_dis, cov, data, 2)
-    dis_beta = float(np.max(np.abs(curve_dis.betas())))
+    dis_values = theta.values.copy()
+    dis_values[arch.covariate_block(2)] = 0.0
+    (curve_dis,) = pce_curve(ParamVector(arch, dis_values), cov, data, 2)
+    dis_beta = max(abs(pt.beta_hat) for pt in curve_dis.points)
     dis_ok = dis_beta == 0.0
 
     # A zero step compares the prediction with itself.
     (curve_zero,) = pce_curve(theta, cov, data, 1, d=0.0)
-    zero_ok = (float(np.max(np.abs(curve_zero.betas()))) == 0.0
+    zero_ok = (max(abs(pt.beta_hat) for pt in curve_zero.points) == 0.0
                and max(pt.se for pt in curve_zero.points) == 0.0)
 
     # Delta-method gradient against finite differences of an independent
@@ -562,7 +516,7 @@ def test_partial_effect_structural_properties():
 
     g_analytic = (prediction_gradient(theta, x_hi).mean(axis=0)
                   - prediction_gradient(theta, x_lo).mean(axis=0))
-    g_fd = _fd_gradient(beta_fn, theta.values.copy())
+    g_fd = fd_gradient(beta_fn, theta.values.copy())
     scale = np.maximum(np.abs(g_fd), 1.0)
     grad_err = float(np.max(np.abs(g_analytic - g_fd) / scale))
     (curve,) = pce_curve(theta, cov, data, 1, d=d, grid=np.array([x0]))
@@ -574,10 +528,9 @@ def test_partial_effect_structural_properties():
 
     # In an additive network (each hidden node fed by one covariate) the
     # effect of one covariate cannot depend on where another is pinned.
-    theta_add = (ParamVector.zeros(arch)
-                 .with_omega(0, 1, 0.2).with_omega(1, 1, 1.3)
-                 .with_omega(0, 2, -0.4).with_omega(2, 2, 0.9)
-                 .with_gamma(0, 0.5).with_gamma(1, 2.0).with_gamma(2, -1.5))
+    theta_add = ParamVector.from_parts(
+        arch, np.array([[0.2, -0.4], [1.3, 0.0], [0.0, 0.9], [0.0, 0.0]]),
+        np.array([0.5, 2.0, -1.5]))
     lo, hi = pce_curve(theta_add, cov, data, 1, by=2)
     screen_dev = max(abs(a.beta_hat - b.beta_hat)
                      for a, b in zip(lo.points, hi.points))

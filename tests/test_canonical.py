@@ -8,7 +8,7 @@ import pytest
 from statnn.canonical import (align_to, all_symmetry_ops, apply_symmetry,
                               canonicalize, symmetry_matrix)
 from statnn.likelihood import log_likelihood
-from statnn.model import Architecture, Dataset, ParamVector, forward
+from statnn.model import Architecture, Dataset, ParamVector, forward_batch
 
 
 def _random_theta(arch, seed, scale=1.5):
@@ -26,11 +26,11 @@ def test_symmetry_preserves_network_function():
     arch = Architecture(p=2, q=3)
     theta = _random_theta(arch, 20)
     rng = np.random.default_rng(21)
-    xs = rng.normal(size=(6, 2))
-    base = [forward(theta, x) for x in xs]
+    xs = Dataset(x=rng.normal(size=(6, 2)), y=np.zeros(6))
+    base = forward_batch(theta, xs)
     for op in all_symmetry_ops(3):
         image = apply_symmetry(theta, op)
-        got = [forward(image, x) for x in xs]
+        got = forward_batch(image, xs)
         np.testing.assert_allclose(got, base, rtol=0, atol=1e-12)
 
 
@@ -129,7 +129,7 @@ def test_canonical_gamma_order():
     arch = Architecture(p=2, q=3)
     theta = _random_theta(arch, 34)
     rep = canonicalize(theta)
-    gams = [rep.gamma(k) for k in range(1, 4)]
+    gams = [rep.values[arch.gamma_index(k)] for k in range(1, 4)]
     assert all(g >= 0.0 for g in gams)
     assert gams == sorted(gams, reverse=True)
 
@@ -137,12 +137,12 @@ def test_canonical_gamma_order():
 def test_canonical_zero_gamma_tiebreak():
     """With gamma_k = 0 the flip is decided by the omega column sign."""
     arch = Architecture(p=1, q=1)
-    theta = (ParamVector.zeros(arch).with_omega(0, 1, -0.5)
-             .with_omega(1, 1, -2.0))
-    rep = canonicalize(theta)
-    assert rep.omega(0, 1) == 0.5
-    assert rep.omega(1, 1) == 2.0
-    assert rep.gamma(1) == 0.0
+    theta = ParamVector.from_parts(arch, np.array([[-0.5], [-2.0]]),
+                                   np.zeros(2))
+    rep_w, rep_g = arch.split(canonicalize(theta).values)
+    assert rep_w[0, 0] == 0.5
+    assert rep_w[1, 0] == 2.0
+    assert rep_g[1] == 0.0
 
 
 def test_canonical_equal_gamma_ordered_by_omega_column():
@@ -152,7 +152,8 @@ def test_canonical_equal_gamma_ordered_by_omega_column():
     w = np.array([[0.5, 0.5, -0.2],
                   [1.0, -1.0, 3.0]])
     theta = ParamVector.from_parts(arch, w, np.array([0.3, 1.0, 1.0, 1.0]))
-    want = ParamVector.from_parts(arch, w[:, [2, 1, 0]], theta.gamma_vector())
+    want = ParamVector.from_parts(arch, w[:, [2, 1, 0]],
+                                  arch.split(theta.values)[1])
     for op in all_symmetry_ops(3):
         got = canonicalize(apply_symmetry(theta, op))
         np.testing.assert_allclose(got.values, want.values, rtol=0,
@@ -168,13 +169,13 @@ def test_canonical_zero_gamma_with_zero_column_is_not_flipped():
                   [0.0, 0.0],
                   [0.0, -2.0]])
     theta = ParamVector.from_parts(arch, w, np.array([0.7, 0.0, 0.0]))
-    rep = canonicalize(theta)
+    rep_w, rep_g = arch.split(canonicalize(theta).values)
     # tied at gamma = 0, the columns sort (0, 0, 0) < (0, 0, 2); a flip
     # would turn the zero node's +0.0 entries into -0.0
-    zero_node = [rep.omega(j, 1) for j in range(3)] + [rep.gamma(1)]
+    zero_node = [*rep_w[:, 0], rep_g[1]]
     assert zero_node == [0.0] * 4 and not np.signbit(zero_node).any()
-    assert [rep.omega(j, 2) for j in range(3)] == [0.0, 0.0, 2.0]
-    assert rep.gamma(0) == 0.7
+    assert list(rep_w[:, 1]) == [0.0, 0.0, 2.0]
+    assert rep_g[0] == 0.7
 
 
 def test_align_recovers_scrambling_op():

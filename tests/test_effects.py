@@ -42,9 +42,9 @@ def _theta(arch, seed=71):
 def test_disconnected_covariate_has_zero_effect():
     """All-zero incoming weights for x2 make its curve exactly zero."""
     arch = Architecture(p=2, q=2)
-    theta = _theta(arch)
-    for k in (1, 2):
-        theta = theta.with_omega(2, k, 0.0)
+    values = _theta(arch).values.copy()
+    values[arch.covariate_block(2)] = 0.0
+    theta = ParamVector(arch, values)
     data = _dataset()
     cov = _identity_cov(arch.r)
     (curve,) = pce_curve(theta, cov, data, 2)
@@ -153,7 +153,7 @@ def test_step_spanning_range_gives_one_point_grid():
     d = 2.0 * float(np.ptp(data.x[:, 0]))
     (curve,) = pce_curve(_theta(arch), _identity_cov(arch.r), data, 1,
                          d=d)
-    assert curve.xs().tolist() == [float(data.x[:, 0].min())]
+    assert [pt.x for pt in curve.points] == [float(data.x[:, 0].min())]
 
 
 def test_negative_step_grid_stays_inside_the_range():
@@ -299,10 +299,10 @@ def test_no_interaction_when_additive():
     """With one hidden node per covariate and no cross connections the
     conditional curves coincide exactly."""
     arch = Architecture(p=2, q=2)
-    theta = (ParamVector.zeros(arch)
-             .with_omega(0, 1, 0.2).with_omega(1, 1, 1.3)   # node 1: x1 only
-             .with_omega(0, 2, -0.4).with_omega(2, 2, 0.9)  # node 2: x2 only
-             .with_gamma(0, 0.5).with_gamma(1, 2.0).with_gamma(2, -1.5))
+    theta = ParamVector.from_parts(arch, np.array([[0.2, -0.4],
+                                                   [1.3, 0.0],    # x1: node 1
+                                                   [0.0, 0.9]]),  # x2: node 2
+                                   np.array([0.5, 2.0, -1.5]))
     data = _dataset(seed=80)
     cov = _identity_cov(arch.r)
     lo, hi = pce_curve(theta, cov, data, 1, by=2)
@@ -312,12 +312,11 @@ def test_no_interaction_when_additive():
 
 def test_interaction_screen_separates_when_coupled():
     arch = Architecture(p=2, q=2)
-    theta = _theta(arch, seed=81)
+    w, g = (a.copy() for a in arch.split(_theta(arch, seed=81).values))
     # couple both inputs strongly into both nodes
-    for j in (1, 2):
-        for k in (1, 2):
-            theta = theta.with_omega(j, k, 2.0 if (j + k) % 2 else -2.0)
-    theta = theta.with_gamma(1, 3.0).with_gamma(2, -3.0)
+    w[1:] = [[-2.0, 2.0], [2.0, -2.0]]
+    g[1:] = [3.0, -3.0]
+    theta = ParamVector.from_parts(arch, w, g)
     data = _dataset(seed=82)
     cov = _identity_cov(arch.r)
     lo, hi = pce_curve(theta, cov, data, 1, by=2)
@@ -455,7 +454,7 @@ def test_batched_curve_matches_per_point_oracle(family):
     cov = _random_cov(arch.r, seed=94)
     (curve,) = pce_curve(theta, cov, data, 2, d=0.7)
     want = _per_point_oracle(arch, theta, cov.sigma_hat, data, 2, 0.7,
-                             curve.xs())
+                             np.array([pt.x for pt in curve.points]))
     _assert_matches_oracle(curve.points, want)
 
 
@@ -495,5 +494,5 @@ def test_batched_curve_over_several_chunks_matches_per_point_oracle():
     assert len(curve.points) == 101
     assert 101 * data.n * arch.q > 5 * _CHUNK_ELEMENTS
     want = _per_point_oracle(arch, theta, cov.sigma_hat, data, 3, curve.d,
-                             curve.xs())
+                             np.array([pt.x for pt in curve.points]))
     _assert_matches_oracle(curve.points, want)

@@ -109,9 +109,9 @@ def test_start_reads_the_draw_in_standardized_units():
     z = (x - x.mean(axis=0)) / sd
     w = draw[:(arch.p + 1) * arch.q].reshape(arch.p + 1, arch.q)
     np.testing.assert_allclose(
-        np.hstack([np.ones((40, 1)), x]) @ start.omega_matrix(),
+        np.hstack([np.ones((40, 1)), x]) @ arch.split(start.values)[0],
         np.hstack([np.ones((40, 1)), z]) @ w, rtol=0, atol=1e-9)
-    np.testing.assert_array_equal(start.gamma_vector(),
+    np.testing.assert_array_equal(arch.split(start.values)[1],
                                   draw[(arch.p + 1) * arch.q:])
 
 
@@ -608,4 +608,4 @@ def test_evaluate_at_p_mismatch():
     arch = Architecture(p=2, q=1)
     data = Dataset(x=np.zeros((4, 1)), y=np.zeros(4))
     with pytest.raises(ValueError):
-        evaluate_at(ParamVector.zeros(arch), data, 0.0)
+        evaluate_at(ParamVector(arch, np.zeros(arch.r)), data, 0.0)

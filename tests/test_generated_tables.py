@@ -137,7 +137,8 @@ def _document(data, train_path):
     family = ("gaussian" if data.response_meta.kind == "continuous"
               else "bernoulli")
     arch = Architecture(p=data.p, q=1, family=family)
-    return model_document(evaluate_at(ParamVector.zeros(arch), data, 0.01),
+    return model_document(evaluate_at(ParamVector(arch, np.zeros(arch.r)),
+                                      data, 0.01),
                           data, train_path)
 
 

@@ -288,8 +288,9 @@ def test_summarize_structure():
         assert 0.0 <= row.mp_p_value <= 1.0
         assert 0.0 < row.mp_df <= arch.q
     for k, cell in enumerate(report.gamma_cells, start=1):
-        assert cell.estimate == result.theta_hat.gamma(k)
-    assert report.gamma0_estimate == result.theta_hat.gamma(0)
+        assert cell.estimate == result.theta_hat.values[arch.gamma_index(k)]
+    assert report.gamma0_estimate == result.theta_hat.values[
+        arch.gamma_index(0)]
     assert report.loglik == result.loglik
     assert report.sigma_sq_hat == result.sigma_sq_hat
 

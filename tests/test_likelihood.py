@@ -9,7 +9,10 @@ from statnn.likelihood import (_curvature_correction, _Evaluator,
                                observed_information, penalty,
                                prediction_gradient)
 from statnn.model import (Architecture, Dataset, ParamVector,
-                          _activation_block, design_with_intercept)
+                          _activation_block, design_with_intercept,
+                          forward_batch)
+
+from oracles import fd_gradient, fd_hessian
 
 
 def _instance(seed, p=3, q=2, n=25, family="gaussian"):
@@ -24,30 +27,6 @@ def _instance(seed, p=3, q=2, n=25, family="gaussian"):
     return arch, theta, Dataset(x=x, y=y)
 
 
-def _fd_gradient(fun, theta0, h=1e-6):
-    r = theta0.size
-    g = np.empty(r)
-    for i in range(r):
-        up = theta0.copy()
-        dn = theta0.copy()
-        up[i] += h
-        dn[i] -= h
-        g[i] = (fun(up) - fun(dn)) / (2.0 * h)
-    return g
-
-
-def _fd_hessian(fun_grad, theta0, h=1e-5):
-    r = theta0.size
-    hess = np.empty((r, r))
-    for i in range(r):
-        up = theta0.copy()
-        dn = theta0.copy()
-        up[i] += h
-        dn[i] -= h
-        hess[:, i] = (fun_grad(up) - fun_grad(dn)) / (2.0 * h)
-    return 0.5 * (hess + hess.T)
-
-
 @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
 @pytest.mark.parametrize("lam", [0.0, 0.05])
 def test_gradient_matches_finite_differences(family, lam):
@@ -58,7 +37,7 @@ def test_gradient_matches_finite_differences(family, lam):
         return log_likelihood(ParamVector(arch, values), data, lam, **kw)
 
     analytic = gradient(theta, data, lam, **kw)
-    numeric = _fd_gradient(ll, theta.values.copy())
+    numeric = fd_gradient(ll, theta.values.copy())
     scale = np.maximum(np.abs(numeric), 1.0)
     assert np.max(np.abs(analytic - numeric) / scale) < 1e-6
 
@@ -107,7 +86,7 @@ def test_optimizer_gradient_matches_finite_differences(family, q, lam):
     arch, theta, data = _instance(30 + q, q=q, n=40, family=family)
     ev = _Evaluator(arch, data, lam)
     _, analytic = ev.value_grad(theta.values)
-    numeric = _fd_gradient(lambda v: ev.value_grad(v)[0],
+    numeric = fd_gradient(lambda v: ev.value_grad(v)[0],
                            theta.values.copy())
     scale = np.maximum(np.abs(numeric), 1.0)
     assert np.max(np.abs(analytic - numeric) / scale) < 1e-6
@@ -137,7 +116,7 @@ def test_profiled_gradient_matches_finite_differences(q, lam):
     ev = _Evaluator(arch, data, lam)
     omega = theta.values[:(arch.p + 1) * q].copy()
     analytic = ev.profiled(omega)[1]
-    numeric = _fd_gradient(lambda w: ev.profiled(w)[0], omega)
+    numeric = fd_gradient(lambda w: ev.profiled(w)[0], omega)
     scale = np.maximum(np.abs(numeric), 1.0)
     assert np.max(np.abs(analytic - numeric) / scale) < 1e-6
 
@@ -147,7 +126,7 @@ def test_profiled_objective_is_infinite_at_a_singular_gram():
     the profiled objective is +inf there, without an exception or NaN.
     The ridge on gamma makes the same point regular."""
     arch, theta, data = _instance(45, q=2, n=60)
-    w = theta.omega_matrix()
+    w = arch.split(theta.values)[0].copy()
     w[:, 1] = w[:, 0]
     with np.errstate(all="raise"):
         f, g, gamma = _Evaluator(arch, data, 0.0).profiled(w.ravel())
@@ -249,7 +228,7 @@ def test_information_matches_finite_differences(family):
         return gradient(ParamVector(arch, values), data, 0.0, **kw)
 
     info = observed_information(theta, data, **kw)
-    numeric = -_fd_hessian(grad, theta.values.copy())
+    numeric = -fd_hessian(grad, theta.values.copy())
     assert np.max(np.abs(info - numeric)) < 1e-4
     np.testing.assert_allclose(info, info.T, atol=0)
 
@@ -267,13 +246,15 @@ def test_information_ignores_penalty():
 
 def test_penalty_excludes_intercepts():
     arch = Architecture(p=2, q=2)
-    theta = ParamVector.zeros(arch)
-    for k in (1, 2):
-        theta = theta.with_omega(0, k, 100.0)
-    theta = theta.with_gamma(0, -50.0)
-    assert penalty(theta, 3.0) == 0.0
-    theta = theta.with_omega(1, 1, 2.0).with_gamma(2, 3.0)
-    assert penalty(theta, 3.0) == pytest.approx(3.0 * (4.0 + 9.0), abs=1e-12)
+    w = np.zeros((arch.p + 1, arch.q))
+    g = np.zeros(arch.q + 1)
+    w[0, :] = 100.0
+    g[0] = -50.0
+    assert penalty(ParamVector.from_parts(arch, w, g), 3.0) == 0.0
+    w[1, 0] = 2.0
+    g[2] = 3.0
+    assert penalty(ParamVector.from_parts(arch, w, g), 3.0) == pytest.approx(
+        3.0 * (4.0 + 9.0), abs=1e-12)
 
 
 def test_penalty_changes_loglik_and_gradient():
@@ -300,7 +281,7 @@ def test_gaussian_requires_sigma_sq():
 
 def test_bernoulli_requires_binary_response():
     arch = Architecture(p=1, q=1, family="bernoulli")
-    theta = ParamVector.zeros(arch)
+    theta = ParamVector(arch, np.zeros(arch.r))
     data = Dataset(x=np.zeros((2, 1)), y=np.array([0.0, 0.5]))
     with pytest.raises(DataError):
         log_likelihood(theta, data, 0.0)
@@ -319,8 +300,8 @@ def test_covariate_count_mismatch_raises_shape_error(fn):
 def test_bernoulli_extreme_logits_stay_finite():
     """Saturated probabilities are clamped rather than producing -inf."""
     arch = Architecture(p=1, q=1, family="bernoulli")
-    theta = (ParamVector.zeros(arch).with_omega(1, 1, 100.0)
-             .with_gamma(1, 100.0))
+    theta = ParamVector.from_parts(arch, np.array([[0.0], [100.0]]),
+                                   np.array([0.0, 100.0]))
     # y disagrees with the saturated prediction at x = 1
     data = Dataset(x=np.array([[1.0]]), y=np.array([0.0]))
     ll = log_likelihood(theta, data, 0.0)
@@ -333,7 +314,7 @@ def test_bernoulli_extreme_logits_stay_finite():
 def test_gaussian_loglik_value():
     """Closed-form check for a one-point dataset at zero parameters."""
     arch = Architecture(p=1, q=1)
-    theta = ParamVector.zeros(arch)
+    theta = ParamVector(arch, np.zeros(arch.r))
     data = Dataset(x=np.array([[0.0]]), y=np.array([2.0]))
     got = log_likelihood(theta, data, 0.0, sigma_sq=1.0)
     want = -0.5 * np.log(2.0 * np.pi) - 0.5 * 4.0
@@ -343,8 +324,6 @@ def test_gaussian_loglik_value():
 @pytest.mark.parametrize("family", [pytest.param("gaussian", id="identity"),
                                     pytest.param("bernoulli", id="logistic")])
 def test_prediction_gradient_matches_finite_differences(family):
-    from statnn.model import forward
-
     rng = np.random.default_rng(15)
     arch = Architecture(p=3, q=2, family=family)
     theta = ParamVector(arch, rng.uniform(-1.0, 1.0, arch.r))
@@ -353,9 +332,9 @@ def test_prediction_gradient_matches_finite_differences(family):
     assert a.shape == (5, arch.r)
     h = 1e-6
     for i in range(5):
-        def pred(values, row=x[i]):
-            return forward(ParamVector(arch, values), row)
+        def pred(values, row=Dataset(x=x[i:i + 1], y=np.zeros(1))):
+            return forward_batch(ParamVector(arch, values), row)[0]
 
-        numeric = _fd_gradient(pred, theta.values.copy(), h=h)
+        numeric = fd_gradient(pred, theta.values.copy(), h=h)
         scale = np.maximum(np.abs(numeric), 1.0)
         assert np.max(np.abs(a[i] - numeric) / scale) < 1e-5

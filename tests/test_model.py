@@ -12,8 +12,8 @@ import pytest
 import statnn
 from statnn.exceptions import DataError, ShapeError
 from statnn.model import (FAMILIES, Architecture, ColumnMeta, Dataset,
-                          ParamVector, design_with_intercept, forward,
-                          forward_batch, sigmoid)
+                          ParamVector, design_with_intercept, forward_batch,
+                          sigmoid)
 
 
 def _random_theta(arch, rng, scale=1.0):
@@ -34,31 +34,21 @@ def test_architecture_validation():
         Architecture(p=1, q=1, family="poisson")
 
 
-def test_accessor_round_trip():
-    """Writing any coordinate through the accessors reads back unchanged."""
-    arch = Architecture(p=3, q=2)
-    theta = ParamVector.zeros(arch)
-    value = 0.0
-    for j in range(arch.p + 1):
-        for k in range(1, arch.q + 1):
-            value += 1.0
-            theta = theta.with_omega(j, k, value)
-            assert theta.omega(j, k) == value
-    for k in range(arch.q + 1):
-        value += 1.0
-        theta = theta.with_gamma(k, value)
-        assert theta.gamma(k) == value
-    # All r coordinates were touched exactly once.
-    assert len(set(theta.values)) == arch.r
-
-
 def test_flatten_restructure_identity():
     arch = Architecture(p=4, q=3)
     rng = np.random.default_rng(0)
     theta = _random_theta(arch, rng)
-    rebuilt = ParamVector.from_parts(arch, theta.omega_matrix(),
-                                     theta.gamma_vector())
+    rebuilt = ParamVector.from_parts(arch, *arch.split(theta.values))
     np.testing.assert_array_equal(rebuilt.values, theta.values)
+
+
+def test_param_vector_is_theta_and_its_architecture():
+    """theta is read through ``arch.split`` and the index helpers and
+    built with ``from_parts`` or from a flat array: ``ParamVector`` has
+    no accessor of its own."""
+    theta = ParamVector(Architecture(p=2, q=1), np.zeros(5))
+    public = {name for name in dir(theta) if not name.startswith("_")}
+    assert public == {"arch", "values", "from_parts"}
 
 
 def test_index_layout():
@@ -84,23 +74,42 @@ def test_penalized_mask_excludes_intercepts():
             assert mask[arch.omega_index(j, k)]
 
 
+def _predict(theta, row):
+    """The prediction at one covariate row, through ``forward_batch``."""
+    return forward_batch(theta, Dataset(x=np.array([row], dtype=float),
+                                        y=np.zeros(1)))[0]
+
+
+def _network_by_loop(theta, row):
+    """The network at one covariate row, written out unit by unit."""
+    arch = theta.arch
+    out = theta.values[arch.gamma_index(0)]
+    for k in range(1, arch.q + 1):
+        s = theta.values[arch.omega_index(0, k)]
+        for j in range(1, arch.p + 1):
+            s += theta.values[arch.omega_index(j, k)] * row[j - 1]
+        out += theta.values[arch.gamma_index(k)] / (1.0 + np.exp(-s))
+    return out
+
+
 def test_forward_zero_theta():
     arch = Architecture(p=1, q=1)
-    assert forward(ParamVector.zeros(arch), np.array([5.0])) == 0.0
+    assert _predict(ParamVector(arch, np.zeros(arch.r)), [5.0]) == 0.0
 
 
 def test_forward_disconnected_hidden_layer():
     arch = Architecture(p=1, q=1)
-    theta = ParamVector.zeros(arch).with_gamma(0, 1.0)
-    assert forward(theta, np.array([3.7])) == 1.0
+    theta = ParamVector.from_parts(arch, np.zeros((2, 1)),
+                                   np.array([1.0, 0.0]))
+    assert _predict(theta, [3.7]) == 1.0
 
 
 def test_forward_scalar_value():
     """gamma_1 * sigmoid(omega_11 * x) at x = 1: 2 sigma(1) = 1.4621171573."""
     arch = Architecture(p=1, q=1)
-    theta = (ParamVector.zeros(arch).with_omega(1, 1, 1.0)
-             .with_gamma(1, 2.0))
-    got = forward(theta, np.array([1.0]))
+    theta = ParamVector.from_parts(arch, np.array([[0.0], [1.0]]),
+                                   np.array([0.0, 2.0]))
+    got = _predict(theta, [1.0])
     assert abs(got - 1.4621171572600098) < 1e-12
 
 
@@ -113,7 +122,7 @@ def test_forward_batch_matches_loop():
     batch = forward_batch(theta, data)
     for i in range(4):
         # matrix and per-row evaluation may differ in summation order
-        assert batch[i] == pytest.approx(forward(theta, x[i]),
+        assert batch[i] == pytest.approx(_network_by_loop(theta, x[i]),
                                          rel=1e-13, abs=1e-13)
 
 
@@ -139,20 +148,22 @@ def test_identity_output_monotone_in_gamma0():
     arch = Architecture(p=2, q=3)
     theta = _random_theta(arch, rng)
     x = np.array([0.5, -0.7])
-    base = forward(theta, x)
-    shifted = forward(theta.with_gamma(0, theta.gamma(0) + 0.25), x)
+    base = _predict(theta, x)
+    values = theta.values.copy()
+    values[arch.gamma_index(0)] += 0.25
+    shifted = _predict(ParamVector(arch, values), x)
     assert shifted - base == pytest.approx(0.25, abs=1e-12)
 
 
 def test_forward_dimension_errors():
     arch = Architecture(p=2, q=1)
-    theta = ParamVector.zeros(arch)
+    theta = ParamVector(arch, np.zeros(arch.r))
     with pytest.raises(ShapeError):
-        forward(theta, np.array([1.0]))
+        _predict(theta, [1.0])
     with pytest.raises(ShapeError):
         ParamVector(arch, np.zeros(arch.r + 1))
     with pytest.raises(DataError):
-        forward(theta, np.array([np.nan, 0.0]))
+        _predict(theta, [np.nan, 0.0])
 
 
 def test_sigmoid_stability_and_values():
@@ -206,7 +217,8 @@ def test_covariate_block_picks_omega_block():
     assert arch.covariate_block(1) == slice(2, 4)
     assert arch.covariate_block(2) == slice(4, 6)
     for j in (1, 2):
-        expected = [theta.omega(j, k) for k in range(1, arch.q + 1)]
+        expected = [theta.values[arch.omega_index(j, k)]
+                    for k in range(1, arch.q + 1)]
         np.testing.assert_array_equal(
             theta.values[arch.covariate_block(j)], expected)
 

@@ -10,16 +10,15 @@ import pytest
 
 from statnn.effects import conditioning_values, pce_curve
 from statnn.fit import FitConfig, fit
-from statnn.inference import (SIGNIFICANCE_LEGEND, CovariateRow,
+from statnn.inference import (ALPHA, SIGNIFICANCE_LEGEND, CovariateRow,
                               InferenceReport, WeightCell,
                               sandwich_covariance, summarize)
 from statnn.likelihood import observed_information
 from statnn.model import (Architecture, ColumnMeta, Dataset, ParamVector,
                           forward_batch)
-from statnn.report import (ALPHA_DIAGRAM, emit_diagram, emit_summary,
-                           estimates_csv, overview_csv, parameter_names,
-                           pce_csv, pd_csv, power_csv, rejections_csv,
-                           sweep_csv)
+from statnn.report import (emit_diagram, emit_summary, estimates_csv,
+                           overview_csv, parameter_names, pce_csv, pd_csv,
+                           power_csv, rejections_csv, sweep_csv)
 from statnn.simgen import SimScenario, run_grid, run_scenario
 
 
@@ -168,16 +167,16 @@ def test_dot_rendering_recomputed_from_p_values(fitted):
     assert len(edges) == arch.p * arch.q + arch.q
     for row in report.covariates:
         shape, color, fontcolor = nodes[f"x{row.index}"]
-        want = "black" if row.mp_p_value < ALPHA_DIAGRAM else "gray"
+        want = "black" if row.mp_p_value < ALPHA else "gray"
         assert shape == "box"
         assert color == want and fontcolor == want
         for k, cell in enumerate(row.cells, start=1):
-            want_edge = "black" if cell.p_value < ALPHA_DIAGRAM else "gray"
+            want_edge = "black" if cell.p_value < ALPHA else "gray"
             assert edges[(f"x{row.index}", f"h{k}")] == want_edge
     for k, cell in enumerate(report.gamma_cells, start=1):
         shape, color, _ = nodes[f"h{k}"]
         assert shape == "circle" and color == "black"
-        want_edge = "black" if cell.p_value < ALPHA_DIAGRAM else "gray"
+        want_edge = "black" if cell.p_value < ALPHA else "gray"
         assert edges[(f"h{k}", "out")] == want_edge
     assert nodes["out"] == ("circle", "black", "black")
     # intercept weights never show up as edges

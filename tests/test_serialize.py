@@ -139,7 +139,7 @@ def test_model_document_family():
 def test_model_document_validates_meta_length():
     arch = Architecture(p=3, q=1)
     with pytest.raises(DataError, match="1 column records for p = 3"):
-        ModelDocument(theta=ParamVector.zeros(arch), lam=0.0,
+        ModelDocument(theta=ParamVector(arch, np.zeros(arch.r)), lam=0.0,
                       column_meta=(ColumnMeta("a"),),
                       response_meta=ColumnMeta("y"), fit=_doc().fit)
 

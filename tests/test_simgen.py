@@ -31,15 +31,16 @@ def test_default_truth_respects_pattern(q, pattern):
     theta = default_true_theta(q, pattern)
     arch = theta.arch
     assert arch.p == 6 and arch.q == q
+    w, g = arch.split(theta.values)
     for j in ZERO_PATTERNS[pattern]:
         for k in range(1, q + 1):
-            assert theta.omega(j, k) == 0.0
+            assert w[j, k - 1] == 0.0
     # untouched covariates stay connected
     active = set(range(1, 7)) - set(ZERO_PATTERNS[pattern])
     for j in active:
-        assert any(theta.omega(j, k) != 0.0 for k in range(1, q + 1))
+        assert any(w[j, k - 1] != 0.0 for k in range(1, q + 1))
     # output weights all nonzero so every node contributes
-    assert all(theta.gamma(k) != 0.0 for k in range(1, q + 1))
+    assert all(g[k] != 0.0 for k in range(1, q + 1))
 
 
 def test_default_truth_validation():
@@ -60,7 +61,7 @@ def test_scenario_validation():
         _tiny(replicates=0)
     with pytest.raises(ValueError):
         _tiny(noise_sd=0.0)
-    wrong_arch = ParamVector.zeros(Architecture(p=6, q=3))
+    wrong_arch = ParamVector(Architecture(p=6, q=3), np.zeros(25))
     with pytest.raises(ValueError):
         _tiny(true_theta=wrong_arch)
     # without a truth of its own a scenario needs a default one
@@ -282,7 +283,8 @@ def test_power_sweep_reuses_draws_and_orders_points():
         assert 0.0 <= pt.pd_rate <= 1.0
         # the effect sets every weight of covariate 2 and nothing else
         np.testing.assert_array_equal(
-            pt.scenario.true_theta.omega_matrix()[2], pt.effect)
+            pt.scenario.true_theta.values[pt.scenario.arch.covariate_block(2)],
+            pt.effect)
     # the effect never enters the seed: both points see the same draws
     assert points[0].scenario.seed == points[1].scenario.seed == derive_seed(
         41, 0, 0, 2)
@@ -298,9 +300,10 @@ def test_power_sweep_zero_effect_disconnects_covariate():
 
     scen = _tiny(seed=51)
     base = scen.resolved_truth()
-    omega = base.omega_matrix()
+    omega, gamma = base.arch.split(base.values)
+    omega = omega.copy()
     omega[2] = 0.0
-    want = ParamVector.from_parts(base.arch, omega, base.gamma_vector())
+    want = ParamVector.from_parts(base.arch, omega, gamma)
     direct = run_scenario(replace(scen, true_theta=want,
                                   seed=derive_seed(51, 0, 0, 2)))
     (point,) = run_grid(scen, effect=[0.0])

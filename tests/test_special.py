@@ -10,35 +10,10 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc, ndtri
 
-from statnn.effects import Z_95
+from statnn.inference import Z_95
 from statnn.special import chi_square_survival, normal_quantile
 
-
-def _survival_by_quadrature(x, df, n=200_000):
-    """Numerically integrate the chi-square density on [0, x].
-
-    Simpson's rule after the substitution x = t^2, which removes the
-    integrable singularity at zero for df < 2 and makes the integrand
-    smooth for every df >= 1.  An oracle fully independent of the
-    series / continued-fraction evaluation under test.
-    """
-    upper = math.sqrt(x)
-    t = np.linspace(0.0, upper, n + 1)
-    log_norm = -(df / 2.0) * math.log(2.0) - math.lgamma(df / 2.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # t = 0 gives log 0; the limit is patched below.
-        log_g = log_norm + (df - 1.0) * np.log(t) - t * t / 2.0
-        g = 2.0 * np.exp(log_g)
-    g[0] = 0.0
-    if df == 1.0:
-        g[0] = 2.0 * math.exp(log_norm)
-    elif df < 1.0:
-        raise ValueError("oracle requires df >= 1")
-    weights = np.ones(n + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    cdf = float(np.sum(weights * g) * (upper / n) / 3.0)
-    return 1.0 - cdf
+from oracles import survival_by_quadrature
 
 
 def test_df2_closed_form():
@@ -57,7 +32,7 @@ def test_against_quadrature_oracle():
     """Series and continued-fraction branches agree with direct integration."""
     for x, df in [(0.5, 1.0), (3.0, 1.0), (2.0, 3.0), (10.0, 4.0),
                   (1.7, 2.6), (12.0, 6.0), (25.0, 10.0)]:
-        oracle = _survival_by_quadrature(x, df)
+        oracle = survival_by_quadrature(x, df)
         assert abs(chi_square_survival(x, df) - oracle) < 1e-8, (x, df)
 
 

@@ -21,10 +21,11 @@ unchanged against any two versions of it, across API changes.
 
 Last, ``record`` writes the library outputs that no command reaches to
 ``library/`` in OUT, as hex-float text (one array row per line), with
-``library.log``: ``prediction_gradient``, ``gradient``,
-``log_likelihood`` and ``observed_information`` at a given sigma^2 on
-both stored models; ``fit`` on both stored tables at q = 1, 2 and 3 with
-3 restarts (theta-hat, ``restart_logliks`` and ``restart_iterations``);
+``library.log``: ``forward_batch``, ``prediction_gradient``,
+``gradient``, ``log_likelihood`` and ``observed_information`` at a given
+sigma^2 on both stored models; ``fit`` on both stored tables at q = 1, 2
+and 3 with 3 restarts (theta-hat, ``restart_logliks`` and
+``restart_iterations``);
 and ``align_to``'s (aligned, T) at q = 3 and 4.  One ``PYTHONPATH=SRC``
 process (``LIBRARY_SCRIPT``) computes them by calling only public
 functions.  Unlike the commands,
@@ -260,7 +261,7 @@ from statnn.canonical import align_to, apply_symmetry
 from statnn.fit import FitConfig, fit
 from statnn.likelihood import (gradient, log_likelihood,
                                observed_information, prediction_gradient)
-from statnn.model import Architecture, ParamVector
+from statnn.model import Architecture, ParamVector, forward_batch
 from statnn.preprocess import dataset_from_meta
 from statnn.serialize import load_model
 
@@ -280,6 +281,7 @@ for tag, sigma_sq in (("g", 0.8), ("b", None)):
     data = dataset_from_meta(os.path.join(sys.argv[1], f"{tag}.csv"),
                              doc.column_meta, doc.response_meta)
     theta = doc.theta
+    write(f"{tag}_forward_batch", forward_batch(theta, data))
     write(f"{tag}_prediction_gradient", prediction_gradient(theta, data.x))
     write(f"{tag}_gradient", gradient(theta, data, 0.03, sigma_sq))
     write(f"{tag}_log_likelihood",
