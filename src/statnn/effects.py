@@ -165,6 +165,17 @@ def _is_dummy(data: Dataset, j: int) -> bool:
     return data.column_meta[j - 1].kind == "dummy"
 
 
+def _sample_sd(data: Dataset, j: int, remedy: str) -> float:
+    """Sample standard deviation of column j.  A column whose values are
+    all equal, one row included, is refused by name, with ``remedy``:
+    its sd is 0, or rounding noise, or undefined."""
+    col = data.x[:, j - 1]
+    if col.min() == col.max():
+        raise DataError(f"covariate {data.column_meta[j - 1].name!r} has "
+                        f"zero sample variation; {remedy}")
+    return float(np.std(col, ddof=1))
+
+
 def _resolve_step(data: Dataset, j: int, d: float | None) -> float:
     """The step d.  A dummy's step is 1, its 0 -> 1 switch, and any other
     explicit step is refused; otherwise d defaults to the sample standard
@@ -181,11 +192,7 @@ def _resolve_step(data: Dataset, j: int, d: float | None) -> float:
         return d
     if _is_dummy(data, j):
         return 1.0
-    d = float(np.std(data.x[:, j - 1], ddof=1))
-    if not d > 0.0:
-        raise DataError(f"covariate {j} has zero sample variation; "
-                        "supply an explicit step d")
-    return d
+    return _sample_sd(data, j, "supply an explicit step d")
 
 
 def effect_grid(data: Dataset, j: int, d: float | None = None,
@@ -242,12 +249,12 @@ def pce_curve(theta: ParamVector, cov: CovarianceEstimate, data: Dataset,
 
 def conditioning_values(data: Dataset, k: int) -> tuple:
     """Values at which a conditioning covariate k is pinned: 0 and 1 for
-    a dummy, its sample mean -/+ one standard deviation otherwise."""
-    if data.column_meta[k - 1].kind == "dummy":
+    a dummy, its sample mean -/+ one standard deviation otherwise, which
+    needs two distinct values."""
+    if _is_dummy(data, k):
         return (0.0, 1.0)
-    col = data.x[:, k - 1]
-    mean = float(np.mean(col))
-    sd = float(np.std(col, ddof=1))
+    sd = _sample_sd(data, k, "it cannot be pinned at its mean -/+ one sd")
+    mean = float(np.mean(data.x[:, k - 1]))
     return (mean - sd, mean + sd)
 
 

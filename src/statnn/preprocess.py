@@ -290,12 +290,16 @@ def infer_plan(names, columns, response: str,
         unknown = set(schema) - {"columns", "response_action"}
         if unknown:
             raise DataError(f"unknown schema keys {sorted(unknown)}")
-        missing = set(schema.get("columns", {})) - set(names)
+        entries = schema.get("columns", {})
+        if not isinstance(entries, dict):
+            raise DataError("schema 'columns' must be an object mapping "
+                            f"CSV column names to actions, got {entries!r}")
+        missing = set(entries) - set(names)
         if missing:
             raise DataError(
                 f"schema names columns not present in the file: "
                 f"{sorted(missing)}")
-        if response in schema.get("columns", {}):
+        if response in entries:
             raise DataError(
                 f"response column {response!r} must be configured via "
                 "'response_action', not 'columns'")

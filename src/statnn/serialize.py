@@ -11,26 +11,26 @@ the factor level an indicator marks and ``levels`` the factor's full
 level set, reference level first (both ``null`` for a numeric column).
 The activation fields encode the family: ``hidden_activation`` is always
 ``logistic`` and ``output_activation`` is ``model.FAMILIES[family]``, the
-one table of families and their activations.
+one table of families and their activations.  These fields, each with a
+check of its own, are written by ``model_to_json`` and ``_meta_dict``
+and read by ``parse_model`` and ``_parse_meta``.
 
-The ``fit`` block (``FitRecord``) holds what inference needs from the
-training data, computed once by ``model_document`` at theta-hat: n, the
-penalized log-likelihood, sigma_hat^2 and the gradient max-norm
-(``fit.evaluate_at``'s values) and the observed information, with a
-SHA-256 of the training CSV's bytes, one of the encoded x and y, and a
-digest of theta, lambda, the architecture and the column records.  A
-file whose digest does not match its other fields was edited after
-fitting, and its stored fit describes another model; it is refused
-with a request to refit.
+The ``fit`` block holds what inference needs from the training data,
+computed once by ``model_document`` at theta-hat, with a digest of what
+it was computed at.  Its fields are ``FitRecord``'s, which its docstring
+describes, written and read in their declared order and types
+(``_FIT_FIELDS``).  A file whose digest does not match its other fields
+was edited after fitting, and its stored fit describes another model;
+it is refused with a request to refit.
 
 This is model format version 3.  Version 1 records lacked ``raw`` and
 ``level``, so they cannot say which CSV column an indicator comes from,
 and version 2 files lack the level sets and the fit block; both are
-refused with a request to refit.  Scenario files are
-versioned separately and are at version 1.  In a scenario file ``n``
-and ``lambda`` may each be a non-empty list, and an ``effect`` list may
-be given instead; the lists are the axes of a study grid, read value by
-value as the single fields are.
+refused with a request to refit.  Scenario files are versioned
+separately and are at version 1; their fields are listed once, in
+``_SCENARIO_FIELDS``.  ``n`` and ``lambda`` may each be a non-empty
+list, and an ``effect`` list may be given instead: the axes of a study
+grid, read value by value as the single fields are.
 
 ``json.dumps`` writes floats by ``repr``, which reads back to the same
 double, refuses non-finite values and keeps insertion order, so repeated
@@ -45,7 +45,8 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -215,7 +216,6 @@ def _meta_dict(meta: ColumnMeta) -> dict:
 
 
 def model_to_json(doc: ModelDocument) -> str:
-    fit = doc.fit
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "p": int(doc.arch.p),
@@ -226,29 +226,14 @@ def model_to_json(doc: ModelDocument) -> str:
         "lambda": float(doc.lam),
         "column_meta": [_meta_dict(m) for m in doc.column_meta],
         "response_meta": _meta_dict(doc.response_meta),
-        "fit": {
-            "n": int(fit.n),
-            "csv_sha256": fit.csv_sha256,
-            "data_sha256": fit.data_sha256,
-            "digest": fit.digest,
-            "loglik": float(fit.loglik),
-            "sigma_sq_hat": (None if fit.sigma_sq_hat is None
-                             else float(fit.sigma_sq_hat)),
-            "grad_max": float(fit.grad_max),
-            "information": fit.information.tolist(),
-        },
+        "fit": {name: _CODECS[kind][0](getattr(doc.fit, name))
+                for name, kind in _FIT_FIELDS},
     }
     return to_json_text(payload)
 
 
 def save_model(doc: ModelDocument, path):
     atomic_write_text(path, model_to_json(doc))
-
-
-def _require(payload: dict, key: str, where: str):
-    if key not in payload:
-        raise DataError(f"{where}: missing required field {key!r}")
-    return payload[key]
 
 
 def _json_int(value, field: str, where: str) -> int:
@@ -286,27 +271,43 @@ def _json_floats(values: list, field: str, where: str) -> np.ndarray:
                      for i, v in enumerate(values)])
 
 
+#: (write, read) of a stored value by its declared type; a ``read`` of
+#: None leaves the JSON value for its record's parser to check.
+_CODECS = {int: (int, _json_int), float: (float, _json_float),
+           str: (str, _json_str), np.ndarray: (np.ndarray.tolist, None),
+           float | None: (lambda v: None if v is None else float(v), None),
+           ParamVector: (lambda theta: theta.values.tolist(), None)}
+
+_FIT_FIELDS = tuple(get_type_hints(FitRecord).items())
+
+
+def _field(obj: dict, key: str, where: str, parse=None, label=None):
+    """``obj[key]``, refused by name when missing, read by ``parse`` (a
+    ``_json_*`` reader, naming the value ``label`` or ``key``) if given."""
+    if key not in obj:
+        raise DataError(f"{where}: missing required field {key!r}")
+    value = obj[key]
+    return value if parse is None else parse(value, label or key, where)
+
+
 def _parse_meta(entry, where: str) -> ColumnMeta:
     if not isinstance(entry, dict):
         raise DataError(f"{where}: column metadata must be an object")
-    name = _json_str(_require(entry, "name", where), "column name", where)
-    kind = _json_str(_require(entry, "kind", where),
-                     f"kind of column {name!r}", where)
-    mean = _json_float(_require(entry, "mean", where),
-                       f"mean of column {name!r}", where)
-    sd = _json_float(_require(entry, "sd", where),
-                     f"sd of column {name!r}", where)
-    raw = _json_str(_require(entry, "raw", where), f"raw of column {name!r}",
-                    where)
-    level = _require(entry, "level", where)
+    name = _field(entry, "name", where, _json_str, "column name")
+    of = f" of column {name!r}"
+    kind = _field(entry, "kind", where, _json_str, "kind" + of)
+    mean = _field(entry, "mean", where, _json_float, "mean" + of)
+    sd = _field(entry, "sd", where, _json_float, "sd" + of)
+    raw = _field(entry, "raw", where, _json_str, "raw" + of)
+    level = _field(entry, "level", where)
     if level is not None and not isinstance(level, str):
-        raise DataError(f"{where}: level of column {name!r} must be a "
-                        f"string or null, got {level!r}")
-    levels = _require(entry, "levels", where)
+        raise DataError(f"{where}: level{of} must be a string or null, "
+                        f"got {level!r}")
+    levels = _field(entry, "levels", where)
     if not (levels is None or isinstance(levels, list)
             and all(isinstance(v, str) for v in levels)):
-        raise DataError(f"{where}: levels of column {name!r} must be a list "
-                        f"of strings or null, got {levels!r}")
+        raise DataError(f"{where}: levels{of} must be a list of strings "
+                        f"or null, got {levels!r}")
     try:
         meta = ColumnMeta(name=name, kind=kind, mean=mean, sd=sd, raw=raw,
                           level=level,
@@ -331,8 +332,7 @@ def json_object(text: str, where: str) -> dict:
 
 
 def _check_version(payload: dict, where: str, wanted: int):
-    version = _json_int(_require(payload, "format_version", where),
-                        "format_version", where)
+    version = _field(payload, "format_version", where, _json_int)
     if version != wanted:
         raise DataError(
             f"{where}: unsupported format_version {version!r} "
@@ -349,12 +349,10 @@ def parse_model(text: str, where: str = "model") -> ModelDocument:
             f"{where}: format_version {version} model files do not record "
             f"{lacks[version]}; refit the model with 'statnn fit'")
     _check_version(payload, where, MODEL_FORMAT_VERSION)
-    p = _json_int(_require(payload, "p", where), "p", where)
-    q = _json_int(_require(payload, "q", where), "q", where)
-    hidden = _json_str(_require(payload, "hidden_activation", where),
-                       "hidden_activation", where)
-    output = _json_str(_require(payload, "output_activation", where),
-                       "output_activation", where)
+    p = _field(payload, "p", where, _json_int)
+    q = _field(payload, "q", where, _json_int)
+    hidden = _field(payload, "hidden_activation", where, _json_str)
+    output = _field(payload, "output_activation", where, _json_str)
     families = [f for f, act in FAMILIES.items() if act == output]
     try:
         if hidden != "logistic":
@@ -367,7 +365,7 @@ def parse_model(text: str, where: str = "model") -> ModelDocument:
         arch = Architecture(p=p, q=q, family=families[0])
     except ValueError as exc:
         raise DataError(f"{where}: invalid architecture: {exc}") from exc
-    theta_raw = _require(payload, "theta", where)
+    theta_raw = _field(payload, "theta", where)
     if not isinstance(theta_raw, list) or len(theta_raw) != arch.r:
         raise DataError(
             f"{where}: theta must be a list of {arch.r} numbers for "
@@ -375,18 +373,18 @@ def parse_model(text: str, where: str = "model") -> ModelDocument:
     theta = ParamVector(arch, _json_floats(theta_raw, "theta", where))
     if not np.all(np.isfinite(theta.values)):
         raise DataError(f"{where}: theta contains non-finite entries")
-    lam = _json_float(_require(payload, "lambda", where), "lambda", where)
+    lam = _field(payload, "lambda", where, _json_float)
     try:
         check_lambda(lam)
     except ValueError as exc:
         raise DataError(f"{where}: {exc}") from exc
-    meta_raw = _require(payload, "column_meta", where)
+    meta_raw = _field(payload, "column_meta", where)
     if not isinstance(meta_raw, list):
         raise DataError(f"{where}: column_meta must be a list")
     column_meta = tuple(_parse_meta(m, where) for m in meta_raw)
-    response_meta = _parse_meta(_require(payload, "response_meta", where),
+    response_meta = _parse_meta(_field(payload, "response_meta", where),
                                 where)
-    fit = _parse_fit(_require(payload, "fit", where), arch, where)
+    fit = _parse_fit(_field(payload, "fit", where), arch, where)
     if fit.digest != _model_digest(theta, lam, column_meta, response_meta):
         raise DataError(
             f"{where}: theta, lambda, the architecture or the column records "
@@ -401,35 +399,28 @@ def _parse_fit(entry, arch: Architecture, where: str) -> FitRecord:
     the family profiles it, and the information is r x r and finite."""
     if not isinstance(entry, dict):
         raise DataError(f"{where}: fit must be an object")
-
-    def field(key, parse):
-        return parse(_require(entry, key, where), f"fit {key}", where)
-
-    n = field("n", _json_int)
-    sigma_sq = (field("sigma_sq_hat", _json_float) if arch.sigma_profiled
-                else _require(entry, "sigma_sq_hat", where))
+    values = {name: _field(entry, name, where, _CODECS[kind][1],
+                           f"fit {name}") for name, kind in _FIT_FIELDS}
+    n, sigma_sq = values["n"], values["sigma_sq_hat"]
+    if arch.sigma_profiled:
+        sigma_sq = _json_float(sigma_sq, "fit sigma_sq_hat", where)
     if n < 1 or not (0.0 < sigma_sq < np.inf if arch.sigma_profiled
                      else sigma_sq is None):
         raise DataError(f"{where}: fit needs n >= 1 and, for the "
                         f"{arch.family} family, sigma_sq_hat "
                         f"{'> 0' if arch.sigma_profiled else 'null'}")
-    rows = _require(entry, "information", where)
+    rows = values["information"]
     if not (isinstance(rows, list) and len(rows) == arch.r and all(
             isinstance(row, list) and len(row) == arch.r for row in rows)):
         raise DataError(f"{where}: fit information must be {arch.r} lists "
                         f"of {arch.r} numbers")
     info = np.array([_json_floats(row, f"fit information[{i}]", where)
                      for i, row in enumerate(rows)])
-    loglik, grad_max = field("loglik", _json_float), field("grad_max",
-                                                           _json_float)
-    if not (np.isfinite(info).all() and np.isfinite([loglik, grad_max]).all()):
+    if not (np.isfinite(info).all()
+            and np.isfinite([values["loglik"], values["grad_max"]]).all()):
         raise DataError(f"{where}: fit holds non-finite numbers")
     info.flags.writeable = False
-    return FitRecord(n=n, csv_sha256=field("csv_sha256", _json_str),
-                     data_sha256=field("data_sha256", _json_str),
-                     digest=field("digest", _json_str), loglik=loglik,
-                     sigma_sq_hat=sigma_sq, grad_max=grad_max,
-                     information=info)
+    return FitRecord(**dict(values, sigma_sq_hat=sigma_sq, information=info))
 
 
 def load_model(path) -> ModelDocument:
@@ -441,26 +432,29 @@ def load_model(path) -> ModelDocument:
 # Simulation scenarios
 # ---------------------------------------------------------------------------
 
-_SCENARIO_INT_FIELDS = ("q", "n", "p", "replicates", "restarts", "seed")
-_SCENARIO_FLOAT_FIELDS = ("lambda", "noise_sd", "effect")
+#: The scenario file's fields in the order written: JSON key, the name
+#: ``SimScenario`` and ``run_grid`` know it by, type, and whether a list
+#: may stand in it (an axis of a study grid; ``effect`` is only that).
+#: A field ``SimScenario`` gives no default is required.
+_SCENARIO_FIELDS = (
+    ("q", "q", int, False), ("nz_pattern", "nz_pattern", str, False),
+    ("n", "n", int, True), ("p", "p", int, False),
+    ("lambda", "lam", float, True), ("noise_sd", "noise_sd", float, False),
+    ("replicates", "replicates", int, False),
+    ("restarts", "restarts", int, False), ("seed", "seed", int, False),
+    ("true_theta", "true_theta", ParamVector, False),
+    ("effect", "effect", float, True))
+
+_SCENARIO_REQUIRED = {f.name for f in fields(SimScenario)
+                      if f.default is MISSING}
 
 
 def scenario_to_json(scenario: SimScenario) -> str:
-    payload = {
-        "format_version": SCENARIO_FORMAT_VERSION,
-        "q": int(scenario.q),
-        "nz_pattern": scenario.nz_pattern,
-        "n": int(scenario.n),
-        "p": int(scenario.p),
-        "lambda": float(scenario.lam),
-        "noise_sd": float(scenario.noise_sd),
-        "replicates": int(scenario.replicates),
-        "restarts": int(scenario.restarts),
-        "seed": int(scenario.seed),
-    }
-    if scenario.true_theta is not None:
-        payload["true_theta"] = [float(v)
-                                 for v in scenario.true_theta.values]
+    payload = {"format_version": SCENARIO_FORMAT_VERSION}
+    for key, name, kind, _axis in _SCENARIO_FIELDS:
+        value = getattr(scenario, name, None)
+        if value is not None:
+            payload[key] = _CODECS[kind][0](value)
     return to_json_text(payload)
 
 
@@ -474,53 +468,46 @@ def parse_study(text: str, where: str = "scenario") -> tuple:
     them; a list's first value stands in the scenario."""
     payload = json_object(text, where)
     _check_version(payload, where, SCENARIO_FORMAT_VERSION)
-    known = set(_SCENARIO_INT_FIELDS) | set(_SCENARIO_FLOAT_FIELDS) | {
-        "format_version", "nz_pattern", "true_theta"}
-    unknown = set(payload) - known
+    unknown = set(payload) - {"format_version"} - {
+        key for key, *_ in _SCENARIO_FIELDS}
     if unknown:
         raise DataError(f"{where}: unknown fields {sorted(unknown)}")
     kwargs, axes = {}, {}
-    for field in _SCENARIO_INT_FIELDS + _SCENARIO_FLOAT_FIELDS:
-        if field not in payload:
+    for key, name, kind, axis in _SCENARIO_FIELDS:
+        if key not in payload and name not in _SCENARIO_REQUIRED:
             continue
-        key = "lam" if field == "lambda" else field
-        parse = _json_int if field in _SCENARIO_INT_FIELDS else _json_float
-        value = payload[field]
-        if key in ("lam", "n", "effect") and isinstance(value, list):
+        value, parse = _field(payload, key, where), _CODECS[kind][1]
+        if axis and isinstance(value, list):
             if not value:
-                raise DataError(f"{where}: {field} list must not be empty")
-            axes[key] = tuple(parse(v, f"{field}[{i}]", where)
-                              for i, v in enumerate(value))
-            kwargs[key] = axes[key][0]
+                raise DataError(f"{where}: {key} list must not be empty")
+            axes[name] = tuple(parse(v, f"{key}[{i}]", where)
+                               for i, v in enumerate(value))
+            kwargs[name] = axes[name][0]
         else:
-            kwargs[key] = parse(value, field, where)
+            kwargs[name] = value if parse is None else parse(value, key,
+                                                             where)
     if kwargs.pop("effect", None) is not None and not (
             "effect" in axes and np.all(np.isfinite(axes["effect"]))):
         raise DataError(f"{where}: effect must be a list of finite numbers")
     if "effect" in axes and len(axes) > 1:
         raise DataError(f"{where}: an effect list makes a power curve and "
                         "n or lambda lists a PD table; give one, not both")
-    for field in ("q", "n", "nz_pattern"):
-        if field not in payload:
-            raise DataError(f"{where}: missing required field {field!r}")
-    kwargs["nz_pattern"] = _json_str(payload["nz_pattern"], "nz_pattern",
-                                     where)
     try:
         # The truth goes in with the rest: a scenario without one must
         # have a default truth.
-        if "true_theta" in payload:
+        if "true_theta" in kwargs:
             arch = Architecture(p=kwargs.get("p", SimScenario.p),
                                 q=kwargs["q"])
-            raw = payload["true_theta"]
+            raw = kwargs["true_theta"]
             if not isinstance(raw, list) or len(raw) != arch.r:
                 raise DataError(
                     f"{where}: true_theta must be a list of {arch.r} numbers")
             kwargs["true_theta"] = ParamVector(
                 arch, _json_floats(raw, "true_theta", where))
         scenario = SimScenario(**kwargs)
-        for key in ("lam", "n"):
-            for value in axes.get(key, ()):
-                replace(scenario, **{key: value})
+        for name, values in axes.items():
+            for value in values if name != "effect" else ():
+                replace(scenario, **{name: value})
     except DataError:
         raise
     except ValueError as exc:

@@ -220,6 +220,43 @@ def test_pce_unknown_covariate(workspace, capsys):
     assert "error:" in err and "height" in err
 
 
+def _one_row_and_constant_copies(csv_path, tmp_path, column):
+    """The table cut to its first row, and with ``column`` constant."""
+    with open(csv_path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    one = tmp_path / "one.csv"
+    one.write_text("".join(lines[:2]), encoding="utf-8")
+    i = lines[0].rstrip("\n").split(",").index(column)
+    rows = [line.rstrip("\n").split(",") for line in lines[1:]]
+    flat = tmp_path / "flat.csv"
+    flat.write_text(lines[0] + "".join(
+        ",".join(cells[:i] + [rows[0][i]] + cells[i + 1:]) + "\n"
+        for cells in rows), encoding="utf-8")
+    return str(one), str(flat)
+
+
+def test_pce_refuses_a_conditioning_covariate_without_spread(
+        workspace, tmp_path, capsys):
+    """mean -/+ one sd pins nothing on one row (both NaN) or on a
+    constant column (both equal), so such a column exits 2, named, as a
+    default step on it does.  A dummy keeps its 0/1 pins."""
+    _, csv_path, model_path = workspace
+    for path in _one_row_and_constant_copies(csv_path, tmp_path, "age"):
+        assert main(["pce", model_path, path, "--covariate", "smoker.no",
+                     "--by", "age"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: covariate 'age' has zero sample variation; "
+                       "it cannot be pinned at its mean -/+ one sd\n")
+        assert main(["pce", model_path, path, "--covariate", "age"]) == 2
+        assert capsys.readouterr().err == (
+            "error: covariate 'age' has zero sample variation; supply an "
+            "explicit step d\n")
+        assert main(["pce", model_path, path, "--covariate", "age", "--d",
+                     "1", "--by", "smoker.no"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [r[1] for r in rows[1:]] == ["smoker.no=0", "smoker.no=1"]
+
+
 def test_diagram(workspace, capsys):
     _, csv_path, model_path = workspace
     assert main(["diagram", model_path, csv_path]) == 0
@@ -729,6 +766,22 @@ def test_schema_file_flag(tmp_path, capsys):
     payload = json.loads(model.read_text())
     names = [m["name"] for m in payload["column_meta"]]
     assert "smoker.yes" in names
+
+
+@pytest.mark.parametrize("columns", [["smoker"], None, "smoker"],
+                         ids=["list", "null", "string"])
+def test_schema_columns_must_be_an_object(tmp_path, capsys, columns):
+    """``columns`` maps CSV columns to actions; a list, null or string
+    (which would be read a character at a time) exits 2, named."""
+    csv_path = _make_csv(tmp_path / "d.csv")
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"columns": columns}))
+    assert main(["fit", csv_path, "--response", "charges", "--q", "1",
+                 "--schema", str(schema),
+                 "--out", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: schema 'columns' must be an object mapping CSV column names "
+        f"to actions, got {columns!r}\n")
 
 
 def test_schema_response_action_on_factor_response_exits_2(tmp_path,

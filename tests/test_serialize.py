@@ -3,7 +3,7 @@
 import json
 import os
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,8 @@ from statnn.fit import evaluate_at
 from statnn.likelihood import observed_information
 from statnn.model import Architecture, ColumnMeta, ParamVector
 from statnn.preprocess import ingest
-from statnn.serialize import (MODEL_FORMAT_VERSION, SCENARIO_FORMAT_VERSION,
+from statnn.serialize import (_SCENARIO_FIELDS, MODEL_FORMAT_VERSION,
+                              SCENARIO_FORMAT_VERSION, FitRecord,
                               ModelDocument, atomic_write_text, data_sha256,
                               file_sha256, load_model, load_scenario,
                               model_document, model_to_json, parse_model,
@@ -122,6 +123,41 @@ def test_numpy_scalars_are_written_as_plain_numbers():
     scen = SimScenario(q=2, nz_pattern="5-1", n=500, seed=42)
     np_scen = replace(scen, q=np.int64(2), n=np.int64(500), seed=np.uint64(42))
     assert scenario_to_json(np_scen) == scenario_to_json(scen)
+
+
+def test_scenario_file_bytes_are_pinned(tmp_path):
+    """An integer lambda is written as 0.0, numpy scalars as plain
+    numbers and the truth as a list of floats, in the file's order."""
+    scen = SimScenario(q=np.int64(2), nz_pattern="5-1", n=np.int32(300),
+                       p=np.int64(1), lam=0, noise_sd=np.float64(1.5),
+                       replicates=7, restarts=np.uint8(3), seed=np.int64(11),
+                       true_theta=ParamVector(Architecture(1, 2),
+                                              np.arange(7) / 4))
+    path = tmp_path / "scenario.json"
+    save_scenario(scen, str(path))
+    assert path.read_text(encoding="utf-8") == (
+        '{\n  "format_version": 1,\n  "q": 2,\n  "nz_pattern": "5-1",\n'
+        '  "n": 300,\n  "p": 1,\n  "lambda": 0.0,\n  "noise_sd": 1.5,\n'
+        '  "replicates": 7,\n  "restarts": 3,\n  "seed": 11,\n'
+        '  "true_theta": [\n    0.0,\n    0.25,\n    0.5,\n    0.75,\n'
+        '    1.0,\n    1.25,\n    1.5\n  ]\n}\n')
+
+
+def test_each_record_is_stored_from_one_field_list():
+    """The fit block holds ``FitRecord``'s fields in their order, and a
+    scenario file's keys and the ``SimScenario`` fields it stores are
+    those of the scenario table, so a new stored field is added in one
+    place."""
+    payload = json.loads(model_to_json(_doc()))
+    assert list(payload["fit"]) == [f.name for f in fields(FitRecord)]
+    arch = Architecture(p=6, q=3)
+    scen = SimScenario(q=3, nz_pattern="3-3", n=100,
+                       true_theta=ParamVector(arch, np.zeros(arch.r)))
+    keys = [key for key, *_ in _SCENARIO_FIELDS]
+    assert list(json.loads(scenario_to_json(scen))) == (
+        ["format_version"] + [key for key in keys if key != "effect"])
+    stored = {name for _, name, *_ in _SCENARIO_FIELDS} - {"effect"}
+    assert stored == {f.name for f in fields(SimScenario)}
 
 
 def test_model_document_family():

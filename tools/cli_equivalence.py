@@ -13,8 +13,9 @@ exit code, stdout and stderr (SRC itself is written as ``<src>``).  Last
 come the refusals, bad inputs which exit 2: the bad models are copies of
 the Gaussian model with JSON fields edited (a model whose theta or
 lambda was edited no longer matches its stored fit), the bad tables
-copies of its table with one cell replaced or dropped, and a summary of
-the Gaussian model on the Bernoulli table, which is not its training
+copies of its table with one cell replaced or dropped, or cut to one
+row, a schema whose ``columns`` is a list, and a summary of the
+Gaussian model on the Bernoulli table, which is not its training
 data.  The commands import
 nothing from the package and patch nothing, so the same list runs
 unchanged against any two versions of it, across API changes.
@@ -210,6 +211,12 @@ REFUSALS = [
     ("select_negative_width", ["select", "g.csv", "--response", "y",
                                "--q-list", "2,-1", "--folds", "3",
                                "--restarts", "2"]),
+    ("fit_schema_list", ["fit", "g.csv", "--response", "y", "--q", "1",
+                         "--schema", "listschema.json",
+                         "--out", "listschema_model.json"]),
+    # one row: the conditioning covariate has no spread to pin it by
+    ("pce_by_one_row", ["pce", "g_model.json", "g_one.csv", "--covariate",
+                        "flag", "--by", "x3"]),
     ("fit_response_only", ["fit", "yonly.csv", "--response", "y", "--q",
                            "1", "--out", "yonly_model.json"]),
     # a response that is not 0/1, and a Bernoulli sweep of the linear
@@ -223,14 +230,17 @@ REFUSALS = [
                                  "--family", "bernoulli", "--q-list", "0"]),
 ]
 
-#: Small tables for REFUSALS: three rows, and the response alone.
-SMALL_TABLES = {"three.csv": "x,y\n1.0,2.0\n2.0,1.5\n3.5,4.0\n",
-                "yonly.csv": "y\n1.0\n2.0\n4.0\n"}
+#: Small files for REFUSALS: three rows, the response alone, and a
+#: schema whose ``columns`` is not an object.
+SMALL_FILES = {"three.csv": "x,y\n1.0,2.0\n2.0,1.5\n3.5,4.0\n",
+               "yonly.csv": "y\n1.0\n2.0\n4.0\n",
+               "listschema.json": '{"columns": ["x1"]}\n'}
 
 
 def _bad_tables(lines: list) -> dict:
     """Copies of the Gaussian table's lines (header first) with one cell
-    of one data row replaced or dropped, for REFUSALS."""
+    of one data row replaced or dropped, or with one data row, for
+    REFUSALS."""
     header = lines[0].rstrip("\n").split(",")
 
     def edited(row: int, column: str, cell: str | None) -> str:
@@ -246,6 +256,7 @@ def _bad_tables(lines: list) -> dict:
         "g_ragged.csv": edited(5, "flag", None),
         # over the csv module's field limit of 131,072 characters
         "g_bigfield.csv": edited(6, "grp", "z" * 140_000),
+        "g_one.csv": "".join(lines[:2]),
     }
 
 
@@ -323,7 +334,7 @@ def _write_inputs(out: Path):
         lines = fh.readlines()
     for name, text in _bad_tables(lines).items():
         (out / name).write_text(text, encoding="utf-8", newline="")
-    for name, text in SMALL_TABLES.items():
+    for name, text in SMALL_FILES.items():
         (out / name).write_text(text, encoding="utf-8")
     for name, payload in SCENARIOS.items():
         (out / name).write_text(json.dumps(payload), encoding="utf-8")
